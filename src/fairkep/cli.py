@@ -28,6 +28,7 @@ from .core import (
     Packing,
     StructurePolicy,
     UNBOUNDED,
+    restrict_to_coverable,
 )
 
 EXIT_OK = 0
@@ -257,7 +258,9 @@ def _solve_lottery(instance: KepInstance, args) -> fair.SolveReport:
     if args.delta is None and args.mu is None and args.objective != "utilitarian":
         # fairness objectives are only interesting on the family that trades a
         # little cardinality for coverage; default to the smallest sufficient
-        # relaxation
+        # relaxation.  δ* is defined over coverable pairs only, so first drop
+        # the pairs no packing covers (they report marginal 0).
+        instance, _ = restrict_to_coverable(instance, policy, oracle.is_coverable)
         policy = replace(
             policy, cardinality_mode="delta", delta=oracle.delta_star(instance, policy)
         )

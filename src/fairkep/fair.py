@@ -36,10 +36,10 @@ from .core import (
     restrict_to_coverable,
 )
 from .oracle import (
-    OracleInfeasible,
     OracleQuery,
     Uncoverable,
     acceptable_cardinality,
+    is_coverable,
     max_price_packing,
 )
 from .simplexlp import LpInfeasible, LpUnbounded, lp_solve_exact
@@ -222,7 +222,8 @@ def _maximin_lp(master: RestrictedMaster, fixed: dict[int, object]):
         if master.exact:
             if val <= z:
                 return x[k], x[:k], rounds, Fraction(0)
-            assert master.add(packing), "priced an existing column with positive reduced cost"
+            if not master.add(packing):
+                raise FairkepError("priced an existing column with positive reduced cost")
         else:
             gap = max(0.0, float(val) - z)
             if gap <= FLOAT_CERT_TOL or not master.add(packing):
@@ -654,21 +655,6 @@ def preprocess(
 ) -> tuple[KepInstance, list[int]]:
     """Drop pairs covered by no acceptable packing; returns (instance, dropped)."""
     card = acceptable_cardinality(instance, policy)
-
-    def coverable(inst: KepInstance, pol: StructurePolicy, v: int) -> bool:
-        try:
-            max_price_packing(
-                OracleQuery(
-                    instance=inst,
-                    policy=pol,
-                    node_prices={},
-                    must_cover=frozenset({v}),
-                    cardinality=card,
-                ),
-                value_only=True,
-            )
-            return True
-        except OracleInfeasible:
-            return False
-
-    return restrict_to_coverable(instance, policy, coverable)
+    return restrict_to_coverable(
+        instance, policy, lambda inst, pol, v: is_coverable(inst, pol, v, card)
+    )

@@ -1,15 +1,18 @@
 """Exact weighted optimization over packing families, plus pool-level metrics.
 
 `max_price_packing` maximizes the total node price of covered pairs over all
-packings a `StructurePolicy` admits.  Small/enumerable families are solved by
-an exact rational branch-and-bound over bitmask-encoded structures with fully
-specified tie-breaking; families with non-enumerable chains fall back to a
-MILP formulation (cycle columns + arc flows with position variables) solved by
-HiGHS through scipy.
+packings a `StructurePolicy` admits.  Enumerable families are solved by an
+exact branch-and-bound over bitmask-encoded structures with fully specified
+tie-breaking; it runs on integers (prices scaled by their common denominator)
+and returns the optimum as a `Fraction`.  HiGHS, through scipy, takes the
+integer-priced value-only queries on pools above `BB_MAX_PAIRS` (a set-packing
+MILP over the enumerated structures) and families with non-enumerable chains
+(cycle columns + arc flows with position variables or subtour cuts).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -25,6 +28,11 @@ from .core import (
 )
 
 DEFAULT_ENUM_CAP = 200_000
+
+# Integer-priced value-only queries on pools of more pairs go to the set-packing
+# MILP: past ~20 pairs the branch-and-bound's worst cases take seconds, against
+# HiGHS's fixed ~10 ms per query.
+BB_MAX_PAIRS = 18
 
 CARD_FREE = ("free", None)
 
@@ -136,7 +144,14 @@ class _BB:
         # NDDs get conflict bits too: chains sharing a root are not disjoint
         nodes = self.pairs + sorted(query.instance.ndds)
         self.bit = {v: i for i, v in enumerate(nodes)}
-        self.price = {v: query.price(v) for v in self.pairs}
+        # search on integers: price * scale is integral for every pair
+        prices = [query.price(v) for v in self.pairs]
+        self.scale = math.lcm(*(p.denominator for p in prices))
+        self.price = {
+            v: p.numerator * (self.scale // p.denominator) for v, p in zip(self.pairs, prices)
+        }
+        # per-bit positive price, for the optimistic bound
+        self.gain = [max(self.price[v], 0) for v in self.pairs]
 
         structs = [
             s for s in structures if not (set(s.covered()) & query.forbidden)
@@ -147,7 +162,7 @@ class _BB:
         self.sizes = []
         for s in structs:
             m = 0
-            val = Fraction(0)
+            val = 0
             for v in s.covered():
                 m |= 1 << self.bit[v]
                 val += self.price[v]
@@ -169,17 +184,14 @@ class _BB:
                 self.must_mask |= 1 << self.bit[v]
             else:
                 raise OracleInfeasible(f"must_cover names unknown pair {v}")
-        self.best: Optional[tuple] = None  # (value, aux_key, structures)
+        self.best: Optional[tuple] = None  # (scaled value, aux_key, structures)
 
-    def _bound(self, i: int, used: int, value: Fraction) -> Fraction:
+    def _bound(self, i: int, used: int, value: int) -> int:
         free = self.suffix_cover[i] & ~used & ((1 << len(self.pairs)) - 1)
         total = value
         while free:
             low = free & -free
-            v = self.pairs[low.bit_length() - 1]
-            p = self.price[v]
-            if p > 0:
-                total += p
+            total += self.gain[low.bit_length() - 1]
             free ^= low
         return total
 
@@ -206,14 +218,13 @@ class _BB:
         return True
 
     def run(self) -> tuple[Packing, Fraction]:
-        mode, k = self.query.cardinality
-        self._dfs(0, 0, Fraction(0), 0, [])
+        self._dfs(0, 0, 0, 0, [])
         if self.best is None:
             raise OracleInfeasible("no packing satisfies the side constraints")
         value, _, chosen = self.best
-        return Packing(frozenset(self.structs[j] for j in chosen)), value
+        return Packing(frozenset(self.structs[j] for j in chosen)), Fraction(value, self.scale)
 
-    def _dfs(self, i: int, used: int, value: Fraction, count: int, chosen: list[int]):
+    def _dfs(self, i: int, used: int, value: int, count: int, chosen: list[int]):
         # recursion only on inclusion; skipping a structure advances the loop,
         # so the depth is bounded by the packing size rather than the family
         mode, k = self.query.cardinality
@@ -548,10 +559,13 @@ def max_price_packing(
     Exact and deterministic on enumerable families: ties are broken by fewest
     structures then lexicographically smallest structure ids (with fewest
     3-cycles inserted first when requested).  `value_only` skips the tie-break
-    layers, returning the first optimal packing found.  `cut_pool`, when
-    given, carries subtour cuts between repeated solves on one instance.
-    `extra_columns`, when given, collects the feasible near-optimal packings
-    the MILP path encounters on the way (useful to enrich a column pool).
+    layers, returning the first optimal packing found; with integer prices on
+    more than `BB_MAX_PAIRS` pairs the set-packing MILP answers it.  Chain
+    families that trip the `ExplosionGuard`, or unbounded chains on more than
+    2000 arcs, go to the arc MILP.  `cut_pool`, when given, carries subtour
+    cuts between repeated solves on one instance.  `extra_columns`, when
+    given, collects the feasible near-optimal packings the MILP path
+    encounters on the way (useful to enrich a column pool).
     """
     # Unbounded chains on dense instances always blow the enumeration cap;
     # probing it anyway costs seconds per call, so go straight to the MILP.
@@ -564,6 +578,7 @@ def max_price_packing(
     if (
         structures
         and value_only
+        and len(query.instance.pairs) > BB_MAX_PAIRS
         and all(Fraction(p).denominator == 1 for p in query.node_prices.values())
     ):
         return _set_packing_milp(query, structures)
@@ -600,6 +615,28 @@ def max_cardinality(instance: KepInstance, policy: StructurePolicy) -> int:
     return int(val)
 
 
+def is_coverable(
+    instance: KepInstance,
+    policy: StructurePolicy,
+    v: int,
+    cardinality: tuple[str, Optional[int]] = CARD_FREE,
+) -> bool:
+    """Whether some packing under the cardinality side constraint covers v."""
+    try:
+        max_price_packing(
+            OracleQuery(
+                instance=instance,
+                policy=policy,
+                must_cover=frozenset({v}),
+                cardinality=cardinality,
+            ),
+            value_only=True,
+        )
+    except OracleInfeasible:
+        return False
+    return True
+
+
 def _loss_given_max(
     instance: KepInstance, policy: StructurePolicy, v: int, maxcard: int, max_covered: frozenset[int]
 ) -> int:
@@ -614,7 +651,8 @@ def _loss_given_max(
     delta = maxcard - int(val)
     if policy.max_chain_len is None and policy.max_cycle_len is not None:
         limit = (policy.max_cycle_len - 1) ** 2 - 1
-        assert delta <= max(limit, 0), f"coverage loss {delta} exceeds bound {limit}"
+        if delta > max(limit, 0):
+            raise FairkepError(f"coverage loss {delta} exceeds bound {limit}")
     return delta
 
 

@@ -17,6 +17,7 @@ from fairkep.cli import (
     run,
 )
 from fairkep.core import UNBOUNDED, StructurePolicy
+from fairkep.oracle import is_coverable
 
 F = Fraction
 
@@ -98,6 +99,21 @@ class TestLottery:
         assert len(rep["lottery"]["support"]) == 1
         assert rep["lottery"]["support"][0]["prob"] == "1"
         assert rep["marginals"]["1"] == "0"
+
+    def test_default_delta_drops_uncoverable_pairs(self, tmp_path):
+        """The default δ* relaxation is taken after dropping the pairs that no
+        packing covers; those pairs report marginal 0."""
+        inst_path = tmp_path / "g.json"
+        assert run(["generate", "--pairs", "20", "--seed", "100", "-o", str(inst_path)]) == EXIT_OK
+        out = tmp_path / "lot.json"
+        assert run(["lottery", str(inst_path), "--objective", "maximin", "-o", str(out)]) == EXIT_OK
+        marginals = {int(v): F(q) for v, q in json.loads(out.read_text())["marginals"].items()}
+        inst = io.read_instance(inst_path)
+        policy = parse_policy("cyc3")
+        uncoverable = {v for v in inst.pairs if not is_coverable(inst, policy, v)}
+        assert uncoverable and len(marginals) == len(inst.pairs)
+        for v, q in marginals.items():
+            assert (q == 0) == (v in uncoverable), v
 
     def test_weighted_requires_leximin(self, fig1a, tmp_path):
         w = tmp_path / "w.json"

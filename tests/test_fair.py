@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
+import fairkep
 from fairkep.core import Cycle, KepInstance, Lottery, Packing, StructurePolicy
 from fairkep.fair import (
     solve_gini,
@@ -107,6 +112,30 @@ class TestTripleOverlapGraph:
         assert r.marginals == want
         sup = dict(r.lottery.support)
         assert sup.get(self.TOP) == F(1, 2) and sup.get(self.BOTTOM) == F(1, 2)
+
+    def test_maximin_under_python_O(self):
+        """Column generation must not rely on assert statements: python -O
+        strips them, and an assert that adds a column would loop forever."""
+        code = (
+            "from fractions import Fraction as F\n"
+            "from fairkep.core import KepInstance, StructurePolicy\n"
+            "from fairkep.fair import solve_maximin\n"
+            f"arcs = {sorted(TRIPLE.arcs)!r}\n"
+            "inst = KepInstance(pairs=frozenset(range(1, 8)), ndds=frozenset(),"
+            " arcs={a: F(1) for a in arcs})\n"
+            "pol = StructurePolicy(max_cycle_len=3, cardinality_mode='delta', delta=3)\n"
+            "r = solve_maximin(inst, pol)\n"
+            "print(r.objective, sorted(r.marginals.items()))\n"
+        )
+        src = str(Path(fairkep.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        r = solve_maximin(TRIPLE, CYC3D3)
+        assert out.stdout.strip() == f"{r.objective} {sorted(r.marginals.items())}"
 
     def test_nash(self):
         r = solve_nash(TRIPLE, CYC3D3, tol=1e-6)

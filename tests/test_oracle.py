@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from fairkep import gen, oracle
 from fairkep.core import Cycle, KepInstance, StructurePolicy
 from fairkep.oracle import (
     OracleInfeasible,
@@ -73,6 +74,20 @@ def brute_best(instance, policy, prices, must=frozenset(), forb=frozenset(), car
 
     rec(0, set(), set(), F(0), 0)
     return best
+
+
+def assert_cardinality(packing, card):
+    mode, k = card
+    n = len(packing.covered)
+    assert mode == "free" or (n == k if mode == "exact" else n >= k), (n, card)
+
+
+def random_instance(rng, n_lo, n_hi, ndd_lo, ndd_hi, density):
+    n = rng.randint(n_lo, n_hi)
+    pairs = list(range(n))
+    ndds = list(range(100, 100 + rng.randint(ndd_lo, ndd_hi)))
+    arcs = [(u, v) for u in pairs + ndds for v in pairs if u != v and rng.random() < density]
+    return make(pairs, ndds, arcs)
 
 
 class TestEnumeration:
@@ -155,22 +170,24 @@ class TestMaxPrice:
                 )
                 card = rng.choice([("free", None), ("atleast", 2), ("exact", 2)])
                 bb = brute_best(inst, pol, prices, must, forb, card)
-                try:
-                    pk, val = max_price_packing(
-                        OracleQuery(
-                            instance=inst,
-                            policy=pol,
-                            node_prices=prices,
-                            must_cover=must,
-                            forbidden=forb,
-                            cardinality=card,
-                        )
-                    )
-                except OracleInfeasible:
-                    assert bb is None, trial
-                    continue
-                assert bb is not None and val == bb, (trial, val, bb)
-                assert must <= pk.covered and not (pk.covered & forb)
+                q = OracleQuery(
+                    instance=inst,
+                    policy=pol,
+                    node_prices=prices,
+                    must_cover=must,
+                    forbidden=forb,
+                    cardinality=card,
+                )
+                for value_only in (False, True):
+                    try:
+                        pk, val = max_price_packing(q, value_only=value_only)
+                    except OracleInfeasible:
+                        assert bb is None, (trial, value_only)
+                        continue
+                    assert bb is not None and val == bb, (trial, value_only, val, bb)
+                    assert val == sum((prices[v] for v in pk.covered), F(0))
+                    assert must <= pk.covered and not (pk.covered & forb)
+                    assert_cardinality(pk, card)
 
     def test_milp_agrees_with_exact_on_chains(self):
         rng = random.Random(13)
@@ -192,6 +209,101 @@ class TestMaxPrice:
             _, val_exact = max_price_packing(q, value_only=True)
             _, val_milp = _milp_max_price(q, cap=200000)
             assert val_exact == val_milp, (trial, val_exact, val_milp)
+
+    def test_bb_agrees_with_milp_on_bounded_chains(self):
+        """Differential check of the branch-and-bound against the HiGHS MILP.
+
+        Non-integer rational prices, bounded chains, must-cover and
+        cardinality side constraints.  The smallest gap between two distinct
+        packing values is 1/12 here, far above HiGHS's tolerances, so both
+        must land on the same exact optimum.
+        """
+        rng = random.Random(17)
+        checked = 0
+        for trial in range(60):
+            inst = random_instance(rng, 4, 9, 1, 2, 0.3)
+            pairs = sorted(inst.pairs)
+            pol = StructurePolicy(max_cycle_len=3, max_chain_len=rng.choice([2, 3]))
+            prices = {v: F(rng.randint(-3, 8), rng.choice([1, 2, 3, 4])) for v in pairs}
+            must = frozenset(rng.sample(pairs, rng.randint(0, 2)))
+            card = rng.choice([("free", None), ("atleast", 3), ("exact", 4)])
+            q = OracleQuery(
+                instance=inst, policy=pol, node_prices=prices, must_cover=must, cardinality=card
+            )
+            try:
+                pk_bb, val_bb = max_price_packing(q, value_only=True)
+            except OracleInfeasible:
+                with pytest.raises(OracleInfeasible):
+                    _milp_max_price(q, cap=200000)
+                continue
+            pk_milp, val_milp = _milp_max_price(q, cap=200000)
+            assert val_bb == val_milp, (trial, val_bb, val_milp)
+            for pk in (pk_bb, pk_milp):
+                assert all(pol.allows(s) for s in pk.structures), trial
+                assert must <= pk.covered
+                assert_cardinality(pk, card)
+            checked += 1
+        assert checked >= 20
+
+    def test_large_pools_use_set_packing_milp(self, monkeypatch):
+        """Integer value-only queries above BB_MAX_PAIRS go to the set-packing
+        MILP, which must agree with the branch-and-bound."""
+        routed = []
+        milp = oracle._set_packing_milp
+
+        def counting(*args):
+            routed.append(args)
+            return milp(*args)
+
+        monkeypatch.setattr(oracle, "_set_packing_milp", counting)
+        rng = random.Random(29)
+        for trial in range(12):
+            cfg = gen.GenConfig(n_pairs=oracle.BB_MAX_PAIRS + 2, seed=500 + trial)
+            inst = gen.generate_instance(cfg)
+            pairs = sorted(inst.pairs)
+            pol = StructurePolicy(max_cycle_len=2)
+            prices = {v: F(rng.randint(-1, 3)) for v in pairs}
+            must = frozenset(rng.sample(pairs, rng.randint(0, 1)))
+            card = rng.choice([("free", None), ("atleast", 4)])
+            q = OracleQuery(
+                instance=inst, policy=pol, node_prices=prices, must_cover=must, cardinality=card
+            )
+            structures = enumerate_structures(inst, pol)
+            try:
+                want = oracle._BB(q, structures, value_only=True).run()[1]
+            except OracleInfeasible:
+                with pytest.raises(OracleInfeasible):
+                    max_price_packing(q, value_only=True)
+                continue
+            pk, val = max_price_packing(q, value_only=True)
+            assert val == want, trial
+            assert val == sum((prices[v] for v in pk.covered), F(0))
+            assert must <= pk.covered
+            assert_cardinality(pk, card)
+        assert len(routed) >= 8
+
+    def test_large_denominators_stay_exact(self):
+        """Prices whose common denominator is far beyond 64 bits."""
+        rng = random.Random(23)
+        for trial in range(25):
+            inst = random_instance(rng, 5, 9, 0, 2, 0.35)
+            pairs = sorted(inst.pairs)
+            pol = StructurePolicy(max_cycle_len=3, max_chain_len=rng.choice([None, 2]))
+            prices = {}
+            for v in pairs:
+                if rng.random() < 0.3:
+                    prices[v] = F(rng.randint(-2, 5))
+                else:
+                    den = rng.randint(2, 10**12)
+                    prices[v] = F(rng.randint(-den, 5 * den), den)
+            for value_only in (False, True):
+                pk, val = max_price_packing(
+                    OracleQuery(instance=inst, policy=pol, node_prices=prices),
+                    value_only=value_only,
+                )
+                assert type(val) is F
+                assert val == brute_best(inst, pol, prices), (trial, value_only)
+                assert val == sum((prices[v] for v in pk.covered), F(0))
 
 
 class TestCoverageMetrics:
