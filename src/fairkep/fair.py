@@ -42,7 +42,7 @@ from .oracle import (
     is_coverable,
     max_price_packing,
 )
-from .simplexlp import LpInfeasible, LpUnbounded, lp_solve_exact
+from .simplexlp import LpInfeasible, LpUnbounded, caratheodory, lp_solve_exact
 
 # masters stay exact-rational up to this many pairs (Gini has quadratically
 # many rows, so it switches to floats earlier)
@@ -629,25 +629,19 @@ def _gini_inner(master: RestrictedMaster, mu):
 
 
 def sparsify(lottery: Lottery) -> Lottery:
-    """Shrink the support to at most (covered pairs + 2), marginals unchanged.
+    """Shrink the support to at most (covered pairs + 1), marginals unchanged.
 
-    Caratheodory on the (marginals, 1) system: a basic feasible solution of the
-    exact LP fixing all marginals and total probability has at most one nonzero
-    per constraint row.
+    A merged support already within that bound is returned as is; otherwise
+    simplexlp.caratheodory keeps linearly independent columns of the
+    (marginals, total probability) system.
     """
     merged = lottery.merged()
-    union = sorted({v for pk, _ in merged.support for v in pk.covered})
+    union = {v for pk, _ in merged.support for v in pk.covered}
     if len(merged.support) <= len(union) + 1:
         return merged
-    columns = [pk for pk, _ in merged.support]
-    q = merged.marginals(union)
-    A_eq = [[1 if v in pk.covered else 0 for pk in columns] for v in union]
-    b_eq = [q[v] for v in union]
-    A_eq.append([1] * len(columns))
-    b_eq.append(Fraction(1))
-    res = lp_solve_exact([0] * len(columns), A_eq=A_eq, b_eq=b_eq)
-    support = tuple((pk, p) for pk, p in zip(columns, res.x) if p > 0)
-    return Lottery(support).merged()
+    weights = caratheodory([pk.covered for pk, _ in merged.support],
+                           [p for _, p in merged.support])
+    return Lottery(tuple((pk, p) for (pk, _), p in zip(merged.support, weights) if p > 0))
 
 
 def preprocess(

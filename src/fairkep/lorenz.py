@@ -3,16 +3,21 @@
 Pipeline: Gallai-Edmonds decomposition, contraction of the factor-critical
 components into pseudonodes, exact computation of the per-block coverage levels
 λ (parametric min-cut), a feasible circulation fixing edge-inclusion
-probabilities, a stochastic-matrix decomposition into matchings, and expansion
-back into full matchings. Weighted variants (node weights, edge weights, fixed
-cardinality) reduce onto the same engine by restricting removal vertices,
-admissible edges, and forced ("must-match") pseudonodes.
+probabilities, a stochastic-matrix decomposition into matchings, expansion
+back into full matchings, and an exact Carathéodory elimination
+(simplexlp.caratheodory) that keeps linearly independent matchings with the
+same marginals. Weighted variants (node weights, edge weights) reduce onto the
+same engine by restricting removal vertices, admissible edges (one
+maximum-weight perfect matching, its dual potentials and the
+Dulmage-Mendelsohn alternating cycles of a doubled bipartite graph), and
+forced ("must-match") pseudonodes; fixed cardinality uses exact column
+generation priced by perfect matchings.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Optional, Sequence
@@ -24,7 +29,7 @@ from .core import (
     Lottery,
     Packing,
 )
-from .flows import Arc, Infeasible, _MaxFlow, feasible_circulation
+from .flows import Arc, _MaxFlow, feasible_circulation
 from .matching import (
     Edge,
     GallaiEdmonds,
@@ -37,7 +42,7 @@ from .matching import (
     norm_edge,
     perfect_matching,
 )
-from .simplexlp import lp_solve_exact
+from .simplexlp import caratheodory, lp_solve_exact
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -254,7 +259,8 @@ def lambda_star(
         members = [cb.pseudo(pid) for pid in S]
         capacity = len(frozenset().union(*(neigh[pid] for pid in S)) if S else frozenset())
         new_lam = _tight_lambda(members, capacity)
-        assert new_lam < lam, "ratio iteration must strictly decrease"
+        if new_lam >= lam:
+            raise FairkepError(f"ratio stalled at λ={lam}: must-match pseudonodes unmatchable")
         lam = new_lam
     if lam >= 1:
         return ONE, Block(rem_left, rem_pids, ONE)
@@ -305,7 +311,8 @@ def peel_blocks(cb: ContractedBipartite) -> BlockPartition:
             peel = Peel(block.S_A, frozenset(block.S_D - musts), musts, lam)
             rem_left = rem_left - block.S_A
             rem_pids = rem_pids - block.S_D
-        assert peel.lam > prev, "peel λ values must strictly increase"
+        if peel.lam <= prev:
+            raise FairkepError(f"peel λ values must strictly increase: {prev} then {peel.lam}")
         prev = peel.lam
         peels.append(peel)
     if rem_left:
@@ -316,27 +323,6 @@ def peel_blocks(cb: ContractedBipartite) -> BlockPartition:
 # ---------------------------------------------------------------------------
 # circulation and cover matrix
 # ---------------------------------------------------------------------------
-
-def build_circulation(cb: ContractedBipartite, lam: Fraction) -> list[Arc]:
-    """The feasibility network for a uniform coverage level λ.
-
-    Source arcs into A(G) carry exactly 1; contracted edges have capacity 1;
-    each pseudonode's sink arc has lower bound max{0, σ_z λ - σ_z + 1} (1 for
-    must-match nodes) and unbounded capacity; a return arc closes the
-    circulation.
-    """
-    arcs = [Arc("source", ("u", u), ONE, ONE) for u in cb.left]
-    arcs += [Arc(("u", u), ("z", z), ZERO, ONE) for (u, z) in sorted(cb.edges)]
-    for p in cb.pseudos:
-        arcs.append(Arc(("z", p.pid), "sink", _demand(p, lam)))
-    arcs.append(Arc("sink", "source"))
-    return arcs
-
-
-def solve_feasible_circulation(arcs: Sequence[Arc]) -> list[Fraction]:
-    """Thin wrapper kept for symmetry with build_circulation; raises Infeasible with a cut."""
-    return feasible_circulation(arcs)
-
 
 @dataclass(frozen=True)
 class CoverMatrix:
@@ -425,7 +411,8 @@ def decompose_matrix(cover: CoverMatrix) -> list[tuple[dict[int, int], Fraction]
             if z not in used_cols:
                 delta = min(delta, t - s)
         delta = min(delta, t)
-        assert delta > 0
+        if delta <= 0:
+            raise NotStochastic(f"decomposition step of mass {delta} at remaining mass {t}")
         out.append((dict(M), delta))
         for u, z in M.items():
             P[(u, z)] -= delta
@@ -437,7 +424,8 @@ def decompose_matrix(cover: CoverMatrix) -> list[tuple[dict[int, int], Fraction]
     for M, p in out:
         for u, z in M.items():
             recon[(u, z)] = recon.get((u, z), ZERO) + p
-    assert recon == {e: v for e, v in cover.entries.items() if v > 0}
+    if recon != {e: v for e, v in cover.entries.items() if v > 0}:
+        raise FairkepError("decomposition does not reconstruct the cover matrix")
     return out
 
 
@@ -549,33 +537,18 @@ def _assemble_support(
 def sparsify_support(
     support: list[tuple[frozenset[Edge], Fraction]], vertices: Sequence[int]
 ) -> list[tuple[frozenset[Edge], Fraction]]:
-    """Reduce the support to a basic solution preserving all marginals exactly.
+    """Reduce the support to linearly independent matchings, marginals unchanged.
 
-    The kept support has at most |vertices| + 1 entries (rank of the equality
-    system), while every per-vertex coverage probability is unchanged.
+    simplexlp.caratheodory eliminates over the coverage vectors of the given
+    vertices (with total probability), so at most |vertices| + 1 matchings are
+    kept and every per-vertex coverage probability stays exactly the same.
     """
     if len(support) <= 1:
         return support
-    verts = sorted(vertices)
-    cover = []
-    for edges, _ in support:
-        cov = set()
-        for (a, b) in edges:
-            cov.add(a)
-            cov.add(b)
-        cover.append(cov)
-    q = {v: ZERO for v in verts}
-    for cov, (_, p) in zip(cover, support):
-        for v in cov:
-            if v in q:
-                q[v] += p
-    A_eq = [[ONE] * len(support)]
-    b_eq = [ONE]
-    for v in verts:
-        A_eq.append([ONE if v in cov else ZERO for cov in cover])
-        b_eq.append(q[v])
-    res = lp_solve_exact([ZERO] * len(support), A_eq=A_eq, b_eq=b_eq)
-    return [(support[i][0], x) for i, x in enumerate(res.x) if x > 0]
+    verts = set(vertices)
+    covers = [{x for e in edges for x in e} & verts for edges, _ in support]
+    weights = caratheodory(covers, [p for _, p in support])
+    return [(edges, p) for (edges, _), p in zip(support, weights) if p > 0]
 
 
 def _solve_engine(
@@ -691,8 +664,7 @@ def node_weight_leximin(
 
     The weight of the covered set decomposes over matching edges as
     w(u) + w(v), so this is exactly the edge-weight problem with derived
-    weights; the matroid view (greedy over coverable subsets of D(G)) yields
-    the same argmax family and is exposed separately as max_weight_coverable_set.
+    weights.
     """
     if node_weights is None:
         node_weights = instance.node_weights
@@ -701,29 +673,6 @@ def node_weight_leximin(
     derived = {e: w[e[0]] + w[e[1]] for e in graph.edges}
     sol = edge_weight_solution(graph, derived)
     return _support_to_lottery(sol.support)
-
-
-def max_weight_coverable_set(graph: UGraph, weights: Mapping[int, Fraction]) -> frozenset[int]:
-    """Greedy basis of the coverability matroid of D(G), decreasing weight, ties by id.
-
-    The returned set is a maximum-weight subset of D(G) coverable by a single
-    maximum matching.
-    """
-    ge = gallai_edmonds(graph)
-    forced: set[int] = set()
-    for v in sorted(ge.D, key=lambda v: (-Fraction(weights.get(v, 0)), v)):
-        if _coverable_together(graph, forced | {v}):
-            forced.add(v)
-    return frozenset(forced)
-
-
-def _coverable_together(graph: UGraph, targets: set[int]) -> bool:
-    """True iff some maximum matching covers every target vertex."""
-    tiers = {e: (ONE, Fraction(sum(1 for x in e if x in targets))) for e in graph.edges}
-    lw = lex_weights(tiers, len(graph.vertices))
-    m = max_weight_matching(graph, lw, maxcardinality=True)
-    covered = {x for e in m for x in e}
-    return targets <= covered
 
 
 def edge_weight_reduction(
@@ -889,11 +838,13 @@ def fixed_cardinality_solution(
         if 2 * len(m) != len(verts):
             raise CardinalityOutOfRange(f"no matching with exactly {mu} edges exists")
         real = frozenset(e for e in m if e[0] >= 0 and e[1] >= 0)
-        assert len(real) == mu
+        if len(real) != mu:
+            raise FairkepError(f"pricing matched {len(real)} real edges, not {mu}")
         value = matching_weight(real, weights)
         if w_star[0] is None:
             w_star[0] = value
-        assert value == w_star[0], "pricing must stay on the maximum-weight level"
+        if value != w_star[0]:
+            raise FairkepError(f"pricing left the max-weight level: {value} after {w_star[0]}")
         covered = frozenset(x for e in real for x in e)
         return covered, real
 
@@ -928,7 +879,8 @@ def _exact_leximin_cg(vertices, pricing):
             best = _cg_max_cover(v, floors, cols, add_col, pricing)
             if best == t:
                 newly.append(v)
-        assert newly, "each maximin round must saturate some vertex"
+        if not newly:
+            raise FairkepError(f"maximin level {t} saturated no vertex: inconsistent pricing")
         for v in newly:
             fixed[v] = t
     return dict(fixed), [

@@ -1,9 +1,12 @@
 """Undirected matching kernel.
 
 Maximum-cardinality matching via blossoms, Gallai-Edmonds decomposition,
-weighted (perfect) matching with exact rational weights, dual certificates for
-minimum-cost perfect matching, and admissible-edge extraction (edges lying in
-some optimum).
+weighted (perfect) matching with exact rational weights, and the admissible
+edges of a bipartite graph (edges lying in some maximum-weight perfect
+matching) from one optimal matching, its exact dual potentials and one
+strongly-connected-components pass over the tight edges. The odd-set dual
+certificate and the per-edge forcing test (optimal_pm_edges) are the slow
+exact references, capped at small graphs.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Mapping, Optional
 
 import networkx as nx
@@ -244,7 +248,8 @@ def gallai_edmonds(graph: UGraph) -> GallaiEdmonds:
         nu=nu,
         matching={order[i]: order[j] for i, j in enumerate(opt) if j != -1},
     )
-    assert 2 * nu == len(graph.vertices) - len(ge.components_D) + len(A)
+    if 2 * nu != len(graph.vertices) - len(ge.components_D) + len(A):
+        raise FairkepError(f"Gallai-Edmonds count fails: ν={nu}, |A|={len(A)}")
     return ge
 
 
@@ -280,10 +285,13 @@ def is_factor_critical(graph: UGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 def _nx_graph(graph: UGraph, weights: Mapping[Edge, Fraction]) -> "nx.Graph":
+    """Exact weights: all ints stay ints (networkx then keeps integer duals), else Fractions."""
+    ws = {e: weights.get(e, 0) for e in graph.edges}
+    if not all(isinstance(w, int) for w in ws.values()):
+        ws = {e: Fraction(w) for e, w in ws.items()}
     g = nx.Graph()
     g.add_nodes_from(graph.vertices)
-    for e in graph.edges:
-        g.add_edge(*e, weight=Fraction(weights.get(e, 0)))
+    g.add_edges_from((u, v, {"weight": w}) for (u, v), w in ws.items())
     return g
 
 
@@ -422,7 +430,8 @@ def _odd_set_duals(
     res = lp_solve_exact(
         [Fraction(1)] * nvar, A_ub=A_ub, b_ub=b_ub, free_vars=list(range(n))
     )
-    assert res.objective == opt_value, "strong duality must hold exactly"
+    if res.objective != opt_value:
+        raise FairkepError(f"odd-set dual {res.objective} differs from primal {opt_value}")
     y = {U: val for U, val in zip(sets, res.x) if val != 0 or len(U) == 1}
     admissible = frozenset(optimal_pm_edges(graph, costs, opt_value))
     return DualCertificate(y=y, admissible_edges=admissible, objective=res.objective)
@@ -472,16 +481,43 @@ def bipartite_admissible_subgraph(
 ) -> set[Edge]:
     """Edges lying in some maximum-weight perfect matching of a bipartite graph.
 
-    Determined by forcing each edge in turn and re-solving; unambiguous where
-    optimal duals are not unique.
+    One maximum-weight perfect matching M fixes exact optimal dual potentials:
+    y_r = w(M(r), r) - y_{M(r)}, and the left potentials are longest-path
+    values (Bellman-Ford, on integer-scaled weights) in the exchange digraph
+    with an arc M(r) -> l of gain w(l, r) - w(M(r), r) for each edge (l, r)
+    not in M.  By complementary slackness the optimal perfect matchings are
+    the perfect matchings of the tight subgraph, whatever optimal duals are
+    used.  A tight edge (l, r) lies in one of them iff it is in M or on an
+    M-alternating cycle (Dulmage-Mendelsohn), that is iff l and M(r) share a
+    strongly connected component of the tight arcs.
     """
-    bipartition(graph)  # raises NotBipartite
-    opt = max_weight_perfect_matching_value(graph, weights)
-    if opt is None:
+    left, _ = bipartition(graph)  # raises NotBipartite
+    exact = {e: Fraction(weights.get(e, 0)) for e in graph.edges}
+    scale = lcm(*(f.denominator for f in exact.values()))
+    w = {e: int(f * scale) for e, f in exact.items()}
+    m = max_weight_matching(graph, w, maxcardinality=True)
+    if 2 * len(m) != len(graph.vertices):
         raise NoPerfectMatching("bipartite graph has no perfect matching")
-    out = set()
-    for e in sorted(graph.edges):
-        sub = max_weight_perfect_matching_value(graph.without(e), weights)
-        if sub is not None and sub + Fraction(weights.get(e, 0)) == opt:
-            out.add(e)
-    return out
+    mate = {}  # right vertex -> its left partner in M
+    for (a, b) in m:
+        l, r = (a, b) if a in left else (b, a)
+        mate[r] = l
+    arcs = []  # (M(r), l, gain, edge (l, r))
+    for e in graph.edges - m:
+        l, r = e if e[0] in left else (e[1], e[0])
+        arcs.append((mate[r], l, w[e] - w[norm_edge(mate[r], r)], e))
+    y = dict.fromkeys(left, 0)
+    for _ in range(len(left) + 1):
+        changed = False
+        for (a, b, gain, _) in arcs:
+            if y[a] + gain > y[b]:
+                y[b] = y[a] + gain
+                changed = True
+        if not changed:
+            break
+    else:
+        raise FairkepError("exchange digraph has a positive cycle: matching not optimal")
+    tight = [(a, b, e) for (a, b, gain, e) in arcs if y[b] - y[a] == gain]
+    digraph = nx.DiGraph((a, b) for (a, b, _) in tight)
+    comp = {v: i for i, scc in enumerate(nx.strongly_connected_components(digraph)) for v in scc}
+    return m | {e for (a, b, e) in tight if comp[a] == comp[b]}

@@ -1,4 +1,5 @@
-"""Exact rational LP solving: dense two-phase simplex with Bland's rule.
+"""Exact rational LP solving: dense two-phase simplex with Bland's rule, and
+Carathéodory support reduction by elimination.
 
 Intended for the small systems that arise in lottery construction, where exact
 tie-free optima and exact duals matter. Large systems go through scipy instead
@@ -9,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import gcd
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .core import FairkepError
 
@@ -270,3 +272,70 @@ def _recover_duals(constraints, basis, cfull, ext, nslack, art0, slack_col_of, m
     for ci, (rr, b, kind, orig, sign) in enumerate(constraints):
         out.append(-y[ci] if b < 0 else y[ci])
     return out
+
+
+def caratheodory(
+    covers: Sequence[Iterable[Hashable]], weights: Sequence
+) -> list[Fraction]:
+    """Nonnegative weights with the same coverage and total, on independent columns.
+
+    Column j covers the rows in covers[j] and carries weights[j] >= 0.  The
+    returned weights give every row the same total (Σ_j w_j [r in covers[j]])
+    and sum to the same value, and the columns left with positive weight are
+    linearly independent as coverage vectors extended by the all-ones row, so
+    there are at most 1 + (number of distinct rows) of them.
+
+    Exact elimination: the columns enter, in order, an incremental reduced
+    echelon basis of integer rows [vector | the same vector as a combination
+    of columns].  A column that reduces to zero yields a null combination d;
+    mass shifts along -d until a weight hits zero.  If that is the new column
+    it is dropped; otherwise the zeroed column is eliminated from every row's
+    combination, which exchanges it for the new column and keeps the echelon
+    vectors.  Rows equal on every column are multiples of the all-ones row and
+    are skipped, as are repeats of another row.
+    """
+    w = [Fraction(x) for x in weights]
+    if any(x < 0 for x in w):
+        raise ValueError("weights must be nonnegative")
+    cols = [j for j, x in enumerate(w) if x > 0]
+    masks: dict[Hashable, int] = {}
+    for j in cols:
+        for r in set(covers[j]):
+            masks[r] = masks.get(r, 0) | (1 << j)
+    full = sum(1 << j for j in cols)
+    patterns = [full] + sorted({m for m in masks.values() if m != full})
+    m = len(patterns)
+    basis: list[tuple[int, list[int]]] = []  # (pivot, row); rows are 0 at other pivots
+    for j in cols:
+        row = [mask >> j & 1 for mask in patterns] + [0] * len(w)
+        row[m + j] = 1
+        for p, b in basis:
+            row = _eliminate(row, b, p)
+        pivot = next((i for i in range(m) if row[i]), None)
+        if pivot is not None:
+            basis = [(p, _eliminate(b, row, pivot)) for p, b in basis]
+            basis.append((pivot, row))
+            continue
+        # Σ_c d_c · column c = 0 with d = row[m:]; shift mass along -d (d_j > 0)
+        d = row[m:] if row[m + j] > 0 else [-x for x in row[m:]]
+        out = j
+        for c in cols:
+            if d[c] > 0 and w[c] * d[out] < w[out] * d[c]:
+                out = c
+        t = w[out] / d[out]
+        for c in cols:
+            if d[c]:
+                w[c] -= t * d[c]
+        if out != j:
+            basis = [(p, _eliminate(b, row, m + out)) for p, b in basis]
+    return w
+
+
+def _eliminate(row: list[int], pivot_row: list[int], i: int) -> list[int]:
+    """An integer multiple of row minus one of pivot_row, zero at entry i."""
+    f, g = row[i], pivot_row[i]
+    if not f:
+        return row
+    out = [g * a - f * b for a, b in zip(row, pivot_row)]
+    k = gcd(*out)
+    return [a // k for a in out] if k > 1 else out

@@ -44,6 +44,33 @@ def covered_set(matching):
     return frozenset(x for e in matching for x in e)
 
 
+def max_weight_perfect_matching_edges(vertices, edges, weights):
+    """Union of the maximum-weight perfect matchings, or None if there is none."""
+    n = len(vertices)
+    perfect = [m for m in enumerate_matchings(edges) if 2 * len(m) == n]
+    if not perfect:
+        return None
+    value = {m: sum((Fraction(weights.get(e, 0)) for e in m), ZERO) for m in perfect}
+    best = max(value.values())
+    return frozenset(e for m in perfect if value[m] == best for e in m)
+
+
+def rank(vectors):
+    """Rank of a list of equal-length rational vectors (row reduction)."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col] / rows[r][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
 def leximin_marginals(vertices, families):
     """Exact leximin-optimal marginal vector over lotteries on a finite family.
 

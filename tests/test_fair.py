@@ -12,6 +12,7 @@ from itertools import combinations
 from pathlib import Path
 
 import fairkep
+from fairkep import fair
 from fairkep.core import Cycle, KepInstance, Lottery, Packing, StructurePolicy
 from fairkep.fair import (
     solve_gini,
@@ -202,5 +203,16 @@ class TestSparsify:
         cols = [Packing.of(*rng.sample(structs, 1)) for _ in range(50)]
         lot = Lottery(tuple(zip(cols, [F(1, 50)] * 50)))
         sp = sparsify(lot)
-        assert len(sp.support) <= len(pairs) + 2
+        assert len(sp.support) <= len(pairs) + 1
         assert sp.marginals(pairs) == lot.marginals(pairs)
+
+    def test_within_bound_returns_merged_lottery(self, monkeypatch):
+        a, b = Packing.of(Cycle((0, 1))), Packing.of(Cycle((1, 2)))
+        lot = Lottery(((a, F(1, 4)), (b, F(1, 4)), (a, F(1, 2))))
+
+        def fail(*args):
+            raise AssertionError("support within bound must not be reduced")
+
+        monkeypatch.setattr(fair, "caratheodory", fail)
+        assert sparsify(lot) == lot.merged()
+        assert sparsify(lot).support == ((a, F(3, 4)), (b, F(1, 4)))

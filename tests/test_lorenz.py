@@ -7,16 +7,21 @@ from fractions import Fraction
 
 import pytest
 
-from fairkep.core import KepInstance, lorenz_compare, DOMINATES, EQUAL
+from fairkep.core import KepInstance, FairkepError, lorenz_compare, DOMINATES, EQUAL
 from fairkep.lorenz import (
+    ContractedBipartite,
     CoverMatrix,
     NotStochastic,
+    Pseudo,
+    _exact_leximin_cg,
     decompose_matrix,
     edge_weight_reduction,
     fixed_cardinality_reduction,
+    lambda_star,
     leximin_lottery_graph,
     leximin_matching_lottery,
     node_weight_leximin,
+    peel_blocks,
     sample_matching,
     sparsify_support,
 )
@@ -141,6 +146,21 @@ class TestSparsify:
 
         assert marg(slim) == marg(support)
 
+    def test_odd_cycles_reduce_to_rank(self):
+        # a triangle and a disjoint 5-cycle: 15 slices, rank at most 8
+        g = ug(range(8), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)])
+        support = [(frozenset(m), F(1, 15)) for m in maximum_matchings(g.edges)]
+        assert len(support) == 15
+        slim = sparsify_support(support, sorted(g.vertices))
+        assert 0 < len(slim) <= 8
+        assert {e for e, _ in slim} <= {e for e, _ in support}
+        q = {v: F(0) for v in g.vertices}
+        for edges, p in slim:
+            for (a, b) in edges:
+                q[a] += p
+                q[b] += p
+        assert q == {v: F(2, 3) if v < 3 else F(4, 5) for v in g.vertices}
+
 
 class TestDecomposeMatrix:
     def random_cover(self, rng):
@@ -263,3 +283,35 @@ class TestInstanceEntryPoints:
             assert lot.marginals(sorted(g.vertices)) == want
             checked += 1
         assert checked >= 25
+
+
+class TestChecks:
+    """Invariant checks that raise FairkepError rather than assert."""
+
+    def must_match_overload(self):
+        # two must-match pseudonodes and one optional one share a single left vertex
+        pseudos = (Pseudo(0, (1,), ()), Pseudo(1, (2,), ()), Pseudo(2, (3,), (3,)))
+        edges = frozenset({(0, 0), (0, 1), (0, 2)})
+        return ContractedBipartite(
+            left=(0,), pseudos=pseudos, edges=edges, attach={(0, z): (z + 1,) for z in range(3)}
+        )
+
+    def test_lambda_star_rejects_unmatchable_must_match(self):
+        with pytest.raises(FairkepError, match="must-match"):
+            lambda_star(self.must_match_overload())
+        with pytest.raises(FairkepError, match="must-match"):
+            peel_blocks(self.must_match_overload())
+
+    def test_leximin_cg_rejects_inconsistent_pricing(self):
+        # the pricing claims optimality for {1} during the maximin phase, then
+        # produces a column covering both vertices: no vertex saturates
+        calls = []
+
+        def pricing(prices):
+            calls.append(prices)
+            if len(calls) <= 2:
+                return frozenset({1}), frozenset({(1, 10)})
+            return frozenset({1, 2}), frozenset({(1, 10), (2, 20)})
+
+        with pytest.raises(FairkepError, match="saturated no vertex"):
+            _exact_leximin_cg([1, 2], pricing)

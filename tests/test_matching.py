@@ -14,6 +14,7 @@ from fairkep.matching import (
     NoPerfectMatching,
     NotBipartite,
     UGraph,
+    bipartite_admissible_subgraph,
     bipartition,
     gallai_edmonds,
     has_perfect_matching,
@@ -29,7 +30,7 @@ from fairkep.matching import (
     norm_edge,
     perfect_matching,
 )
-from helpers import enumerate_matchings
+from helpers import enumerate_matchings, max_weight_perfect_matching_edges
 
 F = Fraction
 
@@ -197,3 +198,46 @@ class TestBipartition:
     def test_odd_cycle(self):
         with pytest.raises(NotBipartite):
             bipartition(ug([1, 2, 3], [(1, 2), (2, 3), (1, 3)]))
+
+
+class TestAdmissibleEdges:
+    def random_bipartite(self, rng):
+        k = rng.randint(1, 6)
+        left = list(range(k))
+        right = list(range(10, 10 + k + rng.choice([0, 0, 0, 1])))
+        p = rng.uniform(0.3, 0.9)
+        edges = [(u, v) for u in left for v in right if rng.random() < p]
+        # half-integer weights from a tiny range, so ties and non-unique duals abound
+        weights = {e: F(rng.randint(-2, 4), rng.choice([1, 2])) for e in edges}
+        return ug(left + right, edges), weights
+
+    def test_against_enumerated_optima(self):
+        rng = random.Random(41)
+        solved = 0
+        for _ in range(400):
+            g, w = self.random_bipartite(rng)
+            want = max_weight_perfect_matching_edges(g.vertices, g.edges, w)
+            if want is None:
+                with pytest.raises(NoPerfectMatching):
+                    bipartite_admissible_subgraph(g, w)
+                continue
+            assert bipartite_admissible_subgraph(g, w) == want
+            solved += 1
+        assert solved >= 150
+
+    def test_tuple_vertices_and_missing_weights(self):
+        # a 4-cycle with one heavy edge pair; weights default to 0
+        a, b, c, d = ("L", 1), ("L", 2), ("R", 1), ("R", 2)
+        g = UGraph.of([a, b, c, d], [norm_edge(a, c), norm_edge(a, d), norm_edge(b, c), norm_edge(b, d)])
+        w = {norm_edge(a, c): F(1), norm_edge(b, d): F(1)}
+        assert bipartite_admissible_subgraph(g, w) == {norm_edge(a, c), norm_edge(b, d)}
+        assert bipartite_admissible_subgraph(g, {}) == set(g.edges)
+
+    def test_errors(self):
+        with pytest.raises(NotBipartite):
+            bipartite_admissible_subgraph(ug([1, 2, 3], [(1, 2), (2, 3), (1, 3)]), {})
+        with pytest.raises(NoPerfectMatching):
+            bipartite_admissible_subgraph(ug([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)]), {})
+        with pytest.raises(NoPerfectMatching):
+            bipartite_admissible_subgraph(ug([1, 2, 3], [(1, 2), (2, 3)]), {})
+        assert bipartite_admissible_subgraph(ug([], []), {}) == set()

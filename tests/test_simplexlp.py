@@ -1,4 +1,5 @@
-"""Exact rational simplex: optima, duals, infeasibility/unboundedness."""
+"""Exact rational simplex (optima, duals, infeasibility/unboundedness) and the
+Carathéodory support reduction."""
 
 from __future__ import annotations
 
@@ -7,8 +8,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fairkep.simplexlp import LpInfeasible, LpUnbounded, lp_solve_exact
+from fairkep.simplexlp import LpInfeasible, LpUnbounded, caratheodory, lp_solve_exact
+from helpers import rank
 
 F = Fraction
 
@@ -115,3 +118,70 @@ class TestRandomAgainstVertexEnumeration:
             assert sum(y * rhs for y, rhs in zip(res.duals_ub, b)) == res.objective
             tested += 1
         assert tested == 60
+
+
+def coverage(covers, weights, rows):
+    return {r: sum((w for c, w in zip(covers, weights) if r in c), F(0)) for r in rows}
+
+
+def independent(covers, weights, rows):
+    kept = [[1] + [1 if r in c else 0 for r in rows]
+            for c, w in zip(covers, weights) if w > 0]
+    return rank(kept) == len(kept)
+
+
+columns = st.lists(
+    st.tuples(
+        st.frozensets(st.integers(0, 7), max_size=8),
+        st.fractions(min_value=F(1, 12), max_value=5, max_denominator=12),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+class TestCaratheodory:
+    @settings(max_examples=150, deadline=None)
+    @given(columns)
+    def test_exact_and_independent(self, cols):
+        covers = [c for c, _ in cols]
+        weights = [w for _, w in cols]
+        rows = range(8)
+        out = caratheodory(covers, weights)
+        assert len(out) == len(weights)
+        assert all(isinstance(w, F) and w >= 0 for w in out)
+        assert sum(out) == sum(weights)
+        assert coverage(covers, out, rows) == coverage(covers, weights, rows)
+        assert independent(covers, out, rows)
+        full = [[1] + [1 if r in c else 0 for r in rows] for c in covers]
+        if rank(full) == len(full):
+            assert out == weights
+
+    def test_independent_support_unchanged(self):
+        # 13 unit columns and the all-ones column over 14 rows: 14 in, 14 out
+        covers = [{r} for r in range(13)] + [set(range(14))]
+        weights = [F(1, 28)] * 13 + [F(15, 28)]
+        assert caratheodory(covers, weights) == weights
+
+    def test_duplicate_columns_merge(self):
+        covers = [{1, 2}, {3}, {1, 2}, {3}]
+        weights = [F(1, 8), F(1, 4), F(3, 8), F(1, 4)]
+        out = caratheodory(covers, weights)
+        assert out == [F(1, 2), F(1, 2), F(0), F(0)]
+
+    def test_single_and_zero_columns(self):
+        assert caratheodory([{1, 2}], [F(1)]) == [F(1)]
+        assert caratheodory([{1}, {2}], [F(0), F(1)]) == [F(0), F(1)]
+        assert caratheodory([], []) == []
+
+    def test_reduces_to_rank(self):
+        # all 2-subsets of 6 rows: 15 columns in a space of rank 6
+        covers = [set(c) for c in combinations(range(6), 2)]
+        weights = [F(1, 15)] * 15
+        out = caratheodory(covers, weights)
+        assert sum(1 for w in out if w > 0) <= 6
+        assert coverage(covers, out, range(6)) == {r: F(1, 3) for r in range(6)}
+
+    def test_rejects_negative_weight(self):
+        with pytest.raises(ValueError):
+            caratheodory([{1}, {2}], [F(1), F(-1)])
