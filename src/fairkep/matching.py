@@ -4,9 +4,11 @@ Maximum-cardinality matching via blossoms, Gallai-Edmonds decomposition,
 weighted (perfect) matching with exact rational weights, and the admissible
 edges of a bipartite graph (edges lying in some maximum-weight perfect
 matching) from one optimal matching, its exact dual potentials and one
-strongly-connected-components pass over the tight edges. The odd-set dual
-certificate and the per-edge forcing test (optimal_pm_edges) are the slow
-exact references, capped at small graphs.
+strongly-connected-components pass over the tight edges. Weighted matching
+runs networkx on integer weights (the exact weights scaled by the lcm of their
+denominators), so its dual arithmetic stays exact. The odd-set dual
+certificate, capped at small graphs, takes its admissible edges from the
+per-edge forcing test (optimal_pm_edges).
 """
 
 from __future__ import annotations
@@ -281,17 +283,24 @@ def is_factor_critical(graph: UGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# weighted matching (networkx kernel, exact Fraction weights)
+# weighted matching (networkx kernel on integer-scaled exact weights)
 # ---------------------------------------------------------------------------
 
+def _int_weights(graph: UGraph, weights: Mapping[Edge, Fraction]) -> dict[Edge, int]:
+    """Edge weights times the lcm of their denominators (missing weights are 0).
+
+    A common positive scale keeps the same optimal matchings; integer weights
+    keep networkx's dual arithmetic exact (non-int weights are halved as floats).
+    """
+    exact = {e: Fraction(weights.get(e, 0)) for e in graph.edges}
+    scale = lcm(*(f.denominator for f in exact.values()))
+    return {e: f.numerator * (scale // f.denominator) for e, f in exact.items()}
+
+
 def _nx_graph(graph: UGraph, weights: Mapping[Edge, Fraction]) -> "nx.Graph":
-    """Exact weights: all ints stay ints (networkx then keeps integer duals), else Fractions."""
-    ws = {e: weights.get(e, 0) for e in graph.edges}
-    if not all(isinstance(w, int) for w in ws.values()):
-        ws = {e: Fraction(w) for e, w in ws.items()}
     g = nx.Graph()
     g.add_nodes_from(graph.vertices)
-    g.add_edges_from((u, v, {"weight": w}) for (u, v), w in ws.items())
+    g.add_edges_from((u, v, {"weight": w}) for (u, v), w in _int_weights(graph, weights).items())
     return g
 
 
@@ -330,20 +339,6 @@ def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a
-
-
-def max_weight_perfect_matching_value(
-    graph: UGraph, weights: Mapping[Edge, Fraction]
-) -> Optional[Fraction]:
-    """Maximum weight of a perfect matching, or None if the graph has none."""
-    if len(graph.vertices) % 2 != 0:
-        return None
-    if not graph.vertices:
-        return Fraction(0)
-    m = max_weight_matching(graph, weights, maxcardinality=True)
-    if 2 * len(m) != len(graph.vertices):
-        return None
-    return matching_weight(m, weights)
 
 
 def min_cost_perfect_matching(
@@ -492,9 +487,7 @@ def bipartite_admissible_subgraph(
     strongly connected component of the tight arcs.
     """
     left, _ = bipartition(graph)  # raises NotBipartite
-    exact = {e: Fraction(weights.get(e, 0)) for e in graph.edges}
-    scale = lcm(*(f.denominator for f in exact.values()))
-    w = {e: int(f * scale) for e, f in exact.items()}
+    w = _int_weights(graph, weights)
     m = max_weight_matching(graph, w, maxcardinality=True)
     if 2 * len(m) != len(graph.vertices):
         raise NoPerfectMatching("bipartite graph has no perfect matching")
