@@ -90,8 +90,12 @@ def lp_solve(
     """Maximize c @ x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 
     Variables in free_vars are unrestricted.  Returns (x, objective, duals_ub,
-    duals_eq).  Exact mode runs the rational simplex; float mode runs HiGHS
-    (duals good to ~1e-9).  Raises LpInfeasible / LpUnbounded.
+    duals_eq).  Exact mode runs simplexlp.lp_solve_exact, a fraction-free
+    simplex on integer tableau rows under Bland's rule; its duals are read off
+    the final objective row as exact Fractions: duals_ub >= 0, duals_eq of
+    either sign, A_ubᵀ duals_ub + A_eqᵀ duals_eq >= c and b · duals equal to
+    the objective.  Float mode runs HiGHS, with the same signs (duals good to
+    ~1e-9).  Raises LpInfeasible / LpUnbounded.
     """
     if exact:
         res = lp_solve_exact(c, A_ub, b_ub, A_eq, b_eq, free_vars)
@@ -348,8 +352,8 @@ def solve_leximin(instance: KepInstance, policy: StructurePolicy) -> SolveReport
     while len(fixed) < len(master.pairs):
         level, weights, _, g = _maximin_lp(master, fixed)
         gap = max(gap, g)
-        if last_level is not None:
-            assert level > last_level - (0 if master.exact else 1e-9), "levels must increase"
+        if last_level is not None and not level > last_level - (0 if master.exact else 1e-9):
+            raise FairkepError(f"leximin levels must increase: {level} after {last_level}")
         floors = {v: fixed.get(v, level) for v in master.pairs}
         newly, best, best_mx = [], None, None
         for v in master.pairs:
@@ -367,8 +371,10 @@ def solve_leximin(instance: KepInstance, policy: StructurePolicy) -> SolveReport
             elif best_mx is None or mx < best_mx:
                 best, best_mx = v, mx
         if not newly:
-            assert not master.exact, "maximin optimum must saturate some pair"
-            assert best is not None
+            if master.exact:
+                raise FairkepError("maximin optimum must saturate some pair")
+            if best is None:
+                raise FairkepError("no unfixed pair sits at the maximin level")
             newly = [best]  # float-noise fallback: fix the tightest pair
         for v in newly:
             fixed[v] = level
@@ -553,10 +559,11 @@ def solve_gini(
             break
         weights = p_star
         denom = 2 * len(master.pairs) * sum(q_star)
-        assert denom > 0
-        num = _abs_diff_sum(q_star)
-        mu_next = num / denom
-        assert mu_next < mu + (0 if master.exact else 1e-12), "ratio must decrease"
+        if not denom > 0:
+            raise FairkepError("Gini inner optimum covers no pair")
+        mu_next = _abs_diff_sum(q_star) / denom
+        if not mu_next < mu + (0 if master.exact else 1e-12):
+            raise FairkepError(f"Gini ratio must decrease: {mu_next} after {mu}")
         mu = mu_next
     else:
         raise StalledBelowTolerance("Gini ratio iterations failed to converge", float(D))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Iterator, Optional, Sequence
 
-from .core import Chain, Cycle, KepInstance, Packing
+from .core import Chain, Cycle, FairkepError, KepInstance, Packing
 
 
 @dataclass(frozen=True)
@@ -329,7 +329,11 @@ def max_2path_packing(instance: KepInstance) -> tuple[TwoPathPacking, Deficiency
     S = _trail_closure(engine, chains)
     matching = second_arc_matching(instance, S)
     cert = DeficiencyCertificate(ndd_set=S, matching=matching, exposed=len(packing.exposed_ndds))
-    assert cert.deficiency == cert.exposed, "certificate does not witness optimality"
+    if cert.deficiency != cert.exposed:
+        raise FairkepError(
+            f"certificate does not witness optimality: deficiency {cert.deficiency},"
+            f" {cert.exposed} exposed NDDs"
+        )
     return packing, cert
 
 

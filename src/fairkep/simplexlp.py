@@ -1,5 +1,9 @@
-"""Exact rational LP solving: dense two-phase simplex with Bland's rule, and
-Carathéodory support reduction by elimination.
+"""Exact rational LP solving: a fraction-free two-phase simplex with Bland's
+rule, and Carathéodory support reduction by elimination.
+
+Both keep every row as Python ints and eliminate with one shared step,
+pivot · row − factor · pivot row divided by the gcd of the result (Bareiss-style
+integer-preserving elimination), so no entry is ever a Fraction to normalise.
 
 Intended for the small systems that arise in lottery construction, where exact
 tie-free optima and exact duals matter. Large systems go through scipy instead
@@ -10,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Hashable, Iterable, Optional, Sequence
+from math import gcd, lcm
+from typing import Hashable, Iterable, Sequence
 
 from .core import FairkepError
 
@@ -32,47 +36,68 @@ class LpResult:
     duals_eq: list[Fraction]
 
 
-def _simplex(tab: list[list[Fraction]], basis: list[int], ncols: int) -> None:
-    """Maximize in place; objective row is tab[-1] holding reduced costs (z_j - c_j).
+def _eliminate(row: list[int], pivot_row: list[int], i: int) -> list[int]:
+    """An integer multiple of row minus one of pivot_row, zero at entry i.
 
-    Bland's rule: entering = smallest index with negative reduced cost, leaving =
-    smallest basis index among min-ratio rows. Terminates without cycling.
+    The result is pivot_row[i] · row − row[i] · pivot_row divided by its gcd,
+    so with pivot_row[i] > 0 it is a positive multiple of the exact update.
+    """
+    f, g = row[i], pivot_row[i]
+    if not f:
+        return row
+    out = [g * a - f * b for a, b in zip(row, pivot_row)]
+    k = gcd(*out)
+    return [a // k for a in out] if k > 1 else out
+
+
+def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, d) with ints / d == values and d > 0 the least such d."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _simplex(tab: list[list[int]], basis: list[int], ncols: int) -> None:
+    """Maximize in place over the columns j < ncols.
+
+    tab[:-1] are the constraint rows [A | b | 0]; each is its actual row times
+    a positive integer, its entry at its basic column.  tab[-1] is the
+    objective row [z_j − c_j | objective | D], the actual reduced costs times
+    its own denominator D > 0.  The constraint rows' 0 in that last slot lets
+    _eliminate carry D along as one more entry.  Only signs and ratios within
+    a row are read, so no division happens.
+
+    Bland's rule: entering = smallest index with negative reduced cost,
+    leaving = smallest basis index among min-ratio rows (b_i / a_i compared
+    by cross-multiplying).  Terminates without cycling.
     """
     m = len(tab) - 1
     zrow = tab[-1]
+    rhs = len(zrow) - 2
     while True:
-        enter = -1
-        for j in range(ncols):
-            if zrow[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if zrow[j] < 0), -1)
         if enter < 0:
             return
-        leave = -1
-        best: Optional[Fraction] = None
+        leave, best_b, best_a = -1, 0, 1
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                b = tab[i][rhs]
+                lhs, cur = b * best_a, best_b * a
+                if leave < 0 or lhs < cur or (lhs == cur and basis[i] < basis[leave]):
+                    leave, best_b, best_a = i, b, a
         if leave < 0:
             raise LpUnbounded("LP is unbounded")
-        piv = tab[leave][enter]
-        row = tab[leave]
-        if piv != 1:
-            for j in range(len(row)):
-                row[j] /= piv
-        for i in range(m + 1):
-            if i == leave:
-                continue
-            f = tab[i][enter]
-            if f != 0:
-                ri = tab[i]
-                for j in range(len(row)):
-                    ri[j] -= f * row[j]
-        basis[leave] = enter
+        _pivot(tab, basis, leave, enter)
+        zrow = tab[-1]
+
+
+def _pivot(tab: list[list[int]], basis: list[int], leave: int, enter: int) -> None:
+    """Make column enter basic in row leave, whose entry there is positive."""
+    row = tab[leave]
+    for i, other in enumerate(tab):
+        if i != leave:
+            tab[i] = _eliminate(other, row, enter)
+    basis[leave] = enter
 
 
 def lp_solve_exact(
@@ -86,192 +111,106 @@ def lp_solve_exact(
     """Maximize c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq, x >= 0.
 
     Variables listed in free_vars are unrestricted in sign (internally split).
-    Returns an optimal basic solution with exact duals (duals_ub <= constraints
-    in order, then duals_eq).
+    Returns an optimal basic solution with exact duals: duals_ub[i] >= 0 for
+    the i-th <= row and duals_eq[i] of either sign for the i-th = row, with
+    A_ubᵀ duals_ub + A_eqᵀ duals_eq >= c (equal on free variables) and
+    b_ub · duals_ub + b_eq · duals_eq == objective.
+
+    Two-phase simplex under Bland's rule on a fraction-free tableau: each row
+    is kept as ints times one positive row denominator and updated by
+    _eliminate.  Rows with a negative right-hand side are negated, and only
+    those and the = rows get an artificial column.  The duals are read off the
+    final objective row: a <= row's dual is the reduced cost of its slack
+    column; an = row's is that of its artificial column, negated if the row
+    was negated.  Raises LpInfeasible or LpUnbounded.
     """
     c = [Fraction(v) for v in c]
     n = len(c)
     free = sorted(set(free_vars))
     # split free variables: x_i = x_i+ - x_i-
     ext = n + len(free)
-    neg_col = {v: n + k for k, v in enumerate(free)}
-
-    def extend_row(row):
-        row = [Fraction(v) for v in row]
-        return row + [-row[v] for v in free]
-
     cx = c + [-c[v] for v in free]
-    rows_ub = [extend_row(r) for r in A_ub]
-    rows_eq = [extend_row(r) for r in A_eq]
-    b_ub = [Fraction(v) for v in b_ub]
-    b_eq = [Fraction(v) for v in b_eq]
-    # normalize rhs to be nonnegative
-    constraints = []  # (coeffs, rhs, kind) with kind "ub" or "eq", original index
-    for i, (r, b) in enumerate(zip(rows_ub, b_ub)):
-        constraints.append((r, b, "ub", i, 1))
-    for i, (r, b) in enumerate(zip(rows_eq, b_eq)):
-        constraints.append((r, b, "eq", i, 1))
+    constraints = []  # (coefficients over the ext columns, rhs, is an = row)
+    for rows, rhs, is_eq in ((A_ub, b_ub, False), (A_eq, b_eq, True)):
+        for r, b in zip(rows, rhs):
+            r = [Fraction(v) for v in r]
+            constraints.append((r + [-r[v] for v in free], Fraction(b), is_eq))
     m = len(constraints)
-
-    nslack = sum(1 for _, _, kind, _, _ in constraints if kind == "ub")
-    total = ext + nslack + m  # + artificials (one per row, only used where needed)
+    nslack = sum(1 for *_, is_eq in constraints if not is_eq)
     art0 = ext + nslack
-    tab: list[list[Fraction]] = []
+    nart = sum(1 for _, b, is_eq in constraints if is_eq or b < 0)
+    total = art0 + nart
+
+    # constraint rows [coefficients | slack | artificial | rhs | 0], rhs >= 0
+    tab: list[list[int]] = []
     basis: list[int] = []
-    slack_col_of: dict[int, int] = {}
-    si = 0
-    zero = Fraction(0)
-    for ci, (r, b, kind, orig, sign) in enumerate(constraints):
+    dual_of: list[tuple[int, int]] = []  # (column, sign): dual = sign · its reduced cost
+    si, ai = ext, art0
+    for r, b, is_eq in constraints:
         flip = b < 0
-        coeffs = [-v if flip else v for v in r]
-        rhs = -b if flip else b
-        row = coeffs + [zero] * (nslack + m) + [rhs]
-        if kind == "ub":
-            row[ext + si] = Fraction(-1) if flip else Fraction(1)
-            slack_col_of[ci] = ext + si
+        ints, d = _integer_row([-v for v in r] + [-b] if flip else r + [b])
+        row = ints[:-1] + [0] * (nslack + nart) + [ints[-1], 0]
+        if not is_eq:
+            row[si] = -d if flip else d
+            dual_of.append((si, 1))
             si += 1
-        if kind == "eq" or flip:
-            # needs an artificial to start
-            row[art0 + ci] = Fraction(1)
-            basis.append(art0 + ci)
+        if is_eq or flip:
+            row[ai] = d
+            if is_eq:
+                dual_of.append((ai, -1 if flip else 1))
+            basis.append(ai)
+            ai += 1
         else:
-            basis.append(slack_col_of[ci])
+            basis.append(si - 1)
         tab.append(row)
 
-    # phase 1: minimize sum of artificials (maximize negative sum)
-    zrow = [zero] * (total + 1)
-    for i, b in enumerate(basis):
-        if b >= art0:
-            for j in range(total + 1):
-                zrow[j] += tab[i][j]
-    # reduced costs for maximizing -sum(artificials): z_j - c_j with c = -1 on artificials
-    z1 = [-v for v in zrow]
-    for j in range(art0, total):
-        z1[j] += 1
-    z1[-1] = -zrow[-1]
-    tab.append(z1)
-    _simplex(tab, basis, art0)  # artificials never re-enter
-    if tab[-1][-1] < 0:
-        raise LpInfeasible("LP infeasible")
-    # drive any remaining artificials out of the basis (degenerate rows)
-    for i in range(m):
-        if basis[i] >= art0:
-            pivoted = False
-            for j in range(art0):
-                if tab[i][j] != 0:
-                    piv = tab[i][j]
-                    for k in range(total + 1):
-                        tab[i][k] /= piv
-                    for r in range(m + 1):
-                        if r != i and tab[r][j] != 0:
-                            f = tab[r][j]
-                            for k in range(total + 1):
-                                tab[r][k] -= f * tab[i][k]
-                    basis[i] = j
-                    pivoted = True
-                    break
-            if not pivoted:
-                # redundant row; keep artificial at zero, it will stay basic
-                pass
-    tab.pop()
+    # phase 1: maximize -sum(artificials), reduced costs over the artificial rows
+    starts = [i for i in range(m) if basis[i] >= art0]
+    if starts:
+        d1 = lcm(*(tab[i][basis[i]] for i in starts))
+        z1 = [0] * (total + 1) + [d1]
+        for i in starts:
+            f = d1 // tab[i][basis[i]]
+            z1 = [z - f * a for z, a in zip(z1, tab[i])]
+        for i in starts:
+            z1[basis[i]] = 0
+        tab.append(z1)
+        _simplex(tab, basis, art0)  # artificials never re-enter
+        if tab.pop()[-2] < 0:
+            raise LpInfeasible("LP infeasible")
+        # drive artificials left at zero out of the basis; an artificial with
+        # no nonzero entry to its left marks a redundant row and stays basic
+        for i in range(m):
+            if basis[i] >= art0:
+                j = next((j for j in range(art0) if tab[i][j]), -1)
+                if j >= 0:
+                    if tab[i][j] < 0:
+                        tab[i] = [-a for a in tab[i]]
+                    _pivot(tab, basis, i, j)
 
-    # phase 2
-    cfull = cx + [zero] * (nslack + m)
-    z2 = [zero] * (total + 1)
-    for i, b in enumerate(basis):
-        cb = cfull[b]
-        if cb != 0:
-            for j in range(total + 1):
-                z2[j] += cb * tab[i][j]
-    for j in range(total):
-        z2[j] -= cfull[j]
-    # forbid artificials from re-entering
-    for j in range(art0, total):
-        if z2[j] < 0:
-            z2[j] = Fraction(1)
+    # phase 2: reduced costs c_B B^-1 A - c over the final phase-1 basis
+    cfull = cx + [Fraction(0)] * (nslack + nart)
+    weights = [(cfull[b] / tab[i][b], i) for i, b in enumerate(basis) if cfull[b]]
+    d2 = lcm(*(v.denominator for v in cx), *(w.denominator for w, _ in weights))
+    z2 = [-(v.numerator * (d2 // v.denominator)) for v in cfull] + [0, d2]
+    for w, i in weights:
+        f = w.numerator * (d2 // w.denominator)
+        z2 = [z + f * a for z, a in zip(z2, tab[i])]
     tab.append(z2)
     _simplex(tab, basis, art0)
 
-    xext = [zero] * ext
+    xext = [Fraction(0)] * ext
     for i, b in enumerate(basis):
         if b < ext:
-            xext[b] = tab[i][-1]
+            xext[b] = Fraction(tab[i][-2], tab[i][b])
     x = xext[:n]
-    for v in free:
-        x[v] -= xext[neg_col[v]]
-    objective = sum((ci * xi for ci, xi in zip(c, x)), zero)
+    for k, v in enumerate(free):
+        x[v] -= xext[n + k]
+    objective = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
 
-    # duals: solve y^T B = c_B over the working basis
-    duals = _recover_duals(constraints, basis, cfull, ext, nslack, art0, slack_col_of, m)
-    duals_ub = [zero] * len(b_ub)
-    duals_eq = [zero] * len(b_eq)
-    for ci, (r, b, kind, orig, sign) in enumerate(constraints):
-        if kind == "ub":
-            duals_ub[orig] = duals[ci]
-        else:
-            duals_eq[orig] = duals[ci]
-    return LpResult(x=x, objective=objective, duals_ub=duals_ub, duals_eq=duals_eq)
-
-
-def _recover_duals(constraints, basis, cfull, ext, nslack, art0, slack_col_of, m):
-    """Solve y^T B = c_B exactly by Gaussian elimination on the basis columns."""
-    zero = Fraction(0)
-
-    def column(col):
-        out = []
-        for ci, (r, b, kind, orig, sign) in enumerate(constraints):
-            flip = b < 0
-            if col < ext:
-                v = r[col]
-                out.append(-v if flip else v)
-            elif col < art0:
-                v = Fraction(1) if col == slack_col_of.get(ci) else zero
-                out.append(v if not (b < 0) else v)  # slack sign folded in at build
-            else:
-                out.append(Fraction(1) if col - art0 == ci else zero)
-        # slack sign for flipped ub rows was set to -1 in the tableau build
-        if ext <= col < art0:
-            for ci, (r, b, kind, orig, sign) in enumerate(constraints):
-                if col == slack_col_of.get(ci) and b < 0:
-                    out[ci] = Fraction(-1)
-        return out
-
-    # build m x m system B^T y = c_B
-    mat = [[zero] * m + [cfull[basis[i]]] for i in range(m)]
-    for i in range(m):
-        col = column(basis[i])
-        for j in range(m):
-            mat[i][j] = col[j]
-    # gaussian elimination
-    y = [zero] * m
-    rows = mat
-    piv_of_col = [-1] * m
-    r = 0
-    for cidx in range(m):
-        sel = -1
-        for i in range(r, m):
-            if rows[i][cidx] != 0:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        piv = rows[r][cidx]
-        rows[r] = [v / piv for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][cidx] != 0:
-                f = rows[i][cidx]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        piv_of_col[cidx] = r
-        r += 1
-    for cidx in range(m):
-        if piv_of_col[cidx] >= 0:
-            y[cidx] = rows[piv_of_col[cidx]][-1]
-    # undo the rhs sign flips applied when building the tableau
-    out = []
-    for ci, (rr, b, kind, orig, sign) in enumerate(constraints):
-        out.append(-y[ci] if b < 0 else y[ci])
-    return out
+    zrow = tab[-1]
+    duals = [Fraction(sign * zrow[j], zrow[-1]) for j, sign in dual_of]
+    return LpResult(x=x, objective=objective, duals_ub=duals[:nslack], duals_eq=duals[nslack:])
 
 
 def caratheodory(
@@ -330,12 +269,3 @@ def caratheodory(
             basis = [(p, _eliminate(b, row, m + out)) for p, b in basis]
     return w
 
-
-def _eliminate(row: list[int], pivot_row: list[int], i: int) -> list[int]:
-    """An integer multiple of row minus one of pivot_row, zero at entry i."""
-    f, g = row[i], pivot_row[i]
-    if not f:
-        return row
-    out = [g * a - f * b for a, b in zip(row, pivot_row)]
-    k = gcd(*out)
-    return [a // k for a in out] if k > 1 else out

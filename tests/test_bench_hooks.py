@@ -1,9 +1,11 @@
-"""The benchmark's per-layer spans still see the matching pipeline.
+"""The benchmark's per-layer spans still see the matching pipeline and the
+exact LP.
 
 perfbench/tracing.py wraps library functions where the calling modules look
 them up; if a refactor stops calling a wrapped name, its metric silently reads
-zero. This runs the two lorenz entry points under that instrumentation and
-checks the spans the matching-lottery metrics rest on.
+zero. This runs the two lorenz entry points and an exact leximin solve under
+that instrumentation and checks the spans the matching-lottery and
+exact-lottery metrics rest on.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from fairkep import gen, lorenz
-from fairkep.core import KepInstance
+from fairkep import fair, gen, lorenz
+from fairkep.core import KepInstance, StructurePolicy
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -47,3 +49,17 @@ def test_matching_pipeline_spans_recorded(monkeypatch):
     metrics = tracing.layer_metrics(rec, 1 + len(pools))
     assert metrics["lorenz.sparsify_s"][0] > 0
     assert metrics["matching.busy_s"][0] > 0
+
+
+def test_exact_lp_spans_recorded(monkeypatch):
+    tracing = load_tracing(monkeypatch)
+    rec = tracing.Recorder()
+    policy = StructurePolicy(max_cycle_len=3)
+    pool, _ = fair.preprocess(gen.generate_instance(gen.GenConfig(n_pairs=8, seed=2)), policy)
+    with tracing.Instrumentation(rec):
+        report = fair.solve_leximin(pool, policy)
+    assert report.pricing_calls > 0
+    assert any(s.name == "simplexlp.lp_solve_exact" for s in rec.spans)
+    metrics = tracing.layer_metrics(rec, 1)
+    assert metrics["simplexlp.busy_s"][0] > 0
+    assert metrics["simplexlp.max_cols"][0] > 0

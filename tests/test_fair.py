@@ -11,9 +11,11 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+import pytest
+
 import fairkep
 from fairkep import fair
-from fairkep.core import Cycle, KepInstance, Lottery, Packing, StructurePolicy
+from fairkep.core import Cycle, FairkepError, KepInstance, Lottery, Packing, StructurePolicy
 from fairkep.fair import (
     solve_gini,
     solve_leximin,
@@ -114,18 +116,18 @@ class TestTripleOverlapGraph:
         sup = dict(r.lottery.support)
         assert sup.get(self.TOP) == F(1, 2) and sup.get(self.BOTTOM) == F(1, 2)
 
-    def test_maximin_under_python_O(self):
+    def run_under_python_O(self, solver):
         """Column generation must not rely on assert statements: python -O
         strips them, and an assert that adds a column would loop forever."""
         code = (
             "from fractions import Fraction as F\n"
             "from fairkep.core import KepInstance, StructurePolicy\n"
-            "from fairkep.fair import solve_maximin\n"
+            f"from fairkep.fair import {solver.__name__}\n"
             f"arcs = {sorted(TRIPLE.arcs)!r}\n"
             "inst = KepInstance(pairs=frozenset(range(1, 8)), ndds=frozenset(),"
             " arcs={a: F(1) for a in arcs})\n"
             "pol = StructurePolicy(max_cycle_len=3, cardinality_mode='delta', delta=3)\n"
-            "r = solve_maximin(inst, pol)\n"
+            f"r = {solver.__name__}(inst, pol)\n"
             "print(r.objective, sorted(r.marginals.items()))\n"
         )
         src = str(Path(fairkep.__file__).resolve().parents[1])
@@ -135,8 +137,14 @@ class TestTripleOverlapGraph:
             [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert out.returncode == 0, out.stderr
-        r = solve_maximin(TRIPLE, CYC3D3)
+        r = solver(TRIPLE, CYC3D3)
         assert out.stdout.strip() == f"{r.objective} {sorted(r.marginals.items())}"
+
+    def test_maximin_under_python_O(self):
+        self.run_under_python_O(solve_maximin)
+
+    def test_leximin_under_python_O(self):
+        self.run_under_python_O(solve_leximin)
 
     def test_nash(self):
         r = solve_nash(TRIPLE, CYC3D3, tol=1e-6)
@@ -216,3 +224,49 @@ class TestSparsify:
         monkeypatch.setattr(fair, "caratheodory", fail)
         assert sparsify(lot) == lot.merged()
         assert sparsify(lot).support == ((a, F(3, 4)), (b, F(1, 4)))
+
+
+class TestChecks:
+    """Invariant checks that raise FairkepError rather than assert, triggered
+    through stubs of the solvers' inner steps."""
+
+    def test_leximin_levels_must_increase(self, monkeypatch):
+        real, calls = fair._maximin_lp, []
+
+        def lower_second_level(master, fixed):
+            level, weights, rounds, gap = real(master, fixed)
+            calls.append(level)
+            return (level if len(calls) == 1 else F(1, 4)), weights, rounds, gap
+
+        monkeypatch.setattr(fair, "_maximin_lp", lower_second_level)
+        with pytest.raises(FairkepError, match="levels must increase"):
+            solve_leximin(SHARED, CYC3D1)
+
+    def test_leximin_exact_optimum_must_saturate(self, monkeypatch):
+        monkeypatch.setattr(fair, "_max_vertex_lp", lambda *args, **kwargs: F(2))
+        with pytest.raises(FairkepError, match="must saturate some pair"):
+            solve_leximin(SHARED, CYC3D1)
+
+    def test_leximin_float_fallback_needs_a_pair(self, monkeypatch):
+        # a float master whose reported level sits below every pair's marginal
+        real = fair._maximin_lp
+
+        def low_level(master, fixed):
+            level, weights, rounds, gap = real(master, fixed)
+            return level - 0.25, weights, rounds, gap
+
+        monkeypatch.setattr(fair, "EXACT_PAIR_LIMIT", 0)
+        monkeypatch.setattr(fair, "_maximin_lp", low_level)
+        with pytest.raises(FairkepError, match="no unfixed pair"):
+            solve_leximin(SHARED, CYC3D1)
+
+    def test_gini_inner_must_cover_a_pair(self, monkeypatch):
+        monkeypatch.setattr(fair, "_gini_inner", lambda master, mu: (F(-1), [], [F(0)] * 4))
+        with pytest.raises(FairkepError, match="covers no pair"):
+            solve_gini(SHARED, CYC3D1)
+
+    def test_gini_ratio_must_decrease(self, monkeypatch):
+        # the maximin start has ratio 3/20; marginals (1, 0, 0, 0) have 3/4
+        monkeypatch.setattr(fair, "_gini_inner", lambda master, mu: (F(-1), [], [F(1), 0, 0, 0]))
+        with pytest.raises(FairkepError, match="ratio must decrease"):
+            solve_gini(SHARED, CYC3D1)

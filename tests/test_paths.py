@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from fairkep.core import KepInstance
+import pytest
+
+from fairkep import paths
+from fairkep.core import FairkepError, KepInstance
 from fairkep.paths import (
     TwoPathPacking,
     build_3dm_gadget,
@@ -113,6 +116,13 @@ class TestSmallExamples:
         assert pk.cardinality == 2 and len(pk.exposed_ndds) == 1
         assert cert.ndd_set == frozenset({100, 101}) and len(cert.matching) == 1
         assert cert.deficiency == 1 == cert.exposed
+
+    def test_certificate_that_fails_raises(self, monkeypatch):
+        # with no second arc matched the deficiency (2) exceeds the exposed NDDs (1)
+        inst = make_instance([1, 2], [100, 101], [(100, 1), (101, 1), (1, 2)])
+        monkeypatch.setattr(paths, "second_arc_matching", lambda instance, S: frozenset())
+        with pytest.raises(FairkepError, match="does not witness optimality"):
+            max_2path_packing(inst)
 
     def test_reassignment_case(self):
         inst = make_instance(

@@ -1,5 +1,5 @@
-"""Exact rational simplex (optima, duals, infeasibility/unboundedness) and the
-Carathéodory support reduction."""
+"""Exact rational simplex (optima, duals, infeasibility/unboundedness, the
+pivot rule's choice of vertex) and the Carathéodory support reduction."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from fairkep.simplexlp import LpInfeasible, LpUnbounded, caratheodory, lp_solve_exact
 from helpers import rank
@@ -118,6 +119,160 @@ class TestRandomAgainstVertexEnumeration:
             assert sum(y * rhs for y, rhs in zip(res.duals_ub, b)) == res.objective
             tested += 1
         assert tested == 60
+
+
+def assert_certified(res, c, A_ub, b_ub, A_eq, b_eq, free_vars):
+    """The exact optimality certificate of an LpResult."""
+    x, y, z = res.x, res.duals_ub, res.duals_eq
+    free = set(free_vars)
+    assert all(isinstance(v, F) for v in x + y + z + [res.objective])
+    assert all(x[j] >= 0 for j in range(len(c)) if j not in free)
+    for row, rhs in zip(A_ub, b_ub):
+        assert sum(F(a) * v for a, v in zip(row, x)) <= rhs
+    for row, rhs in zip(A_eq, b_eq):
+        assert sum(F(a) * v for a, v in zip(row, x)) == rhs
+    assert sum(F(cj) * v for cj, v in zip(c, x)) == res.objective
+    assert all(v >= 0 for v in y)
+    for j, cj in enumerate(c):
+        reduced = (sum(row[j] * v for row, v in zip(A_ub, y))
+                   + sum(row[j] * v for row, v in zip(A_eq, z)) - cj)
+        assert reduced == 0 if j in free else reduced >= 0, j
+    assert sum(F(b) * v for b, v in zip(b_ub, y)) + sum(F(b) * v for b, v in zip(b_eq, z)) \
+        == res.objective
+
+
+def highs(c, A_ub, b_ub, A_eq, b_eq, free_vars):
+    bounds = [(None, None) if j in free_vars else (0, None) for j in range(len(c))]
+    return linprog([-float(v) for v in c],
+                   A_ub=[[float(a) for a in r] for r in A_ub] or None,
+                   b_ub=[float(b) for b in b_ub] or None,
+                   A_eq=[[float(a) for a in r] for r in A_eq] or None,
+                   b_eq=[float(b) for b in b_eq] or None,
+                   bounds=bounds, method="highs")
+
+
+class TestRandomCertificates:
+    """Random LPs with = rows (one an exact multiple of another), negative
+    right-hand sides and free variables.  Every optimum carries an exact
+    certificate and matches HiGHS's objective; HiGHS statuses are no oracle
+    (it has called feasible unbounded LPs infeasible), but an optimum HiGHS
+    reports at a point that is feasible must not be called infeasible or
+    unbounded here."""
+
+    def random_lp(self, rng):
+        n = rng.randint(1, 5)
+
+        def coef():
+            return F(rng.randint(-4, 5), rng.choice([1, 1, 2, 3])) if rng.random() < 0.7 else F(0)
+
+        x0 = [F(rng.randint(0, 3)) for _ in range(n)]
+        c = [coef() for _ in range(n)]
+        A_ub = [[coef() for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        A_eq = [[coef() for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.7:  # = rows hold at x0 >= 0, <= rows too unless their slack is -1
+            b_ub = [sum(a * v for a, v in zip(r, x0)) + rng.randint(-1, 2) for r in A_ub]
+            b_eq = [sum(a * v for a, v in zip(r, x0)) for r in A_eq]
+        else:
+            b_ub = [F(rng.randint(-3, 6)) for _ in A_ub]
+            b_eq = [F(rng.randint(-3, 4)) for _ in A_eq]
+        if A_eq and rng.random() < 0.4:
+            k, s = rng.randrange(len(A_eq)), F(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2]))
+            A_eq.append([s * a for a in A_eq[k]])
+            b_eq.append(s * b_eq[k])
+        if rng.random() < 0.5:
+            A_ub += [[F(1)] * n, [F(-1)] * n]
+            b_ub += [F(10), F(10)]
+        free = [j for j in range(n) if rng.random() < 0.3]
+        return c, A_ub, b_ub, A_eq, b_eq, free
+
+    def test_random_lps(self):
+        rng = random.Random(11)
+        outcomes = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+        for trial in range(300):
+            lp = self.random_lp(rng)
+            ref = highs(*lp)
+            try:
+                res = lp_solve_exact(*lp)
+            except (LpInfeasible, LpUnbounded) as e:
+                outcomes["infeasible" if isinstance(e, LpInfeasible) else "unbounded"] += 1
+                if ref.status == 0:  # then HiGHS's point must be infeasible
+                    _, A_ub, b_ub, A_eq, b_eq, _ = lp
+                    lhs = [sum(float(a) * v for a, v in zip(r, ref.x)) for r in A_ub + A_eq]
+                    excess = [v - b for v, b in zip(lhs, b_ub)]
+                    excess += [abs(v - b) for v, b in zip(lhs[len(A_ub):], b_eq)]
+                    assert max(excess, default=0) > 1e-7, (trial, e)
+                continue
+            outcomes["optimal"] += 1
+            assert_certified(res, *lp)
+            if ref.status == 0:
+                assert abs(-ref.fun - float(res.objective)) <= 1e-9 * max(1, abs(ref.fun)), trial
+        assert min(outcomes.values()) >= 20, outcomes
+
+
+class TestPivotRule:
+    """Degenerate LPs whose optimal vertex and duals are not unique: these pin
+    the vertex that Bland's rule reaches, since it fixes the columns a master
+    keeps and so the pricing calls made."""
+
+    COVERS = [{0, 1}, {2, 3}, {0, 2}, {1, 3}, {0}, {1, 2, 3}]
+
+    def maximin(self, fixed):
+        # the maximin master over 4 pairs: max level, coverage >= level or floor
+        k = len(self.COVERS)
+        A_ub, b_ub = [], []
+        for v in range(4):
+            A_ub.append([-1 if v in cov else 0 for cov in self.COVERS] + [0 if v in fixed else 1])
+            b_ub.append(-fixed.get(v, 0))
+        return [0] * k + [1], A_ub, b_ub
+
+    def test_all_zero_rhs(self):
+        c, A_ub, b_ub = self.maximin({})
+        res = lp_solve_exact(c, A_ub, b_ub, [[1] * 6 + [0]], [1])
+        assert res.x == [F(1, 2), F(1, 2), 0, 0, 0, 0, F(1, 2)]
+        assert res.objective == F(1, 2)
+        assert res.duals_ub == [F(1, 2), 0, 0, F(1, 2)]
+        assert res.duals_eq == [F(1, 2)]
+
+    def test_redundant_eq_row(self):
+        c, A_ub, b_ub = self.maximin({})
+        res = lp_solve_exact(c, A_ub, b_ub, [[1] * 6 + [0], [2] * 6 + [0]], [1, 2])
+        assert res.x == [F(1, 2), F(1, 2), 0, 0, 0, 0, F(1, 2)]
+        assert res.objective == F(1, 2)
+        assert res.duals_ub == [F(1, 2), 0, 0, F(1, 2)]
+        assert res.duals_eq == [F(1, 2), 0]
+
+    def test_flipped_ub_rows(self):
+        c, A_ub, b_ub = self.maximin({0: F(1, 2), 3: F(1, 3)})
+        res = lp_solve_exact(c, A_ub, b_ub, [[1] * 6 + [0]], [1])
+        assert res.x == [F(1, 4), 0, F(1, 4), 0, 0, F(1, 2), F(3, 4)]
+        assert res.objective == F(3, 4)
+        assert res.duals_ub == [F(1, 2), F(1, 2), F(1, 2), 0]
+        assert res.duals_eq == [F(1)]
+
+    def test_beale_cycling_example(self):
+        # Beale (1955): the textbook largest-coefficient rule cycles here
+        c = [F(3, 4), -150, F(1, 50), -6]
+        A_ub = [[F(1, 4), -60, F(-1, 25), 9], [F(1, 2), -90, F(-1, 50), 3], [0, 0, 1, 0]]
+        b_ub = [0, 0, 1]
+        res = lp_solve_exact(c, A_ub, b_ub)
+        assert res.objective == F(1, 20)
+        assert res.x == [F(1, 25), 0, 1, 0]
+        assert_certified(res, c, A_ub, b_ub, [], [], [])
+
+    def test_large_denominators_stay_exact(self):
+        # prices as limit_denominator(10**12) leaves them in the float masters
+        a = F(333333333333, 10**12)
+        b = F(1, 999999999989)
+        c = [F(1), F(1), F(7, 10**12 - 7), F(11, 10**12 - 11)]
+        A_ub = [[a, b, 0, 0], [b, a, 0, 0]]
+        b_ub = [1, 1]
+        A_eq = [[0, 0, 1, 1]]
+        res = lp_solve_exact(c, A_ub, b_ub, A_eq, [1])
+        assert res.x == [1 / (a + b), 1 / (a + b), 0, 1]
+        assert res.objective == 2 / (a + b) + F(11, 10**12 - 11)
+        assert res.duals_ub == [1 / (a + b), 1 / (a + b)]
+        assert res.duals_eq == [F(11, 10**12 - 11)]
+        assert_certified(res, c, A_ub, b_ub, A_eq, [1], [])
 
 
 def coverage(covers, weights, rows):
