@@ -1,11 +1,15 @@
 """Column-generation solvers for fair lotteries over packing families.
 
-The solvers share a restricted master over packing columns, priced by the
-exact oracle.  Small instances use the exact rational simplex (zero-tolerance
-certificates); larger ones switch to HiGHS with a 1e-9 certificate tolerance.
+The solvers share a restricted master over packing columns.  The master is
+priced by any pricing callable that returns a best-price column of the
+family; the solvers here price it with the exact packing oracle, and
+lorenz.fixed_cardinality_reduction with a perfect-matching pricer.  Small
+instances use the exact rational simplex (zero-tolerance certificates);
+larger ones switch to HiGHS with a 1e-9 certificate tolerance.
 
-- solve_maximin / solve_leximin: master LPs over (p_C, lambda) with iterative
-  level fixing and per-vertex saturation tests for leximin.
+- solve_maximin / solve_leximin: master LPs over (p_C, lambda); leximin_lottery
+  is the level-fixing engine, with per-vertex saturation tests, over any
+  priced master.
 - solve_nash: fully-corrective conditional gradient; the linear subproblem is
   a pricing call with node prices 1/q_v, and the Frank-Wolfe gap certifies
   the log-objective within tolerance.
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -129,35 +133,20 @@ def lp_solve(
 class RestrictedMaster:
     """Growing pool of packing columns shared by every LP of one solve.
 
-    Holds the policy's cardinality side constraint so that pricing always
-    optimizes over the acceptable family.
+    pricing(prices) returns a packing of the family with the largest price
+    sum, and that sum; it may add further columns of the family through add.
+    exact picks the rational simplex over HiGHS for every LP of the solve.
     """
 
-    def __init__(self, instance: KepInstance, policy: StructurePolicy):
-        self.instance = instance
-        self.policy = policy
-        self.pairs = sorted(instance.pairs)
-        self.exact = len(self.pairs) <= EXACT_PAIR_LIMIT
-        self.cardinality = acceptable_cardinality(instance, policy)
+    def __init__(self, pairs: Sequence[int], pricing, exact: bool, seed: Packing):
+        self.pairs = sorted(pairs)
+        self.pricing = pricing
+        self.exact = exact
         self.columns: list[Packing] = []
         self.covered: list[frozenset[int]] = []
         self._keys: set[frozenset] = set()
         self.pricing_calls = 0
-        self.cut_pool: list = []
-        seed, _ = max_price_packing(
-            OracleQuery(
-                instance=instance,
-                policy=policy,
-                node_prices={v: Fraction(1) for v in self.pairs},
-                cardinality=self.cardinality,
-            ),
-            value_only=True,
-            cut_pool=self.cut_pool,
-        )
         self.add(seed)
-        # if the acceptable family is forced to cover every pair, all marginals
-        # are 1 and the seed packing alone is optimal for any fair objective
-        self.full_coverage = self.cardinality == ("atleast", len(self.pairs))
 
     def add(self, packing: Packing) -> bool:
         if packing.structures in self._keys:
@@ -167,33 +156,54 @@ class RestrictedMaster:
         self.covered.append(packing.covered)
         return True
 
-    def price(self, prices: dict[int, Fraction]) -> tuple[Packing, Fraction]:
-        """Best-price packing; near-optimal packings found along the way are
-        added to the column pool as a side effect."""
+    def price(self, prices: dict[int, object]) -> tuple[Packing, object]:
         self.pricing_calls += 1
+        return self.pricing(prices)
+
+
+def _oracle_master(
+    instance: KepInstance, policy: StructurePolicy, exact_limit: int
+) -> tuple[RestrictedMaster, bool]:
+    """A master priced by the packing oracle over the policy's acceptable family.
+
+    Its LPs are exact on up to exact_limit pairs.  Returns (master,
+    full_coverage); full_coverage says the acceptable family is forced to
+    cover every pair, so all marginals are 1 and the seed packing alone is
+    optimal for any fair objective.
+    """
+    pairs = sorted(instance.pairs)
+    cardinality = acceptable_cardinality(instance, policy)
+    mode, k = cardinality
+    cut_pool: list = []
+
+    def query(prices, extra=None):
+        return max_price_packing(
+            OracleQuery(
+                instance=instance, policy=policy, node_prices=prices, cardinality=cardinality
+            ),
+            value_only=True,
+            cut_pool=cut_pool,
+            extra_columns=extra,
+        )
+
+    def pricing(prices):
+        # near-optimal packings found along the way join the column pool
         exact_prices = {
             v: p if isinstance(p, Fraction) else Fraction(p).limit_denominator(_PRICE_DENOM)
             for v, p in prices.items()
             if p
         }
         extra: list[tuple[Packing, Fraction]] = []
-        packing, value = max_price_packing(
-            OracleQuery(
-                instance=self.instance,
-                policy=self.policy,
-                node_prices=exact_prices,
-                cardinality=self.cardinality,
-            ),
-            value_only=True,
-            cut_pool=self.cut_pool,
-            extra_columns=extra,
-        )
-        mode, k = self.cardinality
+        packing, value = query(exact_prices, extra)
         for bonus, _ in extra:
             n = len(bonus.covered)
             if mode == "free" or (n == k if mode == "exact" else n >= k):
-                self.add(bonus)
+                master.add(bonus)
         return packing, value
+
+    seed, _ = query({v: Fraction(1) for v in pairs})
+    master = RestrictedMaster(pairs, pricing, len(pairs) <= exact_limit, seed)
+    return master, cardinality == ("atleast", len(pairs))
 
 
 def _maximin_lp(master: RestrictedMaster, fixed: dict[int, object]):
@@ -315,8 +325,8 @@ def solve_maximin(instance: KepInstance, policy: StructurePolicy) -> SolveReport
     """Lottery maximizing the minimum per-pair coverage probability."""
     if not instance.pairs:
         return _trivial_report(instance, Fraction(0))
-    master = RestrictedMaster(instance, policy)
-    if master.full_coverage:
+    master, full_coverage = _oracle_master(instance, policy, EXACT_PAIR_LIMIT)
+    if full_coverage:
         return _full_coverage_report(master, Fraction(1))
     level, weights, rounds, gap = _maximin_lp(master, {})
     lottery = sparsify(_lottery_from(master, weights))
@@ -332,17 +342,32 @@ def solve_maximin(instance: KepInstance, policy: StructurePolicy) -> SolveReport
 
 
 def solve_leximin(instance: KepInstance, policy: StructurePolicy) -> SolveReport:
-    """Lottery with the lexicographically maximal sorted marginal vector.
-
-    Iterative level fixing: maximize the minimum over unfixed pairs, then fix
-    exactly the saturated pairs (those whose marginal cannot exceed the level,
-    certified by per-vertex test LPs), and repeat on the rest.
-    """
+    """Lottery with the lexicographically maximal sorted marginal vector."""
     if not instance.pairs:
         return _trivial_report(instance, ())
-    master = RestrictedMaster(instance, policy)
-    if master.full_coverage:
+    master, full_coverage = _oracle_master(instance, policy, EXACT_PAIR_LIMIT)
+    if full_coverage:
         return _full_coverage_report(master, tuple([Fraction(1)] * len(master.pairs)))
+    lottery, rounds, gap = leximin_lottery(master)
+    marginals = lottery.marginals(master.pairs)
+    return SolveReport(
+        lottery=lottery,
+        objective=eval_leximin([marginals[v] for v in master.pairs]),
+        iterations=rounds,
+        pricing_calls=master.pricing_calls,
+        gap=gap,
+        marginals=marginals,
+    )
+
+
+def leximin_lottery(master: RestrictedMaster) -> tuple[Lottery, int, object]:
+    """Leximin lottery over the master's priced family, by level fixing.
+
+    Maximize the minimum over unfixed pairs, then fix exactly the saturated
+    pairs (those whose marginal cannot exceed the level, certified by
+    per-vertex test LPs), and repeat on the rest.  Returns (sparsified
+    lottery over the master's columns, rounds, gap).
+    """
     sat_eps = Fraction(0) if master.exact else 1e-7
     fixed: dict[int, object] = {}
     weights: Sequence = []
@@ -380,16 +405,7 @@ def solve_leximin(instance: KepInstance, policy: StructurePolicy) -> SolveReport
             fixed[v] = level
         last_level = level
         rounds += 1
-    lottery = sparsify(_lottery_from(master, weights))
-    marginals = lottery.marginals(master.pairs)
-    return SolveReport(
-        lottery=lottery,
-        objective=eval_leximin([marginals[v] for v in master.pairs]),
-        iterations=rounds,
-        pricing_calls=master.pricing_calls,
-        gap=gap,
-        marginals=marginals,
-    )
+    return sparsify(_lottery_from(master, weights)), rounds, gap
 
 
 def solve_utilitarian(instance: KepInstance, policy: StructurePolicy) -> SolveReport:
@@ -419,8 +435,8 @@ def solve_nash(
     """
     if not instance.pairs:
         return _trivial_report(instance, Fraction(1))
-    master = RestrictedMaster(instance, policy)
-    if master.full_coverage:
+    master, full_coverage = _oracle_master(instance, policy, EXACT_PAIR_LIMIT)
+    if full_coverage:
         return _full_coverage_report(master, Fraction(1))
     level, weights, _, _ = _maximin_lp(master, {})
     if float(level) <= 0:
@@ -541,10 +557,9 @@ def solve_gini(
     """
     if not instance.pairs:
         return _trivial_report(instance, Fraction(0))
-    master = RestrictedMaster(instance, policy)
-    if master.full_coverage:
+    master, full_coverage = _oracle_master(instance, policy, GINI_EXACT_PAIR_LIMIT)
+    if full_coverage:
         return _full_coverage_report(master, Fraction(0))
-    master.exact = len(master.pairs) <= GINI_EXACT_PAIR_LIMIT
     _, weights, _, _ = _maximin_lp(master, {})
     weights = list(weights) + [0] * (len(master.columns) - len(weights))
     marginals = _lottery_from(master, weights).marginals(master.pairs)

@@ -10,8 +10,8 @@ same marginals. Weighted variants (node weights, edge weights) reduce onto the
 same engine by restricting removal vertices, admissible edges (one
 maximum-weight perfect matching, its dual potentials and the
 Dulmage-Mendelsohn alternating cycles of a doubled bipartite graph), and
-forced ("must-match") pseudonodes; fixed cardinality uses exact column
-generation priced by perfect matchings.
+forced ("must-match") pseudonodes. Fixed cardinality runs on fair's
+column-generation engine (leximin level fixing), priced by perfect matchings.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .core import (
@@ -29,6 +29,7 @@ from .core import (
     Lottery,
     Packing,
 )
+from .fair import RestrictedMaster, leximin_lottery
 from .flows import Arc, _MaxFlow, feasible_circulation
 from .matching import (
     Edge,
@@ -37,12 +38,15 @@ from .matching import (
     bipartite_admissible_subgraph,
     gallai_edmonds,
     lex_weights,
+    matching_number,
     matching_weight,
     max_weight_matching,
     norm_edge,
     perfect_matching,
 )
-from .simplexlp import caratheodory, lp_solve_exact
+from .simplexlp import caratheodory
+# perfbench/tracing.py looks this name up on the module
+from .simplexlp import lp_solve_exact  # noqa: F401
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -433,13 +437,6 @@ def decompose_matrix(cover: CoverMatrix) -> list[tuple[dict[int, int], Fraction]
 # end-to-end engine
 # ---------------------------------------------------------------------------
 
-def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
-
-
 @dataclass
 class LeximinSolution:
     """A solved leximin lottery over matchings of an undirected graph."""
@@ -522,7 +519,7 @@ def _assemble_support(
         for z in unmatched:
             if z.must_match:
                 raise FairkepError(f"must-match pseudonode {z.pid} left unmatched")
-        L = _lcm([z.sigma for z in unmatched]) if unmatched else 1
+        L = lcm(*(z.sigma for z in unmatched))
         slice_p = prob / L
         for j in range(L):
             edges = set(base)
@@ -603,7 +600,7 @@ def sample_matching(solution: LeximinSolution, seed: int) -> frozenset[Edge]:
     """Sample one maximum matching; frequencies converge to the lottery marginals."""
     rng = random.Random(seed)
     cb = solution.cb
-    den = _lcm([p.denominator for _, p in solution.decomposition])
+    den = lcm(*(p.denominator for _, p in solution.decomposition))
     draw = rng.randrange(den)
     acc = 0
     chosen = solution.decomposition[-1][0]
@@ -783,7 +780,7 @@ def edge_weight_solution(graph: UGraph, weights: Mapping[Edge, Fraction]) -> Lex
 
 
 # ---------------------------------------------------------------------------
-# fixed cardinality (exact column generation)
+# fixed cardinality (fair's column-generation engine, matching pricer)
 # ---------------------------------------------------------------------------
 
 def fixed_cardinality_reduction(
@@ -795,7 +792,8 @@ def fixed_cardinality_reduction(
 
     Pricing solves a perfect-matching problem on the graph augmented with
     |V| - 2·mu dummy vertices absorbing the uncovered ones; the lottery itself
-    is built by exact column generation with iterative leximin level fixing.
+    is built by fair's exact column generation with iterative leximin level
+    fixing.
     """
     if mu is None:
         raise ValueError("mu is required")
@@ -805,15 +803,6 @@ def fixed_cardinality_reduction(
         if edge_weights is not None
         else _undirected_weights(instance)
     )
-    support, _ = fixed_cardinality_solution(graph, weights, mu)
-    return _support_to_lottery(support)
-
-
-def fixed_cardinality_solution(
-    graph: UGraph, weights: Mapping[Edge, Fraction], mu: int
-) -> tuple[list[tuple[frozenset[Edge], Fraction]], dict[int, Fraction]]:
-    from .matching import matching_number
-
     nu = matching_number(graph)
     if not (0 <= 2 * mu >= nu and mu <= nu):
         raise CardinalityOutOfRange(f"need ν/2 <= mu <= ν, got mu={mu}, ν={nu}")
@@ -821,7 +810,7 @@ def fixed_cardinality_solution(
     dummies = [-(i + 1) for i in range(n - 2 * mu)]
     w_star: list[Optional[Fraction]] = [None]
 
-    def pricing(prices: Mapping[int, Fraction]) -> tuple[frozenset[int], frozenset[Edge]]:
+    def pricing(prices: Mapping[int, Fraction]) -> tuple[Packing, Fraction]:
         verts = set(graph.vertices) | set(dummies)
         tiers: dict[Edge, tuple[Fraction, Fraction]] = {}
         for e in graph.edges:
@@ -845,97 +834,11 @@ def fixed_cardinality_solution(
             w_star[0] = value
         if value != w_star[0]:
             raise FairkepError(f"pricing left the max-weight level: {value} after {w_star[0]}")
-        covered = frozenset(x for e in real for x in e)
-        return covered, real
+        packing = _edges_to_packing(real)
+        return packing, sum((prices.get(x, 0) for x in packing.covered), ZERO)
 
-    verts = sorted(graph.vertices)
-    levels, support = _exact_leximin_cg(verts, pricing)
-    support = sparsify_support(support, verts)
-    return support, levels
-
-
-def _exact_leximin_cg(vertices, pricing):
-    """Iterative leximin level fixing over an implicitly-priced column family."""
-    cols: list[tuple[frozenset[int], frozenset[Edge]]] = []
-    seen: set[frozenset[Edge]] = set()
-
-    def add_col(col) -> bool:
-        if col[1] in seen:
-            return False
-        seen.add(col[1])
-        cols.append(col)
-        return True
-
-    add_col(pricing({}))
-    fixed: dict[int, Fraction] = {}
-    primal: list[Fraction] = [ONE]
-    while len(fixed) < len(vertices):
-        t, primal = _cg_maximin(vertices, fixed, cols, add_col, pricing)
-        qs = _coverage(vertices, cols, primal)
-        at_level = [v for v in vertices if v not in fixed and qs[v] == t]
-        newly = []
-        floors = {v: fixed.get(v, t) for v in vertices}
-        for v in at_level:
-            best = _cg_max_cover(v, floors, cols, add_col, pricing)
-            if best == t:
-                newly.append(v)
-        if not newly:
-            raise FairkepError(f"maximin level {t} saturated no vertex: inconsistent pricing")
-        for v in newly:
-            fixed[v] = t
-    return dict(fixed), [
-        (cols[i][1], p) for i, p in enumerate(primal) if p > 0
-    ]
-
-
-def _coverage(vertices, cols, primal) -> dict[int, Fraction]:
-    q = {v: ZERO for v in vertices}
-    for (covered, _), p in zip(cols, primal):
-        for v in covered:
-            q[v] += p
-    return q
-
-
-def _cg_maximin(vertices, fixed, cols, add_col, pricing):
-    """max t s.t. coverage >= t (unfixed) and >= level (fixed); prices new columns."""
-    while True:
-        k = len(cols)
-        c = [ZERO] * k + [ONE]
-        A_ub, b_ub = [], []
-        rows = []
-        for v in vertices:
-            row = [-(ONE if v in cols[j][0] else ZERO) for j in range(k)]
-            if v in fixed:
-                row.append(ZERO)
-                b_ub.append(-fixed[v])
-            else:
-                row.append(ONE)
-                b_ub.append(ZERO)
-            A_ub.append(row)
-            rows.append(v)
-        A_eq = [[ONE] * k + [ZERO]]
-        res = lp_solve_exact(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[ONE])
-        prices = {v: res.duals_ub[i] for i, v in enumerate(rows)}
-        cand = pricing(prices)
-        val = sum((prices[v] for v in cand[0]), ZERO)
-        if val <= res.duals_eq[0] or not add_col(cand):
-            return res.objective, res.x[:k]
-
-
-def _cg_max_cover(target, floors, cols, add_col, pricing):
-    """max coverage of one vertex subject to per-vertex floors; prices new columns."""
-    while True:
-        k = len(cols)
-        c = [ONE if target in cols[j][0] else ZERO for j in range(k)]
-        A_ub, b_ub, rows = [], [], []
-        for v, floor in floors.items():
-            A_ub.append([-(ONE if v in cols[j][0] else ZERO) for j in range(k)])
-            b_ub.append(-floor)
-            rows.append(v)
-        res = lp_solve_exact(c, A_ub=A_ub, b_ub=b_ub, A_eq=[[ONE] * k], b_eq=[ONE])
-        prices = {v: res.duals_ub[i] for i, v in enumerate(rows)}
-        prices[target] = prices.get(target, ZERO) + ONE
-        cand = pricing(prices)
-        val = sum((prices[v] for v in cand[0]), ZERO)
-        if val <= res.duals_eq[0] or not add_col(cand):
-            return res.objective
+    seed, _ = pricing({})
+    # the matching pricer stays rational, so every master LP is exact
+    master = RestrictedMaster(graph.vertices, pricing, exact=True, seed=seed)
+    lottery, _, _ = leximin_lottery(master)
+    return lottery

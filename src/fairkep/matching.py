@@ -6,9 +6,7 @@ edges of a bipartite graph (edges lying in some maximum-weight perfect
 matching) from one optimal matching, its exact dual potentials and one
 strongly-connected-components pass over the tight edges. Weighted matching
 runs networkx on integer weights (the exact weights scaled by the lcm of their
-denominators), so its dual arithmetic stays exact. The odd-set dual
-certificate, capped at small graphs, takes its admissible edges from the
-per-edge forcing test (optimal_pm_edges).
+denominators), so its dual arithmetic stays exact.
 """
 
 from __future__ import annotations
@@ -16,14 +14,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 import networkx as nx
 
 from .core import FairkepError
-from .simplexlp import lp_solve_exact
+# perfbench/tracing.py looks this name up on the module
+from .simplexlp import lp_solve_exact  # noqa: F401
 
 Edge = tuple[int, int]
 
@@ -275,13 +273,6 @@ def _components(D: set[int], adjmap: dict[int, list[int]]) -> list[frozenset[int
     return comps
 
 
-def is_factor_critical(graph: UGraph) -> bool:
-    n = len(graph.vertices)
-    if n % 2 == 0:
-        return False
-    return all(has_perfect_matching(graph.without([v])) for v in graph.vertices)
-
-
 # ---------------------------------------------------------------------------
 # weighted matching (networkx kernel on integer-scaled exact weights)
 # ---------------------------------------------------------------------------
@@ -327,127 +318,10 @@ def lex_weights(
     """
     if not tiers:
         return {}
-    den = 1
-    for (t1, _) in tiers.values():
-        den = den * Fraction(t1).denominator // _gcd(den, Fraction(t1).denominator)
+    den = lcm(*(Fraction(t1).denominator for (t1, _) in tiers.values()))
     max2 = max((abs(Fraction(t2)) for (_, t2) in tiers.values()), default=Fraction(0))
     scale = Fraction(1, int(n_vertices * max2) + 1)
     return {e: Fraction(t1) * den + Fraction(t2) * scale for e, (t1, t2) in tiers.items()}
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def min_cost_perfect_matching(
-    graph: UGraph, costs: Mapping[Edge, Fraction]
-) -> tuple[set[Edge], Fraction]:
-    neg = {e: -Fraction(c) for e, c in costs.items()}
-    if len(graph.vertices) % 2 != 0:
-        raise NoPerfectMatching("odd number of vertices")
-    if not graph.vertices:
-        return set(), Fraction(0)
-    m = max_weight_matching(graph, neg, maxcardinality=True)
-    if 2 * len(m) != len(graph.vertices):
-        raise NoPerfectMatching(f"deficiency {len(graph.vertices) - 2 * len(m)}")
-    return m, matching_weight(m, costs)
-
-
-@dataclass(frozen=True)
-class DualCertificate:
-    """Exact duals for the min-cost perfect-matching LP over odd-set cuts.
-
-    y maps frozenset({v}) and odd sets U (|U| >= 3) to rationals; admissible_edges
-    is the set of edges lying in at least one minimum-cost perfect matching.
-    """
-
-    y: dict[frozenset[int], Fraction]
-    admissible_edges: frozenset[Edge]
-    objective: Fraction
-
-    def slack(self, e: Edge, costs: Mapping[Edge, Fraction]) -> Fraction:
-        u, v = e
-        total = Fraction(0)
-        for U, val in self.y.items():
-            if (u in U) != (v in U):
-                total += val
-        return Fraction(costs[e]) - total
-
-
-DUAL_SIZE_LIMIT = 10
-
-
-def max_weight_perfect_matching(
-    graph: UGraph,
-    costs: Mapping[Edge, Fraction],
-    with_certificate: bool = True,
-) -> tuple[set[Edge], Optional[DualCertificate]]:
-    """Min-cost perfect matching (costs are negated weights) with an exact dual certificate.
-
-    The certificate solves the odd-set dual LP exactly and is only available for
-    graphs with at most DUAL_SIZE_LIMIT vertices; pass with_certificate=False to
-    skip it on larger graphs.
-    """
-    m, value = min_cost_perfect_matching(graph, costs)
-    if not with_certificate:
-        return m, None
-    n = len(graph.vertices)
-    if n > DUAL_SIZE_LIMIT:
-        raise ValueError(
-            f"exact dual certificate limited to {DUAL_SIZE_LIMIT} vertices (got {n}); "
-            "pass with_certificate=False"
-        )
-    cert = _odd_set_duals(graph, costs, value)
-    return m, cert
-
-
-def _odd_set_duals(
-    graph: UGraph, costs: Mapping[Edge, Fraction], opt_value: Fraction
-) -> DualCertificate:
-    order = sorted(graph.vertices)
-    n = len(order)
-    sets: list[frozenset[int]] = [frozenset({v}) for v in order]
-    for k in range(3, n // 2 + 1, 2):
-        for comb in combinations(order, k):
-            sets.append(frozenset(comb))
-    nvar = len(sets)
-    edges = sorted(graph.edges)
-    # dual: max sum(y) s.t. for each edge, sum over crossing sets <= cost;
-    # singleton duals free, odd-set duals >= 0
-    A_ub = []
-    b_ub = []
-    for (u, v) in edges:
-        row = [Fraction(1) if (u in U) != (v in U) else Fraction(0) for U in sets]
-        A_ub.append(row)
-        b_ub.append(Fraction(costs[(u, v)]))
-    res = lp_solve_exact(
-        [Fraction(1)] * nvar, A_ub=A_ub, b_ub=b_ub, free_vars=list(range(n))
-    )
-    if res.objective != opt_value:
-        raise FairkepError(f"odd-set dual {res.objective} differs from primal {opt_value}")
-    y = {U: val for U, val in zip(sets, res.x) if val != 0 or len(U) == 1}
-    admissible = frozenset(optimal_pm_edges(graph, costs, opt_value))
-    return DualCertificate(y=y, admissible_edges=admissible, objective=res.objective)
-
-
-def optimal_pm_edges(
-    graph: UGraph, costs: Mapping[Edge, Fraction], opt_value: Optional[Fraction] = None
-) -> set[Edge]:
-    """Edges lying in at least one minimum-cost perfect matching (forcing test)."""
-    if opt_value is None:
-        _, opt_value = min_cost_perfect_matching(graph, costs)
-    out = set()
-    for e in graph.edges:
-        rest = graph.without(e)
-        try:
-            _, sub = min_cost_perfect_matching(rest, costs)
-        except NoPerfectMatching:
-            continue
-        if sub + Fraction(costs[e]) == opt_value:
-            out.add(e)
-    return out
 
 
 def bipartition(graph: UGraph) -> tuple[set[int], set[int]]:

@@ -8,8 +8,8 @@ contraction/peeling or column-generation code paths.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
+from fairkep.matching import has_perfect_matching
 from fairkep.simplexlp import lp_solve_exact
 
 ZERO = Fraction(0)
@@ -42,6 +42,14 @@ def maximum_matchings(edges):
 
 def covered_set(matching):
     return frozenset(x for e in matching for x in e)
+
+
+def is_factor_critical(graph):
+    """Odd order, and deleting any one vertex leaves a perfect matching."""
+    n = len(graph.vertices)
+    if n % 2 == 0:
+        return False
+    return all(has_perfect_matching(graph.without([v])) for v in graph.vertices)
 
 
 def max_weight_perfect_matching_edges(vertices, edges, weights):

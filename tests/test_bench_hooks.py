@@ -63,3 +63,6 @@ def test_exact_lp_spans_recorded(monkeypatch):
     metrics = tracing.layer_metrics(rec, 1)
     assert metrics["simplexlp.busy_s"][0] > 0
     assert metrics["simplexlp.max_cols"][0] > 0
+    # the seed and every pricing call reach the oracle through the name
+    # fair.max_price_packing, looked up at call time
+    assert metrics["oracle.calls"][0] > report.pricing_calls > 0

@@ -16,8 +16,9 @@ from fairkep.cli import (
     parse_policy,
     run,
 )
-from fairkep.core import UNBOUNDED, StructurePolicy
+from fairkep.core import UNBOUNDED, KepInstance, StructurePolicy
 from fairkep.oracle import is_coverable
+from helpers import covered_set, enumerate_matchings, leximin_marginals
 
 F = Fraction
 
@@ -114,6 +115,25 @@ class TestLottery:
         assert uncoverable and len(marginals) == len(inst.pairs)
         for v, q in marginals.items():
             assert (q == 0) == (v in uncoverable), v
+
+    def test_fixed_cardinality_match(self, tmp_path):
+        # a 5-cycle 1..5 with a pendant pair 6 on 1: ν = 3, every 2-edge matching
+        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6)]
+        arcs = {a: F(1) for (u, v) in edges for a in ((u, v), (v, u))}
+        inst_path = tmp_path / "c5.json"
+        io.write_instance(KepInstance(pairs=frozenset(range(1, 7)), arcs=arcs), inst_path)
+        out = tmp_path / "lot.json"
+        code = run(["lottery", str(inst_path), "--policy", "match", "--mu", "2", "-o", str(out)])
+        assert code == EXIT_OK
+        rep = json.loads(out.read_text())
+        support = rep["lottery"]["support"]
+        for entry in support:
+            assert len(entry["packing"]) == 2
+            assert all(s[0] == "cycle" and len(s) == 3 for s in entry["packing"])
+        assert sum(F(e["prob"]) for e in support) == 1
+        fams = [covered_set(m) for m in enumerate_matchings(edges) if len(m) == 2]
+        want = leximin_marginals(range(1, 7), fams)
+        assert {int(v): F(q) for v, q in rep["marginals"].items()} == want
 
     def test_weighted_requires_leximin(self, fig1a, tmp_path):
         w = tmp_path / "w.json"

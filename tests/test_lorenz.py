@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from fairkep.core import KepInstance, FairkepError, lorenz_compare, DOMINATES, EQUAL
+from fairkep.core import Cycle, KepInstance, FairkepError, Packing, lorenz_compare, DOMINATES, EQUAL
+from fairkep.fair import RestrictedMaster, leximin_lottery
 from fairkep.lorenz import (
     ContractedBipartite,
     CoverMatrix,
     NotStochastic,
     Pseudo,
-    _exact_leximin_cg,
     decompose_matrix,
     edge_weight_reduction,
     fixed_cardinality_reduction,
@@ -264,7 +264,9 @@ class TestInstanceEntryPoints:
         assert checked >= 25
 
     def test_fixed_cardinality_reduction(self):
+        # each graph runs with unit weights and with random rational weights
         rng = random.Random(38)
+        wrng = random.Random(39)
         checked = 0
         for _ in range(40):
             g = random_graph(rng, rng.randint(3, 7), 0.6)
@@ -273,14 +275,22 @@ class TestInstanceEntryPoints:
                 continue
             mu = rng.randint((nu + 1) // 2, nu)  # admissible range is ν/2..ν
             inst = make_instance(g.vertices, mutual(g.edges))
-            lot = fixed_cardinality_reduction(inst, mu=mu)
-            fams = [
-                covered_set(m)
-                for m in enumerate_matchings(g.edges)
-                if len(m) == mu
-            ]
-            want = leximin_marginals(g.vertices, fams)
-            assert lot.marginals(sorted(g.vertices)) == want
+            w = {e: F(wrng.randint(0, 6), wrng.randint(1, 3)) for e in g.edges}
+            for weights in (None, w):
+                lot = fixed_cardinality_reduction(inst, weights, mu=mu)
+                value = {
+                    m: sum((F(1) if weights is None else weights[e] for e in m), F(0))
+                    for m in enumerate_matchings(g.edges)
+                    if len(m) == mu
+                }
+                best = max(value.values())
+                fams = [covered_set(m) for m, v in value.items() if v == best]
+                want = leximin_marginals(g.vertices, fams)
+                assert lot.marginals(sorted(g.vertices)) == want
+                assert sum(p for _, p in lot.support) == 1
+                for packing, _ in lot.support:
+                    edges = frozenset(norm_edge(*s.vertices) for s in packing.structures)
+                    assert value.get(edges) == best
             checked += 1
         assert checked >= 25
 
@@ -304,14 +314,17 @@ class TestChecks:
 
     def test_leximin_cg_rejects_inconsistent_pricing(self):
         # the pricing claims optimality for {1} during the maximin phase, then
-        # produces a column covering both vertices: no vertex saturates
+        # produces a column covering both pairs: no pair saturates
+        only_1 = Packing(frozenset({Cycle((1, 10))}))
+        both = Packing(frozenset({Cycle((1, 10)), Cycle((2, 20))}))
         calls = []
 
         def pricing(prices):
             calls.append(prices)
-            if len(calls) <= 2:
-                return frozenset({1}), frozenset({(1, 10)})
-            return frozenset({1, 2}), frozenset({(1, 10), (2, 20)})
+            packing = only_1 if len(calls) == 1 else both
+            return packing, sum((prices.get(v, 0) for v in packing.covered), F(0))
 
-        with pytest.raises(FairkepError, match="saturated no vertex"):
-            _exact_leximin_cg([1, 2], pricing)
+        master = RestrictedMaster([1, 2], pricing, exact=True, seed=only_1)
+        with pytest.raises(FairkepError, match="must saturate some pair"):
+            leximin_lottery(master)
+        assert len(calls) >= 2

@@ -10,7 +10,6 @@ import networkx as nx
 import pytest
 
 from fairkep.matching import (
-    DualCertificate,
     NoPerfectMatching,
     NotBipartite,
     UGraph,
@@ -18,18 +17,15 @@ from fairkep.matching import (
     bipartition,
     gallai_edmonds,
     has_perfect_matching,
-    is_factor_critical,
     lex_weights,
     matching_number,
     matching_weight,
     max_matching,
     max_weight_matching,
-    max_weight_perfect_matching,
-    min_cost_perfect_matching,
     norm_edge,
     perfect_matching,
 )
-from helpers import enumerate_matchings, max_weight_perfect_matching_edges
+from helpers import enumerate_matchings, is_factor_critical, max_weight_perfect_matching_edges
 
 F = Fraction
 
@@ -154,23 +150,6 @@ class TestWeighted:
                 check_matching(g, m)
                 assert 2 * len(m) == len(g.vertices)
                 assert matching_weight(m, w) == want
-
-    def test_min_cost_with_dual_certificate(self):
-        rng = random.Random(23)
-        for _ in range(25):
-            g = random_graph(rng, rng.choice([4, 6]), 0.7)
-            if not has_perfect_matching(g):
-                continue
-            costs = {e: F(rng.randint(0, 6)) for e in g.edges}
-            m, cert = max_weight_perfect_matching(g, costs)
-            assert isinstance(cert, DualCertificate)
-            assert matching_weight(m, costs) == cert.objective
-            # dual feasibility: every edge has nonnegative slack, matched
-            # edges are admissible
-            for e in g.edges:
-                assert cert.slack(e, costs) >= 0
-            for e in m:
-                assert e in cert.admissible_edges
 
 
 class TestLexWeights:
