@@ -28,7 +28,6 @@ from .core import (
     Packing,
     StructurePolicy,
     UNBOUNDED,
-    restrict_to_coverable,
 )
 
 EXIT_OK = 0
@@ -258,12 +257,13 @@ def _solve_lottery(instance: KepInstance, args) -> fair.SolveReport:
     if args.delta is None and args.mu is None and args.objective != "utilitarian":
         # fairness objectives are only interesting on the family that trades a
         # little cardinality for coverage; default to the smallest sufficient
-        # relaxation.  δ* is defined over coverable pairs only, so first drop
-        # the pairs no packing covers (they report marginal 0).
-        instance, _ = restrict_to_coverable(instance, policy, oracle.is_coverable)
-        policy = replace(
-            policy, cardinality_mode="delta", delta=oracle.delta_star(instance, policy)
-        )
+        # relaxation.  δ* is defined over coverable pairs only: it is their
+        # largest coverage loss, and the pairs no packing covers are dropped
+        # (they report marginal 0).
+        losses = oracle.coverage_losses(instance, policy)
+        kept = {v: loss for v, loss in losses.items() if loss is not None}
+        instance = instance.restrict(kept)
+        policy = replace(policy, cardinality_mode="delta", delta=max(kept.values(), default=0))
     if args.objective == "utilitarian":
         return fair.solve_utilitarian(instance, policy)
     if args.objective == "maximin":
@@ -389,13 +389,14 @@ def _cmd_stats(args) -> int:
         count, members = oracle.always_covered_count(instance, policy)
         value = {"count": count, "pairs": sorted(members)}
     elif args.metric == "coverage_loss":
+        if args.node is not None and args.node not in instance.pairs:
+            raise UsageError(f"--node {args.node} is not a pair of the instance")
+        # a pair no packing covers has no loss: null
+        losses = oracle.coverage_losses(instance, policy)
         if args.node is not None:
-            value = oracle.coverage_loss(instance, policy, args.node)
+            value = losses[args.node]
         else:
-            value = {
-                str(v): oracle.coverage_loss(instance, policy, v)
-                for v in sorted(instance.pairs)
-            }
+            value = {str(v): loss for v, loss in losses.items()}
     else:  # max_cardinality
         value = oracle.max_cardinality(instance, policy)
     _emit(value, args.output)

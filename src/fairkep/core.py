@@ -372,20 +372,3 @@ def lorenz_compare(x: Sequence[Fraction], y: Sequence[Fraction]) -> str:
     if le:
         return DOMINATED_BY
     return INCOMPARABLE
-
-
-def restrict_to_coverable(
-    instance: KepInstance,
-    policy: StructurePolicy,
-    coverable: Callable[[KepInstance, StructurePolicy, int], bool],
-) -> tuple[KepInstance, list[int]]:
-    """Drop pairs that no acceptable packing covers; report them.
-
-    `coverable` decides per-pair coverability (cardinality constraints included).
-    A packing covering a kept pair never routes through a dropped one, so a
-    single pass suffices.
-    """
-    dropped = [v for v in sorted(instance.pairs) if not coverable(instance, policy, v)]
-    if not dropped:
-        return instance, []
-    return instance.restrict(instance.pairs - set(dropped)), dropped

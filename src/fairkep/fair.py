@@ -37,13 +37,12 @@ from .core import (
     eval_leximin,
     eval_nash,
     eval_utilitarian,
-    restrict_to_coverable,
 )
 from .oracle import (
     OracleQuery,
     Uncoverable,
     acceptable_cardinality,
-    is_coverable,
+    coverable_pairs,
     max_price_packing,
 )
 from .simplexlp import LpInfeasible, LpUnbounded, caratheodory, lp_solve_exact
@@ -669,8 +668,15 @@ def sparsify(lottery: Lottery) -> Lottery:
 def preprocess(
     instance: KepInstance, policy: StructurePolicy
 ) -> tuple[KepInstance, list[int]]:
-    """Drop pairs covered by no acceptable packing; returns (instance, dropped)."""
-    card = acceptable_cardinality(instance, policy)
-    return restrict_to_coverable(
-        instance, policy, lambda inst, pol, v: is_coverable(inst, pol, v, card)
-    )
+    """Drop pairs covered by no acceptable packing; returns (instance, dropped).
+
+    One `oracle.coverable_pairs` witness loop under the policy's acceptable
+    cardinality finds the kept pairs.  A packing covering a kept pair never
+    routes through a dropped one, so one pass suffices; the instance itself
+    comes back when nothing is dropped.
+    """
+    kept = coverable_pairs(instance, policy, acceptable_cardinality(instance, policy))
+    dropped = sorted(instance.pairs - kept)
+    if not dropped:
+        return instance, []
+    return instance.restrict(kept), dropped

@@ -8,6 +8,13 @@ and returns the optimum as a `Fraction`.  HiGHS, through scipy, takes the
 integer-priced value-only queries on pools above `BB_MAX_PAIRS` (a set-packing
 MILP over the enumerated structures) and families with non-enumerable chains
 (cycle columns + arc flows with position variables or subtour cuts).
+
+The pool metrics rest on two witness loops over `max_price_packing`.
+`coverable_pairs` (max-inclusion) prices the pairs not yet certified at 1 and
+adds each optimum's covered pairs until none is new; `fair.preprocess`,
+`coverage_losses` and `delta_star` use it.  `always_covered_count`
+(min-inclusion) prices the remaining candidates at -1 and intersects until no
+packing avoids one.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ class ExplosionGuard(FairkepError):
 
 
 class OracleInfeasible(FairkepError):
-    """No packing satisfies the side constraints."""
+    """No packing satisfies the cardinality constraint."""
 
 
 class Uncoverable(FairkepError):
@@ -51,23 +58,18 @@ class Uncoverable(FairkepError):
 
 @dataclass(frozen=True)
 class OracleQuery:
-    """A priced packing optimization with optional side constraints.
+    """A packing optimization: node prices and a cardinality constraint.
 
-    cardinality is ("free", None), ("exact", k) or ("atleast", k), counted in
-    covered pairs.
+    Pairs missing from node_prices have price 0.  cardinality is
+    ("free", None), ("exact", k) or ("atleast", k), counted in covered pairs.
     """
 
     instance: KepInstance
     policy: StructurePolicy
     node_prices: Mapping[int, Fraction] = field(default_factory=dict)
-    must_cover: frozenset[int] = frozenset()
-    forbidden: frozenset[int] = frozenset()
     cardinality: tuple[str, Optional[int]] = CARD_FREE
-    minimize_3cycles_tiebreak: bool = False
 
     def __post_init__(self):
-        if self.must_cover & self.forbidden:
-            raise ValueError("must_cover and forbidden overlap")
         mode, k = self.cardinality
         if mode not in ("free", "exact", "atleast"):
             raise ValueError(f"unknown cardinality mode {mode!r}")
@@ -153,10 +155,7 @@ class _BB:
         # per-bit positive price, for the optimistic bound
         self.gain = [max(self.price[v], 0) for v in self.pairs]
 
-        structs = [
-            s for s in structures if not (set(s.covered()) & query.forbidden)
-        ]
-        self.structs = structs
+        self.structs = structs = list(structures)
         self.masks = []
         self.values = []
         self.sizes = []
@@ -178,12 +177,6 @@ class _BB:
         for i in range(n - 1, -1, -1):
             self.suffix_cover[i] = self.suffix_cover[i + 1] | self.masks[i]
             self.suffix_size[i] = self.suffix_size[i + 1] + self.sizes[i]
-        self.must_mask = 0
-        for v in query.must_cover:
-            if v in query.instance.pairs:
-                self.must_mask |= 1 << self.bit[v]
-            else:
-                raise OracleInfeasible(f"must_cover names unknown pair {v}")
         self.best: Optional[tuple] = None  # (scaled value, aux_key, structures)
 
     def _bound(self, i: int, used: int, value: int) -> int:
@@ -197,30 +190,12 @@ class _BB:
 
     def _aux_key(self, chosen: list[int]):
         """Tie-break key, smaller is better."""
-        three = sum(
-            1
-            for j in chosen
-            if isinstance(self.structs[j], Cycle) and self.structs[j].length == 3
-        )
-        ids = tuple(sorted(self.structs[j].sort_key() for j in chosen))
-        if self.query.minimize_3cycles_tiebreak:
-            return (three, len(chosen), ids)
-        return (len(chosen), ids)
-
-    def _feasible_leaf(self, used: int, count: int) -> bool:
-        if self.must_mask & ~used:
-            return False
-        mode, k = self.query.cardinality
-        if mode == "exact":
-            return count == k
-        if mode == "atleast":
-            return count >= k
-        return True
+        return (len(chosen), tuple(sorted(self.structs[j].sort_key() for j in chosen)))
 
     def run(self) -> tuple[Packing, Fraction]:
         self._dfs(0, 0, 0, 0, [])
         if self.best is None:
-            raise OracleInfeasible("no packing satisfies the side constraints")
+            raise OracleInfeasible("no packing satisfies the cardinality constraint")
         value, _, chosen = self.best
         return Packing(frozenset(self.structs[j] for j in chosen)), Fraction(value, self.scale)
 
@@ -229,9 +204,9 @@ class _BB:
         # so the depth is bounded by the packing size rather than the family
         mode, k = self.query.cardinality
         while True:
-            # can the remaining structures still reach the targets?
-            if self.must_mask & ~used & ~self.suffix_cover[i]:
-                return
+            # can the remaining structures still reach the cardinality?  At a
+            # leaf this leaves exactly the feasible counts: an inclusion never
+            # overshoots an exact k
             if mode in ("exact", "atleast") and count + self.suffix_size[i] < k:
                 return
             if self.best is not None:
@@ -241,8 +216,6 @@ class _BB:
                 if self.value_only and bound == self.best[0]:
                     return
             if i == len(self.structs):
-                if not self._feasible_leaf(used, count):
-                    return
                 key = None if self.value_only else self._aux_key(chosen)
                 if (
                     self.best is None
@@ -285,13 +258,10 @@ def _milp_max_price(
     unbounded = policy.max_chain_len is not None and policy.max_chain_len == float("inf")
     # With unbounded chains every structure is expressible on arcs alone, so we
     # skip cycle columns entirely: allowed short cycles are decoded from the
-    # arc solution and only policy-violating cycles get subtour cuts.  The
-    # per-cycle tie-break perturbations need explicit cycle columns, so that
-    # rare combination keeps the column model.
-    arc_mode = unbounded and not query.minimize_3cycles_tiebreak
+    # arc solution and only policy-violating cycles get subtour cuts.
     cycles = (
         []
-        if arc_mode
+        if unbounded
         else enumerate_structures(inst, replace(policy, max_chain_len=None), cap=cap)
     )
     L = int(min(policy.max_chain_len, n)) if policy.max_chain_len is not None else 0
@@ -308,11 +278,9 @@ def _milp_max_price(
     # variables: cycles | chain arcs | chain position per pair
     nvar = nz + na + n
     c = np.zeros(nvar)
-    eps_count, eps_three = 1e-7, 1e-5
+    eps_count = 1e-7
     for j, C in enumerate(cycles):
         c[j] = -sum(float(query.price(v)) for v in C.covered()) + eps_count
-        if query.minimize_3cycles_tiebreak and C.length == 3:
-            c[j] += eps_three
     arcs_in: dict[int, list[int]] = {v: [] for v in pairs}
     arcs_out: dict[int, list[int]] = {v: [] for v in pairs}
     ndd_out: dict[int, list[int]] = {a: [] for a in inst.ndds}
@@ -349,9 +317,7 @@ def _milp_max_price(
             cover_entries[v].append((nz + j, 1.0))
     card_mode, card_k = query.cardinality
     for v in pairs:
-        lower = 1.0 if v in query.must_cover else 0.0
-        upper = 0.0 if v in query.forbidden else 1.0
-        add_row(cover_entries[v], lower, upper)
+        add_row(cover_entries[v], 0.0, 1.0)
     for v in pairs:
         if arcs_out[v]:
             ent = [(nz + j, 1.0) for j in arcs_out[v]]
@@ -380,14 +346,6 @@ def _milp_max_price(
 
     if unbounded:
         arc_idx = {a: j for j, a in enumerate(chain_arcs)}
-        # short subtours dominate; on moderate models cut the known 2-/3-cycles
-        # upfront so the lazy loop below only handles rare long ones (on large
-        # models the row bloat costs more than the saved re-solves)
-        if nz <= 5000:
-            for C in cycles:
-                ent = [(nz + arc_idx[a], 1.0) for a in C.arcs() if a in arc_idx]
-                if len(ent) == C.length:
-                    add_row(ent, -np.inf, C.length - 1.0)
         # replay cuts discovered by earlier solves over the same instance
         for cut in cut_pool or ():
             add_row([(nz + arc_idx[a], 1.0) for a in cut], -np.inf, len(cut) - 1.0)
@@ -411,8 +369,8 @@ def _milp_max_price(
             x = res.x
             if not unbounded:
                 return _decode(x)
-            # lazily cut off directed cycles among selected pair-to-pair arcs
-            # (in arc mode only the ones the cycle policy disallows)
+            # lazily cut off the directed cycles among selected pair-to-pair
+            # arcs that the cycle policy disallows
             succ = {
                 u: (j, v)
                 for j, (u, v) in enumerate(chain_arcs)
@@ -430,12 +388,7 @@ def _milp_max_price(
                     node = succ[node][1]
                 if state.get(node) == 1:  # closed a new cycle; slice it out of the trail
                     cyc = trail[trail.index(node):]
-                    allowed = (
-                        arc_mode
-                        and policy.max_cycle_len is not None
-                        and len(cyc) <= policy.max_cycle_len
-                    )
-                    if not allowed:
+                    if policy.max_cycle_len is None or len(cyc) > policy.max_cycle_len:
                         cuts.append(cyc)
                 for u in trail:
                     state[u] = 2
@@ -469,7 +422,8 @@ def _milp_max_price(
                 path.append(nxt[path[-1]])
                 visited.add(path[-1])
             structs.append(Chain(ndd=a, pairs=tuple(path)))
-        # in arc mode allowed cycles survive the cut loop as closed arc walks
+        # with unbounded chains allowed cycles survive the cut loop as closed
+        # arc walks
         for u in nxt:
             if u in visited:
                 continue
@@ -490,7 +444,7 @@ def _milp_max_price(
     return _solve_loop()
 
 
-def _set_packing_milp(query: OracleQuery, structures: Sequence[Structure]) -> tuple[Packing, Fraction]:
+def _set_packing_milp(query: OracleQuery, structs: Sequence[Structure]) -> tuple[Packing, Fraction]:
     """Fast value-oriented solve over enumerated columns (integer prices only).
 
     The optimum value is an integer, so the float MILP result identifies an
@@ -499,7 +453,6 @@ def _set_packing_milp(query: OracleQuery, structures: Sequence[Structure]) -> tu
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    structs = [s for s in structures if not (set(s.covered()) & query.forbidden)]
     pairs = sorted(query.instance.pairs)
     idx = {v: i for i, v in enumerate(pairs)}
     nvar = len(structs)
@@ -511,7 +464,7 @@ def _set_packing_milp(query: OracleQuery, structures: Sequence[Structure]) -> tu
             rows.append(idx[v])
             cols.append(j)
             vals.append(1.0)
-    lo = [1.0 if v in query.must_cover else 0.0 for v in pairs]
+    lo = [0.0] * len(pairs)
     hi = [1.0] * len(pairs)
     # each NDD roots at most one chain
     ndds = sorted(query.instance.ndds)
@@ -557,8 +510,7 @@ def max_price_packing(
     """Packing maximizing the total price of covered pairs, with its value.
 
     Exact and deterministic on enumerable families: ties are broken by fewest
-    structures then lexicographically smallest structure ids (with fewest
-    3-cycles inserted first when requested).  `value_only` skips the tie-break
+    structures then lexicographically smallest structure ids.  `value_only` skips the tie-break
     layers, returning the first optimal packing found; with integer prices on
     more than `BB_MAX_PAIRS` pairs the set-packing MILP answers it.  Chain
     families that trip the `ExplosionGuard`, or unbounded chains on more than
@@ -615,67 +567,6 @@ def max_cardinality(instance: KepInstance, policy: StructurePolicy) -> int:
     return int(val)
 
 
-def is_coverable(
-    instance: KepInstance,
-    policy: StructurePolicy,
-    v: int,
-    cardinality: tuple[str, Optional[int]] = CARD_FREE,
-) -> bool:
-    """Whether some packing under the cardinality side constraint covers v."""
-    try:
-        max_price_packing(
-            OracleQuery(
-                instance=instance,
-                policy=policy,
-                must_cover=frozenset({v}),
-                cardinality=cardinality,
-            ),
-            value_only=True,
-        )
-    except OracleInfeasible:
-        return False
-    return True
-
-
-def _loss_given_max(
-    instance: KepInstance, policy: StructurePolicy, v: int, maxcard: int, max_covered: frozenset[int]
-) -> int:
-    if v in max_covered:
-        return 0
-    try:
-        _, val = max_price_packing(
-            _unit_query(instance, policy, must_cover=frozenset({v})), value_only=True
-        )
-    except OracleInfeasible:
-        raise Uncoverable(f"pair {v} is covered by no acceptable packing") from None
-    delta = maxcard - int(val)
-    if policy.max_chain_len is None and policy.max_cycle_len is not None:
-        limit = (policy.max_cycle_len - 1) ** 2 - 1
-        if delta > max(limit, 0):
-            raise FairkepError(f"coverage loss {delta} exceeds bound {limit}")
-    return delta
-
-
-def coverage_loss(instance: KepInstance, policy: StructurePolicy, v: int) -> int:
-    """δ_v: cardinality sacrificed by the best packing that covers v."""
-    packing, val = max_price_packing(_unit_query(instance, policy), value_only=True)
-    return _loss_given_max(instance, policy, v, int(val), packing.covered)
-
-
-def delta_star(instance: KepInstance, policy: StructurePolicy) -> int:
-    """Smallest δ making the maximin value positive at cardinality ≥ max − δ.
-
-    The maximin LP over packings of cardinality ≥ maxcard − δ is positive
-    exactly when every pair is covered by some such packing (mix the per-pair
-    witnesses uniformly), so δ* is the largest per-pair coverage loss.
-    """
-    packing, val = max_price_packing(_unit_query(instance, policy), value_only=True)
-    best = 0
-    for v in sorted(instance.pairs):
-        best = max(best, _loss_given_max(instance, policy, v, int(val), packing.covered))
-    return best
-
-
 def acceptable_cardinality(instance: KepInstance, policy: StructurePolicy) -> tuple[str, int]:
     """The cardinality side constraint implied by the policy's mode."""
     if policy.cardinality_mode == "fixed":
@@ -683,6 +574,77 @@ def acceptable_cardinality(instance: KepInstance, policy: StructurePolicy) -> tu
     maxcard = max_cardinality(instance, policy)
     slack = policy.delta if policy.cardinality_mode == "delta" else 0
     return ("atleast", max(maxcard - slack, 0))
+
+
+def coverable_pairs(
+    instance: KepInstance,
+    policy: StructurePolicy,
+    cardinality: tuple[str, Optional[int]],
+    certified: frozenset[int] = frozenset(),
+) -> frozenset[int]:
+    """Pairs covered by some packing under the cardinality constraint.
+
+    Iterated max-inclusion pricing: price 1 on the pairs not yet certified and
+    re-optimize under the constraint; every optimum certifies all the pairs it
+    covers.  Stops when no such packing covers an uncertified pair.
+    `certified` seeds the set and must hold only pairs such a packing covers.
+    """
+    while certified != instance.pairs:
+        prices = {v: Fraction(1) for v in instance.pairs - certified}
+        try:
+            packing, value = max_price_packing(
+                OracleQuery(
+                    instance=instance, policy=policy, node_prices=prices, cardinality=cardinality
+                ),
+                value_only=True,
+            )
+        except OracleInfeasible:
+            break
+        if value == 0:
+            break
+        certified = certified | packing.covered
+    return certified
+
+
+def coverage_losses(instance: KepInstance, policy: StructurePolicy) -> dict[int, Optional[int]]:
+    """δ_v per pair: the cardinality sacrificed by the best packing covering v.
+
+    None for a pair no packing covers.  A witness loop without a cardinality
+    constraint finds the coverable pairs; one loop per loss level ℓ = 0, 1, …
+    under cardinality ≥ max − ℓ, seeded with the pairs of smaller loss, then
+    certifies the pairs of loss ℓ until every coverable pair is reached.
+    """
+    packing, value = max_price_packing(_unit_query(instance, policy), value_only=True)
+    maxcard = int(value)
+    coverable = coverable_pairs(instance, policy, CARD_FREE, packing.covered)
+    limit = None
+    if policy.max_chain_len is None and policy.max_cycle_len is not None:
+        limit = (policy.max_cycle_len - 1) ** 2 - 1
+    losses = {v: (0 if v in packing.covered else None) for v in sorted(instance.pairs)}
+    certified, level = packing.covered, 0
+    while certified != coverable:
+        reached = coverable_pairs(instance, policy, ("atleast", maxcard - level), certified)
+        if limit is not None and reached != certified and level > max(limit, 0):
+            raise FairkepError(f"coverage loss {level} exceeds bound {limit}")
+        losses.update(dict.fromkeys(reached - certified, level))
+        certified, level = reached, level + 1
+    return losses
+
+
+def delta_star(instance: KepInstance, policy: StructurePolicy) -> int:
+    """Smallest δ making the maximin value positive at cardinality ≥ max − δ.
+
+    The maximin LP over packings of cardinality ≥ maxcard − δ is positive
+    exactly when every pair is covered by some such packing (mix the per-pair
+    witnesses uniformly), so δ* is the largest coverage loss.  Raises
+    Uncoverable when a pair is covered by no packing at all; `fair.preprocess`
+    drops such pairs.
+    """
+    losses = coverage_losses(instance, policy)
+    uncoverable = [v for v, loss in losses.items() if loss is None]
+    if uncoverable:
+        raise Uncoverable(f"pair {uncoverable[0]} is covered by no acceptable packing")
+    return max(losses.values(), default=0)
 
 
 def always_covered_count(

@@ -10,10 +10,45 @@ from __future__ import annotations
 from fractions import Fraction
 
 from fairkep.matching import has_perfect_matching
+from fairkep.oracle import enumerate_structures
 from fairkep.simplexlp import lp_solve_exact
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def brute_best(instance, policy, prices, must=frozenset(), card=("free", None)):
+    """Best total price over every packing that covers `must` and meets `card`.
+
+    Exhaustive search over subsets of the enumerated structures; None when no
+    packing qualifies.
+    """
+    structs = enumerate_structures(instance, policy)
+    best = None
+
+    def rec(i, used, used_ndds, val, cnt):
+        nonlocal best
+        mode, k = card
+        ok = must <= used and (
+            mode == "free" or (cnt == k if mode == "exact" else cnt >= k)
+        )
+        if ok and (best is None or val > best):
+            best = val
+        for j in range(i, len(structs)):
+            cov = set(structs[j].covered())
+            ndd = getattr(structs[j], "ndd", None)
+            if cov & used or ndd in used_ndds:
+                continue
+            rec(
+                j + 1,
+                used | cov,
+                used_ndds | ({ndd} if ndd is not None else set()),
+                val + sum(prices.get(v, ZERO) for v in cov),
+                cnt + len(cov),
+            )
+
+    rec(0, set(), set(), ZERO, 0)
+    return best
 
 
 def enumerate_matchings(edges):

@@ -1,11 +1,11 @@
-"""The benchmark's per-layer spans still see the matching pipeline and the
-exact LP.
+"""The benchmark's per-layer spans still see the matching pipeline, the exact
+LP and the oracle calls of coverage preprocessing.
 
 perfbench/tracing.py wraps library functions where the calling modules look
 them up; if a refactor stops calling a wrapped name, its metric silently reads
-zero. This runs the two lorenz entry points and an exact leximin solve under
-that instrumentation and checks the spans the matching-lottery and
-exact-lottery metrics rest on.
+zero. This runs the two lorenz entry points, an exact leximin solve, and
+fair.preprocess with oracle.delta_star under that instrumentation, and checks
+the spans the matching-lottery and exact-lottery metrics rest on.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from fairkep import fair, gen, lorenz
+from fairkep import fair, gen, lorenz, oracle
 from fairkep.core import KepInstance, StructurePolicy
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -66,3 +66,26 @@ def test_exact_lp_spans_recorded(monkeypatch):
     # the seed and every pricing call reach the oracle through the name
     # fair.max_price_packing, looked up at call time
     assert metrics["oracle.calls"][0] > report.pricing_calls > 0
+
+
+def test_coverage_oracle_spans_recorded(monkeypatch):
+    tracing = load_tracing(monkeypatch)
+    rec = tracing.Recorder()
+    searches = []
+    run = oracle._BB.run
+
+    def counting_run(self):
+        searches.append(1)
+        return run(self)
+
+    monkeypatch.setattr(oracle._BB, "run", counting_run)
+    policy = StructurePolicy(max_cycle_len=3)
+    pool = gen.generate_instance(gen.GenConfig(n_pairs=12, seed=3))
+    assert len(pool.pairs) <= oracle.BB_MAX_PAIRS  # every query runs the search
+    with tracing.Instrumentation(rec):
+        reduced, _ = fair.preprocess(pool, policy)
+        oracle.delta_star(reduced, policy)
+    # the witness loop reaches the oracle through the name
+    # oracle.max_price_packing, looked up at call time
+    calls = [s for s in rec.spans if s.name == "oracle.max_price_packing"]
+    assert len(calls) == len(searches) > 2

@@ -17,8 +17,7 @@ from fairkep.cli import (
     run,
 )
 from fairkep.core import UNBOUNDED, KepInstance, StructurePolicy
-from fairkep.oracle import is_coverable
-from helpers import covered_set, enumerate_matchings, leximin_marginals
+from helpers import brute_best, covered_set, enumerate_matchings, leximin_marginals
 
 F = Fraction
 
@@ -58,6 +57,25 @@ def fig1a(tmp_path):
 def fig1b(tmp_path):
     out = tmp_path / "fig1b.json"
     assert run(["fixtures", "fig1b", "-o", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.fixture
+def pool20(tmp_path):
+    """A generated 20-pair pool in which cyc3 packings leave some pairs uncoverable."""
+    out = tmp_path / "g.json"
+    assert run(["generate", "--pairs", "20", "--seed", "100", "-o", str(out)]) == EXIT_OK
+    return out
+
+
+def brute_losses(inst, policy):
+    """Per pair: the cardinality the largest packing covering it gives up, or None."""
+    unit = {v: F(1) for v in inst.pairs}
+    maxcard = brute_best(inst, policy, unit)
+    out = {}
+    for v in sorted(inst.pairs):
+        best = brute_best(inst, policy, unit, must=frozenset({v}))
+        out[v] = None if best is None else maxcard - best
     return out
 
 
@@ -101,17 +119,15 @@ class TestLottery:
         assert rep["lottery"]["support"][0]["prob"] == "1"
         assert rep["marginals"]["1"] == "0"
 
-    def test_default_delta_drops_uncoverable_pairs(self, tmp_path):
+    def test_default_delta_drops_uncoverable_pairs(self, pool20, tmp_path):
         """The default δ* relaxation is taken after dropping the pairs that no
         packing covers; those pairs report marginal 0."""
-        inst_path = tmp_path / "g.json"
-        assert run(["generate", "--pairs", "20", "--seed", "100", "-o", str(inst_path)]) == EXIT_OK
         out = tmp_path / "lot.json"
-        assert run(["lottery", str(inst_path), "--objective", "maximin", "-o", str(out)]) == EXIT_OK
+        assert run(["lottery", str(pool20), "--objective", "maximin", "-o", str(out)]) == EXIT_OK
         marginals = {int(v): F(q) for v, q in json.loads(out.read_text())["marginals"].items()}
-        inst = io.read_instance(inst_path)
-        policy = parse_policy("cyc3")
-        uncoverable = {v for v in inst.pairs if not is_coverable(inst, policy, v)}
+        inst = io.read_instance(pool20)
+        losses = brute_losses(inst, parse_policy("cyc3"))
+        uncoverable = {v for v, loss in losses.items() if loss is None}
         assert uncoverable and len(marginals) == len(inst.pairs)
         for v, q in marginals.items():
             assert (q == 0) == (v in uncoverable), v
@@ -179,6 +195,17 @@ class TestSolveAndStats:
         code = run(["stats", str(fig1b), "--metric", "coverage_loss", "--node", "1", "-o", str(out)])
         assert code == EXIT_OK
         assert json.loads(out.read_text()) == 3
+
+    def test_stats_coverage_loss_null_when_uncoverable(self, pool20, tmp_path):
+        out = tmp_path / "s.json"
+        assert run(["stats", str(pool20), "--metric", "coverage_loss", "-o", str(out)]) == EXIT_OK
+        want = brute_losses(io.read_instance(pool20), parse_policy("cyc3"))
+        assert None in want.values()
+        assert json.loads(out.read_text()) == {str(v): loss for v, loss in want.items()}
+
+    def test_stats_coverage_loss_unknown_node(self, pool20):
+        code = run(["stats", str(pool20), "--metric", "coverage_loss", "--node", "999"])
+        assert code == EXIT_VALIDATION
 
     def test_stats_always_covered(self, fig1a, tmp_path):
         out = tmp_path / "s.json"

@@ -29,7 +29,6 @@ from fairkep.core import (
     eval_neg_gini,
     eval_utilitarian,
     lorenz_compare,
-    restrict_to_coverable,
     validate_packing,
     DOMINATES,
     DOMINATED_BY,
@@ -190,14 +189,3 @@ class TestLottery:
         assert len(merged.support) == 2
         assert dict(merged.support)[p] == F(1, 2)
 
-
-class TestRestrictToCoverable:
-    def test_drops_uncoverable_pairs(self):
-        inst = make([1, 2, 3], arcs=[(1, 2), (2, 1)])  # 3 is isolated
-        sub, dropped = restrict_to_coverable(
-            inst, StructurePolicy(), lambda i, p, v: v != 3
-        )
-        assert sub.pairs == frozenset({1, 2})
-        assert dropped == [3]
-        same, none_dropped = restrict_to_coverable(sub, StructurePolicy(), lambda i, p, v: True)
-        assert same is sub and none_dropped == []

@@ -226,6 +226,16 @@ class TestSparsify:
         assert sparsify(lot).support == ((a, F(3, 4)), (b, F(1, 4)))
 
 
+class TestPreprocess:
+    def test_drops_uncoverable_pairs(self):
+        inst = make([1, 2, 3], [], [(1, 2), (2, 1)])  # 3 is isolated
+        sub, dropped = fair.preprocess(inst, MATCH)
+        assert sub.pairs == frozenset({1, 2})
+        assert dropped == [3]
+        same, none_dropped = fair.preprocess(sub, MATCH)
+        assert same is sub and none_dropped == []
+
+
 class TestChecks:
     """Invariant checks that raise FairkepError rather than assert, triggered
     through stubs of the solvers' inner steps."""

@@ -8,18 +8,20 @@ from fractions import Fraction
 
 import pytest
 
-from fairkep import gen, oracle
+from fairkep import fair, gen, oracle
 from fairkep.core import Cycle, KepInstance, StructurePolicy
 from fairkep.oracle import (
     OracleInfeasible,
     OracleQuery,
+    Uncoverable,
     _milp_max_price,
     always_covered_count,
-    coverage_loss,
+    coverage_losses,
     delta_star,
     enumerate_structures,
     max_price_packing,
 )
+from helpers import brute_best
 
 F = Fraction
 CYC3 = StructurePolicy(max_cycle_len=3)
@@ -43,37 +45,6 @@ TRIPLE = make(
 
 def unit(inst):
     return {v: F(1) for v in inst.pairs}
-
-
-def brute_best(instance, policy, prices, must=frozenset(), forb=frozenset(), card=("free", None)):
-    structs = [
-        s for s in enumerate_structures(instance, policy) if not (set(s.covered()) & forb)
-    ]
-    best = None
-
-    def rec(i, used, used_ndds, val, cnt):
-        nonlocal best
-        mode, k = card
-        ok = must <= used and (
-            mode == "free" or (cnt == k if mode == "exact" else cnt >= k)
-        )
-        if ok and (best is None or val > best):
-            best = val
-        for j in range(i, len(structs)):
-            cov = set(structs[j].covered())
-            ndd = getattr(structs[j], "ndd", None)
-            if cov & used or ndd in used_ndds:
-                continue
-            rec(
-                j + 1,
-                used | cov,
-                used_ndds | ({ndd} if ndd is not None else set()),
-                val + sum(prices.get(v, F(0)) for v in cov),
-                cnt + len(cov),
-            )
-
-    rec(0, set(), set(), F(0), 0)
-    return best
 
 
 def assert_cardinality(packing, card):
@@ -129,18 +100,6 @@ class TestMaxPrice:
         )
         assert pk.structures == frozenset({Cycle((1, 2)), Cycle((3, 4))})
 
-    def test_minimize_3cycles_tiebreak(self):
-        inst2 = make([1, 2, 3], [], [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)])
-        pk, val = max_price_packing(
-            OracleQuery(
-                instance=inst2,
-                policy=CYC3,
-                node_prices={1: F(1), 2: F(1), 3: F(0)},
-                minimize_3cycles_tiebreak=True,
-            )
-        )
-        assert val == 2 and all(s.length == 2 for s in pk.structures)
-
     def test_determinism(self):
         q = OracleQuery(instance=TRIPLE, policy=CYC3, node_prices=unit(TRIPLE))
         assert max_price_packing(q) == max_price_packing(q)
@@ -164,20 +123,9 @@ class TestMaxPrice:
             )
             for _ in range(4):
                 prices = {v: F(rng.randint(-2, 6), rng.randint(1, 4)) for v in pairs}
-                must = frozenset(rng.sample(pairs, rng.randint(0, 1)))
-                forb = frozenset(
-                    x for x in rng.sample(pairs, rng.randint(0, 1)) if x not in must
-                )
                 card = rng.choice([("free", None), ("atleast", 2), ("exact", 2)])
-                bb = brute_best(inst, pol, prices, must, forb, card)
-                q = OracleQuery(
-                    instance=inst,
-                    policy=pol,
-                    node_prices=prices,
-                    must_cover=must,
-                    forbidden=forb,
-                    cardinality=card,
-                )
+                bb = brute_best(inst, pol, prices, card=card)
+                q = OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card)
                 for value_only in (False, True):
                     try:
                         pk, val = max_price_packing(q, value_only=value_only)
@@ -186,7 +134,6 @@ class TestMaxPrice:
                         continue
                     assert bb is not None and val == bb, (trial, value_only, val, bb)
                     assert val == sum((prices[v] for v in pk.covered), F(0))
-                    assert must <= pk.covered and not (pk.covered & forb)
                     assert_cardinality(pk, card)
 
     def test_milp_agrees_with_exact_on_chains(self):
@@ -213,10 +160,10 @@ class TestMaxPrice:
     def test_bb_agrees_with_milp_on_bounded_chains(self):
         """Differential check of the branch-and-bound against the HiGHS MILP.
 
-        Non-integer rational prices, bounded chains, must-cover and
-        cardinality side constraints.  The smallest gap between two distinct
-        packing values is 1/12 here, far above HiGHS's tolerances, so both
-        must land on the same exact optimum.
+        Non-integer rational prices, bounded chains and cardinality side
+        constraints.  The smallest gap between two distinct packing values is
+        1/12 here, far above HiGHS's tolerances, so both must land on the same
+        exact optimum.
         """
         rng = random.Random(17)
         checked = 0
@@ -225,11 +172,8 @@ class TestMaxPrice:
             pairs = sorted(inst.pairs)
             pol = StructurePolicy(max_cycle_len=3, max_chain_len=rng.choice([2, 3]))
             prices = {v: F(rng.randint(-3, 8), rng.choice([1, 2, 3, 4])) for v in pairs}
-            must = frozenset(rng.sample(pairs, rng.randint(0, 2)))
             card = rng.choice([("free", None), ("atleast", 3), ("exact", 4)])
-            q = OracleQuery(
-                instance=inst, policy=pol, node_prices=prices, must_cover=must, cardinality=card
-            )
+            q = OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card)
             try:
                 pk_bb, val_bb = max_price_packing(q, value_only=True)
             except OracleInfeasible:
@@ -240,7 +184,6 @@ class TestMaxPrice:
             assert val_bb == val_milp, (trial, val_bb, val_milp)
             for pk in (pk_bb, pk_milp):
                 assert all(pol.allows(s) for s in pk.structures), trial
-                assert must <= pk.covered
                 assert_cardinality(pk, card)
             checked += 1
         assert checked >= 20
@@ -263,11 +206,8 @@ class TestMaxPrice:
             pairs = sorted(inst.pairs)
             pol = StructurePolicy(max_cycle_len=2)
             prices = {v: F(rng.randint(-1, 3)) for v in pairs}
-            must = frozenset(rng.sample(pairs, rng.randint(0, 1)))
             card = rng.choice([("free", None), ("atleast", 4)])
-            q = OracleQuery(
-                instance=inst, policy=pol, node_prices=prices, must_cover=must, cardinality=card
-            )
+            q = OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card)
             structures = enumerate_structures(inst, pol)
             try:
                 want = oracle._BB(q, structures, value_only=True).run()[1]
@@ -278,7 +218,6 @@ class TestMaxPrice:
             pk, val = max_price_packing(q, value_only=True)
             assert val == want, trial
             assert val == sum((prices[v] for v in pk.covered), F(0))
-            assert must <= pk.covered
             assert_cardinality(pk, card)
         assert len(routed) >= 8
 
@@ -308,9 +247,53 @@ class TestMaxPrice:
 
 class TestCoverageMetrics:
     def test_coverage_loss(self):
-        assert coverage_loss(TRIPLE, CYC3, 1) == 3
-        assert coverage_loss(SHARED, CYC3, 1) == 1
-        assert coverage_loss(SHARED, CYC3, 2) == 0
+        assert coverage_losses(TRIPLE, CYC3)[1] == 3
+        assert coverage_losses(SHARED, CYC3) == {1: 1, 2: 0, 3: 0, 4: 0}
+
+    def test_coverage_agrees_with_brute_force(self):
+        """coverage_losses, delta_star and fair.preprocess against exhaustive
+        search per pair: the largest packing covering the pair, and whether a
+        packing under the acceptable cardinality covers it."""
+        rng = random.Random(31)
+        saw_delta = saw_uncoverable = False
+        for trial in range(80):
+            inst = random_instance(rng, 4, 10, 0, 2, 0.3)
+            pol = StructurePolicy(
+                max_cycle_len=rng.choice([2, 3]), max_chain_len=rng.choice([None, 2, 3])
+            )
+            prices = unit(inst)
+            maxcard = brute_best(inst, pol, prices)
+            want = {}
+            for v in sorted(inst.pairs):
+                best = brute_best(inst, pol, prices, must=frozenset({v}))
+                want[v] = None if best is None else maxcard - best
+            assert coverage_losses(inst, pol) == want, trial
+            losses = [x for x in want.values() if x is not None]
+            if len(losses) < len(want):
+                saw_uncoverable = True
+                with pytest.raises(Uncoverable):
+                    delta_star(inst, pol)
+            else:
+                assert delta_star(inst, pol) == max(losses, default=0), trial
+            top = max(losses, default=0)
+            saw_delta |= top > 0
+            # with a positive loss, a slack one short of it drops the worst pairs
+            delta = top - 1 if top else rng.randint(1, 2)
+            mu = rng.randint(1, 3)
+            for policy, card in (
+                (pol, ("atleast", maxcard)),
+                (replace(pol, cardinality_mode="delta", delta=delta),
+                 ("atleast", max(maxcard - delta, 0))),
+                (replace(pol, cardinality_mode="fixed", mu=mu), ("exact", 2 * mu)),
+            ):
+                kept = {
+                    v for v in inst.pairs
+                    if brute_best(inst, pol, {}, must=frozenset({v}), card=card) is not None
+                }
+                reduced, dropped = fair.preprocess(inst, policy)
+                assert reduced.pairs == kept, (trial, card)
+                assert dropped == sorted(inst.pairs - kept), (trial, card)
+        assert saw_delta and saw_uncoverable
 
     def test_delta_star(self):
         assert delta_star(TRIPLE, CYC3) == 3
