@@ -252,16 +252,18 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _coverable_losses(instance: KepInstance, policy) -> dict[int, int]:
+    """Coverage loss of each pair some packing covers (δ* is the largest); the rest are dropped."""
+    return {v: x for v, x in oracle.coverage_losses(instance, policy).items() if x is not None}
+
+
 def _solve_lottery(instance: KepInstance, args) -> fair.SolveReport:
     policy = parse_policy(args.policy, args.delta, args.mu)
     if args.delta is None and args.mu is None and args.objective != "utilitarian":
         # fairness objectives are only interesting on the family that trades a
         # little cardinality for coverage; default to the smallest sufficient
-        # relaxation.  δ* is defined over coverable pairs only: it is their
-        # largest coverage loss, and the pairs no packing covers are dropped
-        # (they report marginal 0).
-        losses = oracle.coverage_losses(instance, policy)
-        kept = {v: loss for v, loss in losses.items() if loss is not None}
+        # relaxation, δ* over the coverable pairs.
+        kept = _coverable_losses(instance, policy)
         instance = instance.restrict(kept)
         policy = replace(policy, cardinality_mode="delta", delta=max(kept.values(), default=0))
     if args.objective == "utilitarian":
@@ -384,7 +386,7 @@ def _cmd_stats(args) -> int:
     instance = _load_instance(args.instance)
     policy = parse_policy(args.policy, args.delta, args.mu)
     if args.metric == "delta_star":
-        value: object = oracle.delta_star(instance, policy)
+        value: object = max(_coverable_losses(instance, policy).values(), default=0)
     elif args.metric == "always_covered":
         count, members = oracle.always_covered_count(instance, policy)
         value = {"count": count, "pairs": sorted(members)}

@@ -173,7 +173,6 @@ class StructurePolicy:
     cardinality_mode: str = "max"
     delta: int = 0
     mu: Optional[int] = None
-    min_three_cycles: bool = False
 
     def __post_init__(self):
         if self.max_cycle_len is not None and self.max_cycle_len < 2:

@@ -1,4 +1,7 @@
-"""Exact rational max-flow (Edmonds-Karp) and feasible circulation with arc lower bounds."""
+"""Exact max-flow (Edmonds-Karp) and feasible circulation with arc lower bounds.
+
+Capacities are ints or Fractions, never coerced; lorenz scales its networks to ints.
+"""
 
 from __future__ import annotations
 
@@ -10,8 +13,9 @@ from typing import Hashable, Optional, Sequence
 from .core import FairkepError
 
 Node = Hashable
+Capacity = int | Fraction
 
-INF = Fraction(10**30)
+INF = 10**30
 
 
 class Infeasible(FairkepError):
@@ -26,33 +30,36 @@ class Infeasible(FairkepError):
 class Arc:
     tail: Node
     head: Node
-    lower: Fraction = Fraction(0)
-    upper: Fraction = INF
+    lower: Capacity = 0
+    upper: Capacity = INF
 
 
 class _MaxFlow:
-    """Edmonds-Karp over an adjacency structure with residual pairing."""
+    """Edmonds-Karp over an adjacency structure with residual pairing.
+
+    Capacities are ints or Fractions; paths depend only on which are positive.
+    """
 
     def __init__(self) -> None:
         self.adj: dict[Node, list[int]] = {}
         self.to: list[Node] = []
-        self.cap: list[Fraction] = []
+        self.cap: list[Capacity] = []
 
-    def add(self, u: Node, v: Node, cap: Fraction) -> int:
+    def add(self, u: Node, v: Node, cap: Capacity) -> int:
         i = len(self.to)
         self.adj.setdefault(u, []).append(i)
         self.to.append(v)
-        self.cap.append(Fraction(cap))
+        self.cap.append(cap)
         self.adj.setdefault(v, []).append(i + 1)
         self.to.append(u)
-        self.cap.append(Fraction(0))
+        self.cap.append(0)
         return i
 
-    def flow_on(self, i: int) -> Fraction:
+    def flow_on(self, i: int) -> Capacity:
         return self.cap[i ^ 1]
 
-    def run(self, s: Node, t: Node) -> Fraction:
-        total = Fraction(0)
+    def run(self, s: Node, t: Node) -> Capacity:
+        total = 0
         while True:
             parent: dict[Node, int] = {s: -1}
             q = deque([s])
@@ -93,7 +100,7 @@ class _MaxFlow:
         return frozenset(seen)
 
 
-def max_flow(arcs: Sequence[Arc], source: Node, sink: Node) -> tuple[Fraction, list[Fraction]]:
+def max_flow(arcs: Sequence[Arc], source: Node, sink: Node) -> tuple[Capacity, list[Capacity]]:
     """Maximum source→sink flow ignoring lower bounds; returns (value, per-arc flow)."""
     net = _MaxFlow()
     ids = [net.add(a.tail, a.head, a.upper) for a in arcs]
@@ -101,7 +108,7 @@ def max_flow(arcs: Sequence[Arc], source: Node, sink: Node) -> tuple[Fraction, l
     return value, [net.flow_on(i) for i in ids]
 
 
-def feasible_circulation(arcs: Sequence[Arc]) -> list[Fraction]:
+def feasible_circulation(arcs: Sequence[Arc]) -> list[Capacity]:
     """A circulation meeting every arc's [lower, upper] bounds, or raise Infeasible.
 
     Standard reduction: route mandatory lower-bound flow through a super
@@ -110,15 +117,15 @@ def feasible_circulation(arcs: Sequence[Arc]) -> list[Fraction]:
     """
     net = _MaxFlow()
     S, T = ("__source__",), ("__sink__",)
-    excess: dict[Node, Fraction] = {}
+    excess: dict[Node, Capacity] = {}
     ids = []
     for a in arcs:
         if a.lower > a.upper:
             raise Infeasible(f"arc {a.tail}->{a.head} has lower {a.lower} > upper {a.upper}")
         ids.append(net.add(a.tail, a.head, a.upper - a.lower))
-        excess[a.head] = excess.get(a.head, Fraction(0)) + a.lower
-        excess[a.tail] = excess.get(a.tail, Fraction(0)) - a.lower
-    need = Fraction(0)
+        excess[a.head] = excess.get(a.head, 0) + a.lower
+        excess[a.tail] = excess.get(a.tail, 0) - a.lower
+    need = 0
     for v, e in excess.items():
         if e > 0:
             net.add(S, v, e)

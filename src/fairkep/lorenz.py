@@ -30,7 +30,7 @@ from .core import (
     Packing,
 )
 from .fair import RestrictedMaster, leximin_lottery
-from .flows import Arc, _MaxFlow, feasible_circulation
+from .flows import INF, Arc, _MaxFlow, feasible_circulation
 from .matching import (
     Edge,
     GallaiEdmonds,
@@ -233,27 +233,29 @@ def lambda_star(
     if not optionals:
         return ONE, Block(rem_left, rem_pids, ONE)
 
-    def tight_set(lam: Fraction) -> tuple[Fraction, frozenset[int]]:
-        """min over S of |N(S)| - Σ demand(λ), with the maximal minimizing S."""
+    def tight_set(lam: Fraction) -> tuple[int, frozenset[int]]:
+        """q·min over S of |N(S)| - Σ demand(λ), with the maximal minimizing S.
+
+        For λ = a/q every capacity is scaled by q, so the flow runs on ints."""
+        a, q = lam.numerator, lam.denominator
         net = _MaxFlow()
-        total = ZERO
+        total = 0
         src, snk = ("s",), ("t",)
+        positive = []
         for p in pseudos:
-            d = _demand(p, lam)
+            d = q if p.must_match else p.sigma * a - (p.sigma - 1) * q
             if d > 0:
+                positive.append(p.pid)
                 net.add(src, ("z", p.pid), d)
                 total += d
                 for u in neigh[p.pid]:
-                    net.add(("z", p.pid), ("u", u), Fraction(10**30))
+                    net.add(("z", p.pid), ("u", u), INF)
         for u in rem_left:
-            net.add(("u", u), snk, ONE)
+            net.add(("u", u), snk, q)
         flow = net.run(src, snk)
         # maximal source side of a min cut: complement of nodes reaching the sink
         can_reach = _reaches_sink(net, snk)
-        S = frozenset(
-            p.pid for p in pseudos if _demand(p, lam) > 0 and ("z", p.pid) not in can_reach
-        )
-        return flow - total, S
+        return flow - total, frozenset(pid for pid in positive if ("z", pid) not in can_reach)
 
     lam = ONE
     while True:
@@ -337,30 +339,28 @@ class CoverMatrix:
     entries: Mapping[tuple[int, int], Fraction]
     col_demand: Mapping[int, Fraction]
 
-    def row_sum(self, u: int) -> Fraction:
-        return sum((v for (r, _), v in self.entries.items() if r == u), ZERO)
-
-    def col_sum(self, z: int) -> Fraction:
-        return sum((v for (_, c), v in self.entries.items() if c == z), ZERO)
-
 
 def cover_matrix(partition: BlockPartition) -> CoverMatrix:
-    """Edge-inclusion probabilities p_{uz}: rows sum to 1, column z sums to its demand."""
+    """Edge-inclusion probabilities p_{uz}: rows sum to 1, column z sums to its demand.
+
+    The circulation runs on ints: every bound is scaled by the demands' lcm denominator D."""
     cb = partition.cb
     lam_of = partition.lambda_of()
     demands = {
         p.pid: (ONE if p.must_match else _demand(p, lam_of[p.pid])) for p in cb.pseudos
     }
-    arcs = [Arc("source", ("u", u), ONE, ONE) for u in cb.left]
+    D = lcm(*(d.denominator for d in demands.values()))
+    arcs = [Arc("source", ("u", u), D, D) for u in cb.left]
     edge_list = sorted(cb.edges)
-    arcs += [Arc(("u", u), ("z", z), ZERO, ONE) for (u, z) in edge_list]
+    arcs += [Arc(("u", u), ("z", z), 0, D) for (u, z) in edge_list]
     for p in cb.pseudos:
-        arcs.append(Arc(("z", p.pid), "sink", demands[p.pid], demands[p.pid]))
+        d = int(demands[p.pid] * D)
+        arcs.append(Arc(("z", p.pid), "sink", d, d))
     arcs.append(Arc("sink", "source"))
     flows = feasible_circulation(arcs)
     base = len(cb.left)
     entries = {
-        e: flows[base + i] for i, e in enumerate(edge_list) if flows[base + i] > 0
+        e: Fraction(flows[base + i], D) for i, e in enumerate(edge_list) if flows[base + i] > 0
     }
     return CoverMatrix(
         rows=cb.left,
@@ -375,33 +375,33 @@ def decompose_matrix(cover: CoverMatrix) -> list[tuple[dict[int, int], Fraction]
 
     Decrementing-set construction: each step finds a matching covering all rows
     and all currently tight columns, then removes as much probability mass as
-    possible without breaking row equality or column feasibility.
+    possible without breaking row equality or column feasibility. Masses are
+    kept as ints, scaled by the entries' common denominator D.
     """
     rows = list(cover.rows)
-    P = {e: Fraction(v) for e, v in cover.entries.items() if v > 0}
+    D = lcm(*(v.denominator for v in cover.entries.values()))
+    P = {e: int(v * D) for e, v in cover.entries.items() if v > 0}
     for u in rows:
-        s = sum((v for (r, _), v in P.items() if r == u), ZERO)
-        if s != 1:
-            raise NotStochastic(f"row {u} sums to {s}")
+        s = sum(v for (r, _), v in P.items() if r == u)
+        if s != D:
+            raise NotStochastic(f"row {u} sums to {Fraction(s, D)}")
     for z in cover.cols:
-        s = sum((v for (_, c), v in P.items() if c == z), ZERO)
-        if s > 1:
-            raise NotStochastic(f"column {z} sums to {s} > 1")
+        s = sum(v for (_, c), v in P.items() if c == z)
+        if s > D:
+            raise NotStochastic(f"column {z} sums to {Fraction(s, D)} > 1")
     if not rows:
         return [({}, ONE)]
-    t = ONE
-    out: list[tuple[dict[int, int], Fraction]] = []
+    t = D
+    steps: list[tuple[dict[int, int], int]] = []
     while t > 0:
-        colsum: dict[int, Fraction] = {}
+        colsum: dict[int, int] = {}
         for (_, z), v in P.items():
-            colsum[z] = colsum.get(z, ZERO) + v
+            colsum[z] = colsum.get(z, 0) + v
         tight = {z for z, s in colsum.items() if s == t}
-        arcs = [Arc("s", ("u", u), ONE, ONE) for u in rows]
-        arcs += [Arc(("u", u), ("z", z), ZERO, ONE) for (u, z) in sorted(P)]
-        seen_cols = sorted(colsum)
-        for z in seen_cols:
-            low = ONE if z in tight else ZERO
-            arcs.append(Arc(("z", z), "t", low, ONE))
+        arcs = [Arc("s", ("u", u), 1, 1) for u in rows]
+        arcs += [Arc(("u", u), ("z", z), 0, 1) for (u, z) in sorted(P)]
+        for z in sorted(colsum):
+            arcs.append(Arc(("z", z), "t", 1 if z in tight else 0, 1))
         arcs.append(Arc("t", "s"))
         flows = feasible_circulation(arcs)
         M = {
@@ -416,13 +416,14 @@ def decompose_matrix(cover: CoverMatrix) -> list[tuple[dict[int, int], Fraction]
                 delta = min(delta, t - s)
         delta = min(delta, t)
         if delta <= 0:
-            raise NotStochastic(f"decomposition step of mass {delta} at remaining mass {t}")
-        out.append((dict(M), delta))
+            raise NotStochastic(f"decomposition step of mass {Fraction(delta, D)} at mass {Fraction(t, D)}")
+        steps.append((dict(M), delta))
         for u, z in M.items():
             P[(u, z)] -= delta
             if P[(u, z)] == 0:
                 del P[(u, z)]
         t -= delta
+    out = [(M, Fraction(delta, D)) for M, delta in steps]
     # exact reconstruction check
     recon: dict[tuple[int, int], Fraction] = {}
     for M, p in out:
@@ -460,8 +461,10 @@ class LeximinSolution:
             for (a, b) in edges:
                 q[a] += p
                 q[b] += p
-        assert total == 1
-        assert q == self.marginals, (q, self.marginals)
+        if total != 1:
+            raise FairkepError(f"support probabilities sum to {total}, not 1")
+        if q != self.marginals:
+            raise FairkepError(f"support marginals {q} differ from the formula's {self.marginals}")
 
 
 class _Internals:

@@ -190,6 +190,15 @@ class TestSolveAndStats:
         assert run(["stats", str(fig1b), "--metric", "delta_star", "-o", str(out)]) == EXIT_OK
         assert json.loads(out.read_text()) == 3
 
+    def test_stats_delta_star_drops_uncoverable_pairs(self, pool20, tmp_path):
+        """δ* is the largest loss over the pairs some packing covers, the δ that
+        `lottery` defaults to."""
+        out = tmp_path / "s.json"
+        assert run(["stats", str(pool20), "--metric", "delta_star", "-o", str(out)]) == EXIT_OK
+        losses = brute_losses(io.read_instance(pool20), parse_policy("cyc3"))
+        assert None in losses.values()
+        assert json.loads(out.read_text()) == max(x for x in losses.values() if x is not None)
+
     def test_stats_coverage_loss_node(self, fig1b, tmp_path):
         out = tmp_path / "s.json"
         code = run(["stats", str(fig1b), "--metric", "coverage_loss", "--node", "1", "-o", str(out)])

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -103,6 +105,62 @@ class TestSharedVertexGraph:
         assert probs == {2: F(1, 2), 3: F(1, 2)}
 
 
+def run_under_python_O(inst, body):
+    """Run `body` (source that prints a summary of a solve on `inst`) under
+    python -O and in this process; both must print the same.
+
+    Exact solvers must not rely on assert statements: python -O strips them,
+    and an assert that adds a column would loop forever."""
+    code = (
+        "from fractions import Fraction as F\n"
+        "from fairkep.core import KepInstance\n"
+        f"inst = KepInstance(pairs=frozenset({sorted(inst.pairs)!r}), ndds=frozenset(),"
+        f" arcs={{a: F(1) for a in {sorted(inst.arcs)!r}}})\n"
+    ) + body
+    src = str(Path(fairkep.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    here = io.StringIO()
+    with redirect_stdout(here):
+        exec(code, {})
+    assert out.stdout == here.getvalue()
+
+
+FAIR_UNDER_O = (
+    "from fairkep.core import StructurePolicy\n"
+    "from fairkep.fair import {solver}\n"
+    "pol = StructurePolicy(max_cycle_len=3, cardinality_mode='delta', delta=3)\n"
+    "r = {solver}(inst, pol)\n"
+    "print(r.objective, sorted(r.marginals.items()))\n"
+)
+
+
+def test_matching_lottery_under_python_O():
+    # two triangles joined through pair 4, which also serves the pendant pair 8;
+    # a tampered solution must still fail its check with asserts stripped
+    edges = [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 7), (4, 8)]
+    inst = make(range(1, 9), [], [a for u, v in edges for a in ((u, v), (v, u))])
+    run_under_python_O(inst, (
+        "from fractions import Fraction\n"
+        "from fairkep.core import FairkepError\n"
+        "from fairkep.lorenz import leximin_lottery_graph, leximin_matching_lottery\n"
+        "from fairkep.matching import UGraph\n"
+        "lot = leximin_matching_lottery(inst)\n"
+        "print(sorted(lot.marginals(inst.pairs).items()), [p for _, p in lot.support])\n"
+        "sol = leximin_lottery_graph(UGraph.of(inst.pairs, inst.undirected_edges()))\n"
+        "sol.marginals[1] += Fraction(1, 7)\n"
+        "try:\n"
+        "    sol.check()\n"
+        "    print('check passed')\n"
+        "except FairkepError as e:\n"
+        "    print('check raised', type(e).__name__)\n"
+    ))
+
+
 class TestTripleOverlapGraph:
     TOP = Packing.of(Cycle((1, 2, 3)))
     BOTTOM = Packing.of(Cycle((2, 4, 5)), Cycle((3, 6, 7)))
@@ -116,35 +174,11 @@ class TestTripleOverlapGraph:
         sup = dict(r.lottery.support)
         assert sup.get(self.TOP) == F(1, 2) and sup.get(self.BOTTOM) == F(1, 2)
 
-    def run_under_python_O(self, solver):
-        """Column generation must not rely on assert statements: python -O
-        strips them, and an assert that adds a column would loop forever."""
-        code = (
-            "from fractions import Fraction as F\n"
-            "from fairkep.core import KepInstance, StructurePolicy\n"
-            f"from fairkep.fair import {solver.__name__}\n"
-            f"arcs = {sorted(TRIPLE.arcs)!r}\n"
-            "inst = KepInstance(pairs=frozenset(range(1, 8)), ndds=frozenset(),"
-            " arcs={a: F(1) for a in arcs})\n"
-            "pol = StructurePolicy(max_cycle_len=3, cardinality_mode='delta', delta=3)\n"
-            f"r = {solver.__name__}(inst, pol)\n"
-            "print(r.objective, sorted(r.marginals.items()))\n"
-        )
-        src = str(Path(fairkep.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert out.returncode == 0, out.stderr
-        r = solver(TRIPLE, CYC3D3)
-        assert out.stdout.strip() == f"{r.objective} {sorted(r.marginals.items())}"
-
     def test_maximin_under_python_O(self):
-        self.run_under_python_O(solve_maximin)
+        run_under_python_O(TRIPLE, FAIR_UNDER_O.format(solver="solve_maximin"))
 
     def test_leximin_under_python_O(self):
-        self.run_under_python_O(solve_leximin)
+        run_under_python_O(TRIPLE, FAIR_UNDER_O.format(solver="solve_leximin"))
 
     def test_nash(self):
         r = solve_nash(TRIPLE, CYC3D3, tol=1e-6)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +18,7 @@ from fairkep.lorenz import (
     Pseudo,
     decompose_matrix,
     edge_weight_reduction,
+    edge_weight_solution,
     fixed_cardinality_reduction,
     lambda_star,
     leximin_lottery_graph,
@@ -312,6 +315,20 @@ class TestChecks:
         with pytest.raises(FairkepError, match="must-match"):
             peel_blocks(self.must_match_overload())
 
+    def test_solution_check_rejects_tampering(self):
+        g = ug(range(8), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6), (3, 7)])
+        sol = leximin_lottery_graph(g)
+        sol.check()
+        edges, p = sol.support[0]
+        sol.support[0] = (edges, p + F(1, 7))
+        with pytest.raises(FairkepError, match="sum to"):
+            sol.check()
+        sol.support[0] = (edges, p)
+        sol.check()
+        sol.marginals[0] -= F(1, 7)
+        with pytest.raises(FairkepError, match="marginals"):
+            sol.check()
+
     def test_leximin_cg_rejects_inconsistent_pricing(self):
         # the pricing claims optimality for {1} during the maximin phase, then
         # produces a column covering both pairs: no pair saturates
@@ -328,3 +345,113 @@ class TestChecks:
         with pytest.raises(FairkepError, match="must saturate some pair"):
             leximin_lottery(master)
         assert len(calls) >= 2
+
+
+def random_contraction(rng):
+    """A random A(G) × pseudonodes graph: σ of 1–4, some must-match pseudonodes."""
+    left = tuple(range(rng.randint(1, 6)))
+    pseudos = []
+    for pid in range(rng.randint(1, 7)):
+        sigma = 0 if rng.random() < 0.2 else rng.randint(1, 4)
+        members = tuple(1000 * (pid + 1) + i for i in range(2 * max(sigma, 1) - 1))
+        pseudos.append(Pseudo(pid, members, members[:sigma]))
+    edges = frozenset(
+        (u, p.pid) for u in left for p in pseudos if rng.random() < 0.4
+    )
+    attach = {(u, pid): (pseudos[pid].members[0],) for (u, pid) in edges}
+    return ContractedBipartite(left=left, pseudos=tuple(pseudos), edges=edges, attach=attach)
+
+
+def brute_lambda(cb):
+    """min over pseudonode sets S with Σσ > 0 of (|N(S)| - #musts(S) + Σ_opt(σ - 1)) / Σσ,
+    capped at 1; None when the must-match pseudonodes fail Hall's condition (the
+    engine's contractions never do)."""
+    neigh = {p.pid: cb.neighbors_of_pid(p.pid) for p in cb.pseudos}
+    best = F(1)
+    for k in range(1, len(cb.pseudos) + 1):
+        for S in combinations(cb.pseudos, k):
+            n = len(frozenset().union(*(neigh[p.pid] for p in S)))
+            musts = sum(1 for p in S if p.must_match)
+            sigma = sum(p.sigma for p in S)
+            if sigma == 0:
+                if n < musts:
+                    return None
+                continue
+            best = min(best, F(n - musts + sum(p.sigma - 1 for p in S if not p.must_match), sigma))
+    return best
+
+
+class TestLambdaStarBruteForce:
+    def test_lambda_matches_subset_ratio(self):
+        rng = random.Random(41)
+        fractional = musts = 0
+        for _ in range(300):
+            cb = random_contraction(rng)
+            want = brute_lambda(cb)
+            if want is None:
+                continue
+            lam, _ = lambda_star(cb)
+            assert isinstance(lam, Fraction) and lam == want
+            fractional += lam.denominator > 1
+            musts += any(p.must_match for p in cb.pseudos)
+        assert fractional >= 50 and musts >= 50
+
+    def test_cover_rows_and_columns_exact(self):
+        # the engine's own contractions: edge weights restrict removal sets and
+        # leave some pseudonodes must-match
+        rng = random.Random(42)
+        musts = fractional = 0
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(5, 14), rng.uniform(0.1, 0.4))
+            w = {e: F(rng.randint(0, 4), rng.randint(1, 2)) for e in sorted(g.edges)}
+            for sol in (leximin_lottery_graph(g), edge_weight_solution(g, w)):
+                cover, lam_of = sol.cover, sol.partition.lambda_of()
+                for p in sol.cb.pseudos:
+                    lam = lam_of[p.pid]
+                    want = F(1) if p.must_match else max(F(0), p.sigma * lam - (p.sigma - 1))
+                    assert cover.col_demand[p.pid] == want
+                    musts += p.must_match
+                    fractional += want.denominator > 1
+                rows = {u: F(0) for u in cover.rows}
+                cols = {z: F(0) for z in cover.cols}
+                for (u, z), v in cover.entries.items():
+                    assert isinstance(v, Fraction) and v > 0 and (u, z) in sol.cb.edges
+                    rows[u] += v
+                    cols[z] += v
+                assert all(s == 1 for s in rows.values())
+                assert cols == dict(cover.col_demand)
+        assert musts >= 10 and fractional >= 20
+
+
+def solution_digest(sol):
+    """One line per solution part: peels with λ, cover, decomposition, support, marginals."""
+    parts = [
+        [(sorted(pl.left), sorted(pl.pids), sorted(pl.must_pids), str(pl.lam))
+         for pl in sol.partition.peels],
+        sorted((e, str(v)) for e, v in sol.cover.entries.items()),
+        sorted((z, str(v)) for z, v in sol.cover.col_demand.items()),
+        [(sorted(M.items()), str(p)) for M, p in sol.decomposition],
+        [(sorted(edges), str(p)) for edges, p in sol.support],
+        sorted((v, str(x)) for v, x in sol.marginals.items()),
+    ]
+    return repr(parts)
+
+
+class TestPinnedSolutions:
+    # sha256 over the digests of 30 unweighted and 30 edge-weighted solutions,
+    # recorded with Fraction capacities in every flow; int-scaled flows must match it
+    PINNED = "6f0bbaf890fe6c8899608ec9a6f305a8dc3d64afc1300148d062ec8068853fdc"
+
+    def test_full_solutions_unchanged(self):
+        rng = random.Random(43)
+        h = hashlib.sha256()
+        nontrivial = 0
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(10, 20), rng.uniform(0.12, 0.25))
+            w = {e: F(rng.randint(1, 2), rng.randint(1, 2)) for e in sorted(g.edges)}
+            for sol in (leximin_lottery_graph(g), edge_weight_solution(g, w)):
+                sol.check()
+                nontrivial += bool(sol.partition.peels)
+                h.update(solution_digest(sol).encode())
+        assert nontrivial >= 40
+        assert h.hexdigest() == self.PINNED
