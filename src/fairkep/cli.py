@@ -241,11 +241,12 @@ def _cmd_solve(args) -> int:
         prices = {int(v): io.parse_rational(p, f"price[{v}]") for v, p in raw.items()}
     else:
         prices = {v: Fraction(1) for v in instance.pairs}
-    card = oracle.acceptable_cardinality(instance, policy) if args.prices else oracle.CARD_FREE
+    family = oracle.PackingFamily(instance, policy)
+    card = oracle.acceptable_cardinality(instance, policy, family) if args.prices else oracle.CARD_FREE
     query = oracle.OracleQuery(
         instance=instance, policy=policy, node_prices=prices, cardinality=card
     )
-    packing, value = oracle.max_price_packing(query)
+    packing, value = oracle.max_price_packing(query, family=family)
     result = _packing_dict(packing)
     result["value"] = _num(value)
     _emit(result, args.output)

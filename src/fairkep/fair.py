@@ -40,6 +40,7 @@ from .core import (
 )
 from .oracle import (
     OracleQuery,
+    PackingFamily,
     Uncoverable,
     acceptable_cardinality,
     coverable_pairs,
@@ -171,7 +172,9 @@ def _oracle_master(
     optimal for any fair objective.
     """
     pairs = sorted(instance.pairs)
-    cardinality = acceptable_cardinality(instance, policy)
+    # one family prices every query of the solve
+    family = PackingFamily(instance, policy)
+    cardinality = acceptable_cardinality(instance, policy, family)
     mode, k = cardinality
     cut_pool: list = []
 
@@ -183,6 +186,7 @@ def _oracle_master(
             value_only=True,
             cut_pool=cut_pool,
             extra_columns=extra,
+            family=family,
         )
 
     def pricing(prices):
@@ -671,11 +675,13 @@ def preprocess(
     """Drop pairs covered by no acceptable packing; returns (instance, dropped).
 
     One `oracle.coverable_pairs` witness loop under the policy's acceptable
-    cardinality finds the kept pairs.  A packing covering a kept pair never
-    routes through a dropped one, so one pass suffices; the instance itself
-    comes back when nothing is dropped.
+    cardinality finds the kept pairs; both run on one packing family.  A
+    packing covering a kept pair never routes through a dropped one, so one
+    pass suffices; the instance itself comes back when nothing is dropped.
     """
-    kept = coverable_pairs(instance, policy, acceptable_cardinality(instance, policy))
+    family = PackingFamily(instance, policy)
+    card = acceptable_cardinality(instance, policy, family)
+    kept = coverable_pairs(instance, policy, card, family=family)
     dropped = sorted(instance.pairs - kept)
     if not dropped:
         return instance, []

@@ -230,8 +230,6 @@ def lambda_star(
         p.pid: cb.neighbors_of_pid(p.pid) & rem_left for p in pseudos
     }
     optionals = [p for p in pseudos if not p.must_match]
-    if not optionals:
-        return ONE, Block(rem_left, rem_pids, ONE)
 
     def tight_set(lam: Fraction) -> tuple[int, frozenset[int]]:
         """q·min over S of |N(S)| - Σ demand(λ), with the maximal minimizing S.
@@ -257,6 +255,11 @@ def lambda_star(
         can_reach = _reaches_sink(net, snk)
         return flow - total, frozenset(pid for pid in positive if ("z", pid) not in can_reach)
 
+    if not optionals:
+        # λ is 1 once Hall's condition holds for the must-match pseudonodes
+        if tight_set(ONE)[0] < 0:
+            raise FairkepError("must-match pseudonodes unmatchable")
+        return ONE, Block(rem_left, rem_pids, ONE)
     lam = ONE
     while True:
         h, S = tight_set(lam)

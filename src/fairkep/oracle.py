@@ -9,6 +9,16 @@ integer-priced value-only queries on pools above `BB_MAX_PAIRS` (a set-packing
 MILP over the enumerated structures) and families with non-enumerable chains
 (cycle columns + arc flows with position variables or subtour cuts).
 
+The branch-and-bound has two halves.  A `PackingFamily` holds what does not
+depend on prices: the enumerated structures, their bitmasks and the suffix
+tables, and the memoized maximum cardinality.  It lives at call scope: a
+`fair` solve, a witness loop or a CLI command builds one and passes it to each
+of its queries, and nothing keeps it once that call returns.  Its `search`
+scales one query's prices and runs the depth-first search, carrying the
+optimistic bound down the tree incrementally.  Every query still enters
+through `max_price_packing`, and a family still enumerates through
+`enumerate_structures`, both looked up in this module at call time.
+
 The pool metrics rest on two witness loops over `max_price_packing`.
 `coverable_pairs` (max-inclusion) prices the pairs not yet certified at 1 and
 adds each optimum's covered pairs until none is new; `fair.preprocess`,
@@ -77,7 +87,8 @@ class OracleQuery:
             raise ValueError("cardinality constraint needs a count >= 0")
 
     def price(self, v: int) -> Fraction:
-        return Fraction(self.node_prices.get(v, 0))
+        p = self.node_prices.get(v, 0)
+        return p if isinstance(p, Fraction) else Fraction(p)
 
 
 def enumerate_structures(
@@ -138,98 +149,158 @@ def enumerate_structures(
 # exact branch and bound
 
 
-class _BB:
-    def __init__(self, query: OracleQuery, structures: Sequence[Structure], value_only: bool):
-        self.query = query
-        self.value_only = value_only
-        self.pairs = sorted(query.instance.pairs)
-        # NDDs get conflict bits too: chains sharing a root are not disjoint
-        nodes = self.pairs + sorted(query.instance.ndds)
-        self.bit = {v: i for i, v in enumerate(nodes)}
-        # search on integers: price * scale is integral for every pair
-        prices = [query.price(v) for v in self.pairs]
-        self.scale = math.lcm(*(p.denominator for p in prices))
-        self.price = {
-            v: p.numerator * (self.scale // p.denominator) for v, p in zip(self.pairs, prices)
-        }
-        # per-bit positive price, for the optimistic bound
-        self.gain = [max(self.price[v], 0) for v in self.pairs]
+class PackingFamily:
+    """The price-independent half of the packing search over one (instance, policy).
 
-        self.structs = structs = list(structures)
+    It holds the structures in search order and the tables every query
+    shares: each structure's bitmask (pairs, then NDDs, so chains sharing a
+    root conflict), its covered pair bits and size, the per-suffix total
+    size, and `drop[i]`, the pairs whose last covering structure is i (the
+    union of the masks from i on, minus the union from i + 1 on).
+    The structures come from the module's `enumerate_structures` on the first
+    query, so that work stays inside the oracle call that needs it.
+    `structures` is None for a family too large to enumerate (the
+    `ExplosionGuard` trips, or unbounded chains on more than 2000 arcs); its
+    queries go to the arc MILP.  `maximum()` solves the unit-price query once.
+
+    A family lives as long as the call that builds it (a `fair` solve, a
+    witness loop, one simulated period) and is never cached globally.  A
+    query's search state lives in `search` alone, so one family answers any
+    sequence of queries exactly as fresh families would.
+    """
+
+    def __init__(
+        self,
+        instance: KepInstance,
+        policy: StructurePolicy,
+        cap: int = DEFAULT_ENUM_CAP,
+        structures: Optional[Sequence[Structure]] = None,
+    ):
+        self.instance = instance
+        self.policy = policy
+        self.cap = cap
+        self._given = structures
+        self._built = False
+        self._maximum: Optional[tuple[Packing, int]] = None
+
+    @property
+    def structures(self) -> Optional[list[Structure]]:
+        if not self._built:
+            self._build()
+        return self._structs
+
+    def _build(self) -> None:
+        self._built = True
+        self._structs = None
+        inst, policy = self.instance, self.policy
+        structs = self._given
+        if structs is None:
+            # unbounded chains on dense instances always blow the enumeration
+            # cap; probing it anyway costs seconds, so go straight to the MILP
+            if policy.max_chain_len == float("inf") and len(inst.arcs) > 2000:
+                return
+            try:
+                structs = enumerate_structures(inst, policy, cap=self.cap)
+            except ExplosionGuard:
+                return
+        self._structs = structs = list(structs)
+        self.pairs = sorted(inst.pairs)
+        bit = {v: i for i, v in enumerate(self.pairs + sorted(inst.ndds))}
+        self.members = [tuple(bit[v] for v in s.covered()) for s in structs]
+        self.keys = [s.sort_key() for s in structs]
+        self.sizes = [len(bits) for bits in self.members]
         self.masks = []
-        self.values = []
-        self.sizes = []
-        for s in structs:
+        for s, bits in zip(structs, self.members):
             m = 0
-            val = 0
-            for v in s.covered():
-                m |= 1 << self.bit[v]
-                val += self.price[v]
+            for b in bits:
+                m |= 1 << b
             if isinstance(s, Chain):
-                m |= 1 << self.bit[s.ndd]
+                m |= 1 << bit[s.ndd]
             self.masks.append(m)
-            self.values.append(val)
-            self.sizes.append(len(s.covered()))
         n = len(structs)
-        # per-suffix union of coverable vertices and total coverable size
-        self.suffix_cover = [0] * (n + 1)
+        cover = [0] * (n + 1)
         self.suffix_size = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
-            self.suffix_cover[i] = self.suffix_cover[i + 1] | self.masks[i]
+            cover[i] = cover[i + 1] | self.masks[i]
             self.suffix_size[i] = self.suffix_size[i + 1] + self.sizes[i]
-        self.best: Optional[tuple] = None  # (scaled value, aux_key, structures)
+        self.drop = [
+            [b for b in bits if (cover[i] & ~cover[i + 1]) >> b & 1]
+            for i, bits in enumerate(self.members)
+        ]
 
-    def _bound(self, i: int, used: int, value: int) -> int:
-        free = self.suffix_cover[i] & ~used & ((1 << len(self.pairs)) - 1)
-        total = value
-        while free:
-            low = free & -free
-            total += self.gain[low.bit_length() - 1]
-            free ^= low
-        return total
+    def maximum(self) -> tuple[Packing, int]:
+        """A maximum-cardinality packing (the first one found) and its size."""
+        if self._maximum is None:
+            unit = _unit_query(self.instance, self.policy)
+            packing, value = max_price_packing(unit, value_only=True, family=self)
+            self._maximum = (packing, int(value))
+        return self._maximum
 
-    def _aux_key(self, chosen: list[int]):
-        """Tie-break key, smaller is better."""
-        return (len(chosen), tuple(sorted(self.structs[j].sort_key() for j in chosen)))
+    def search(self, query: OracleQuery, value_only: bool) -> tuple[Packing, Fraction]:
+        """Branch-and-bound for one query over the enumerated family.
 
-    def run(self) -> tuple[Packing, Fraction]:
-        self._dfs(0, 0, 0, 0, [])
-        if self.best is None:
+        Prices are scaled to integers by their common denominator.  Structures
+        are visited in order, inclusion first; recursion happens only on
+        inclusion, so the depth is bounded by the packing size.  A node's bound
+        is its value plus the positive prices of the free pairs some remaining
+        structure covers.  It is carried down, not recomputed: skipping
+        structure i loses the free pairs of `drop[i]`, and including it adds
+        its value less the positive prices of its own pairs (`drop[i]` lies
+        inside its mask, so nothing more leaves the suffix).  At a leaf the
+        bound is the value.
+        """
+        structs = self.structures
+        price = [query.price(v) for v in self.pairs]
+        scale = math.lcm(*(p.denominator for p in price))
+        price = [p.numerator * (scale // p.denominator) for p in price]
+        # including a structure moves the bound by its negative prices
+        neg = [min(p, 0) for p in price]
+        adj = [sum(neg[b] for b in bits) for bits in self.members]
+        drops = [[(1 << b, price[b]) for b in bits if price[b] > 0] for bits in self.drop]
+        masks, sizes, keys = self.masks, self.sizes, self.keys
+        suffix_size = self.suffix_size
+        n = len(structs)
+        mode, k = query.cardinality
+        low = 0 if mode == "free" else k
+        exact = mode == "exact"
+        best_val = -math.inf
+        best_key = best_chosen = None
+        # a bound below `cut` cannot beat the incumbent: below its value, or
+        # with value_only, not above it (the values are integers)
+        cut = -math.inf
+        chosen: list[int] = []
+
+        def dfs(i: int, used: int, bound: int, count: int) -> None:
+            nonlocal best_val, best_key, best_chosen, cut
+            while True:
+                # can the remaining structures still reach the cardinality?  At
+                # a leaf this leaves exactly the feasible counts: an inclusion
+                # never overshoots an exact k
+                if count + suffix_size[i] < low or bound < cut:
+                    return
+                if i == n:
+                    if value_only:
+                        best_val, best_chosen, cut = bound, list(chosen), bound + 1
+                        return
+                    # tie-break key, smaller is better
+                    key = (len(chosen), tuple(sorted(keys[j] for j in chosen)))
+                    if bound > best_val or key < best_key:
+                        best_val, best_key, best_chosen, cut = bound, key, list(chosen), bound
+                    return
+                m = masks[i]
+                if not m & used and not (exact and count + sizes[i] > k):
+                    chosen.append(i)
+                    dfs(i + 1, used | m, bound + adj[i], count + sizes[i])
+                    chosen.pop()
+                for b, g in drops[i]:
+                    if not used & b:
+                        bound -= g
+                i += 1
+
+        dfs(0, 0, sum(g for d in drops for _, g in d), 0)
+        if best_chosen is None:
             raise OracleInfeasible("no packing satisfies the cardinality constraint")
-        value, _, chosen = self.best
-        return Packing(frozenset(self.structs[j] for j in chosen)), Fraction(value, self.scale)
-
-    def _dfs(self, i: int, used: int, value: int, count: int, chosen: list[int]):
-        # recursion only on inclusion; skipping a structure advances the loop,
-        # so the depth is bounded by the packing size rather than the family
-        mode, k = self.query.cardinality
-        while True:
-            # can the remaining structures still reach the cardinality?  At a
-            # leaf this leaves exactly the feasible counts: an inclusion never
-            # overshoots an exact k
-            if mode in ("exact", "atleast") and count + self.suffix_size[i] < k:
-                return
-            if self.best is not None:
-                bound = self._bound(i, used, value)
-                if bound < self.best[0]:
-                    return
-                if self.value_only and bound == self.best[0]:
-                    return
-            if i == len(self.structs):
-                key = None if self.value_only else self._aux_key(chosen)
-                if (
-                    self.best is None
-                    or value > self.best[0]
-                    or (value == self.best[0] and not self.value_only and key < self.best[1])
-                ):
-                    self.best = (value, key, list(chosen))
-                return
-            m = self.masks[i]
-            if not m & used and not (mode == "exact" and count + self.sizes[i] > k):
-                chosen.append(i)
-                self._dfs(i + 1, used | m, value + self.values[i], count + self.sizes[i], chosen)
-                chosen.pop()
-            i += 1
+        return Packing(frozenset(structs[j] for j in best_chosen)), Fraction(best_val, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +577,7 @@ def max_price_packing(
     value_only: bool = False,
     cut_pool: Optional[list] = None,
     extra_columns: Optional[list] = None,
+    family: Optional[PackingFamily] = None,
 ) -> tuple[Packing, Fraction]:
     """Packing maximizing the total price of covered pairs, with its value.
 
@@ -514,18 +586,24 @@ def max_price_packing(
     layers, returning the first optimal packing found; with integer prices on
     more than `BB_MAX_PAIRS` pairs the set-packing MILP answers it.  Chain
     families that trip the `ExplosionGuard`, or unbounded chains on more than
-    2000 arcs, go to the arc MILP.  `cut_pool`, when given, carries subtour
+    2000 arcs, go to the arc MILP.  `family`, when given, must be the query's
+    (instance, policy) `PackingFamily`: a caller that asks many queries of one
+    pool builds it once, for the length of its own call, and passes it to each
+    query; otherwise one is built for this query alone.  No family outlives
+    the call that built it.  The search itself, with its incrementally carried
+    bound, is `PackingFamily.search`.  `cut_pool`, when given, carries subtour
     cuts between repeated solves on one instance.  `extra_columns`, when
     given, collects the feasible near-optimal packings the MILP path
     encounters on the way (useful to enrich a column pool).
     """
-    # Unbounded chains on dense instances always blow the enumeration cap;
-    # probing it anyway costs seconds per call, so go straight to the MILP.
-    if query.policy.max_chain_len == float("inf") and len(query.instance.arcs) > 2000:
-        return _milp_max_price(query, cap, cut_pool=cut_pool, extra_columns=extra_columns)
-    try:
-        structures = enumerate_structures(query.instance, query.policy, cap=cap)
-    except ExplosionGuard:
+    if family is None:
+        family = PackingFamily(query.instance, query.policy, cap)
+    elif (
+        family.instance is not query.instance and family.instance != query.instance
+    ) or family.policy != query.policy:
+        raise ValueError("the packing family belongs to another instance or policy")
+    structures = family.structures
+    if structures is None:
         return _milp_max_price(query, cap, cut_pool=cut_pool, extra_columns=extra_columns)
     if (
         structures
@@ -534,7 +612,7 @@ def max_price_packing(
         and all(Fraction(p).denominator == 1 for p in query.node_prices.values())
     ):
         return _set_packing_milp(query, structures)
-    return _BB(query, structures, value_only).run()
+    return family.search(query, value_only)
 
 
 def max_price_over(
@@ -546,7 +624,9 @@ def max_price_over(
     ordering decides among ties — the hook used to emulate solver
     nondeterminism by shuffling the structure order.
     """
-    return _BB(query, list(structures), value_only).run()
+    return PackingFamily(query.instance, query.policy, structures=structures).search(
+        query, value_only
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -563,15 +643,20 @@ def _unit_query(instance: KepInstance, policy: StructurePolicy, **kw) -> OracleQ
 
 
 def max_cardinality(instance: KepInstance, policy: StructurePolicy) -> int:
-    _, val = max_price_packing(_unit_query(instance, policy), value_only=True)
-    return int(val)
+    return PackingFamily(instance, policy).maximum()[1]
 
 
-def acceptable_cardinality(instance: KepInstance, policy: StructurePolicy) -> tuple[str, int]:
-    """The cardinality side constraint implied by the policy's mode."""
+def acceptable_cardinality(
+    instance: KepInstance, policy: StructurePolicy, family: Optional[PackingFamily] = None
+) -> tuple[str, int]:
+    """The cardinality side constraint implied by the policy's mode.
+
+    `family`, the (instance, policy) family when given, supplies its memoized
+    maximum cardinality.
+    """
     if policy.cardinality_mode == "fixed":
         return ("exact", 2 * policy.mu)
-    maxcard = max_cardinality(instance, policy)
+    maxcard = (family or PackingFamily(instance, policy)).maximum()[1]
     slack = policy.delta if policy.cardinality_mode == "delta" else 0
     return ("atleast", max(maxcard - slack, 0))
 
@@ -581,6 +666,7 @@ def coverable_pairs(
     policy: StructurePolicy,
     cardinality: tuple[str, Optional[int]],
     certified: frozenset[int] = frozenset(),
+    family: Optional[PackingFamily] = None,
 ) -> frozenset[int]:
     """Pairs covered by some packing under the cardinality constraint.
 
@@ -588,7 +674,10 @@ def coverable_pairs(
     re-optimize under the constraint; every optimum certifies all the pairs it
     covers.  Stops when no such packing covers an uncertified pair.
     `certified` seeds the set and must hold only pairs such a packing covers.
+    Every query runs on `family`, or on one family built here.
     """
+    if family is None:
+        family = PackingFamily(instance, policy)
     while certified != instance.pairs:
         prices = {v: Fraction(1) for v in instance.pairs - certified}
         try:
@@ -597,6 +686,7 @@ def coverable_pairs(
                     instance=instance, policy=policy, node_prices=prices, cardinality=cardinality
                 ),
                 value_only=True,
+                family=family,
             )
         except OracleInfeasible:
             break
@@ -612,18 +702,19 @@ def coverage_losses(instance: KepInstance, policy: StructurePolicy) -> dict[int,
     None for a pair no packing covers.  A witness loop without a cardinality
     constraint finds the coverable pairs; one loop per loss level ℓ = 0, 1, …
     under cardinality ≥ max − ℓ, seeded with the pairs of smaller loss, then
-    certifies the pairs of loss ℓ until every coverable pair is reached.
+    certifies the pairs of loss ℓ until every coverable pair is reached.  All
+    of it runs on one family, whose maximum-cardinality packing seeds the loops.
     """
-    packing, value = max_price_packing(_unit_query(instance, policy), value_only=True)
-    maxcard = int(value)
-    coverable = coverable_pairs(instance, policy, CARD_FREE, packing.covered)
+    family = PackingFamily(instance, policy)
+    packing, maxcard = family.maximum()
+    coverable = coverable_pairs(instance, policy, CARD_FREE, packing.covered, family)
     limit = None
     if policy.max_chain_len is None and policy.max_cycle_len is not None:
         limit = (policy.max_cycle_len - 1) ** 2 - 1
     losses = {v: (0 if v in packing.covered else None) for v in sorted(instance.pairs)}
     certified, level = packing.covered, 0
     while certified != coverable:
-        reached = coverable_pairs(instance, policy, ("atleast", maxcard - level), certified)
+        reached = coverable_pairs(instance, policy, ("atleast", maxcard - level), certified, family)
         if limit is not None and reached != certified and level > max(limit, 0):
             raise FairkepError(f"coverage loss {level} exceeds bound {limit}")
         losses.update(dict.fromkeys(reached - certified, level))
@@ -656,16 +747,20 @@ def always_covered_count(
     default, or within delta of it).  Iterated min-inclusion pricing: price -1
     on the current candidate set and re-optimize under the cardinality
     constraint, shrinking by intersection until no acceptable packing avoids a
-    remaining candidate.
+    remaining candidate.  All of it runs on one family.
     """
-    card = acceptable_cardinality(instance, policy)
-    packing, _ = max_price_packing(_unit_query(instance, policy, cardinality=card), value_only=True)
+    family = PackingFamily(instance, policy)
+    card = acceptable_cardinality(instance, policy, family)
+    packing, _ = max_price_packing(
+        _unit_query(instance, policy, cardinality=card), value_only=True, family=family
+    )
     witness = set(packing.covered)
     while witness:
         prices = {v: Fraction(-1) for v in witness}
         packing, _ = max_price_packing(
             OracleQuery(instance=instance, policy=policy, node_prices=prices, cardinality=card),
             value_only=True,
+            family=family,
         )
         shrunk = witness & packing.covered
         if shrunk == witness:

@@ -106,7 +106,11 @@ class WaitStats:
 
 
 class _Pool:
-    """Mutable pool state of one replication: nodes, arcs, arrival periods."""
+    """Mutable pool state of one replication: nodes, arcs, arrival periods.
+
+    `arcs` and `attributes` hold the live nodes only; `arrival` keeps every
+    node ever seen.
+    """
 
     def __init__(self, rng: random.Random):
         self.rng = rng
@@ -149,12 +153,11 @@ class _Pool:
             self.arcs[(u, v)] = Fraction(1)
 
     def instance(self) -> KepInstance:
-        nodes = self.pairs | self.ndds
         return KepInstance(
             pairs=frozenset(self.pairs),
             ndds=frozenset(self.ndds),
-            arcs={a: w for a, w in self.arcs.items() if a[0] in nodes and a[1] in nodes},
-            attributes={v: a for v, a in self.attributes.items() if v in nodes},
+            arcs=dict(self.arcs),
+            attributes=dict(self.attributes),
         )
 
     def depart(self, packing: Packing) -> frozenset[int]:
@@ -164,6 +167,12 @@ class _Pool:
                 gone.add(s.ndd)
         self.pairs -= gone
         self.ndds -= gone
+        # departed nodes never return: drop their arcs and attributes, keeping
+        # the insertion order of the rest
+        if gone:
+            self.arcs = {a: w for a, w in self.arcs.items() if a[0] not in gone and a[1] not in gone}
+            for v in gone:
+                self.attributes.pop(v, None)
         return frozenset(gone)
 
 

@@ -3,9 +3,11 @@ LP and the oracle calls of coverage preprocessing.
 
 perfbench/tracing.py wraps library functions where the calling modules look
 them up; if a refactor stops calling a wrapped name, its metric silently reads
-zero. This runs the two lorenz entry points, an exact leximin solve, and
-fair.preprocess with oracle.delta_star under that instrumentation, and checks
-the spans the matching-lottery and exact-lottery metrics rest on.
+zero. This runs the two lorenz entry points, an exact leximin solve,
+fair.preprocess with oracle.delta_star and short simulations under that
+instrumentation, and checks the spans the matching-lottery, exact-lottery and
+pool-sim metrics rest on.  It also checks that a solve enumerates its packing
+family once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from fairkep import fair, gen, lorenz, oracle
+from fairkep import fair, gen, lorenz, oracle, sim
 from fairkep.core import KepInstance, StructurePolicy
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -68,24 +70,70 @@ def test_exact_lp_spans_recorded(monkeypatch):
     assert metrics["oracle.calls"][0] > report.pricing_calls > 0
 
 
-def test_coverage_oracle_spans_recorded(monkeypatch):
-    tracing = load_tracing(monkeypatch)
+def traced_searches(monkeypatch, tracing, run):
+    """Oracle spans and branch-and-bound searches while `run()` is traced."""
     rec = tracing.Recorder()
     searches = []
-    run = oracle._BB.run
+    search = oracle.PackingFamily.search
 
-    def counting_run(self):
+    def counting_search(self, *args):
         searches.append(1)
-        return run(self)
+        return search(self, *args)
 
-    monkeypatch.setattr(oracle._BB, "run", counting_run)
+    monkeypatch.setattr(oracle.PackingFamily, "search", counting_search)
+    with tracing.Instrumentation(rec):
+        run()
+    calls = [s for s in rec.spans if s.name == "oracle.max_price_packing"]
+    return len(calls), len(searches)
+
+
+def test_coverage_oracle_spans_recorded(monkeypatch):
+    tracing = load_tracing(monkeypatch)
     policy = StructurePolicy(max_cycle_len=3)
     pool = gen.generate_instance(gen.GenConfig(n_pairs=12, seed=3))
     assert len(pool.pairs) <= oracle.BB_MAX_PAIRS  # every query runs the search
-    with tracing.Instrumentation(rec):
+
+    def run():
         reduced, _ = fair.preprocess(pool, policy)
         oracle.delta_star(reduced, policy)
+
     # the witness loop reaches the oracle through the name
     # oracle.max_price_packing, looked up at call time
-    calls = [s for s in rec.spans if s.name == "oracle.max_price_packing"]
-    assert len(calls) == len(searches) > 2
+    calls, searches = traced_searches(monkeypatch, tracing, run)
+    assert calls == searches > 2
+
+
+def test_solve_and_sim_oracle_spans_recorded(monkeypatch):
+    """Every search of a leximin solve and of a short simulation, in both the
+    deterministic and the shuffled-order variants, enters through a traced name."""
+    tracing = load_tracing(monkeypatch)
+    policy = StructurePolicy(max_cycle_len=3)
+    pool = gen.generate_instance(gen.GenConfig(n_pairs=12, seed=3))
+    batches = gen.generate_batches(gen.GenConfig(n_pairs=6, n_ndds=1, seed=5), 4)
+
+    def run():
+        fair.solve_leximin(pool, policy)
+        for algorithm in (sim.IMPLICIT, sim.HEURISTIC_ILP_SHUFFLE):
+            config = sim.SimConfig(policy=policy, algorithm=algorithm,
+                                   weighting=sim.WaitTimeLinear(), seed=1)
+            sim.run_simulation(batches, config)
+
+    calls, searches = traced_searches(monkeypatch, tracing, run)
+    assert calls == searches > 10
+
+
+def test_one_enumeration_per_solve(monkeypatch):
+    """A leximin solve builds one packing family: the structures are
+    enumerated once for its cardinality, seed and every pricing call."""
+    enumerations = []
+    enumerate_structures = oracle.enumerate_structures
+
+    def counting(*args, **kwargs):
+        enumerations.append(1)
+        return enumerate_structures(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "enumerate_structures", counting)
+    pool = gen.generate_instance(gen.GenConfig(n_pairs=12, seed=3))
+    report = fair.solve_leximin(pool, StructurePolicy(max_cycle_len=3))
+    assert report.pricing_calls > 1
+    assert len(enumerations) == 1

@@ -365,7 +365,7 @@ def random_contraction(rng):
 def brute_lambda(cb):
     """min over pseudonode sets S with Σσ > 0 of (|N(S)| - #musts(S) + Σ_opt(σ - 1)) / Σσ,
     capped at 1; None when the must-match pseudonodes fail Hall's condition (the
-    engine's contractions never do)."""
+    engine's contractions never do, and lambda_star raises on them)."""
     neigh = {p.pid: cb.neighbors_of_pid(p.pid) for p in cb.pseudos}
     best = F(1)
     for k in range(1, len(cb.pseudos) + 1):
@@ -384,17 +384,24 @@ def brute_lambda(cb):
 class TestLambdaStarBruteForce:
     def test_lambda_matches_subset_ratio(self):
         rng = random.Random(41)
-        fractional = musts = 0
+        fractional = musts = unmatchable = musts_only = 0
         for _ in range(300):
             cb = random_contraction(rng)
             want = brute_lambda(cb)
             if want is None:
+                # Hall's condition fails for the must-match pseudonodes, also
+                # when no optional pseudonode is left to bound the ratio
+                with pytest.raises(FairkepError, match="must-match pseudonodes unmatchable"):
+                    lambda_star(cb)
+                unmatchable += 1
+                musts_only += all(p.must_match for p in cb.pseudos)
                 continue
             lam, _ = lambda_star(cb)
             assert isinstance(lam, Fraction) and lam == want
             fractional += lam.denominator > 1
             musts += any(p.must_match for p in cb.pseudos)
         assert fractional >= 50 and musts >= 50
+        assert unmatchable >= 20 and musts_only >= 1
 
     def test_cover_rows_and_columns_exact(self):
         # the engine's own contractions: edge weights restrict removal sets and

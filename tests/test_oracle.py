@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -210,7 +211,7 @@ class TestMaxPrice:
             q = OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card)
             structures = enumerate_structures(inst, pol)
             try:
-                want = oracle._BB(q, structures, value_only=True).run()[1]
+                want = oracle.max_price_over(q, structures)[1]
             except OracleInfeasible:
                 with pytest.raises(OracleInfeasible):
                     max_price_packing(q, value_only=True)
@@ -243,6 +244,76 @@ class TestMaxPrice:
                 assert type(val) is F
                 assert val == brute_best(inst, pol, prices), (trial, value_only)
                 assert val == sum((prices[v] for v in pk.covered), F(0))
+
+
+def pinned_queries():
+    """A fixed set of oracle queries over every search regime.
+
+    Random graphs with NDDs under cycle-only and bounded-chain policies, and
+    generated pools of 10-14 pairs; prices negative, zero and positive with
+    denominators 1-6; all three cardinality modes.
+    """
+    rng = random.Random(41)
+    out = []
+    for trial in range(150):
+        if trial % 3 == 2:
+            inst = gen.generate_instance(gen.GenConfig(n_pairs=rng.randint(10, 14), seed=900 + trial))
+            pol = CYC3
+        else:
+            inst = random_instance(rng, 5, 11, 0, 2, 0.3)
+            pol = StructurePolicy(
+                max_cycle_len=rng.choice([2, 3]), max_chain_len=rng.choice([None, 2, 3])
+            )
+        pairs = sorted(inst.pairs)
+        prices = {v: F(rng.randint(-3, 9), rng.randint(1, 6)) for v in pairs}
+        if trial % 4 == 0:
+            prices = {v: F(rng.randint(0, 2)) for v in pairs}  # many ties
+        k = rng.randint(0, 2 * len(pairs) // 3)
+        card = rng.choice([("free", None), ("atleast", k), ("exact", k)])
+        out.append(OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card))
+    return out
+
+
+def answer_key(query, value_only, **kw):
+    try:
+        pk, val = max_price_packing(query, value_only=value_only, **kw)
+    except OracleInfeasible:
+        return ("infeasible",)
+    return (tuple(sorted(s.sort_key() for s in pk.structures)), str(val))
+
+
+class TestPinnedAnswers:
+    # sha256 over (sorted structure sort keys, value) of every pinned query in
+    # both value_only modes; a change to the search order, the pruning or the
+    # tie-break moves it, including which optimum value_only finds first
+    PINNED = "66764cbd56108ab3add171bc4d74a4d330f001b7a4eece375c3edecfd7a5b27e"
+
+    def test_answers_unchanged(self):
+        h = hashlib.sha256()
+        for q in pinned_queries():
+            for value_only in (False, True):
+                h.update(repr(answer_key(q, value_only)).encode())
+        assert h.hexdigest() == self.PINNED
+
+
+    def test_reused_family_answers_like_fresh_ones(self):
+        """One family across 50 queries answers each exactly as a fresh family,
+        so no search state carries from one query to the next."""
+        rng = random.Random(43)
+        for trial in range(4):
+            inst = random_instance(rng, 7, 11, 1, 2, 0.3)
+            pol = StructurePolicy(max_cycle_len=3, max_chain_len=rng.choice([None, 2, 3]))
+            family = oracle.PackingFamily(inst, pol)
+            pairs = sorted(inst.pairs)
+            for _ in range(50):
+                prices = {v: F(rng.randint(-2, 6), rng.randint(1, 3)) for v in pairs}
+                k = rng.randint(0, len(pairs) // 2)
+                card = rng.choice([("free", None), ("atleast", k), ("exact", k)])
+                q = OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card)
+                value_only = rng.random() < 0.5
+                assert answer_key(q, value_only, family=family) == answer_key(q, value_only)
+        with pytest.raises(ValueError):
+            max_price_packing(OracleQuery(instance=TRIPLE, policy=CYC3), family=family)
 
 
 class TestCoverageMetrics:
