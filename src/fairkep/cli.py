@@ -48,9 +48,11 @@ class UsageError(FairkepError):
 def parse_policy(spec: str, delta: Optional[int] = None, mu: Optional[int] = None) -> StructurePolicy:
     """Translate a --policy string (plus --delta/--mu) into a StructurePolicy.
 
-    `2path` and `2cyc2path` are handled by dedicated packing routines and are
-    only meaningful to the `solve` verb; they still parse to the policy that
-    validates their outputs.
+    `2path` has a dedicated solver with a deficiency certificate
+    (`paths.max_2path_packing`), reached from the `solve` verb; elsewhere it
+    parses to the policy that validates its outputs.  `2cyc2path` is
+    `paths.TWO_CYCLE_TWO_PATH`, an ordinary oracle family for every verb;
+    `solve` answers it with one value-only maximum-cardinality query.
     """
     name = spec.strip()
     if name in ("match", "matching"):
@@ -70,7 +72,7 @@ def parse_policy(spec: str, delta: Optional[int] = None, mu: Optional[int] = Non
     elif name == "2path":
         policy = StructurePolicy(max_cycle_len=None, max_chain_len=2, min_chain_len=2)
     elif name == "2cyc2path":
-        policy = StructurePolicy(max_cycle_len=2, max_chain_len=2, min_chain_len=2)
+        policy = paths.TWO_CYCLE_TWO_PATH
     else:
         raise UsageError(f"unknown policy {spec!r} (expected {POLICY_NAMES})")
     if delta is not None and mu is not None:
@@ -469,13 +471,14 @@ def _cmd_fixtures(args) -> int:
 # parser
 
 
-def _add_common(sub, policy_default="cyc3"):
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tol", type=float, default=1e-6)
-    sub.add_argument("--policy", default=policy_default, help=POLICY_NAMES)
-    sub.add_argument("--delta", type=int, default=None)
-    sub.add_argument("--mu", type=int, default=None)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+def _add_common(sub, seed: bool = False, policy: bool = False) -> None:
+    """-o/--output, plus --seed and --policy/--delta/--mu for the verbs that read them."""
+    if seed:
+        sub.add_argument("--seed", type=int, default=0)
+    if policy:
+        sub.add_argument("--policy", default="cyc3", help=POLICY_NAMES)
+        sub.add_argument("--delta", type=int, default=None)
+        sub.add_argument("--mu", type=int, default=None)
     sub.add_argument("-o", "--output", default=None)
 
 
@@ -486,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="verb", required=True)
 
     p = subs.add_parser("generate", help="generate synthetic instances")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--ndds", type=int, default=0)
     p.add_argument("--dist", default=None, help="JSON distribution file")
@@ -494,13 +497,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = subs.add_parser("solve", help="one optimal packing under a policy")
-    _add_common(p)
+    _add_common(p, policy=True)
     p.add_argument("--prices", default=None, help="JSON {node: price}")
     p.add_argument("instance")
     p.set_defaults(func=_cmd_solve)
 
     p = subs.add_parser("lottery", help="fair lottery over acceptable packings")
-    _add_common(p)
+    _add_common(p, policy=True)
+    p.add_argument("--tol", type=float, default=1e-6, help="nash/gini convergence tolerance")
     p.add_argument(
         "--objective",
         choices=("utilitarian", "maximin", "leximin", "nash", "gini"),
@@ -512,23 +516,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lottery)
 
     p = subs.add_parser("sample", help="draw packings from a lottery file")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("-n", type=int, default=1)
     p.add_argument("lottery")
     p.set_defaults(func=_cmd_sample)
 
     p = subs.add_parser("simulate", help="dynamic pool simulation over batches")
-    _add_common(p)
+    _add_common(p, seed=True, policy=True)
     p.add_argument("--batches", required=True, help="directory of batch_*.json files")
     p.add_argument("--algorithm", choices=sim.ALGORITHMS, default=sim.IMPLICIT)
-    p.add_argument("--periods", default="auto", help="only 'auto' (one per batch) is supported")
     p.add_argument("--replications", type=int, default=1)
     p.add_argument("--wait-weighting", action="store_true", help="linear waiting-time prices")
     p.add_argument("--trace", default=None, help="also write the period trace JSON here")
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("stats", help="structural metrics of an instance")
-    _add_common(p)
+    _add_common(p, policy=True)
     p.add_argument(
         "--metric",
         choices=("delta_star", "always_covered", "coverage_loss", "max_cardinality"),
@@ -539,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     p = subs.add_parser("compare", help="empirical comparison of heuristic variants")
-    _add_common(p)
+    _add_common(p, seed=True, policy=True)
     p.add_argument("--runs", type=int, default=30)
     p.add_argument("instance")
     p.set_defaults(func=_cmd_compare)
@@ -561,8 +564,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.verb == "simulate" and args.periods != "auto":
-            raise UsageError("--periods supports only 'auto'")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,18 +52,33 @@ def instance_to_dict(instance: KepInstance) -> dict:
     return {"pairs": pairs, "ndds": ndds, "arcs": arcs}
 
 
+def _records(recs: Any, where: str) -> list[dict]:
+    if not isinstance(recs, list) or not all(isinstance(rec, dict) for rec in recs):
+        raise ParseError(f"{where} must be a list of objects")
+    return recs
+
+
+def _node_id(rec: dict, where: str) -> int:
+    try:
+        return int(rec["id"])
+    except KeyError:
+        raise ParseError(f"{where} has no 'id'") from None
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"bad id in {where}: {e}") from None
+
+
 def instance_from_dict(data: dict) -> KepInstance:
     try:
-        pair_recs = data["pairs"]
-        ndd_recs = data.get("ndds", [])
-        arc_recs = data.get("arcs", [])
+        pair_recs = _records(data["pairs"], "pairs")
+        ndd_recs = _records(data.get("ndds", []), "ndds")
+        arc_recs = _records(data.get("arcs", []), "arcs")
     except (TypeError, KeyError) as e:
         raise ParseError(f"malformed instance object: {e}") from None
     pairs, ndds = set(), set()
     attributes: dict[int, dict] = {}
     node_weights: dict[int, Fraction] = {}
-    for rec in pair_recs:
-        v = int(rec["id"])
+    for i, rec in enumerate(pair_recs):
+        v = _node_id(rec, f"pair #{i}")
         if v in pairs:
             raise ParseError(f"duplicate pair id {v}")
         pairs.add(v)
@@ -72,8 +87,8 @@ def instance_from_dict(data: dict) -> KepInstance:
             attributes[v] = attrs
         if "weight" in rec:
             node_weights[v] = parse_rational(rec["weight"], f"in pair {v}")
-    for rec in ndd_recs:
-        v = int(rec["id"])
+    for i, rec in enumerate(ndd_recs):
+        v = _node_id(rec, f"ndd #{i}")
         if v in pairs or v in ndds:
             raise ParseError(f"duplicate node id {v}")
         ndds.add(v)
@@ -84,7 +99,7 @@ def instance_from_dict(data: dict) -> KepInstance:
     for i, rec in enumerate(arc_recs):
         try:
             u, v = int(rec["from"]), int(rec["to"])
-        except (TypeError, KeyError) as e:
+        except (TypeError, KeyError, ValueError) as e:
             raise ParseError(f"malformed arc #{i}: {e}") from None
         w = parse_rational(rec.get("weight", 1), f"in arc #{i}")
         if (u, v) in arcs:
@@ -134,12 +149,15 @@ def lottery_to_dict(lottery: Lottery) -> dict:
 
 def lottery_from_dict(data: dict) -> Lottery:
     try:
-        entries = data["support"]
+        entries = _records(data["support"], "support")
     except (TypeError, KeyError):
         raise ParseError("lottery object must have a 'support' list") from None
     support = []
     for i, rec in enumerate(entries):
-        structures = frozenset(_structure_from_list(s) for s in rec.get("packing", []))
+        items = rec.get("packing", [])
+        if not isinstance(items, list):
+            raise ParseError(f"support entry #{i}: 'packing' must be a list")
+        structures = frozenset(_structure_from_list(s) for s in items)
         p = parse_rational(rec.get("prob"), f"in support entry #{i}")
         support.append((Packing(structures), p))
     total = sum((p for _, p in support), Fraction(0))

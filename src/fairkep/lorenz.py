@@ -52,10 +52,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class PerfectMatchingExists(FairkepError):
-    """The graph is perfectly matchable: the lottery degenerates to one matching."""
-
-
 class NotStochastic(FairkepError):
     pass
 
@@ -792,7 +788,8 @@ def edge_weight_solution(graph: UGraph, weights: Mapping[Edge, Fraction]) -> Lex
 def fixed_cardinality_reduction(
     instance: KepInstance,
     edge_weights: Optional[Mapping[Edge, Fraction]] = None,
-    mu: Optional[int] = None,
+    *,
+    mu: int,
 ) -> Lottery:
     """Leximin lottery over maximum-weight matchings of exactly mu edges.
 
@@ -801,8 +798,6 @@ def fixed_cardinality_reduction(
     is built by fair's exact column generation with iterative leximin level
     fixing.
     """
-    if mu is None:
-        raise ValueError("mu is required")
     graph = _undirected_projection(instance)
     weights = (
         {norm_edge(*e): Fraction(wv) for e, wv in edge_weights.items()}

@@ -12,7 +12,7 @@ denominators), so its dual arithmetic stays exact.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
@@ -40,11 +40,10 @@ def norm_edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class UGraph:
-    """Simple undirected graph; optional rational edge costs."""
+    """Simple undirected graph."""
 
     vertices: frozenset[int]
     edges: frozenset[Edge]
-    edge_costs: Mapping[Edge, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(
@@ -57,8 +56,8 @@ class UGraph:
                 raise ValueError(f"edge ({u},{v}) references unknown vertex")
 
     @staticmethod
-    def of(vertices: Iterable[int], edges: Iterable[Edge], costs=None) -> "UGraph":
-        return UGraph(frozenset(vertices), frozenset(edges), dict(costs or {}))
+    def of(vertices: Iterable[int], edges: Iterable[Edge]) -> "UGraph":
+        return UGraph(frozenset(vertices), frozenset(edges))
 
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {v: [] for v in self.vertices}
@@ -72,7 +71,6 @@ class UGraph:
         return UGraph.of(
             self.vertices - gone,
             {e for e in self.edges if e[0] not in gone and e[1] not in gone},
-            {e: c for e, c in self.edge_costs.items() if e[0] not in gone and e[1] not in gone},
         )
 
     def induced(self, keep: Iterable[int]) -> "UGraph":

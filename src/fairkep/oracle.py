@@ -1,13 +1,15 @@
 """Exact weighted optimization over packing families, plus pool-level metrics.
 
 `max_price_packing` maximizes the total node price of covered pairs over all
-packings a `StructurePolicy` admits.  Enumerable families are solved by an
-exact branch-and-bound over bitmask-encoded structures with fully specified
-tie-breaking; it runs on integers (prices scaled by their common denominator)
-and returns the optimum as a `Fraction`.  HiGHS, through scipy, takes the
-integer-priced value-only queries on pools above `BB_MAX_PAIRS` (a set-packing
-MILP over the enumerated structures) and families with non-enumerable chains
-(cycle columns + arc flows with position variables or subtour cuts).
+packings a `StructurePolicy` admits; it is the one solver for every cycle and
+chain family, 2-cycle + 2-path packings included.  Enumerable families are
+solved by an exact branch-and-bound over bitmask-encoded structures with fully
+specified tie-breaking; it runs on integers (prices scaled by their common
+denominator) and returns the optimum as a `Fraction`.  One HiGHS model,
+through scipy, takes the rest: the integer-priced value-only queries on pools
+above `BB_MAX_PAIRS` as a set packing over the enumerated structures, and
+families too large to enumerate as cycle columns plus chain-arc flows with
+position variables or subtour cuts.
 
 The branch-and-bound has two halves.  A `PackingFamily` holds what does not
 depend on prices: the enumerated structures, their bitmasks and the suffix
@@ -44,10 +46,12 @@ from .core import (
     StructurePolicy,
 )
 
-DEFAULT_ENUM_CAP = 200_000
+# Most structures `enumerate_structures` materializes; read at call time, so a
+# test may lower it
+ENUM_CAP = 200_000
 
 # Integer-priced value-only queries on pools of more pairs go to the set-packing
-# MILP: past ~20 pairs the branch-and-bound's worst cases take seconds, against
+# MILP over the enumerated family: past ~20 pairs the branch-and-bound's worst cases take seconds, against
 # HiGHS's fixed ~10 ms per query.
 BB_MAX_PAIRS = 18
 
@@ -55,7 +59,7 @@ CARD_FREE = ("free", None)
 
 
 class ExplosionGuard(FairkepError):
-    """Structure enumeration exceeded the configured cap."""
+    """Structure enumeration exceeded `ENUM_CAP`."""
 
 
 class OracleInfeasible(FairkepError):
@@ -91,15 +95,14 @@ class OracleQuery:
         return p if isinstance(p, Fraction) else Fraction(p)
 
 
-def enumerate_structures(
-    instance: KepInstance, policy: StructurePolicy, cap: int = DEFAULT_ENUM_CAP
-) -> list[Structure]:
+def enumerate_structures(instance: KepInstance, policy: StructurePolicy) -> list[Structure]:
     """All acceptable simple cycles and chains, sorted deterministically.
 
     Chains are enumerated up to min(policy.max_chain_len, number of pairs), so
     an unbounded chain policy on a large pool trips the guard rather than
     materializing the family.
     """
+    cap = ENUM_CAP
     out: list[Structure] = []
     adj: dict[int, list[int]] = {v: [] for v in instance.pairs | instance.ndds}
     for (u, v) in instance.arcs:
@@ -161,7 +164,8 @@ class PackingFamily:
     query, so that work stays inside the oracle call that needs it.
     `structures` is None for a family too large to enumerate (the
     `ExplosionGuard` trips, or unbounded chains on more than 2000 arcs); its
-    queries go to the arc MILP.  `maximum()` solves the unit-price query once.
+    queries go to the MILP with chain-arc flows.  `maximum()` solves the
+    unit-price query once.
 
     A family lives as long as the call that builds it (a `fair` solve, a
     witness loop, one simulated period) and is never cached globally.  A
@@ -173,12 +177,10 @@ class PackingFamily:
         self,
         instance: KepInstance,
         policy: StructurePolicy,
-        cap: int = DEFAULT_ENUM_CAP,
         structures: Optional[Sequence[Structure]] = None,
     ):
         self.instance = instance
         self.policy = policy
-        self.cap = cap
         self._given = structures
         self._built = False
         self._maximum: Optional[tuple[Packing, int]] = None
@@ -200,7 +202,7 @@ class PackingFamily:
             if policy.max_chain_len == float("inf") and len(inst.arcs) > 2000:
                 return
             try:
-                structs = enumerate_structures(inst, policy, cap=self.cap)
+                structs = enumerate_structures(inst, policy)
             except ExplosionGuard:
                 return
         self._structs = structs = list(structs)
@@ -304,65 +306,82 @@ class PackingFamily:
 
 
 # ---------------------------------------------------------------------------
-# MILP fallback (large pools with chains)
+# HiGHS model (large pools and non-enumerable chain families)
 
 
 def _milp_max_price(
     query: OracleQuery,
-    cap: int,
+    columns: Optional[Sequence[Structure]] = None,
+    chain_arcs: bool = True,
     cut_pool: Optional[list] = None,
     extra_columns: Optional[list] = None,
 ) -> tuple[Packing, Fraction]:
+    """The one MILP: structure columns, plus chain-arc flows when asked.
+
+    Each column is a binary variable for one structure.  Every pair is covered
+    at most once, every NDD roots at most one chain, and a cardinality
+    constraint counts the covered pairs.  `columns` defaults to the policy's
+    cycles, or none under unbounded chains, whose arcs carry the cycles too.
+    With `chain_arcs` the policy's chains are arc flows instead: a binary per
+    arc into a pair, flow conservation at each pair, and either position
+    (MTZ-style) variables bounding the chain length or, for unbounded chains,
+    lazily added subtour cuts.  Without them the model has no arc or position
+    variables: a plain set packing over the columns.  The float optimum picks
+    the packing and its value is recomputed rationally, so the answer is exact
+    when the gap between distinct packing values exceeds HiGHS's tolerances
+    (always so with integer prices).
+    """
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import coo_matrix
 
     inst, policy = query.instance, query.policy
-    if policy.min_chain_len > 1:
-        raise ExplosionGuard("MILP path does not support min_chain_len > 1")
+    chains = chain_arcs and policy.max_chain_len is not None
+    if chains and policy.min_chain_len > 1:
+        raise ExplosionGuard("chain-arc flows do not support min_chain_len > 1")
+    # Bounded chain lengths use position variables; unbounded ones drop them
+    # (the big-M would be n, a hopelessly weak relaxation) and eliminate
+    # directed pair-arc cycles with lazily added subtour cuts.
+    unbounded = chains and policy.max_chain_len == float("inf")
+    if columns is None:
+        columns = (
+            [] if unbounded else enumerate_structures(inst, replace(policy, max_chain_len=None))
+        )
     pairs = sorted(inst.pairs)
     idx = {v: i for i, v in enumerate(pairs)}
     n = len(pairs)
-    # Bounded chain lengths use position (MTZ-style) variables; unbounded ones
-    # drop them (the big-M would be n, a hopelessly weak relaxation) and
-    # eliminate directed pair-arc cycles with lazily added subtour cuts.
-    unbounded = policy.max_chain_len is not None and policy.max_chain_len == float("inf")
-    # With unbounded chains every structure is expressible on arcs alone, so we
-    # skip cycle columns entirely: allowed short cycles are decoded from the
-    # arc solution and only policy-violating cycles get subtour cuts.
-    cycles = (
-        []
-        if unbounded
-        else enumerate_structures(inst, replace(policy, max_chain_len=None), cap=cap)
-    )
-    L = int(min(policy.max_chain_len, n)) if policy.max_chain_len is not None else 0
-    chain_arcs = (
-        [
-            (u, v)
-            for (u, v) in sorted(inst.arcs)
-            if v in inst.pairs and (u in inst.ndds or u in inst.pairs)
-        ]
-        if policy.max_chain_len is not None
-        else []
-    )
-    nz, na = len(cycles), len(chain_arcs)
-    # variables: cycles | chain arcs | chain position per pair
-    nvar = nz + na + n
+    L = int(min(policy.max_chain_len, n)) if chains else 0
+    arcs = sorted(a for a in inst.arcs if a[1] in inst.pairs) if chains else []
+    # variables: columns | chain arcs | chain position per pair
+    nz, na = len(columns), len(arcs)
+    npos = n if chains and not unbounded else 0
+    nvar = nz + na + npos
     c = np.zeros(nvar)
+    # each structure costs a hair, so equal-priced optima favour fewer structures
     eps_count = 1e-7
-    for j, C in enumerate(cycles):
-        c[j] = -sum(float(query.price(v)) for v in C.covered()) + eps_count
+    cover: dict[int, list[tuple[int, float]]] = {v: [] for v in pairs}
+    roots: dict[int, list[tuple[int, float]]] = {a: [] for a in sorted(inst.ndds)}
+    card_entries: list[tuple[int, float]] = []
+    for j, s in enumerate(columns):
+        covered = s.covered()
+        c[j] = -sum(float(query.price(v)) for v in covered) + eps_count
+        for v in covered:
+            cover[v].append((j, 1.0))
+        if isinstance(s, Chain):
+            roots[s.ndd].append((j, 1.0))
+        card_entries.append((j, float(len(covered))))
     arcs_in: dict[int, list[int]] = {v: [] for v in pairs}
     arcs_out: dict[int, list[int]] = {v: [] for v in pairs}
-    ndd_out: dict[int, list[int]] = {a: [] for a in inst.ndds}
-    for j, (u, v) in enumerate(chain_arcs):
+    for j, (u, v) in enumerate(arcs, nz):
+        c[j] = -float(query.price(v))
+        cover[v].append((j, 1.0))
         arcs_in[v].append(j)
+        card_entries.append((j, 1.0))
         if u in inst.ndds:
-            ndd_out[u].append(j)
-            c[nz + j] += eps_count  # one chain per used NDD root arc
+            roots[u].append((j, 1.0))
+            c[j] += eps_count
         else:
             arcs_out[u].append(j)
-        c[nz + j] += -float(query.price(v))
 
     rows: list[int] = []
     cols: list[int] = []
@@ -379,108 +398,46 @@ def _milp_max_price(
         lo.append(lower)
         hi.append(upper)
 
-    cover_entries: dict[int, list[tuple[int, float]]] = {v: [] for v in pairs}
-    for j, C in enumerate(cycles):
-        for v in C.covered():
-            cover_entries[v].append((j, 1.0))
     for v in pairs:
-        for j in arcs_in[v]:
-            cover_entries[v].append((nz + j, 1.0))
-    card_mode, card_k = query.cardinality
-    for v in pairs:
-        add_row(cover_entries[v], 0.0, 1.0)
+        add_row(cover[v], 0.0, 1.0)
+    # a pair passes a chain on only if the chain reaches it
     for v in pairs:
         if arcs_out[v]:
-            ent = [(nz + j, 1.0) for j in arcs_out[v]]
-            ent += [(nz + j, -1.0) for j in arcs_in[v]]
-            add_row(ent, -np.inf, 0.0)
-    for a in inst.ndds:
-        if ndd_out[a]:
-            add_row([(nz + j, 1.0) for j in ndd_out[a]], 0.0, 1.0)
+            add_row([(j, 1.0) for j in arcs_out[v]] + [(j, -1.0) for j in arcs_in[v]], -np.inf, 0.0)
+    for entries in roots.values():
+        if entries:
+            add_row(entries, 0.0, 1.0)
     # position variables keep chains acyclic and bounded by L
-    if not unbounded:
-        for j, (u, v) in enumerate(chain_arcs):
+    pos = nz + na
+    if npos:
+        for j, (u, v) in enumerate(arcs, nz):
             if u in inst.ndds:
-                add_row([(nz + na + idx[v], -1.0), (nz + j, 1.0)], -np.inf, 0.0)
+                add_row([(pos + idx[v], -1.0), (j, 1.0)], -np.inf, 0.0)
             else:
                 add_row(
-                    [(nz + na + idx[v], -1.0), (nz + na + idx[u], 1.0), (nz + j, L + 1.0)],
+                    [(pos + idx[v], -1.0), (pos + idx[u], 1.0), (j, L + 1.0)],
                     -np.inf,
                     float(L),
                 )
+    card_mode, card_k = query.cardinality
     if card_mode != "free":
-        agg: dict[int, float] = {}
-        for v in pairs:
-            for col, coef in cover_entries[v]:
-                agg[col] = agg.get(col, 0.0) + coef
-        add_row(list(agg.items()), float(card_k), float(card_k) if card_mode == "exact" else np.inf)
-
+        add_row(card_entries, float(card_k), float(card_k) if card_mode == "exact" else np.inf)
+    arc_idx = {a: j for j, a in enumerate(arcs, nz)}
     if unbounded:
-        arc_idx = {a: j for j, a in enumerate(chain_arcs)}
         # replay cuts discovered by earlier solves over the same instance
         for cut in cut_pool or ():
-            add_row([(nz + arc_idx[a], 1.0) for a in cut], -np.inf, len(cut) - 1.0)
-    lb = np.zeros(nvar)
+            add_row([(arc_idx[a], 1.0) for a in cut], -np.inf, len(cut) - 1.0)
     ub = np.ones(nvar)
-    ub[nz + na :] = float(max(L, 1))
+    ub[pos:] = float(max(L, 1))
     integrality = np.zeros(nvar)
-    integrality[: nz + na] = 1
-    def _solve_loop() -> tuple[Packing, Fraction]:
-        for _ in range(10_000):
-            A = coo_matrix((vals, (rows, cols)), shape=(len(lo), nvar))
-            res = milp(
-                c,
-                constraints=LinearConstraint(A.tocsr(), np.array(lo), np.array(hi)),
-                integrality=integrality,
-                bounds=Bounds(lb, ub),
-                options={},
-            )
-            if res.status != 0 or res.x is None:
-                raise OracleInfeasible(f"MILP reported status {res.status}: {res.message}")
-            x = res.x
-            if not unbounded:
-                return _decode(x)
-            # lazily cut off the directed cycles among selected pair-to-pair
-            # arcs that the cycle policy disallows
-            succ = {
-                u: (j, v)
-                for j, (u, v) in enumerate(chain_arcs)
-                if u in inst.pairs and x[nz + j] > 0.5
-            }
-            state: dict[int, int] = {}
-            cuts = []
-            for start in succ:
-                if state.get(start):
-                    continue
-                trail, node = [], start
-                while node in succ and state.get(node) is None:
-                    state[node] = 1
-                    trail.append(node)
-                    node = succ[node][1]
-                if state.get(node) == 1:  # closed a new cycle; slice it out of the trail
-                    cyc = trail[trail.index(node):]
-                    if policy.max_cycle_len is None or len(cyc) > policy.max_cycle_len:
-                        cuts.append(cyc)
-                for u in trail:
-                    state[u] = 2
-            for cyc in cuts:
-                add_row([(nz + succ[u][0], 1.0) for u in cyc], -np.inf, len(cyc) - 1.0)
-                if cut_pool is not None:
-                    cut_pool.append(tuple((u, succ[u][1]) for u in cyc))
-            if not cuts:
-                return _decode(x)
-            if extra_columns is not None:
-                # the incumbent minus its disallowed cycles is a feasible,
-                # near-optimal packing; hand it back as a bonus column
-                extra_columns.append(_decode(x, skip_disallowed=True))
-        raise FairkepError("subtour elimination failed to converge")
+    integrality[:pos] = 1
 
-    def _decode(x, skip_disallowed: bool = False) -> tuple[Packing, Fraction]:
-        structs: list[Structure] = [C for j, C in enumerate(cycles) if x[j] > 0.5]
+    def decode(x, skip_disallowed: bool = False) -> tuple[Packing, Fraction]:
+        structs: list[Structure] = [s for j, s in enumerate(columns) if x[j] > 0.5]
         nxt: dict[int, int] = {}
         starts: list[tuple[int, int]] = []
-        for j, (u, v) in enumerate(chain_arcs):
-            if x[nz + j] > 0.5:
+        for j, (u, v) in enumerate(arcs, nz):
+            if x[j] > 0.5:
                 if u in inst.ndds:
                     starts.append((u, v))
                 else:
@@ -512,68 +469,53 @@ def _milp_max_price(
         value = sum((query.price(v) for v in packing.covered), Fraction(0))
         return packing, value
 
-    return _solve_loop()
-
-
-def _set_packing_milp(query: OracleQuery, structs: Sequence[Structure]) -> tuple[Packing, Fraction]:
-    """Fast value-oriented solve over enumerated columns (integer prices only).
-
-    The optimum value is an integer, so the float MILP result identifies an
-    optimal selection exactly; the reported value is recomputed rationally.
-    """
-    import numpy as np
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    pairs = sorted(query.instance.pairs)
-    idx = {v: i for i, v in enumerate(pairs)}
-    nvar = len(structs)
-    c = np.zeros(nvar)
-    rows, cols, vals = [], [], []
-    for j, s in enumerate(structs):
-        c[j] = -float(sum(query.price(v) for v in s.covered()))
-        for v in s.covered():
-            rows.append(idx[v])
-            cols.append(j)
-            vals.append(1.0)
-    lo = [0.0] * len(pairs)
-    hi = [1.0] * len(pairs)
-    # each NDD roots at most one chain
-    ndds = sorted(query.instance.ndds)
-    ndd_row = {a: len(pairs) + i for i, a in enumerate(ndds)}
-    for j, s in enumerate(structs):
-        if isinstance(s, Chain):
-            rows.append(ndd_row[s.ndd])
-            cols.append(j)
-            vals.append(1.0)
-    lo += [0.0] * len(ndds)
-    hi += [1.0] * len(ndds)
-    mode, k = query.cardinality
-    if mode != "free":
-        for j, s in enumerate(structs):
-            rows.append(len(lo))
-            cols.append(j)
-            vals.append(float(len(s.covered())))
-        lo.append(float(k))
-        hi.append(float(k) if mode == "exact" else np.inf)
-    from scipy.sparse import coo_matrix
-
-    A = coo_matrix((vals, (rows, cols)), shape=(len(lo), nvar))
-    res = milp(
-        c,
-        constraints=LinearConstraint(A.tocsr(), np.array(lo), np.array(hi)),
-        integrality=np.ones(nvar),
-        bounds=Bounds(np.zeros(nvar), np.ones(nvar)),
-    )
-    if res.status != 0 or res.x is None:
-        raise OracleInfeasible(f"MILP reported status {res.status}: {res.message}")
-    packing = Packing(frozenset(s for j, s in enumerate(structs) if res.x[j] > 0.5))
-    value = sum((query.price(v) for v in packing.covered), Fraction(0))
-    return packing, value
+    for _ in range(10_000):
+        A = coo_matrix((vals, (rows, cols)), shape=(len(lo), nvar))
+        res = milp(
+            c,
+            constraints=LinearConstraint(A.tocsr(), np.array(lo), np.array(hi)),
+            integrality=integrality,
+            bounds=Bounds(np.zeros(nvar), ub),
+        )
+        if res.status != 0 or res.x is None:
+            raise OracleInfeasible(f"MILP reported status {res.status}: {res.message}")
+        x = res.x
+        if not unbounded:
+            return decode(x)
+        # lazily cut off the directed cycles among selected pair-to-pair arcs
+        # that the cycle policy disallows
+        succ = {u: v for (u, v), j in arc_idx.items() if u in inst.pairs and x[j] > 0.5}
+        state: dict[int, int] = {}
+        cuts = []
+        for start in succ:
+            if state.get(start):
+                continue
+            trail, node = [], start
+            while node in succ and state.get(node) is None:
+                state[node] = 1
+                trail.append(node)
+                node = succ[node]
+            if state.get(node) == 1:  # closed a new cycle; slice it out of the trail
+                cyc = trail[trail.index(node):]
+                if policy.max_cycle_len is None or len(cyc) > policy.max_cycle_len:
+                    cuts.append(tuple((u, succ[u]) for u in cyc))
+            for u in trail:
+                state[u] = 2
+        for cut in cuts:
+            add_row([(arc_idx[a], 1.0) for a in cut], -np.inf, len(cut) - 1.0)
+            if cut_pool is not None:
+                cut_pool.append(cut)
+        if not cuts:
+            return decode(x)
+        if extra_columns is not None:
+            # the incumbent minus its disallowed cycles is a feasible,
+            # near-optimal packing; hand it back as a bonus column
+            extra_columns.append(decode(x, skip_disallowed=True))
+    raise FairkepError("subtour elimination failed to converge")
 
 
 def max_price_packing(
     query: OracleQuery,
-    cap: int = DEFAULT_ENUM_CAP,
     value_only: bool = False,
     cut_pool: Optional[list] = None,
     extra_columns: Optional[list] = None,
@@ -584,9 +526,10 @@ def max_price_packing(
     Exact and deterministic on enumerable families: ties are broken by fewest
     structures then lexicographically smallest structure ids.  `value_only` skips the tie-break
     layers, returning the first optimal packing found; with integer prices on
-    more than `BB_MAX_PAIRS` pairs the set-packing MILP answers it.  Chain
-    families that trip the `ExplosionGuard`, or unbounded chains on more than
-    2000 arcs, go to the arc MILP.  `family`, when given, must be the query's
+    more than `BB_MAX_PAIRS` pairs `_milp_max_price` answers it as a set
+    packing over the family's structures.  Families that trip the
+    `ExplosionGuard`, or unbounded chains on more than 2000 arcs, go to the
+    same MILP with cycle columns and chain-arc flows.  `family`, when given, must be the query's
     (instance, policy) `PackingFamily`: a caller that asks many queries of one
     pool builds it once, for the length of its own call, and passes it to each
     query; otherwise one is built for this query alone.  No family outlives
@@ -597,21 +540,21 @@ def max_price_packing(
     encounters on the way (useful to enrich a column pool).
     """
     if family is None:
-        family = PackingFamily(query.instance, query.policy, cap)
+        family = PackingFamily(query.instance, query.policy)
     elif (
         family.instance is not query.instance and family.instance != query.instance
     ) or family.policy != query.policy:
         raise ValueError("the packing family belongs to another instance or policy")
     structures = family.structures
     if structures is None:
-        return _milp_max_price(query, cap, cut_pool=cut_pool, extra_columns=extra_columns)
+        return _milp_max_price(query, cut_pool=cut_pool, extra_columns=extra_columns)
     if (
         structures
         and value_only
         and len(query.instance.pairs) > BB_MAX_PAIRS
         and all(Fraction(p).denominator == 1 for p in query.node_prices.values())
     ):
-        return _set_packing_milp(query, structures)
+        return _milp_max_price(query, structures, chain_arcs=False)
     return family.search(query, value_only)
 
 

@@ -1,14 +1,19 @@
-"""Maximum-cardinality packings of NDD-rooted 2-paths, alone or mixed with 2-cycles.
+"""Maximum-cardinality packings of NDD-rooted 2-paths, and of 2-cycles with them.
 
-The solver repeatedly augments: it roots a candidate structure (a 2-path from an
-exposed NDD, or a 2-cycle edge in mixed mode) and tries to free the root's
-vertices through cascades of remove-one / add-one exchanges ("alternating
-trails").  Each exchange removes the structure covering a wanted vertex and adds
-a replacement elsewhere, recursing on the replacement's still-covered vertices.
-Vertices already claimed by the cascade are banned from reuse, so trails never
-revisit a vertex and the search terminates.  The search is exhaustive over these
-cascades, so when it fails no augmenting configuration exists and the packing is
-maximum; a deficiency certificate over the NDDs witnesses optimality.
+2-path packings have their own solver, which carries an optimality
+certificate.  It repeatedly augments: it roots a candidate 2-path at an exposed
+NDD and tries to free the path's vertices through cascades of remove-one /
+add-one exchanges ("alternating trails").  Each exchange removes the 2-path
+covering a wanted vertex and adds a replacement elsewhere, recursing on the
+replacement's still-covered vertices.  Vertices already claimed by the cascade
+are banned from reuse, so trails never revisit a vertex and the search
+terminates.  The search is exhaustive over these cascades, so when it fails no
+augmenting configuration exists and the packing is maximum; a deficiency
+certificate over the NDDs witnesses optimality.
+
+Packings of 2-cycles and 2-paths together are an ordinary oracle family, the
+`TWO_CYCLE_TWO_PATH` policy, and `max_2cycle_2path_packing` is one query to
+`oracle.max_price_packing`.
 """
 
 from __future__ import annotations
@@ -18,21 +23,24 @@ from fractions import Fraction
 from itertools import count
 from typing import Iterator, Optional, Sequence
 
-from .core import Chain, Cycle, FairkepError, KepInstance, Packing
+from .core import Chain, FairkepError, KepInstance, Packing, StructurePolicy
+from .oracle import PackingFamily
+
+# 2-cycles and NDD-rooted chains of exactly two pairs
+TWO_CYCLE_TWO_PATH = StructurePolicy(max_cycle_len=2, max_chain_len=2, min_chain_len=2)
 
 
 @dataclass(frozen=True)
 class TwoPathPacking:
-    """Vertex-disjoint 2-paths (ndd, pair1, pair2), plus 2-cycles in mixed mode."""
+    """Vertex-disjoint 2-paths (ndd, pair1, pair2) rooted at distinct NDDs."""
 
     chains: frozenset[tuple[int, int, int]]
-    two_cycles: frozenset[tuple[int, int]]
     ndds: frozenset[int]
 
     def __post_init__(self):
         seen: set[int] = set()
-        for struct in list(self.chains) + list(self.two_cycles):
-            for v in struct[-2:]:
+        for (_, p, q) in self.chains:
+            for v in (p, q):
                 if v in seen:
                     raise ValueError(f"vertex {v} covered twice")
                 seen.add(v)
@@ -42,25 +50,18 @@ class TwoPathPacking:
 
     @property
     def covered(self) -> frozenset[int]:
-        out: set[int] = set()
-        for (_, p, q) in self.chains:
-            out.update((p, q))
-        for (p, q) in self.two_cycles:
-            out.update((p, q))
-        return frozenset(out)
+        return frozenset(v for (_, p, q) in self.chains for v in (p, q))
 
     @property
     def cardinality(self) -> int:
-        return 2 * (len(self.chains) + len(self.two_cycles))
+        return 2 * len(self.chains)
 
     @property
     def exposed_ndds(self) -> frozenset[int]:
         return self.ndds - {c[0] for c in self.chains}
 
     def as_packing(self) -> Packing:
-        structs: list = [Chain(ndd=a, pairs=(p, q)) for (a, p, q) in self.chains]
-        structs += [Cycle(vertices=e) for e in self.two_cycles]
-        return Packing(frozenset(structs))
+        return Packing(frozenset(Chain(ndd=a, pairs=(p, q)) for (a, p, q) in self.chains))
 
 
 @dataclass(frozen=True)
@@ -98,185 +99,120 @@ class DeficiencyCertificate:
         return len(self.ndd_set) - len(self.matching)
 
 
-# state is (chains: dict ndd -> (p, q), cycles: frozenset of sorted pair tuples)
-_State = tuple[dict[int, tuple[int, int]], frozenset[tuple[int, int]]]
+# the search state: each used NDD's 2-path (p, q)
+_Chains = dict[int, tuple[int, int]]
 
 
 class _Engine:
-    def __init__(self, instance: KepInstance, mixed: bool, ndds=None):
-        self.instance = instance
-        self.mixed = mixed
+    def __init__(self, instance: KepInstance, ndds=None):
         self.ndds = sorted(instance.ndds if ndds is None else ndds)
         out: dict[int, list[int]] = {v: [] for v in instance.pairs | instance.ndds}
         for (t, h) in instance.arcs:
             out[t].append(h)
         for v in out:
             out[v].sort()
-        self.cycle_edges: list[tuple[int, int]] = sorted(instance.undirected_edges()) if mixed else []
-        cycset = set(self.cycle_edges)
-        self.paths: dict[int, list[tuple[int, int]]] = {}
-        for a in self.ndds:
-            cand = []
-            for x in out[a]:
-                for y in out[x]:
-                    if y == x or y == a:
-                        continue
-                    # in mixed mode a 2-path whose second arc is mutual is
-                    # never needed: the 2-cycle covers the same pairs for free
-                    if mixed and (min(x, y), max(x, y)) in cycset:
-                        continue
-                    cand.append((x, y))
-            self.paths[a] = cand
+        self.paths: dict[int, list[tuple[int, int]]] = {
+            a: [(x, y) for x in out[a] for y in out[x] if y != x and y != a] for a in self.ndds
+        }
 
     # -- state helpers ------------------------------------------------------
 
-    def owner(self, v: int, chains, cycles):
+    @staticmethod
+    def owner(v: int, chains: _Chains) -> Optional[int]:
         for b, (p, q) in chains.items():
             if v == p or v == q:
-                return ("path", b)
-        for e in cycles:
-            if v in e:
-                return ("cycle", e)
+                return b
         return None
 
     # -- augmentation search -------------------------------------------------
 
-    def augment(self, chains, cycles):
+    def augment(self, chains: _Chains):
         """First augmentation found, or None.
 
-        Returns (new_chains, new_cycles, record) where record describes the
-        root structure and the exchange moves used to free its endpoints.
+        Returns (new_chains, record) where record describes the root 2-path and
+        the exchange moves used to free its endpoints.
         """
         for a in self.ndds:
             if a in chains:
                 continue
             for (u, v) in self.paths[a]:
-                got = self._root(("path", a, (u, v)), chains, cycles, frozenset({a}))
+                got = self._root(a, (u, v), chains)
                 if got is not None:
                     return got
-        for (u, v) in self.cycle_edges:
-            if (u, v) in cycles:
-                continue
-            got = self._root(("cycle", None, (u, v)), chains, cycles, frozenset())
-            if got is not None:
-                return got
         return None
 
-    def _root(self, root, chains, cycles, banned_ndds):
-        kind, a, (u, v) = root
-        banned = frozenset({u, v})
+    def _root(self, a, root, chains):
+        u, v = root
+        banned = frozenset(root)
         for first, second in ((u, v), (v, u)):
-            for c1, cy1, m1, bv1, bn1 in self._free(first, chains, cycles, banned, banned_ndds):
-                for c2, cy2, m2, bv2, bn2 in self._free(second, c1, cy1, bv1, bn1):
-                    if kind == "path":
-                        nc = dict(c2)
-                        nc[a] = (u, v)
-                        ncy = cy2
-                    else:
-                        nc = c2
-                        ncy = cy2 | {(u, v)}
-                    if first == u:
-                        mu, mv = m1, m2
-                    else:
-                        mu, mv = m2, m1
-                    return nc, ncy, (root, mu, mv)
+            for c1, m1, bv1, bn1 in self._free(first, chains, banned, frozenset({a})):
+                for c2, m2, _, _ in self._free(second, c1, bv1, bn1):
+                    nc = dict(c2)
+                    nc[a] = root
+                    mu, mv = (m1, m2) if first == u else (m2, m1)
+                    return nc, (a, root, mu, mv)
         return None
 
-    def _free(self, v, chains, cycles, bv, bn) -> Iterator:
-        """All cascades making v exposed while preserving the structure count.
+    def _free(self, v, chains, bv, bn) -> Iterator:
+        """All cascades making v exposed while preserving the 2-path count.
 
-        Yields (chains, cycles, moves, banned_vertices, banned_ndds).
+        Yields (chains, moves, banned_vertices, banned_ndds).
         """
-        own = self.owner(v, chains, cycles)
-        if own is None:
-            yield chains, cycles, [], bv, bn
+        b = self.owner(v, chains)
+        if b is None:
+            yield chains, [], bv, bn
             return
-        kind, key = own
-        if kind == "path":
-            b = key
-            if b in bn:
-                return
-            removed = ("path", b, chains[b])
-            chains = {n: pq for n, pq in chains.items() if n != b}
-            bn = bn | {b}
-        else:
-            removed = ("cycle", key)
-            cycles = cycles - {key}
-        for cand in self._replacements(removed, chains, cycles, bv, bn):
-            if cand[0] == "path":
-                _, c, (x, y) = cand
-            else:
-                _, (x, y) = cand
-            bv_add = bv | {x, y}
-            for c1, cy1, m1, bv1, bn1 in self._free(x, chains, cycles, bv_add, bn):
-                for c2, cy2, m2, bv2, bn2 in self._free(y, c1, cy1, bv1, bn1):
-                    if cand[0] == "path":
-                        nc = dict(c2)
-                        nc[c] = (x, y)
-                        ncy = cy2
-                    else:
-                        nc, ncy = c2, cy2 | {(x, y)}
-                    yield nc, ncy, [(removed, cand)] + m1 + m2, bv2, bn2
+        if b in bn:
+            return
+        removed = (b, chains[b])
+        chains = {n: pq for n, pq in chains.items() if n != b}
+        bn = bn | {b}
+        for added in self._replacements(removed, chains, bv, bn):
+            c, (x, y) = added
+            for c1, m1, bv1, bn1 in self._free(x, chains, bv | {x, y}, bn):
+                for c2, m2, bv2, bn2 in self._free(y, c1, bv1, bn1):
+                    nc = dict(c2)
+                    nc[c] = (x, y)
+                    yield nc, [(removed, added)] + m1 + m2, bv2, bn2
 
-    def _replacements(self, removed, chains, cycles, bv, bn):
-        """Candidate structures restoring the count after `removed` went out."""
-        if removed[0] == "path":
-            b, old = removed[1], removed[2]
-            for (x, y) in self.paths[b]:
-                if x not in bv and y not in bv and (x, y) != old:
-                    yield ("path", b, (x, y))
+    def _replacements(self, removed, chains, bv, bn):
+        """Candidate 2-paths restoring the count after `removed` went out."""
+        b, old = removed
+        for (x, y) in self.paths[b]:
+            if x not in bv and y not in bv and (x, y) != old:
+                yield (b, (x, y))
         for c in self.ndds:
             if c in chains or c in bn:
                 continue
             for (x, y) in self.paths[c]:
                 if x not in bv and y not in bv:
-                    yield ("path", c, (x, y))
-        for (x, y) in self.cycle_edges:
-            if x not in bv and y not in bv and (x, y) not in cycles:
-                yield ("cycle", (x, y))
+                    yield (c, (x, y))
 
 
-def _run_engine(instance: KepInstance, mixed: bool):
-    eng = _Engine(instance, mixed)
-    chains: dict[int, tuple[int, int]] = {}
-    cycles: frozenset[tuple[int, int]] = frozenset()
-    while True:
-        got = eng.augment(chains, cycles)
-        if got is None:
-            return eng, chains, cycles
-        chains, cycles, _ = got
-        cycles = frozenset(cycles)
+def _run_engine(instance: KepInstance, ndds=None) -> tuple[_Engine, _Chains]:
+    """Augment from the empty packing until no augmentation exists."""
+    eng = _Engine(instance, ndds)
+    chains: _Chains = {}
+    while (got := eng.augment(chains)) is not None:
+        chains = got[0]
+    return eng, chains
 
 
 def _trail(moves) -> AlternatingTrail:
     arcs: list[tuple[int, int]] = []
-    for removed, added in moves:
-        if removed[0] == "path":
-            b, (p, q) = removed[1], removed[2]
-            arcs += [(b, p), (p, q)]
-        else:
-            p, q = removed[1]
-            arcs += [(p, q), (q, p)]
-        if added[0] == "path":
-            c, (x, y) = added[1], added[2]
-            arcs += [(c, x), (x, y)]
-        else:
-            x, y = added[1]
-            arcs += [(x, y), (y, x)]
+    for (b, (p, q)), (c, (x, y)) in moves:
+        arcs += [(b, p), (p, q), (c, x), (x, y)]
     return AlternatingTrail(arcs=tuple(arcs))
 
 
-def _configuration(record, chains_before, cycles_before, engine) -> AugmentingConfiguration:
-    (kind, a, (u, v)), mu, mv = record
-    trails = []
-    n_covered = 0
-    for w, moves in ((u, mu), (v, mv)):
-        if engine.owner(w, chains_before, cycles_before) is not None:
-            n_covered += 1
-            trails.append(_trail(moves))
-    return AugmentingConfiguration(
-        type=1 + n_covered, ndd=a if a is not None else -1, u=u, v=v, trails=tuple(trails)
+def _configuration(record, chains_before: _Chains) -> AugmentingConfiguration:
+    a, (u, v), mu, mv = record
+    trails = tuple(
+        _trail(moves)
+        for w, moves in ((u, mu), (v, mv))
+        if _Engine.owner(w, chains_before) is not None
     )
+    return AugmentingConfiguration(type=1 + len(trails), ndd=a, u=u, v=v, trails=trails)
 
 
 def second_arc_matching(instance: KepInstance, ndd_subset) -> frozenset[tuple[int, int]]:
@@ -287,19 +223,11 @@ def second_arc_matching(instance: KepInstance, ndd_subset) -> frozenset[tuple[in
     all second-arc edges can be strictly larger than anything a 2-path packing
     realizes, which would break the deficiency identity.)
     """
-    eng = _Engine(instance, mixed=False, ndds=frozenset(ndd_subset) & instance.ndds)
-    chains: dict[int, tuple[int, int]] = {}
-    cycles: frozenset[tuple[int, int]] = frozenset()
-    while True:
-        got = eng.augment(chains, cycles)
-        if got is None:
-            break
-        chains, cycles, _ = got
-        cycles = frozenset(cycles)
+    _, chains = _run_engine(instance, frozenset(ndd_subset) & instance.ndds)
     return frozenset((min(p, q), max(p, q)) for (p, q) in chains.values())
 
 
-def _trail_closure(engine: _Engine, chains) -> frozenset[int]:
+def _trail_closure(engine: _Engine, chains: _Chains) -> frozenset[int]:
     """NDDs reachable from exposed NDDs along even-length alternating trails."""
     covered_by = {}
     for b, (p, q) in chains.items():
@@ -320,10 +248,9 @@ def _trail_closure(engine: _Engine, chains) -> frozenset[int]:
 
 def max_2path_packing(instance: KepInstance) -> tuple[TwoPathPacking, DeficiencyCertificate]:
     """Maximum packing of NDD-rooted 2-paths, with an optimality certificate."""
-    engine, chains, _ = _run_engine(instance, mixed=False)
+    engine, chains = _run_engine(instance)
     packing = TwoPathPacking(
         chains=frozenset((b, p, q) for b, (p, q) in chains.items()),
-        two_cycles=frozenset(),
         ndds=frozenset(instance.ndds),
     )
     S = _trail_closure(engine, chains)
@@ -338,24 +265,22 @@ def max_2path_packing(instance: KepInstance) -> tuple[TwoPathPacking, Deficiency
 
 
 def max_2cycle_2path_packing(instance: KepInstance) -> Packing:
-    """Maximum pair coverage over vertex-disjoint 2-cycles and NDD 2-paths."""
-    _, chains, cycles = _run_engine(instance, mixed=True)
-    structs: list = [Chain(ndd=b, pairs=pq) for b, pq in chains.items()]
-    structs += [Cycle(vertices=e) for e in cycles]
-    return Packing(frozenset(structs))
+    """Maximum pair coverage over vertex-disjoint 2-cycles and NDD 2-paths.
+
+    One unit-price, value-only query to `oracle.max_price_packing` under
+    `TWO_CYCLE_TWO_PATH`: the branch-and-bound up to `oracle.BB_MAX_PAIRS`
+    pairs, a HiGHS set packing above.
+    """
+    return PackingFamily(instance, TWO_CYCLE_TWO_PATH).maximum()[0]
 
 
 def verify_no_augmenting_configuration(
     instance: KepInstance, packing: TwoPathPacking
 ) -> Optional[AugmentingConfiguration]:
     """None when the 2-path packing admits no augmenting configuration."""
-    engine = _Engine(instance, mixed=False)
     chains = {b: (p, q) for (b, p, q) in packing.chains}
-    got = engine.augment(chains, frozenset())
-    if got is None:
-        return None
-    _, _, record = got
-    return _configuration(record, chains, frozenset(), engine)
+    got = _Engine(instance).augment(chains)
+    return None if got is None else _configuration(got[1], chains)
 
 
 def build_3dm_gadget(

@@ -36,12 +36,15 @@ HEURISTIC_NODE_SHUFFLE = "heuristic-node-shuffle"
 LEXIMIN = "leximin"
 ALGORITHMS = (IMPLICIT, HEURISTIC_ILP_SHUFFLE, HEURISTIC_NODE_SHUFFLE, LEXIMIN)
 
+# the weight of every cross-batch arc, shared (Fractions are immutable)
+ONE = Fraction(1)
+
 
 @dataclass(frozen=True)
 class WaitTimeLinear:
     """Node weight base + alpha * elapsed_days."""
 
-    base: Fraction = Fraction(1)
+    base: Fraction = ONE
     alpha: Fraction = Fraction(1, 100)
 
     def __post_init__(self):
@@ -53,7 +56,7 @@ def waiting_weight(node: int, elapsed_days, weighting: Optional[WaitTimeLinear])
     if elapsed_days < 0:
         raise ValueError("elapsed time must be >= 0")
     if weighting is None:
-        return Fraction(1)
+        return ONE
     return weighting.base + weighting.alpha * Fraction(elapsed_days)
 
 
@@ -150,7 +153,7 @@ class _Pool:
         if av["blood_patient"] not in ABO_COMPATIBLE[du]:
             return
         if self.rng.uniform(0, 100) > av["pra"]:
-            self.arcs[(u, v)] = Fraction(1)
+            self.arcs[(u, v)] = ONE
 
     def instance(self) -> KepInstance:
         return KepInstance(

@@ -292,3 +292,19 @@ class TestExitCodes:
 
     def test_help_ok(self):
         assert run(["--help"]) == EXIT_OK
+
+    def test_malformed_records_exit_2(self, tmp_path):
+        inst, lot = tmp_path / "inst.json", tmp_path / "lot.json"
+        for record in ({"x": 1}, 1):
+            inst.write_text(json.dumps({"pairs": [record]}))
+            assert run(["solve", str(inst)]) == EXIT_VALIDATION
+        lot.write_text(json.dumps({"support": [1]}))
+        assert run(["sample", str(lot)]) == EXIT_VALIDATION
+
+    def test_verbs_reject_flags_they_do_not_read(self, tmp_path):
+        out = str(tmp_path / "x.json")
+        assert run(["generate", "--pairs", "4", "--policy", "cyc3", "-o", out]) == EXIT_VALIDATION
+        assert run(["generate", "--pairs", "4", "--format", "csv", "-o", out]) == EXIT_VALIDATION
+        assert run(["fixtures", "fig1a", "--tol", "0.1", "-o", out]) == EXIT_VALIDATION
+        assert run(["fixtures", "fig1a", "-o", out]) == EXIT_OK
+        assert run(["solve", out, "--seed", "3"]) == EXIT_VALIDATION

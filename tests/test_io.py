@@ -102,6 +102,20 @@ class TestInstanceIO:
         with pytest.raises(ParseError):
             instance_from_dict({"no_pairs": []})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"pairs": [{"x": 1}]},
+            {"pairs": [1]},
+            {"pairs": [{"id": "one"}]},
+            {"pairs": [{"id": 1}], "ndds": [{"blood_donor": "O"}]},
+            {"pairs": 5},
+        ],
+    )
+    def test_malformed_records_become_parse_errors(self, data):
+        with pytest.raises(ParseError):
+            instance_from_dict(data)
+
 
 def sample_lottery():
     return Lottery(
@@ -146,3 +160,11 @@ class TestLotteryIO:
             lottery_from_dict(
                 {"support": [{"packing": [["triangle", 1, 2, 3]], "prob": "1/1"}]}
             )
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"support": [1]}, {"support": ["packing"]}, {"support": 5}, {"support": [{"packing": 5}]}],
+    )
+    def test_malformed_entries_become_parse_errors(self, data):
+        with pytest.raises(ParseError):
+            lottery_from_dict(data)

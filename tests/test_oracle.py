@@ -12,6 +12,7 @@ import pytest
 from fairkep import fair, gen, oracle
 from fairkep.core import Cycle, KepInstance, StructurePolicy
 from fairkep.oracle import (
+    CARD_FREE,
     OracleInfeasible,
     OracleQuery,
     Uncoverable,
@@ -22,10 +23,12 @@ from fairkep.oracle import (
     enumerate_structures,
     max_price_packing,
 )
+from fairkep.paths import TWO_CYCLE_TWO_PATH
 from helpers import brute_best
 
 F = Fraction
 CYC3 = StructurePolicy(max_cycle_len=3)
+CYC3_CHAIN2 = StructurePolicy(max_cycle_len=3, max_chain_len=2)
 
 
 def make(pairs, ndds, arcs):
@@ -155,7 +158,7 @@ class TestMaxPrice:
             prices = {v: F(rng.randint(0, 5)) for v in pairs}
             q = OracleQuery(instance=inst, policy=pol, node_prices=prices)
             _, val_exact = max_price_packing(q, value_only=True)
-            _, val_milp = _milp_max_price(q, cap=200000)
+            _, val_milp = _milp_max_price(q)
             assert val_exact == val_milp, (trial, val_exact, val_milp)
 
     def test_bb_agrees_with_milp_on_bounded_chains(self):
@@ -179,9 +182,9 @@ class TestMaxPrice:
                 pk_bb, val_bb = max_price_packing(q, value_only=True)
             except OracleInfeasible:
                 with pytest.raises(OracleInfeasible):
-                    _milp_max_price(q, cap=200000)
+                    _milp_max_price(q)
                 continue
-            pk_milp, val_milp = _milp_max_price(q, cap=200000)
+            pk_milp, val_milp = _milp_max_price(q)
             assert val_bb == val_milp, (trial, val_bb, val_milp)
             for pk in (pk_bb, pk_milp):
                 assert all(pol.allows(s) for s in pk.structures), trial
@@ -190,16 +193,18 @@ class TestMaxPrice:
         assert checked >= 20
 
     def test_large_pools_use_set_packing_milp(self, monkeypatch):
-        """Integer value-only queries above BB_MAX_PAIRS go to the set-packing
-        MILP, which must agree with the branch-and-bound."""
+        """Integer value-only queries above BB_MAX_PAIRS go to the MILP as a set
+        packing over the enumerated family, which must agree with the
+        branch-and-bound."""
         routed = []
-        milp = oracle._set_packing_milp
+        milp = oracle._milp_max_price
 
-        def counting(*args):
-            routed.append(args)
-            return milp(*args)
+        def counting(query, columns=None, chain_arcs=True, **kw):
+            if columns is not None and not chain_arcs:
+                routed.append(query)
+            return milp(query, columns, chain_arcs, **kw)
 
-        monkeypatch.setattr(oracle, "_set_packing_milp", counting)
+        monkeypatch.setattr(oracle, "_milp_max_price", counting)
         rng = random.Random(29)
         for trial in range(12):
             cfg = gen.GenConfig(n_pairs=oracle.BB_MAX_PAIRS + 2, seed=500 + trial)
@@ -221,6 +226,88 @@ class TestMaxPrice:
             assert val == sum((prices[v] for v in pk.covered), F(0))
             assert_cardinality(pk, card)
         assert len(routed) >= 8
+
+    def test_column_model_agrees_with_search(self):
+        """The MILP's set packing over an enumerated family against the
+        branch-and-bound on generated 20-22-pair pools with NDDs.
+
+        Unit prices and random integer prices under every cardinality mode.
+        The pools are ones the search settles in well under a second; on
+        others its unit-price runs take minutes.
+        """
+        cases = [(TWO_CYCLE_TWO_PATH, seed) for seed in (800, 801, 804, 807)]
+        cases += [(CYC3_CHAIN2, seed) for seed in (800, 804, 807)]
+        rng = random.Random(53)
+        checked = 0
+        for pol, seed in cases:
+            inst = gen.generate_instance(
+                gen.GenConfig(n_pairs=20 + (seed - 800) % 3, n_ndds=2 + seed % 2, seed=seed)
+            )
+            family = oracle.PackingFamily(inst, pol)
+            queries = [oracle._unit_query(inst, pol)]
+            for card in (("free", None), ("atleast", 6), ("exact", 8)):
+                prices = {v: F(rng.randint(-1, 3)) for v in inst.pairs}
+                queries.append(OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card))
+            for q in queries:
+                try:
+                    pk_bb, val_bb = family.search(q, value_only=True)
+                except OracleInfeasible:
+                    with pytest.raises(OracleInfeasible):
+                        _milp_max_price(q, family.structures, chain_arcs=False)
+                    continue
+                pk, val = _milp_max_price(q, family.structures, chain_arcs=False)
+                assert val == val_bb, (seed, q.cardinality)
+                assert val == sum((q.price(v) for v in pk.covered), F(0))
+                assert_cardinality(pk, q.cardinality)
+                assert all(pol.allows(s) for s in pk.structures), seed
+                if q.cardinality == CARD_FREE and set(q.node_prices.values()) == {1}:
+                    assert len(pk.covered) == len(pk_bb.covered) == val, seed
+                checked += 1
+        assert checked >= 24
+
+    def test_enumeration_cap_falls_back_to_chain_arcs(self, monkeypatch):
+        """A bounded-chain family past `ENUM_CAP` is answered by the MILP with
+        chain-arc flows, at the value the search finds over the full family."""
+        routed = []
+        milp = oracle._milp_max_price
+
+        def counting(query, columns=None, chain_arcs=True, **kw):
+            if columns is None and chain_arcs:
+                routed.append(query)
+            return milp(query, columns, chain_arcs, **kw)
+
+        rng = random.Random(59)
+        checked = 0
+        for trial in range(30):
+            inst = random_instance(rng, 6, 10, 1, 2, 0.3)
+            pol = StructurePolicy(max_cycle_len=3, max_chain_len=rng.choice([2, 3]))
+            structures = enumerate_structures(inst, pol)
+            n_cycles = sum(isinstance(s, Cycle) for s in structures)
+            if n_cycles == len(structures):
+                continue
+            prices = {v: F(rng.randint(-2, 6), rng.choice([1, 2, 3])) for v in inst.pairs}
+            card = rng.choice([("free", None), ("atleast", 2)])
+            q = OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card)
+            with monkeypatch.context() as m:
+                # room for the cycles the arc model enumerates, none for the chains
+                m.setattr(oracle, "ENUM_CAP", n_cycles)
+                m.setattr(oracle, "_milp_max_price", counting)
+                assert oracle.PackingFamily(inst, pol).structures is None
+                try:
+                    pk, val = max_price_packing(q)
+                except OracleInfeasible:
+                    pk = None
+            full = oracle.PackingFamily(inst, pol, structures=structures)
+            if pk is None:
+                with pytest.raises(OracleInfeasible):
+                    full.search(q, value_only=False)
+                continue
+            assert val == full.search(q, value_only=False)[1], trial
+            assert val == sum((prices[v] for v in pk.covered), F(0))
+            assert_cardinality(pk, card)
+            assert all(pol.allows(s) for s in pk.structures), trial
+            checked += 1
+        assert checked >= 15 and len(routed) >= checked
 
     def test_large_denominators_stay_exact(self):
         """Prices whose common denominator is far beyond 64 bits."""

@@ -145,7 +145,7 @@ class TestRandomSweeps:
             assert cert.deficiency == cert.exposed
             assert verify_no_augmenting_configuration(inst, pk) is None
             if pk.chains and bf >= 2:
-                empty = TwoPathPacking(chains=frozenset(), two_cycles=frozenset(), ndds=pk.ndds)
+                empty = TwoPathPacking(chains=frozenset(), ndds=pk.ndds)
                 cfg = verify_no_augmenting_configuration(inst, empty)
                 assert cfg is not None and cfg.type in (1, 2, 3)
 
