@@ -52,7 +52,8 @@ def parse_policy(spec: str, delta: Optional[int] = None, mu: Optional[int] = Non
     (`paths.max_2path_packing`), reached from the `solve` verb; elsewhere it
     parses to the policy that validates its outputs.  `2cyc2path` is
     `paths.TWO_CYCLE_TWO_PATH`, an ordinary oracle family for every verb;
-    `solve` answers it with one value-only maximum-cardinality query.
+    `solve` answers it with one value-only maximum-cardinality query.  Both
+    `solve` branches refuse `--prices`, `--delta` and `--mu`.
     """
     name = spec.strip()
     if name in ("match", "matching"):
@@ -224,6 +225,13 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
+    if args.policy in ("2path", "2cyc2path"):
+        given = {"--prices": args.prices, "--delta": args.delta, "--mu": args.mu}
+        unread = [flag for flag, value in given.items() if value is not None]
+        if unread:
+            raise UsageError(
+                f"solve --policy {args.policy} finds a maximum packing; it takes no {', '.join(unread)}"
+            )
     if args.policy == "2path":
         packing2, cert = paths.max_2path_packing(instance)
         result = _packing_dict(packing2.as_packing())

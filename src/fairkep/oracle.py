@@ -312,21 +312,20 @@ class PackingFamily:
 def _milp_max_price(
     query: OracleQuery,
     columns: Optional[Sequence[Structure]] = None,
-    chain_arcs: bool = True,
     cut_pool: Optional[list] = None,
     extra_columns: Optional[list] = None,
 ) -> tuple[Packing, Fraction]:
-    """The one MILP: structure columns, plus chain-arc flows when asked.
+    """The one MILP: a set packing over given columns, or cycle columns plus chain-arc flows.
 
     Each column is a binary variable for one structure.  Every pair is covered
     at most once, every NDD roots at most one chain, and a cardinality
-    constraint counts the covered pairs.  `columns` defaults to the policy's
-    cycles, or none under unbounded chains, whose arcs carry the cycles too.
-    With `chain_arcs` the policy's chains are arc flows instead: a binary per
-    arc into a pair, flow conservation at each pair, and either position
-    (MTZ-style) variables bounding the chain length or, for unbounded chains,
-    lazily added subtour cuts.  Without them the model has no arc or position
-    variables: a plain set packing over the columns.  The float optimum picks
+    constraint counts the covered pairs.  Given `columns`, the model is a
+    plain set packing over them, with no arc or position variables.  Without
+    them the columns are the policy's cycles, or none under unbounded chains,
+    whose arcs carry the cycles too, and the policy's chains are arc flows: a
+    binary per arc into a pair, flow conservation at each pair, and either
+    position (MTZ-style) variables bounding the chain length or, for unbounded
+    chains, lazily added subtour cuts.  The float optimum picks
     the packing and its value is recomputed rationally, so the answer is exact
     when the gap between distinct packing values exceeds HiGHS's tolerances
     (always so with integer prices).
@@ -336,7 +335,7 @@ def _milp_max_price(
     from scipy.sparse import coo_matrix
 
     inst, policy = query.instance, query.policy
-    chains = chain_arcs and policy.max_chain_len is not None
+    chains = columns is None and policy.max_chain_len is not None
     if chains and policy.min_chain_len > 1:
         raise ExplosionGuard("chain-arc flows do not support min_chain_len > 1")
     # Bounded chain lengths use position variables; unbounded ones drop them
@@ -554,7 +553,7 @@ def max_price_packing(
         and len(query.instance.pairs) > BB_MAX_PAIRS
         and all(Fraction(p).denominator == 1 for p in query.node_prices.values())
     ):
-        return _milp_max_price(query, structures, chain_arcs=False)
+        return _milp_max_price(query, structures)
     return family.search(query, value_only)
 
 

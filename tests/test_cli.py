@@ -185,6 +185,14 @@ class TestSolveAndStats:
         assert rep["covered"] == [1, 2]
         assert rep["deficiency"]["deficiency"] == 0
 
+    def test_solve_2path_families_reject_prices_and_relaxations(self, fig1a, tmp_path):
+        prices = tmp_path / "prices.json"
+        prices.write_text(json.dumps({"1": "2"}))
+        for pol in ("2path", "2cyc2path"):
+            for extra in (["--prices", str(prices)], ["--delta", "1"], ["--mu", "1"]):
+                assert run(["solve", str(fig1a), "--policy", pol, *extra]) == EXIT_VALIDATION
+            assert run(["solve", str(fig1a), "--policy", pol, "-o", str(tmp_path / "p.json")]) == EXIT_OK
+
     def test_stats_delta_star(self, fig1b, tmp_path):
         out = tmp_path / "s.json"
         assert run(["stats", str(fig1b), "--metric", "delta_star", "-o", str(out)]) == EXIT_OK

@@ -199,10 +199,10 @@ class TestMaxPrice:
         routed = []
         milp = oracle._milp_max_price
 
-        def counting(query, columns=None, chain_arcs=True, **kw):
-            if columns is not None and not chain_arcs:
+        def counting(query, columns=None, **kw):
+            if columns is not None:
                 routed.append(query)
-            return milp(query, columns, chain_arcs, **kw)
+            return milp(query, columns, **kw)
 
         monkeypatch.setattr(oracle, "_milp_max_price", counting)
         rng = random.Random(29)
@@ -253,9 +253,9 @@ class TestMaxPrice:
                     pk_bb, val_bb = family.search(q, value_only=True)
                 except OracleInfeasible:
                     with pytest.raises(OracleInfeasible):
-                        _milp_max_price(q, family.structures, chain_arcs=False)
+                        _milp_max_price(q, family.structures)
                     continue
-                pk, val = _milp_max_price(q, family.structures, chain_arcs=False)
+                pk, val = _milp_max_price(q, family.structures)
                 assert val == val_bb, (seed, q.cardinality)
                 assert val == sum((q.price(v) for v in pk.covered), F(0))
                 assert_cardinality(pk, q.cardinality)
@@ -271,10 +271,10 @@ class TestMaxPrice:
         routed = []
         milp = oracle._milp_max_price
 
-        def counting(query, columns=None, chain_arcs=True, **kw):
-            if columns is None and chain_arcs:
+        def counting(query, columns=None, **kw):
+            if columns is None:
                 routed.append(query)
-            return milp(query, columns, chain_arcs, **kw)
+            return milp(query, columns, **kw)
 
         rng = random.Random(59)
         checked = 0
