@@ -78,10 +78,13 @@ def parse_policy(spec: str, delta: Optional[int] = None, mu: Optional[int] = Non
         raise UsageError(f"unknown policy {spec!r} (expected {POLICY_NAMES})")
     if delta is not None and mu is not None:
         raise UsageError("--delta and --mu are mutually exclusive")
-    if delta is not None:
-        policy = replace(policy, cardinality_mode="delta", delta=delta)
-    if mu is not None:
-        policy = replace(policy, cardinality_mode="fixed", mu=mu)
+    try:
+        if delta is not None:
+            policy = replace(policy, cardinality_mode="delta", delta=delta)
+        if mu is not None:
+            policy = replace(policy, cardinality_mode="fixed", mu=mu)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     return policy
 
 
@@ -252,7 +255,7 @@ def _cmd_solve(args) -> int:
     else:
         prices = {v: Fraction(1) for v in instance.pairs}
     family = oracle.PackingFamily(instance, policy)
-    card = oracle.acceptable_cardinality(instance, policy, family) if args.prices else oracle.CARD_FREE
+    card = oracle.acceptable_cardinality(instance, policy, family)
     query = oracle.OracleQuery(
         instance=instance, policy=policy, node_prices=prices, cardinality=card
     )
@@ -359,13 +362,16 @@ def _cmd_simulate(args) -> int:
     batches = [_load_instance(f) for f in files]
     policy = parse_policy(args.policy, args.delta, args.mu)
     weighting = sim.WaitTimeLinear() if args.wait_weighting else None
-    config = sim.SimConfig(
-        policy=policy,
-        algorithm=args.algorithm,
-        weighting=weighting,
-        replications=args.replications,
-        seed=args.seed,
-    )
+    try:
+        config = sim.SimConfig(
+            policy=policy,
+            algorithm=args.algorithm,
+            weighting=weighting,
+            replications=args.replications,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc))
     trace, stats = sim.run_simulation(batches, config)
     stream = _out_stream(args.output)
     writer = csv.writer(stream)
@@ -419,7 +425,10 @@ def _cmd_stats(args) -> int:
 def _cmd_compare(args) -> int:
     instance = _load_instance(args.instance)
     policy = parse_policy(args.policy, args.delta, args.mu)
-    result = sim.compare_heuristics(instance, args.runs, seed=args.seed, policy=policy)
+    try:
+        result = sim.compare_heuristics(instance, args.runs, seed=args.seed, policy=policy)
+    except ValueError as exc:  # too few --runs
+        raise UsageError(str(exc))
     counts_a = {i: round(f * args.runs) for i, f in enumerate(result.sorted_ilp_shuffle)}
     counts_b = {i: round(f * args.runs) for i, f in enumerate(result.sorted_node_shuffle)}
     stream = _out_stream(args.output)

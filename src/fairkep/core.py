@@ -185,6 +185,8 @@ class StructurePolicy:
             raise ValueError("delta must be >= 0")
         if self.cardinality_mode == "fixed" and self.mu is None:
             raise ValueError("fixed cardinality requires mu")
+        if self.cardinality_mode == "fixed" and self.mu < 0:
+            raise ValueError("mu must be >= 0")
 
     def allows(self, s: Structure) -> bool:
         if isinstance(s, Cycle):

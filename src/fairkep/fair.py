@@ -3,13 +3,16 @@
 The solvers share a restricted master over packing columns.  The master is
 priced by any pricing callable that returns a best-price column of the
 family; the solvers here price it with the exact packing oracle, and
-lorenz.fixed_cardinality_reduction with a perfect-matching pricer.  Small
-instances use the exact rational simplex (zero-tolerance certificates);
-larger ones switch to HiGHS with a 1e-9 certificate tolerance.
+lorenz.fixed_cardinality_reduction with a perfect-matching pricer.  One
+column-generation loop (RestrictedMaster.generate) serves every LP and keeps
+the dual certificates it ends on; exact masters check each priced packing
+against them.  Small instances use the exact rational simplex
+(zero-tolerance certificates); larger ones switch to HiGHS with a 1e-9
+certificate tolerance.
 
 - solve_maximin / solve_leximin: master LPs over (p_C, lambda); leximin_lottery
-  is the level-fixing engine, with per-vertex saturation tests, over any
-  priced master.
+  is the level-fixing engine over any priced master: each round fixes the
+  pairs that the certified maximin duals price.
 - solve_nash: fully-corrective conditional gradient; the linear subproblem is
   a pricing call with node prices 1/q_v, and the Frank-Wolfe gap certifies
   the log-objective within tolerance.
@@ -35,6 +38,7 @@ from .core import (
     StructurePolicy,
     eval_gini,
     eval_leximin,
+    eval_maximin,
     eval_nash,
     eval_utilitarian,
 )
@@ -53,6 +57,9 @@ from .simplexlp import LpInfeasible, LpUnbounded, caratheodory, lp_solve_exact
 EXACT_PAIR_LIMIT = 40
 GINI_EXACT_PAIR_LIMIT = 8
 FLOAT_CERT_TOL = 1e-9
+# float leximin compares levels, dual prices and final marginals within this
+# (HiGHS's own feasibility tolerances are 1e-7)
+FLOAT_LEVEL_TOL = 1e-6
 _PRICE_DENOM = 10**12
 
 
@@ -136,6 +143,8 @@ class RestrictedMaster:
     pricing(prices) returns a packing of the family with the largest price
     sum, and that sum; it may add further columns of the family through add.
     exact picks the rational simplex over HiGHS for every LP of the solve.
+    certificates holds the (prices, z) on which column generation ended: no
+    packing of the family has a price sum above z.
     """
 
     def __init__(self, pairs: Sequence[int], pricing, exact: bool, seed: Packing):
@@ -144,6 +153,7 @@ class RestrictedMaster:
         self.exact = exact
         self.columns: list[Packing] = []
         self.covered: list[frozenset[int]] = []
+        self.certificates: list[tuple[dict[int, object], object]] = []
         self._keys: set[frozenset] = set()
         self.pricing_calls = 0
         self.add(seed)
@@ -157,8 +167,51 @@ class RestrictedMaster:
         return True
 
     def price(self, prices: dict[int, object]) -> tuple[Packing, object]:
+        """The pricing's best packing and its price sum.
+
+        On an exact master the packing must also respect every recorded
+        certificate; one that does not proves the pricing wrong, then or now.
+        """
         self.pricing_calls += 1
-        return self.pricing(prices)
+        packing, value = self.pricing(prices)
+        if self.exact:
+            for y, z in self.certificates:
+                if sum((y.get(v, 0) for v in packing.covered), Fraction(0)) > z:
+                    raise FairkepError(
+                        f"pricing returned a packing above the certified bound {z}"
+                    )
+        return packing, value
+
+    def generate(self, solve):
+        """Column generation: re-solve the restricted LP until pricing certifies it.
+
+        solve() solves the LP over the current columns and returns (solution,
+        prices, z), where the pair prices and z are its optimal duals: no
+        column prices above z.  The loop ends, and records (prices, z), once
+        the best packing of the family prices at most z as well: exactly on
+        exact masters, within FLOAT_CERT_TOL on float ones.  A float master
+        also stops, uncertified and with the gap it reached, when pricing
+        returns a column it already has.  Returns (solution, prices, rounds,
+        gap).
+        """
+        rounds = 0
+        while True:
+            rounds += 1
+            solution, prices, z = solve()
+            packing, value = self.price(prices)
+            if self.exact:
+                gap = Fraction(0)
+                done = value <= z
+            else:
+                gap = max(0.0, float(value) - z)
+                done = gap <= FLOAT_CERT_TOL
+            if done:
+                self.certificates.append((prices, z))
+                return solution, prices, rounds, gap
+            if not self.add(packing):
+                if self.exact:
+                    raise FairkepError("priced an existing column with positive reduced cost")
+                return solution, prices, rounds, gap
 
 
 def _oracle_master(
@@ -212,12 +265,11 @@ def _oracle_master(
 def _maximin_lp(master: RestrictedMaster, fixed: dict[int, object]):
     """Maximize the minimum marginal over unfixed pairs, floors on fixed ones.
 
-    Returns (level, primal weights over master.columns, iterations, gap).
+    Returns (level, primal weights over master.columns, certified pair prices,
+    iterations, gap).
     """
-    rounds = 0
-    gap = Fraction(0) if master.exact else 0.0
-    while True:
-        rounds += 1
+
+    def solve():
         k = len(master.columns)
         c = [0] * k + [1]
         A_ub, b_ub = [], []
@@ -233,53 +285,10 @@ def _maximin_lp(master: RestrictedMaster, fixed: dict[int, object]):
         x, _, duals_ub, duals_eq = lp_solve(
             c, A_ub, b_ub, [[1] * k + [0]], [1], exact=master.exact
         )
-        z = duals_eq[0]
-        prices = {v: y for v, y in zip(master.pairs, duals_ub)}
-        packing, val = master.price(prices)
-        if master.exact:
-            if val <= z:
-                return x[k], x[:k], rounds, Fraction(0)
-            if not master.add(packing):
-                raise FairkepError("priced an existing column with positive reduced cost")
-        else:
-            gap = max(0.0, float(val) - z)
-            if gap <= FLOAT_CERT_TOL or not master.add(packing):
-                return x[k], x[:k], rounds, gap
+        return x, dict(zip(master.pairs, duals_ub)), duals_eq[0]
 
-
-def _max_vertex_lp(
-    master: RestrictedMaster,
-    target: int,
-    floors: dict[int, object],
-    stop_above: object,
-):
-    """Maximize the target pair's marginal subject to floor constraints.
-
-    Returns as soon as the value exceeds stop_above (no certificate needed);
-    otherwise runs column generation to optimality.
-    """
-    while True:
-        k = len(master.columns)
-        c = [1 if target in cov else 0 for cov in master.covered]
-        rows, rhs, row_pairs = [], [], []
-        for v in master.pairs:
-            f = floors.get(v, 0)
-            if f and f > 0:
-                rows.append([-1 if v in cov else 0 for cov in master.covered])
-                rhs.append(-f)
-                row_pairs.append(v)
-        x, obj, duals_ub, duals_eq = lp_solve(
-            c, rows, rhs, [[1] * k], [1], exact=master.exact
-        )
-        if obj > stop_above:
-            return obj
-        z = duals_eq[0]
-        prices = {v: y for v, y in zip(row_pairs, duals_ub)}
-        prices[target] = prices.get(target, Fraction(0) if master.exact else 0.0) + 1
-        packing, val = master.price(prices)
-        done = (val <= z) if master.exact else (float(val) <= z + FLOAT_CERT_TOL)
-        if done or not master.add(packing):
-            return obj
+    x, prices, rounds, gap = master.generate(solve)
+    return x[-1], x[:-1], prices, rounds, gap
 
 
 def _lottery_from(master: RestrictedMaster, weights: Sequence) -> Lottery:
@@ -300,115 +309,86 @@ def _lottery_from(master: RestrictedMaster, weights: Sequence) -> Lottery:
 # solvers
 
 
-def _trivial_report(instance: KepInstance, objective) -> SolveReport:
-    lottery = Lottery(((EMPTY_PACKING, Fraction(1)),))
-    return SolveReport(
-        lottery=lottery,
-        objective=objective,
-        iterations=0,
-        pricing_calls=0,
-        gap=Fraction(0),
-        marginals={v: Fraction(0) for v in instance.pairs},
-    )
+def _solve(instance: KepInstance, policy: StructurePolicy, exact_limit: int,
+           evaluate, run, empty) -> SolveReport:
+    """The frame of every oracle-priced solver.
 
-
-def _full_coverage_report(master: RestrictedMaster, objective) -> SolveReport:
-    lottery = Lottery(((master.columns[0], Fraction(1)),))
-    return SolveReport(
-        lottery=lottery,
-        objective=objective,
-        iterations=0,
-        pricing_calls=master.pricing_calls,
-        gap=Fraction(0),
-        marginals={v: Fraction(1) for v in master.pairs},
-    )
+    An empty pool gets the empty packing, with objective `empty`.  Otherwise
+    one oracle master prices the solve, exact on up to exact_limit pairs.  A
+    family forced to cover every pair gets its seed packing; any other runs
+    run(master) -> (lottery, iterations, gap, objective).  An objective of
+    None, and the forced family's, is evaluate(marginal vector).
+    """
+    if not instance.pairs:
+        lottery = Lottery(((EMPTY_PACKING, Fraction(1)),))
+        return SolveReport(lottery, empty, 0, 0, Fraction(0), {})
+    master, full_coverage = _oracle_master(instance, policy, exact_limit)
+    if full_coverage:
+        lottery = Lottery(((master.columns[0], Fraction(1)),))
+        iterations, gap, objective = 0, Fraction(0), None
+    else:
+        lottery, iterations, gap, objective = run(master)
+    marginals = lottery.marginals(master.pairs)
+    if objective is None:
+        objective = evaluate([marginals[v] for v in master.pairs])
+    return SolveReport(lottery, objective, iterations, master.pricing_calls, gap, marginals)
 
 
 def solve_maximin(instance: KepInstance, policy: StructurePolicy) -> SolveReport:
     """Lottery maximizing the minimum per-pair coverage probability."""
-    if not instance.pairs:
-        return _trivial_report(instance, Fraction(0))
-    master, full_coverage = _oracle_master(instance, policy, EXACT_PAIR_LIMIT)
-    if full_coverage:
-        return _full_coverage_report(master, Fraction(1))
-    level, weights, rounds, gap = _maximin_lp(master, {})
-    lottery = sparsify(_lottery_from(master, weights))
-    marginals = lottery.marginals(master.pairs)
-    return SolveReport(
-        lottery=lottery,
-        objective=level if master.exact else float(level),
-        iterations=rounds,
-        pricing_calls=master.pricing_calls,
-        gap=gap,
-        marginals=marginals,
-    )
+
+    def run(master):
+        level, weights, _, rounds, gap = _maximin_lp(master, {})
+        objective = level if master.exact else float(level)
+        return sparsify(_lottery_from(master, weights)), rounds, gap, objective
+
+    return _solve(instance, policy, EXACT_PAIR_LIMIT, eval_maximin, run, empty=Fraction(0))
 
 
 def solve_leximin(instance: KepInstance, policy: StructurePolicy) -> SolveReport:
     """Lottery with the lexicographically maximal sorted marginal vector."""
-    if not instance.pairs:
-        return _trivial_report(instance, ())
-    master, full_coverage = _oracle_master(instance, policy, EXACT_PAIR_LIMIT)
-    if full_coverage:
-        return _full_coverage_report(master, tuple([Fraction(1)] * len(master.pairs)))
-    lottery, rounds, gap = leximin_lottery(master)
-    marginals = lottery.marginals(master.pairs)
-    return SolveReport(
-        lottery=lottery,
-        objective=eval_leximin([marginals[v] for v in master.pairs]),
-        iterations=rounds,
-        pricing_calls=master.pricing_calls,
-        gap=gap,
-        marginals=marginals,
-    )
+    return _solve(instance, policy, EXACT_PAIR_LIMIT, eval_leximin,
+                  lambda master: (*leximin_lottery(master), None), empty=())
 
 
 def leximin_lottery(master: RestrictedMaster) -> tuple[Lottery, int, object]:
-    """Leximin lottery over the master's priced family, by level fixing.
+    """Leximin lottery over the master's priced family, by dual fixing.
 
-    Maximize the minimum over unfixed pairs, then fix exactly the saturated
-    pairs (those whose marginal cannot exceed the level, certified by
-    per-vertex test LPs), and repeat on the rest.  Returns (sparsified
-    lottery over the master's columns, rounds, gap).
+    Each round maximizes the minimum marginal over the unfixed pairs, with
+    the fixed pairs held at their levels.  By complementary slackness, a pair
+    whose certified maximin dual price is positive sits at the level in every
+    maximin optimum, so the round fixes those pairs at the level (all of
+    them once the level reaches 1).  The unfixed prices sum to at least 1, so
+    every round fixes a pair and there are at most n rounds.  Levels never
+    decrease, though consecutive ones may be equal.  Float masters compare
+    levels, prices and marginals within FLOAT_LEVEL_TOL.  Returns
+    (sparsified lottery over the master's columns, rounds, gap).
     """
-    sat_eps = Fraction(0) if master.exact else 1e-7
+    tol = Fraction(0) if master.exact else FLOAT_LEVEL_TOL
     fixed: dict[int, object] = {}
-    weights: Sequence = []
-    last_level = None
+    level = None
     rounds = 0
     gap = Fraction(0) if master.exact else 0.0
     while len(fixed) < len(master.pairs):
-        level, weights, _, g = _maximin_lp(master, fixed)
+        last = level
+        level, weights, prices, _, g = _maximin_lp(master, fixed)
         gap = max(gap, g)
-        if last_level is not None and not level > last_level - (0 if master.exact else 1e-9):
-            raise FairkepError(f"leximin levels must increase: {level} after {last_level}")
-        floors = {v: fixed.get(v, level) for v in master.pairs}
-        newly, best, best_mx = [], None, None
-        for v in master.pairs:
-            if v in fixed:
-                continue
-            qv = sum(w for w, cov in zip(weights, master.covered) if v in cov)
-            if qv > level + sat_eps:
-                continue  # the current primal already pushes v above the level
-            if level >= 1 - (0 if master.exact else 1e-12):
-                newly.append(v)  # marginals cannot exceed 1
-                continue
-            mx = _max_vertex_lp(master, v, floors, stop_above=level + sat_eps)
-            if mx <= level + sat_eps:
-                newly.append(v)
-            elif best_mx is None or mx < best_mx:
-                best, best_mx = v, mx
+        rounds += 1
+        if last is not None and level < last - tol:
+            raise FairkepError(f"leximin levels must not decrease: {level} after {last}")
+        newly = [v for v in master.pairs if v not in fixed]
+        if level < 1 - tol:
+            newly = [v for v in newly if prices[v] > tol]
         if not newly:
-            if master.exact:
-                raise FairkepError("maximin optimum must saturate some pair")
-            if best is None:
-                raise FairkepError("no unfixed pair sits at the maximin level")
-            newly = [best]  # float-noise fallback: fix the tightest pair
+            raise FairkepError(f"the maximin duals at level {level} price no unfixed pair")
         for v in newly:
             fixed[v] = level
-        last_level = level
-        rounds += 1
-    return sparsify(_lottery_from(master, weights)), rounds, gap
+    lottery = sparsify(_lottery_from(master, weights))
+    marginals = lottery.marginals(master.pairs)
+    off = [v for v in master.pairs if abs(marginals[v] - fixed[v]) > tol]
+    if off:
+        raise FairkepError(f"pairs {off} end away from the levels they were fixed at")
+    return lottery, rounds, gap
 
 
 def solve_utilitarian(instance: KepInstance, policy: StructurePolicy) -> SolveReport:
@@ -436,59 +416,49 @@ def solve_nash(
     certifies the log objective within tol.  Starts from the maximin lottery so
     iterates stay interior.  Requires every pair coverable.
     """
-    if not instance.pairs:
-        return _trivial_report(instance, Fraction(1))
-    master, full_coverage = _oracle_master(instance, policy, EXACT_PAIR_LIMIT)
-    if full_coverage:
-        return _full_coverage_report(master, Fraction(1))
-    level, weights, _, _ = _maximin_lp(master, {})
-    if float(level) <= 0:
-        raise Uncoverable("some pair has zero maximin coverage; Nash optimum undefined")
-    pairs = master.pairs
-    n = len(pairs)
-    w = np.array([float(x) for x in weights], dtype=float)
-    best_gap = float("inf")
-    stalls = 0
-    outer = 0
-    for outer in range(1, 501):
-        A = _indicator_matrix(master, pairs)
-        q = A @ w
-        grad = 1.0 / np.clip(q, 1e-15, None)
-        prices = {v: grad[i] for i, v in enumerate(pairs)}
-        packing, val = master.price(prices)
-        gap = max(0.0, float(val) - n)
-        best_gap = min(best_gap, gap)
-        if gap <= tol:
-            break
-        grew = master.add(packing)
-        if grew:
+
+    def run(master):
+        level, weights, _, _, _ = _maximin_lp(master, {})
+        if float(level) <= 0:
+            raise Uncoverable("some pair has zero maximin coverage; Nash optimum undefined")
+        pairs = master.pairs
+        n = len(pairs)
+        w = np.array([float(x) for x in weights], dtype=float)
+        best_gap = float("inf")
+        stalls = 0
+        outer = 0
+        for outer in range(1, 501):
             A = _indicator_matrix(master, pairs)
-            s = np.zeros(len(master.columns))
-            s[-1] = 1.0
-            w = np.append(w, 0.0)
-            w = _line_search_mix(A, w, s)
-        elif stalls >= 3:
-            raise StalledBelowTolerance(
-                f"Nash gap stalled at {best_gap:.3g} above tolerance {tol:g}", best_gap
-            )
+            q = A @ w
+            grad = 1.0 / np.clip(q, 1e-15, None)
+            prices = {v: grad[i] for i, v in enumerate(pairs)}
+            packing, val = master.price(prices)
+            gap = max(0.0, float(val) - n)
+            best_gap = min(best_gap, gap)
+            if gap <= tol:
+                break
+            grew = master.add(packing)
+            if grew:
+                A = _indicator_matrix(master, pairs)
+                s = np.zeros(len(master.columns))
+                s[-1] = 1.0
+                w = np.append(w, 0.0)
+                w = _line_search_mix(A, w, s)
+            elif stalls >= 3:
+                raise StalledBelowTolerance(
+                    f"Nash gap stalled at {best_gap:.3g} above tolerance {tol:g}", best_gap
+                )
+            else:
+                stalls += 1
+            w = _corrective_step(A, w)
         else:
-            stalls += 1
-        w = _corrective_step(A, w)
-    else:
-        raise StalledBelowTolerance(
-            f"Nash gap {best_gap:.3g} above tolerance {tol:g} after {outer} iterations",
-            best_gap,
-        )
-    lottery = sparsify(_lottery_from(master, w))
-    marginals = lottery.marginals(pairs)
-    return SolveReport(
-        lottery=lottery,
-        objective=eval_nash([marginals[v] for v in pairs]),
-        iterations=outer,
-        pricing_calls=master.pricing_calls,
-        gap=gap,
-        marginals=marginals,
-    )
+            raise StalledBelowTolerance(
+                f"Nash gap {best_gap:.3g} above tolerance {tol:g} after {outer} iterations",
+                best_gap,
+            )
+        return sparsify(_lottery_from(master, w)), outer, gap, None
+
+    return _solve(instance, policy, EXACT_PAIR_LIMIT, eval_nash, run, empty=Fraction(1))
 
 
 def _indicator_matrix(master: RestrictedMaster, pairs: list[int]) -> np.ndarray:
@@ -558,44 +528,33 @@ def solve_gini(
     problem min sum(t) - mu*2n*sum(q) with t_uv >= |q_u - q_v| is an LP solved
     by column generation; converges when the inner optimum reaches -tol.
     """
-    if not instance.pairs:
-        return _trivial_report(instance, Fraction(0))
-    master, full_coverage = _oracle_master(instance, policy, GINI_EXACT_PAIR_LIMIT)
-    if full_coverage:
-        return _full_coverage_report(master, Fraction(0))
-    _, weights, _, _ = _maximin_lp(master, {})
-    weights = list(weights) + [0] * (len(master.columns) - len(weights))
-    marginals = _lottery_from(master, weights).marginals(master.pairs)
-    if all(q == 0 for q in marginals.values()):
-        raise DegenerateAllZero("every acceptable packing covers nothing")
-    mu = eval_gini([marginals[v] for v in master.pairs])
-    tol_val = Fraction(tol).limit_denominator(10**14) if master.exact else tol
-    outer = 0
-    for outer in range(1, 61):
-        D, p_star, q_star = _gini_inner(master, mu)
-        if D >= -tol_val:
-            break
-        weights = p_star
-        denom = 2 * len(master.pairs) * sum(q_star)
-        if not denom > 0:
-            raise FairkepError("Gini inner optimum covers no pair")
-        mu_next = _abs_diff_sum(q_star) / denom
-        if not mu_next < mu + (0 if master.exact else 1e-12):
-            raise FairkepError(f"Gini ratio must decrease: {mu_next} after {mu}")
-        mu = mu_next
-    else:
-        raise StalledBelowTolerance("Gini ratio iterations failed to converge", float(D))
-    weights = list(weights) + [0] * (len(master.columns) - len(weights))
-    lottery = sparsify(_lottery_from(master, weights))
-    marginals = lottery.marginals(master.pairs)
-    return SolveReport(
-        lottery=lottery,
-        objective=eval_gini([marginals[v] for v in master.pairs]),
-        iterations=outer,
-        pricing_calls=master.pricing_calls,
-        gap=max(-D, Fraction(0) if master.exact else 0.0),
-        marginals=marginals,
-    )
+
+    def run(master):
+        _, weights, _, _, _ = _maximin_lp(master, {})
+        marginals = _lottery_from(master, weights).marginals(master.pairs)
+        if all(q == 0 for q in marginals.values()):
+            raise DegenerateAllZero("every acceptable packing covers nothing")
+        mu = eval_gini([marginals[v] for v in master.pairs])
+        tol_val = Fraction(tol).limit_denominator(10**14) if master.exact else tol
+        outer = 0
+        for outer in range(1, 61):
+            D, p_star, q_star = _gini_inner(master, mu)
+            if D >= -tol_val:
+                break
+            weights = p_star
+            denom = 2 * len(master.pairs) * sum(q_star)
+            if not denom > 0:
+                raise FairkepError("Gini inner optimum covers no pair")
+            mu_next = _abs_diff_sum(q_star) / denom
+            if not mu_next < mu + (0 if master.exact else 1e-12):
+                raise FairkepError(f"Gini ratio must decrease: {mu_next} after {mu}")
+            mu = mu_next
+        else:
+            raise StalledBelowTolerance("Gini ratio iterations failed to converge", float(D))
+        gap = max(-D, Fraction(0) if master.exact else 0.0)
+        return sparsify(_lottery_from(master, weights)), outer, gap, None
+
+    return _solve(instance, policy, GINI_EXACT_PAIR_LIMIT, eval_gini, run, empty=Fraction(0))
 
 
 def _abs_diff_sum(q: Sequence) -> object:
@@ -616,7 +575,8 @@ def _gini_inner(master: RestrictedMaster, mu):
     upairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     m = len(upairs)
     coef_q = 2 * n * mu
-    while True:
+
+    def solve():
         k = len(master.columns)
         nv = k + n + m
         c = [0] * k + [coef_q] * n + [-2] * m
@@ -641,12 +601,10 @@ def _gini_inner(master: RestrictedMaster, mu):
                 A_ub.append(row)
                 b_ub.append(0)
         x, obj, _, duals_eq = lp_solve(c, A_ub, b_ub, A_eq, b_eq, exact=master.exact)
-        prices = {v: duals_eq[idx[v]] for v in pairs}
-        z = duals_eq[n]
-        packing, val = master.price(prices)
-        done = (val <= z) if master.exact else (float(val) <= z + FLOAT_CERT_TOL)
-        if done or not master.add(packing):
-            return -obj, x[:k], x[k : k + n]
+        return (-obj, x[:k], x[k : k + n]), {v: duals_eq[idx[v]] for v in pairs}, duals_eq[n]
+
+    optimum, _, _, _ = master.generate(solve)
+    return optimum
 
 
 # ---------------------------------------------------------------------------

@@ -449,6 +449,8 @@ class LeximinSolution:
     c_matching: frozenset[Edge]
     support: list[tuple[frozenset[Edge], Fraction]]
     marginals: dict[int, Fraction]
+    # edge weights of a maximum-weight solution (None: cardinality only)
+    weights: Optional[Mapping[Edge, Fraction]] = None
     perfect: bool = False
 
     def check(self) -> None:
@@ -573,6 +575,27 @@ def _solve_engine(
         c_matching=c_matching,
         support=support,
         marginals=marginals,
+        weights=weights,
+    )
+
+
+def _perfect_solution(
+    graph: UGraph, weights: Optional[Mapping[Edge, Fraction]]
+) -> LeximinSolution:
+    """A graph with a perfect matching: one (maximum-weight) perfect matching."""
+    pm = _Internals(graph, weights).pm(frozenset(graph.vertices)) if graph.vertices else frozenset()
+    cb = ContractedBipartite(left=(), pseudos=(), edges=frozenset(), attach={})
+    return LeximinSolution(
+        graph=graph,
+        cb=cb,
+        partition=BlockPartition(cb=cb, peels=()),
+        cover=CoverMatrix(rows=(), cols=(), entries={}, col_demand={}),
+        decomposition=[({}, ONE)],
+        c_matching=pm,
+        support=[(pm, ONE)],
+        marginals={v: ONE for v in graph.vertices},
+        weights=weights,
+        perfect=True,
     )
 
 
@@ -580,26 +603,13 @@ def leximin_lottery_graph(graph: UGraph) -> LeximinSolution:
     """Leximin (Lorenz-dominant) lottery over maximum-cardinality matchings."""
     ge = gallai_edmonds(graph)
     if not ge.D:
-        internals = _Internals(graph, None)
-        pm = internals.pm(frozenset(graph.vertices)) if graph.vertices else frozenset()
-        cb = ContractedBipartite(left=(), pseudos=(), edges=frozenset(), attach={})
-        return LeximinSolution(
-            graph=graph,
-            cb=cb,
-            partition=BlockPartition(cb=cb, peels=()),
-            cover=CoverMatrix(rows=(), cols=(), entries={}, col_demand={}),
-            decomposition=[({}, ONE)],
-            c_matching=pm,
-            support=[(pm, ONE)],
-            marginals={v: ONE for v in graph.vertices},
-            perfect=True,
-        )
-    cb = contract(graph, ge)
-    return _solve_engine(graph, cb, None, frozenset(ge.C))
+        return _perfect_solution(graph, None)
+    return _solve_engine(graph, contract(graph, ge), None, frozenset(ge.C))
 
 
 def sample_matching(solution: LeximinSolution, seed: int) -> frozenset[Edge]:
-    """Sample one maximum matching; frequencies converge to the lottery marginals."""
+    """Sample one matching of the solution's family (maximum-weight when the
+    solution carries weights); frequencies converge to the lottery marginals."""
     rng = random.Random(seed)
     cb = solution.cb
     den = lcm(*(p.denominator for _, p in solution.decomposition))
@@ -611,7 +621,7 @@ def sample_matching(solution: LeximinSolution, seed: int) -> frozenset[Edge]:
         if draw < acc:
             chosen = M
             break
-    internals = _Internals(solution.graph, None)
+    internals = _Internals(solution.graph, solution.weights)
     edges: set[Edge] = set(solution.c_matching)
     matched = set(chosen.values())
     for u, pid in chosen.items():
@@ -697,15 +707,7 @@ def edge_weight_reduction(
 def edge_weight_solution(graph: UGraph, weights: Mapping[Edge, Fraction]) -> LeximinSolution:
     ge = gallai_edmonds(graph)
     if not ge.D:
-        internals = _Internals(graph, weights)
-        pm = internals.pm(frozenset(graph.vertices)) if graph.vertices else frozenset()
-        cb = ContractedBipartite(left=(), pseudos=(), edges=frozenset(), attach={})
-        return LeximinSolution(
-            graph=graph, cb=cb, partition=BlockPartition(cb=cb, peels=()),
-            cover=CoverMatrix(rows=(), cols=(), entries={}, col_demand={}),
-            decomposition=[({}, ONE)], c_matching=pm, support=[(pm, ONE)],
-            marginals={v: ONE for v in graph.vertices}, perfect=True,
-        )
+        return _perfect_solution(graph, weights)
     cb = contract(graph, ge)
     # best internal (near-perfect) weight and eligible removal vertices per component
     w_best: dict[int, Fraction] = {}
@@ -809,10 +811,13 @@ def fixed_cardinality_reduction(
         raise CardinalityOutOfRange(f"need ν/2 <= mu <= ν, got mu={mu}, ν={nu}")
     n = len(graph.vertices)
     dummies = [-(i + 1) for i in range(n - 2 * mu)]
+    # dummy edges absorb the uncovered vertices; their (0, 0) tiers add
+    # nothing to lex_weights' scale, so only the real edges are weighted
+    dummy_edges = [norm_edge(dv, v) for dv in dummies for v in graph.vertices]
+    big = UGraph.of(set(graph.vertices) | set(dummies), [*graph.edges, *dummy_edges])
     w_star: list[Optional[Fraction]] = [None]
 
     def pricing(prices: Mapping[int, Fraction]) -> tuple[Packing, Fraction]:
-        verts = set(graph.vertices) | set(dummies)
         tiers: dict[Edge, tuple[Fraction, Fraction]] = {}
         for e in graph.edges:
             u, v = e
@@ -820,12 +825,8 @@ def fixed_cardinality_reduction(
                 Fraction(weights.get(e, 0)),
                 Fraction(prices.get(u, 0)) + Fraction(prices.get(v, 0)),
             )
-        for dv in dummies:
-            for v in graph.vertices:
-                tiers[norm_edge(dv, v)] = (ZERO, ZERO)
-        big = UGraph.of(verts, tiers.keys())
-        m = max_weight_matching(big, lex_weights(tiers, len(verts)), maxcardinality=True)
-        if 2 * len(m) != len(verts):
+        m = max_weight_matching(big, lex_weights(tiers, len(big.vertices)), maxcardinality=True)
+        if 2 * len(m) != len(big.vertices):
             raise CardinalityOutOfRange(f"no matching with exactly {mu} edges exists")
         real = frozenset(e for e in m if e[0] >= 0 and e[1] >= 0)
         if len(real) != mu:

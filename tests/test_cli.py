@@ -193,6 +193,18 @@ class TestSolveAndStats:
                 assert run(["solve", str(fig1a), "--policy", pol, *extra]) == EXIT_VALIDATION
             assert run(["solve", str(fig1a), "--policy", pol, "-o", str(tmp_path / "p.json")]) == EXIT_OK
 
+    def test_solve_honours_mu_without_prices(self, tmp_path):
+        # the unit-price query keeps the policy's cardinality, with or without --prices
+        inst, prices = tmp_path / "g.json", tmp_path / "prices.json"
+        assert run(["generate", "--pairs", "16", "--seed", "7", "-o", str(inst)]) == EXIT_OK
+        pairs = io.read_instance(inst).pairs
+        prices.write_text(json.dumps({str(v): "1" for v in pairs}))
+        for extra in ([], ["--prices", str(prices)]):
+            out = tmp_path / "p.json"
+            argv = ["solve", str(inst), "--policy", "match", "--mu", "1", *extra, "-o", str(out)]
+            assert run(argv) == EXIT_OK
+            assert len(json.loads(out.read_text())["covered"]) == 2
+
     def test_stats_delta_star(self, fig1b, tmp_path):
         out = tmp_path / "s.json"
         assert run(["stats", str(fig1b), "--metric", "delta_star", "-o", str(out)]) == EXIT_OK
@@ -316,3 +328,16 @@ class TestExitCodes:
         assert run(["fixtures", "fig1a", "--tol", "0.1", "-o", out]) == EXIT_VALIDATION
         assert run(["fixtures", "fig1a", "-o", out]) == EXIT_OK
         assert run(["solve", out, "--seed", "3"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--batches", "{batches}", "--replications", "0"],
+        ["compare", "{instance}", "--runs", "5"],
+        ["lottery", "{instance}", "--delta", "-1"],
+        ["stats", "{instance}", "--metric", "delta_star", "--delta", "-2"],
+        ["lottery", "{instance}", "--mu", "-1"],
+    ], ids=["replications", "runs", "lottery-delta", "stats-delta", "mu"])
+    def test_bad_flag_values_exit_2(self, argv, fig1a, tmp_path):
+        batches = tmp_path / "batches"
+        assert run(["generate", "--pairs", "4", "--batches", "1", "-o", str(batches)]) == EXIT_OK
+        paths = {"batches": str(batches), "instance": str(fig1a)}
+        assert run([arg.format(**paths) for arg in argv]) == EXIT_VALIDATION

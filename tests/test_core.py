@@ -113,6 +113,8 @@ class TestPolicies:
             StructurePolicy(cardinality_mode="nope")
         with pytest.raises(ValueError):
             StructurePolicy(cardinality_mode="fixed")  # needs mu
+        with pytest.raises(ValueError, match="mu must be >= 0"):
+            StructurePolicy(cardinality_mode="fixed", mu=-1)
 
     def test_allows(self):
         pol = StructurePolicy(max_cycle_len=3, max_chain_len=2)

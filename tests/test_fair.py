@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import random
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import fairkep
-from fairkep import fair
+from fairkep import fair, gen
 from fairkep.core import Cycle, FairkepError, KepInstance, Lottery, Packing, StructurePolicy
 from fairkep.fair import (
     solve_gini,
@@ -26,7 +27,7 @@ from fairkep.fair import (
     solve_utilitarian,
     sparsify,
 )
-from fairkep.oracle import enumerate_structures
+from fairkep.oracle import delta_star, enumerate_structures
 from helpers import leximin_marginals
 
 F = Fraction
@@ -274,35 +275,54 @@ class TestChecks:
     """Invariant checks that raise FairkepError rather than assert, triggered
     through stubs of the solvers' inner steps."""
 
-    def test_leximin_levels_must_increase(self, monkeypatch):
+    def test_leximin_levels_must_not_decrease(self, monkeypatch):
         real, calls = fair._maximin_lp, []
 
         def lower_second_level(master, fixed):
-            level, weights, rounds, gap = real(master, fixed)
+            level, *rest = real(master, fixed)
             calls.append(level)
-            return (level if len(calls) == 1 else F(1, 4)), weights, rounds, gap
+            return (level if len(calls) == 1 else F(1, 4)), *rest
 
         monkeypatch.setattr(fair, "_maximin_lp", lower_second_level)
-        with pytest.raises(FairkepError, match="levels must increase"):
+        with pytest.raises(FairkepError, match="levels must not decrease"):
             solve_leximin(SHARED, CYC3D1)
 
-    def test_leximin_exact_optimum_must_saturate(self, monkeypatch):
-        monkeypatch.setattr(fair, "_max_vertex_lp", lambda *args, **kwargs: F(2))
-        with pytest.raises(FairkepError, match="must saturate some pair"):
+    def test_leximin_duals_must_price_an_unfixed_pair(self, monkeypatch):
+        # below level 1, a round whose duals price no unfixed pair fixes nothing
+        real = fair._maximin_lp
+
+        def unpriced(master, fixed):
+            level, weights, prices, rounds, gap = real(master, fixed)
+            return level, weights, {v: 0 * y for v, y in prices.items()}, rounds, gap
+
+        monkeypatch.setattr(fair, "_maximin_lp", unpriced)
+        with pytest.raises(FairkepError, match="price no unfixed pair"):
             solve_leximin(SHARED, CYC3D1)
 
-    def test_leximin_float_fallback_needs_a_pair(self, monkeypatch):
-        # a float master whose reported level sits below every pair's marginal
+    @pytest.mark.parametrize("exact_limit", [40, 0], ids=["exact", "float"])
+    def test_leximin_pairs_end_at_their_levels(self, monkeypatch, exact_limit):
+        # levels reported 1/4 below the truth fix pairs that the final lottery
+        # covers more often than their levels
         real = fair._maximin_lp
 
         def low_level(master, fixed):
-            level, weights, rounds, gap = real(master, fixed)
-            return level - 0.25, weights, rounds, gap
+            level, *rest = real(master, fixed)
+            return level - F(1, 4), *rest
 
-        monkeypatch.setattr(fair, "EXACT_PAIR_LIMIT", 0)
+        monkeypatch.setattr(fair, "EXACT_PAIR_LIMIT", exact_limit)
         monkeypatch.setattr(fair, "_maximin_lp", low_level)
-        with pytest.raises(FairkepError, match="no unfixed pair"):
+        with pytest.raises(FairkepError, match="end away from the levels"):
             solve_leximin(SHARED, CYC3D1)
+
+    @pytest.mark.parametrize("inner", ["maximin", "gini"])
+    def test_exact_master_rejects_existing_column_priced_above_bound(self, inner):
+        seed = Packing.of(Cycle((1, 2)))
+        master = fair.RestrictedMaster([1, 2, 3, 4], lambda prices: (seed, F(10)), True, seed)
+        with pytest.raises(FairkepError, match="existing column with positive reduced cost"):
+            if inner == "maximin":
+                fair._maximin_lp(master, {})
+            else:
+                fair._gini_inner(master, F(1, 4))
 
     def test_gini_inner_must_cover_a_pair(self, monkeypatch):
         monkeypatch.setattr(fair, "_gini_inner", lambda master, mu: (F(-1), [], [F(0)] * 4))
@@ -314,3 +334,31 @@ class TestChecks:
         monkeypatch.setattr(fair, "_gini_inner", lambda master, mu: (F(-1), [], [F(1), 0, 0, 0]))
         with pytest.raises(FairkepError, match="ratio must decrease"):
             solve_gini(SHARED, CYC3D1)
+
+
+class TestPinnedMarginals:
+    # sha256 over the leximin marginals of 40 generated 12-15-pair cyc3 pools
+    # (preprocessed; delta* + 1 on even pools, delta* on odd ones), solved on
+    # exact masters and on float masters (rounded to 1e-9); recorded with
+    # per-pair saturation tests. Leximin marginals are unique, so every
+    # correct level-fixing rule reproduces them.
+    PINNED = "bfef45a27cf437aec3b64710e14d60b9f94fdd16a106994e769d35ab0c9f5fb6"
+
+    @staticmethod
+    def pools():
+        for u in range(40):
+            inst = gen.generate_instance(gen.GenConfig(n_pairs=12 + u % 4, seed=0x50000 + u))
+            reduced, _ = fair.preprocess(inst, CYC3)
+            delta = delta_star(reduced, CYC3) + 1 - u % 2
+            yield reduced, replace(CYC3, cardinality_mode="delta", delta=delta)
+
+    def test_marginals_unchanged(self, monkeypatch):
+        h = hashlib.sha256()
+        for inst, pol in self.pools():
+            exact = solve_leximin(inst, pol).marginals
+            h.update(repr(sorted(exact.items())).encode())
+        monkeypatch.setattr(fair, "EXACT_PAIR_LIMIT", 0)
+        for inst, pol in self.pools():
+            floats = solve_leximin(inst, pol).marginals
+            h.update(repr([(v, round(float(q), 9)) for v, q in sorted(floats.items())]).encode())
+        assert h.hexdigest() == self.PINNED

@@ -114,6 +114,21 @@ class TestSampling:
                 assert m1 == sample_matching(sol, seed)
                 check_is_max_matching(g, m1)
 
+    def test_weighted_samples_are_maximum_weight(self):
+        # a sample of an edge-weighted solution is a maximum matching of the
+        # largest weight, as is every matching of its lottery
+        rng = random.Random(5)
+        for _ in range(35):
+            g = random_graph(rng, rng.randint(5, 9), 0.5)
+            w = {e: F(rng.randint(0, 4)) for e in sorted(g.edges)}
+            best = max((sum((w[e] for e in m), F(0)) for m in maximum_matchings(g.edges)),
+                       default=F(0))
+            sol = edge_weight_solution(g, w)
+            for seed in range(5):
+                m = sample_matching(sol, seed)
+                check_is_max_matching(g, m)
+                assert sum((w[e] for e in m), F(0)) == best
+
     def test_frequencies_approach_marginals(self):
         g = ug([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
         sol = leximin_lottery_graph(g)
@@ -331,7 +346,7 @@ class TestChecks:
 
     def test_leximin_cg_rejects_inconsistent_pricing(self):
         # the pricing claims optimality for {1} during the maximin phase, then
-        # produces a column covering both pairs: no pair saturates
+        # produces a column covering both pairs, which that certificate excludes
         only_1 = Packing(frozenset({Cycle((1, 10))}))
         both = Packing(frozenset({Cycle((1, 10)), Cycle((2, 20))}))
         calls = []
@@ -342,7 +357,7 @@ class TestChecks:
             return packing, sum((prices.get(v, 0) for v in packing.covered), F(0))
 
         master = RestrictedMaster([1, 2], pricing, exact=True, seed=only_1)
-        with pytest.raises(FairkepError, match="must saturate some pair"):
+        with pytest.raises(FairkepError, match="above the certified bound"):
             leximin_lottery(master)
         assert len(calls) >= 2
 
