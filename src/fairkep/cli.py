@@ -310,7 +310,8 @@ def _cmd_lottery(args) -> int:
                 ew[(min(u, v), max(u, v))] = io.parse_rational(x, f"weight[{k}]")
             lottery = lorenz.edge_weight_reduction(instance, ew)
         else:
-            lottery = lorenz.fixed_cardinality_reduction(instance, mu=args.mu)
+            policy = parse_policy(args.policy, args.delta, args.mu)
+            lottery = lorenz.fixed_cardinality_reduction(instance, mu=policy.mu)
         report_dict = {"objective": "leximin", "iterations": 0, "gap": 0}
     else:
         report = _solve_lottery(instance, args)

@@ -96,10 +96,15 @@ class OracleQuery:
 
 
 def enumerate_structures(instance: KepInstance, policy: StructurePolicy) -> list[Structure]:
-    """All acceptable simple cycles and chains, sorted deterministically.
+    """All acceptable simple cycles and chains, sorted by `sort_key`.
 
-    Chains are enumerated up to min(policy.max_chain_len, number of pairs), so
-    an unbounded chain policy on a large pool trips the guard rather than
+    The result is sorted after the search, so its order does not depend on
+    the order in which the search finds the structures.  A cycle grows from
+    its smallest vertex through larger ones only, and closes whenever the
+    vertex just appended has the start among its successors, so the search
+    never descends a level only to look for the closing arc.  Chains are
+    enumerated up to min(policy.max_chain_len, number of pairs), so an
+    unbounded chain policy on a large pool trips the guard rather than
     materializing the family.
     """
     cap = ENUM_CAP
@@ -117,14 +122,18 @@ def enumerate_structures(instance: KepInstance, policy: StructurePolicy) -> list
 
     if policy.max_cycle_len is not None:
         L = policy.max_cycle_len
+        succ = {v: set(ws) for v, ws in adj.items()}
 
         def cyc(start: int, path: list[int]) -> None:
-            u = path[-1]
-            for w in adj[u]:
-                if w == start and len(path) >= 2:
-                    emit(Cycle(vertices=tuple(path)))
-                elif w > start and w not in path and len(path) < L:
-                    cyc(start, path + [w])
+            deeper = len(path) + 1 < L
+            for w in adj[path[-1]]:
+                if w > start and w not in path:
+                    if start in succ[w]:
+                        emit(Cycle(vertices=(*path, w)))
+                    if deeper:
+                        path.append(w)
+                        cyc(start, path)
+                        path.pop()
 
         for start in sorted(instance.pairs):
             cyc(start, [start])

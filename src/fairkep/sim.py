@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import FairkepError, KepInstance, Packing, StructurePolicy
+from .core import KepInstance, Packing, StructurePolicy
 from .fair import solve_leximin
 from .gen import ABO_COMPATIBLE
 from .oracle import OracleQuery, enumerate_structures, max_price_over, max_price_packing
-from .simplexlp import LpInfeasible
 
 IMPLICIT = "implicit"
 HEURISTIC_ILP_SHUFFLE = "heuristic-ilp-shuffle"
@@ -108,15 +107,37 @@ class WaitStats:
     mean: float
 
 
+def _wait_prices(config: SimConfig, periods: int) -> list[Fraction]:
+    """The waiting-time price of a pair after 0, 1, ..., periods - 1 periods.
+
+    A wait is a whole number of periods, so a replication prices each
+    possible wait once instead of every pair in every period.
+    """
+    return [waiting_weight(0, t * config.period_days, config.weighting) for t in range(periods)]
+
+
 class _Pool:
     """Mutable pool state of one replication: nodes, arcs, arrival periods.
 
     `arcs` and `attributes` hold the live nodes only; `arrival` keeps every
     node ever seen.
+
+    Arrival draw order: a batch's nodes get the next ids, its pairs first,
+    each part in the batch's id order.  Its own arcs are kept as given.  Then
+    every node already in the pool (pairs and NDDs, in id order) is tested
+    against every new pair, and every new node (in id order) against every
+    pair already in the pool, each source's targets in id order.  Each test
+    of a donor blood type against a compatible patient blood type makes one
+    uniform draw in [0, 100); the arc exists when the draw exceeds the
+    patient's PRA.  Incompatible or attribute-less pairs make no draw.  The
+    draws share the replication's generator with the period solves, so a
+    simulation is reproducible only as long as this order holds.
     """
 
-    def __init__(self, rng: random.Random):
+    def __init__(self, rng: random.Random, wait_prices: Sequence[Fraction]):
         self.rng = rng
+        # wait_prices[t]: the price of a pair that has waited t periods
+        self.wait_prices = wait_prices
         self.pairs: set[int] = set()
         self.ndds: set[int] = set()
         self.arcs: dict[tuple[int, int], Fraction] = {}
@@ -129,31 +150,44 @@ class _Pool:
         for v in sorted(batch.pairs) + sorted(batch.ndds):
             remap[v] = self.next_id
             self.next_id += 1
-        new_pairs = {remap[v] for v in batch.pairs}
-        new_ndds = {remap[a] for a in batch.ndds}
+        new_pairs = sorted(remap[v] for v in batch.pairs)
+        new_ndds = sorted(remap[a] for a in batch.ndds)
+        new_nodes = new_pairs + new_ndds
         for (u, v), w in sorted(batch.arcs.items()):
             self.arcs[(remap[u], remap[v])] = w
         for v, attrs in batch.attributes.items():
             self.attributes[remap[v]] = dict(attrs)
-        # cross-batch arcs from blood-type compatibility + PRA test
-        for u in sorted(self.pairs | self.ndds | new_pairs | new_ndds):
-            for v in sorted(new_pairs if u not in new_pairs | new_ndds else self.pairs):
-                self._try_arc(u, v)
-        self.pairs |= new_pairs
-        self.ndds |= new_ndds
-        for v in sorted(new_pairs | new_ndds):
+        # cross-batch arcs from blood-type compatibility + PRA test; new ids
+        # exceed old ones, so old sources come first
+        self._draw_arcs(sorted(self.pairs | self.ndds), new_pairs)
+        self._draw_arcs(new_nodes, sorted(self.pairs))
+        self.pairs.update(new_pairs)
+        self.ndds.update(new_ndds)
+        for v in new_nodes:
             self.arrival[v] = period
-        return frozenset(new_pairs | new_ndds)
+        return frozenset(new_nodes)
 
-    def _try_arc(self, u: int, v: int) -> None:
-        du = self.attributes.get(u, {}).get("blood_donor")
-        av = self.attributes.get(v, {})
-        if du is None or "blood_patient" not in av:
-            return
-        if av["blood_patient"] not in ABO_COMPATIBLE[du]:
-            return
-        if self.rng.uniform(0, 100) > av["pra"]:
-            self.arcs[(u, v)] = ONE
+    def _draw_arcs(self, sources: list[int], targets: list[int]) -> None:
+        """One draw per blood-compatible (source, target), in list order."""
+        attributes, arcs, draw = self.attributes, self.arcs, self.rng.random
+        # donor blood type -> the compatible targets with their PRA, in order
+        compatible: dict[str, list[tuple[int, int]]] = {}
+        for u in sources:
+            donor = attributes.get(u, {}).get("blood_donor")
+            if donor is None:
+                continue
+            row = compatible.get(donor)
+            if row is None:
+                ok = ABO_COMPATIBLE[donor]
+                row = compatible[donor] = [
+                    (v, attributes[v]["pra"])
+                    for v in targets
+                    if attributes.get(v, {}).get("blood_patient") in ok
+                ]
+            for v, pra in row:
+                # rng.uniform(0, 100), inlined: the same float from one draw
+                if 100 * draw() > pra:
+                    arcs[(u, v)] = ONE
 
     def instance(self) -> KepInstance:
         return KepInstance(
@@ -183,10 +217,8 @@ def _solve_period(pool: _Pool, config: SimConfig, period: int, rng: random.Rando
     inst = pool.instance()
     if not inst.pairs:
         return Packing(frozenset())
-    prices = {
-        v: waiting_weight(v, (period - pool.arrival[v]) * config.period_days, config.weighting)
-        for v in sorted(inst.pairs)
-    }
+    wait_prices, arrival = pool.wait_prices, pool.arrival
+    prices = {v: wait_prices[period - arrival[v]] for v in sorted(inst.pairs)}
     if config.algorithm == LEXIMIN:
         report = solve_leximin(inst, config.policy)
         x = rng.random()
@@ -241,7 +273,7 @@ def _run_one(batches: Sequence[KepInstance], config: SimConfig, replication: int
     rng = random.Random(config.seed ^ (replication * 0x9E3779B97F4A7C15))
     order = list(range(len(batches)))
     rng.shuffle(order)
-    pool = _Pool(rng)
+    pool = _Pool(rng, _wait_prices(config, len(batches)))
     records = []
     for period, bi in enumerate(order):
         arrivals = pool.arrive(batches[bi], period)
@@ -343,7 +375,7 @@ def compare_heuristics(instance: KepInstance, n_runs: int, seed: int = 0,
         config = SimConfig(policy=policy, algorithm=alg, seed=seed)
         for r in range(n_runs):
             rng = random.Random(seed ^ (r * 0x9E3779B97F4A7C15))
-            pool = _Pool(rng)
+            pool = _Pool(rng, _wait_prices(config, 1))
             pool.arrive(instance, 0)
             remap = dict(zip(sorted(instance.pairs) + sorted(instance.ndds), range(10**9)))
             packing = _solve_period(pool, config, 0, rng)

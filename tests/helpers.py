@@ -8,22 +8,52 @@ contraction/peeling or column-generation code paths.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
+from fairkep.core import Chain, Cycle
 from fairkep.matching import has_perfect_matching
-from fairkep.oracle import enumerate_structures
 from fairkep.simplexlp import lp_solve_exact
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def all_structures(instance, policy):
+    """Every acceptable cycle and chain, by testing every vertex sequence.
+
+    Cycles are the sequences of distinct pairs whose smallest vertex comes
+    first (the canonical rotation) and whose arcs, the closing one included,
+    all exist; chains are an NDD followed by distinct pairs along existing
+    arcs.  Sorted by `sort_key`.
+    """
+    arcs = instance.arcs
+    pairs = sorted(instance.pairs)
+    out = []
+    if policy.max_cycle_len is not None:
+        for k in range(2, min(policy.max_cycle_len, len(pairs)) + 1):
+            for seq in permutations(pairs, k):
+                if seq[0] == min(seq) and all(
+                    (seq[i], seq[(i + 1) % k]) in arcs for i in range(k)
+                ):
+                    out.append(Cycle(seq))
+    if policy.max_chain_len is not None:
+        longest = int(min(policy.max_chain_len, len(pairs)))
+        for a in sorted(instance.ndds):
+            for k in range(max(1, policy.min_chain_len), longest + 1):
+                for seq in permutations(pairs, k):
+                    path = (a,) + seq
+                    if all((path[i], path[i + 1]) in arcs for i in range(k)):
+                        out.append(Chain(ndd=a, pairs=seq))
+    return sorted(out, key=lambda s: s.sort_key())
+
+
 def brute_best(instance, policy, prices, must=frozenset(), card=("free", None)):
     """Best total price over every packing that covers `must` and meets `card`.
 
-    Exhaustive search over subsets of the enumerated structures; None when no
-    packing qualifies.
+    Exhaustive search over subsets of `all_structures`; None when no packing
+    qualifies.
     """
-    structs = enumerate_structures(instance, policy)
+    structs = all_structures(instance, policy)
     best = None
 
     def rec(i, used, used_ndds, val, cnt):

@@ -6,8 +6,9 @@ them up; if a refactor stops calling a wrapped name, its metric silently reads
 zero. This runs the two lorenz entry points, an exact leximin solve,
 fair.preprocess with oracle.delta_star and short simulations under that
 instrumentation, and checks the spans the matching-lottery, exact-lottery and
-pool-sim metrics rest on.  It also checks that a solve enumerates its packing
-family once.
+pool-sim metrics rest on (the pool-sim period spans read the pool off the
+first argument of sim._solve_period).  It also checks that a solve
+enumerates its packing family once.
 """
 
 from __future__ import annotations
@@ -120,6 +121,24 @@ def test_solve_and_sim_oracle_spans_recorded(monkeypatch):
 
     calls, searches = traced_searches(monkeypatch, tracing, run)
     assert calls == searches > 10
+
+
+def test_sim_period_metrics_recorded(monkeypatch):
+    """The pool-sim layer metrics read one span per simulated period, with the
+    pool size taken from the period's pool, and non-zero sim own time."""
+    tracing = load_tracing(monkeypatch)
+    rec = tracing.Recorder()
+    batches = gen.generate_batches(gen.GenConfig(n_pairs=6, n_ndds=1, seed=5), 4)
+    config = sim.SimConfig(policy=StructurePolicy(max_cycle_len=3),
+                           weighting=sim.WaitTimeLinear(), replications=2, seed=1)
+    with tracing.Instrumentation(rec):
+        with rec.span("sim.replication", "sim"):
+            sim.run_simulation(batches, config)
+    metrics = tracing.layer_metrics(rec, 1)
+    assert metrics["sim.periods"][0] == len(batches) * config.replications
+    assert metrics["sim.pool_size_mean"][0] > 0
+    assert metrics["sim.self_s"][0] > 0
+    assert metrics["sim.solve_s"][0] > 0
 
 
 def test_one_enumeration_per_solve(monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 from fairkep import io
 from fairkep.cli import (
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_VALIDATION,
     UsageError,
     parse_policy,
@@ -150,6 +151,16 @@ class TestLottery:
         fams = [covered_set(m) for m in enumerate_matchings(edges) if len(m) == 2]
         want = leximin_marginals(range(1, 7), fams)
         assert {int(v): F(q) for v, q in rep["marginals"].items()} == want
+
+    def test_fixed_cardinality_mu_checks(self, tmp_path):
+        # a negative --mu is a bad flag value, as for every other policy; one
+        # above ν depends on the instance and stays a solver error
+        inst = tmp_path / "g.json"
+        assert run(["generate", "--pairs", "16", "--seed", "7", "-o", str(inst)]) == EXIT_OK
+        assert run(["lottery", str(inst), "--mu", "-1"]) == EXIT_VALIDATION
+        assert run(["lottery", str(inst), "--policy", "match", "--mu", "-1"]) == EXIT_VALIDATION
+        assert run(["lottery", str(inst), "--policy", "match", "--mu", "1", "--delta", "1"]) == EXIT_VALIDATION
+        assert run(["lottery", str(inst), "--policy", "match", "--mu", "99"]) == EXIT_SOLVER
 
     def test_weighted_requires_leximin(self, fig1a, tmp_path):
         w = tmp_path / "w.json"

@@ -24,7 +24,7 @@ from fairkep.oracle import (
     max_price_packing,
 )
 from fairkep.paths import TWO_CYCLE_TWO_PATH
-from helpers import brute_best
+from helpers import all_structures, brute_best
 
 F = Fraction
 CYC3 = StructurePolicy(max_cycle_len=3)
@@ -77,6 +77,22 @@ class TestEnumeration:
     def test_complete_graph_2cycles(self):
         k4 = make([1, 2, 3, 4], [], [(u, v) for u in range(1, 5) for v in range(1, 5) if u != v])
         assert len(enumerate_structures(k4, StructurePolicy(max_cycle_len=2))) == 6
+
+    def test_matches_independent_enumeration(self):
+        """The same structures in the same order as a vertex-sequence test that
+        shares no code with the oracle, on 200 random pools with 0-2 NDDs."""
+        policies = [
+            StructurePolicy(max_cycle_len=2),
+            CYC3,
+            StructurePolicy(max_cycle_len=4),
+            CYC3_CHAIN2,
+            StructurePolicy(max_cycle_len=3, max_chain_len=3),
+        ]
+        rng = random.Random(47)
+        for trial in range(200):
+            inst = random_instance(rng, 2, 9, 0, 2, rng.choice([0.2, 0.35, 0.5]))
+            pol = policies[trial % len(policies)]
+            assert enumerate_structures(inst, pol) == all_structures(inst, pol), trial
 
 
 class TestMaxPrice:

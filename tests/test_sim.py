@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,16 @@ CYC3 = StructurePolicy(max_cycle_len=3)
 
 def small_batches(seed=2, n=4, pairs=8, ndds=1):
     return generate_batches(GenConfig(n_pairs=pairs, n_ndds=ndds, seed=seed), n)
+
+
+def simulation_digest(trace, stats) -> str:
+    """sha256 over every period record, every node record and the stats."""
+    h = hashlib.sha256()
+    for rec in trace.periods:
+        h.update(repr((sorted(rec.arrivals), sorted(rec.matched), rec.pool_size)).encode())
+    h.update(repr(sorted(trace.nodes.items())).encode())
+    h.update(repr(stats).encode())
+    return h.hexdigest()
 
 
 class TestWeighting:
@@ -102,6 +113,48 @@ class TestSimulation:
     def test_empty_batches_rejected(self):
         with pytest.raises(ValueError):
             run_simulation([], SimConfig(policy=CYC3))
+
+
+class TestPinnedTraces:
+    """Digests of whole simulations, recorded before the arrival loop was
+    bucketed by blood type.  Every arc draw, tie-break and shuffle feeds the
+    trace, so a change to the order of the random draws in `_Pool.arrive`
+    (or anywhere else in a period) moves them.  Leximin draws ignore the
+    waiting-time prices, so its two digests agree."""
+
+    PINNED = {
+        ("implicit", False): "9742d31b8aa3c29dd93990f717740b03ee98badaace969dc4b115f92d5f2e14d",
+        ("implicit", True): "b6abac57a4e4e48f68c9dd122933a279a7afd74e401ae398c5b2dd9d9f0898b9",
+        ("heuristic-ilp-shuffle", False): "f94a9bd5989d4e32745add03b48ee91a55ccf92a64b10c160240b8aeabf1cc1e",
+        ("heuristic-ilp-shuffle", True): "9fc5449c7e093242f514849803c76231689c7447c4ba726a97e23becb1d26fb4",
+        ("heuristic-node-shuffle", False): "721d1cbb22fa832a8fa77379cce4d1209d6696d589fef5f1967bf7a785130e28",
+        ("heuristic-node-shuffle", True): "6dfc3b2992cd6ab91e53c854d596339e34fd41fd3279488b43fb4ecc10ec682f",
+        ("leximin", False): "f54befcb92827de7865bdb7114242c424eea2bc94ea7cea1c1893bbcbfd094fb",
+        ("leximin", True): "f54befcb92827de7865bdb7114242c424eea2bc94ea7cea1c1893bbcbfd094fb",
+    }
+    CHAINS = "8f08fcca07d713ea59e9bbb9a2ce639a489c973a3ec45c8967bec055efef28c7"
+    COMPARE = "31e3db0af1de165f47ad8a57691ca3658998d5c92192f9aa9752549a353b6a11"
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_algorithms(self, alg, weighted):
+        cfg = SimConfig(policy=CYC3, algorithm=alg, seed=5, replications=2,
+                        weighting=WaitTimeLinear() if weighted else None)
+        digest = simulation_digest(*run_simulation(small_batches(n=6, pairs=6), cfg))
+        assert digest == self.PINNED[(alg, weighted)]
+
+    def test_bounded_chains(self):
+        cfg = SimConfig(policy=StructurePolicy(max_cycle_len=3, max_chain_len=2),
+                        weighting=WaitTimeLinear(), seed=3)
+        batches = small_batches(seed=4, n=3, pairs=6, ndds=2)
+        assert simulation_digest(*run_simulation(batches, cfg)) == self.CHAINS
+
+    def test_compare_heuristics(self):
+        # the frequencies only: the intervals are scipy's, not the draws'
+        inst = generate_batches(GenConfig(n_pairs=10, n_ndds=1, seed=6), 1)[0]
+        r = compare_heuristics(inst, n_runs=30, seed=3)
+        key = repr((r.sorted_ilp_shuffle, r.sorted_node_shuffle)).encode()
+        assert hashlib.sha256(key).hexdigest() == self.COMPARE
 
 
 class TestJeffreys:
