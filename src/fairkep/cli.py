@@ -24,7 +24,6 @@ from . import fair, gen, io, lorenz, oracle, paths, sim
 from .core import (
     FairkepError,
     KepInstance,
-    Lottery,
     Packing,
     StructurePolicy,
     UNBOUNDED,
@@ -182,25 +181,17 @@ def load_gen_config(n_pairs: int, n_ndds: int, seed: int, dist_path: Optional[st
 def export_coverage_distribution(entries: Iterable[tuple], out: TextIO) -> None:
     """CSV of sorted inclusion probabilities with Jeffreys 95% CI columns.
 
-    Each entry is (label, payload): payload is an exact Lottery (CI columns
-    collapse to the point estimate) or a pair (counts_by_pair, n_runs) of
-    empirical inclusion counts.  Rows are sorted nondecreasing within each
-    label block.
+    Each entry is (label, (counts_by_pair, n_runs)) of empirical inclusion
+    counts.  Rows are sorted nondecreasing within each label block.
     """
     writer = csv.writer(out)
     writer.writerow(["rank", "q", "ci_lo", "ci_hi", "algorithm"])
     wrote = False
-    for label, payload in entries:
-        if isinstance(payload, Lottery):
-            pairs = sorted({v for packing, _ in payload.support for v in packing.covered})
-            q = payload.marginals(pairs)
-            rows = [(float(q[v]), float(q[v]), float(q[v])) for v in pairs]
-        else:
-            counts, n_runs = payload
-            rows = []
-            for v in sorted(counts):
-                lo, hi = sim.jeffreys_interval(counts[v], n_runs)
-                rows.append((counts[v] / n_runs, lo, hi))
+    for label, (counts, n_runs) in entries:
+        rows = []
+        for v in sorted(counts):
+            lo, hi = sim.jeffreys_interval(counts[v], n_runs)
+            rows.append((counts[v] / n_runs, lo, hi))
         rows.sort()
         for rank, (q_hat, lo, hi) in enumerate(rows):
             writer.writerow([rank, f"{q_hat:.10g}", f"{lo:.10g}", f"{hi:.10g}", label])

@@ -14,10 +14,13 @@ certificate tolerance.
   is the level-fixing engine over any priced master: each round fixes the
   pairs that the certified maximin duals price.
 - solve_nash: fully-corrective conditional gradient; the linear subproblem is
-  a pricing call with node prices 1/q_v, and the Frank-Wolfe gap certifies
-  the log-objective within tolerance.
-- solve_gini: Dinkelbach iterations on the mean-absolute-difference ratio with
-  a column-generated inner LP.
+  a pricing call with node prices 1/q_v, each priced column enters at weight
+  0 and SLSQP re-optimizes the whole mixture, and the Frank-Wolfe gap
+  certifies the log-objective within tolerance.
+- solve_gini: Dinkelbach iterations on the mean-absolute-difference ratio.
+  The inner LP is column-generated and bounds the absolute differences by
+  one variable and sort-order cuts, so it is exact under the same pair
+  limit as every other objective.
 """
 
 from __future__ import annotations
@@ -52,13 +55,16 @@ from .oracle import (
 )
 from .simplexlp import LpInfeasible, LpUnbounded, caratheodory, lp_solve_exact
 
-# masters stay exact-rational up to this many pairs (Gini has quadratically
-# many rows, so it switches to floats earlier)
+# masters of every objective stay exact-rational up to this many pairs; read
+# at solve time
 EXACT_PAIR_LIMIT = 40
+# no solver reads this; its only reader is perfbench/workloads.py, which
+# compares Gini items on more pairs with its float reference tolerance
 GINI_EXACT_PAIR_LIMIT = 8
 FLOAT_CERT_TOL = 1e-9
-# float leximin compares levels, dual prices and final marginals within this
-# (HiGHS's own feasibility tolerances are 1e-7)
+# float leximin compares levels, dual prices and final marginals within this,
+# and float Gini masters separate sort-order cuts violated by more (HiGHS's own
+# feasibility tolerances are 1e-7, so a tighter one could re-find a cut it has)
 FLOAT_LEVEL_TOL = 1e-6
 _PRICE_DENOM = 10**12
 
@@ -215,11 +221,11 @@ class RestrictedMaster:
 
 
 def _oracle_master(
-    instance: KepInstance, policy: StructurePolicy, exact_limit: int
+    instance: KepInstance, policy: StructurePolicy
 ) -> tuple[RestrictedMaster, bool]:
     """A master priced by the packing oracle over the policy's acceptable family.
 
-    Its LPs are exact on up to exact_limit pairs.  Returns (master,
+    Its LPs are exact on up to EXACT_PAIR_LIMIT pairs.  Returns (master,
     full_coverage); full_coverage says the acceptable family is forced to
     cover every pair, so all marginals are 1 and the seed packing alone is
     optimal for any fair objective.
@@ -258,7 +264,7 @@ def _oracle_master(
         return packing, value
 
     seed, _ = query({v: Fraction(1) for v in pairs})
-    master = RestrictedMaster(pairs, pricing, len(pairs) <= exact_limit, seed)
+    master = RestrictedMaster(pairs, pricing, len(pairs) <= EXACT_PAIR_LIMIT, seed)
     return master, cardinality == ("atleast", len(pairs))
 
 
@@ -309,12 +315,12 @@ def _lottery_from(master: RestrictedMaster, weights: Sequence) -> Lottery:
 # solvers
 
 
-def _solve(instance: KepInstance, policy: StructurePolicy, exact_limit: int,
-           evaluate, run, empty) -> SolveReport:
+def _solve(instance: KepInstance, policy: StructurePolicy, evaluate, run,
+           empty) -> SolveReport:
     """The frame of every oracle-priced solver.
 
     An empty pool gets the empty packing, with objective `empty`.  Otherwise
-    one oracle master prices the solve, exact on up to exact_limit pairs.  A
+    one oracle master prices the solve, exact on up to EXACT_PAIR_LIMIT pairs.  A
     family forced to cover every pair gets its seed packing; any other runs
     run(master) -> (lottery, iterations, gap, objective).  An objective of
     None, and the forced family's, is evaluate(marginal vector).
@@ -322,7 +328,7 @@ def _solve(instance: KepInstance, policy: StructurePolicy, exact_limit: int,
     if not instance.pairs:
         lottery = Lottery(((EMPTY_PACKING, Fraction(1)),))
         return SolveReport(lottery, empty, 0, 0, Fraction(0), {})
-    master, full_coverage = _oracle_master(instance, policy, exact_limit)
+    master, full_coverage = _oracle_master(instance, policy)
     if full_coverage:
         lottery = Lottery(((master.columns[0], Fraction(1)),))
         iterations, gap, objective = 0, Fraction(0), None
@@ -342,12 +348,12 @@ def solve_maximin(instance: KepInstance, policy: StructurePolicy) -> SolveReport
         objective = level if master.exact else float(level)
         return sparsify(_lottery_from(master, weights)), rounds, gap, objective
 
-    return _solve(instance, policy, EXACT_PAIR_LIMIT, eval_maximin, run, empty=Fraction(0))
+    return _solve(instance, policy, eval_maximin, run, empty=Fraction(0))
 
 
 def solve_leximin(instance: KepInstance, policy: StructurePolicy) -> SolveReport:
     """Lottery with the lexicographically maximal sorted marginal vector."""
-    return _solve(instance, policy, EXACT_PAIR_LIMIT, eval_leximin,
+    return _solve(instance, policy, eval_leximin,
                   lambda master: (*leximin_lottery(master), None), empty=())
 
 
@@ -413,8 +419,10 @@ def solve_nash(
 
     Fully-corrective conditional gradient: the linear subproblem is a pricing
     call with node prices 1/q_v, and the duality gap sum(1/q_v for v in C*) - n
-    certifies the log objective within tol.  Starts from the maximin lottery so
-    iterates stay interior.  Requires every pair coverable.
+    certifies the log objective within tol.  A priced column enters at weight
+    0 and the corrective step re-optimizes the mixture over every column.
+    Starts from the maximin lottery so iterates stay interior.  Requires every
+    pair coverable.
     """
 
     def run(master):
@@ -424,11 +432,11 @@ def solve_nash(
         pairs = master.pairs
         n = len(pairs)
         w = np.array([float(x) for x in weights], dtype=float)
+        A = _indicator_matrix(master, pairs)
         best_gap = float("inf")
         stalls = 0
         outer = 0
         for outer in range(1, 501):
-            A = _indicator_matrix(master, pairs)
             q = A @ w
             grad = 1.0 / np.clip(q, 1e-15, None)
             prices = {v: grad[i] for i, v in enumerate(pairs)}
@@ -437,19 +445,15 @@ def solve_nash(
             best_gap = min(best_gap, gap)
             if gap <= tol:
                 break
-            grew = master.add(packing)
-            if grew:
-                A = _indicator_matrix(master, pairs)
-                s = np.zeros(len(master.columns))
-                s[-1] = 1.0
-                w = np.append(w, 0.0)
-                w = _line_search_mix(A, w, s)
-            elif stalls >= 3:
-                raise StalledBelowTolerance(
-                    f"Nash gap stalled at {best_gap:.3g} above tolerance {tol:g}", best_gap
-                )
-            else:
+            if not master.add(packing):
+                if stalls >= 3:
+                    raise StalledBelowTolerance(
+                        f"Nash gap stalled at {best_gap:.3g} above tolerance {tol:g}", best_gap
+                    )
                 stalls += 1
+            if len(master.columns) > len(w):
+                A = _indicator_matrix(master, pairs)
+                w = np.append(w, np.zeros(len(master.columns) - len(w)))
             w = _corrective_step(A, w)
         else:
             raise StalledBelowTolerance(
@@ -458,7 +462,7 @@ def solve_nash(
             )
         return sparsify(_lottery_from(master, w)), outer, gap, None
 
-    return _solve(instance, policy, EXACT_PAIR_LIMIT, eval_nash, run, empty=Fraction(1))
+    return _solve(instance, policy, eval_nash, run, empty=Fraction(1))
 
 
 def _indicator_matrix(master: RestrictedMaster, pairs: list[int]) -> np.ndarray:
@@ -468,29 +472,6 @@ def _indicator_matrix(master: RestrictedMaster, pairs: list[int]) -> np.ndarray:
             if v in cov:
                 A[i, j] = 1.0
     return A
-
-
-def _line_search_mix(A: np.ndarray, w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Mix toward vertex s with the step maximizing sum(log((1-g)q + g*s_q))."""
-    q = A @ w
-    sq = A @ s
-    d = sq - q
-
-    def slope(g: float) -> float:
-        denom = np.clip(q + g * d, 1e-300, None)
-        return float(np.sum(d / denom))
-
-    lo, hi = 0.0, 1.0
-    if slope(0.0) <= 0:
-        return w
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if slope(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    g = lo
-    return (1 - g) * w + g * s
 
 
 def _corrective_step(A: np.ndarray, w0: np.ndarray) -> np.ndarray:
@@ -525,8 +506,10 @@ def solve_gini(
     """Minimize the Gini coefficient of the marginal vector.
 
     Dinkelbach iterations on the ratio sum|q_u - q_v| / (2 n sum q): each inner
-    problem min sum(t) - mu*2n*sum(q) with t_uv >= |q_u - q_v| is an LP solved
-    by column generation; converges when the inner optimum reaches -tol.
+    problem min T - mu*2n*sum(q), with T >= sum|q_u - q_v| imposed by
+    sort-order cuts (_gini_inner), is an LP solved by column generation;
+    converges when the inner optimum reaches -tol.  Exact on up to
+    EXACT_PAIR_LIMIT pairs, like every other objective.
     """
 
     def run(master):
@@ -537,8 +520,9 @@ def solve_gini(
         mu = eval_gini([marginals[v] for v in master.pairs])
         tol_val = Fraction(tol).limit_denominator(10**14) if master.exact else tol
         outer = 0
+        cuts: dict[tuple[int, ...], list[int]] = {}
         for outer in range(1, 61):
-            D, p_star, q_star = _gini_inner(master, mu)
+            D, p_star, q_star = _gini_inner(master, mu, cuts)
             if D >= -tol_val:
                 break
             weights = p_star
@@ -554,7 +538,7 @@ def solve_gini(
         gap = max(-D, Fraction(0) if master.exact else 0.0)
         return sparsify(_lottery_from(master, weights)), outer, gap, None
 
-    return _solve(instance, policy, GINI_EXACT_PAIR_LIMIT, eval_gini, run, empty=Fraction(0))
+    return _solve(instance, policy, eval_gini, run, empty=Fraction(0))
 
 
 def _abs_diff_sum(q: Sequence) -> object:
@@ -563,45 +547,57 @@ def _abs_diff_sum(q: Sequence) -> object:
     return 2 * sum((2 * i - n + 1) * x for i, x in enumerate(s))
 
 
-def _gini_inner(master: RestrictedMaster, mu):
-    """min 2*sum(t) - mu*2n*sum(q) over the marginal polytope, via pricing.
+def _gini_inner(master: RestrictedMaster, mu, cuts: dict):
+    """min T - mu*2n*sum(q) over the marginal polytope, via pricing.
 
-    Variables: column weights p, marginals q, and t_uv >= |q_u - q_v|.
-    Returns (inner optimum, p*, q*).
+    The LP's variables are the column weights p, whose marginals are q, and
+    T >= 0, which stands for _abs_diff_sum(q): the maximum over orderings pi
+    of 2 * sum_i (2i - n + 1) q_pi(i), reached at the ascending order of q.
+    cuts maps each ordering separated so far in the solve to its
+    coefficients over q, and the LP holds T >= those coefficients times q for
+    each.  Every LP is re-solved until the ascending order of its own q*
+    violates no cut (exactly, or beyond FLOAT_LEVEL_TOL on float masters),
+    so pricing only sees optima of the LP over every ordering.
+
+    The simplex runs on the LP's dual, which has a row per column where the
+    LP has one per cut, and whose right-hand sides are not all 0 as the
+    cuts' are.  Its cut multipliers lam give each pair the price 2n*mu less
+    lam times the pair's cut coefficients.  Returns (inner optimum, p*, q*).
     """
     pairs = master.pairs
     n = len(pairs)
-    idx = {v: i for i, v in enumerate(pairs)}
-    upairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    m = len(upairs)
     coef_q = 2 * n * mu
+    tol = 0 if master.exact else FLOAT_LEVEL_TOL
 
     def solve():
         k = len(master.columns)
-        nv = k + n + m
-        c = [0] * k + [coef_q] * n + [-2] * m
-        A_eq, b_eq = [], []
-        for v in pairs:
-            row = [0] * nv
-            for j, cov in enumerate(master.covered):
-                if v in cov:
-                    row[j] = -1
-            row[k + idx[v]] = 1
-            A_eq.append(row)
-            b_eq.append(0)
-        A_eq.append([1] * k + [0] * (n + m))
-        b_eq.append(1)
-        A_ub, b_ub = [], []
-        for jj, (i, j) in enumerate(upairs):
-            for sign in (1, -1):
-                row = [0] * nv
-                row[k + i] = sign
-                row[k + j] = -sign
-                row[k + n + jj] = -1
-                A_ub.append(row)
-                b_ub.append(0)
-        x, obj, _, duals_eq = lp_solve(c, A_ub, b_ub, A_eq, b_eq, exact=master.exact)
-        return (-obj, x[:k], x[k : k + n]), {v: duals_eq[idx[v]] for v in pairs}, duals_eq[n]
+        cols = [[i for i, v in enumerate(pairs) if v in cov] for cov in master.covered]
+        b_ub = [-coef_q * len(col) for col in cols] + [1]
+        while True:
+            # the dual's variables: lam >= 0 per cut, then the free multiplier
+            # of sum(p) = 1; its rows: one per column, then one for T
+            rows = list(cuts.values())
+            A_ub = [[-sum(r[i] for i in col) for r in rows] + [-1] for col in cols]
+            A_ub.append([1] * len(rows) + [0])
+            lam, _, x, _ = lp_solve([0] * len(rows) + [-1], A_ub, b_ub,
+                                    free_vars=[len(rows)], exact=master.exact)
+            q = [0] * n
+            for col, p in zip(cols, x):
+                for i in col:
+                    q[i] += p
+            order = tuple(sorted(range(n), key=q.__getitem__))
+            row = [0] * n
+            for i, j in enumerate(order):
+                row[j] = 2 * (2 * i - n + 1)
+            value = sum(a * qi for a, qi in zip(row, q))
+            if not value > x[k] + tol:
+                break
+            if order in cuts:
+                raise FairkepError(f"the Gini cut of ordering {order} is violated in its own LP")
+            cuts[order] = row
+        prices = {v: coef_q - sum(y * r[i] for y, r in zip(lam, rows))
+                  for i, v in enumerate(pairs)}
+        return (value - coef_q * sum(q), x[:k], q), prices, lam[-1]
 
     optimum, _, _, _ = master.generate(solve)
     return optimum

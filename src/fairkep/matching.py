@@ -325,12 +325,12 @@ def lex_weights(
 def bipartition(graph: UGraph) -> tuple[set[int], set[int]]:
     """Two-color the graph; raises NotBipartite on an odd cycle."""
     color: dict[int, int] = {}
+    adj = graph.adjacency()
     for start in sorted(graph.vertices):
         if start in color:
             continue
         color[start] = 0
         stack = [start]
-        adj = graph.adjacency()
         while stack:
             u = stack.pop()
             for w in adj[u]:

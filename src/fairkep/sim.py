@@ -51,7 +51,7 @@ class WaitTimeLinear:
             raise ValueError("alpha must be >= 0")
 
 
-def waiting_weight(node: int, elapsed_days, weighting: Optional[WaitTimeLinear]) -> Fraction:
+def waiting_weight(elapsed_days, weighting: Optional[WaitTimeLinear]) -> Fraction:
     if elapsed_days < 0:
         raise ValueError("elapsed time must be >= 0")
     if weighting is None:
@@ -113,7 +113,7 @@ def _wait_prices(config: SimConfig, periods: int) -> list[Fraction]:
     A wait is a whole number of periods, so a replication prices each
     possible wait once instead of every pair in every period.
     """
-    return [waiting_weight(0, t * config.period_days, config.weighting) for t in range(periods)]
+    return [waiting_weight(t * config.period_days, config.weighting) for t in range(periods)]
 
 
 class _Pool:

@@ -8,7 +8,7 @@ contraction/peeling or column-generation code paths.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from fairkep.core import Chain, Cycle
 from fairkep.matching import has_perfect_matching
@@ -47,38 +47,77 @@ def all_structures(instance, policy):
     return sorted(out, key=lambda s: s.sort_key())
 
 
-def brute_best(instance, policy, prices, must=frozenset(), card=("free", None)):
-    """Best total price over every packing that covers `must` and meets `card`.
+def packing_covers(instance, policy, card=("free", None)):
+    """Covered-pair sets of every packing of `all_structures` that meets `card`.
 
-    Exhaustive search over subsets of `all_structures`; None when no packing
-    qualifies.
+    One entry per packing, by exhaustive search over subsets of disjoint
+    structures (each NDD starting at most one chain).
     """
     structs = all_structures(instance, policy)
-    best = None
+    mode, k = card
+    out = []
 
-    def rec(i, used, used_ndds, val, cnt):
-        nonlocal best
-        mode, k = card
-        ok = must <= used and (
-            mode == "free" or (cnt == k if mode == "exact" else cnt >= k)
-        )
-        if ok and (best is None or val > best):
-            best = val
+    def rec(i, used, used_ndds):
+        if mode == "free" or (len(used) == k if mode == "exact" else len(used) >= k):
+            out.append(used)
         for j in range(i, len(structs)):
-            cov = set(structs[j].covered())
+            cov = frozenset(structs[j].covered())
             ndd = getattr(structs[j], "ndd", None)
             if cov & used or ndd in used_ndds:
                 continue
-            rec(
-                j + 1,
-                used | cov,
-                used_ndds | ({ndd} if ndd is not None else set()),
-                val + sum(prices.get(v, ZERO) for v in cov),
-                cnt + len(cov),
-            )
+            rec(j + 1, used | cov, used_ndds | ({ndd} if ndd is not None else set()))
 
-    rec(0, set(), set(), ZERO, 0)
-    return best
+    rec(0, frozenset(), frozenset())
+    return out
+
+
+def brute_best(instance, policy, prices, must=frozenset(), card=("free", None)):
+    """Best total price over every packing that covers `must` and meets `card`.
+
+    None when no packing qualifies.
+    """
+    values = [
+        sum((prices.get(v, ZERO) for v in cov), ZERO)
+        for cov in packing_covers(instance, policy, card)
+        if must <= cov
+    ]
+    return max(values, default=None)
+
+
+def min_gini(vertices, families):
+    """Exact minimum Gini coefficient over lotteries on a finite family.
+
+    families: sets of the vertices, at least one non-empty.  The Gini
+    coefficient of marginals q is sum_{u<v} |q_u - q_v| / (n sum q).
+    Dinkelbach iterations from the uniform lottery: each inner problem is
+    the LP  max mu n sum(q) - sum_{u<v} t_uv  with t_uv >= +-(q_u - q_v) over
+    the probabilities of every member at once, solved by
+    simplexlp.lp_solve_exact; a zero optimum certifies mu.
+    """
+    vertices = sorted(vertices)
+    n = len(vertices)
+    cols = [frozenset(c) for c in families]
+    k = len(cols)
+    upairs = list(combinations(vertices, 2))
+    m = len(upairs)
+
+    def gini(p):
+        q = {v: sum((p[j] for j in range(k) if v in cols[j]), ZERO) for v in vertices}
+        return sum(abs(q[u] - q[v]) for u, v in upairs) / (n * sum(q.values()))
+
+    A_ub, b_ub = [], []
+    for i, (u, v) in enumerate(upairs):
+        for sign in (1, -1):
+            diff = [sign * ((u in c) - (v in c)) for c in cols]
+            A_ub.append(diff + [-ONE if ii == i else ZERO for ii in range(m)])
+            b_ub.append(ZERO)
+    mu = gini([Fraction(1, k)] * k)
+    while True:
+        c = [mu * n * len(col) for col in cols] + [-ONE] * m
+        res = lp_solve_exact(c, A_ub=A_ub, b_ub=b_ub, A_eq=[[ONE] * k + [ZERO] * m], b_eq=[ONE])
+        if res.objective == 0:
+            return mu
+        mu = gini(res.x[:k])
 
 
 def enumerate_matchings(edges):

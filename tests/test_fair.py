@@ -28,7 +28,7 @@ from fairkep.fair import (
     sparsify,
 )
 from fairkep.oracle import delta_star, enumerate_structures
-from helpers import leximin_marginals
+from helpers import leximin_marginals, min_gini, packing_covers
 
 F = Fraction
 CYC3 = StructurePolicy(max_cycle_len=3)
@@ -235,7 +235,7 @@ class TestRandomInstances:
             gini = solve_gini(sub, MATCH)
             for v in sub.pairs:
                 assert abs(float(nash.marginals[v]) - float(lexs.marginals[v])) < 1e-6, (trial, v)
-                assert abs(float(gini.marginals[v]) - float(lexs.marginals[v])) < 1e-6, (trial, v)
+                assert gini.marginals[v] == lexs.marginals[v], (trial, v)
 
 
 class TestSparsify:
@@ -322,18 +322,72 @@ class TestChecks:
             if inner == "maximin":
                 fair._maximin_lp(master, {})
             else:
-                fair._gini_inner(master, F(1, 4))
+                fair._gini_inner(master, F(1, 4), {})
 
     def test_gini_inner_must_cover_a_pair(self, monkeypatch):
-        monkeypatch.setattr(fair, "_gini_inner", lambda master, mu: (F(-1), [], [F(0)] * 4))
+        monkeypatch.setattr(fair, "_gini_inner", lambda master, mu, cuts: (F(-1), [], [F(0)] * 4))
         with pytest.raises(FairkepError, match="covers no pair"):
             solve_gini(SHARED, CYC3D1)
 
     def test_gini_ratio_must_decrease(self, monkeypatch):
         # the maximin start has ratio 3/20; marginals (1, 0, 0, 0) have 3/4
-        monkeypatch.setattr(fair, "_gini_inner", lambda master, mu: (F(-1), [], [F(1), 0, 0, 0]))
+        monkeypatch.setattr(
+            fair, "_gini_inner", lambda master, mu, cuts: (F(-1), [], [F(1), 0, 0, 0])
+        )
         with pytest.raises(FairkepError, match="ratio must decrease"):
             solve_gini(SHARED, CYC3D1)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_gini_cut_violated_in_its_own_lp(self, monkeypatch, exact):
+        # an LP that reports T = 0 whatever its cuts violates the cut it was given
+        real = fair.lp_solve
+
+        def zero_t(*args, **kwargs):
+            # _gini_inner solves the LP's dual, so T is the last dual of its rows
+            y, objective, x, duals_eq = real(*args, **kwargs)
+            return y, objective, [*x[:-1], 0], duals_eq
+
+        monkeypatch.setattr(fair, "lp_solve", zero_t)
+        seed = Packing.of(Cycle((1, 2)))
+        master = fair.RestrictedMaster([1, 2, 3, 4], lambda prices: (seed, F(0)), exact, seed)
+        with pytest.raises(FairkepError, match="violated in its own LP"):
+            fair._gini_inner(master, F(1, 4), {})
+
+
+class TestGiniReference:
+    """solve_gini against helpers.min_gini: Dinkelbach on the quadratic
+    t_uv model over every packing of the pool, with no column generation."""
+
+    @staticmethod
+    def family(inst, pol):
+        free = packing_covers(inst, pol)
+        maxcard = max(len(c) for c in free)
+        mincard = maxcard - (pol.delta if pol.cardinality_mode == "delta" else 0)
+        return [c for c in free if len(c) >= mincard]
+
+    def test_random_small_pools(self):
+        rng = random.Random(7)
+        for trial in range(60):
+            n = rng.randint(3, 7)
+            pairs = list(range(n))
+            arcs = [(u, v) for u in pairs for v in pairs if u != v and rng.random() < 0.4]
+            inst = make(pairs, [], arcs)
+            pol = rng.choice([CYC3, MATCH, CYC3D1])
+            fam = self.family(inst, pol)
+            if not any(fam):
+                continue
+            r = solve_gini(inst, pol)
+            assert r.objective == min_gini(pairs, fam), trial
+            assert type(r.gap) is Fraction and r.gap == 0, trial
+
+    # larger generated pools, still small enough to list every packing
+    @pytest.mark.parametrize("n_pairs, seed", [(9, 7090), (10, 7102), (11, 7111), (12, 7120)])
+    def test_generated_pools(self, n_pairs, seed):
+        inst = gen.generate_instance(gen.GenConfig(n_pairs=n_pairs, seed=seed))
+        r = solve_gini(inst, CYC3D1)
+        assert r.iterations >= 2
+        assert type(r.gap) is Fraction and r.gap == 0
+        assert r.objective == min_gini(inst.pairs, self.family(inst, CYC3D1))
 
 
 class TestPinnedMarginals:

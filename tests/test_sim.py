@@ -41,15 +41,15 @@ def simulation_digest(trace, stats) -> str:
 class TestWeighting:
     def test_linear_weight(self):
         w = WaitTimeLinear(base=F(2), alpha=F(1, 10))
-        assert waiting_weight(0, 30, w) == F(5)
-        assert waiting_weight(0, 0, w) == F(2)
-        assert waiting_weight(0, 30, None) == F(1)
+        assert waiting_weight(30, w) == F(5)
+        assert waiting_weight(0, w) == F(2)
+        assert waiting_weight(30, None) == F(1)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             WaitTimeLinear(alpha=F(-1))
         with pytest.raises(ValueError):
-            waiting_weight(0, -1, None)
+            waiting_weight(-1, None)
 
 
 class TestConfig:
