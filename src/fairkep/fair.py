@@ -535,7 +535,8 @@ def solve_gini(
             mu = mu_next
         else:
             raise StalledBelowTolerance("Gini ratio iterations failed to converge", float(D))
-        gap = max(-D, Fraction(0) if master.exact else 0.0)
+        # zero first: max keeps the first of equals, and -D is -0.0 when D is 0.0
+        gap = max(Fraction(0) if master.exact else 0.0, -D)
         return sparsify(_lottery_from(master, weights)), outer, gap, None
 
     return _solve(instance, policy, eval_gini, run, empty=Fraction(0))

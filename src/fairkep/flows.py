@@ -1,11 +1,12 @@
-"""Exact max-flow (Edmonds-Karp) and feasible circulation with arc lower bounds.
+"""Exact max flow (Dinic's blocking flows) and feasible circulation with arc lower bounds.
 
-Capacities are ints or Fractions, never coerced; lorenz scales its networks to ints.
+One kernel, `_MaxFlow`, serves every flow of the library: `max_flow`,
+`feasible_circulation` and lorenz's min cut per trial λ.  Capacities are ints
+or Fractions, never coerced; lorenz scales its networks to ints.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Optional, Sequence
@@ -35,23 +36,37 @@ class Arc:
 
 
 class _MaxFlow:
-    """Edmonds-Karp over an adjacency structure with residual pairing.
+    """Dinic's max flow (Dinitz 1970) on int-indexed arrays.
 
-    Capacities are ints or Fractions; paths depend only on which are positive.
+    Node keys map to ints 0, 1, ... on first use; arc i and its residual
+    twin i ^ 1 sit side by side in `to` and `cap`.  Each phase builds the BFS
+    level graph from the source, then saturates it with a blocking flow found
+    by an iterative DFS that keeps a per-node cursor into its arc list, so no
+    arc is scanned twice in a phase.  Capacities are ints or Fractions; the
+    paths depend only on which residual capacities are positive.
     """
 
     def __init__(self) -> None:
-        self.adj: dict[Node, list[int]] = {}
-        self.to: list[Node] = []
+        self.index: dict[Node, int] = {}
+        self.adj: list[list[int]] = []
+        self.to: list[int] = []
         self.cap: list[Capacity] = []
 
+    def node(self, key: Node) -> int:
+        i = self.index.get(key)
+        if i is None:
+            i = self.index[key] = len(self.adj)
+            self.adj.append([])
+        return i
+
     def add(self, u: Node, v: Node, cap: Capacity) -> int:
+        a, b = self.node(u), self.node(v)
         i = len(self.to)
-        self.adj.setdefault(u, []).append(i)
-        self.to.append(v)
+        self.adj[a].append(i)
+        self.to.append(b)
         self.cap.append(cap)
-        self.adj.setdefault(v, []).append(i + 1)
-        self.to.append(u)
+        self.adj[b].append(i + 1)
+        self.to.append(a)
         self.cap.append(0)
         return i
 
@@ -59,45 +74,75 @@ class _MaxFlow:
         return self.cap[i ^ 1]
 
     def run(self, s: Node, t: Node) -> Capacity:
+        if s not in self.index or t not in self.index:
+            return 0
+        s, t = self.index[s], self.index[t]
+        adj, to, cap = self.adj, self.to, self.cap
+        n = len(adj)
         total = 0
         while True:
-            parent: dict[Node, int] = {s: -1}
-            q = deque([s])
-            while q and t not in parent:
-                u = q.popleft()
-                for i in self.adj.get(u, []):
-                    v = self.to[i]
-                    if v not in parent and self.cap[i] > 0:
-                        parent[v] = i
-                        q.append(v)
-            if t not in parent:
+            level = [-1] * n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                nxt = level[u] + 1
+                for i in adj[u]:
+                    v = to[i]
+                    if level[v] < 0 and cap[i] > 0:
+                        level[v] = nxt
+                        queue.append(v)
+            if level[t] < 0:
                 return total
-            # bottleneck along the path
-            bottleneck = None
-            v = t
-            while v != s:
-                i = parent[v]
-                bottleneck = self.cap[i] if bottleneck is None else min(bottleneck, self.cap[i])
-                v = self.to[i ^ 1]
-            v = t
-            while v != s:
-                i = parent[v]
-                self.cap[i] -= bottleneck
-                self.cap[i ^ 1] += bottleneck
-                v = self.to[i ^ 1]
-            total += bottleneck
+            cursor = [0] * n
+            path: list[int] = []  # arcs from s to u along the level graph
+            u = s
+            while True:
+                if u == t:
+                    f = min(cap[i] for i in path)
+                    for i in path:
+                        cap[i] -= f
+                        cap[i ^ 1] += f
+                    total += f
+                    # resume from the tail of the first arc the path saturated
+                    k = next(k for k, i in enumerate(path) if not cap[i] > 0)
+                    u = to[path[k] ^ 1]
+                    del path[k:]
+                    continue
+                arcs, j, nxt = adj[u], cursor[u], level[u] + 1
+                while j < len(arcs) and not (cap[arcs[j]] > 0 and level[to[arcs[j]]] == nxt):
+                    j += 1
+                cursor[u] = j
+                if j < len(arcs):
+                    path.append(arcs[j])
+                    u = to[arcs[j]]
+                elif u == s:
+                    break
+                else:
+                    # dead end: retreat and skip the arc that led here
+                    u = to[path.pop() ^ 1]
+                    cursor[u] += 1
 
-    def reachable(self, s: Node) -> frozenset:
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for i in self.adj.get(u, []):
-                v = self.to[i]
-                if v not in seen and self.cap[i] > 0:
-                    seen.add(v)
-                    q.append(v)
-        return frozenset(seen)
+    def reaches_sink(self, t: Node) -> frozenset:
+        """Node keys with a residual path to t (t included).
+
+        After `run(s, t)` this is the same set for every maximum flow: its
+        complement is the maximal source side of a minimum cut."""
+        if t not in self.index:
+            return frozenset({t})
+        t = self.index[t]
+        adj, to, cap = self.adj, self.to, self.cap
+        seen = [False] * len(adj)
+        seen[t] = True
+        stack = [t]
+        while stack:
+            v = stack.pop()
+            for i in adj[v]:
+                u = to[i]
+                # arc i leaves v; its twin i ^ 1 is the arc u -> v
+                if not seen[u] and cap[i ^ 1] > 0:
+                    seen[u] = True
+                    stack.append(u)
+        return frozenset(k for k, i in self.index.items() if seen[i])
 
 
 def max_flow(arcs: Sequence[Arc], source: Node, sink: Node) -> tuple[Capacity, list[Capacity]]:
@@ -113,7 +158,7 @@ def feasible_circulation(arcs: Sequence[Arc]) -> list[Capacity]:
 
     Standard reduction: route mandatory lower-bound flow through a super
     source/sink and check that it saturates. On infeasibility the violating cut
-    (nodes reachable from the super source in the residual) is attached.
+    (the nodes with no residual path to the super sink) is attached.
     """
     net = _MaxFlow()
     S, T = ("__source__",), ("__sink__",)
@@ -134,6 +179,7 @@ def feasible_circulation(arcs: Sequence[Arc]) -> list[Capacity]:
             net.add(v, T, -e)
     got = net.run(S, T)
     if got != need:
-        cut = net.reachable(S) - {S}
-        raise Infeasible(f"circulation infeasible (short by {need - got})", cut=frozenset(cut))
+        # the maximal source side of a minimum cut, without the super source
+        cut = frozenset(net.index) - net.reaches_sink(T) - {S}
+        raise Infeasible(f"circulation infeasible (short by {need - got})", cut=cut)
     return [net.flow_on(i) + a.lower for i, a in zip(ids, arcs)]

@@ -2,9 +2,10 @@
 
 Pipeline: Gallai-Edmonds decomposition, contraction of the factor-critical
 components into pseudonodes, exact computation of the per-block coverage levels
-λ (parametric min-cut), a feasible circulation fixing edge-inclusion
-probabilities, a stochastic-matrix decomposition into matchings, expansion
-back into full matchings, and an exact Carathéodory elimination
+λ (parametric min-cut, one max flow per trial λ), one feasible circulation
+fixing edge-inclusion probabilities, a Birkhoff-von Neumann decomposition of
+that matrix into matchings by repairing one matching from step to step (no
+further flows), expansion back into full matchings, and an exact Carathéodory elimination
 (simplexlp.caratheodory) that keeps linearly independent matchings with the
 same marginals. Weighted variants (node weights, edge weights) reduce onto the
 same engine by restricting removal vertices, admissible edges (one
@@ -17,6 +18,7 @@ column-generation engine (leximin level fixing), priced by perfect matchings.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -99,9 +101,6 @@ class ContractedBipartite:
     edges: frozenset[tuple[int, int]]  # (left vertex, pid)
     attach: Mapping[tuple[int, int], tuple[int, ...]]
 
-    def neighbors_of_pid(self, pid: int) -> frozenset[int]:
-        return frozenset(u for (u, z) in self.edges if z == pid)
-
     def pseudo(self, pid: int) -> Pseudo:
         return self.pseudos[pid]
 
@@ -183,26 +182,20 @@ def _tight_lambda(pseudos: Sequence[Pseudo], capacity: int) -> Fraction:
     Piecewise-linear in λ with kinks at 1 - 1/σ; solved exactly segment by
     segment.
     """
-    musts = sum(1 for p in pseudos if p.must_match)
-    opts = sorted((p for p in pseudos if not p.must_match), key=lambda p: p.sigma)
-    cap = Fraction(capacity - musts)
-    kinks = sorted({Fraction(p.sigma - 1, p.sigma) for p in opts})
-    active: list[Pseudo] = []
-    rest = list(opts)
+    cap = capacity - sum(1 for p in pseudos if p.must_match)
+    count = Counter(p.sigma for p in pseudos if not p.must_match)
+    sigmas = sorted(count)
     best = ONE
-    for k, kink in enumerate(kinks):
-        while rest and Fraction(rest[0].sigma - 1, rest[0].sigma) <= kink:
-            active.append(rest.pop(0))
-        # on [kink, next kink): demand = Σ_active (σλ - σ + 1)
-        a = sum(p.sigma for p in active)
-        b = sum(p.sigma - 1 for p in active)
-        if a == 0:
-            continue
-        lam = (cap + b) / a
-        hi = kinks[k + 1] if k + 1 < len(kinks) else ONE
-        if kink <= lam <= hi:
+    a = b = 0
+    for k, sigma in enumerate(sigmas):
+        # on [1 - 1/σ, next kink): demand = Σ_{σ' <= σ} (σ'λ - σ' + 1) = aλ - b
+        a += sigma * count[sigma]
+        b += (sigma - 1) * count[sigma]
+        lam = Fraction(cap + b, a)
+        hi = Fraction(sigmas[k + 1] - 1, sigmas[k + 1]) if k + 1 < len(sigmas) else ONE
+        if Fraction(sigma - 1, sigma) <= lam <= hi:
             best = min(best, lam)
-    return min(best, ONE)
+    return best
 
 
 def lambda_star(
@@ -215,16 +208,18 @@ def lambda_star(
     λ = min over sets S of (|N(S)| - #musts(S) + Σ_{z∈S}(σ_z - 1)) / Σ_{z∈S} σ_z,
     capped at 1. Computed by Dinkelbach iteration over exact min-cuts rather
     than by enumerating neighborhood classes, because the minimizing set need
-    not share a single neighborhood.
+    not share a single neighborhood. Each trial λ costs one max flow; the min
+    cut of the last trial is the block, so it is not solved again.
     """
     if rem_left is None:
         rem_left = frozenset(cb.left)
     if rem_pids is None:
         rem_pids = frozenset(p.pid for p in cb.pseudos)
     pseudos = [cb.pseudo(pid) for pid in sorted(rem_pids)]
-    neigh = {
-        p.pid: cb.neighbors_of_pid(p.pid) & rem_left for p in pseudos
-    }
+    neigh: dict[int, set[int]] = {pid: set() for pid in rem_pids}
+    for (u, pid) in cb.edges:
+        if pid in neigh and u in rem_left:
+            neigh[pid].add(u)
     optionals = [p for p in pseudos if not p.must_match]
 
     def tight_set(lam: Fraction) -> tuple[int, frozenset[int]]:
@@ -248,7 +243,7 @@ def lambda_star(
             net.add(("u", u), snk, q)
         flow = net.run(src, snk)
         # maximal source side of a min cut: complement of nodes reaching the sink
-        can_reach = _reaches_sink(net, snk)
+        can_reach = net.reaches_sink(snk)
         return flow - total, frozenset(pid for pid in positive if ("z", pid) not in can_reach)
 
     if not optionals:
@@ -269,7 +264,7 @@ def lambda_star(
         lam = new_lam
     if lam >= 1:
         return ONE, Block(rem_left, rem_pids, ONE)
-    _, S = tight_set(lam)
+    # S is the maximal tight set of the last tight_set(lam)
     # pull in boundary pseudonodes (demand exactly 0 at λ) stranded inside the block
     S_A = frozenset().union(*(neigh[pid] for pid in S)) if S else frozenset()
     extra = {
@@ -281,23 +276,6 @@ def lambda_star(
     S = frozenset(S | extra)
     musts = frozenset(p.pid for p in pseudos if p.must_match and neigh[p.pid] <= S_A)
     return lam, Block(S_A, S | musts, lam)
-
-
-def _reaches_sink(net: _MaxFlow, sink) -> set:
-    """Nodes with a residual path to the sink."""
-    rev: dict = {}
-    for i, head in enumerate(net.to):
-        if net.cap[i] > 0:
-            rev.setdefault(head, []).append(net.to[i ^ 1])
-    seen = {sink}
-    stack = [sink]
-    while stack:
-        v = stack.pop()
-        for u in rev.get(v, []):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
 
 
 def peel_blocks(cb: ContractedBipartite) -> BlockPartition:
@@ -372,55 +350,110 @@ def cover_matrix(partition: BlockPartition) -> CoverMatrix:
 def decompose_matrix(cover: CoverMatrix) -> list[tuple[dict[int, int], Fraction]]:
     """Write P as Σ p_k M_k with M_k bipartite matchings covering every row.
 
-    Decrementing-set construction: each step finds a matching covering all rows
-    and all currently tight columns, then removes as much probability mass as
-    possible without breaking row equality or column feasibility. Masses are
-    kept as ints, scaled by the entries' common denominator D.
+    Birkhoff-von Neumann decomposition by matching repair (Budish, Che, Kojima
+    & Milgrom, AER 2013). Masses are ints, scaled by the entries' common
+    denominator D, and t is the mass still to write: every row sums to t and
+    every column to at most t. One row→column matching on the positive
+    entries is kept across steps and repaired at the start of each: the
+    edges whose entry reached 0 have left it, augmenting paths from the
+    exposed rows cover every row again, and an alternating path from each
+    exposed tight column (sum t) to a covered column that is not tight covers
+    the tight columns. Hall's condition on the scaled matrix makes both paths
+    exist, so a failed search means P is not stochastic. The step then removes
+    the largest mass δ that keeps every uncovered column at most t - δ.
     """
     rows = list(cover.rows)
     D = lcm(*(v.denominator for v in cover.entries.values()))
     P = {e: int(v * D) for e, v in cover.entries.items() if v > 0}
-    for u in rows:
-        s = sum(v for (r, _), v in P.items() if r == u)
+    rowsum = dict.fromkeys(rows, 0)
+    colsum = dict.fromkeys(cover.cols, 0)
+    cols_of: dict[int, list[int]] = {}
+    rows_of: dict[int, list[int]] = {}
+    for (u, z) in sorted(P):
+        if u not in rowsum:
+            raise NotStochastic(f"entry ({u}, {z}) lies outside the rows")
+        v = P[(u, z)]
+        rowsum[u] += v
+        colsum[z] = colsum.get(z, 0) + v
+        cols_of.setdefault(u, []).append(z)
+        rows_of.setdefault(z, []).append(u)
+    for u, s in rowsum.items():
         if s != D:
             raise NotStochastic(f"row {u} sums to {Fraction(s, D)}")
-    for z in cover.cols:
-        s = sum(v for (_, c), v in P.items() if c == z)
+    for z, s in colsum.items():
         if s > D:
             raise NotStochastic(f"column {z} sums to {Fraction(s, D)} > 1")
     if not rows:
         return [({}, ONE)]
+    match: dict[int, int] = {}  # row -> column
+    owner: dict[int, int] = {}  # column -> row
+
+    def cover_row(r: int) -> bool:
+        """Augment along a shortest alternating path from exposed row r to an exposed column."""
+        came: dict[int, int] = {}  # column -> the row it was reached from
+        queue = [r]
+        for u in queue:
+            for z in cols_of[u]:
+                if z in came or (u, z) not in P:
+                    continue
+                came[z] = u
+                if z in owner:
+                    queue.append(owner[z])
+                    continue
+                while True:
+                    u = came[z]
+                    old = match.get(u)
+                    match[u], owner[z] = z, u
+                    if u == r:
+                        return True
+                    z = old
+        return False
+
+    def cover_column(z0: int, t: int) -> bool:
+        """Shift rows along a shortest alternating path from exposed column z0
+        to a covered column that is not tight, which becomes exposed."""
+        came: dict[int, int] = {}  # column -> the column its row moves to
+        queue = [z0]
+        for z in queue:
+            for u in rows_of.get(z, ()):
+                c = match[u]
+                if c in came or (u, z) not in P:
+                    continue
+                came[c] = z
+                if colsum[c] == t:
+                    queue.append(c)
+                    continue
+                u = owner.pop(c)
+                while c != z0:
+                    z = came[c]
+                    old = owner.get(z)
+                    match[u], owner[z] = z, u
+                    c, u = z, old
+                return True
+        return False
+
     t = D
     steps: list[tuple[dict[int, int], int]] = []
     while t > 0:
-        colsum: dict[int, int] = {}
-        for (_, z), v in P.items():
-            colsum[z] = colsum.get(z, 0) + v
-        tight = {z for z, s in colsum.items() if s == t}
-        arcs = [Arc("s", ("u", u), 1, 1) for u in rows]
-        arcs += [Arc(("u", u), ("z", z), 0, 1) for (u, z) in sorted(P)]
-        for z in sorted(colsum):
-            arcs.append(Arc(("z", z), "t", 1 if z in tight else 0, 1))
-        arcs.append(Arc("t", "s"))
-        flows = feasible_circulation(arcs)
-        M = {
-            e[0]: e[1]
-            for e, f in zip(sorted(P), flows[len(rows):len(rows) + len(P)])
-            if f == 1
-        }
-        delta = min(P[(u, z)] for u, z in M.items())
-        used_cols = set(M.values())
+        for u in rows:
+            if u not in match and not cover_row(u):
+                raise NotStochastic(f"no matching covers row {u} at mass {Fraction(t, D)}")
         for z, s in colsum.items():
-            if z not in used_cols:
+            if s == t and z not in owner and not cover_column(z, t):
+                raise NotStochastic(f"no matching covers tight column {z} at mass {Fraction(t, D)}")
+        delta = min(P[e] for e in match.items())
+        for z, s in colsum.items():
+            if z not in owner:
                 delta = min(delta, t - s)
-        delta = min(delta, t)
         if delta <= 0:
+            # unreachable after a full repair; stops the loop on a broken one
             raise NotStochastic(f"decomposition step of mass {Fraction(delta, D)} at mass {Fraction(t, D)}")
-        steps.append((dict(M), delta))
-        for u, z in M.items():
+        steps.append((dict(match), delta))
+        for u, z in list(match.items()):
+            colsum[z] -= delta
             P[(u, z)] -= delta
             if P[(u, z)] == 0:
-                del P[(u, z)]
+                del P[(u, z)], match[u], owner[z]
         t -= delta
     out = [(M, Fraction(delta, D)) for M, delta in steps]
     # exact reconstruction check

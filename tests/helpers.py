@@ -2,11 +2,14 @@
 
 Everything here works by exhaustive enumeration plus direct LP solves over the
 full enumerated family — deliberately sharing no logic with the library's
-contraction/peeling or column-generation code paths.
+contraction/peeling or column-generation code paths.  The flow references at
+the end (Edmonds-Karp, a circulation per decomposition step) are the
+algorithms the library's flow kernel and matrix decomposition replaced.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -247,3 +250,130 @@ def _max_cover_lp(target, floors, cols):
     b_ub = [-floors[v] for v in sorted(floors)]
     res = lp_solve_exact(c, A_ub=A_ub, b_ub=b_ub, A_eq=[[ONE] * k], b_eq=[ONE])
     return res.objective
+
+
+class EdmondsKarp:
+    """Shortest-augmenting-path max flow over node keys, one BFS per path.
+
+    The flow kernel the library used before its blocking-flow one; kept as an
+    independent reference.  Arcs are stored in residual pairs (i, i ^ 1).
+    """
+
+    def __init__(self):
+        self.adj = {}
+        self.to = []
+        self.cap = []
+
+    def add(self, u, v, cap):
+        i = len(self.to)
+        self.adj.setdefault(u, []).append(i)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.adj.setdefault(v, []).append(i + 1)
+        self.to.append(u)
+        self.cap.append(0)
+        return i
+
+    def flow_on(self, i):
+        return self.cap[i ^ 1]
+
+    def run(self, s, t):
+        total = 0
+        while True:
+            parent = {s: -1}
+            q = deque([s])
+            while q and t not in parent:
+                u = q.popleft()
+                for i in self.adj.get(u, []):
+                    v = self.to[i]
+                    if v not in parent and self.cap[i] > 0:
+                        parent[v] = i
+                        q.append(v)
+            if t not in parent:
+                return total
+            path = []
+            v = t
+            while v != s:
+                path.append(parent[v])
+                v = self.to[parent[v] ^ 1]
+            bottleneck = min(self.cap[i] for i in path)
+            for i in path:
+                self.cap[i] -= bottleneck
+                self.cap[i ^ 1] += bottleneck
+            total += bottleneck
+
+    def reaches_sink(self, t):
+        """Nodes with a residual path to t."""
+        rev = {}
+        for i, head in enumerate(self.to):
+            if self.cap[i] > 0:
+                rev.setdefault(head, []).append(self.to[i ^ 1])
+        seen = {t}
+        stack = [t]
+        while stack:
+            for u in rev.get(stack.pop(), []):
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return seen
+
+
+def ek_circulation(arcs):
+    """A circulation within each (tail, head, lower, upper) arc's bounds, or None.
+
+    Lower-bound flow is routed through a super source and sink on EdmondsKarp.
+    """
+    net = EdmondsKarp()
+    S, T = ("__source__",), ("__sink__",)
+    excess = {}
+    ids = []
+    for tail, head, lower, upper in arcs:
+        ids.append(net.add(tail, head, upper - lower))
+        excess[head] = excess.get(head, 0) + lower
+        excess[tail] = excess.get(tail, 0) - lower
+    need = 0
+    for v, e in excess.items():
+        if e > 0:
+            net.add(S, v, e)
+            need += e
+        elif e < 0:
+            net.add(v, T, -e)
+    if net.run(S, T) != need:
+        return None
+    return [net.flow_on(i) + a[2] for i, a in zip(ids, arcs)]
+
+
+def circulation_decompose(rows, entries):
+    """Write an int matrix with row sums t and column sums <= t as Σ δ_k M_k.
+
+    `entries` maps (row, column) to a positive int; t is the common row sum.
+    Each step solves a fresh 0/1 circulation for a matching that covers every
+    row and every column at the current t, then removes the largest mass δ
+    that keeps every column at most t - δ.  Returns [(matching, δ), ...] or
+    None when a step has no matching.
+    """
+    P = dict(entries)
+    t = sum(v for (r, _), v in P.items() if r == rows[0]) if rows else 0
+    steps = []
+    while t > 0:
+        colsum = {}
+        for (_, z), v in P.items():
+            colsum[z] = colsum.get(z, 0) + v
+        edges = sorted(P)
+        arcs = [("s", ("u", u), 1, 1) for u in rows]
+        arcs += [(("u", u), ("z", z), 0, 1) for (u, z) in edges]
+        arcs += [(("z", z), "t", 1 if s == t else 0, 1) for z, s in sorted(colsum.items())]
+        arcs.append(("t", "s", 0, len(rows)))
+        flows = ek_circulation(arcs)
+        if flows is None:
+            return None
+        M = {u: z for (u, z), f in zip(edges, flows[len(rows):]) if f == 1}
+        delta = min([t] + [P[(u, z)] for u, z in M.items()]
+                    + [t - s for z, s in colsum.items() if z not in M.values()])
+        steps.append((M, delta))
+        for u, z in M.items():
+            P[(u, z)] -= delta
+            if P[(u, z)] == 0:
+                del P[(u, z)]
+        t -= delta
+    return steps

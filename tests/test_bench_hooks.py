@@ -35,6 +35,14 @@ def load_tracing(monkeypatch):
 def test_matching_pipeline_spans_recorded(monkeypatch):
     tracing = load_tracing(monkeypatch)
     rec = tracing.Recorder()
+    engine_solves = []
+    solve_engine = lorenz._solve_engine
+
+    def counting_engine(*args):
+        engine_solves.append(1)
+        return solve_engine(*args)
+
+    monkeypatch.setattr(lorenz, "_solve_engine", counting_engine)
     # a triangle and a disjoint 5-cycle: 15 assembled matchings reduce to at most 8
     edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)]
     arcs = {a: Fraction(1) for (u, v) in edges for a in ((u, v), (v, u))}
@@ -52,6 +60,13 @@ def test_matching_pipeline_spans_recorded(monkeypatch):
     metrics = tracing.layer_metrics(rec, 1 + len(pools))
     assert metrics["lorenz.sparsify_s"][0] > 0
     assert metrics["matching.busy_s"][0] > 0
+    # lorenz.feasible_circulation and lorenz._MaxFlow are still the names the
+    # engine calls: one circulation (the cover matrix) per engine solve, and
+    # the flow and decomposition spans take time
+    assert len(engine_solves) >= 2
+    assert metrics["flows.circulations"][0] == len(engine_solves) / (1 + len(pools))
+    assert metrics["flows.busy_s"][0] > 0
+    assert metrics["lorenz.decompose_s"][0] > 0
 
 
 def test_exact_lp_spans_recorded(monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 import random
 import subprocess
@@ -388,6 +389,13 @@ class TestGiniReference:
         assert r.iterations >= 2
         assert type(r.gap) is Fraction and r.gap == 0
         assert r.objective == min_gini(inst.pairs, self.family(inst, CYC3D1))
+
+    def test_float_gap_is_positive_zero(self, monkeypatch):
+        # float masters converge with D = 0.0 here, whose negation is -0.0
+        monkeypatch.setattr(fair, "EXACT_PAIR_LIMIT", 0)
+        inst = gen.generate_instance(gen.GenConfig(n_pairs=8, seed=0))
+        r = solve_gini(inst, CYC3)
+        assert r.gap == 0 and math.copysign(1, r.gap) == 1
 
 
 class TestPinnedMarginals:

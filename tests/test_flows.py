@@ -8,7 +8,8 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from fairkep.flows import Arc, Infeasible, feasible_circulation, max_flow
+from fairkep.flows import INF, Arc, Infeasible, _MaxFlow, feasible_circulation, max_flow
+from helpers import EdmondsKarp
 
 F = Fraction
 
@@ -54,6 +55,35 @@ class TestMaxFlow:
             assert float(value) == pytest.approx(want)
             for f, a in zip(flows, arcs):
                 assert 0 <= f <= a.upper
+
+    def test_against_edmonds_karp(self):
+        # the minimal sink side of a min cut is the same for every max flow,
+        # so the nodes reaching the sink must match exactly, not just the value
+        rng = random.Random(13)
+        saturated_inf = 0
+        for _ in range(400):
+            n = rng.randint(2, 10)
+            arcs = [
+                (u, v, INF if rng.random() < 0.2 else rng.randint(1, 10 ** rng.randint(0, 12)))
+                for u in range(n) for v in range(n) if u != v and rng.random() < 0.3
+            ]
+            dinic, ek = _MaxFlow(), EdmondsKarp()
+            ids = [dinic.add(u, v, c) for u, v, c in arcs]
+            for u, v, c in arcs:
+                ek.add(u, v, c)
+            value = dinic.run(0, n - 1)
+            assert value == ek.run(0, n - 1)
+            assert dinic.reaches_sink(n - 1) == frozenset(ek.reaches_sink(n - 1))
+            net = {v: 0 for v in range(n)}
+            for i, (u, v, c) in zip(ids, arcs):
+                f = dinic.flow_on(i)
+                assert 0 <= f <= c
+                net[u] -= f
+                net[v] += f
+            assert net[n - 1] == value == -net[0]
+            assert all(net[v] == 0 for v in range(1, n - 1))
+            saturated_inf += value >= INF
+        assert saturated_inf >= 5
 
 
 def check_circulation(arcs, flows):

@@ -6,6 +6,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -30,6 +31,7 @@ from fairkep.lorenz import (
 )
 from fairkep.matching import UGraph, matching_number, norm_edge
 from helpers import (
+    circulation_decompose,
     covered_set,
     enumerate_matchings,
     leximin_marginals,
@@ -221,6 +223,86 @@ class TestDecomposeMatrix:
         with pytest.raises(NotStochastic):
             decompose_matrix(bad)
 
+    @pytest.mark.parametrize("entries, message", [
+        # rows sum to 1, column 5 to 3/2
+        ({(0, 5): F(1), (1, 5): F(1, 2), (1, 6): F(1, 2)}, "column 5"),
+        ({(0, 5): F(1), (1, 6): F(1), (2, 6): F(1, 2)}, r"entry \(2, 6\)"),
+    ])
+    def test_rejects_bad_columns_and_rows(self, entries, message):
+        bad = CoverMatrix(rows=(0, 1), cols=(5, 6), entries=entries, col_demand={})
+        with pytest.raises(NotStochastic, match=message):
+            decompose_matrix(bad)
+
+    @staticmethod
+    def check_steps(rows, entries, steps):
+        """Each step is a matching on the positive entries left that covers
+        every row and every column tight at that step, and the steps write the
+        matrix exactly; entries are scaled so that rows sum to 1."""
+        left = dict(entries)
+        t = F(1)
+        for M, p in steps:
+            assert p > 0 and set(M) == set(rows)
+            assert len(set(M.values())) == len(M)
+            colsum: dict[int, F] = {}
+            for (_, z), v in left.items():
+                colsum[z] = colsum.get(z, 0) + v
+            assert all(s <= t for s in colsum.values())
+            assert {z for z, s in colsum.items() if s == t} <= set(M.values())
+            for u, z in M.items():
+                assert left.get((u, z), 0) >= p
+                left[(u, z)] -= p
+            left = {e: v for e, v in left.items() if v}
+            t -= p
+        assert t == 0 and not left
+
+    def check_against_reference(self, cover):
+        entries = {e: v for e, v in cover.entries.items() if v > 0}
+        out = decompose_matrix(cover)
+        self.check_steps(cover.rows, entries, out)
+        D = lcm(*(v.denominator for v in entries.values()))
+        ref = circulation_decompose(cover.rows, {e: int(v * D) for e, v in entries.items()})
+        assert ref is not None
+        self.check_steps(cover.rows, entries, [(M, F(d, D)) for M, d in ref])
+        return len(out)
+
+    def test_agrees_with_circulation_reference_on_pinned_covers(self):
+        rng = random.Random(43)  # the graphs of TestPinnedSolutions
+        steps = nontrivial = 0
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(10, 20), rng.uniform(0.12, 0.25))
+            w = {e: F(rng.randint(1, 2), rng.randint(1, 2)) for e in sorted(g.edges)}
+            for sol in (leximin_lottery_graph(g), edge_weight_solution(g, w)):
+                if sol.cover.rows:
+                    nontrivial += 1
+                    steps += self.check_against_reference(sol.cover)
+        assert nontrivial >= 35 and steps > nontrivial
+
+    def test_agrees_with_circulation_reference_on_random_matrices(self):
+        # sums of t-weighted injective row -> column maps: rows sum to t and
+        # columns to at most t; pinned columns sit in every map and stay tight
+        rng = random.Random(36)
+        tight = 0
+        for _ in range(200):
+            nr = rng.randint(1, 7)
+            cols = list(range(100, 100 + rng.randint(nr, nr + 4)))
+            pinned = rng.sample(cols, rng.randint(0, nr))
+            rest = [c for c in cols if c not in pinned]
+            parts = [rng.randint(1, 9) for _ in range(rng.randint(1, 7))]
+            t = sum(parts)
+            entries: dict[tuple[int, int], int] = {}
+            for w in parts:
+                assign = pinned + rng.sample(rest, nr - len(pinned))
+                rng.shuffle(assign)
+                for r, c in enumerate(assign):
+                    entries[(r, c)] = entries.get((r, c), 0) + w
+            cover = CoverMatrix(
+                rows=tuple(range(nr)), cols=tuple(cols),
+                entries={e: F(v, t) for e, v in entries.items()}, col_demand={},
+            )
+            self.check_against_reference(cover)
+            tight += bool(pinned)
+        assert tight >= 100
+
 
 def make_instance(pairs, arcs):
     return KepInstance(pairs=frozenset(pairs), arcs={a: F(1) for a in arcs})
@@ -381,7 +463,7 @@ def brute_lambda(cb):
     """min over pseudonode sets S with Σσ > 0 of (|N(S)| - #musts(S) + Σ_opt(σ - 1)) / Σσ,
     capped at 1; None when the must-match pseudonodes fail Hall's condition (the
     engine's contractions never do, and lambda_star raises on them)."""
-    neigh = {p.pid: cb.neighbors_of_pid(p.pid) for p in cb.pseudos}
+    neigh = {p.pid: frozenset(u for (u, z) in cb.edges if z == p.pid) for p in cb.pseudos}
     best = F(1)
     for k in range(1, len(cb.pseudos) + 1):
         for S in combinations(cb.pseudos, k):
@@ -445,26 +527,35 @@ class TestLambdaStarBruteForce:
         assert musts >= 10 and fractional >= 20
 
 
-def solution_digest(sol):
-    """One line per solution part: peels with λ, cover, decomposition, support, marginals."""
-    parts = [
-        [(sorted(pl.left), sorted(pl.pids), sorted(pl.must_pids), str(pl.lam))
-         for pl in sol.partition.peels],
-        sorted((e, str(v)) for e, v in sol.cover.entries.items()),
-        sorted((z, str(v)) for z, v in sol.cover.col_demand.items()),
-        [(sorted(M.items()), str(p)) for M, p in sol.decomposition],
-        [(sorted(edges), str(p)) for edges, p in sol.support],
-        sorted((v, str(x)) for v, x in sol.marginals.items()),
-    ]
-    return repr(parts)
+SOLUTION_PARTS = ("peels", "cover", "demands", "decomposition", "support", "marginals")
+
+
+def solution_digest(sol, parts=SOLUTION_PARTS):
+    """One line per solution part: peels with λ, cover, column demands,
+    decomposition, support, marginals (or the named subset of them)."""
+    every = {
+        "peels": lambda: [(sorted(pl.left), sorted(pl.pids), sorted(pl.must_pids), str(pl.lam))
+                          for pl in sol.partition.peels],
+        "cover": lambda: sorted((e, str(v)) for e, v in sol.cover.entries.items()),
+        "demands": lambda: sorted((z, str(v)) for z, v in sol.cover.col_demand.items()),
+        "decomposition": lambda: [(sorted(M.items()), str(p)) for M, p in sol.decomposition],
+        "support": lambda: [(sorted(edges), str(p)) for edges, p in sol.support],
+        "marginals": lambda: sorted((v, str(x)) for v, x in sol.marginals.items()),
+    }
+    return repr([every[name]() for name in parts])
 
 
 class TestPinnedSolutions:
-    # sha256 over the digests of 30 unweighted and 30 edge-weighted solutions,
-    # recorded with Fraction capacities in every flow; int-scaled flows must match it
-    PINNED = "6f0bbaf890fe6c8899608ec9a6f305a8dc3d64afc1300148d062ec8068853fdc"
+    # sha256 over the digests of 30 unweighted and 30 edge-weighted solutions.
+    # INVARIANT covers the parts fixed by the lottery itself (peels with λ,
+    # column demands, marginals), recorded with Edmonds-Karp flows and a
+    # circulation per decomposition step; PINNED also pins the flow-dependent
+    # parts (cover entries, decomposition, support), recorded with blocking
+    # flows and the repaired decomposition.
+    INVARIANT = "1578f1bb800bf9900555850b4d24d1b2af7fd581742f586884f3f1aca2c74202"
+    PINNED = "82b3684a92112a4251ef0bdf49cb6a450b2df3d439c50e60258d4aef0e465b42"
 
-    def test_full_solutions_unchanged(self):
+    def digest(self, parts=SOLUTION_PARTS):
         rng = random.Random(43)
         h = hashlib.sha256()
         nontrivial = 0
@@ -474,6 +565,12 @@ class TestPinnedSolutions:
             for sol in (leximin_lottery_graph(g), edge_weight_solution(g, w)):
                 sol.check()
                 nontrivial += bool(sol.partition.peels)
-                h.update(solution_digest(sol).encode())
+                h.update(solution_digest(sol, parts).encode())
         assert nontrivial >= 40
-        assert h.hexdigest() == self.PINNED
+        return h.hexdigest()
+
+    def test_invariant_parts_unchanged(self):
+        assert self.digest(("peels", "demands", "marginals")) == self.INVARIANT
+
+    def test_full_solutions_unchanged(self):
+        assert self.digest() == self.PINNED
