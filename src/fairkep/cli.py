@@ -95,6 +95,30 @@ def _read_json(path) -> dict:
         raise UsageError(f"cannot read {path}: {exc}")
 
 
+def _read_map(path, instance: KepInstance, what: str, edges: bool = False) -> dict:
+    """{pair: rational} from a JSON object keyed by pair ids, or with edges
+    {(u, v): rational} keyed by "u,v" mutual-compatibility edges (u < v)."""
+    raw = _read_json(path)
+    if not isinstance(raw, dict):
+        raise UsageError(f"{what} file {path} must hold a JSON object")
+    valid = instance.undirected_edges() if edges else instance.pairs
+    out: dict = {}
+    for k, x in raw.items():
+        try:
+            ids = [int(t) for t in k.split(",")]
+        except ValueError:
+            ids = []
+        key = (min(ids), max(ids)) if edges and len(ids) == 2 else ids[0] if len(ids) == 1 else None
+        if key not in valid:
+            kind = "mutual-compatibility edge 'u,v'" if edges else "pair"
+            raise UsageError(f"{what} key {k!r} in {path} names no {kind} of the instance")
+        try:
+            out[key] = io.parse_rational(x, f"{what}[{k}]")
+        except io.ParseError as exc:
+            raise UsageError(f"{path}: {exc}")
+    return out
+
+
 def _load_instance(path) -> KepInstance:
     try:
         return io.read_instance(path)
@@ -241,8 +265,7 @@ def _cmd_solve(args) -> int:
         return EXIT_OK
     policy = parse_policy(args.policy, args.delta, args.mu)
     if args.prices:
-        raw = _read_json(args.prices)
-        prices = {int(v): io.parse_rational(p, f"price[{v}]") for v, p in raw.items()}
+        prices = _read_map(args.prices, instance, "price")
     else:
         prices = {v: Fraction(1) for v in instance.pairs}
     family = oracle.PackingFamily(instance, policy)
@@ -290,15 +313,10 @@ def _cmd_lottery(args) -> int:
         if args.objective != "leximin":
             raise UsageError("weighted/fixed-cardinality lotteries support --objective leximin only")
         if args.node_weights:
-            raw = _read_json(args.node_weights)
-            w = {int(v): io.parse_rational(x, f"weight[{v}]") for v, x in raw.items()}
+            w = _read_map(args.node_weights, instance, "weight")
             lottery = lorenz.node_weight_leximin(instance, w)
         elif args.edge_weights:
-            raw = _read_json(args.edge_weights)
-            ew = {}
-            for k, x in raw.items():
-                u, v = (int(t) for t in k.split(","))
-                ew[(min(u, v), max(u, v))] = io.parse_rational(x, f"weight[{k}]")
+            ew = _read_map(args.edge_weights, instance, "weight", edges=True)
             lottery = lorenz.edge_weight_reduction(instance, ew)
         else:
             policy = parse_policy(args.policy, args.delta, args.mu)

@@ -333,9 +333,6 @@ _METRICS: dict[str, Callable] = {
     "neggini": eval_neg_gini,
 }
 
-OBJECTIVES = ("utilitarian", "maximin", "leximin", "nash", "neggini")
-
-
 def eval_metric(objective: str, q: Sequence[Fraction]):
     """Evaluate a fairness metric on a marginal vector (exact rationals)."""
     try:

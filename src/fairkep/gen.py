@@ -74,6 +74,12 @@ class GenConfig:
         _check_dist("donor_bt_distribution", self.donor_bt_distribution)
         for pairing, dist in self.pra_conditional.items():
             _check_dist(f"pra_conditional[{pairing}]", dist)
+            # io reads a PRA as an int in 0..100, so generate writes no other
+            if any(isinstance(b, bool) or not isinstance(b, int) or not 0 <= b <= 100 for b in dist):
+                raise InvalidDistribution(f"pra_conditional[{pairing}] has a PRA level outside 0..100")
+        types = {*self.donor_bt_distribution, *(t for k in self.blood_pair_distribution for t in k)}
+        if not types <= set(BLOOD_TYPES):
+            raise InvalidDistribution(f"unknown blood types {sorted(types - set(BLOOD_TYPES))}")
 
 
 def _check_dist(name: str, dist: Mapping) -> None:

@@ -8,6 +8,7 @@ from pathlib import Path
 from typing import Any
 
 from .core import Chain, Cycle, FairkepError, KepInstance, Lottery, Packing
+from .gen import BLOOD_TYPES
 
 
 class ParseError(FairkepError):
@@ -67,6 +68,21 @@ def _node_id(rec: dict, where: str) -> int:
         raise ParseError(f"bad id in {where}: {e}") from None
 
 
+def _attributes(rec: dict, keys: tuple[str, ...], where: str) -> dict:
+    """The record's generator attributes; blood types must be gen.BLOOD_TYPES,
+    a PRA an int in 0..100, and a pair with a patient blood type needs a PRA."""
+    attrs = {k: rec[k] for k in keys if k in rec}
+    for k in ("blood_patient", "blood_donor"):
+        if k in attrs and attrs[k] not in BLOOD_TYPES:
+            raise ParseError(f"{where}: {k} {attrs[k]!r} is not one of {', '.join(BLOOD_TYPES)}")
+    pra = attrs.get("pra")
+    if "pra" in attrs and (isinstance(pra, bool) or not isinstance(pra, int) or not 0 <= pra <= 100):
+        raise ParseError(f"{where}: pra {pra!r} is not an int in 0..100")
+    if "blood_patient" in attrs and "pra" not in attrs:
+        raise ParseError(f"{where} has a blood_patient but no pra")
+    return attrs
+
+
 def instance_from_dict(data: dict) -> KepInstance:
     try:
         pair_recs = _records(data["pairs"], "pairs")
@@ -82,7 +98,7 @@ def instance_from_dict(data: dict) -> KepInstance:
         if v in pairs:
             raise ParseError(f"duplicate pair id {v}")
         pairs.add(v)
-        attrs = {k: rec[k] for k in ("blood_patient", "blood_donor", "pra") if k in rec}
+        attrs = _attributes(rec, ("blood_patient", "blood_donor", "pra"), f"pair {v}")
         if attrs:
             attributes[v] = attrs
         if "weight" in rec:
@@ -92,7 +108,7 @@ def instance_from_dict(data: dict) -> KepInstance:
         if v in pairs or v in ndds:
             raise ParseError(f"duplicate node id {v}")
         ndds.add(v)
-        attrs = {k: rec[k] for k in ("blood_donor",) if k in rec}
+        attrs = _attributes(rec, ("blood_donor",), f"ndd {v}")
         if attrs:
             attributes[v] = attrs
     arcs: dict[tuple[int, int], Fraction] = {}

@@ -1,17 +1,17 @@
 """Lorenz-dominant (leximin) lotteries over maximum-cardinality matchings.
 
-Pipeline: Gallai-Edmonds decomposition, contraction of the factor-critical
-components into pseudonodes, exact computation of the per-block coverage levels
-λ (parametric min-cut, one max flow per trial λ), one feasible circulation
-fixing edge-inclusion probabilities, a Birkhoff-von Neumann decomposition of
-that matrix into matchings by repairing one matching from step to step (no
-further flows), expansion back into full matchings, and an exact Carathéodory elimination
-(simplexlp.caratheodory) that keeps linearly independent matchings with the
-same marginals. Weighted variants (node weights, edge weights) reduce onto the
-same engine by restricting removal vertices, admissible edges (one
-maximum-weight perfect matching, its dual potentials and the
-Dulmage-Mendelsohn alternating cycles of a doubled bipartite graph), and
-forced ("must-match") pseudonodes. Fixed cardinality runs on fair's
+One frame runs both solvers, unweighted and edge-weighted: Gallai-Edmonds
+decomposition, contraction of its factor-critical components into
+pseudonodes (none when the graph has a perfect matching), one cache of the
+matchings inside them, exact per-block coverage levels λ (parametric
+min-cut), one feasible circulation fixing edge-inclusion probabilities, a
+Birkhoff-von Neumann decomposition of that matrix by repairing one matching
+from step to step, expansion into full matchings, an exact Carathéodory
+elimination (simplexlp.caratheodory) and a check of the marginals. Weights
+(node weights reduce to edge weights) first restrict removal vertices,
+admissible edges (one maximum-weight perfect matching, its dual potentials
+and the Dulmage-Mendelsohn alternating cycles of a doubled bipartite graph)
+and forced ("must-match") pseudonodes. Fixed cardinality runs on fair's
 column-generation engine (leximin level fixing), priced by perfect matchings.
 """
 
@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .core import (
     Cycle,
@@ -105,14 +105,12 @@ class ContractedBipartite:
         return self.pseudos[pid]
 
 
-def contract(graph: UGraph, ge: Optional[GallaiEdmonds] = None) -> ContractedBipartite:
+def contract(graph: UGraph, ge: GallaiEdmonds) -> ContractedBipartite:
     """Contract each factor-critical component of D(G) to a pseudonode.
 
     Edges between A(G) vertices are dropped, parallel edges collapsed; the
     original endpoints inside each component are kept as attach candidates.
     """
-    if ge is None:
-        ge = gallai_edmonds(graph)
     pseudos = tuple(
         Pseudo(pid=i, members=tuple(sorted(comp)), removal=tuple(sorted(comp)))
         for i, comp in enumerate(ge.components_D)
@@ -139,14 +137,9 @@ def contract(graph: UGraph, ge: Optional[GallaiEdmonds] = None) -> ContractedBip
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Block:
-    S_A: frozenset[int]
-    S_D: frozenset[int]
-    lambda_value: Fraction
-
-
-@dataclass(frozen=True)
 class Peel:
+    """A block of the contraction: its left vertices and pseudonodes, with λ."""
+
     left: frozenset[int]
     pids: frozenset[int]       # pseudonodes taking coverage level lam
     must_pids: frozenset[int]  # must-match pseudonodes removed alongside
@@ -202,14 +195,15 @@ def lambda_star(
     cb: ContractedBipartite,
     rem_left: Optional[frozenset[int]] = None,
     rem_pids: Optional[frozenset[int]] = None,
-) -> tuple[Fraction, Block]:
+) -> tuple[Fraction, Peel]:
     """Exact minimum coverage ratio over pseudonode subsets, with the maximal tight block.
 
     λ = min over sets S of (|N(S)| - #musts(S) + Σ_{z∈S}(σ_z - 1)) / Σ_{z∈S} σ_z,
     capped at 1. Computed by Dinkelbach iteration over exact min-cuts rather
     than by enumerating neighborhood classes, because the minimizing set need
     not share a single neighborhood. Each trial λ costs one max flow; the min
-    cut of the last trial is the block, so it is not solved again.
+    cut of the last trial is the block, so it is not solved again. At λ = 1
+    the block is everything left.
     """
     if rem_left is None:
         rem_left = frozenset(cb.left)
@@ -221,6 +215,10 @@ def lambda_star(
         if pid in neigh and u in rem_left:
             neigh[pid].add(u)
     optionals = [p for p in pseudos if not p.must_match]
+
+    def peel(left: frozenset[int], pids: frozenset[int], lam: Fraction) -> tuple[Fraction, Peel]:
+        musts = frozenset(pid for pid in pids if cb.pseudo(pid).must_match)
+        return lam, Peel(left, pids - musts, musts, lam)
 
     def tight_set(lam: Fraction) -> tuple[int, frozenset[int]]:
         """q·min over S of |N(S)| - Σ demand(λ), with the maximal minimizing S.
@@ -250,7 +248,7 @@ def lambda_star(
         # λ is 1 once Hall's condition holds for the must-match pseudonodes
         if tight_set(ONE)[0] < 0:
             raise FairkepError("must-match pseudonodes unmatchable")
-        return ONE, Block(rem_left, rem_pids, ONE)
+        return peel(rem_left, rem_pids, ONE)
     lam = ONE
     while True:
         h, S = tight_set(lam)
@@ -263,7 +261,7 @@ def lambda_star(
             raise FairkepError(f"ratio stalled at λ={lam}: must-match pseudonodes unmatchable")
         lam = new_lam
     if lam >= 1:
-        return ONE, Block(rem_left, rem_pids, ONE)
+        return peel(rem_left, rem_pids, ONE)
     # S is the maximal tight set of the last tight_set(lam)
     # pull in boundary pseudonodes (demand exactly 0 at λ) stranded inside the block
     S_A = frozenset().union(*(neigh[pid] for pid in S)) if S else frozenset()
@@ -273,9 +271,8 @@ def lambda_star(
         if p.pid not in S and _demand(p, lam) == 0
         and lam == Fraction(p.sigma - 1, p.sigma) and neigh[p.pid] <= S_A
     }
-    S = frozenset(S | extra)
-    musts = frozenset(p.pid for p in pseudos if p.must_match and neigh[p.pid] <= S_A)
-    return lam, Block(S_A, S | musts, lam)
+    musts = {p.pid for p in pseudos if p.must_match and neigh[p.pid] <= S_A}
+    return peel(S_A, S | extra | musts, lam)
 
 
 def peel_blocks(cb: ContractedBipartite) -> BlockPartition:
@@ -285,15 +282,9 @@ def peel_blocks(cb: ContractedBipartite) -> BlockPartition:
     peels: list[Peel] = []
     prev = Fraction(-1)
     while rem_pids:
-        lam, block = lambda_star(cb, rem_left, rem_pids)
-        musts = frozenset(pid for pid in block.S_D if cb.pseudo(pid).must_match)
-        if lam >= 1:
-            peel = Peel(rem_left, frozenset(rem_pids - musts), musts, ONE)
-            rem_left, rem_pids = frozenset(), frozenset()
-        else:
-            peel = Peel(block.S_A, frozenset(block.S_D - musts), musts, lam)
-            rem_left = rem_left - block.S_A
-            rem_pids = rem_pids - block.S_D
+        _, peel = lambda_star(cb, rem_left, rem_pids)
+        rem_left = rem_left - peel.left
+        rem_pids = rem_pids - peel.pids - peel.must_pids
         if peel.lam <= prev:
             raise FairkepError(f"peel λ values must strictly increase: {prev} then {peel.lam}")
         prev = peel.lam
@@ -323,9 +314,7 @@ def cover_matrix(partition: BlockPartition) -> CoverMatrix:
     The circulation runs on ints: every bound is scaled by the demands' lcm denominator D."""
     cb = partition.cb
     lam_of = partition.lambda_of()
-    demands = {
-        p.pid: (ONE if p.must_match else _demand(p, lam_of[p.pid])) for p in cb.pseudos
-    }
+    demands = {p.pid: _demand(p, lam_of[p.pid]) for p in cb.pseudos}
     D = lcm(*(d.denominator for d in demands.values()))
     arcs = [Arc("source", ("u", u), D, D) for u in cb.left]
     edge_list = sorted(cb.edges)
@@ -470,44 +459,17 @@ def decompose_matrix(cover: CoverMatrix) -> list[tuple[dict[int, int], Fraction]
 # end-to-end engine
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LeximinSolution:
-    """A solved leximin lottery over matchings of an undirected graph."""
-
-    graph: UGraph
-    cb: ContractedBipartite
-    partition: BlockPartition
-    cover: CoverMatrix
-    decomposition: list[tuple[dict[int, int], Fraction]]
-    c_matching: frozenset[Edge]
-    support: list[tuple[frozenset[Edge], Fraction]]
-    marginals: dict[int, Fraction]
-    # edge weights of a maximum-weight solution (None: cardinality only)
-    weights: Optional[Mapping[Edge, Fraction]] = None
-    perfect: bool = False
-
-    def check(self) -> None:
-        """Recompute marginals from the support and compare with the formula."""
-        q = {v: ZERO for v in self.graph.vertices}
-        total = ZERO
-        for edges, p in self.support:
-            total += p
-            for (a, b) in edges:
-                q[a] += p
-                q[b] += p
-        if total != 1:
-            raise FairkepError(f"support probabilities sum to {total}, not 1")
-        if q != self.marginals:
-            raise FairkepError(f"support marginals {q} differ from the formula's {self.marginals}")
-
-
 class _Internals:
-    """Cached (maximum-weight) perfect matchings inside subsets of the graph."""
+    """Cached (maximum-weight) perfect matchings inside subsets of the graph.
+
+    One per solve: the admissible restriction's component weights, the
+    support's assembly and sample_matching match each vertex set once.
+    """
 
     def __init__(self, graph: UGraph, weights: Optional[Mapping[Edge, Fraction]]):
         self.graph = graph
         self.weights = weights
-        self.cache: dict[frozenset[int], frozenset[Edge]] = {}
+        self.cache: dict[frozenset[int], frozenset[Edge]] = {frozenset(): frozenset()}
 
     def pm(self, vertices: frozenset[int]) -> frozenset[Edge]:
         key = frozenset(vertices)
@@ -523,47 +485,95 @@ class _Internals:
         return self.cache[key]
 
 
+@dataclass
+class LeximinSolution:
+    """A solved leximin lottery over matchings of an undirected graph.
+
+    internals holds the solve's inner matchings (maximum-weight ones when the
+    solve had edge weights), which sample_matching reuses.
+    """
+
+    graph: UGraph
+    cb: ContractedBipartite
+    partition: BlockPartition
+    cover: CoverMatrix
+    decomposition: list[tuple[dict[int, int], Fraction]]
+    c_matching: frozenset[Edge]
+    support: list[tuple[frozenset[Edge], Fraction]]
+    marginals: dict[int, Fraction]
+    internals: _Internals
+
+    def check(self) -> None:
+        """Recompute marginals from the support, as integer numerators over the
+        lcm D of its denominators, and compare with the formula."""
+        D = lcm(*(p.denominator for _, p in self.support))
+        q = dict.fromkeys(self.graph.vertices, 0)
+        total = 0
+        for edges, p in self.support:
+            n = p.numerator * (D // p.denominator)
+            total += n
+            for (a, b) in edges:
+                q[a] += n
+                q[b] += n
+        if total != D:
+            raise FairkepError(f"support probabilities sum to {Fraction(total, D)}, not 1")
+        if q.keys() != self.marginals.keys() or any(
+            q[v] * x.denominator != x.numerator * D for v, x in self.marginals.items()
+        ):
+            got = {v: Fraction(n, D) for v, n in q.items()}
+            raise FairkepError(f"support marginals {got} differ from the formula's {self.marginals}")
+
+
 def _marginals_from_partition(
     graph: UGraph, cb: ContractedBipartite, partition: BlockPartition
 ) -> dict[int, Fraction]:
-    q = {v: ONE for v in graph.vertices}
     lam_of = partition.lambda_of()
-    for p in cb.pseudos:
-        lam = lam_of[p.pid]
-        for v in p.removal:
-            q[v] = lam
+    q = {v: ONE for v in graph.vertices}
+    q.update((v, lam_of[p.pid]) for p in cb.pseudos for v in p.removal)
     return q
 
 
+def _expand(cb: ContractedBipartite, internals: _Internals, c_matching: frozenset[Edge],
+            M: Mapping[int, int], attach: Callable[[Sequence[int]], int],
+            remove: Callable[[Pseudo], int]) -> frozenset[Edge]:
+    """The full matching of one decomposition matching M.
+
+    C's perfect matching, then for each edge (u, z) of M an attach edge u–x
+    with a perfect matching of z's component without x, and for each
+    pseudonode M leaves out a perfect matching of its component without one
+    removal vertex; attach and remove choose x and that vertex.
+    """
+    edges: set[Edge] = set(c_matching)
+    for u, pid in M.items():
+        x = attach(cb.attach[(u, pid)])
+        edges.add(norm_edge(u, x))
+        edges |= internals.pm(frozenset(cb.pseudo(pid).members) - {x})
+    matched = set(M.values())
+    for z in cb.pseudos:
+        if z.pid in matched:
+            continue
+        if z.must_match:
+            raise FairkepError(f"must-match pseudonode {z.pid} left unmatched")
+        edges |= internals.pm(frozenset(z.members) - {remove(z)})
+    return frozenset(edges)
+
+
 def _assemble_support(
-    cb: ContractedBipartite,
-    decomposition: list[tuple[dict[int, int], Fraction]],
-    c_matching: frozenset[Edge],
-    internals: _Internals,
+    cb: ContractedBipartite, decomposition: list[tuple[dict[int, int], Fraction]],
+    c_matching: frozenset[Edge], internals: _Internals,
 ) -> list[tuple[frozenset[Edge], Fraction]]:
+    """Each decomposition matching, split evenly over L slices, L the lcm of
+    the σ of the pseudonodes it leaves out; slice j removes each one's
+    (j mod σ)-th removal vertex."""
     support: dict[frozenset[Edge], Fraction] = {}
     for M, prob in decomposition:
         matched = set(M.values())
-        base: set[Edge] = set(c_matching)
-        for u, pid in M.items():
-            x = cb.attach[(u, pid)][0]
-            base.add(norm_edge(u, x))
-            z = cb.pseudo(pid)
-            base |= internals.pm(frozenset(z.members) - {x})
-        unmatched = [cb.pseudo(pid) for pid in sorted(
-            p.pid for p in cb.pseudos if p.pid not in matched
-        )]
-        for z in unmatched:
-            if z.must_match:
-                raise FairkepError(f"must-match pseudonode {z.pid} left unmatched")
-        L = lcm(*(z.sigma for z in unmatched))
+        # a must-match pseudonode left out (σ = 0) raises in _expand
+        L = lcm(*(z.sigma for z in cb.pseudos if z.pid not in matched)) or 1
         slice_p = prob / L
         for j in range(L):
-            edges = set(base)
-            for z in unmatched:
-                r = z.removal[j % z.sigma]
-                edges |= internals.pm(frozenset(z.members) - {r})
-            key = frozenset(edges)
+            key = _expand(cb, internals, c_matching, M, lambda xs: xs[0],
+                          lambda z: z.removal[j % z.sigma])
             support[key] = support.get(key, ZERO) + slice_p
     return [(edges, p) for edges, p in sorted(support.items(), key=lambda kv: sorted(kv[0])) if p > 0]
 
@@ -586,65 +596,110 @@ def sparsify_support(
 
 
 def _solve_engine(
-    graph: UGraph,
-    cb: ContractedBipartite,
-    weights: Optional[Mapping[Edge, Fraction]],
-    c_vertices: frozenset[int],
+    graph: UGraph, cb: ContractedBipartite, internals: _Internals, c_vertices: frozenset[int]
 ) -> LeximinSolution:
-    internals = _Internals(graph, weights)
-    c_matching = internals.pm(c_vertices) if c_vertices else frozenset()
+    """Peel, cover, decompose, expand and sparsify; the answer is checked before it returns."""
+    c_matching = internals.pm(c_vertices)
     partition = peel_blocks(cb)
     cover = cover_matrix(partition)
     decomposition = decompose_matrix(cover)
     support = _assemble_support(cb, decomposition, c_matching, internals)
     marginals = _marginals_from_partition(graph, cb, partition)
     support = sparsify_support(support, sorted(graph.vertices))
-    return LeximinSolution(
-        graph=graph,
-        cb=cb,
-        partition=partition,
-        cover=cover,
-        decomposition=decomposition,
-        c_matching=c_matching,
-        support=support,
-        marginals=marginals,
-        weights=weights,
+    solution = LeximinSolution(
+        graph, cb, partition, cover, decomposition, c_matching, support, marginals, internals
+    )
+    solution.check()
+    return solution
+
+
+def _admissible(cb: ContractedBipartite, internals: _Internals) -> ContractedBipartite:
+    """Restrict the contraction to the choices of maximum-weight maximum matchings.
+
+    A doubled bipartite graph H over two copies of the contraction encodes the
+    choice between matching a pseudonode externally (weight tier s_z plus the
+    best attachment weight) and leaving it internally matched (tier 2(s_z-1)
+    plus twice the best internal weight). The admissible edges of H keep the
+    attach edges; a pseudonode whose internal edge is not admissible becomes
+    must-match, the others keep the removal vertices of best weight.
+    """
+    weights = internals.weights
+    # best weight of each component without one member: a perfect matching,
+    # since the components of D are factor-critical
+    inner = {
+        (p.pid, x): matching_weight(internals.pm(frozenset(p.members) - {x}), weights)
+        for p in cb.pseudos
+        for x in p.members
+    }
+    w_best = {p.pid: max(inner[(p.pid, x)] for x in p.members) for p in cb.pseudos}
+    tiers: dict[Edge, tuple[Fraction, Fraction]] = {}
+    best_attach: dict[tuple[int, int], tuple[int, ...]] = {}
+    for (u, pid) in cb.edges:
+        # the attachment weight w(u,z) and the attach vertices achieving it
+        cands = {
+            x: Fraction(weights.get(norm_edge(u, x), 0)) + inner[(pid, x)]
+            for x in cb.attach[(u, pid)]
+        }
+        wuz = max(cands.values())
+        best_attach[(u, pid)] = tuple(sorted(x for x, v in cands.items() if v == wuz))
+        s = Fraction(cb.pseudo(pid).size)
+        tiers[norm_edge(("A1", u), ("Z2", pid))] = (s, wuz)
+        tiers[norm_edge(("A2", u), ("Z1", pid))] = (s, wuz)
+    for p in cb.pseudos:
+        tiers[norm_edge(("Z1", p.pid), ("Z2", p.pid))] = (Fraction(2 * (p.size - 1)), 2 * w_best[p.pid])
+    # every vertex of H has an edge: each vertex of A(G) has a neighbor in D(G)
+    H = UGraph.of({x for e in tiers for x in e}, tiers)
+    adm = bipartite_admissible_subgraph(H, lex_weights(tiers, len(H.vertices)))
+    adm_edges = {(u, pid) for (u, pid) in cb.edges if norm_edge(("A1", u), ("Z2", pid)) in adm}
+    pseudos = tuple(
+        Pseudo(p.pid, p.members, tuple(x for x in p.members if inner[(p.pid, x)] == w_best[p.pid])
+               if norm_edge(("Z1", p.pid), ("Z2", p.pid)) in adm else ())
+        for p in cb.pseudos
+    )
+    return ContractedBipartite(
+        left=cb.left,
+        pseudos=pseudos,
+        edges=frozenset(adm_edges),
+        attach={e: best_attach[e] for e in adm_edges},
     )
 
 
-def _perfect_solution(
-    graph: UGraph, weights: Optional[Mapping[Edge, Fraction]]
-) -> LeximinSolution:
-    """A graph with a perfect matching: one (maximum-weight) perfect matching."""
-    pm = _Internals(graph, weights).pm(frozenset(graph.vertices)) if graph.vertices else frozenset()
-    cb = ContractedBipartite(left=(), pseudos=(), edges=frozenset(), attach={})
-    return LeximinSolution(
-        graph=graph,
-        cb=cb,
-        partition=BlockPartition(cb=cb, peels=()),
-        cover=CoverMatrix(rows=(), cols=(), entries={}, col_demand={}),
-        decomposition=[({}, ONE)],
-        c_matching=pm,
-        support=[(pm, ONE)],
-        marginals={v: ONE for v in graph.vertices},
-        weights=weights,
-        perfect=True,
-    )
+def _solve(graph: UGraph, weights: Optional[Mapping[Edge, Fraction]]) -> LeximinSolution:
+    """The frame of both solvers: Gallai-Edmonds, the contraction, one inner
+    matching cache, with weights the admissible restriction, then the engine.
+
+    A graph with a perfect matching has D = ∅: no pseudonodes, so no peels,
+    the decomposition [({}, 1)] and the support [(pm(C), 1)].
+    """
+    ge = gallai_edmonds(graph)
+    cb = contract(graph, ge)
+    internals = _Internals(graph, weights)
+    if weights is not None:
+        cb = _admissible(cb, internals)
+    return _solve_engine(graph, cb, internals, frozenset(ge.C))
 
 
 def leximin_lottery_graph(graph: UGraph) -> LeximinSolution:
     """Leximin (Lorenz-dominant) lottery over maximum-cardinality matchings."""
-    ge = gallai_edmonds(graph)
-    if not ge.D:
-        return _perfect_solution(graph, None)
-    return _solve_engine(graph, contract(graph, ge), None, frozenset(ge.C))
+    return _solve(graph, None)
+
+
+def edge_weight_solution(graph: UGraph, weights: Mapping[Edge, Fraction]) -> LeximinSolution:
+    """Leximin lottery over maximum-weight maximum-cardinality matchings.
+
+    An edge missing from weights weighs 0.
+    """
+    return _solve(graph, weights)
 
 
 def sample_matching(solution: LeximinSolution, seed: int) -> frozenset[Edge]:
     """Sample one matching of the solution's family (maximum-weight when the
-    solution carries weights); frequencies converge to the lottery marginals."""
+    solve had edge weights); frequencies converge to the lottery marginals.
+
+    Draws a decomposition matching by its probability, then attach and
+    removal vertices uniformly; inner matchings come from the solve's cache.
+    """
     rng = random.Random(seed)
-    cb = solution.cb
     den = lcm(*(p.denominator for _, p in solution.decomposition))
     draw = rng.randrange(den)
     acc = 0
@@ -654,20 +709,8 @@ def sample_matching(solution: LeximinSolution, seed: int) -> frozenset[Edge]:
         if draw < acc:
             chosen = M
             break
-    internals = _Internals(solution.graph, solution.weights)
-    edges: set[Edge] = set(solution.c_matching)
-    matched = set(chosen.values())
-    for u, pid in chosen.items():
-        x = rng.choice(cb.attach[(u, pid)])
-        edges.add(norm_edge(u, x))
-        z = cb.pseudo(pid)
-        edges |= internals.pm(frozenset(z.members) - {x})
-    for p in cb.pseudos:
-        if p.pid in matched:
-            continue
-        r = p.removal[rng.randrange(p.sigma)]
-        edges |= internals.pm(frozenset(p.members) - {r})
-    return frozenset(edges)
+    return _expand(solution.cb, solution.internals, solution.c_matching, chosen,
+                   rng.choice, lambda z: rng.choice(z.removal))
 
 
 # ---------------------------------------------------------------------------
@@ -678,11 +721,16 @@ def _undirected_projection(instance: KepInstance) -> UGraph:
     return UGraph.of(instance.pairs, instance.undirected_edges())
 
 
-def _undirected_weights(instance: KepInstance) -> dict[Edge, Fraction]:
-    out = {}
-    for (u, v) in instance.undirected_edges():
-        out[(u, v)] = Fraction(instance.arcs[(u, v)]) + Fraction(instance.arcs[(v, u)])
-    return out
+def _edge_weights(
+    instance: KepInstance, edge_weights: Optional[Mapping[Edge, Fraction]]
+) -> dict[Edge, Fraction]:
+    """Given edge weights keyed by normalized edges; by default, the sum of the two arc weights."""
+    if edge_weights is not None:
+        return {norm_edge(*e): Fraction(wv) for e, wv in edge_weights.items()}
+    return {
+        (u, v): Fraction(instance.arcs[(u, v)]) + Fraction(instance.arcs[(v, u)])
+        for (u, v) in instance.undirected_edges()
+    }
 
 
 def _edges_to_packing(edges: frozenset[Edge]) -> Packing:
@@ -722,98 +770,10 @@ def edge_weight_reduction(
 ) -> Lottery:
     """Leximin lottery over maximum-weight maximum-cardinality matchings.
 
-    A doubled bipartite graph over the contraction encodes the choice between
-    matching a pseudonode externally (weight tier s_z plus the best attachment
-    weight) and leaving it internally matched (tier 2(s_z-1) plus twice the
-    best internal weight). Admissible edges of that graph restrict the engine.
+    Without edge_weights an edge weighs the sum of its two arc weights.
     """
-    graph = _undirected_projection(instance)
-    weights = (
-        {norm_edge(*e): Fraction(wv) for e, wv in edge_weights.items()}
-        if edge_weights is not None
-        else _undirected_weights(instance)
-    )
-    sol = edge_weight_solution(graph, weights)
+    sol = edge_weight_solution(_undirected_projection(instance), _edge_weights(instance, edge_weights))
     return _support_to_lottery(sol.support)
-
-
-def edge_weight_solution(graph: UGraph, weights: Mapping[Edge, Fraction]) -> LeximinSolution:
-    ge = gallai_edmonds(graph)
-    if not ge.D:
-        return _perfect_solution(graph, weights)
-    cb = contract(graph, ge)
-    # best internal (near-perfect) weight and eligible removal vertices per component
-    w_best: dict[int, Fraction] = {}
-    removal: dict[int, tuple[int, ...]] = {}
-    pm_val: dict[tuple[int, int], Optional[Fraction]] = {}
-
-    def best_pm(pid: int, without: int) -> Optional[Fraction]:
-        key = (pid, without)
-        if key not in pm_val:
-            z = cb.pseudo(pid)
-            sub = graph.induced(frozenset(z.members) - {without})
-            m = max_weight_matching(sub, weights, maxcardinality=True)
-            pm_val[key] = (
-                matching_weight(m, weights) if 2 * len(m) == z.size - 1 else None
-            )
-        return pm_val[key]
-
-    for p in cb.pseudos:
-        vals = {x: best_pm(p.pid, x) for x in p.members}
-        w_best[p.pid] = max(v for v in vals.values() if v is not None)
-        removal[p.pid] = tuple(x for x in p.members if vals[x] == w_best[p.pid])
-
-    # attachment weights w(u,z) and the attach vertices achieving them
-    wuz: dict[tuple[int, int], Fraction] = {}
-    best_attach: dict[tuple[int, int], tuple[int, ...]] = {}
-    for (u, pid) in sorted(cb.edges):
-        cands = {}
-        for x in cb.attach[(u, pid)]:
-            inner = best_pm(pid, x)
-            if inner is not None:
-                cands[x] = Fraction(weights[norm_edge(u, x)]) + inner
-        wuz[(u, pid)] = max(cands.values())
-        best_attach[(u, pid)] = tuple(
-            sorted(x for x, v in cands.items() if v == wuz[(u, pid)])
-        )
-
-    # doubled bipartite graph H over two copies of the contraction
-    a1 = {u: ("A1", u) for u in cb.left}
-    a2 = {u: ("A2", u) for u in cb.left}
-    z1 = {p.pid: ("Z1", p.pid) for p in cb.pseudos}
-    z2 = {p.pid: ("Z2", p.pid) for p in cb.pseudos}
-    h_vertices = list(a1.values()) + list(a2.values()) + list(z1.values()) + list(z2.values())
-    tiers: dict[Edge, tuple[Fraction, Fraction]] = {}
-    for (u, pid) in cb.edges:
-        s = Fraction(cb.pseudo(pid).size)
-        tiers[norm_edge(a1[u], z2[pid])] = (s, wuz[(u, pid)])
-        tiers[norm_edge(a2[u], z1[pid])] = (s, wuz[(u, pid)])
-    for p in cb.pseudos:
-        tiers[norm_edge(z1[p.pid], z2[p.pid])] = (
-            Fraction(2 * (p.size - 1)),
-            2 * w_best[p.pid],
-        )
-    H = UGraph.of(h_vertices, tiers.keys())
-    adm = bipartite_admissible_subgraph(H, lex_weights(tiers, len(h_vertices)))
-
-    adm_edges = {
-        (u, pid) for (u, pid) in cb.edges if norm_edge(a1[u], z2[pid]) in adm
-    }
-    pseudos = tuple(
-        Pseudo(
-            pid=p.pid,
-            members=p.members,
-            removal=removal[p.pid] if norm_edge(z1[p.pid], z2[p.pid]) in adm else (),
-        )
-        for p in cb.pseudos
-    )
-    cb2 = ContractedBipartite(
-        left=cb.left,
-        pseudos=pseudos,
-        edges=frozenset(adm_edges),
-        attach={e: best_attach[e] for e in adm_edges},
-    )
-    return _solve_engine(graph, cb2, weights, frozenset(ge.C))
 
 
 # ---------------------------------------------------------------------------
@@ -834,11 +794,7 @@ def fixed_cardinality_reduction(
     fixing.
     """
     graph = _undirected_projection(instance)
-    weights = (
-        {norm_edge(*e): Fraction(wv) for e, wv in edge_weights.items()}
-        if edge_weights is not None
-        else _undirected_weights(instance)
-    )
+    weights = _edge_weights(instance, edge_weights)
     nu = matching_number(graph)
     if not (0 <= 2 * mu >= nu and mu <= nu):
         raise CardinalityOutOfRange(f"need ν/2 <= mu <= ν, got mu={mu}, ν={nu}")

@@ -172,6 +172,24 @@ class TestLottery:
     def test_missing_instance(self, tmp_path):
         assert run(["lottery", str(tmp_path / "nope.json")]) == EXIT_VALIDATION
 
+    def test_edge_weights_may_omit_edges(self, tmp_path):
+        # a 5-cycle 1..5 with pendant pairs 6 and 7 on 1; the file weighs two of
+        # its seven mutual edges (one key reversed), the others weigh 0
+        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6), (1, 7)]
+        arcs = {a: F(1) for (u, v) in edges for a in ((u, v), (v, u))}
+        inst, w, out = tmp_path / "c5.json", tmp_path / "w.json", tmp_path / "lot.json"
+        io.write_instance(KepInstance(pairs=frozenset(range(1, 8)), arcs=arcs), inst)
+        w.write_text(json.dumps({"1,2": "3", "6,1": "5/2"}))
+        code = run(["lottery", str(inst), "--policy", "match", "--edge-weights", str(w), "-o", str(out)])
+        assert code == EXIT_OK
+        weight = {(1, 2): F(3), (1, 6): F(5, 2)}
+        value = {m: sum((weight.get(e, F(0)) for e in m), F(0))
+                 for m in enumerate_matchings(edges) if len(m) == 3}
+        best = max(value.values())
+        want = leximin_marginals(range(1, 8), [covered_set(m) for m, x in value.items() if x == best])
+        rep = json.loads(out.read_text())
+        assert {int(v): F(q) for v, q in rep["marginals"].items()} == want
+
 
 class TestSolveAndStats:
     def test_solve_default(self, fig1a, tmp_path):
@@ -339,6 +357,42 @@ class TestExitCodes:
         assert run(["fixtures", "fig1a", "--tol", "0.1", "-o", out]) == EXIT_VALIDATION
         assert run(["fixtures", "fig1a", "-o", out]) == EXIT_OK
         assert run(["solve", out, "--seed", "3"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("flag, content", [
+        ("--prices", {"x": "1"}),
+        ("--prices", ["1"]),
+        ("--prices", {"9": "1"}),
+        ("--prices", {"1": "one"}),
+        ("--node-weights", {"x": "1"}),
+        ("--node-weights", [1, 2]),
+        ("--node-weights", {"1,2": "1"}),
+        ("--edge-weights", {"1,2,3": "1"}),
+        ("--edge-weights", {"x,2": "1"}),
+        ("--edge-weights", {"1": "1"}),
+        ("--edge-weights", {"2,3": "1"}),
+        ("--edge-weights", [["1,2", "1"]]),
+    ], ids=["price-key", "price-list", "price-not-pair", "price-value", "node-key", "node-list",
+            "node-edge-key", "edge-triple", "edge-key", "edge-single", "edge-one-way", "edge-list"])
+    def test_bad_map_files_exit_2(self, flag, content, fig1a, tmp_path):
+        # fig1a's only mutual-compatibility edge is 1-2; 2 -> 3 is one-way
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(content))
+        verb = ["solve"] if flag == "--prices" else ["lottery", "--policy", "match"]
+        assert run([*verb, str(fig1a), flag, str(path)]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("attrs", [
+        {"blood_patient": "O", "blood_donor": "A"},
+        {"blood_patient": "O", "blood_donor": "A", "pra": "high"},
+        {"blood_patient": "O", "blood_donor": "Z", "pra": 10},
+    ], ids=["no-pra", "pra-string", "donor-type"])
+    def test_simulate_bad_attributes_exit_2(self, attrs, tmp_path):
+        bdir = tmp_path / "batches"
+        assert run(["generate", "--pairs", "4", "--batches", "2", "-o", str(bdir)]) == EXIT_OK
+        batch = bdir / "batch_001.json"
+        data = json.loads(batch.read_text())
+        data["pairs"][0] = {"id": data["pairs"][0]["id"], **attrs}
+        batch.write_text(json.dumps(data))
+        assert run(["simulate", "--batches", str(bdir), "-o", str(tmp_path / "s.csv")]) == EXIT_VALIDATION
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--batches", "{batches}", "--replications", "0"],

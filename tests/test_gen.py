@@ -96,6 +96,18 @@ class TestValidation:
         with pytest.raises(InvalidDistribution):
             GenConfig(n_pairs=1, donor_bt_distribution={"O": 1.5, "A": -0.5})
 
+    @pytest.mark.parametrize("kwargs", [
+        {"pra_conditional": {("O", "A"): {101: 1.0}}},
+        {"pra_conditional": {("O", "A"): {-5: 0.5, 10: 0.5}}},
+        {"pra_conditional": {("O", "A"): {True: 1.0}}},
+        {"donor_bt_distribution": {"Z": 1.0}},
+        {"blood_pair_distribution": {("O", "Z"): 1.0}},
+    ], ids=["pra-high", "pra-low", "pra-bool", "donor-type", "pair-type"])
+    def test_levels_and_types_the_reader_rejects(self, kwargs):
+        # io.instance_from_dict rejects these, so generate must not write them
+        with pytest.raises(InvalidDistribution):
+            GenConfig(n_pairs=1, **kwargs)
+
 
 class TestMarginals:
     def test_blood_type_frequencies_roughly_match(self):

@@ -110,11 +110,33 @@ class TestInstanceIO:
             {"pairs": [{"id": "one"}]},
             {"pairs": [{"id": 1}], "ndds": [{"blood_donor": "O"}]},
             {"pairs": 5},
+            {"pairs": [{"id": 1}], "ndds": [{"id": 2, "blood_donor": "Z"}]},
         ],
     )
     def test_malformed_records_become_parse_errors(self, data):
         with pytest.raises(ParseError):
             instance_from_dict(data)
+
+    @pytest.mark.parametrize("pair", [
+        {"blood_patient": "O", "blood_donor": "A"},
+        {"blood_patient": "O", "blood_donor": "A", "pra": "high"},
+        {"blood_patient": "O", "blood_donor": "A", "pra": 50.0},
+        {"blood_patient": "O", "blood_donor": "A", "pra": True},
+        {"blood_patient": "O", "blood_donor": "A", "pra": 101},
+        {"blood_patient": "O", "blood_donor": "A", "pra": -1},
+        {"blood_patient": "O", "blood_donor": "Z", "pra": 10},
+        {"blood_patient": "o", "blood_donor": "A", "pra": 10},
+    ], ids=["no-pra", "pra-string", "pra-float", "pra-bool", "pra-high", "pra-low",
+            "donor-type", "patient-type"])
+    def test_bad_attributes_become_parse_errors(self, pair):
+        # the simulator reads these attributes to draw arcs between batches
+        with pytest.raises(ParseError):
+            instance_from_dict({"pairs": [{"id": 1, **pair}]})
+
+    def test_partial_attributes_accepted(self):
+        inst = instance_from_dict({"pairs": [{"id": 1, "pra": 0}, {"id": 2, "blood_donor": "AB"}],
+                                   "ndds": [{"id": 3}]})
+        assert inst.attributes == {1: {"pra": 0}, 2: {"blood_donor": "AB"}}
 
 
 def sample_lottery():

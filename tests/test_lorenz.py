@@ -10,8 +10,11 @@ from math import lcm
 
 import pytest
 
-from fairkep.core import Cycle, KepInstance, FairkepError, Packing, lorenz_compare, DOMINATES, EQUAL
-from fairkep.fair import RestrictedMaster, leximin_lottery
+from fairkep import gen, lorenz
+from fairkep.core import (
+    DOMINATES, EQUAL, MATCHING_POLICY, Cycle, FairkepError, KepInstance, Packing, lorenz_compare,
+)
+from fairkep.fair import RestrictedMaster, leximin_lottery, solve_leximin
 from fairkep.lorenz import (
     ContractedBipartite,
     CoverMatrix,
@@ -71,8 +74,24 @@ class TestLeximinLotteryGraph:
         assert sol.marginals == {1: F(2, 3), 2: F(2, 3), 3: F(2, 3)}
 
     def test_perfect_matching_graph(self):
-        sol = leximin_lottery_graph(ug([1, 2], [(1, 2)]))
-        assert sol.perfect and sol.marginals == {1: F(1), 2: F(1)}
+        # a graph with a perfect matching has no pseudonodes: both solvers
+        # return one (maximum-weight) perfect matching with probability 1;
+        # the 6-cycle with a chord has three perfect matchings
+        for vertices, edges in (([], []), ([1, 2], [(1, 2)]),
+                                (range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])):
+            g = ug(vertices, edges)
+            w = {norm_edge(*e): F(i % 3) for i, e in enumerate(edges)}
+            best = max((sum((w[e] for e in m), F(0)) for m in maximum_matchings(g.edges)),
+                       default=F(0))
+            for sol in (leximin_lottery_graph(g), edge_weight_solution(g, w)):
+                assert not sol.partition.peels and not sol.cb.pseudos
+                assert sol.decomposition == [({}, F(1))]
+                assert sol.marginals == {v: F(1) for v in g.vertices}
+                [(matching, p)] = sol.support
+                assert p == 1 and matching == sol.c_matching
+                assert 2 * len(matching) == len(g.vertices)
+                check_is_max_matching(g, matching)
+            assert sum((w[e] for e in matching), F(0)) == best
 
     def test_random_vs_oracle(self):
         rng = random.Random(31)
@@ -426,6 +445,20 @@ class TestChecks:
         with pytest.raises(FairkepError, match="marginals"):
             sol.check()
 
+    def test_engine_checks_its_answer(self, monkeypatch):
+        # the engine compares the support's marginals with the formula's
+        formula = lorenz._marginals_from_partition
+
+        def wrong(graph, cb, partition):
+            q = formula(graph, cb, partition)
+            q[min(q)] -= F(1, 7)
+            return q
+
+        monkeypatch.setattr(lorenz, "_marginals_from_partition", wrong)
+        inst = make_instance([1, 2, 3, 4], mutual([(1, 2), (2, 3), (1, 3), (3, 4)]))
+        with pytest.raises(FairkepError, match="marginals"):
+            leximin_matching_lottery(inst)
+
     def test_leximin_cg_rejects_inconsistent_pricing(self):
         # the pricing claims optimality for {1} during the maximin phase, then
         # produces a column covering both pairs, which that certificate excludes
@@ -574,3 +607,40 @@ class TestPinnedSolutions:
 
     def test_full_solutions_unchanged(self):
         assert self.digest() == self.PINNED
+
+
+class TestOneSolveFrame:
+    def test_matches_column_generation_leximin(self):
+        # an independent exact path: fair's column generation over maximum
+        # 2-cycle packings, priced by the packing oracle
+        for n in range(12, 24):
+            pool = gen.generate_instance(gen.GenConfig(n_pairs=n, seed=7000 + n))
+            pairs = sorted(pool.pairs)
+            want = solve_leximin(pool, MATCHING_POLICY).lottery.marginals(pairs)
+            assert leximin_matching_lottery(pool).marginals(pairs) == want
+
+    def test_inner_matchings_solved_once_per_vertex_set(self, monkeypatch):
+        # the admissible restriction, the support's assembly and
+        # sample_matching share one cache of maximum-weight inner matchings
+        calls = []
+        solve = lorenz.max_weight_matching
+
+        def recording(sub, *args, **kwargs):
+            calls.append(sub.vertices)
+            return solve(sub, *args, **kwargs)
+
+        monkeypatch.setattr(lorenz, "max_weight_matching", recording)
+        rng = random.Random(44)
+        shared = 0
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(6, 14), rng.uniform(0.15, 0.4))
+            w = {e: F(rng.randint(1, 3)) for e in sorted(g.edges)}
+            calls.clear()
+            sol = edge_weight_solution(g, w)
+            assert len(calls) == len(set(calls))
+            solved = len(calls)
+            for seed in range(3):
+                sample_matching(sol, seed)
+            assert len(calls) == solved
+            shared += any(len(z.members) > 1 for z in sol.cb.pseudos)
+        assert shared >= 10
