@@ -95,12 +95,16 @@ def _read_json(path) -> dict:
         raise UsageError(f"cannot read {path}: {exc}")
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise UsageError(f"{what} must hold a JSON object")
+    return value
+
+
 def _read_map(path, instance: KepInstance, what: str, edges: bool = False) -> dict:
     """{pair: rational} from a JSON object keyed by pair ids, or with edges
     {(u, v): rational} keyed by "u,v" mutual-compatibility edges (u < v)."""
-    raw = _read_json(path)
-    if not isinstance(raw, dict):
-        raise UsageError(f"{what} file {path} must hold a JSON object")
+    raw = _json_object(_read_json(path), f"{what} file {path}")
     valid = instance.undirected_edges() if edges else instance.pairs
     out: dict = {}
     for k, x in raw.items():
@@ -170,32 +174,39 @@ def _split_pairing(key: str) -> tuple[str, str]:
 def load_gen_config(n_pairs: int, n_ndds: int, seed: int, dist_path: Optional[str]) -> gen.GenConfig:
     """GenConfig from flags plus an optional JSON distribution file.
 
-    The file mirrors GenConfig: blood_pair_distribution keyed by
-    "PATIENT,DONOR", pra_conditional mapping the same keys to {pra: prob},
-    donor_bt_distribution keyed by blood type.  Missing sections keep the
-    defaults.
+    The file holds one JSON object mirroring GenConfig: blood_pair_distribution
+    keyed by "PATIENT,DONOR", pra_conditional mapping the same keys to
+    {pra: prob}, donor_bt_distribution keyed by blood type.  Missing sections
+    keep the defaults.  Anything malformed, in the file or in the config it
+    describes, is a UsageError.
     """
     kwargs: dict = {}
-    if dist_path:
-        data = _read_json(dist_path)
-        if "blood_pair_distribution" in data:
-            kwargs["blood_pair_distribution"] = {
-                _split_pairing(k): float(p)
-                for k, p in data["blood_pair_distribution"].items()
-            }
-        if "pra_conditional" in data:
-            kwargs["pra_conditional"] = {
-                _split_pairing(k): {int(b): float(p) for b, p in dist.items()}
-                for k, dist in data["pra_conditional"].items()
-            }
-        if "donor_bt_distribution" in data:
-            kwargs["donor_bt_distribution"] = {
-                k: float(p) for k, p in data["donor_bt_distribution"].items()
-            }
     try:
+        if dist_path:
+            data = _json_object(_read_json(dist_path), f"distribution file {dist_path}")
+
+            def section(name: str):
+                return _json_object(data[name], f"{name} in {dist_path}").items()
+
+            if "blood_pair_distribution" in data:
+                kwargs["blood_pair_distribution"] = {
+                    _split_pairing(k): float(p) for k, p in section("blood_pair_distribution")
+                }
+            if "pra_conditional" in data:
+                kwargs["pra_conditional"] = {
+                    _split_pairing(k): {
+                        int(b): float(p)
+                        for b, p in _json_object(dist, f"pra_conditional[{k}]").items()
+                    }
+                    for k, dist in section("pra_conditional")
+                }
+            if "donor_bt_distribution" in data:
+                kwargs["donor_bt_distribution"] = {
+                    k: float(p) for k, p in section("donor_bt_distribution")
+                }
         return gen.GenConfig(n_pairs=n_pairs, n_ndds=n_ndds, seed=seed, **kwargs)
-    except (ValueError, gen.InvalidDistribution) as exc:
-        raise UsageError(str(exc))
+    except (TypeError, ValueError, gen.InvalidDistribution) as exc:
+        raise UsageError(f"bad distribution file {dist_path}: {exc}" if dist_path else str(exc))
 
 
 # ---------------------------------------------------------------------------

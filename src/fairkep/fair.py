@@ -147,7 +147,7 @@ class RestrictedMaster:
     """Growing pool of packing columns shared by every LP of one solve.
 
     pricing(prices) returns a packing of the family with the largest price
-    sum, and that sum; it may add further columns of the family through add.
+    sum, and that sum; the master itself decides which packings become columns.
     exact picks the rational simplex over HiGHS for every LP of the solve.
     certificates holds the (prices, z) on which column generation ended: no
     packing of the family has a price sum above z.
@@ -225,45 +225,33 @@ def _oracle_master(
 ) -> tuple[RestrictedMaster, bool]:
     """A master priced by the packing oracle over the policy's acceptable family.
 
-    Its LPs are exact on up to EXACT_PAIR_LIMIT pairs.  Returns (master,
-    full_coverage); full_coverage says the acceptable family is forced to
-    cover every pair, so all marginals are 1 and the seed packing alone is
-    optimal for any fair objective.
+    Each pricing call is one oracle query, prices in and one best packing
+    out, on the family built here for the whole solve; the oracle keeps no
+    solver state between calls.  Its LPs are exact on up to EXACT_PAIR_LIMIT
+    pairs.  Returns (master, full_coverage); full_coverage says the acceptable
+    family is forced to cover every pair, so all marginals are 1 and the seed
+    packing alone is optimal for any fair objective.
     """
     pairs = sorted(instance.pairs)
     # one family prices every query of the solve
     family = PackingFamily(instance, policy)
     cardinality = acceptable_cardinality(instance, policy, family)
-    mode, k = cardinality
-    cut_pool: list = []
-
-    def query(prices, extra=None):
-        return max_price_packing(
-            OracleQuery(
-                instance=instance, policy=policy, node_prices=prices, cardinality=cardinality
-            ),
-            value_only=True,
-            cut_pool=cut_pool,
-            extra_columns=extra,
-            family=family,
-        )
 
     def pricing(prices):
-        # near-optimal packings found along the way join the column pool
         exact_prices = {
             v: p if isinstance(p, Fraction) else Fraction(p).limit_denominator(_PRICE_DENOM)
             for v, p in prices.items()
             if p
         }
-        extra: list[tuple[Packing, Fraction]] = []
-        packing, value = query(exact_prices, extra)
-        for bonus, _ in extra:
-            n = len(bonus.covered)
-            if mode == "free" or (n == k if mode == "exact" else n >= k):
-                master.add(bonus)
-        return packing, value
+        return max_price_packing(
+            OracleQuery(
+                instance=instance, policy=policy, node_prices=exact_prices, cardinality=cardinality
+            ),
+            value_only=True,
+            family=family,
+        )
 
-    seed, _ = query({v: Fraction(1) for v in pairs})
+    seed, _ = pricing({v: Fraction(1) for v in pairs})
     master = RestrictedMaster(pairs, pricing, len(pairs) <= EXACT_PAIR_LIMIT, seed)
     return master, cardinality == ("atleast", len(pairs))
 

@@ -13,8 +13,11 @@ GenConfig or a JSON distribution file.
 
 from __future__ import annotations
 
+import copy
 import random
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from itertools import accumulate
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -54,6 +57,9 @@ def _default_pra() -> dict[tuple[str, str], dict[int, float]]:
 
 @dataclass(frozen=True)
 class GenConfig:
+    """What to generate.  Construction validates the distributions and reads
+    them into draw tables, once; later changes to the mappings are not seen."""
+
     n_pairs: int
     n_ndds: int = 0
     blood_pair_distribution: Mapping[tuple[str, str], float] = field(
@@ -80,25 +86,36 @@ class GenConfig:
         types = {*self.donor_bt_distribution, *(t for k in self.blood_pair_distribution for t in k)}
         if not types <= set(BLOOD_TYPES):
             raise InvalidDistribution(f"unknown blood types {sorted(types - set(BLOOD_TYPES))}")
+        missing = sorted(set(self.blood_pair_distribution) - set(self.pra_conditional))
+        if missing:
+            raise InvalidDistribution(f"pairings {missing} have no pra_conditional distribution")
+        # draw tables of the pairing, the per-pairing PRA and the NDD donor draws
+        object.__setattr__(self, "_tables", (
+            _table(self.blood_pair_distribution),
+            {k: _table(d) for k, d in self.pra_conditional.items()},
+            _table(self.donor_bt_distribution),
+        ))
 
 
 def _check_dist(name: str, dist: Mapping) -> None:
     total = sum(dist.values())
-    if abs(total - 1) > 1e-12:
+    # negated, so that a NaN fails
+    if not abs(total - 1) <= 1e-12:
         raise InvalidDistribution(f"{name} sums to {total!r}, not 1")
-    if any(p < 0 for p in dist.values()):
+    if not all(p >= 0 for p in dist.values()):
         raise InvalidDistribution(f"{name} has a negative probability")
 
 
-def _draw(rng: random.Random, dist: Mapping):
-    x = rng.random()
-    acc = 0.0
+def _table(dist: Mapping) -> tuple[list, list[float]]:
+    """The keys of dist in repr order and the running sums of their probabilities."""
     items = sorted(dist.items(), key=lambda kv: repr(kv[0]))
-    for key, p in items:
-        acc += p
-        if x < acc:
-            return key
-    return items[-1][0]
+    return [k for k, _ in items], list(accumulate((p for _, p in items), initial=0.0))[1:]
+
+
+def _draw(rng: random.Random, table: tuple[list, list[float]]):
+    """The first key whose running sum exceeds a uniform draw, else the last."""
+    keys, sums = table
+    return keys[min(bisect_right(sums, rng.random()), len(keys) - 1)]
 
 
 def generate_instance(config: GenConfig) -> KepInstance:
@@ -110,6 +127,7 @@ def generate_instance(config: GenConfig) -> KepInstance:
     PRA values share their test uniforms (coupled draws).
     """
     rng = random.Random(config.seed)
+    pairing_table, pra_tables, donor_table = config._tables
     pairs = list(range(config.n_pairs))
     ndds = list(range(config.n_pairs, config.n_pairs + config.n_ndds))
     attributes: dict[int, dict] = {}
@@ -117,12 +135,12 @@ def generate_instance(config: GenConfig) -> KepInstance:
     donor_bt: dict[int, str] = {}
     pra: dict[int, int] = {}
     for v in pairs:
-        p_bt, d_bt = _draw(rng, config.blood_pair_distribution)
-        pra_v = _draw(rng, config.pra_conditional[(p_bt, d_bt)])
+        p_bt, d_bt = _draw(rng, pairing_table)
+        pra_v = _draw(rng, pra_tables[(p_bt, d_bt)])
         patient_bt[v], donor_bt[v], pra[v] = p_bt, d_bt, pra_v
         attributes[v] = {"blood_patient": p_bt, "blood_donor": d_bt, "pra": pra_v}
     for a in ndds:
-        donor_bt[a] = _draw(rng, config.donor_bt_distribution)
+        donor_bt[a] = _draw(rng, donor_table)
         attributes[a] = {"blood_donor": donor_bt[a]}
     arcs: dict[tuple[int, int], Fraction] = {}
     for u in pairs + ndds:
@@ -137,6 +155,13 @@ def generate_instance(config: GenConfig) -> KepInstance:
 
 
 def generate_batches(config: GenConfig, n_batches: int, seed: int | None = None) -> list[KepInstance]:
-    """n_batches independent instances; batch i uses sub-seed (seed xor i)."""
+    """n_batches independent instances; batch i uses sub-seed (seed xor i).
+
+    Batch i's config is a copy of config with its seed set, so all of them
+    share one validation and one set of draw tables.
+    """
     base = config.seed if seed is None else seed
-    return [generate_instance(replace(config, seed=base ^ i)) for i in range(n_batches)]
+    batches = [copy.copy(config) for _ in range(n_batches)]
+    for i, batch in enumerate(batches):
+        object.__setattr__(batch, "seed", base ^ i)
+    return [generate_instance(batch) for batch in batches]

@@ -617,11 +617,16 @@ def _admissible(cb: ContractedBipartite, internals: _Internals) -> ContractedBip
     """Restrict the contraction to the choices of maximum-weight maximum matchings.
 
     A doubled bipartite graph H over two copies of the contraction encodes the
-    choice between matching a pseudonode externally (weight tier s_z plus the
-    best attachment weight) and leaving it internally matched (tier 2(s_z-1)
-    plus twice the best internal weight). The admissible edges of H keep the
+    choice between matching a pseudonode externally (the best attachment
+    weight, on each copy's attach edge) and leaving it internally matched
+    (twice the best internal weight). The admissible edges of H keep the
     attach edges; a pseudonode whose internal edge is not admissible becomes
     must-match, the others keep the removal vertices of best weight.
+
+    No cardinality tier is needed: every perfect matching of H matches both
+    copies of A to the same |A| pseudonodes, so a size tier (s_z per attach
+    edge, 2(s_z - 1) per internal edge) sums to 2·Σs_z - 2(|Z| - |A|) on all
+    of them and cannot change which are of maximum weight.
     """
     weights = internals.weights
     # best weight of each component without one member: a perfect matching,
@@ -632,7 +637,9 @@ def _admissible(cb: ContractedBipartite, internals: _Internals) -> ContractedBip
         for x in p.members
     }
     w_best = {p.pid: max(inner[(p.pid, x)] for x in p.members) for p in cb.pseudos}
-    tiers: dict[Edge, tuple[Fraction, Fraction]] = {}
+    # H's plain weights; a pseudonode-size tier would be constant over its
+    # perfect matchings (see above)
+    hw: dict[Edge, Fraction] = {}
     best_attach: dict[tuple[int, int], tuple[int, ...]] = {}
     for (u, pid) in cb.edges:
         # the attachment weight w(u,z) and the attach vertices achieving it
@@ -642,14 +649,13 @@ def _admissible(cb: ContractedBipartite, internals: _Internals) -> ContractedBip
         }
         wuz = max(cands.values())
         best_attach[(u, pid)] = tuple(sorted(x for x, v in cands.items() if v == wuz))
-        s = Fraction(cb.pseudo(pid).size)
-        tiers[norm_edge(("A1", u), ("Z2", pid))] = (s, wuz)
-        tiers[norm_edge(("A2", u), ("Z1", pid))] = (s, wuz)
+        hw[norm_edge(("A1", u), ("Z2", pid))] = wuz
+        hw[norm_edge(("A2", u), ("Z1", pid))] = wuz
     for p in cb.pseudos:
-        tiers[norm_edge(("Z1", p.pid), ("Z2", p.pid))] = (Fraction(2 * (p.size - 1)), 2 * w_best[p.pid])
+        hw[norm_edge(("Z1", p.pid), ("Z2", p.pid))] = 2 * w_best[p.pid]
     # every vertex of H has an edge: each vertex of A(G) has a neighbor in D(G)
-    H = UGraph.of({x for e in tiers for x in e}, tiers)
-    adm = bipartite_admissible_subgraph(H, lex_weights(tiers, len(H.vertices)))
+    H = UGraph.of({x for e in hw for x in e}, hw)
+    adm = bipartite_admissible_subgraph(H, hw)
     adm_edges = {(u, pid) for (u, pid) in cb.edges if norm_edge(("A1", u), ("Z2", pid)) in adm}
     pseudos = tuple(
         Pseudo(p.pid, p.members, tuple(x for x in p.members if inner[(p.pid, x)] == w_best[p.pid])

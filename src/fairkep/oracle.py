@@ -321,8 +321,6 @@ class PackingFamily:
 def _milp_max_price(
     query: OracleQuery,
     columns: Optional[Sequence[Structure]] = None,
-    cut_pool: Optional[list] = None,
-    extra_columns: Optional[list] = None,
 ) -> tuple[Packing, Fraction]:
     """The one MILP: a set packing over given columns, or cycle columns plus chain-arc flows.
 
@@ -334,10 +332,11 @@ def _milp_max_price(
     whose arcs carry the cycles too, and the policy's chains are arc flows: a
     binary per arc into a pair, flow conservation at each pair, and either
     position (MTZ-style) variables bounding the chain length or, for unbounded
-    chains, lazily added subtour cuts.  The float optimum picks
-    the packing and its value is recomputed rationally, so the answer is exact
-    when the gap between distinct packing values exceeds HiGHS's tolerances
-    (always so with integer prices).
+    chains, subtour cuts added lazily to this model, which is re-solved until
+    no disallowed cycle is left; the cuts die with the call.  The float
+    optimum picks the packing and its value is recomputed rationally, so the
+    answer is exact when the gap between distinct packing values exceeds
+    HiGHS's tolerances (always so with integer prices).
     """
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
@@ -431,51 +430,10 @@ def _milp_max_price(
     if card_mode != "free":
         add_row(card_entries, float(card_k), float(card_k) if card_mode == "exact" else np.inf)
     arc_idx = {a: j for j, a in enumerate(arcs, nz)}
-    if unbounded:
-        # replay cuts discovered by earlier solves over the same instance
-        for cut in cut_pool or ():
-            add_row([(arc_idx[a], 1.0) for a in cut], -np.inf, len(cut) - 1.0)
     ub = np.ones(nvar)
     ub[pos:] = float(max(L, 1))
     integrality = np.zeros(nvar)
     integrality[:pos] = 1
-
-    def decode(x, skip_disallowed: bool = False) -> tuple[Packing, Fraction]:
-        structs: list[Structure] = [s for j, s in enumerate(columns) if x[j] > 0.5]
-        nxt: dict[int, int] = {}
-        starts: list[tuple[int, int]] = []
-        for j, (u, v) in enumerate(arcs, nz):
-            if x[j] > 0.5:
-                if u in inst.ndds:
-                    starts.append((u, v))
-                else:
-                    nxt[u] = v
-        visited: set[int] = set()
-        for (a, v) in starts:
-            path = [v]
-            visited.add(v)
-            while path[-1] in nxt:
-                path.append(nxt[path[-1]])
-                visited.add(path[-1])
-            structs.append(Chain(ndd=a, pairs=tuple(path)))
-        # with unbounded chains allowed cycles survive the cut loop as closed
-        # arc walks
-        for u in nxt:
-            if u in visited:
-                continue
-            cyc = [u]
-            visited.add(u)
-            w = nxt[u]
-            while w != u:
-                cyc.append(w)
-                visited.add(w)
-                w = nxt[w]
-            allowed = policy.max_cycle_len is not None and len(cyc) <= policy.max_cycle_len
-            if allowed or not skip_disallowed:
-                structs.append(Cycle(tuple(cyc)))
-        packing = Packing(frozenset(structs))
-        value = sum((query.price(v) for v in packing.covered), Fraction(0))
-        return packing, value
 
     for _ in range(10_000):
         A = coo_matrix((vals, (rows, cols)), shape=(len(lo), nvar))
@@ -488,45 +446,42 @@ def _milp_max_price(
         if res.status != 0 or res.x is None:
             raise OracleInfeasible(f"MILP reported status {res.status}: {res.message}")
         x = res.x
-        if not unbounded:
-            return decode(x)
-        # lazily cut off the directed cycles among selected pair-to-pair arcs
-        # that the cycle policy disallows
-        succ = {u: v for (u, v), j in arc_idx.items() if u in inst.pairs and x[j] > 0.5}
-        state: dict[int, int] = {}
-        cuts = []
-        for start in succ:
-            if state.get(start):
-                continue
-            trail, node = [], start
-            while node in succ and state.get(node) is None:
-                state[node] = 1
-                trail.append(node)
-                node = succ[node]
-            if state.get(node) == 1:  # closed a new cycle; slice it out of the trail
-                cyc = trail[trail.index(node):]
-                if policy.max_cycle_len is None or len(cyc) > policy.max_cycle_len:
-                    cuts.append(tuple((u, succ[u]) for u in cyc))
-            for u in trail:
-                state[u] = 2
-        for cut in cuts:
-            add_row([(arc_idx[a], 1.0) for a in cut], -np.inf, len(cut) - 1.0)
-            if cut_pool is not None:
-                cut_pool.append(cut)
+        # the chosen arcs split into walks: a chain from each NDD's arc, and
+        # closed walks among the pairs, which are cycles
+        nxt = {u: v for (u, v), j in arc_idx.items() if x[j] > 0.5}
+        walks, seen = [], set()
+        for u in [*sorted(inst.ndds), *nxt]:
+            if u in nxt and u not in seen:
+                walk = [u]
+                while nxt.get(walk[-1], u) != u:
+                    walk.append(nxt[walk[-1]])
+                seen.update(walk)
+                walks.append(walk)
+        # lazily cut off the cycles the policy disallows; position variables
+        # keep bounded chains acyclic, so only unbounded chains meet them
+        cuts = [
+            w for w in walks
+            if w[0] in inst.pairs and (policy.max_cycle_len is None or len(w) > policy.max_cycle_len)
+        ]
         if not cuts:
-            return decode(x)
-        if extra_columns is not None:
-            # the incumbent minus its disallowed cycles is a feasible,
-            # near-optimal packing; hand it back as a bonus column
-            extra_columns.append(decode(x, skip_disallowed=True))
-    raise FairkepError("subtour elimination failed to converge")
+            break
+        for w in cuts:
+            add_row([(arc_idx[(u, nxt[u])], 1.0) for u in w], -np.inf, len(w) - 1.0)
+    else:
+        raise FairkepError("subtour elimination failed to converge")
+
+    # no cut is left, so every closed walk is an allowed cycle
+    structs: list[Structure] = [s for j, s in enumerate(columns) if x[j] > 0.5]
+    structs += [
+        Chain(ndd=w[0], pairs=tuple(w[1:])) if w[0] in inst.ndds else Cycle(tuple(w)) for w in walks
+    ]
+    packing = Packing(frozenset(structs))
+    return packing, sum((query.price(v) for v in packing.covered), Fraction(0))
 
 
 def max_price_packing(
     query: OracleQuery,
     value_only: bool = False,
-    cut_pool: Optional[list] = None,
-    extra_columns: Optional[list] = None,
     family: Optional[PackingFamily] = None,
 ) -> tuple[Packing, Fraction]:
     """Packing maximizing the total price of covered pairs, with its value.
@@ -542,10 +497,8 @@ def max_price_packing(
     pool builds it once, for the length of its own call, and passes it to each
     query; otherwise one is built for this query alone.  No family outlives
     the call that built it.  The search itself, with its incrementally carried
-    bound, is `PackingFamily.search`.  `cut_pool`, when given, carries subtour
-    cuts between repeated solves on one instance.  `extra_columns`, when
-    given, collects the feasible near-optimal packings the MILP path
-    encounters on the way (useful to enrich a column pool).
+    bound, is `PackingFamily.search`.  Prices in, one best packing out: no
+    solver state (subtour cuts, incumbents) survives the call.
     """
     if family is None:
         family = PackingFamily(query.instance, query.policy)
@@ -555,7 +508,7 @@ def max_price_packing(
         raise ValueError("the packing family belongs to another instance or policy")
     structures = family.structures
     if structures is None:
-        return _milp_max_price(query, cut_pool=cut_pool, extra_columns=extra_columns)
+        return _milp_max_price(query)
     if (
         structures
         and value_only
@@ -566,18 +519,13 @@ def max_price_packing(
     return family.search(query, value_only)
 
 
-def max_price_over(
-    query: OracleQuery, structures: Sequence[Structure], value_only: bool = True
-) -> tuple[Packing, Fraction]:
-    """Optimize over an explicitly ordered structure list.
+def max_price_over(query: OracleQuery, structures: Sequence[Structure]) -> tuple[Packing, Fraction]:
+    """The first optimum the search meets over an explicitly ordered structure list.
 
-    With value_only the first optimum encountered wins, so the caller's
-    ordering decides among ties — the hook used to emulate solver
-    nondeterminism by shuffling the structure order.
+    No tie-break: the caller's ordering decides among equal-priced packings,
+    which is how `sim` emulates solver nondeterminism by shuffling the order.
     """
-    return PackingFamily(query.instance, query.policy, structures=structures).search(
-        query, value_only
-    )
+    return PackingFamily(query.instance, query.policy, structures=structures).search(query, True)
 
 
 # ---------------------------------------------------------------------------

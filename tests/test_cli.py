@@ -302,6 +302,24 @@ class TestGenerateSimulateCompare:
         dist.write_text(json.dumps({"donor_bt_distribution": {"O": 0.7, "A": 0.6}}))
         assert run(["generate", "--pairs", "4", "--dist", str(dist)]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("content", [
+        {"pra_conditional": {"O,A": {"x": 1.0}}},
+        {"donor_bt_distribution": {"O": "x"}},
+        {"donor_bt_distribution": [1.0]},
+        {"pra_conditional": {"O,A": [1.0]}},
+        {"blood_pair_distribution": {"O,A": 1.0}, "pra_conditional": {"A,A": {"0": 1.0}}},
+        [{"donor_bt_distribution": {"O": 0.7, "A": 0.6}}],
+        {"donor_bt_distribution": {"O": float("nan")}},
+        {"donor_bt_distribution": {"O": None}},
+    ], ids=["pra-key", "probability", "section-list", "pra-list", "pairing-without-pra",
+            "top-level-list", "nan", "null"])
+    def test_generate_malformed_dist_exit_2(self, content, tmp_path):
+        dist = tmp_path / "d.json"
+        dist.write_text(json.dumps(content))
+        out = tmp_path / "x.json"
+        assert run(["generate", "--pairs", "3", "--dist", str(dist), "-o", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
     def test_batches_and_simulate(self, tmp_path):
         bdir = tmp_path / "batches"
         assert run(["generate", "--pairs", "8", "--ndds", "1", "--batches", "3",

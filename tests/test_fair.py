@@ -19,7 +19,7 @@ import pytest
 
 import fairkep
 from fairkep import fair, gen
-from fairkep.core import Cycle, FairkepError, KepInstance, Lottery, Packing, StructurePolicy
+from fairkep.core import UNBOUNDED, Cycle, FairkepError, KepInstance, Lottery, Packing, StructurePolicy
 from fairkep.fair import (
     solve_gini,
     solve_leximin,
@@ -237,6 +237,50 @@ class TestRandomInstances:
             for v in sub.pairs:
                 assert abs(float(nash.marginals[v]) - float(lexs.marginals[v])) < 1e-6, (trial, v)
                 assert gini.marginals[v] == lexs.marginals[v], (trial, v)
+
+
+class TestChainArcMilp:
+    # generated pools whose unbounded-chain leximin solves price at least once
+    # and whose enumerated families stay small enough to search quickly; the
+    # ones at 2 and 12 cut subtours
+    SEEDS = (2, 10, 11, 12, 16, 17)
+
+    def test_leximin_equals_enumerated_family(self, monkeypatch):
+        """With the enumeration cap at 0 every oracle query of the solve, the
+        seed and each pricing call, is the chain-arc MILP with lazy subtour
+        cuts; its leximin marginals equal those over the enumerated family."""
+        import scipy.optimize
+
+        from fairkep import oracle
+
+        pol = StructurePolicy(max_cycle_len=3, max_chain_len=UNBOUNDED)
+        milp_calls = milp_solves = 0
+        real_call, real_solve = oracle._milp_max_price, scipy.optimize.milp
+
+        def call(*args, **kw):
+            nonlocal milp_calls
+            milp_calls += 1
+            return real_call(*args, **kw)
+
+        def solve(*args, **kw):
+            nonlocal milp_solves
+            milp_solves += 1
+            return real_solve(*args, **kw)
+
+        for seed in self.SEEDS:
+            config = gen.GenConfig(n_pairs=10 + seed % 5, n_ndds=1 + seed % 2, seed=seed)
+            inst, _ = fair.preprocess(gen.generate_instance(config), pol)
+            want = solve_leximin(inst, pol)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "ENUM_CAP", 0)
+                m.setattr(oracle, "_milp_max_price", call)
+                # _milp_max_price imports milp from scipy.optimize when called
+                m.setattr(scipy.optimize, "milp", solve)
+                got = solve_leximin(inst, pol)
+            assert got.pricing_calls > 0, seed
+            assert (got.objective, got.marginals) == (want.objective, want.marginals), seed
+        # a solve per query, plus one more for every round that added cuts
+        assert milp_solves > milp_calls > 0
 
 
 class TestSparsify:

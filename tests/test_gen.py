@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -108,6 +109,14 @@ class TestValidation:
         with pytest.raises(InvalidDistribution):
             GenConfig(n_pairs=1, **kwargs)
 
+    def test_every_pairing_needs_a_pra_distribution(self):
+        with pytest.raises(InvalidDistribution, match="no pra_conditional"):
+            GenConfig(
+                n_pairs=1,
+                blood_pair_distribution={("O", "A"): 1.0},
+                pra_conditional={("A", "A"): {0: 1.0}},
+            )
+
 
 class TestMarginals:
     def test_blood_type_frequencies_roughly_match(self):
@@ -118,3 +127,34 @@ class TestMarginals:
         for bt, want in {"O": 0.45, "A": 0.40, "B": 0.11, "AB": 0.04}.items():
             got = freq[bt] / 3000
             assert math.isclose(got, want, abs_tol=0.03), (bt, got)
+
+
+def instance_digest(instances) -> str:
+    h = hashlib.sha256()
+    for inst in instances:
+        h.update(repr((
+            sorted(inst.pairs),
+            sorted(inst.ndds),
+            sorted(inst.arcs.items()),
+            sorted((v, sorted(at.items())) for v, at in inst.attributes.items()),
+        )).encode())
+    return h.hexdigest()
+
+
+class TestPinnedGeneration:
+    def test_instances_unchanged(self):
+        # a change to the draw order, the running sums or the fallback to the
+        # last key moves this digest; recorded with the loop that re-sorted
+        # each distribution on every draw
+        bts = ("O", "A", "B", "AB")
+        skewed = GenConfig(
+            n_pairs=25, n_ndds=2, seed=11,
+            blood_pair_distribution={("O", "A"): 0.5, ("A", "O"): 0.3, ("AB", "B"): 0.2},
+            pra_conditional={(p, d): {0: 0.1, 30: 0.6, 90: 0.3} for p in bts for d in bts},
+            donor_bt_distribution={"O": 0.25, "B": 0.75},
+        )
+        instances = [generate_instance(GenConfig(n_pairs=30, n_ndds=3, seed=7)), generate_instance(skewed)]
+        for u in range(5):
+            instances += generate_batches(GenConfig(n_pairs=6, n_ndds=1, seed=0x10000 + (u << 4)), 12)
+        instances += generate_batches(skewed, 4, seed=3)
+        assert instance_digest(instances) == "0a58e686138aea9aba6294c6594a2ac8059b76e06da02bf3b8275a7ff92bcf51"

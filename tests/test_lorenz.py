@@ -644,3 +644,47 @@ class TestOneSolveFrame:
             assert len(calls) == solved
             shared += any(len(z.members) > 1 for z in sol.cb.pseudos)
         assert shared >= 10
+
+
+class TestAdmissibleRestriction:
+    def test_plain_weights_match_size_tiered_reference(self, monkeypatch):
+        """The doubled graph's admissible edges under its plain weights equal
+        those under the two-tier weights (pseudonode size first: s_z on an
+        attach edge, 2(s_z - 1) on an internal one), which the restriction
+        drops as constant over its perfect matchings."""
+        from fairkep.matching import bipartite_admissible_subgraph, lex_weights
+
+        sizes: dict = {}
+        contract = lorenz.contract
+
+        def recording_contract(*args, **kwargs):
+            cb = contract(*args, **kwargs)
+            sizes.clear()
+            sizes.update({p.pid: p.size for p in cb.pseudos})
+            return cb
+
+        compared = restricted = 0
+
+        def compared_restriction(H, weights):
+            nonlocal compared, restricted
+            tiers = {}
+            for e, w in weights.items():
+                (side, x), (other, y) = e
+                pid = x if side.startswith("Z") else y
+                internal = side.startswith("Z") and other.startswith("Z")
+                tiers[e] = (2 * (sizes[pid] - 1) if internal else sizes[pid], w)
+            got = bipartite_admissible_subgraph(H, weights)
+            assert got == bipartite_admissible_subgraph(H, lex_weights(tiers, len(H.vertices)))
+            compared += 1
+            restricted += got != H.edges
+            return got
+
+        monkeypatch.setattr(lorenz, "contract", recording_contract)
+        monkeypatch.setattr(lorenz, "bipartite_admissible_subgraph", compared_restriction)
+        rng = random.Random(45)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(6, 16), rng.uniform(0.12, 0.35))
+            w = {e: F(rng.randint(0, 4), rng.randint(1, 3)) for e in sorted(g.edges)
+                 if rng.random() < 0.9}
+            edge_weight_solution(g, w).check()
+        assert compared == 60 and restricted >= 20, (compared, restricted)
