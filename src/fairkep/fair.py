@@ -228,9 +228,11 @@ def _oracle_master(
     Each pricing call is one oracle query, prices in and one best packing
     out, on the family built here for the whole solve; the oracle keeps no
     solver state between calls.  Its LPs are exact on up to EXACT_PAIR_LIMIT
-    pairs.  Returns (master, full_coverage); full_coverage says the acceptable
-    family is forced to cover every pair, so all marginals are 1 and the seed
-    packing alone is optimal for any fair objective.
+    pairs.  Its seed is the family's unit-price optimum: under cardinality
+    ≥ k the maximum packing `acceptable_cardinality` has just found.  Returns
+    (master, full_coverage); full_coverage says the acceptable family is
+    forced to cover every pair, so all marginals are 1 and the seed packing
+    alone is optimal for any fair objective.
     """
     pairs = sorted(instance.pairs)
     # one family prices every query of the solve
@@ -251,7 +253,7 @@ def _oracle_master(
             family=family,
         )
 
-    seed, _ = pricing({v: Fraction(1) for v in pairs})
+    seed, _ = family.unit_optimum(cardinality)
     master = RestrictedMaster(pairs, pricing, len(pairs) <= EXACT_PAIR_LIMIT, seed)
     return master, cardinality == ("atleast", len(pairs))
 
@@ -618,7 +620,8 @@ def preprocess(
     """Drop pairs covered by no acceptable packing; returns (instance, dropped).
 
     One `oracle.coverable_pairs` witness loop under the policy's acceptable
-    cardinality finds the kept pairs; both run on one packing family.  A
+    cardinality finds the kept pairs; both run on one packing family, whose
+    maximum packing is the loop's first witness under cardinality ≥ k.  A
     packing covering a kept pair never routes through a dropped one, so one
     pass suffices; the instance itself comes back when nothing is dropped.
     """

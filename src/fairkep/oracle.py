@@ -26,7 +26,9 @@ The pool metrics rest on two witness loops over `max_price_packing`.
 adds each optimum's covered pairs until none is new; `fair.preprocess`,
 `coverage_losses` and `delta_star` use it.  `always_covered_count`
 (min-inclusion) prices the remaining candidates at -1 and intersects until no
-packing avoids one.
+packing avoids one.  Under cardinality ≥ k both take the family's maximum
+packing as their first witness (`PackingFamily.unit_optimum`), as `fair`'s
+master takes it as its seed, so no loop searches it again.
 """
 
 from __future__ import annotations
@@ -96,16 +98,16 @@ class OracleQuery:
 
 
 def enumerate_structures(instance: KepInstance, policy: StructurePolicy) -> list[Structure]:
-    """All acceptable simple cycles and chains, sorted by `sort_key`.
+    """All acceptable simple cycles and chains, in `sort_key` order.
 
-    The result is sorted after the search, so its order does not depend on
-    the order in which the search finds the structures.  A cycle grows from
-    its smallest vertex through larger ones only, and closes whenever the
-    vertex just appended has the start among its successors, so the search
-    never descends a level only to look for the closing arc.  Chains are
-    enumerated up to min(policy.max_chain_len, number of pairs), so an
-    unbounded chain policy on a large pool trips the guard rather than
-    materializing the family.
+    The search emits them in that order: cycles before chains, starts and
+    NDDs ascending, and each vertex sequence before its extensions, which it
+    tries in ascending order.  A cycle grows from its smallest vertex
+    through larger ones only, and closes whenever the vertex just appended
+    has the start among its successors, so the search never descends a
+    level only to look for the closing arc.  Chains are enumerated up to
+    min(policy.max_chain_len, number of pairs), so an unbounded chain policy
+    on a large pool trips the guard rather than materializing the family.
     """
     cap = ENUM_CAP
     out: list[Structure] = []
@@ -154,7 +156,7 @@ def enumerate_structures(instance: KepInstance, policy: StructurePolicy) -> list
             for w in adj[a]:
                 grow(a, [w])
 
-    return sorted(out, key=lambda s: s.sort_key())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +248,23 @@ class PackingFamily:
             packing, value = max_price_packing(unit, value_only=True, family=self)
             self._maximum = (packing, int(value))
         return self._maximum
+
+    def unit_optimum(self, cardinality: tuple[str, Optional[int]]) -> tuple[Packing, Fraction]:
+        """The value-only answer to the unit-price query under `cardinality`.
+
+        Under ("atleast", k), k up to the maximum, it is `maximum()`'s packing:
+        the search returns the first leaf in its order that reaches the
+        optimum, and neither the bound nor the row prunes a maximum leaf.
+        (Where HiGHS answers, it may pick another maximum packing.)  Other
+        cardinalities are searched and may raise `OracleInfeasible`.
+        """
+        mode, k = cardinality
+        if mode != "exact":
+            packing, maxcard = self.maximum()
+            if mode == "free" or k <= maxcard:
+                return packing, Fraction(maxcard)
+        unit = _unit_query(self.instance, self.policy, cardinality=cardinality)
+        return max_price_packing(unit, value_only=True, family=self)
 
     def search(self, query: OracleQuery, value_only: bool) -> tuple[Packing, Fraction]:
         """Branch-and-bound for one query over the enumerated family.
@@ -573,19 +592,20 @@ def coverable_pairs(
     re-optimize under the constraint; every optimum certifies all the pairs it
     covers.  Stops when no such packing covers an uncertified pair.
     `certified` seeds the set and must hold only pairs such a packing covers.
-    Every query runs on `family`, or on one family built here.
+    Every query runs on `family`, or on one family built here; an unseeded
+    loop's first query prices every pair, so it is `family.unit_optimum`.
     """
     if family is None:
         family = PackingFamily(instance, policy)
     while certified != instance.pairs:
         prices = {v: Fraction(1) for v in instance.pairs - certified}
+        query = OracleQuery(
+            instance=instance, policy=policy, node_prices=prices, cardinality=cardinality
+        )
         try:
-            packing, value = max_price_packing(
-                OracleQuery(
-                    instance=instance, policy=policy, node_prices=prices, cardinality=cardinality
-                ),
-                value_only=True,
-                family=family,
+            packing, value = (
+                max_price_packing(query, value_only=True, family=family)
+                if certified else family.unit_optimum(cardinality)
             )
         except OracleInfeasible:
             break
@@ -598,20 +618,23 @@ def coverable_pairs(
 def coverage_losses(instance: KepInstance, policy: StructurePolicy) -> dict[int, Optional[int]]:
     """δ_v per pair: the cardinality sacrificed by the best packing covering v.
 
-    None for a pair no packing covers.  A witness loop without a cardinality
-    constraint finds the coverable pairs; one loop per loss level ℓ = 0, 1, …
-    under cardinality ≥ max − ℓ, seeded with the pairs of smaller loss, then
-    certifies the pairs of loss ℓ until every coverable pair is reached.  All
-    of it runs on one family, whose maximum-cardinality packing seeds the loops.
+    None for a pair no packing covers.  One witness loop per loss level
+    ℓ = 0, 1, … under cardinality ≥ max − ℓ, seeded with the pairs of smaller
+    loss (level 0 with the maximum packing), certifies the pairs of loss ℓ.
+    Only if level 0 misses a pair does a loop without a cardinality
+    constraint, seeded with what level 0 reached, find the coverable pairs
+    that the levels then run to.  All of it runs on one family.
     """
     family = PackingFamily(instance, policy)
     packing, maxcard = family.maximum()
-    coverable = coverable_pairs(instance, policy, CARD_FREE, packing.covered, family)
+    certified = coverable_pairs(instance, policy, ("atleast", maxcard), packing.covered, family)
+    # searches nothing once level 0 has reached every pair
+    coverable = coverable_pairs(instance, policy, CARD_FREE, certified, family)
     limit = None
     if policy.max_chain_len is None and policy.max_cycle_len is not None:
         limit = (policy.max_cycle_len - 1) ** 2 - 1
-    losses = {v: (0 if v in packing.covered else None) for v in sorted(instance.pairs)}
-    certified, level = packing.covered, 0
+    losses = {v: (0 if v in certified else None) for v in sorted(instance.pairs)}
+    level = 1
     while certified != coverable:
         reached = coverable_pairs(instance, policy, ("atleast", maxcard - level), certified, family)
         if limit is not None and reached != certified and level > max(limit, 0):
@@ -646,14 +669,12 @@ def always_covered_count(
     default, or within delta of it).  Iterated min-inclusion pricing: price -1
     on the current candidate set and re-optimize under the cardinality
     constraint, shrinking by intersection until no acceptable packing avoids a
-    remaining candidate.  All of it runs on one family.
+    remaining candidate.  All of it runs on one family, and the first witness
+    is its unit-price optimum (`PackingFamily.unit_optimum`).
     """
     family = PackingFamily(instance, policy)
     card = acceptable_cardinality(instance, policy, family)
-    packing, _ = max_price_packing(
-        _unit_query(instance, policy, cardinality=card), value_only=True, family=family
-    )
-    witness = set(packing.covered)
+    witness = set(family.unit_optimum(card)[0].covered)
     while witness:
         prices = {v: Fraction(-1) for v in witness}
         packing, _ = max_price_packing(

@@ -8,7 +8,10 @@ batch-internal arcs are taken as given.
 
 Algorithms:
 - implicit: the deterministic oracle with fixed tie-breaking (a reproducible
-  stand-in for ILP-solver nondeterminism).
+  stand-in for ILP-solver nondeterminism).  Every pair has a positive price,
+  so its packing is maximal: the pool it leaves admits no acceptable
+  structure, and every structure of the next period passes through that
+  period's arrivals.
 - heuristic-ilp-shuffle: oracle over a uniformly shuffled structure order, so
   ties land on a random optimal packing.
 - heuristic-node-shuffle: random node-id relabeling before the deterministic

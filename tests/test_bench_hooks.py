@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -171,3 +172,41 @@ def test_one_enumeration_per_solve(monkeypatch):
     report = fair.solve_leximin(pool, StructurePolicy(max_cycle_len=3))
     assert report.pricing_calls > 1
     assert len(enumerations) == 1
+
+
+def test_each_maximum_searched_once(monkeypatch):
+    """preprocessing, δ* and a leximin solve search each family's all-unit-price
+    optimum once (the family's maximum), and δ* runs no cardinality-free
+    witness loop once loss level 0 has reached every pair."""
+    searches = []
+    search = oracle.PackingFamily.search
+
+    def recording(family, query, value_only):
+        searches.append((family, query))
+        return search(family, query, value_only)
+
+    monkeypatch.setattr(oracle.PackingFamily, "search", recording)
+    policy = StructurePolicy(max_cycle_len=3)
+    pool = gen.generate_instance(gen.GenConfig(n_pairs=12, seed=3))
+    reduced, _ = fair.preprocess(pool, policy)
+    # every kept pair lies in a maximum packing, so loss level 0 reaches them all
+    assert set(oracle.coverage_losses(reduced, policy).values()) == {0}
+    searches.clear()
+    fair.preprocess(pool, policy)
+    first_delta = len(searches)
+    delta = oracle.delta_star(reduced, policy)
+    first_solve = len(searches)
+    fair.solve_leximin(reduced, replace(policy, cardinality_mode="delta", delta=delta))
+    families = list(dict.fromkeys(family for family, _ in searches))
+    assert len(families) == 3
+
+    def unit(family, query):
+        return query.node_prices == {v: 1 for v in family.instance.pairs}
+
+    for family in families:
+        assert sum(unit(f, q) for f, q in searches if f is family) == 1
+    delta_searches = searches[first_delta:first_solve]
+    assert {f for f, _ in delta_searches} == {families[1]}
+    # the family's maximum is its only search without a cardinality row
+    assert [q.cardinality for _, q in delta_searches].count(oracle.CARD_FREE) == 1
+    assert delta_searches[0][1].cardinality == oracle.CARD_FREE

@@ -163,6 +163,29 @@ def test_matching_lottery_under_python_O():
     ))
 
 
+def test_generated_pool_under_python_O():
+    """Maximin and leximin on a generated 13-pair cyc3 pool finish under
+    python -O, and every packing of both lotteries validates and meets the
+    acceptable cardinality."""
+    pool = gen.generate_instance(gen.GenConfig(n_pairs=13, seed=9))
+    assert len(pool.pairs) == 13 and not pool.ndds
+    run_under_python_O(pool, (
+        "from fairkep.core import StructurePolicy, validate_packing\n"
+        "from fairkep.fair import preprocess, solve_leximin, solve_maximin\n"
+        "from fairkep.oracle import acceptable_cardinality\n"
+        "pol = StructurePolicy(max_cycle_len=3)\n"
+        "reduced, _ = preprocess(inst, pol)\n"
+        "_, k = acceptable_cardinality(reduced, pol)\n"
+        "for solve in (solve_maximin, solve_leximin):\n"
+        "    r = solve(reduced, pol)\n"
+        "    for pk, _ in r.lottery.support:\n"
+        "        validate_packing(reduced, pk, pol)\n"
+        "        if len(pk.covered) < k:\n"
+        "            raise SystemExit(f'{solve.__name__}: packing below cardinality {k}')\n"
+        "    print(solve.__name__, r.objective, sorted(r.marginals.items()))\n"
+    ))
+
+
 class TestTripleOverlapGraph:
     TOP = Packing.of(Cycle((1, 2, 3)))
     BOTTOM = Packing.of(Cycle((2, 4, 5)), Cycle((3, 6, 7)))

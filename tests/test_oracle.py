@@ -24,7 +24,7 @@ from fairkep.oracle import (
     max_price_packing,
 )
 from fairkep.paths import TWO_CYCLE_TWO_PATH
-from helpers import all_structures, brute_best
+from helpers import all_structures, brute_best, packing_covers
 
 F = Fraction
 CYC3 = StructurePolicy(max_cycle_len=3)
@@ -93,6 +93,24 @@ class TestEnumeration:
             inst = random_instance(rng, 2, 9, 0, 2, rng.choice([0.2, 0.35, 0.5]))
             pol = policies[trial % len(policies)]
             assert enumerate_structures(inst, pol) == all_structures(inst, pol), trial
+
+    def test_emitted_in_sort_key_order(self):
+        """The search emits every family already sorted by `sort_key`: on
+        generated pools, cycles of length 2-4, bounded chains and chains of
+        at least two pairs."""
+        policies = [
+            StructurePolicy(max_cycle_len=2),
+            CYC3,
+            StructurePolicy(max_cycle_len=4),
+            CYC3_CHAIN2,
+            StructurePolicy(max_cycle_len=3, max_chain_len=4, min_chain_len=2),
+            StructurePolicy(max_cycle_len=None, max_chain_len=3),
+        ]
+        for seed in range(12):
+            inst = gen.generate_instance(gen.GenConfig(n_pairs=8 + seed, n_ndds=seed % 3, seed=seed))
+            for pol in policies:
+                s = enumerate_structures(inst, pol)
+                assert s == sorted(s, key=lambda x: x.sort_key()), (seed, pol)
 
 
 class TestMaxPrice:
@@ -419,6 +437,28 @@ class TestPinnedAnswers:
             max_price_packing(OracleQuery(instance=TRIPLE, policy=CYC3), family=family)
 
 
+class TestUnitOptimum:
+    def test_atleast_answer_is_the_maximum(self):
+        """Under cardinality ≥ k for every k up to the maximum, the value-only
+        all-unit-price search returns the family's maximum packing, so the
+        witness loops and the master may take it from the memo."""
+        rng = random.Random(53)
+        policies = [StructurePolicy(max_cycle_len=2), CYC3, CYC3_CHAIN2,
+                    StructurePolicy(max_cycle_len=3, max_chain_len=3)]
+        for trial in range(40):
+            inst = random_instance(rng, 4, oracle.BB_MAX_PAIRS, 0, 2, rng.choice([0.12, 0.2, 0.3]))
+            pol = policies[trial % len(policies)]
+            family = oracle.PackingFamily(inst, pol)
+            packing, maxcard = family.maximum()
+            for k in range(maxcard + 1):
+                card = ("atleast", k)
+                q = OracleQuery(instance=inst, policy=pol, node_prices=unit(inst), cardinality=card)
+                assert max_price_packing(q, value_only=True)[0] == packing, (trial, k)
+                assert family.unit_optimum(card) == (packing, maxcard), (trial, k)
+            with pytest.raises(OracleInfeasible):
+                family.unit_optimum(("atleast", maxcard + 1))
+
+
 class TestCoverageMetrics:
     def test_coverage_loss(self):
         assert coverage_losses(TRIPLE, CYC3)[1] == 3
@@ -478,3 +518,25 @@ class TestCoverageMetrics:
         cyc3d1 = replace(CYC3, cardinality_mode="delta", delta=1)
         assert always_covered_count(SHARED, cyc3d1) == (1, frozenset({2}))
         assert always_covered_count(TRIPLE, CYC3) == (6, frozenset({2, 3, 4, 5, 6, 7}))
+
+    def test_always_covered_agrees_with_brute_force(self):
+        """always_covered_count against the intersection of every acceptable
+        packing's covered pairs, by exhaustive search, under max and delta."""
+        rng = random.Random(59)
+        saw_strict = False
+        for trial in range(60):
+            inst = random_instance(rng, 4, 10, 0, 2, 0.3)
+            pol = StructurePolicy(
+                max_cycle_len=rng.choice([2, 3]), max_chain_len=rng.choice([None, 2, 3])
+            )
+            if trial % 2:
+                pol = replace(pol, cardinality_mode="delta", delta=rng.randint(1, 3))
+            maxcard = brute_best(inst, pol, unit(inst))
+            card = ("atleast", max(maxcard - pol.delta, 0))
+            always = frozenset(inst.pairs)
+            for cov in packing_covers(inst, pol, card):
+                always &= cov
+            assert always_covered_count(inst, pol) == (len(always), always), trial
+            # the first witness is a maximum packing; fewer pairs mean the loop shrank it
+            saw_strict |= 0 < len(always) < maxcard
+        assert saw_strict

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,15 @@ from scipy.special import betainc
 
 from fairkep.core import StructurePolicy
 from fairkep.gen import GenConfig, generate_batches
+from fairkep.oracle import enumerate_structures
 from fairkep.sim import (
     ALGORITHMS,
+    IMPLICIT,
     SimConfig,
     WaitTimeLinear,
+    _Pool,
+    _solve_period,
+    _wait_prices,
     compare_heuristics,
     jeffreys_interval,
     run_simulation,
@@ -113,6 +119,24 @@ class TestSimulation:
     def test_empty_batches_rejected(self):
         with pytest.raises(ValueError):
             run_simulation([], SimConfig(policy=CYC3))
+
+    @pytest.mark.parametrize("policy", [CYC3, StructurePolicy(max_cycle_len=3, max_chain_len=2)])
+    def test_implicit_leaves_no_structure(self, policy):
+        """Under waiting-time prices every implicit packing is maximal, so the
+        pool left after each period admits no acceptable structure."""
+        solved = 0
+        for seed in range(4):
+            batches = small_batches(seed=seed, n=8, pairs=6)
+            config = SimConfig(policy=policy, algorithm=IMPLICIT, weighting=WaitTimeLinear())
+            rng = random.Random(seed)
+            pool = _Pool(rng, _wait_prices(config, len(batches)))
+            for period, batch in enumerate(batches):
+                pool.arrive(batch, period)
+                packing = _solve_period(pool, config, period, rng)
+                pool.depart(packing)
+                assert enumerate_structures(pool.instance(), policy) == [], (seed, period)
+                solved += bool(packing.structures)
+        assert solved > 0
 
 
 class TestPinnedTraces:
