@@ -5,10 +5,10 @@ priced by any pricing callable that returns a best-price column of the
 family; the solvers here price it with the exact packing oracle, and
 lorenz.fixed_cardinality_reduction with a perfect-matching pricer.  One
 column-generation loop (RestrictedMaster.generate) serves every LP and keeps
-the dual certificates it ends on; exact masters check each priced packing
-against them.  Small instances use the exact rational simplex
-(zero-tolerance certificates); larger ones switch to HiGHS with a 1e-9
-certificate tolerance.
+the dual certificates it ends on; every priced packing is checked against
+them.  Every master LP, at every pool size, runs on the exact rational
+simplex, so certificates hold with zero tolerance and every objective but
+Nash's is an exact Fraction.
 
 - solve_maximin / solve_leximin: master LPs over (p_C, lambda); leximin_lottery
   is the level-fixing engine over any priced master: each round fixes the
@@ -19,8 +19,7 @@ certificate tolerance.
   certifies the log-objective within tolerance.
 - solve_gini: Dinkelbach iterations on the mean-absolute-difference ratio.
   The inner LP is column-generated and bounds the absolute differences by
-  one variable and sort-order cuts, so it is exact under the same pair
-  limit as every other objective.
+  one variable and sort-order cuts, exact like every other master LP.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import minimize
 
 from .core import (
     EMPTY_PACKING,
@@ -53,19 +52,12 @@ from .oracle import (
     coverable_pairs,
     max_price_packing,
 )
-from .simplexlp import LpInfeasible, LpUnbounded, caratheodory, lp_solve_exact
+from .simplexlp import caratheodory, lp_solve_exact
 
-# masters of every objective stay exact-rational up to this many pairs; read
-# at solve time
-EXACT_PAIR_LIMIT = 40
 # no solver reads this; its only reader is perfbench/workloads.py, which
 # compares Gini items on more pairs with its float reference tolerance
 GINI_EXACT_PAIR_LIMIT = 8
-FLOAT_CERT_TOL = 1e-9
-# float leximin compares levels, dual prices and final marginals within this,
-# and float Gini masters separate sort-order cuts violated by more (HiGHS's own
-# feasibility tolerances are 1e-7, so a tighter one could re-find a cut it has)
-FLOAT_LEVEL_TOL = 1e-6
+# Nash's float gradient prices are rounded to this denominator before pricing
 _PRICE_DENOM = 10**12
 
 
@@ -83,6 +75,12 @@ class DegenerateAllZero(FairkepError):
 
 @dataclass(frozen=True)
 class SolveReport:
+    """A solver's lottery, exact marginals, objective, work counts and gap.
+
+    objective and gap are Fractions (leximin's objective a tuple of them) on
+    every path but solve_nash, whose float gap certifies its objective to tol.
+    """
+
     lottery: Lottery
     objective: object
     iterations: int
@@ -102,41 +100,19 @@ def lp_solve(
     A_eq: Sequence[Sequence] = (),
     b_eq: Sequence = (),
     free_vars: Sequence[int] = (),
-    exact: bool = True,
 ):
     """Maximize c @ x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 
     Variables in free_vars are unrestricted.  Returns (x, objective, duals_ub,
-    duals_eq).  Exact mode runs simplexlp.lp_solve_exact, a fraction-free
-    simplex on integer tableau rows under Bland's rule; its duals are read off
-    the final objective row as exact Fractions: duals_ub >= 0, duals_eq of
-    either sign, A_ubᵀ duals_ub + A_eqᵀ duals_eq >= c and b · duals equal to
-    the objective.  Float mode runs HiGHS, with the same signs (duals good to
-    ~1e-9).  Raises LpInfeasible / LpUnbounded.
+    duals_eq) from simplexlp.lp_solve_exact, a fraction-free simplex on
+    integer tableau rows under Bland's rule; its duals are read off the final
+    objective row as exact Fractions: duals_ub >= 0, duals_eq of either sign,
+    A_ubᵀ duals_ub + A_eqᵀ duals_eq >= c and b · duals equal to the
+    objective.  Every master LP goes through this name.  Raises LpInfeasible /
+    LpUnbounded.
     """
-    if exact:
-        res = lp_solve_exact(c, A_ub, b_ub, A_eq, b_eq, free_vars)
-        return res.x, res.objective, res.duals_ub, res.duals_eq
-    free = set(free_vars)
-    bounds = [(None, None) if i in free else (0, None) for i in range(len(c))]
-    res = linprog(
-        [-float(v) for v in c],
-        A_ub=[[float(v) for v in r] for r in A_ub] or None,
-        b_ub=[float(v) for v in b_ub] or None,
-        A_eq=[[float(v) for v in r] for r in A_eq] or None,
-        b_eq=[float(v) for v in b_eq] or None,
-        bounds=bounds,
-        method="highs",
-    )
-    if res.status == 2:
-        raise LpInfeasible("LP infeasible")
-    if res.status == 3:
-        raise LpUnbounded("LP is unbounded")
-    if res.status != 0:
-        raise FairkepError(f"LP solve failed: {res.message}")
-    duals_ub = [-m for m in res.ineqlin.marginals] if len(b_ub) else []
-    duals_eq = [-m for m in res.eqlin.marginals] if len(b_eq) else []
-    return list(res.x), -res.fun, duals_ub, duals_eq
+    res = lp_solve_exact(c, A_ub, b_ub, A_eq, b_eq, free_vars)
+    return res.x, res.objective, res.duals_ub, res.duals_eq
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +124,14 @@ class RestrictedMaster:
 
     pricing(prices) returns a packing of the family with the largest price
     sum, and that sum; the master itself decides which packings become columns.
-    exact picks the rational simplex over HiGHS for every LP of the solve.
-    certificates holds the (prices, z) on which column generation ended: no
-    packing of the family has a price sum above z.
+    Every LP of the solve is exact and rational.  certificates holds the
+    (prices, z) on which column generation ended: no packing of the family has
+    a price sum above z.
     """
 
-    def __init__(self, pairs: Sequence[int], pricing, exact: bool, seed: Packing):
+    def __init__(self, pairs: Sequence[int], pricing, seed: Packing):
         self.pairs = sorted(pairs)
         self.pricing = pricing
-        self.exact = exact
         self.columns: list[Packing] = []
         self.covered: list[frozenset[int]] = []
         self.certificates: list[tuple[dict[int, object], object]] = []
@@ -175,17 +150,14 @@ class RestrictedMaster:
     def price(self, prices: dict[int, object]) -> tuple[Packing, object]:
         """The pricing's best packing and its price sum.
 
-        On an exact master the packing must also respect every recorded
-        certificate; one that does not proves the pricing wrong, then or now.
+        The packing must also respect every recorded certificate; one that
+        does not proves the pricing wrong, then or now.
         """
         self.pricing_calls += 1
         packing, value = self.pricing(prices)
-        if self.exact:
-            for y, z in self.certificates:
-                if sum((y.get(v, 0) for v in packing.covered), Fraction(0)) > z:
-                    raise FairkepError(
-                        f"pricing returned a packing above the certified bound {z}"
-                    )
+        for y, z in self.certificates:
+            if sum((y.get(v, 0) for v in packing.covered), Fraction(0)) > z:
+                raise FairkepError(f"pricing returned a packing above the certified bound {z}")
         return packing, value
 
     def generate(self, solve):
@@ -194,30 +166,21 @@ class RestrictedMaster:
         solve() solves the LP over the current columns and returns (solution,
         prices, z), where the pair prices and z are its optimal duals: no
         column prices above z.  The loop ends, and records (prices, z), once
-        the best packing of the family prices at most z as well: exactly on
-        exact masters, within FLOAT_CERT_TOL on float ones.  A float master
-        also stops, uncertified and with the gap it reached, when pricing
-        returns a column it already has.  Returns (solution, prices, rounds,
-        gap).
+        the best packing of the family prices at most z as well, exactly, so
+        the LP's optimum is the family's.  A priced column that the master
+        already has proves the LP or the pricing wrong and raises.  Returns
+        (solution, prices, rounds).
         """
         rounds = 0
         while True:
             rounds += 1
             solution, prices, z = solve()
             packing, value = self.price(prices)
-            if self.exact:
-                gap = Fraction(0)
-                done = value <= z
-            else:
-                gap = max(0.0, float(value) - z)
-                done = gap <= FLOAT_CERT_TOL
-            if done:
+            if value <= z:
                 self.certificates.append((prices, z))
-                return solution, prices, rounds, gap
+                return solution, prices, rounds
             if not self.add(packing):
-                if self.exact:
-                    raise FairkepError("priced an existing column with positive reduced cost")
-                return solution, prices, rounds, gap
+                raise FairkepError("priced an existing column with positive reduced cost")
 
 
 def _oracle_master(
@@ -227,12 +190,12 @@ def _oracle_master(
 
     Each pricing call is one oracle query, prices in and one best packing
     out, on the family built here for the whole solve; the oracle keeps no
-    solver state between calls.  Its LPs are exact on up to EXACT_PAIR_LIMIT
-    pairs.  Its seed is the family's unit-price optimum: under cardinality
-    ≥ k the maximum packing `acceptable_cardinality` has just found.  Returns
-    (master, full_coverage); full_coverage says the acceptable family is
-    forced to cover every pair, so all marginals are 1 and the seed packing
-    alone is optimal for any fair objective.
+    solver state between calls.  Float prices (Nash's gradients) are rounded
+    to Fractions first.  Its seed is the family's unit-price optimum: under
+    cardinality ≥ k the maximum packing `acceptable_cardinality` has just
+    found.  Returns (master, full_coverage); full_coverage says the
+    acceptable family is forced to cover every pair, so all marginals are 1
+    and the seed packing alone is optimal for any fair objective.
     """
     pairs = sorted(instance.pairs)
     # one family prices every query of the solve
@@ -254,7 +217,7 @@ def _oracle_master(
         )
 
     seed, _ = family.unit_optimum(cardinality)
-    master = RestrictedMaster(pairs, pricing, len(pairs) <= EXACT_PAIR_LIMIT, seed)
+    master = RestrictedMaster(pairs, pricing, seed)
     return master, cardinality == ("atleast", len(pairs))
 
 
@@ -262,7 +225,7 @@ def _maximin_lp(master: RestrictedMaster, fixed: dict[int, object]):
     """Maximize the minimum marginal over unfixed pairs, floors on fixed ones.
 
     Returns (level, primal weights over master.columns, certified pair prices,
-    iterations, gap).
+    iterations).
     """
 
     def solve():
@@ -278,23 +241,15 @@ def _maximin_lp(master: RestrictedMaster, fixed: dict[int, object]):
                 row.append(1)
                 b_ub.append(0)
             A_ub.append(row)
-        x, _, duals_ub, duals_eq = lp_solve(
-            c, A_ub, b_ub, [[1] * k + [0]], [1], exact=master.exact
-        )
+        x, _, duals_ub, duals_eq = lp_solve(c, A_ub, b_ub, [[1] * k + [0]], [1])
         return x, dict(zip(master.pairs, duals_ub)), duals_eq[0]
 
-    x, prices, rounds, gap = master.generate(solve)
-    return x[-1], x[:-1], prices, rounds, gap
+    x, prices, rounds = master.generate(solve)
+    return x[-1], x[:-1], prices, rounds
 
 
 def _lottery_from(master: RestrictedMaster, weights: Sequence) -> Lottery:
-    entries = []
-    for pk, w in zip(master.columns, weights):
-        if master.exact:
-            if w > 0:
-                entries.append((pk, Fraction(w)))
-        elif w > 1e-12:
-            entries.append((pk, Fraction(float(w)).limit_denominator(_PRICE_DENOM)))
+    entries = [(pk, Fraction(w)) for pk, w in zip(master.columns, weights) if w > 0]
     if not entries:
         entries = [(EMPTY_PACKING, Fraction(1))]
     total = sum(p for _, p in entries)
@@ -310,8 +265,8 @@ def _solve(instance: KepInstance, policy: StructurePolicy, evaluate, run,
     """The frame of every oracle-priced solver.
 
     An empty pool gets the empty packing, with objective `empty`.  Otherwise
-    one oracle master prices the solve, exact on up to EXACT_PAIR_LIMIT pairs.  A
-    family forced to cover every pair gets its seed packing; any other runs
+    one oracle master, exact at every pool size, prices the solve.  A family
+    forced to cover every pair gets its seed packing; any other runs
     run(master) -> (lottery, iterations, gap, objective).  An objective of
     None, and the forced family's, is evaluate(marginal vector).
     """
@@ -334,9 +289,8 @@ def solve_maximin(instance: KepInstance, policy: StructurePolicy) -> SolveReport
     """Lottery maximizing the minimum per-pair coverage probability."""
 
     def run(master):
-        level, weights, _, rounds, gap = _maximin_lp(master, {})
-        objective = level if master.exact else float(level)
-        return sparsify(_lottery_from(master, weights)), rounds, gap, objective
+        level, weights, _, rounds = _maximin_lp(master, {})
+        return sparsify(_lottery_from(master, weights)), rounds, Fraction(0), level
 
     return _solve(instance, policy, eval_maximin, run, empty=Fraction(0))
 
@@ -347,7 +301,7 @@ def solve_leximin(instance: KepInstance, policy: StructurePolicy) -> SolveReport
                   lambda master: (*leximin_lottery(master), None), empty=())
 
 
-def leximin_lottery(master: RestrictedMaster) -> tuple[Lottery, int, object]:
+def leximin_lottery(master: RestrictedMaster) -> tuple[Lottery, int, Fraction]:
     """Leximin lottery over the master's priced family, by dual fixing.
 
     Each round maximizes the minimum marginal over the unfixed pairs, with
@@ -356,35 +310,32 @@ def leximin_lottery(master: RestrictedMaster) -> tuple[Lottery, int, object]:
     maximin optimum, so the round fixes those pairs at the level (all of
     them once the level reaches 1).  The unfixed prices sum to at least 1, so
     every round fixes a pair and there are at most n rounds.  Levels never
-    decrease, though consecutive ones may be equal.  Float masters compare
-    levels, prices and marginals within FLOAT_LEVEL_TOL.  Returns
-    (sparsified lottery over the master's columns, rounds, gap).
+    decrease, though consecutive ones may be equal; all comparisons are
+    exact.  Returns (sparsified lottery over the master's columns, rounds,
+    gap Fraction(0)).
     """
-    tol = Fraction(0) if master.exact else FLOAT_LEVEL_TOL
-    fixed: dict[int, object] = {}
+    fixed: dict[int, Fraction] = {}
     level = None
     rounds = 0
-    gap = Fraction(0) if master.exact else 0.0
     while len(fixed) < len(master.pairs):
         last = level
-        level, weights, prices, _, g = _maximin_lp(master, fixed)
-        gap = max(gap, g)
+        level, weights, prices, _ = _maximin_lp(master, fixed)
         rounds += 1
-        if last is not None and level < last - tol:
+        if last is not None and level < last:
             raise FairkepError(f"leximin levels must not decrease: {level} after {last}")
         newly = [v for v in master.pairs if v not in fixed]
-        if level < 1 - tol:
-            newly = [v for v in newly if prices[v] > tol]
+        if level < 1:
+            newly = [v for v in newly if prices[v] > 0]
         if not newly:
             raise FairkepError(f"the maximin duals at level {level} price no unfixed pair")
         for v in newly:
             fixed[v] = level
     lottery = sparsify(_lottery_from(master, weights))
     marginals = lottery.marginals(master.pairs)
-    off = [v for v in master.pairs if abs(marginals[v] - fixed[v]) > tol]
+    off = [v for v in master.pairs if marginals[v] != fixed[v]]
     if off:
         raise FairkepError(f"pairs {off} end away from the levels they were fixed at")
-    return lottery, rounds, gap
+    return lottery, rounds, Fraction(0)
 
 
 def solve_utilitarian(instance: KepInstance, policy: StructurePolicy) -> SolveReport:
@@ -416,8 +367,8 @@ def solve_nash(
     """
 
     def run(master):
-        level, weights, _, _, _ = _maximin_lp(master, {})
-        if float(level) <= 0:
+        level, weights, _, _ = _maximin_lp(master, {})
+        if level <= 0:
             raise Uncoverable("some pair has zero maximin coverage; Nash optimum undefined")
         pairs = master.pairs
         n = len(pairs)
@@ -498,17 +449,18 @@ def solve_gini(
     Dinkelbach iterations on the ratio sum|q_u - q_v| / (2 n sum q): each inner
     problem min T - mu*2n*sum(q), with T >= sum|q_u - q_v| imposed by
     sort-order cuts (_gini_inner), is an LP solved by column generation;
-    converges when the inner optimum reaches -tol.  Exact on up to
-    EXACT_PAIR_LIMIT pairs, like every other objective.
+    converges when the exact inner optimum reaches -tol.  Every LP is exact
+    and rational, so the objective and the gap (-D, at most tol) are
+    Fractions.
     """
 
     def run(master):
-        _, weights, _, _, _ = _maximin_lp(master, {})
+        _, weights, _, _ = _maximin_lp(master, {})
         marginals = _lottery_from(master, weights).marginals(master.pairs)
         if all(q == 0 for q in marginals.values()):
             raise DegenerateAllZero("every acceptable packing covers nothing")
         mu = eval_gini([marginals[v] for v in master.pairs])
-        tol_val = Fraction(tol).limit_denominator(10**14) if master.exact else tol
+        tol_val = Fraction(tol).limit_denominator(10**14)
         outer = 0
         cuts: dict[tuple[int, ...], list[int]] = {}
         for outer in range(1, 61):
@@ -520,14 +472,12 @@ def solve_gini(
             if not denom > 0:
                 raise FairkepError("Gini inner optimum covers no pair")
             mu_next = _abs_diff_sum(q_star) / denom
-            if not mu_next < mu + (0 if master.exact else 1e-12):
+            if not mu_next < mu:
                 raise FairkepError(f"Gini ratio must decrease: {mu_next} after {mu}")
             mu = mu_next
         else:
             raise StalledBelowTolerance("Gini ratio iterations failed to converge", float(D))
-        # zero first: max keeps the first of equals, and -D is -0.0 when D is 0.0
-        gap = max(Fraction(0) if master.exact else 0.0, -D)
-        return sparsify(_lottery_from(master, weights)), outer, gap, None
+        return sparsify(_lottery_from(master, weights)), outer, max(Fraction(0), -D), None
 
     return _solve(instance, policy, eval_gini, run, empty=Fraction(0))
 
@@ -547,8 +497,8 @@ def _gini_inner(master: RestrictedMaster, mu, cuts: dict):
     cuts maps each ordering separated so far in the solve to its
     coefficients over q, and the LP holds T >= those coefficients times q for
     each.  Every LP is re-solved until the ascending order of its own q*
-    violates no cut (exactly, or beyond FLOAT_LEVEL_TOL on float masters),
-    so pricing only sees optima of the LP over every ordering.
+    violates no cut, exactly, so pricing only sees optima of the LP over
+    every ordering.
 
     The simplex runs on the LP's dual, which has a row per column where the
     LP has one per cut, and whose right-hand sides are not all 0 as the
@@ -558,7 +508,6 @@ def _gini_inner(master: RestrictedMaster, mu, cuts: dict):
     pairs = master.pairs
     n = len(pairs)
     coef_q = 2 * n * mu
-    tol = 0 if master.exact else FLOAT_LEVEL_TOL
 
     def solve():
         k = len(master.columns)
@@ -570,8 +519,7 @@ def _gini_inner(master: RestrictedMaster, mu, cuts: dict):
             rows = list(cuts.values())
             A_ub = [[-sum(r[i] for i in col) for r in rows] + [-1] for col in cols]
             A_ub.append([1] * len(rows) + [0])
-            lam, _, x, _ = lp_solve([0] * len(rows) + [-1], A_ub, b_ub,
-                                    free_vars=[len(rows)], exact=master.exact)
+            lam, _, x, _ = lp_solve([0] * len(rows) + [-1], A_ub, b_ub, free_vars=[len(rows)])
             q = [0] * n
             for col, p in zip(cols, x):
                 for i in col:
@@ -581,7 +529,7 @@ def _gini_inner(master: RestrictedMaster, mu, cuts: dict):
             for i, j in enumerate(order):
                 row[j] = 2 * (2 * i - n + 1)
             value = sum(a * qi for a, qi in zip(row, q))
-            if not value > x[k] + tol:
+            if not value > x[k]:
                 break
             if order in cuts:
                 raise FairkepError(f"the Gini cut of ordering {order} is violated in its own LP")
@@ -590,7 +538,7 @@ def _gini_inner(master: RestrictedMaster, mu, cuts: dict):
                   for i, v in enumerate(pairs)}
         return (value - coef_q * sum(q), x[:k], q), prices, lam[-1]
 
-    optimum, _, _, _ = master.generate(solve)
+    optimum, _, _ = master.generate(solve)
     return optimum
 
 

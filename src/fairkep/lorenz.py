@@ -835,7 +835,6 @@ def fixed_cardinality_reduction(
         return packing, sum((prices.get(x, 0) for x in packing.covered), ZERO)
 
     seed, _ = pricing({})
-    # the matching pricer stays rational, so every master LP is exact
-    master = RestrictedMaster(graph.vertices, pricing, exact=True, seed=seed)
+    master = RestrictedMaster(graph.vertices, pricing, seed=seed)
     lottery, _, _ = leximin_lottery(master)
     return lottery

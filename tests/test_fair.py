@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import math
 import os
 import random
 import subprocess
@@ -360,15 +359,14 @@ class TestChecks:
         real = fair._maximin_lp
 
         def unpriced(master, fixed):
-            level, weights, prices, rounds, gap = real(master, fixed)
-            return level, weights, {v: 0 * y for v, y in prices.items()}, rounds, gap
+            level, weights, prices, rounds = real(master, fixed)
+            return level, weights, {v: 0 * y for v, y in prices.items()}, rounds
 
         monkeypatch.setattr(fair, "_maximin_lp", unpriced)
         with pytest.raises(FairkepError, match="price no unfixed pair"):
             solve_leximin(SHARED, CYC3D1)
 
-    @pytest.mark.parametrize("exact_limit", [40, 0], ids=["exact", "float"])
-    def test_leximin_pairs_end_at_their_levels(self, monkeypatch, exact_limit):
+    def test_leximin_pairs_end_at_their_levels(self, monkeypatch):
         # levels reported 1/4 below the truth fix pairs that the final lottery
         # covers more often than their levels
         real = fair._maximin_lp
@@ -377,7 +375,6 @@ class TestChecks:
             level, *rest = real(master, fixed)
             return level - F(1, 4), *rest
 
-        monkeypatch.setattr(fair, "EXACT_PAIR_LIMIT", exact_limit)
         monkeypatch.setattr(fair, "_maximin_lp", low_level)
         with pytest.raises(FairkepError, match="end away from the levels"):
             solve_leximin(SHARED, CYC3D1)
@@ -385,7 +382,7 @@ class TestChecks:
     @pytest.mark.parametrize("inner", ["maximin", "gini"])
     def test_exact_master_rejects_existing_column_priced_above_bound(self, inner):
         seed = Packing.of(Cycle((1, 2)))
-        master = fair.RestrictedMaster([1, 2, 3, 4], lambda prices: (seed, F(10)), True, seed)
+        master = fair.RestrictedMaster([1, 2, 3, 4], lambda prices: (seed, F(10)), seed)
         with pytest.raises(FairkepError, match="existing column with positive reduced cost"):
             if inner == "maximin":
                 fair._maximin_lp(master, {})
@@ -405,8 +402,7 @@ class TestChecks:
         with pytest.raises(FairkepError, match="ratio must decrease"):
             solve_gini(SHARED, CYC3D1)
 
-    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-    def test_gini_cut_violated_in_its_own_lp(self, monkeypatch, exact):
+    def test_gini_cut_violated_in_its_own_lp(self, monkeypatch):
         # an LP that reports T = 0 whatever its cuts violates the cut it was given
         real = fair.lp_solve
 
@@ -417,7 +413,7 @@ class TestChecks:
 
         monkeypatch.setattr(fair, "lp_solve", zero_t)
         seed = Packing.of(Cycle((1, 2)))
-        master = fair.RestrictedMaster([1, 2, 3, 4], lambda prices: (seed, F(0)), exact, seed)
+        master = fair.RestrictedMaster([1, 2, 3, 4], lambda prices: (seed, F(0)), seed)
         with pytest.raises(FairkepError, match="violated in its own LP"):
             fair._gini_inner(master, F(1, 4), {})
 
@@ -457,21 +453,34 @@ class TestGiniReference:
         assert type(r.gap) is Fraction and r.gap == 0
         assert r.objective == min_gini(inst.pairs, self.family(inst, CYC3D1))
 
-    def test_float_gap_is_positive_zero(self, monkeypatch):
-        # float masters converge with D = 0.0 here, whose negation is -0.0
-        monkeypatch.setattr(fair, "EXACT_PAIR_LIMIT", 0)
-        inst = gen.generate_instance(gen.GenConfig(n_pairs=8, seed=0))
-        r = solve_gini(inst, CYC3)
-        assert r.gap == 0 and math.copysign(1, r.gap) == 1
+
+def test_pool_above_40_pairs_is_exact():
+    # a sparse random 50-pair pool, 41 pairs after preprocess, with delta* = 0;
+    # the expected values are HiGHS float-master answers, independent of the
+    # exact simplex
+    rng = random.Random(50001)
+    arcs = [(u, v) for u in range(50) for v in range(50) if u != v and rng.random() < 0.1]
+    pool, _ = fair.preprocess(make(range(50), [], arcs), CYC3)
+    assert len(pool.pairs) == 41 and delta_star(pool, CYC3) == 0
+    pol = replace(CYC3, cardinality_mode="delta", delta=0)
+    reports = {"leximin": solve_leximin(pool, pol), "maximin": solve_maximin(pool, pol),
+               "gini": solve_gini(pool, pol)}
+    for name, r in reports.items():
+        assert type(r.gap) is Fraction and r.gap == 0, name
+    leximin = reports["leximin"].objective
+    assert all(type(q) is Fraction for q in leximin)
+    assert all(abs(q - t) < 1e-6 for q, t in zip(leximin, [0.5] * 4 + [1.0] * 37))
+    for name, target in [("maximin", 0.5), ("gini", 0.046278924327704814)]:
+        objective = reports[name].objective
+        assert type(objective) is Fraction and abs(objective - target) < 1e-6, name
 
 
 class TestPinnedMarginals:
-    # sha256 over the leximin marginals of 40 generated 12-15-pair cyc3 pools
-    # (preprocessed; delta* + 1 on even pools, delta* on odd ones), solved on
-    # exact masters and on float masters (rounded to 1e-9); recorded with
-    # per-pair saturation tests. Leximin marginals are unique, so every
-    # correct level-fixing rule reproduces them.
-    PINNED = "bfef45a27cf437aec3b64710e14d60b9f94fdd16a106994e769d35ab0c9f5fb6"
+    # sha256 over the exact leximin marginals of 40 generated 12-15-pair cyc3
+    # pools (preprocessed; delta* + 1 on even pools, delta* on odd ones).
+    # Leximin marginals are unique, so every correct level-fixing rule
+    # reproduces them.
+    PINNED = "6b526555b6cede1fee5980370ae6608d7f4dc5743ebfd338048c8e1eb7837a07"
 
     @staticmethod
     def pools():
@@ -481,13 +490,9 @@ class TestPinnedMarginals:
             delta = delta_star(reduced, CYC3) + 1 - u % 2
             yield reduced, replace(CYC3, cardinality_mode="delta", delta=delta)
 
-    def test_marginals_unchanged(self, monkeypatch):
+    def test_marginals_unchanged(self):
         h = hashlib.sha256()
         for inst, pol in self.pools():
             exact = solve_leximin(inst, pol).marginals
             h.update(repr(sorted(exact.items())).encode())
-        monkeypatch.setattr(fair, "EXACT_PAIR_LIMIT", 0)
-        for inst, pol in self.pools():
-            floats = solve_leximin(inst, pol).marginals
-            h.update(repr([(v, round(float(q), 9)) for v, q in sorted(floats.items())]).encode())
         assert h.hexdigest() == self.PINNED

@@ -260,7 +260,7 @@ class TestPivotRule:
         assert_certified(res, c, A_ub, b_ub, [], [], [])
 
     def test_large_denominators_stay_exact(self):
-        # prices as limit_denominator(10**12) leaves them in the float masters
+        # prices as limit_denominator(10**12) leaves Nash's float gradients
         a = F(333333333333, 10**12)
         b = F(1, 999999999989)
         c = [F(1), F(1), F(7, 10**12 - 7), F(11, 10**12 - 11)]
