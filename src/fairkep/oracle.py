@@ -12,13 +12,16 @@ families too large to enumerate as cycle columns plus chain-arc flows with
 position variables or subtour cuts.
 
 The branch-and-bound has two halves.  A `PackingFamily` holds what does not
-depend on prices: the enumerated structures, their bitmasks and the suffix
-tables, and the memoized maximum cardinality.  It lives at call scope: a
+depend on prices: the enumerated structures, their bitmasks, their drop sets
+(the pairs each structure is the last to cover), the number of coverable
+pairs, and the memoized maximum cardinality.  It lives at call scope: a
 `fair` solve, a witness loop or a CLI command builds one and passes it to each
 of its queries, and nothing keeps it once that call returns.  Its `search`
-scales one query's prices and runs the depth-first search, carrying the
-optimistic bound down the tree incrementally.  Every query still enters
-through `max_price_packing`, and a family still enumerates through
+scales one query's prices and runs the depth-first search, carrying a value
+bound and a cardinality bound down the tree incrementally.  Neither changes
+an answer: the branching order is fixed, and they cut only subtrees with no
+leaf that could replace the incumbent.  Every query still enters through
+`max_price_packing`, and a family still enumerates through
 `enumerate_structures`, both looked up in this module at call time.
 
 The pool metrics rest on two witness loops over `max_price_packing`.
@@ -111,9 +114,13 @@ def enumerate_structures(instance: KepInstance, policy: StructurePolicy) -> list
     """
     cap = ENUM_CAP
     out: list[Structure] = []
-    adj: dict[int, list[int]] = {v: [] for v in instance.pairs | instance.ndds}
+    chains = policy.max_chain_len is not None
+    # a cycle-only enumeration never reads an NDD's arcs
+    nodes = instance.pairs | instance.ndds if chains else instance.pairs
+    adj: dict[int, list[int]] = {v: [] for v in nodes}
     for (u, v) in instance.arcs:
-        adj[u].append(v)
+        if u in adj:
+            adj[u].append(v)
     for v in adj:
         adj[v].sort()
 
@@ -140,7 +147,7 @@ def enumerate_structures(instance: KepInstance, policy: StructurePolicy) -> list
         for start in sorted(instance.pairs):
             cyc(start, [start])
 
-    if policy.max_chain_len is not None:
+    if chains:
         bound = int(min(policy.max_chain_len, len(instance.pairs)))
 
         def grow(ndd: int, path: list[int]) -> None:
@@ -168,9 +175,11 @@ class PackingFamily:
 
     It holds the structures in search order and the tables every query
     shares: each structure's bitmask (pairs, then NDDs, so chains sharing a
-    root conflict), its covered pair bits and size, the per-suffix total
-    size, and `drop[i]`, the pairs whose last covering structure is i (the
-    union of the masks from i on, minus the union from i + 1 on).
+    root conflict), its covered pair bits and size, and the drop sets.  The
+    drop set of structure i holds the pairs whose last covering structure is
+    i: the union of the masks from i on, minus the union from i + 1 on.  The
+    drop sets partition the `coverable` pairs, so `drop` lists only the
+    structures that have one, as (i, pair bits).
     The structures come from the module's `enumerate_structures` on the first
     query, so that work stays inside the oracle call that needs it.
     `structures` is None for a family too large to enumerate (the
@@ -232,14 +241,16 @@ class PackingFamily:
             self.masks.append(m)
         n = len(structs)
         cover = [0] * (n + 1)
-        self.suffix_size = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
             cover[i] = cover[i + 1] | self.masks[i]
-            self.suffix_size[i] = self.suffix_size[i + 1] + self.sizes[i]
-        self.drop = [
-            [b for b in bits if (cover[i] & ~cover[i + 1]) >> b & 1]
-            for i, bits in enumerate(self.members)
-        ]
+        pair_bits = (1 << len(self.pairs)) - 1
+        self.coverable = (cover[0] & pair_bits).bit_count()
+        # drop sets partition the coverable pairs, so most structures have none
+        self.drop = []
+        for i, bits in enumerate(self.members):
+            last = cover[i] & ~cover[i + 1]
+            if last & pair_bits:
+                self.drop.append((i, [b for b in bits if last >> b & 1]))
 
     def maximum(self) -> tuple[Packing, int]:
         """A maximum-cardinality packing (the first one found) and its size."""
@@ -271,25 +282,37 @@ class PackingFamily:
 
         Prices are scaled to integers by their common denominator.  Structures
         are visited in order, inclusion first; recursion happens only on
-        inclusion, so the depth is bounded by the packing size.  A node's bound
-        is its value plus the positive prices of the free pairs some remaining
-        structure covers.  It is carried down, not recomputed: skipping
-        structure i loses the free pairs of `drop[i]`, and including it adds
-        its value less the positive prices of its own pairs (`drop[i]` lies
-        inside its mask, so nothing more leaves the suffix).  At a leaf the
-        bound is the value.
+        inclusion, so the depth is bounded by the packing size.  Call a pair
+        open when no chosen structure covers it and a remaining one does.  A
+        node carries two bounds: `bound`, its value plus the positive prices
+        of the open pairs, pruned against the incumbent, and `room`, its
+        covered count plus the number of open pairs, pruned against the
+        cardinality row's k.  Both are carried down, not recomputed.  Skipping
+        structure i closes the open pairs of its drop set.  Including it adds
+        its value less the positive prices of its own pairs to `bound` and
+        leaves `room` as it is: its pairs turn from open to covered, and its
+        drop set lies inside its mask.  At a leaf they are the value and the
+        count.
+
+        Pruning never changes an answer.  The branching order is fixed, and a
+        bound cuts only subtrees that hold no feasible leaf better than the
+        incumbent (strictly better, with `value_only`), so the search meets
+        the same improving leaves in the same order under any valid bound.
         """
         structs = self.structures
+        n = len(structs)
         price = [query.price(v) for v in self.pairs]
         scale = math.lcm(*(p.denominator for p in price))
         price = [p.numerator * (scale // p.denominator) for p in price]
-        # including a structure moves the bound by its negative prices
-        neg = [min(p, 0) for p in price]
-        adj = [sum(neg[b] for b in bits) for bits in self.members]
-        drops = [[(1 << b, price[b]) for b in bits if price[b] > 0] for bits in self.drop]
+        # including a structure moves the value bound by its negative prices
+        if min(price, default=0) < 0:
+            adj = [sum(min(price[b], 0) for b in bits) for bits in self.members]
+        else:
+            adj = [0] * n
+        drops = [()] * n
+        for i, bits in self.drop:
+            drops[i] = [(1 << b, max(price[b], 0)) for b in bits]
         masks, sizes, keys = self.masks, self.sizes, self.keys
-        suffix_size = self.suffix_size
-        n = len(structs)
         mode, k = query.cardinality
         low = 0 if mode == "free" else k
         exact = mode == "exact"
@@ -300,13 +323,12 @@ class PackingFamily:
         cut = -math.inf
         chosen: list[int] = []
 
-        def dfs(i: int, used: int, bound: int, count: int) -> None:
+        def dfs(i: int, used: int, bound: int, room: int, count: int) -> None:
             nonlocal best_val, best_key, best_chosen, cut
             while True:
-                # can the remaining structures still reach the cardinality?  At
-                # a leaf this leaves exactly the feasible counts: an inclusion
-                # never overshoots an exact k
-                if count + suffix_size[i] < low or bound < cut:
+                # at a leaf `room` is the count, so this leaves exactly the
+                # feasible counts: an inclusion never overshoots an exact k
+                if room < low or bound < cut:
                     return
                 if i == n:
                     if value_only:
@@ -320,14 +342,15 @@ class PackingFamily:
                 m = masks[i]
                 if not m & used and not (exact and count + sizes[i] > k):
                     chosen.append(i)
-                    dfs(i + 1, used | m, bound + adj[i], count + sizes[i])
+                    dfs(i + 1, used | m, bound + adj[i], room, count + sizes[i])
                     chosen.pop()
                 for b, g in drops[i]:
                     if not used & b:
                         bound -= g
+                        room -= 1
                 i += 1
 
-        dfs(0, 0, sum(g for d in drops for _, g in d), 0)
+        dfs(0, 0, sum(g for d in drops for _, g in d), self.coverable, 0)
         if best_chosen is None:
             raise OracleInfeasible("no packing satisfies the cardinality constraint")
         return Packing(frozenset(structs[j] for j in best_chosen)), Fraction(best_val, scale)

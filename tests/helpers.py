@@ -4,17 +4,21 @@ Everything here works by exhaustive enumeration plus direct LP solves over the
 full enumerated family — deliberately sharing no logic with the library's
 contraction/peeling or column-generation code paths.  The flow references at
 the end (Edmonds-Karp, a circulation per decomposition step) are the
-algorithms the library's flow kernel and matrix decomposition replaced.
+algorithms the library's flow kernel and matrix decomposition replaced, and
+`reference_search` is the packing search before it pruned on the cardinality
+row.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from fairkep.core import Chain, Cycle
+from fairkep.core import Chain, Cycle, Packing
 from fairkep.matching import has_perfect_matching
+from fairkep.oracle import OracleInfeasible, enumerate_structures
 from fairkep.simplexlp import lp_solve_exact
 
 ZERO = Fraction(0)
@@ -377,3 +381,79 @@ def circulation_decompose(rows, entries):
                 del P[(u, z)]
         t -= delta
     return steps
+
+
+def reference_search(query, value_only):
+    """The oracle's branch-and-bound as it was with a value bound only.
+
+    Same structure order, inclusion-first branching and tie-break key as
+    `oracle.PackingFamily.search`; the cardinality row prunes only through
+    `count + suffix_size[i] < low`, the total size of every remaining
+    structure, conflicting ones included.  Kept as the reference the
+    stronger bound must agree with packing for packing.
+    """
+    inst = query.instance
+    structs = enumerate_structures(inst, query.policy)
+    pairs = sorted(inst.pairs)
+    bit = {v: i for i, v in enumerate(pairs + sorted(inst.ndds))}
+    members = [tuple(bit[v] for v in s.covered()) for s in structs]
+    keys = [s.sort_key() for s in structs]
+    sizes = [len(bits) for bits in members]
+    masks = []
+    for s, bits in zip(structs, members):
+        m = 0
+        for b in bits:
+            m |= 1 << b
+        if isinstance(s, Chain):
+            m |= 1 << bit[s.ndd]
+        masks.append(m)
+    n = len(structs)
+    cover = [0] * (n + 1)
+    suffix_size = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        cover[i] = cover[i + 1] | masks[i]
+        suffix_size[i] = suffix_size[i + 1] + sizes[i]
+    drop_bits = [
+        [b for b in bits if (cover[i] & ~cover[i + 1]) >> b & 1] for i, bits in enumerate(members)
+    ]
+    price = [query.price(v) for v in pairs]
+    scale = math.lcm(*(p.denominator for p in price))
+    price = [p.numerator * (scale // p.denominator) for p in price]
+    neg = [min(p, 0) for p in price]
+    adj = [sum(neg[b] for b in bits) for bits in members]
+    drops = [[(1 << b, price[b]) for b in bits if price[b] > 0] for bits in drop_bits]
+    mode, k = query.cardinality
+    low = 0 if mode == "free" else k
+    exact = mode == "exact"
+    best_val = -math.inf
+    best_key = best_chosen = None
+    cut = -math.inf
+    chosen = []
+
+    def dfs(i, used, bound, count):
+        nonlocal best_val, best_key, best_chosen, cut
+        while True:
+            if count + suffix_size[i] < low or bound < cut:
+                return
+            if i == n:
+                if value_only:
+                    best_val, best_chosen, cut = bound, list(chosen), bound + 1
+                    return
+                key = (len(chosen), tuple(sorted(keys[j] for j in chosen)))
+                if bound > best_val or key < best_key:
+                    best_val, best_key, best_chosen, cut = bound, key, list(chosen), bound
+                return
+            m = masks[i]
+            if not m & used and not (exact and count + sizes[i] > k):
+                chosen.append(i)
+                dfs(i + 1, used | m, bound + adj[i], count + sizes[i])
+                chosen.pop()
+            for b, g in drops[i]:
+                if not used & b:
+                    bound -= g
+            i += 1
+
+    dfs(0, 0, sum(g for d in drops for _, g in d), 0)
+    if best_chosen is None:
+        raise OracleInfeasible("no packing satisfies the cardinality constraint")
+    return Packing(frozenset(structs[j] for j in best_chosen)), Fraction(best_val, scale)

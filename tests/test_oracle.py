@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -24,7 +25,8 @@ from fairkep.oracle import (
     max_price_packing,
 )
 from fairkep.paths import TWO_CYCLE_TWO_PATH
-from helpers import all_structures, brute_best, packing_covers
+import helpers
+from helpers import all_structures, brute_best, packing_covers, reference_search
 
 F = Fraction
 CYC3 = StructurePolicy(max_cycle_len=3)
@@ -435,6 +437,87 @@ class TestPinnedAnswers:
                 assert answer_key(q, value_only, family=family) == answer_key(q, value_only)
         with pytest.raises(ValueError):
             max_price_packing(OracleQuery(instance=TRIPLE, policy=CYC3), family=family)
+
+
+def dfs_frames(run, module):
+    """`run()`'s answer, or "infeasible", and how many frames of a `dfs`
+    defined in `module`'s file it opened, counted by a profile hook so the
+    library carries no counter."""
+    frames = 0
+
+    def hook(frame, event, arg):
+        nonlocal frames
+        code = frame.f_code
+        if event == "call" and code.co_name == "dfs" and code.co_filename == module.__file__:
+            frames += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        answer = run()
+    except OracleInfeasible:
+        answer = "infeasible"
+    finally:
+        sys.setprofile(previous)
+    return answer, frames
+
+
+class TestAgainstReferenceSearch:
+    """The search prunes on the cardinality row as well as on value; the
+    reference in helpers is the search as it was, with the value bound only."""
+
+    def test_same_packing_as_reference(self):
+        """The same packing, not only the same value, and OracleInfeasible on
+        the same queries: random 4-14-pair pools with 0-2 NDDs under 2-cycles,
+        3-cycles and bounded chains, prices of both signs with denominators
+        1-5, and free, atleast and exact rows around the maximum."""
+        rng = random.Random(67)
+        policies = [StructurePolicy(max_cycle_len=2), CYC3, CYC3_CHAIN2,
+                    StructurePolicy(max_cycle_len=2, max_chain_len=3)]
+        infeasible = 0
+        for trial in range(96):
+            inst = random_instance(rng, 4, 14, 0, 2, rng.choice([0.15, 0.25, 0.35]))
+            pol = policies[trial % len(policies)]
+            family = oracle.PackingFamily(inst, pol)
+            maxcard = family.maximum()[1]
+            pairs = sorted(inst.pairs)
+            for _ in range(5):
+                prices = {v: F(rng.randint(-4, 8), rng.randint(1, 5)) for v in pairs}
+                k = rng.randint(max(maxcard - 3, 0), maxcard + 1)
+                card = rng.choice([CARD_FREE, ("atleast", k), ("exact", k)])
+                q = OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card)
+                for value_only in (False, True):
+                    want, _ = dfs_frames(lambda: reference_search(q, value_only), helpers)
+                    got, _ = dfs_frames(lambda: family.search(q, value_only), oracle)
+                    assert got == want, (trial, card, value_only)
+                    infeasible += want == "infeasible"
+        assert infeasible > 0
+
+    def test_visits_no_more_nodes_than_reference(self, monkeypatch):
+        """On every `atleast` query that fair.preprocess and oracle.delta_star
+        ask of a fixed 15-pair pool, the search opens no more `dfs` frames
+        than the reference: pruning more keeps the order, so its tree is a
+        subset of the reference's.  Summed over the queries it opens fewer."""
+        search = oracle.PackingFamily.search
+        asked = []
+
+        def recording(family, query, value_only):
+            asked.append((family, query, value_only))
+            return search(family, query, value_only)
+
+        monkeypatch.setattr(oracle.PackingFamily, "search", recording)
+        reduced, _ = fair.preprocess(gen.generate_instance(gen.GenConfig(n_pairs=15, seed=2)), CYC3)
+        delta_star(reduced, CYC3)
+        totals = [0, 0]
+        for family, q, value_only in asked:
+            if q.cardinality[0] != "atleast":
+                continue
+            got, nodes = dfs_frames(lambda: search(family, q, value_only), oracle)
+            want, ref_nodes = dfs_frames(lambda: reference_search(q, value_only), helpers)
+            assert got == want and nodes <= ref_nodes, (q.cardinality, nodes, ref_nodes)
+            totals[0] += nodes
+            totals[1] += ref_nodes
+        assert totals[0] < totals[1], totals
 
 
 class TestUnitOptimum:
