@@ -47,9 +47,9 @@ class UsageError(FairkepError):
 def parse_policy(spec: str, delta: Optional[int] = None, mu: Optional[int] = None) -> StructurePolicy:
     """Translate a --policy string (plus --delta/--mu) into a StructurePolicy.
 
-    `2path` has a dedicated solver with a deficiency certificate
-    (`paths.max_2path_packing`), reached from the `solve` verb; elsewhere it
-    parses to the policy that validates its outputs.  `2cyc2path` is
+    `2path` is `paths.TWO_PATH`; the `solve` verb answers it with a dedicated
+    solver that carries a deficiency certificate (`paths.max_2path_packing`),
+    and every other verb with the oracle family.  `2cyc2path` is
     `paths.TWO_CYCLE_TWO_PATH`, an ordinary oracle family for every verb;
     `solve` answers it with one value-only maximum-cardinality query.  Both
     `solve` branches refuse `--prices`, `--delta` and `--mu`.
@@ -70,7 +70,7 @@ def parse_policy(spec: str, delta: Optional[int] = None, mu: Optional[int] = Non
                     raise UsageError(f"bad chain length {tail!r} in --policy {spec!r}")
         policy = StructurePolicy(max_cycle_len=3, max_chain_len=length)
     elif name == "2path":
-        policy = StructurePolicy(max_cycle_len=None, max_chain_len=2, min_chain_len=2)
+        policy = paths.TWO_PATH
     elif name == "2cyc2path":
         policy = paths.TWO_CYCLE_TWO_PATH
     else:
@@ -262,8 +262,8 @@ def _cmd_solve(args) -> int:
                 f"solve --policy {args.policy} finds a maximum packing; it takes no {', '.join(unread)}"
             )
     if args.policy == "2path":
-        packing2, cert = paths.max_2path_packing(instance)
-        result = _packing_dict(packing2.as_packing())
+        packing, cert = paths.max_2path_packing(instance)
+        result = _packing_dict(packing)
         result["deficiency"] = {
             "ndd_set": sorted(cert.ndd_set),
             "deficiency": cert.deficiency,

@@ -7,8 +7,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-Rational = Fraction
-
 UNBOUNDED = float("inf")
 
 

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 import networkx as nx
 
@@ -100,11 +100,13 @@ class _Blossom:
     def solve(self) -> int:
         size = 0
         for v in range(self.n):
-            if self.match[v] == -1 and self._find_path(v):
+            if self.match[v] == -1 and self._find_path(v) is None:
                 size += 1
         return size
 
-    def _find_path(self, root: int, banned: int = -1) -> bool:
+    def _find_path(self, root: int) -> Optional[list[bool]]:
+        """Augment along a path from exposed `root` and return None, or, when
+        no augmenting path exists, return the outer (even) marks of its tree."""
         n, adj, match = self.n, self.adj, self.match
         p = [-1] * n
         base = list(range(n))
@@ -138,8 +140,6 @@ class _Blossom:
         while q:
             v = q.popleft()
             for to in adj[v]:
-                if to == banned:
-                    continue
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
@@ -158,10 +158,10 @@ class _Blossom:
                     p[to] = v
                     if match[to] == -1:
                         self._augment(to, p)
-                        return True
+                        return None
                     used[match[to]] = True
                     q.append(match[to])
-        return False
+        return used
 
     def _augment(self, v: int, p: list[int]) -> None:
         while v != -1:
@@ -212,25 +212,22 @@ def perfect_matching(graph: UGraph) -> set[Edge]:
 
 
 def gallai_edmonds(graph: UGraph) -> GallaiEdmonds:
-    """Compute (D, A, C) by one blossom solve plus a warm-started deletion test per vertex."""
-    order, idx, adj = _index(graph)
+    """Compute (D, A, C) by one blossom solve plus one search per exposed vertex.
+
+    The matching is maximum, so no search from an exposed vertex augments, and
+    D is the union of the outer (even) vertices of their search trees.
+    """
+    order, _, adj = _index(graph)
     n = len(order)
     solver = _Blossom(n, adj)
     nu = solver.solve()
-    opt = solver.match[:]
     D: set[int] = set()
-    for i in range(n):
-        if opt[i] == -1:
-            D.add(order[i])
-            continue
-        j = opt[i]
-        solver.match = opt[:]
-        solver.match[i] = -1
-        solver.match[j] = -1
-        # nu(G - v) == nu(G) iff the freed partner can re-augment without v
-        if solver._find_path(j, banned=i):
-            D.add(order[i])
-    solver.match = opt
+    for r in range(n):
+        if solver.match[r] == -1:
+            outer = solver._find_path(r)
+            if outer is None:
+                raise FairkepError("blossom matching is not maximum")
+            D.update(order[i] for i in range(n) if outer[i])
     neigh_of_D: set[int] = set()
     adjmap = graph.adjacency()
     for v in D:
@@ -244,7 +241,7 @@ def gallai_edmonds(graph: UGraph) -> GallaiEdmonds:
         C=frozenset(C),
         components_D=tuple(sorted(components, key=min)) if components else (),
         nu=nu,
-        matching={order[i]: order[j] for i, j in enumerate(opt) if j != -1},
+        matching={order[i]: order[j] for i, j in enumerate(solver.match) if j != -1},
     )
     if 2 * nu != len(graph.vertices) - len(ge.components_D) + len(A):
         raise FairkepError(f"Gallai-Edmonds count fails: ν={nu}, |A|={len(A)}")

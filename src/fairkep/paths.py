@@ -1,15 +1,15 @@
 """Maximum-cardinality packings of NDD-rooted 2-paths, and of 2-cycles with them.
 
-2-path packings have their own solver, which carries an optimality
-certificate.  It repeatedly augments: it roots a candidate 2-path at an exposed
-NDD and tries to free the path's vertices through cascades of remove-one /
-add-one exchanges ("alternating trails").  Each exchange removes the 2-path
-covering a wanted vertex and adds a replacement elsewhere, recursing on the
-replacement's still-covered vertices.  Vertices already claimed by the cascade
-are banned from reuse, so trails never revisit a vertex and the search
-terminates.  The search is exhaustive over these cascades, so when it fails no
-augmenting configuration exists and the packing is maximum; a deficiency
-certificate over the NDDs witnesses optimality.
+2-path packings (the `TWO_PATH` policy) have their own solver, which carries
+an optimality certificate.  It repeatedly augments: it roots a candidate 2-path
+at an exposed NDD and tries to free the path's pairs through cascades of
+remove-one / add-one exchanges.  Each exchange removes the 2-path covering a
+wanted pair and adds a replacement elsewhere, recursing on the replacement's
+still-covered pairs.  Pairs and NDDs already claimed by the cascade are banned
+from reuse, so the search terminates.  It is exhaustive over these cascades;
+once no augmentation is found, a deficiency certificate over the NDDs witnesses
+that the packing is maximum.  `max_2path_packing` checks that certificate and
+returns the packing as plain `Chain`s.
 
 Packings of 2-cycles and 2-paths together are an ordinary oracle family, the
 `TWO_CYCLE_TWO_PATH` policy, and `max_2cycle_2path_packing` is one query to
@@ -23,63 +23,12 @@ from fractions import Fraction
 from itertools import count
 from typing import Iterator, Optional, Sequence
 
-from .core import Chain, FairkepError, KepInstance, Packing, StructurePolicy
+from .core import Chain, FairkepError, KepInstance, Packing, StructurePolicy, validate_packing
 from .oracle import PackingFamily
 
-# 2-cycles and NDD-rooted chains of exactly two pairs
+# NDD-rooted chains of exactly two pairs, alone and with 2-cycles
+TWO_PATH = StructurePolicy(max_cycle_len=None, max_chain_len=2, min_chain_len=2)
 TWO_CYCLE_TWO_PATH = StructurePolicy(max_cycle_len=2, max_chain_len=2, min_chain_len=2)
-
-
-@dataclass(frozen=True)
-class TwoPathPacking:
-    """Vertex-disjoint 2-paths (ndd, pair1, pair2) rooted at distinct NDDs."""
-
-    chains: frozenset[tuple[int, int, int]]
-    ndds: frozenset[int]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for (_, p, q) in self.chains:
-            for v in (p, q):
-                if v in seen:
-                    raise ValueError(f"vertex {v} covered twice")
-                seen.add(v)
-        used = [c[0] for c in self.chains]
-        if len(set(used)) != len(used):
-            raise ValueError("an NDD roots two chains")
-
-    @property
-    def covered(self) -> frozenset[int]:
-        return frozenset(v for (_, p, q) in self.chains for v in (p, q))
-
-    @property
-    def cardinality(self) -> int:
-        return 2 * len(self.chains)
-
-    @property
-    def exposed_ndds(self) -> frozenset[int]:
-        return self.ndds - {c[0] for c in self.chains}
-
-    def as_packing(self) -> Packing:
-        return Packing(frozenset(Chain(ndd=a, pairs=(p, q)) for (a, p, q) in self.chains))
-
-
-@dataclass(frozen=True)
-class AlternatingTrail:
-    """Arc sequence alternating pairs of packed arcs with pairs of new arcs."""
-
-    arcs: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class AugmentingConfiguration:
-    """An NDD `ndd` plus endpoints (u, v); trails free the covered endpoints."""
-
-    type: int
-    ndd: int
-    u: int
-    v: int
-    trails: tuple[AlternatingTrail, ...]
 
 
 @dataclass(frozen=True)
@@ -126,17 +75,13 @@ class _Engine:
 
     # -- augmentation search -------------------------------------------------
 
-    def augment(self, chains: _Chains):
-        """First augmentation found, or None.
-
-        Returns (new_chains, record) where record describes the root 2-path and
-        the exchange moves used to free its endpoints.
-        """
+    def augment(self, chains: _Chains) -> Optional[_Chains]:
+        """The chains after the first augmentation found, or None."""
         for a in self.ndds:
             if a in chains:
                 continue
-            for (u, v) in self.paths[a]:
-                got = self._root(a, (u, v), chains)
+            for root in self.paths[a]:
+                got = self._root(a, root, chains)
                 if got is not None:
                     return got
         return None
@@ -145,39 +90,32 @@ class _Engine:
         u, v = root
         banned = frozenset(root)
         for first, second in ((u, v), (v, u)):
-            for c1, m1, bv1, bn1 in self._free(first, chains, banned, frozenset({a})):
-                for c2, m2, _, _ in self._free(second, c1, bv1, bn1):
-                    nc = dict(c2)
-                    nc[a] = root
-                    mu, mv = (m1, m2) if first == u else (m2, m1)
-                    return nc, (a, root, mu, mv)
+            for c1, bv1, bn1 in self._free(first, chains, banned, frozenset({a})):
+                for c2, _, _ in self._free(second, c1, bv1, bn1):
+                    return {**c2, a: root}
         return None
 
     def _free(self, v, chains, bv, bn) -> Iterator:
         """All cascades making v exposed while preserving the 2-path count.
 
-        Yields (chains, moves, banned_vertices, banned_ndds).
+        Yields (chains, banned_vertices, banned_ndds).
         """
         b = self.owner(v, chains)
         if b is None:
-            yield chains, [], bv, bn
+            yield chains, bv, bn
             return
         if b in bn:
             return
-        removed = (b, chains[b])
+        old = chains[b]
         chains = {n: pq for n, pq in chains.items() if n != b}
         bn = bn | {b}
-        for added in self._replacements(removed, chains, bv, bn):
-            c, (x, y) = added
-            for c1, m1, bv1, bn1 in self._free(x, chains, bv | {x, y}, bn):
-                for c2, m2, bv2, bn2 in self._free(y, c1, bv1, bn1):
-                    nc = dict(c2)
-                    nc[c] = (x, y)
-                    yield nc, [(removed, added)] + m1 + m2, bv2, bn2
+        for c, (x, y) in self._replacements(b, old, chains, bv, bn):
+            for c1, bv1, bn1 in self._free(x, chains, bv | {x, y}, bn):
+                for c2, bv2, bn2 in self._free(y, c1, bv1, bn1):
+                    yield {**c2, c: (x, y)}, bv2, bn2
 
-    def _replacements(self, removed, chains, bv, bn):
-        """Candidate 2-paths restoring the count after `removed` went out."""
-        b, old = removed
+    def _replacements(self, b, old, chains, bv, bn):
+        """Candidate 2-paths restoring the count after b's 2-path `old` went out."""
         for (x, y) in self.paths[b]:
             if x not in bv and y not in bv and (x, y) != old:
                 yield (b, (x, y))
@@ -194,25 +132,8 @@ def _run_engine(instance: KepInstance, ndds=None) -> tuple[_Engine, _Chains]:
     eng = _Engine(instance, ndds)
     chains: _Chains = {}
     while (got := eng.augment(chains)) is not None:
-        chains = got[0]
+        chains = got
     return eng, chains
-
-
-def _trail(moves) -> AlternatingTrail:
-    arcs: list[tuple[int, int]] = []
-    for (b, (p, q)), (c, (x, y)) in moves:
-        arcs += [(b, p), (p, q), (c, x), (x, y)]
-    return AlternatingTrail(arcs=tuple(arcs))
-
-
-def _configuration(record, chains_before: _Chains) -> AugmentingConfiguration:
-    a, (u, v), mu, mv = record
-    trails = tuple(
-        _trail(moves)
-        for w, moves in ((u, mu), (v, mv))
-        if _Engine.owner(w, chains_before) is not None
-    )
-    return AugmentingConfiguration(type=1 + len(trails), ndd=a, u=u, v=v, trails=trails)
 
 
 def second_arc_matching(instance: KepInstance, ndd_subset) -> frozenset[tuple[int, int]]:
@@ -246,16 +167,20 @@ def _trail_closure(engine: _Engine, chains: _Chains) -> frozenset[int]:
     return frozenset(reach)
 
 
-def max_2path_packing(instance: KepInstance) -> tuple[TwoPathPacking, DeficiencyCertificate]:
-    """Maximum packing of NDD-rooted 2-paths, with an optimality certificate."""
+def max_2path_packing(instance: KepInstance) -> tuple[Packing, DeficiencyCertificate]:
+    """Maximum packing of NDD-rooted 2-paths, with its deficiency certificate.
+
+    The packing's chains are `Chain`s of two pairs, valid under `TWO_PATH`.
+    Raises FairkepError unless the certificate's deficiency equals the number
+    of NDDs the packing leaves exposed.
+    """
     engine, chains = _run_engine(instance)
-    packing = TwoPathPacking(
-        chains=frozenset((b, p, q) for b, (p, q) in chains.items()),
-        ndds=frozenset(instance.ndds),
-    )
+    packing = Packing(frozenset(Chain(ndd=a, pairs=pq) for a, pq in chains.items()))
+    validate_packing(instance, packing, TWO_PATH)
     S = _trail_closure(engine, chains)
     matching = second_arc_matching(instance, S)
-    cert = DeficiencyCertificate(ndd_set=S, matching=matching, exposed=len(packing.exposed_ndds))
+    exposed = len(instance.ndds) - len(chains)
+    cert = DeficiencyCertificate(ndd_set=S, matching=matching, exposed=exposed)
     if cert.deficiency != cert.exposed:
         raise FairkepError(
             f"certificate does not witness optimality: deficiency {cert.deficiency},"
@@ -272,15 +197,6 @@ def max_2cycle_2path_packing(instance: KepInstance) -> Packing:
     pairs, a HiGHS set packing above.
     """
     return PackingFamily(instance, TWO_CYCLE_TWO_PATH).maximum()[0]
-
-
-def verify_no_augmenting_configuration(
-    instance: KepInstance, packing: TwoPathPacking
-) -> Optional[AugmentingConfiguration]:
-    """None when the 2-path packing admits no augmenting configuration."""
-    chains = {b: (p, q) for (b, p, q) in packing.chains}
-    got = _Engine(instance).augment(chains)
-    return None if got is None else _configuration(got[1], chains)
 
 
 def build_3dm_gadget(

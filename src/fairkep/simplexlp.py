@@ -5,9 +5,8 @@ Both keep every row as Python ints and eliminate with one shared step,
 pivot · row − factor · pivot row divided by the gcd of the result (Bareiss-style
 integer-preserving elimination), so no entry is ever a Fraction to normalise.
 
-Intended for the small systems that arise in lottery construction, where exact
-tie-free optima and exact duals matter. Large systems go through scipy instead
-(see fair.py).
+It solves every master LP of lottery construction, whatever its size: there
+exact tie-free optima and exact duals matter.
 """
 
 from __future__ import annotations

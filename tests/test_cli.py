@@ -214,6 +214,19 @@ class TestSolveAndStats:
         assert rep["covered"] == [1, 2]
         assert rep["deficiency"]["deficiency"] == 0
 
+    def test_solve_2path_pinned(self, tmp_path):
+        # seven 2-paths; the exposed NDD 37 alone is the deficiency certificate
+        inst, out = tmp_path / "g.json", tmp_path / "p.json"
+        assert run(["generate", "--pairs", "30", "--ndds", "8", "--seed", "8", "-o", str(inst)]) == EXIT_OK
+        assert run(["solve", str(inst), "--policy", "2path", "-o", str(out)]) == EXIT_OK
+        chains = [[30, 5, 12], [31, 4, 17], [32, 13, 0], [33, 14, 1], [34, 10, 3], [35, 7, 8], [36, 2, 6]]
+        want = {
+            "covered": [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 13, 14, 17],
+            "deficiency": {"deficiency": 1, "ndd_set": [37]},
+            "structures": [["chain", *c] for c in chains],
+        }
+        assert out.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
     def test_solve_2path_families_reject_prices_and_relaxations(self, fig1a, tmp_path):
         prices = tmp_path / "prices.json"
         prices.write_text(json.dumps({"1": "2"}))

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fairkep
 from fairkep.core import (
     Chain,
     ChainWithoutNdd,
@@ -191,3 +194,12 @@ class TestLottery:
         assert len(merged.support) == 2
         assert dict(merged.support)[p] == F(1, 2)
 
+
+
+def test_library_has_no_assert():
+    # `python -O` strips assert statements, so the library must not rely on them
+    found = []
+    for path in sorted(Path(fairkep.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, found

@@ -85,8 +85,8 @@ class TestGallaiEdmonds:
 
     def test_structure_random(self):
         rng = random.Random(4)
-        for _ in range(120):
-            g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.6))
+        for _ in range(600):
+            g = random_graph(rng, rng.randint(1, 14), rng.uniform(0.1, 0.6))
             ge = gallai_edmonds(g)
             D = self.brute_D(g)
             assert ge.D == D
