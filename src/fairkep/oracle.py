@@ -14,7 +14,12 @@ position variables or subtour cuts.
 The branch-and-bound has two halves.  A `PackingFamily` holds what does not
 depend on prices: the enumerated structures, their bitmasks, their drop sets
 (the pairs each structure is the last to cover), the number of coverable
-pairs, and the memoized maximum cardinality.  It lives at call scope: a
+pairs, and the memoized maximum cardinality.  `enumerate_structures` emits
+the structures as bit rows (`StructureRows`) in `sort_key` order, which the
+family reads as its tables, so a row's index is its tie-break rank.  A
+`Cycle` or `Chain` object is built only when a row is read as a structure:
+for the packings a search returns, or for every row when the set-packing
+MILP takes the family's columns.  It lives at call scope: a
 `fair` solve, a witness loop or a CLI command builds one and passes it to each
 of its queries, and nothing keeps it once that call returns.  Its `search`
 scales one query's prices and runs the depth-first search, carrying a value
@@ -37,9 +42,10 @@ master takes it as its seed, so no loop searches it again.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .core import (
     Chain,
@@ -51,7 +57,7 @@ from .core import (
     StructurePolicy,
 )
 
-# Most structures `enumerate_structures` materializes; read at call time, so a
+# Most structures `enumerate_structures` emits; read at call time, so a
 # test may lower it
 ENUM_CAP = 200_000
 
@@ -100,70 +106,130 @@ class OracleQuery:
         return p if isinstance(p, Fraction) else Fraction(p)
 
 
-def enumerate_structures(instance: KepInstance, policy: StructurePolicy) -> list[Structure]:
-    """All acceptable simple cycles and chains, in `sort_key` order.
+class StructureRows(Sequence):
+    """An enumerated family as bit rows, read as a sequence of `Structure`s.
 
-    The search emits them in that order: cycles before chains, starts and
-    NDDs ascending, and each vertex sequence before its extensions, which it
-    tries in ascending order.  A cycle grows from its smallest vertex
-    through larger ones only, and closes whenever the vertex just appended
-    has the start among its successors, so the search never descends a
-    level only to look for the closing arc.  Chains are enumerated up to
-    min(policy.max_chain_len, number of pairs), so an unbounded chain policy
-    on a large pool trips the guard rather than materializing the family.
+    Bits number the pairs in ascending order, then the NDDs.  Row i holds
+    `members[i]`, the bits of the pairs structure i covers in `covered()`
+    order; `masks[i]`, those bits plus its NDD's for a chain, so chains
+    sharing a root conflict; and `ndds[i]`, a chain's NDD bit or None for a
+    cycle.  Item i is the `Cycle` or `Chain` of row i, built through its
+    constructor when first read and kept, so a search that reads only the
+    returned packing's items builds no other object.  A view compares equal
+    to the list of its items.
+    """
+
+    def __init__(self, ids: list[int], members: list[tuple[int, ...]], masks: list[int],
+                 ndds: list[Optional[int]]):
+        self.ids, self.members, self.masks, self.ndds = ids, members, masks, ndds
+        self._objects: list[Optional[Structure]] = [None] * len(masks)
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        s = self._objects[i]
+        if s is None:
+            ids, ndd = self.ids, self.ndds[i]
+            vertices = tuple(ids[b] for b in self.members[i])
+            s = Cycle(vertices) if ndd is None else Chain(ndd=ids[ndd], pairs=vertices)
+            self._objects[i] = s
+        return s
+
+    def __eq__(self, other):
+        if isinstance(other, (list, StructureRows)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"StructureRows({list(self)!r})"
+
+
+def enumerate_structures(instance: KepInstance, policy: StructurePolicy) -> StructureRows:
+    """All acceptable simple cycles and chains, in `sort_key` order, as bit rows.
+
+    The search runs on the bits of `StructureRows` and emits rows in that
+    order: cycles before chains, starts and NDDs ascending, and each vertex
+    sequence before its extensions, which it tries in ascending order (bit
+    order is vertex order among pairs and among NDDs).  A cycle grows from
+    its smallest vertex through larger ones only, and closes whenever the
+    vertex just appended has an arc into the start, so the search never
+    descends a level only to look for the closing arc.  Chains are
+    enumerated up to min(policy.max_chain_len, number of pairs), so an
+    unbounded chain policy on a large pool trips the guard rather than
+    materializing the family.  No `Cycle` or `Chain` is built here.
     """
     cap = ENUM_CAP
-    out: list[Structure] = []
+    members: list[tuple[int, ...]] = []
+    masks: list[int] = []
     chains = policy.max_chain_len is not None
+    pairs = sorted(instance.pairs)
+    ids = pairs + sorted(instance.ndds)
+    bit = dict(zip(ids, range(len(ids))))
+    n_pairs = len(pairs)
     # a cycle-only enumeration never reads an NDD's arcs
-    nodes = instance.pairs | instance.ndds if chains else instance.pairs
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
+    n_from = len(ids) if chains else n_pairs
+    adj: list[list[int]] = [[] for _ in range(n_from)]
+    into = [0] * n_pairs  # bitmask of each pair's predecessors among pairs
     for (u, v) in instance.arcs:
-        if u in adj:
-            adj[u].append(v)
-    for v in adj:
-        adj[v].sort()
-
-    def emit(s: Structure) -> None:
-        out.append(s)
-        if len(out) > cap:
-            raise ExplosionGuard(f"more than {cap} structures")
+        bu = bit[u]
+        if bu < n_from:
+            bv = bit[v]
+            adj[bu].append(bv)
+            if bu < n_pairs:
+                into[bv] |= 1 << bu
+    for succ in adj:
+        succ.sort()
 
     if policy.max_cycle_len is not None:
         L = policy.max_cycle_len
-        succ = {v: set(ws) for v, ws in adj.items()}
 
-        def cyc(start: int, path: list[int]) -> None:
+        def cyc(start: int, closes: int, path: list[int], used: int) -> None:
             deeper = len(path) + 1 < L
             for w in adj[path[-1]]:
-                if w > start and w not in path:
-                    if start in succ[w]:
-                        emit(Cycle(vertices=(*path, w)))
+                if w > start and not used >> w & 1:
+                    if closes >> w & 1:
+                        members.append((*path, w))
+                        masks.append(used | 1 << w)
+                        if len(masks) > cap:
+                            raise ExplosionGuard(f"more than {cap} structures")
                     if deeper:
                         path.append(w)
-                        cyc(start, path)
+                        cyc(start, closes, path, used | 1 << w)
                         path.pop()
 
-        for start in sorted(instance.pairs):
-            cyc(start, [start])
+        for start in range(n_pairs):
+            # the cycles through start as their smallest vertex close from a larger one
+            if into[start] >> (start + 1):
+                cyc(start, into[start], [start], 1 << start)
+    ndds: list[Optional[int]] = [None] * len(masks)
 
     if chains:
-        bound = int(min(policy.max_chain_len, len(instance.pairs)))
+        bound = int(min(policy.max_chain_len, n_pairs))
+        shortest = policy.min_chain_len
 
-        def grow(ndd: int, path: list[int]) -> None:
-            if len(path) >= policy.min_chain_len:
-                emit(Chain(ndd=ndd, pairs=tuple(path)))
+        def grow(root: int, path: list[int], used: int) -> None:
+            if len(path) >= shortest:
+                members.append(tuple(path))
+                masks.append(used)
+                ndds.append(root)
+                if len(masks) > cap:
+                    raise ExplosionGuard(f"more than {cap} structures")
             if len(path) == bound:
                 return
             for w in adj[path[-1]]:
-                if w not in path:
-                    grow(ndd, path + [w])
+                if not used >> w & 1:
+                    path.append(w)
+                    grow(root, path, used | 1 << w)
+                    path.pop()
 
-        for a in sorted(instance.ndds):
-            for w in adj[a]:
-                grow(a, [w])
+        for root in range(n_pairs, len(ids)):
+            for w in adj[root]:
+                grow(root, [w], 1 << root | 1 << w)
 
-    return out
+    return StructureRows(ids, members, masks, ndds)
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +241,19 @@ class PackingFamily:
 
     It holds the structures in search order and the tables every query
     shares: each structure's bitmask (pairs, then NDDs, so chains sharing a
-    root conflict), its covered pair bits and size, and the drop sets.  The
-    drop set of structure i holds the pairs whose last covering structure is
-    i: the union of the masks from i on, minus the union from i + 1 on.  The
-    drop sets partition the `coverable` pairs, so `drop` lists only the
-    structures that have one, as (i, pair bits).
+    root conflict), its covered pair bits and size, its tie-break key, and
+    the drop sets.  The drop set of structure i holds the pairs whose last
+    covering structure is i: the union of the masks from i on, minus the
+    union from i + 1 on.  The drop sets partition the `coverable` pairs, so
+    `drop` lists only the structures that have one, as (i, pair bits).
     The structures come from the module's `enumerate_structures` on the first
-    query, so that work stays inside the oracle call that needs it.
+    query, so that work stays inside the oracle call that needs it.  Its rows
+    are the bit tables, and since they come in `sort_key` order the key of
+    structure i is i; `structures` is the `StructureRows` view, which builds
+    an object only for a row that is read.  Given `structures`, in any
+    order, are converted to the same tables, and the key of each is the rank
+    of its `sort_key` among them, so the tie-break answer does not depend on
+    the order given.
     `structures` is None for a family too large to enumerate (the
     `ExplosionGuard` trips, or unbounded chains on more than 2000 arcs); its
     queries go to the MILP with chain-arc flows.  `maximum()` solves the
@@ -206,7 +278,7 @@ class PackingFamily:
         self._maximum: Optional[tuple[Packing, int]] = None
 
     @property
-    def structures(self) -> Optional[list[Structure]]:
+    def structures(self) -> Optional[Sequence[Structure]]:
         if not self._built:
             self._build()
         return self._structs
@@ -215,31 +287,35 @@ class PackingFamily:
         self._built = True
         self._structs = None
         inst, policy = self.instance, self.policy
-        structs = self._given
-        if structs is None:
+        self.pairs = sorted(inst.pairs)
+        if self._given is None:
             # unbounded chains on dense instances always blow the enumeration
             # cap; probing it anyway costs seconds, so go straight to the MILP
             if policy.max_chain_len == float("inf") and len(inst.arcs) > 2000:
                 return
             try:
-                structs = enumerate_structures(inst, policy)
+                rows = enumerate_structures(inst, policy)
             except ExplosionGuard:
                 return
-        self._structs = structs = list(structs)
-        self.pairs = sorted(inst.pairs)
-        bit = {v: i for i, v in enumerate(self.pairs + sorted(inst.ndds))}
-        self.members = [tuple(bit[v] for v in s.covered()) for s in structs]
-        self.keys = [s.sort_key() for s in structs]
+            self._structs = rows
+            self.members, self.masks = rows.members, rows.masks
+            # rows come in sort_key order, so a row's index is its rank
+            self.keys = range(len(rows))
+        else:
+            self._structs = structs = list(self._given)
+            bit = {v: i for i, v in enumerate(self.pairs + sorted(inst.ndds))}
+            self.members = [tuple(bit[v] for v in s.covered()) for s in structs]
+            self.masks = []
+            for s, bits in zip(structs, self.members):
+                m = 1 << bit[s.ndd] if isinstance(s, Chain) else 0
+                for b in bits:
+                    m |= 1 << b
+                self.masks.append(m)
+            self.keys = [0] * len(structs)
+            for rank, i in enumerate(sorted(range(len(structs)), key=lambda i: structs[i].sort_key())):
+                self.keys[i] = rank
         self.sizes = [len(bits) for bits in self.members]
-        self.masks = []
-        for s, bits in zip(structs, self.members):
-            m = 0
-            for b in bits:
-                m |= 1 << b
-            if isinstance(s, Chain):
-                m |= 1 << bit[s.ndd]
-            self.masks.append(m)
-        n = len(structs)
+        n = len(self.masks)
         cover = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
             cover[i] = cover[i + 1] | self.masks[i]
@@ -298,6 +374,11 @@ class PackingFamily:
         bound cuts only subtrees that hold no feasible leaf better than the
         incumbent (strictly better, with `value_only`), so the search meets
         the same improving leaves in the same order under any valid bound.
+
+        The search runs on the family's tables and structure indices alone;
+        ties compare the sorted keys of the chosen indices.  Only the
+        returned packing's structures are read from `structures`, so on an
+        enumerated family only they are built as objects.
         """
         structs = self.structures
         n = len(structs)
@@ -334,7 +415,8 @@ class PackingFamily:
                     if value_only:
                         best_val, best_chosen, cut = bound, list(chosen), bound + 1
                         return
-                    # tie-break key, smaller is better
+                    # tie-break key, smaller is better: fewest structures, then
+                    # their `sort_key` ranks, which `keys` holds
                     key = (len(chosen), tuple(sorted(keys[j] for j in chosen)))
                     if bound > best_val or key < best_key:
                         best_val, best_key, best_chosen, cut = bound, key, list(chosen), bound

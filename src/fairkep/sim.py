@@ -236,7 +236,7 @@ def _solve_period(pool: _Pool, config: SimConfig, period: int, rng: random.Rando
         packing, _ = max_price_packing(query)
         return packing
     if config.algorithm == HEURISTIC_ILP_SHUFFLE:
-        structures = enumerate_structures(inst, config.policy)
+        structures = list(enumerate_structures(inst, config.policy))
         rng.shuffle(structures)
         packing, _ = max_price_over(query, structures)
         return packing

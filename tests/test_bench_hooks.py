@@ -8,7 +8,8 @@ fair.preprocess with oracle.delta_star and short simulations under that
 instrumentation, and checks the spans the matching-lottery, exact-lottery and
 pool-sim metrics rest on (the pool-sim period spans read the pool off the
 first argument of sim._solve_period).  It also checks that a solve
-enumerates its packing family once.
+enumerates its packing family once, and that an enumeration past the cap
+is counted as a fallback.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from fairkep import fair, gen, lorenz, oracle, sim
-from fairkep.core import KepInstance, StructurePolicy
+from fairkep.core import Cycle, KepInstance, StructurePolicy
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -175,6 +176,29 @@ def test_one_enumeration_per_solve(monkeypatch):
     report = fair.solve_leximin(pool, StructurePolicy(max_cycle_len=3))
     assert report.pricing_calls > 1
     assert len(enumerations) == 1
+
+
+def test_enumeration_fallback_counted(monkeypatch):
+    """A bounded-chain family past `ENUM_CAP` raises `ExplosionGuard` out of
+    the name oracle.enumerate_structures, which the tracer counts as
+    oracle.enum_fallbacks, and the chain-arc MILP still answers the query."""
+    tracing = load_tracing(monkeypatch)
+    rec = tracing.Recorder()
+    policy = StructurePolicy(max_cycle_len=3, max_chain_len=2)
+    pool = gen.generate_instance(gen.GenConfig(n_pairs=8, n_ndds=2, seed=4))
+    structures = list(oracle.enumerate_structures(pool, policy))
+    n_cycles = sum(isinstance(s, Cycle) for s in structures)
+    assert 0 < n_cycles < len(structures)
+    query = oracle._unit_query(pool, policy)
+    want = oracle.PackingFamily(pool, policy, structures=structures).search(query, False)[1]
+    # room for the cycles the chain-arc model enumerates, none for the chains
+    monkeypatch.setattr(oracle, "ENUM_CAP", n_cycles)
+    with tracing.Instrumentation(rec):
+        packing, value = oracle.max_price_packing(query)
+    assert value == want == len(packing.covered)
+    metrics = tracing.layer_metrics(rec, 1)
+    assert metrics["oracle.enum_fallbacks"][0] > 0
+    assert metrics["oracle.calls"][0] == 1
 
 
 def test_each_maximum_searched_once(monkeypatch):

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from fairkep import fair, gen, oracle
-from fairkep.core import Cycle, KepInstance, StructurePolicy
+from fairkep import fair, gen, oracle, sim
+from fairkep.core import UNBOUNDED, Chain, Cycle, KepInstance, StructurePolicy
 from fairkep.oracle import (
     CARD_FREE,
     OracleInfeasible,
@@ -113,6 +113,124 @@ class TestEnumeration:
             for pol in policies:
                 s = enumerate_structures(inst, pol)
                 assert s == sorted(s, key=lambda x: x.sort_key()), (seed, pol)
+
+
+class TestFamilyTables:
+    """The family reads its tables off the enumerated bit rows; given
+    structures are converted to tables from their objects."""
+
+    def test_rows_match_given_structures(self):
+        """Members, masks (NDD bit included), sizes, drop sets and the
+        coverable count agree between the two on random 4-14-pair pools with
+        0-2 NDDs: 2-, 3- and 4-cycles, cyc3chain:2, cyc2chain:3, chains of at
+        least 2 pairs, and unbounded chains on pools of at most 7 pairs."""
+        policies = [
+            StructurePolicy(max_cycle_len=2),
+            CYC3,
+            StructurePolicy(max_cycle_len=4),
+            CYC3_CHAIN2,
+            StructurePolicy(max_cycle_len=2, max_chain_len=3),
+            StructurePolicy(max_cycle_len=3, max_chain_len=3, min_chain_len=2),
+            StructurePolicy(max_cycle_len=3, max_chain_len=UNBOUNDED),
+        ]
+        rng = random.Random(71)
+        chains = 0
+        for trial in range(70):
+            pol = policies[trial % len(policies)]
+            n_hi = 7 if pol.max_chain_len == UNBOUNDED else 14
+            inst = random_instance(rng, 4, n_hi, 0, 2, rng.choice([0.15, 0.25, 0.35]))
+            rows = oracle.PackingFamily(inst, pol)
+            given = oracle.PackingFamily(
+                inst, pol, structures=list(enumerate_structures(inst, pol))
+            )
+            assert rows.structures == given.structures, trial
+            for table in ("members", "masks", "sizes", "drop", "coverable"):
+                assert getattr(rows, table) == getattr(given, table), (trial, table)
+            assert list(rows.keys) == given.keys, trial
+            chains += sum(isinstance(s, Chain) for s in given.structures)
+        assert chains > 0
+
+    def test_given_order_keeps_the_tie_break(self):
+        """Given structures in a shuffled order, the tie-break search returns
+        the enumerated family's packing and value, and OracleInfeasible on the
+        same queries, on random pools with NDDs under cycles and bounded
+        chains.  The value-only search over the same order often returns
+        another optimum, so the order is one the tie-break has to undo."""
+        rng = random.Random(73)
+        policies = [CYC3, CYC3_CHAIN2, StructurePolicy(max_cycle_len=2, max_chain_len=3)]
+        moved = 0
+        for trial in range(60):
+            inst = random_instance(rng, 4, 11, 1, 2, rng.choice([0.2, 0.3]))
+            pol = policies[trial % len(policies)]
+            structures = list(enumerate_structures(inst, pol))
+            rng.shuffle(structures)
+            pairs = sorted(inst.pairs)
+            if trial % 2:
+                prices = {v: F(rng.randint(0, 2)) for v in pairs}  # many ties
+            else:
+                prices = {v: F(rng.randint(-2, 6), rng.randint(1, 3)) for v in pairs}
+            k = rng.randint(0, len(pairs) // 2)
+            card = rng.choice([CARD_FREE, ("atleast", k), ("exact", k)])
+            q = OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card)
+            given = oracle.PackingFamily(inst, pol, structures=structures)
+            try:
+                want = oracle.PackingFamily(inst, pol).search(q, value_only=False)
+            except OracleInfeasible:
+                with pytest.raises(OracleInfeasible):
+                    given.search(q, value_only=False)
+                continue
+            assert given.search(q, value_only=False) == want, trial
+            moved += given.search(q, value_only=True)[0] != want[0]
+        assert moved > 0
+
+
+class TestLazyObjects:
+    """A search builds `Cycle` and `Chain` objects only for the structures of
+    the packings it returns; construction is counted through the names the
+    oracle looks up."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        built = []
+        for name in ("Cycle", "Chain"):
+            def build(*args, _make=getattr(oracle, name), **kw):
+                s = _make(*args, **kw)
+                built.append(s)
+                return s
+
+            monkeypatch.setattr(oracle, name, build)
+        return built
+
+    def test_leximin_solve(self, monkeypatch):
+        returned = []
+        search = oracle.PackingFamily.search
+
+        def recording(family, query, value_only):
+            packing, value = search(family, query, value_only)
+            returned.extend((family, s) for s in packing.structures)
+            return packing, value
+
+        monkeypatch.setattr(oracle.PackingFamily, "search", recording)
+        pool = gen.generate_instance(gen.GenConfig(n_pairs=12, seed=3))
+        assert len(pool.pairs) <= oracle.BB_MAX_PAIRS  # every query runs the search
+        built = self.count_builds(monkeypatch)
+        fair.solve_leximin(pool, CYC3)
+        assert len(built) == len(set(returned))
+        assert set(built) == {s for _, s in returned}
+        families = {family for family, _ in returned}
+        assert sum(len(family.masks) for family in families) > 2 * len(built)
+
+    def test_sim_period(self, monkeypatch):
+        batch = gen.generate_instance(gen.GenConfig(n_pairs=12, seed=3))
+        config = sim.SimConfig(policy=CYC3, algorithm=sim.IMPLICIT, weighting=sim.WaitTimeLinear())
+        rng = random.Random(0)
+        pool = sim._Pool(rng, sim._wait_prices(config, 1))
+        pool.arrive(batch, 0)
+        built = self.count_builds(monkeypatch)
+        packing = sim._solve_period(pool, config, 0, rng)
+        assert len(packing.structures) > 0
+        assert sorted(built, key=lambda s: s.sort_key()) == packing.sorted_structures()
+        assert len(enumerate_structures(pool.instance(), CYC3)) > 2 * len(built)
 
 
 class TestMaxPrice:

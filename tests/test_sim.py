@@ -157,6 +157,8 @@ class TestPinnedTraces:
         ("leximin", True): "f54befcb92827de7865bdb7114242c424eea2bc94ea7cea1c1893bbcbfd094fb",
     }
     CHAINS = "8f08fcca07d713ea59e9bbb9a2ce639a489c973a3ec45c8967bec055efef28c7"
+    # recorded while the enumeration still built every Cycle and Chain itself
+    CHAINS_SHUFFLED = "ee6f1fdd2d1018e2ded41393a11300c0f9d4ff4b5701419d1e487910bc213dae"
     COMPARE = "31e3db0af1de165f47ad8a57691ca3658998d5c92192f9aa9752549a353b6a11"
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
@@ -172,6 +174,14 @@ class TestPinnedTraces:
                         weighting=WaitTimeLinear(), seed=3)
         batches = small_batches(seed=4, n=3, pairs=6, ndds=2)
         assert simulation_digest(*run_simulation(batches, cfg)) == self.CHAINS
+
+    def test_bounded_chains_shuffled(self):
+        """heuristic-ilp-shuffle shuffles the enumerated cycles and chains, so
+        the digest pins the enumeration order and the draws of each shuffle."""
+        cfg = SimConfig(policy=StructurePolicy(max_cycle_len=3, max_chain_len=2),
+                        algorithm="heuristic-ilp-shuffle", weighting=WaitTimeLinear(), seed=3)
+        batches = small_batches(seed=4, n=3, pairs=6, ndds=2)
+        assert simulation_digest(*run_simulation(batches, cfg)) == self.CHAINS_SHUFFLED
 
     def test_compare_heuristics(self):
         # the frequencies only: the intervals are scipy's, not the draws'
