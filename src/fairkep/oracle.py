@@ -14,19 +14,18 @@ position variables or subtour cuts.
 The branch-and-bound has two halves.  A `PackingFamily` holds what does not
 depend on prices: the enumerated structures, their bitmasks, their drop sets
 (the pairs each structure is the last to cover), the number of coverable
-pairs, and the memoized maximum cardinality.  `enumerate_structures` emits
-the structures as bit rows (`StructureRows`) in `sort_key` order, which the
-family reads as its tables, so a row's index is its tie-break rank.  A
-`Cycle` or `Chain` object is built only when a row is read as a structure:
-for the packings a search returns, or for every row when the set-packing
-MILP takes the family's columns.  It lives at call scope: a
-`fair` solve, a witness loop or a CLI command builds one and passes it to each
-of its queries, and nothing keeps it once that call returns.  Its `search`
-scales one query's prices and runs the depth-first search, carrying a value
-bound and a cardinality bound down the tree incrementally.  Neither changes
-an answer: the branching order is fixed, and they cut only subtrees with no
-leaf that could replace the incumbent.  Every query still enters through
-`max_price_packing`, and a family still enumerates through
+pairs, and the memoized maximum cardinality.  `enumerate_structures` emits the
+structures as bit rows (`StructureRows`) in `sort_key` order, which the family
+reads as its tables, so a row's index is its tie-break rank.  Rows are the
+only way into a family and into the set-packing MILP; a `Cycle` or `Chain`
+object is built only for the structures of a returned packing.  A family lives
+at call scope: a `fair` solve, a witness loop or a CLI command builds one and
+passes it to each of its queries, and nothing keeps it once that call returns.
+Its `search` scales one query's prices and runs the depth-first search,
+carrying a value bound and a cardinality bound down the tree incrementally.
+Neither changes an answer: the branching order is fixed, and they cut only
+subtrees with no leaf that could replace the incumbent.  Every query still
+enters through `max_price_packing`, and a family still enumerates through
 `enumerate_structures`, both looked up in this module at call time.
 
 The pool metrics rest on two witness loops over `max_price_packing`.
@@ -42,6 +41,7 @@ master takes it as its seed, so no loop searches it again.
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -61,9 +61,10 @@ from .core import (
 # test may lower it
 ENUM_CAP = 200_000
 
-# Integer-priced value-only queries on pools of more pairs go to the set-packing
-# MILP over the enumerated family: past ~20 pairs the branch-and-bound's worst cases take seconds, against
-# HiGHS's fixed ~10 ms per query.
+# Integer-priced value-only queries on pools of more pairs go to the
+# set-packing MILP over the enumerated family: past ~20 pairs the
+# branch-and-bound's worst cases take seconds, against HiGHS's fixed ~10 ms
+# per query.
 BB_MAX_PAIRS = 18
 
 CARD_FREE = ("free", None)
@@ -116,7 +117,8 @@ class StructureRows(Sequence):
     cycle.  Item i is the `Cycle` or `Chain` of row i, built through its
     constructor when first read and kept, so a search that reads only the
     returned packing's items builds no other object.  A view compares equal
-    to the list of its items.
+    to the list of its items.  `permuted(order)` is the same rows in another
+    order, which is how `max_price_over` shuffles a family.
     """
 
     def __init__(self, ids: list[int], members: list[tuple[int, ...]], masks: list[int],
@@ -127,9 +129,7 @@ class StructureRows(Sequence):
     def __len__(self) -> int:
         return len(self.masks)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
+    def __getitem__(self, i: int) -> Structure:
         s = self._objects[i]
         if s is None:
             ids, ndd = self.ids, self.ndds[i]
@@ -137,6 +137,11 @@ class StructureRows(Sequence):
             s = Cycle(vertices) if ndd is None else Chain(ndd=ids[ndd], pairs=vertices)
             self._objects[i] = s
         return s
+
+    def permuted(self, order: Sequence[int]) -> StructureRows:
+        """Row order[i] of this view as row i of a new one."""
+        tables = (self.members, self.masks, self.ndds)
+        return StructureRows(self.ids, *([t[i] for i in order] for t in tables))
 
     def __eq__(self, other):
         if isinstance(other, (list, StructureRows)):
@@ -239,22 +244,19 @@ def enumerate_structures(instance: KepInstance, policy: StructurePolicy) -> Stru
 class PackingFamily:
     """The price-independent half of the packing search over one (instance, policy).
 
-    It holds the structures in search order and the tables every query
-    shares: each structure's bitmask (pairs, then NDDs, so chains sharing a
-    root conflict), its covered pair bits and size, its tie-break key, and
-    the drop sets.  The drop set of structure i holds the pairs whose last
-    covering structure is i: the union of the masks from i on, minus the
-    union from i + 1 on.  The drop sets partition the `coverable` pairs, so
-    `drop` lists only the structures that have one, as (i, pair bits).
-    The structures come from the module's `enumerate_structures` on the first
-    query, so that work stays inside the oracle call that needs it.  Its rows
-    are the bit tables, and since they come in `sort_key` order the key of
-    structure i is i; `structures` is the `StructureRows` view, which builds
-    an object only for a row that is read.  Given `structures`, in any
-    order, are converted to the same tables, and the key of each is the rank
-    of its `sort_key` among them, so the tie-break answer does not depend on
-    the order given.
-    `structures` is None for a family too large to enumerate (the
+    It holds the structures in search order and the tables every query shares:
+    each structure's bitmask (pairs, then NDDs, so chains sharing a root
+    conflict), its covered pair bits and size, and the drop sets.  The drop
+    set of structure i holds the pairs whose last covering structure is i: the
+    union of the masks from i on, minus the union from i + 1 on.  The drop
+    sets partition the `coverable` pairs, so `drop` lists only the structures
+    that have one, as (i, pair bits).  The rows come from the module's
+    `enumerate_structures` on the first query, so that work stays inside the
+    oracle call that needs it, or from `rows`, given in another order by
+    `StructureRows.permuted`.  They are the bit tables, and a row's index is
+    its tie-break rank (its `sort_key` rank when enumerated).  `structures` is
+    the `StructureRows` view, which builds an object only for a row that is
+    read.  It is None for a family too large to enumerate (the
     `ExplosionGuard` trips, or unbounded chains on more than 2000 arcs); its
     queries go to the MILP with chain-arc flows.  `maximum()` solves the
     unit-price query once.
@@ -269,16 +271,16 @@ class PackingFamily:
         self,
         instance: KepInstance,
         policy: StructurePolicy,
-        structures: Optional[Sequence[Structure]] = None,
+        rows: Optional[StructureRows] = None,
     ):
         self.instance = instance
         self.policy = policy
-        self._given = structures
+        self._given = rows
         self._built = False
         self._maximum: Optional[tuple[Packing, int]] = None
 
     @property
-    def structures(self) -> Optional[Sequence[Structure]]:
+    def structures(self) -> Optional[StructureRows]:
         if not self._built:
             self._build()
         return self._structs
@@ -288,7 +290,8 @@ class PackingFamily:
         self._structs = None
         inst, policy = self.instance, self.policy
         self.pairs = sorted(inst.pairs)
-        if self._given is None:
+        rows = self._given
+        if rows is None:
             # unbounded chains on dense instances always blow the enumeration
             # cap; probing it anyway costs seconds, so go straight to the MILP
             if policy.max_chain_len == float("inf") and len(inst.arcs) > 2000:
@@ -297,23 +300,8 @@ class PackingFamily:
                 rows = enumerate_structures(inst, policy)
             except ExplosionGuard:
                 return
-            self._structs = rows
-            self.members, self.masks = rows.members, rows.masks
-            # rows come in sort_key order, so a row's index is its rank
-            self.keys = range(len(rows))
-        else:
-            self._structs = structs = list(self._given)
-            bit = {v: i for i, v in enumerate(self.pairs + sorted(inst.ndds))}
-            self.members = [tuple(bit[v] for v in s.covered()) for s in structs]
-            self.masks = []
-            for s, bits in zip(structs, self.members):
-                m = 1 << bit[s.ndd] if isinstance(s, Chain) else 0
-                for b in bits:
-                    m |= 1 << b
-                self.masks.append(m)
-            self.keys = [0] * len(structs)
-            for rank, i in enumerate(sorted(range(len(structs)), key=lambda i: structs[i].sort_key())):
-                self.keys[i] = rank
+        self._structs = rows
+        self.members, self.masks = rows.members, rows.masks
         self.sizes = [len(bits) for bits in self.members]
         n = len(self.masks)
         cover = [0] * (n + 1)
@@ -375,10 +363,10 @@ class PackingFamily:
         incumbent (strictly better, with `value_only`), so the search meets
         the same improving leaves in the same order under any valid bound.
 
-        The search runs on the family's tables and structure indices alone;
-        ties compare the sorted keys of the chosen indices.  Only the
-        returned packing's structures are read from `structures`, so on an
-        enumerated family only they are built as objects.
+        The search runs on the family's tables and row indices alone; ties
+        compare the chosen indices, which are the `sort_key` ranks on an
+        enumerated family.  Only the returned packing's structures are read
+        from `structures`, so only they are built as objects.
         """
         structs = self.structures
         n = len(structs)
@@ -393,7 +381,7 @@ class PackingFamily:
         drops = [()] * n
         for i, bits in self.drop:
             drops[i] = [(1 << b, max(price[b], 0)) for b in bits]
-        masks, sizes, keys = self.masks, self.sizes, self.keys
+        masks, sizes = self.masks, self.sizes
         mode, k = query.cardinality
         low = 0 if mode == "free" else k
         exact = mode == "exact"
@@ -416,8 +404,8 @@ class PackingFamily:
                         best_val, best_chosen, cut = bound, list(chosen), bound + 1
                         return
                     # tie-break key, smaller is better: fewest structures, then
-                    # their `sort_key` ranks, which `keys` holds
-                    key = (len(chosen), tuple(sorted(keys[j] for j in chosen)))
+                    # their row indices, which `chosen` holds in ascending order
+                    key = (len(chosen), tuple(chosen))
                     if bound > best_val or key < best_key:
                         best_val, best_key, best_chosen, cut = bound, key, list(chosen), bound
                     return
@@ -444,23 +432,25 @@ class PackingFamily:
 
 def _milp_max_price(
     query: OracleQuery,
-    columns: Optional[Sequence[Structure]] = None,
+    columns: Optional[StructureRows] = None,
 ) -> tuple[Packing, Fraction]:
     """The one MILP: a set packing over given columns, or cycle columns plus chain-arc flows.
 
-    Each column is a binary variable for one structure.  Every pair is covered
-    at most once, every NDD roots at most one chain, and a cardinality
-    constraint counts the covered pairs.  Given `columns`, the model is a
-    plain set packing over them, with no arc or position variables.  Without
-    them the columns are the policy's cycles, or none under unbounded chains,
-    whose arcs carry the cycles too, and the policy's chains are arc flows: a
-    binary per arc into a pair, flow conservation at each pair, and either
-    position (MTZ-style) variables bounding the chain length or, for unbounded
-    chains, subtour cuts added lazily to this model, which is re-solved until
-    no disallowed cycle is left; the cuts die with the call.  The float
-    optimum picks the packing and its value is recomputed rationally, so the
-    answer is exact when the gap between distinct packing values exceeds
-    HiGHS's tolerances (always so with integer prices).
+    Each column is a binary variable for one structure row (`StructureRows`).
+    Every pair is covered at most once, every NDD roots at most one chain,
+    and a cardinality constraint counts the covered pairs.  Given `columns`,
+    the model is a plain set packing over them, with no arc or position
+    variables.  Without them the columns are the policy's cycle rows, or
+    none under unbounded chains, whose arcs carry the cycles too, and the
+    policy's chains are arc flows: a binary per arc into a pair, flow
+    conservation at each pair, and either position (MTZ-style) variables
+    bounding the chain length or, for unbounded chains, subtour cuts added
+    lazily to this model, which is re-solved until no disallowed cycle is
+    left; the cuts die with the call.  The float optimum picks the packing,
+    whose chosen columns alone are built as objects, and its value is
+    recomputed rationally, so the answer is exact when the gap between
+    distinct packing values exceeds HiGHS's tolerances (always so with
+    integer prices).
     """
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
@@ -474,11 +464,12 @@ def _milp_max_price(
     # (the big-M would be n, a hopelessly weak relaxation) and eliminate
     # directed pair-arc cycles with lazily added subtour cuts.
     unbounded = chains and policy.max_chain_len == float("inf")
+    pairs = sorted(inst.pairs)
     if columns is None:
         columns = (
-            [] if unbounded else enumerate_structures(inst, replace(policy, max_chain_len=None))
+            StructureRows(pairs, [], [], []) if unbounded
+            else enumerate_structures(inst, replace(policy, max_chain_len=None))
         )
-    pairs = sorted(inst.pairs)
     idx = {v: i for i, v in enumerate(pairs)}
     n = len(pairs)
     L = int(min(policy.max_chain_len, n)) if chains else 0
@@ -493,14 +484,16 @@ def _milp_max_price(
     cover: dict[int, list[tuple[int, float]]] = {v: [] for v in pairs}
     roots: dict[int, list[tuple[int, float]]] = {a: [] for a in sorted(inst.ndds)}
     card_entries: list[tuple[int, float]] = []
-    for j, s in enumerate(columns):
-        covered = s.covered()
-        c[j] = -sum(float(query.price(v)) for v in covered) + eps_count
-        for v in covered:
-            cover[v].append((j, 1.0))
-        if isinstance(s, Chain):
-            roots[s.ndd].append((j, 1.0))
-        card_entries.append((j, float(len(covered))))
+    # row bits number the pairs in ascending order, then the NDDs
+    ids = columns.ids
+    price = [float(query.price(v)) for v in pairs]
+    for j, (bits, ndd) in enumerate(zip(columns.members, columns.ndds)):
+        c[j] = -sum(price[b] for b in bits) + eps_count
+        for b in bits:
+            cover[ids[b]].append((j, 1.0))
+        if ndd is not None:
+            roots[ids[ndd]].append((j, 1.0))
+        card_entries.append((j, float(len(bits))))
     arcs_in: dict[int, list[int]] = {v: [] for v in pairs}
     arcs_out: dict[int, list[int]] = {v: [] for v in pairs}
     for j, (u, v) in enumerate(arcs, nz):
@@ -595,7 +588,7 @@ def _milp_max_price(
         raise FairkepError("subtour elimination failed to converge")
 
     # no cut is left, so every closed walk is an allowed cycle
-    structs: list[Structure] = [s for j, s in enumerate(columns) if x[j] > 0.5]
+    structs: list[Structure] = [columns[j] for j in range(nz) if x[j] > 0.5]
     structs += [
         Chain(ndd=w[0], pairs=tuple(w[1:])) if w[0] in inst.ndds else Cycle(tuple(w)) for w in walks
     ]
@@ -611,10 +604,10 @@ def max_price_packing(
     """Packing maximizing the total price of covered pairs, with its value.
 
     Exact and deterministic on enumerable families: ties are broken by fewest
-    structures then lexicographically smallest structure ids.  `value_only` skips the tie-break
-    layers, returning the first optimal packing found; with integer prices on
-    more than `BB_MAX_PAIRS` pairs `_milp_max_price` answers it as a set
-    packing over the family's structures.  Families that trip the
+    structures then lexicographically smallest structure ids.  `value_only`
+    skips the tie-break layers, returning the first optimal packing found;
+    with integer prices on more than `BB_MAX_PAIRS` pairs `_milp_max_price`
+    answers it as a set packing over the family's rows.  Families that trip the
     `ExplosionGuard`, or unbounded chains on more than 2000 arcs, go to the
     same MILP with cycle columns and chain-arc flows.  `family`, when given, must be the query's
     (instance, policy) `PackingFamily`: a caller that asks many queries of one
@@ -643,13 +636,17 @@ def max_price_packing(
     return family.search(query, value_only)
 
 
-def max_price_over(query: OracleQuery, structures: Sequence[Structure]) -> tuple[Packing, Fraction]:
-    """The first optimum the search meets over an explicitly ordered structure list.
+def max_price_over(query: OracleQuery, rng: random.Random) -> tuple[Packing, Fraction]:
+    """The first optimum the value-only search meets over a shuffled family.
 
-    No tie-break: the caller's ordering decides among equal-priced packings,
-    which is how `sim` emulates solver nondeterminism by shuffling the order.
+    `rng` shuffles the enumerated rows, and that order decides among
+    equal-priced packings: how `sim` emulates solver nondeterminism.  Past
+    `ENUM_CAP` the `ExplosionGuard` propagates; there is no MILP fallback.
     """
-    return PackingFamily(query.instance, query.policy, structures=structures).search(query, True)
+    rows = enumerate_structures(query.instance, query.policy)
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    return PackingFamily(query.instance, query.policy, rows.permuted(order)).search(query, True)
 
 
 # ---------------------------------------------------------------------------

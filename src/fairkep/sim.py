@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from .core import KepInstance, Packing, StructurePolicy
 from .fair import solve_leximin
 from .gen import ABO_COMPATIBLE
-from .oracle import OracleQuery, enumerate_structures, max_price_over, max_price_packing
+from .oracle import OracleQuery, max_price_over, max_price_packing
 
 IMPLICIT = "implicit"
 HEURISTIC_ILP_SHUFFLE = "heuristic-ilp-shuffle"
@@ -236,9 +236,7 @@ def _solve_period(pool: _Pool, config: SimConfig, period: int, rng: random.Rando
         packing, _ = max_price_packing(query)
         return packing
     if config.algorithm == HEURISTIC_ILP_SHUFFLE:
-        structures = list(enumerate_structures(inst, config.policy))
-        rng.shuffle(structures)
-        packing, _ = max_price_over(query, structures)
+        packing, _ = max_price_over(query, rng)
         return packing
     # heuristic-node-shuffle: relabel nodes, deterministic solve, map back
     nodes = sorted(inst.pairs | inst.ndds)

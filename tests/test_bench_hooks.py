@@ -186,11 +186,12 @@ def test_enumeration_fallback_counted(monkeypatch):
     rec = tracing.Recorder()
     policy = StructurePolicy(max_cycle_len=3, max_chain_len=2)
     pool = gen.generate_instance(gen.GenConfig(n_pairs=8, n_ndds=2, seed=4))
-    structures = list(oracle.enumerate_structures(pool, policy))
-    n_cycles = sum(isinstance(s, Cycle) for s in structures)
-    assert 0 < n_cycles < len(structures)
+    # the reference family is built before the cap is lowered
+    full = oracle.PackingFamily(pool, policy)
+    n_cycles = sum(isinstance(s, Cycle) for s in full.structures)
+    assert 0 < n_cycles < len(full.structures)
     query = oracle._unit_query(pool, policy)
-    want = oracle.PackingFamily(pool, policy, structures=structures).search(query, False)[1]
+    want = full.search(query, False)[1]
     # room for the cycles the chain-arc model enumerates, none for the chains
     monkeypatch.setattr(oracle, "ENUM_CAP", n_cycles)
     with tracing.Instrumentation(rec):

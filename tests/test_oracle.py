@@ -116,14 +116,19 @@ class TestEnumeration:
 
 
 class TestFamilyTables:
-    """The family reads its tables off the enumerated bit rows; given
-    structures are converted to tables from their objects."""
+    """The family reads its tables off its bit rows: the enumerated ones, or
+    the same rows in another order (`StructureRows.permuted`)."""
 
-    def test_rows_match_given_structures(self):
-        """Members, masks (NDD bit included), sizes, drop sets and the
-        coverable count agree between the two on random 4-14-pair pools with
-        0-2 NDDs: 2-, 3- and 4-cycles, cyc3chain:2, cyc2chain:3, chains of at
-        least 2 pairs, and unbounded chains on pools of at most 7 pairs."""
+    def test_permuted_rows_match_enumerated(self):
+        """A family over shuffled rows holds the enumerated family's members,
+        masks (NDD bit included) and sizes in that order, and the same
+        coverable count, on random 4-14-pair pools with 0-2 NDDs: 2-, 3- and
+        4-cycles, cyc3chain:2, cyc2chain:3, chains of at least 2 pairs, and
+        unbounded chains on pools of at most 7 pairs.  Its value-only and
+        tie-break searches reach the enumerated family's values, and raise
+        OracleInfeasible on the same queries.  The value-only search often
+        returns another optimum than the enumerated family's tie-break, so
+        the shuffled order is one the search meets first."""
         policies = [
             StructurePolicy(max_cycle_len=2),
             CYC3,
@@ -134,36 +139,22 @@ class TestFamilyTables:
             StructurePolicy(max_cycle_len=3, max_chain_len=UNBOUNDED),
         ]
         rng = random.Random(71)
-        chains = 0
+        chains = moved = 0
         for trial in range(70):
             pol = policies[trial % len(policies)]
             n_hi = 7 if pol.max_chain_len == UNBOUNDED else 14
             inst = random_instance(rng, 4, n_hi, 0, 2, rng.choice([0.15, 0.25, 0.35]))
-            rows = oracle.PackingFamily(inst, pol)
-            given = oracle.PackingFamily(
-                inst, pol, structures=list(enumerate_structures(inst, pol))
-            )
-            assert rows.structures == given.structures, trial
-            for table in ("members", "masks", "sizes", "drop", "coverable"):
-                assert getattr(rows, table) == getattr(given, table), (trial, table)
-            assert list(rows.keys) == given.keys, trial
-            chains += sum(isinstance(s, Chain) for s in given.structures)
-        assert chains > 0
-
-    def test_given_order_keeps_the_tie_break(self):
-        """Given structures in a shuffled order, the tie-break search returns
-        the enumerated family's packing and value, and OracleInfeasible on the
-        same queries, on random pools with NDDs under cycles and bounded
-        chains.  The value-only search over the same order often returns
-        another optimum, so the order is one the tie-break has to undo."""
-        rng = random.Random(73)
-        policies = [CYC3, CYC3_CHAIN2, StructurePolicy(max_cycle_len=2, max_chain_len=3)]
-        moved = 0
-        for trial in range(60):
-            inst = random_instance(rng, 4, 11, 1, 2, rng.choice([0.2, 0.3]))
-            pol = policies[trial % len(policies)]
-            structures = list(enumerate_structures(inst, pol))
-            rng.shuffle(structures)
+            family = oracle.PackingFamily(inst, pol)
+            rows = family.structures
+            order = list(range(len(rows)))
+            rng.shuffle(order)
+            permuted = oracle.PackingFamily(inst, pol, rows.permuted(order))
+            assert permuted.structures == [rows[i] for i in order], trial
+            for table in ("members", "masks", "sizes"):
+                want = [getattr(family, table)[i] for i in order]
+                assert getattr(permuted, table) == want, (trial, table)
+            assert permuted.coverable == family.coverable, trial
+            chains += sum(isinstance(s, Chain) for s in rows)
             pairs = sorted(inst.pairs)
             if trial % 2:
                 prices = {v: F(rng.randint(0, 2)) for v in pairs}  # many ties
@@ -172,16 +163,18 @@ class TestFamilyTables:
             k = rng.randint(0, len(pairs) // 2)
             card = rng.choice([CARD_FREE, ("atleast", k), ("exact", k)])
             q = OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card)
-            given = oracle.PackingFamily(inst, pol, structures=structures)
             try:
-                want = oracle.PackingFamily(inst, pol).search(q, value_only=False)
+                want_pk, want_val = family.search(q, value_only=False)
             except OracleInfeasible:
-                with pytest.raises(OracleInfeasible):
-                    given.search(q, value_only=False)
+                for value_only in (False, True):
+                    with pytest.raises(OracleInfeasible):
+                        permuted.search(q, value_only)
                 continue
-            assert given.search(q, value_only=False) == want, trial
-            moved += given.search(q, value_only=True)[0] != want[0]
-        assert moved > 0
+            assert permuted.search(q, value_only=False)[1] == want_val, trial
+            pk, val = permuted.search(q, value_only=True)
+            assert val == want_val, trial
+            moved += pk != want_pk
+        assert chains > 0 and moved > 0
 
 
 class TestLazyObjects:
@@ -221,16 +214,46 @@ class TestLazyObjects:
         assert sum(len(family.masks) for family in families) > 2 * len(built)
 
     def test_sim_period(self, monkeypatch):
+        """Under the implicit algorithm and under the shuffled row order."""
         batch = gen.generate_instance(gen.GenConfig(n_pairs=12, seed=3))
-        config = sim.SimConfig(policy=CYC3, algorithm=sim.IMPLICIT, weighting=sim.WaitTimeLinear())
-        rng = random.Random(0)
-        pool = sim._Pool(rng, sim._wait_prices(config, 1))
-        pool.arrive(batch, 0)
         built = self.count_builds(monkeypatch)
-        packing = sim._solve_period(pool, config, 0, rng)
+        for algorithm in (sim.IMPLICIT, sim.HEURISTIC_ILP_SHUFFLE):
+            config = sim.SimConfig(policy=CYC3, algorithm=algorithm, weighting=sim.WaitTimeLinear())
+            rng = random.Random(0)
+            pool = sim._Pool(rng, sim._wait_prices(config, 1))
+            pool.arrive(batch, 0)
+            built.clear()
+            packing = sim._solve_period(pool, config, 0, rng)
+            assert len(packing.structures) > 0
+            assert sorted(built, key=lambda s: s.sort_key()) == packing.sorted_structures()
+            assert len(enumerate_structures(pool.instance(), CYC3)) > 2 * len(built)
+
+    def test_set_packing_milp(self, monkeypatch):
+        """A value-only, integer-price query above `BB_MAX_PAIRS` pairs goes to
+        the set-packing MILP, which reads the family's rows and builds only
+        the chosen columns."""
+        routed = []
+        milp = oracle._milp_max_price
+
+        def counting(query, columns=None):
+            routed.append(columns)
+            return milp(query, columns)
+
+        monkeypatch.setattr(oracle, "_milp_max_price", counting)
+        pool = gen.generate_instance(gen.GenConfig(n_pairs=oracle.BB_MAX_PAIRS + 2, seed=500))
+        assert len(pool.pairs) > oracle.BB_MAX_PAIRS
+        family = oracle.PackingFamily(pool, CYC3)
+        rows = family.structures
+        rng = random.Random(31)
+        q = OracleQuery(
+            instance=pool, policy=CYC3, node_prices={v: F(rng.randint(1, 3)) for v in pool.pairs}
+        )
+        built = self.count_builds(monkeypatch)
+        packing, _ = max_price_packing(q, value_only=True, family=family)
+        assert len(routed) == 1 and routed[0] is rows
         assert len(packing.structures) > 0
         assert sorted(built, key=lambda s: s.sort_key()) == packing.sorted_structures()
-        assert len(enumerate_structures(pool.instance(), CYC3)) > 2 * len(built)
+        assert len(rows) > 2 * len(built)
 
 
 class TestMaxPrice:
@@ -368,9 +391,8 @@ class TestMaxPrice:
             prices = {v: F(rng.randint(-1, 3)) for v in pairs}
             card = rng.choice([("free", None), ("atleast", 4)])
             q = OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card)
-            structures = enumerate_structures(inst, pol)
             try:
-                want = oracle.max_price_over(q, structures)[1]
+                want = oracle.PackingFamily(inst, pol).search(q, value_only=True)[1]
             except OracleInfeasible:
                 with pytest.raises(OracleInfeasible):
                     max_price_packing(q, value_only=True)
@@ -435,9 +457,10 @@ class TestMaxPrice:
         for trial in range(30):
             inst = random_instance(rng, 6, 10, 1, 2, 0.3)
             pol = StructurePolicy(max_cycle_len=3, max_chain_len=rng.choice([2, 3]))
-            structures = enumerate_structures(inst, pol)
-            n_cycles = sum(isinstance(s, Cycle) for s in structures)
-            if n_cycles == len(structures):
+            # the reference family is built before the cap is lowered
+            full = oracle.PackingFamily(inst, pol)
+            n_cycles = sum(isinstance(s, Cycle) for s in full.structures)
+            if n_cycles == len(full.structures):
                 continue
             prices = {v: F(rng.randint(-2, 6), rng.choice([1, 2, 3])) for v in inst.pairs}
             card = rng.choice([("free", None), ("atleast", 2)])
@@ -451,7 +474,6 @@ class TestMaxPrice:
                     pk, val = max_price_packing(q)
                 except OracleInfeasible:
                     pk = None
-            full = oracle.PackingFamily(inst, pol, structures=structures)
             if pk is None:
                 with pytest.raises(OracleInfeasible):
                     full.search(q, value_only=False)

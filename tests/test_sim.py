@@ -9,11 +9,13 @@ from fractions import Fraction
 import pytest
 from scipy.special import betainc
 
-from fairkep.core import StructurePolicy
+from fairkep import oracle
+from fairkep.core import Cycle, StructurePolicy
 from fairkep.gen import GenConfig, generate_batches
-from fairkep.oracle import enumerate_structures
+from fairkep.oracle import ExplosionGuard, enumerate_structures
 from fairkep.sim import (
     ALGORITHMS,
+    HEURISTIC_ILP_SHUFFLE,
     IMPLICIT,
     SimConfig,
     WaitTimeLinear,
@@ -137,6 +139,29 @@ class TestSimulation:
                 assert enumerate_structures(pool.instance(), policy) == [], (seed, period)
                 solved += bool(packing.structures)
         assert solved > 0
+
+    def test_shuffle_does_not_fall_back(self, monkeypatch):
+        """heuristic-ilp-shuffle needs the whole family: past `ENUM_CAP` its
+        period raises `ExplosionGuard`, where the implicit period on the same
+        pool is answered by the chain-arc MILP."""
+        policy = StructurePolicy(max_cycle_len=3, max_chain_len=2)
+        batch = small_batches(seed=4, n=1, pairs=8, ndds=2)[0]
+        structures = enumerate_structures(batch, policy)
+        n_cycles = sum(isinstance(s, Cycle) for s in structures)
+        assert 0 < n_cycles < len(structures)
+        # room for the cycles the chain-arc model enumerates, none for the chains
+        monkeypatch.setattr(oracle, "ENUM_CAP", n_cycles)
+
+        def period(algorithm):
+            config = SimConfig(policy=policy, algorithm=algorithm, weighting=WaitTimeLinear())
+            rng = random.Random(0)
+            pool = _Pool(rng, _wait_prices(config, 1))
+            pool.arrive(batch, 0)
+            return _solve_period(pool, config, 0, rng)
+
+        assert period(IMPLICIT).structures
+        with pytest.raises(ExplosionGuard):
+            period(HEURISTIC_ILP_SHUFFLE)
 
 
 class TestPinnedTraces:
