@@ -27,6 +27,7 @@ from .core import (
     Packing,
     StructurePolicy,
     UNBOUNDED,
+    eval_leximin,
 )
 
 EXIT_OK = 0
@@ -281,10 +282,7 @@ def _cmd_solve(args) -> int:
         prices = {v: Fraction(1) for v in instance.pairs}
     family = oracle.PackingFamily(instance, policy)
     card = oracle.acceptable_cardinality(instance, policy, family)
-    query = oracle.OracleQuery(
-        instance=instance, policy=policy, node_prices=prices, cardinality=card
-    )
-    packing, value = oracle.max_price_packing(query, family=family)
+    packing, value = oracle.max_price_packing(family, prices, card)
     result = _packing_dict(packing)
     result["value"] = _num(value)
     _emit(result, args.output)
@@ -318,32 +316,46 @@ def _solve_lottery(instance: KepInstance, args) -> fair.SolveReport:
 
 def _cmd_lottery(args) -> int:
     instance = _load_instance(args.instance)
-    weighted = args.node_weights or args.edge_weights
-    if weighted or (args.mu is not None and args.policy in ("match", "matching")):
+    match_policy = args.policy.strip() in ("match", "matching")
+    weighted = args.node_weights is not None or args.edge_weights is not None
+    if weighted:
+        given = {"--node-weights": args.node_weights, "--edge-weights": args.edge_weights,
+                 "--delta": args.delta, "--mu": args.mu}
+        flags = [flag for flag, value in given.items() if value is not None]
+        if not match_policy:
+            raise UsageError(f"{flags[0]} weighs matchings; it needs --policy match")
+        if len(flags) > 1:
+            raise UsageError(f"lottery takes only one of {', '.join(flags)}")
+    engine = weighted or (args.mu is not None and match_policy)
+    if engine:
         # matching-engine reductions (exact, leximin only)
         if args.objective != "leximin":
             raise UsageError("weighted/fixed-cardinality lotteries support --objective leximin only")
-        if args.node_weights:
+        if args.node_weights is not None:
             w = _read_map(args.node_weights, instance, "weight")
             lottery = lorenz.node_weight_leximin(instance, w)
-        elif args.edge_weights:
+        elif args.edge_weights is not None:
             ew = _read_map(args.edge_weights, instance, "weight", edges=True)
             lottery = lorenz.edge_weight_reduction(instance, ew)
         else:
             policy = parse_policy(args.policy, args.delta, args.mu)
             lottery = lorenz.fixed_cardinality_reduction(instance, mu=policy.mu)
-        report_dict = {"objective": "leximin", "iterations": 0, "gap": 0}
     else:
         report = _solve_lottery(instance, args)
         lottery = report.lottery
+    pairs = sorted(instance.pairs)
+    q = lottery.marginals(pairs)
+    if engine:
+        # one exact pass, no pricing: the objective is the sorted marginal vector
+        objective = eval_leximin([q[v] for v in pairs])
+        report_dict = {"objective": _num(objective), "iterations": 0, "pricing_calls": 0, "gap": 0}
+    else:
         report_dict = {
             "objective": _num(report.objective),
             "iterations": report.iterations,
             "pricing_calls": report.pricing_calls,
             "gap": _num(report.gap),
         }
-    pairs = sorted(instance.pairs)
-    q = lottery.marginals(pairs)
     report_dict["marginals"] = {str(v): _num(q[v]) for v in pairs}
     report_dict["lottery"] = io.lottery_to_dict(lottery)
     _emit(report_dict, args.output)
@@ -548,8 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("utilitarian", "maximin", "leximin", "nash", "gini"),
         default="leximin",
     )
-    p.add_argument("--node-weights", default=None, help="JSON {node: weight} (matching policies)")
-    p.add_argument("--edge-weights", default=None, help="JSON {'u,v': weight} (matching policies)")
+    p.add_argument("--node-weights", default=None, help="JSON {node: weight} (--policy match only)")
+    p.add_argument("--edge-weights", default=None, help="JSON {'u,v': weight} (--policy match only)")
     p.add_argument("instance")
     p.set_defaults(func=_cmd_lottery)
 

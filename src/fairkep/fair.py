@@ -45,7 +45,6 @@ from .core import (
     eval_utilitarian,
 )
 from .oracle import (
-    OracleQuery,
     PackingFamily,
     Uncoverable,
     acceptable_cardinality,
@@ -208,13 +207,7 @@ def _oracle_master(
             for v, p in prices.items()
             if p
         }
-        return max_price_packing(
-            OracleQuery(
-                instance=instance, policy=policy, node_prices=exact_prices, cardinality=cardinality
-            ),
-            value_only=True,
-            family=family,
-        )
+        return max_price_packing(family, exact_prices, cardinality, value_only=True)
 
     seed, _ = family.unit_optimum(cardinality)
     master = RestrictedMaster(pairs, pricing, seed)
@@ -575,7 +568,7 @@ def preprocess(
     """
     family = PackingFamily(instance, policy)
     card = acceptable_cardinality(instance, policy, family)
-    kept = coverable_pairs(instance, policy, card, family=family)
+    kept = coverable_pairs(family, card)
     dropped = sorted(instance.pairs - kept)
     if not dropped:
         return instance, []

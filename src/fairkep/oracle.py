@@ -19,14 +19,17 @@ structures as bit rows (`StructureRows`) in `sort_key` order, which the family
 reads as its tables, so a row's index is its tie-break rank.  Rows are the
 only way into a family and into the set-packing MILP; a `Cycle` or `Chain`
 object is built only for the structures of a returned packing.  A family lives
-at call scope: a `fair` solve, a witness loop or a CLI command builds one and
-passes it to each of its queries, and nothing keeps it once that call returns.
-Its `search` scales one query's prices and runs the depth-first search,
-carrying a value bound and a cardinality bound down the tree incrementally.
-Neither changes an answer: the branching order is fixed, and they cut only
-subtrees with no leaf that could replace the incumbent.  Every query still
-enters through `max_price_packing`, and a family still enumerates through
-`enumerate_structures`, both looked up in this module at call time.
+at call scope: a `fair` solve, a witness loop, a CLI command or a simulated
+period builds one and asks each of its queries of it, and nothing keeps it
+once that call returns.  It is the oracle's only handle on a pool:
+`max_price_packing(family, prices, cardinality, value_only)` is the one entry,
+prices in and one best packing out.  The family's `search` scales one query's
+prices and runs the depth-first search, carrying a value bound and a
+cardinality bound down the tree incrementally.  Neither changes an answer: the
+branching order is fixed, and they cut only subtrees with no leaf that could
+replace the incumbent.  Every query enters through `max_price_packing`, and a
+family enumerates through `enumerate_structures`, both looked up in this
+module at call time.
 
 The pool metrics rest on two witness loops over `max_price_packing`.
 `coverable_pairs` (max-inclusion) prices the pairs not yet certified at 1 and
@@ -35,7 +38,9 @@ adds each optimum's covered pairs until none is new; `fair.preprocess`,
 (min-inclusion) prices the remaining candidates at -1 and intersects until no
 packing avoids one.  Under cardinality ≥ k both take the family's maximum
 packing as their first witness (`PackingFamily.unit_optimum`), as `fair`'s
-master takes it as its seed, so no loop searches it again.
+master takes it as its seed, so no loop searches it again.  `coverable_pairs`
+runs on a family its caller holds; the other metrics take (instance, policy)
+and build their family inside.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -82,29 +87,9 @@ class Uncoverable(FairkepError):
     """The designated pair is covered by no acceptable packing."""
 
 
-@dataclass(frozen=True)
-class OracleQuery:
-    """A packing optimization: node prices and a cardinality constraint.
-
-    Pairs missing from node_prices have price 0.  cardinality is
-    ("free", None), ("exact", k) or ("atleast", k), counted in covered pairs.
-    """
-
-    instance: KepInstance
-    policy: StructurePolicy
-    node_prices: Mapping[int, Fraction] = field(default_factory=dict)
-    cardinality: tuple[str, Optional[int]] = CARD_FREE
-
-    def __post_init__(self):
-        mode, k = self.cardinality
-        if mode not in ("free", "exact", "atleast"):
-            raise ValueError(f"unknown cardinality mode {mode!r}")
-        if mode != "free" and (k is None or k < 0):
-            raise ValueError("cardinality constraint needs a count >= 0")
-
-    def price(self, v: int) -> Fraction:
-        p = self.node_prices.get(v, 0)
-        return p if isinstance(p, Fraction) else Fraction(p)
+def _fraction(p) -> Fraction:
+    # Fraction(p) on a Fraction costs ~40x this check, once per price per query
+    return p if isinstance(p, Fraction) else Fraction(p)
 
 
 class StructureRows(Sequence):
@@ -261,10 +246,12 @@ class PackingFamily:
     queries go to the MILP with chain-arc flows.  `maximum()` solves the
     unit-price query once.
 
-    A family lives as long as the call that builds it (a `fair` solve, a
-    witness loop, one simulated period) and is never cached globally.  A
-    query's search state lives in `search` alone, so one family answers any
-    sequence of queries exactly as fresh families would.
+    The family is how a caller names its pool to the oracle: every query is
+    `max_price_packing(family, prices, ...)`.  A family lives as long as the
+    call that builds it (a `fair` solve, a witness loop, one simulated
+    period, one CLI command) and is never cached globally.  A query's search
+    state lives in `search` alone, so one family answers any sequence of
+    queries exactly as fresh families would.
     """
 
     def __init__(
@@ -319,8 +306,8 @@ class PackingFamily:
     def maximum(self) -> tuple[Packing, int]:
         """A maximum-cardinality packing (the first one found) and its size."""
         if self._maximum is None:
-            unit = _unit_query(self.instance, self.policy)
-            packing, value = max_price_packing(unit, value_only=True, family=self)
+            unit = dict.fromkeys(self.instance.pairs, Fraction(1))
+            packing, value = max_price_packing(self, unit, value_only=True)
             self._maximum = (packing, int(value))
         return self._maximum
 
@@ -338,25 +325,30 @@ class PackingFamily:
             packing, maxcard = self.maximum()
             if mode == "free" or k <= maxcard:
                 return packing, Fraction(maxcard)
-        unit = _unit_query(self.instance, self.policy, cardinality=cardinality)
-        return max_price_packing(unit, value_only=True, family=self)
+        unit = dict.fromkeys(self.instance.pairs, Fraction(1))
+        return max_price_packing(self, unit, cardinality, value_only=True)
 
-    def search(self, query: OracleQuery, value_only: bool) -> tuple[Packing, Fraction]:
+    def search(
+        self,
+        prices: Mapping[int, Fraction],
+        cardinality: tuple[str, Optional[int]],
+        value_only: bool,
+    ) -> tuple[Packing, Fraction]:
         """Branch-and-bound for one query over the enumerated family.
 
-        Prices are scaled to integers by their common denominator.  Structures
-        are visited in order, inclusion first; recursion happens only on
-        inclusion, so the depth is bounded by the packing size.  Call a pair
-        open when no chosen structure covers it and a remaining one does.  A
-        node carries two bounds: `bound`, its value plus the positive prices
-        of the open pairs, pruned against the incumbent, and `room`, its
-        covered count plus the number of open pairs, pruned against the
-        cardinality row's k.  Both are carried down, not recomputed.  Skipping
-        structure i closes the open pairs of its drop set.  Including it adds
-        its value less the positive prices of its own pairs to `bound` and
-        leaves `room` as it is: its pairs turn from open to covered, and its
-        drop set lies inside its mask.  At a leaf they are the value and the
-        count.
+        Pairs missing from `prices` have price 0.  Prices are scaled to
+        integers by their common denominator.  Structures are visited in order,
+        inclusion first; recursion happens only on inclusion, so the depth is
+        bounded by the packing size.  Call a pair open when no chosen structure
+        covers it and a remaining one does.  A node carries two bounds:
+        `bound`, its value plus the positive prices of the open pairs, pruned
+        against the incumbent, and `room`, its covered count plus the number
+        of open pairs, pruned against the cardinality row's k.  Both are
+        carried down, not recomputed.  Skipping structure i closes the open
+        pairs of its drop set.  Including it adds its value less the positive
+        prices of its own pairs to `bound` and leaves `room` as it is: its
+        pairs turn from open to covered, and its drop set lies inside its
+        mask.  At a leaf they are the value and the count.
 
         Pruning never changes an answer.  The branching order is fixed, and a
         bound cuts only subtrees that hold no feasible leaf better than the
@@ -370,7 +362,7 @@ class PackingFamily:
         """
         structs = self.structures
         n = len(structs)
-        price = [query.price(v) for v in self.pairs]
+        price = [_fraction(prices.get(v, 0)) for v in self.pairs]
         scale = math.lcm(*(p.denominator for p in price))
         price = [p.numerator * (scale // p.denominator) for p in price]
         # including a structure moves the value bound by its negative prices
@@ -382,7 +374,7 @@ class PackingFamily:
         for i, bits in self.drop:
             drops[i] = [(1 << b, max(price[b], 0)) for b in bits]
         masks, sizes = self.masks, self.sizes
-        mode, k = query.cardinality
+        mode, k = cardinality
         low = 0 if mode == "free" else k
         exact = mode == "exact"
         best_val = -math.inf
@@ -431,11 +423,15 @@ class PackingFamily:
 
 
 def _milp_max_price(
-    query: OracleQuery,
+    family: PackingFamily,
+    prices: Mapping[int, Fraction],
+    cardinality: tuple[str, Optional[int]],
     columns: Optional[StructureRows] = None,
 ) -> tuple[Packing, Fraction]:
     """The one MILP: a set packing over given columns, or cycle columns plus chain-arc flows.
 
+    The model is over `family`'s pool and policy, priced by `prices` (0 for
+    a pair missing) under `cardinality`; it reads no table of the family.
     Each column is a binary variable for one structure row (`StructureRows`).
     Every pair is covered at most once, every NDD roots at most one chain,
     and a cardinality constraint counts the covered pairs.  Given `columns`,
@@ -456,7 +452,7 @@ def _milp_max_price(
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import coo_matrix
 
-    inst, policy = query.instance, query.policy
+    inst, policy = family.instance, family.policy
     chains = columns is None and policy.max_chain_len is not None
     if chains and policy.min_chain_len > 1:
         raise ExplosionGuard("chain-arc flows do not support min_chain_len > 1")
@@ -486,7 +482,7 @@ def _milp_max_price(
     card_entries: list[tuple[int, float]] = []
     # row bits number the pairs in ascending order, then the NDDs
     ids = columns.ids
-    price = [float(query.price(v)) for v in pairs]
+    price = [float(prices.get(v, 0)) for v in pairs]
     for j, (bits, ndd) in enumerate(zip(columns.members, columns.ndds)):
         c[j] = -sum(price[b] for b in bits) + eps_count
         for b in bits:
@@ -497,7 +493,7 @@ def _milp_max_price(
     arcs_in: dict[int, list[int]] = {v: [] for v in pairs}
     arcs_out: dict[int, list[int]] = {v: [] for v in pairs}
     for j, (u, v) in enumerate(arcs, nz):
-        c[j] = -float(query.price(v))
+        c[j] = -price[idx[v]]
         cover[v].append((j, 1.0))
         arcs_in[v].append(j)
         card_entries.append((j, 1.0))
@@ -543,7 +539,7 @@ def _milp_max_price(
                     -np.inf,
                     float(L),
                 )
-    card_mode, card_k = query.cardinality
+    card_mode, card_k = cardinality
     if card_mode != "free":
         add_row(card_entries, float(card_k), float(card_k) if card_mode == "exact" else np.inf)
     arc_idx = {a: j for j, a in enumerate(arcs, nz)}
@@ -593,73 +589,72 @@ def _milp_max_price(
         Chain(ndd=w[0], pairs=tuple(w[1:])) if w[0] in inst.ndds else Cycle(tuple(w)) for w in walks
     ]
     packing = Packing(frozenset(structs))
-    return packing, sum((query.price(v) for v in packing.covered), Fraction(0))
+    return packing, sum((_fraction(prices.get(v, 0)) for v in packing.covered), Fraction(0))
 
 
 def max_price_packing(
-    query: OracleQuery,
+    family: PackingFamily,
+    prices: Mapping[int, Fraction],
+    cardinality: tuple[str, Optional[int]] = CARD_FREE,
     value_only: bool = False,
-    family: Optional[PackingFamily] = None,
 ) -> tuple[Packing, Fraction]:
-    """Packing maximizing the total price of covered pairs, with its value.
+    """Packing of `family` maximizing the total price of covered pairs, with its value.
 
-    Exact and deterministic on enumerable families: ties are broken by fewest
-    structures then lexicographically smallest structure ids.  `value_only`
-    skips the tie-break layers, returning the first optimal packing found;
-    with integer prices on more than `BB_MAX_PAIRS` pairs `_milp_max_price`
-    answers it as a set packing over the family's rows.  Families that trip the
-    `ExplosionGuard`, or unbounded chains on more than 2000 arcs, go to the
-    same MILP with cycle columns and chain-arc flows.  `family`, when given, must be the query's
-    (instance, policy) `PackingFamily`: a caller that asks many queries of one
-    pool builds it once, for the length of its own call, and passes it to each
-    query; otherwise one is built for this query alone.  No family outlives
-    the call that built it.  The search itself, with its incrementally carried
-    bound, is `PackingFamily.search`.  Prices in, one best packing out: no
-    solver state (subtour cuts, incumbents) survives the call.
+    Pairs missing from `prices` have price 0.  `cardinality` is
+    ("free", None), ("exact", k) or ("atleast", k), counted in covered pairs;
+    anything else raises ValueError.  Exact and deterministic on enumerable
+    families: ties are broken by fewest structures then lexicographically
+    smallest structure ids.  `value_only` skips the tie-break layers,
+    returning the first optimal packing found; with integer prices on more
+    than `BB_MAX_PAIRS` pairs `_milp_max_price` answers it as a set packing
+    over the family's rows.  Families that trip the `ExplosionGuard`, or
+    unbounded chains on more than 2000 arcs, go to the same MILP with cycle
+    columns and chain-arc flows.  A caller that asks many queries of one pool
+    passes the same family to each; no family outlives the call that built
+    it.  The search itself, with its incrementally carried bound, is
+    `PackingFamily.search`.  Prices in, one best packing out: no solver state
+    (subtour cuts, incumbents) survives the call.
     """
-    if family is None:
-        family = PackingFamily(query.instance, query.policy)
-    elif (
-        family.instance is not query.instance and family.instance != query.instance
-    ) or family.policy != query.policy:
-        raise ValueError("the packing family belongs to another instance or policy")
+    mode, k = cardinality
+    if mode not in ("free", "exact", "atleast"):
+        raise ValueError(f"unknown cardinality mode {mode!r}")
+    if mode != "free" and (k is None or k < 0):
+        raise ValueError("cardinality constraint needs a count >= 0")
     structures = family.structures
     if structures is None:
-        return _milp_max_price(query)
+        return _milp_max_price(family, prices, cardinality)
     if (
         structures
         and value_only
-        and len(query.instance.pairs) > BB_MAX_PAIRS
-        and all(Fraction(p).denominator == 1 for p in query.node_prices.values())
+        and len(family.pairs) > BB_MAX_PAIRS
+        and all(_fraction(p).denominator == 1 for p in prices.values())
     ):
-        return _milp_max_price(query, structures)
-    return family.search(query, value_only)
+        return _milp_max_price(family, prices, cardinality, structures)
+    return family.search(prices, cardinality, value_only)
 
 
-def max_price_over(query: OracleQuery, rng: random.Random) -> tuple[Packing, Fraction]:
+def max_price_over(
+    instance: KepInstance,
+    policy: StructurePolicy,
+    prices: Mapping[int, Fraction],
+    rng: random.Random,
+) -> tuple[Packing, Fraction]:
     """The first optimum the value-only search meets over a shuffled family.
 
     `rng` shuffles the enumerated rows, and that order decides among
-    equal-priced packings: how `sim` emulates solver nondeterminism.  Past
-    `ENUM_CAP` the `ExplosionGuard` propagates; there is no MILP fallback.
+    equal-priced packings: how `sim` emulates solver nondeterminism.  It
+    takes (instance, policy), not a family, because it enumerates through
+    `enumerate_structures` itself: past `ENUM_CAP` the `ExplosionGuard`
+    propagates, where a family would fall back to the MILP.
     """
-    rows = enumerate_structures(query.instance, query.policy)
+    rows = enumerate_structures(instance, policy)
     order = list(range(len(rows)))
     rng.shuffle(order)
-    return PackingFamily(query.instance, query.policy, rows.permuted(order)).search(query, True)
+    return PackingFamily(instance, policy, rows.permuted(order)).search(prices, CARD_FREE, True)
 
 
 # ---------------------------------------------------------------------------
 # pool metrics
-
-
-def _unit_query(instance: KepInstance, policy: StructurePolicy, **kw) -> OracleQuery:
-    return OracleQuery(
-        instance=instance,
-        policy=policy,
-        node_prices={v: Fraction(1) for v in instance.pairs},
-        **kw,
-    )
 
 
 def max_cardinality(instance: KepInstance, policy: StructurePolicy) -> int:
@@ -682,31 +677,25 @@ def acceptable_cardinality(
 
 
 def coverable_pairs(
-    instance: KepInstance,
-    policy: StructurePolicy,
+    family: PackingFamily,
     cardinality: tuple[str, Optional[int]],
     certified: frozenset[int] = frozenset(),
-    family: Optional[PackingFamily] = None,
 ) -> frozenset[int]:
-    """Pairs covered by some packing under the cardinality constraint.
+    """Pairs of `family`'s pool covered by some packing under the cardinality constraint.
 
     Iterated max-inclusion pricing: price 1 on the pairs not yet certified and
     re-optimize under the constraint; every optimum certifies all the pairs it
     covers.  Stops when no such packing covers an uncertified pair.
     `certified` seeds the set and must hold only pairs such a packing covers.
-    Every query runs on `family`, or on one family built here; an unseeded
-    loop's first query prices every pair, so it is `family.unit_optimum`.
+    Every query runs on `family`; an unseeded loop's first query prices every
+    pair, so it is `family.unit_optimum`.
     """
-    if family is None:
-        family = PackingFamily(instance, policy)
-    while certified != instance.pairs:
-        prices = {v: Fraction(1) for v in instance.pairs - certified}
-        query = OracleQuery(
-            instance=instance, policy=policy, node_prices=prices, cardinality=cardinality
-        )
+    pairs = family.instance.pairs
+    while certified != pairs:
+        prices = dict.fromkeys(pairs - certified, Fraction(1))
         try:
             packing, value = (
-                max_price_packing(query, value_only=True, family=family)
+                max_price_packing(family, prices, cardinality, value_only=True)
                 if certified else family.unit_optimum(cardinality)
             )
         except OracleInfeasible:
@@ -729,16 +718,16 @@ def coverage_losses(instance: KepInstance, policy: StructurePolicy) -> dict[int,
     """
     family = PackingFamily(instance, policy)
     packing, maxcard = family.maximum()
-    certified = coverable_pairs(instance, policy, ("atleast", maxcard), packing.covered, family)
+    certified = coverable_pairs(family, ("atleast", maxcard), packing.covered)
     # searches nothing once level 0 has reached every pair
-    coverable = coverable_pairs(instance, policy, CARD_FREE, certified, family)
+    coverable = coverable_pairs(family, CARD_FREE, certified)
     limit = None
     if policy.max_chain_len is None and policy.max_cycle_len is not None:
         limit = (policy.max_cycle_len - 1) ** 2 - 1
     losses = {v: (0 if v in certified else None) for v in sorted(instance.pairs)}
     level = 1
     while certified != coverable:
-        reached = coverable_pairs(instance, policy, ("atleast", maxcard - level), certified, family)
+        reached = coverable_pairs(family, ("atleast", maxcard - level), certified)
         if limit is not None and reached != certified and level > max(limit, 0):
             raise FairkepError(f"coverage loss {level} exceeds bound {limit}")
         losses.update(dict.fromkeys(reached - certified, level))
@@ -778,12 +767,8 @@ def always_covered_count(
     card = acceptable_cardinality(instance, policy, family)
     witness = set(family.unit_optimum(card)[0].covered)
     while witness:
-        prices = {v: Fraction(-1) for v in witness}
-        packing, _ = max_price_packing(
-            OracleQuery(instance=instance, policy=policy, node_prices=prices, cardinality=card),
-            value_only=True,
-            family=family,
-        )
+        prices = dict.fromkeys(witness, Fraction(-1))
+        packing, _ = max_price_packing(family, prices, card, value_only=True)
         shrunk = witness & packing.covered
         if shrunk == witness:
             break

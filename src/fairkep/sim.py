@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from .core import KepInstance, Packing, StructurePolicy
 from .fair import solve_leximin
 from .gen import ABO_COMPATIBLE
-from .oracle import OracleQuery, max_price_over, max_price_packing
+from .oracle import PackingFamily, max_price_over, max_price_packing
 
 IMPLICIT = "implicit"
 HEURISTIC_ILP_SHUFFLE = "heuristic-ilp-shuffle"
@@ -231,12 +231,11 @@ def _solve_period(pool: _Pool, config: SimConfig, period: int, rng: random.Rando
             if x < float(acc):
                 return packing
         return report.lottery.support[-1][0]
-    query = OracleQuery(instance=inst, policy=config.policy, node_prices=prices)
     if config.algorithm == IMPLICIT:
-        packing, _ = max_price_packing(query)
+        packing, _ = max_price_packing(PackingFamily(inst, config.policy), prices)
         return packing
     if config.algorithm == HEURISTIC_ILP_SHUFFLE:
-        packing, _ = max_price_over(query, rng)
+        packing, _ = max_price_over(inst, config.policy, prices, rng)
         return packing
     # heuristic-node-shuffle: relabel nodes, deterministic solve, map back
     nodes = sorted(inst.pairs | inst.ndds)
@@ -249,12 +248,8 @@ def _solve_period(pool: _Pool, config: SimConfig, period: int, rng: random.Rando
         ndds=frozenset(fwd[a] for a in inst.ndds),
         arcs={(fwd[u], fwd[v]): w for (u, v), w in inst.arcs.items()},
     )
-    q2 = OracleQuery(
-        instance=relabeled,
-        policy=config.policy,
-        node_prices={fwd[v]: p for v, p in prices.items()},
-    )
-    packing, _ = max_price_packing(q2)
+    relabeled_prices = {fwd[v]: p for v, p in prices.items()}
+    packing, _ = max_price_packing(PackingFamily(relabeled, config.policy), relabeled_prices)
     return _relabel_packing(packing, back)
 
 

@@ -383,7 +383,7 @@ def circulation_decompose(rows, entries):
     return steps
 
 
-def reference_search(query, value_only):
+def reference_search(inst, policy, prices, cardinality, value_only):
     """The oracle's branch-and-bound as it was with a value bound only.
 
     Same structure order, inclusion-first branching and tie-break key as
@@ -392,8 +392,7 @@ def reference_search(query, value_only):
     structure, conflicting ones included.  Kept as the reference the
     stronger bound must agree with packing for packing.
     """
-    inst = query.instance
-    structs = enumerate_structures(inst, query.policy)
+    structs = enumerate_structures(inst, policy)
     pairs = sorted(inst.pairs)
     bit = {v: i for i, v in enumerate(pairs + sorted(inst.ndds))}
     members = [tuple(bit[v] for v in s.covered()) for s in structs]
@@ -416,13 +415,13 @@ def reference_search(query, value_only):
     drop_bits = [
         [b for b in bits if (cover[i] & ~cover[i + 1]) >> b & 1] for i, bits in enumerate(members)
     ]
-    price = [query.price(v) for v in pairs]
+    price = [Fraction(prices.get(v, 0)) for v in pairs]
     scale = math.lcm(*(p.denominator for p in price))
     price = [p.numerator * (scale // p.denominator) for p in price]
     neg = [min(p, 0) for p in price]
     adj = [sum(neg[b] for b in bits) for bits in members]
     drops = [[(1 << b, price[b]) for b in bits if price[b] > 0] for bits in drop_bits]
-    mode, k = query.cardinality
+    mode, k = cardinality
     low = 0 if mode == "free" else k
     exact = mode == "exact"
     best_val = -math.inf

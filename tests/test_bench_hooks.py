@@ -190,12 +190,12 @@ def test_enumeration_fallback_counted(monkeypatch):
     full = oracle.PackingFamily(pool, policy)
     n_cycles = sum(isinstance(s, Cycle) for s in full.structures)
     assert 0 < n_cycles < len(full.structures)
-    query = oracle._unit_query(pool, policy)
-    want = full.search(query, False)[1]
+    unit = {v: Fraction(1) for v in pool.pairs}
+    want = full.search(unit, oracle.CARD_FREE, False)[1]
     # room for the cycles the chain-arc model enumerates, none for the chains
     monkeypatch.setattr(oracle, "ENUM_CAP", n_cycles)
     with tracing.Instrumentation(rec):
-        packing, value = oracle.max_price_packing(query)
+        packing, value = oracle.max_price_packing(oracle.PackingFamily(pool, policy), unit)
     assert value == want == len(packing.covered)
     metrics = tracing.layer_metrics(rec, 1)
     assert metrics["oracle.enum_fallbacks"][0] > 0
@@ -209,9 +209,9 @@ def test_each_maximum_searched_once(monkeypatch):
     searches = []
     search = oracle.PackingFamily.search
 
-    def recording(family, query, value_only):
-        searches.append((family, query))
-        return search(family, query, value_only)
+    def recording(family, prices, cardinality, value_only):
+        searches.append((family, prices, cardinality))
+        return search(family, prices, cardinality, value_only)
 
     monkeypatch.setattr(oracle.PackingFamily, "search", recording)
     policy = StructurePolicy(max_cycle_len=3)
@@ -225,16 +225,16 @@ def test_each_maximum_searched_once(monkeypatch):
     delta = oracle.delta_star(reduced, policy)
     first_solve = len(searches)
     fair.solve_leximin(reduced, replace(policy, cardinality_mode="delta", delta=delta))
-    families = list(dict.fromkeys(family for family, _ in searches))
+    families = list(dict.fromkeys(family for family, _, _ in searches))
     assert len(families) == 3
 
-    def unit(family, query):
-        return query.node_prices == {v: 1 for v in family.instance.pairs}
+    def unit(family, prices):
+        return prices == {v: 1 for v in family.instance.pairs}
 
     for family in families:
-        assert sum(unit(f, q) for f, q in searches if f is family) == 1
+        assert sum(unit(f, p) for f, p, _ in searches if f is family) == 1
     delta_searches = searches[first_delta:first_solve]
-    assert {f for f, _ in delta_searches} == {families[1]}
+    assert {f for f, _, _ in delta_searches} == {families[1]}
     # the family's maximum is its only search without a cardinality row
-    assert [q.cardinality for _, q in delta_searches].count(oracle.CARD_FREE) == 1
-    assert delta_searches[0][1].cardinality == oracle.CARD_FREE
+    assert [card for _, _, card in delta_searches].count(oracle.CARD_FREE) == 1
+    assert delta_searches[0][2] == oracle.CARD_FREE

@@ -190,6 +190,51 @@ class TestLottery:
         rep = json.loads(out.read_text())
         assert {int(v): F(q) for v, q in rep["marginals"].items()} == want
 
+    @staticmethod
+    def weighted_pool(tmp_path):
+        """A generated 12-pair pool with a node-weight and an edge-weight file on it."""
+        inst = tmp_path / "g.json"
+        assert run(["generate", "--pairs", "12", "--seed", "3", "-o", str(inst)]) == EXIT_OK
+        pool = io.read_instance(inst)
+        u, v = min(pool.undirected_edges())
+        nw, ew = tmp_path / "nw.json", tmp_path / "ew.json"
+        nw.write_text(json.dumps({str(u): "2", str(v): "1"}))
+        ew.write_text(json.dumps({f"{u},{v}": "3"}))
+        return {"instance": str(inst), "nw": str(nw), "ew": str(ew)}
+
+    @pytest.mark.parametrize("argv", [
+        ["--node-weights", "{nw}"],
+        ["--edge-weights", "{ew}"],
+        ["--policy", "bogus", "--node-weights", "{nw}"],
+        ["--policy", "cyc3chain:3", "--delta", "2", "--node-weights", "{nw}"],
+        ["--policy", "match", "--node-weights", "{nw}", "--edge-weights", "{ew}"],
+        ["--policy", "match", "--node-weights", "{nw}", "--delta", "1"],
+        ["--policy", "match", "--edge-weights", "{ew}", "--delta", "1"],
+        ["--policy", "match", "--node-weights", "{nw}", "--mu", "1"],
+        ["--policy", "match", "--edge-weights", "{ew}", "--mu", "1"],
+    ], ids=["node-default-policy", "edge-default-policy", "node-bogus-policy", "node-cyc3chain-delta",
+            "node-and-edge", "node-delta", "edge-delta", "node-mu", "edge-mu"])
+    def test_weights_need_match_policy_alone(self, argv, tmp_path):
+        """Node and edge weights weigh matchings: without --policy match, or
+        beside each other, --delta or --mu, they would be read as something
+        else or ignored, so the run is refused."""
+        files = self.weighted_pool(tmp_path)
+        assert run(["lottery", files["instance"], *(a.format(**files) for a in argv)]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("argv", [
+        ["--node-weights", "{nw}"], ["--edge-weights", "{ew}"], ["--mu", "2"],
+    ], ids=["node", "edge", "mu"])
+    def test_matching_engine_report(self, argv, tmp_path):
+        """The matching engines report the exact sorted marginal vector as the
+        leximin objective, and no pricing calls, as column generation does."""
+        files = self.weighted_pool(tmp_path)
+        out = tmp_path / "lot.json"
+        argv = ["lottery", files["instance"], "--policy", "match", *(a.format(**files) for a in argv)]
+        assert run([*argv, "-o", str(out)]) == EXIT_OK
+        rep = json.loads(out.read_text())
+        assert rep["objective"] == sorted(rep["marginals"].values(), key=F)
+        assert (rep["iterations"], rep["pricing_calls"], rep["gap"]) == (0, 0, 0)
+
 
 class TestSolveAndStats:
     def test_solve_default(self, fig1a, tmp_path):

@@ -15,7 +15,7 @@ from fairkep.core import UNBOUNDED, Chain, Cycle, KepInstance, StructurePolicy
 from fairkep.oracle import (
     CARD_FREE,
     OracleInfeasible,
-    OracleQuery,
+    PackingFamily,
     Uncoverable,
     _milp_max_price,
     always_covered_count,
@@ -162,16 +162,15 @@ class TestFamilyTables:
                 prices = {v: F(rng.randint(-2, 6), rng.randint(1, 3)) for v in pairs}
             k = rng.randint(0, len(pairs) // 2)
             card = rng.choice([CARD_FREE, ("atleast", k), ("exact", k)])
-            q = OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card)
             try:
-                want_pk, want_val = family.search(q, value_only=False)
+                want_pk, want_val = family.search(prices, card, value_only=False)
             except OracleInfeasible:
                 for value_only in (False, True):
                     with pytest.raises(OracleInfeasible):
-                        permuted.search(q, value_only)
+                        permuted.search(prices, card, value_only)
                 continue
-            assert permuted.search(q, value_only=False)[1] == want_val, trial
-            pk, val = permuted.search(q, value_only=True)
+            assert permuted.search(prices, card, value_only=False)[1] == want_val, trial
+            pk, val = permuted.search(prices, card, value_only=True)
             assert val == want_val, trial
             moved += pk != want_pk
         assert chains > 0 and moved > 0
@@ -198,8 +197,8 @@ class TestLazyObjects:
         returned = []
         search = oracle.PackingFamily.search
 
-        def recording(family, query, value_only):
-            packing, value = search(family, query, value_only)
+        def recording(family, *args):
+            packing, value = search(family, *args)
             returned.extend((family, s) for s in packing.structures)
             return packing, value
 
@@ -235,9 +234,9 @@ class TestLazyObjects:
         routed = []
         milp = oracle._milp_max_price
 
-        def counting(query, columns=None):
+        def counting(family, prices, cardinality, columns=None):
             routed.append(columns)
-            return milp(query, columns)
+            return milp(family, prices, cardinality, columns)
 
         monkeypatch.setattr(oracle, "_milp_max_price", counting)
         pool = gen.generate_instance(gen.GenConfig(n_pairs=oracle.BB_MAX_PAIRS + 2, seed=500))
@@ -245,11 +244,9 @@ class TestLazyObjects:
         family = oracle.PackingFamily(pool, CYC3)
         rows = family.structures
         rng = random.Random(31)
-        q = OracleQuery(
-            instance=pool, policy=CYC3, node_prices={v: F(rng.randint(1, 3)) for v in pool.pairs}
-        )
+        prices = {v: F(rng.randint(1, 3)) for v in pool.pairs}
         built = self.count_builds(monkeypatch)
-        packing, _ = max_price_packing(q, value_only=True, family=family)
+        packing, _ = max_price_packing(family, prices, value_only=True)
         assert len(routed) == 1 and routed[0] is rows
         assert len(packing.structures) > 0
         assert sorted(built, key=lambda s: s.sort_key()) == packing.sorted_structures()
@@ -258,13 +255,13 @@ class TestLazyObjects:
 
 class TestMaxPrice:
     def test_unit_prices(self):
-        pk, val = max_price_packing(OracleQuery(instance=SHARED, policy=CYC3, node_prices=unit(SHARED)))
+        pk, val = max_price_packing(PackingFamily(SHARED, CYC3), unit(SHARED))
         assert val == 3 and pk.structures == frozenset({Cycle((2, 3, 4))})
-        pk, val = max_price_packing(OracleQuery(instance=TRIPLE, policy=CYC3, node_prices=unit(TRIPLE)))
+        pk, val = max_price_packing(PackingFamily(TRIPLE, CYC3), unit(TRIPLE))
         assert val == 6 and len(pk.structures) == 2
 
     def test_zero_prices_gives_empty(self):
-        pk, val = max_price_packing(OracleQuery(instance=SHARED, policy=CYC3))
+        pk, val = max_price_packing(PackingFamily(SHARED, CYC3), {})
         assert val == 0 and pk.structures == frozenset()
 
     def test_fewest_structures_tiebreak(self):
@@ -272,18 +269,24 @@ class TestMaxPrice:
             [1, 2, 3, 4], [],
             [(1, 2), (2, 1), (3, 4), (4, 3), (2, 3), (3, 2), (4, 1), (1, 4)],
         )
-        pk, val = max_price_packing(
-            OracleQuery(instance=inst, policy=StructurePolicy(max_cycle_len=4), node_prices=unit(inst))
-        )
+        pk, val = max_price_packing(PackingFamily(inst, StructurePolicy(max_cycle_len=4)), unit(inst))
         assert val == 4 and len(pk.structures) == 1  # one 4-cycle beats two 2-cycles
-        pk, _ = max_price_packing(
-            OracleQuery(instance=inst, policy=StructurePolicy(max_cycle_len=2), node_prices=unit(inst))
-        )
+        pk, _ = max_price_packing(PackingFamily(inst, StructurePolicy(max_cycle_len=2)), unit(inst))
         assert pk.structures == frozenset({Cycle((1, 2)), Cycle((3, 4))})
 
     def test_determinism(self):
-        q = OracleQuery(instance=TRIPLE, policy=CYC3, node_prices=unit(TRIPLE))
-        assert max_price_packing(q) == max_price_packing(q)
+        first = max_price_packing(PackingFamily(TRIPLE, CYC3), unit(TRIPLE))
+        assert first == max_price_packing(PackingFamily(TRIPLE, CYC3), unit(TRIPLE))
+
+    def test_cardinality_checked(self):
+        """An unknown cardinality mode, or a row without a count >= 0, is a
+        ValueError, raised before the family is enumerated."""
+        family = PackingFamily(TRIPLE, CYC3)
+        bad = [("most", 2), ("exact", -1), ("atleast", -2), ("exact", None), ("atleast", None)]
+        for card in bad:
+            with pytest.raises(ValueError):
+                max_price_packing(family, unit(TRIPLE), card)
+        assert max_price_packing(family, unit(TRIPLE), ("exact", 0))[1] == 0
 
     def test_random_vs_brute(self):
         rng = random.Random(11)
@@ -306,10 +309,9 @@ class TestMaxPrice:
                 prices = {v: F(rng.randint(-2, 6), rng.randint(1, 4)) for v in pairs}
                 card = rng.choice([("free", None), ("atleast", 2), ("exact", 2)])
                 bb = brute_best(inst, pol, prices, card=card)
-                q = OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card)
                 for value_only in (False, True):
                     try:
-                        pk, val = max_price_packing(q, value_only=value_only)
+                        pk, val = max_price_packing(PackingFamily(inst, pol), prices, card, value_only)
                     except OracleInfeasible:
                         assert bb is None, (trial, value_only)
                         continue
@@ -333,9 +335,9 @@ class TestMaxPrice:
             inst = make(pairs, ndds, arcs)
             pol = StructurePolicy(max_cycle_len=3, max_chain_len=float("inf"))
             prices = {v: F(rng.randint(0, 5)) for v in pairs}
-            q = OracleQuery(instance=inst, policy=pol, node_prices=prices)
-            _, val_exact = max_price_packing(q, value_only=True)
-            _, val_milp = _milp_max_price(q)
+            family = PackingFamily(inst, pol)
+            _, val_exact = max_price_packing(family, prices, value_only=True)
+            _, val_milp = _milp_max_price(family, prices, CARD_FREE)
             assert val_exact == val_milp, (trial, val_exact, val_milp)
 
     def test_bb_agrees_with_milp_on_bounded_chains(self):
@@ -354,14 +356,14 @@ class TestMaxPrice:
             pol = StructurePolicy(max_cycle_len=3, max_chain_len=rng.choice([2, 3]))
             prices = {v: F(rng.randint(-3, 8), rng.choice([1, 2, 3, 4])) for v in pairs}
             card = rng.choice([("free", None), ("atleast", 3), ("exact", 4)])
-            q = OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card)
+            family = PackingFamily(inst, pol)
             try:
-                pk_bb, val_bb = max_price_packing(q, value_only=True)
+                pk_bb, val_bb = max_price_packing(family, prices, card, value_only=True)
             except OracleInfeasible:
                 with pytest.raises(OracleInfeasible):
-                    _milp_max_price(q)
+                    _milp_max_price(family, prices, card)
                 continue
-            pk_milp, val_milp = _milp_max_price(q)
+            pk_milp, val_milp = _milp_max_price(family, prices, card)
             assert val_bb == val_milp, (trial, val_bb, val_milp)
             for pk in (pk_bb, pk_milp):
                 assert all(pol.allows(s) for s in pk.structures), trial
@@ -376,10 +378,10 @@ class TestMaxPrice:
         routed = []
         milp = oracle._milp_max_price
 
-        def counting(query, columns=None, **kw):
+        def counting(family, prices, cardinality, columns=None):
             if columns is not None:
-                routed.append(query)
-            return milp(query, columns, **kw)
+                routed.append(prices)
+            return milp(family, prices, cardinality, columns)
 
         monkeypatch.setattr(oracle, "_milp_max_price", counting)
         rng = random.Random(29)
@@ -390,14 +392,13 @@ class TestMaxPrice:
             pol = StructurePolicy(max_cycle_len=2)
             prices = {v: F(rng.randint(-1, 3)) for v in pairs}
             card = rng.choice([("free", None), ("atleast", 4)])
-            q = OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card)
             try:
-                want = oracle.PackingFamily(inst, pol).search(q, value_only=True)[1]
+                want = PackingFamily(inst, pol).search(prices, card, value_only=True)[1]
             except OracleInfeasible:
                 with pytest.raises(OracleInfeasible):
-                    max_price_packing(q, value_only=True)
+                    max_price_packing(PackingFamily(inst, pol), prices, card, value_only=True)
                 continue
-            pk, val = max_price_packing(q, value_only=True)
+            pk, val = max_price_packing(PackingFamily(inst, pol), prices, card, value_only=True)
             assert val == want, trial
             assert val == sum((prices[v] for v in pk.covered), F(0))
             assert_cardinality(pk, card)
@@ -420,23 +421,23 @@ class TestMaxPrice:
                 gen.GenConfig(n_pairs=20 + (seed - 800) % 3, n_ndds=2 + seed % 2, seed=seed)
             )
             family = oracle.PackingFamily(inst, pol)
-            queries = [oracle._unit_query(inst, pol)]
+            queries = [(unit(inst), CARD_FREE)]
             for card in (("free", None), ("atleast", 6), ("exact", 8)):
                 prices = {v: F(rng.randint(-1, 3)) for v in inst.pairs}
-                queries.append(OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card))
-            for q in queries:
+                queries.append((prices, card))
+            for prices, card in queries:
                 try:
-                    pk_bb, val_bb = family.search(q, value_only=True)
+                    pk_bb, val_bb = family.search(prices, card, value_only=True)
                 except OracleInfeasible:
                     with pytest.raises(OracleInfeasible):
-                        _milp_max_price(q, family.structures)
+                        _milp_max_price(family, prices, card, family.structures)
                     continue
-                pk, val = _milp_max_price(q, family.structures)
-                assert val == val_bb, (seed, q.cardinality)
-                assert val == sum((q.price(v) for v in pk.covered), F(0))
-                assert_cardinality(pk, q.cardinality)
+                pk, val = _milp_max_price(family, prices, card, family.structures)
+                assert val == val_bb, (seed, card)
+                assert val == sum((prices[v] for v in pk.covered), F(0))
+                assert_cardinality(pk, card)
                 assert all(pol.allows(s) for s in pk.structures), seed
-                if q.cardinality == CARD_FREE and set(q.node_prices.values()) == {1}:
+                if card == CARD_FREE and set(prices.values()) == {1}:
                     assert len(pk.covered) == len(pk_bb.covered) == val, seed
                 checked += 1
         assert checked >= 24
@@ -447,10 +448,10 @@ class TestMaxPrice:
         routed = []
         milp = oracle._milp_max_price
 
-        def counting(query, columns=None, **kw):
+        def counting(family, prices, cardinality, columns=None):
             if columns is None:
-                routed.append(query)
-            return milp(query, columns, **kw)
+                routed.append(prices)
+            return milp(family, prices, cardinality, columns)
 
         rng = random.Random(59)
         checked = 0
@@ -464,21 +465,20 @@ class TestMaxPrice:
                 continue
             prices = {v: F(rng.randint(-2, 6), rng.choice([1, 2, 3])) for v in inst.pairs}
             card = rng.choice([("free", None), ("atleast", 2)])
-            q = OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card)
             with monkeypatch.context() as m:
                 # room for the cycles the arc model enumerates, none for the chains
                 m.setattr(oracle, "ENUM_CAP", n_cycles)
                 m.setattr(oracle, "_milp_max_price", counting)
                 assert oracle.PackingFamily(inst, pol).structures is None
                 try:
-                    pk, val = max_price_packing(q)
+                    pk, val = max_price_packing(PackingFamily(inst, pol), prices, card)
                 except OracleInfeasible:
                     pk = None
             if pk is None:
                 with pytest.raises(OracleInfeasible):
-                    full.search(q, value_only=False)
+                    full.search(prices, card, value_only=False)
                 continue
-            assert val == full.search(q, value_only=False)[1], trial
+            assert val == full.search(prices, card, value_only=False)[1], trial
             assert val == sum((prices[v] for v in pk.covered), F(0))
             assert_cardinality(pk, card)
             assert all(pol.allows(s) for s in pk.structures), trial
@@ -500,17 +500,15 @@ class TestMaxPrice:
                     den = rng.randint(2, 10**12)
                     prices[v] = F(rng.randint(-den, 5 * den), den)
             for value_only in (False, True):
-                pk, val = max_price_packing(
-                    OracleQuery(instance=inst, policy=pol, node_prices=prices),
-                    value_only=value_only,
-                )
+                pk, val = max_price_packing(PackingFamily(inst, pol), prices, value_only=value_only)
                 assert type(val) is F
                 assert val == brute_best(inst, pol, prices), (trial, value_only)
                 assert val == sum((prices[v] for v in pk.covered), F(0))
 
 
 def pinned_queries():
-    """A fixed set of oracle queries over every search regime.
+    """A fixed set of oracle queries, as (instance, policy, prices,
+    cardinality), over every search regime.
 
     Random graphs with NDDs under cycle-only and bounded-chain policies, and
     generated pools of 10-14 pairs; prices negative, zero and positive with
@@ -533,13 +531,17 @@ def pinned_queries():
             prices = {v: F(rng.randint(0, 2)) for v in pairs}  # many ties
         k = rng.randint(0, 2 * len(pairs) // 3)
         card = rng.choice([("free", None), ("atleast", k), ("exact", k)])
-        out.append(OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card))
+        out.append((inst, pol, prices, card))
     return out
 
 
-def answer_key(query, value_only, **kw):
+def answer_key(query, value_only, family=None):
+    """The answer to `query` on `family`, or on a family built for it alone."""
+    inst, pol, prices, card = query
+    if family is None:
+        family = PackingFamily(inst, pol)
     try:
-        pk, val = max_price_packing(query, value_only=value_only, **kw)
+        pk, val = max_price_packing(family, prices, card, value_only)
     except OracleInfeasible:
         return ("infeasible",)
     return (tuple(sorted(s.sort_key() for s in pk.structures)), str(val))
@@ -572,11 +574,9 @@ class TestPinnedAnswers:
                 prices = {v: F(rng.randint(-2, 6), rng.randint(1, 3)) for v in pairs}
                 k = rng.randint(0, len(pairs) // 2)
                 card = rng.choice([("free", None), ("atleast", k), ("exact", k)])
-                q = OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card)
+                q = (inst, pol, prices, card)
                 value_only = rng.random() < 0.5
-                assert answer_key(q, value_only, family=family) == answer_key(q, value_only)
-        with pytest.raises(ValueError):
-            max_price_packing(OracleQuery(instance=TRIPLE, policy=CYC3), family=family)
+                assert answer_key(q, value_only, family) == answer_key(q, value_only)
 
 
 def dfs_frames(run, module):
@@ -625,10 +625,11 @@ class TestAgainstReferenceSearch:
                 prices = {v: F(rng.randint(-4, 8), rng.randint(1, 5)) for v in pairs}
                 k = rng.randint(max(maxcard - 3, 0), maxcard + 1)
                 card = rng.choice([CARD_FREE, ("atleast", k), ("exact", k)])
-                q = OracleQuery(instance=inst, policy=pol, node_prices=prices, cardinality=card)
                 for value_only in (False, True):
-                    want, _ = dfs_frames(lambda: reference_search(q, value_only), helpers)
-                    got, _ = dfs_frames(lambda: family.search(q, value_only), oracle)
+                    want, _ = dfs_frames(
+                        lambda: reference_search(inst, pol, prices, card, value_only), helpers
+                    )
+                    got, _ = dfs_frames(lambda: family.search(prices, card, value_only), oracle)
                     assert got == want, (trial, card, value_only)
                     infeasible += want == "infeasible"
         assert infeasible > 0
@@ -641,20 +642,23 @@ class TestAgainstReferenceSearch:
         search = oracle.PackingFamily.search
         asked = []
 
-        def recording(family, query, value_only):
-            asked.append((family, query, value_only))
-            return search(family, query, value_only)
+        def recording(family, prices, cardinality, value_only):
+            asked.append((family, prices, cardinality, value_only))
+            return search(family, prices, cardinality, value_only)
 
         monkeypatch.setattr(oracle.PackingFamily, "search", recording)
         reduced, _ = fair.preprocess(gen.generate_instance(gen.GenConfig(n_pairs=15, seed=2)), CYC3)
         delta_star(reduced, CYC3)
         totals = [0, 0]
-        for family, q, value_only in asked:
-            if q.cardinality[0] != "atleast":
+        for family, prices, card, value_only in asked:
+            if card[0] != "atleast":
                 continue
-            got, nodes = dfs_frames(lambda: search(family, q, value_only), oracle)
-            want, ref_nodes = dfs_frames(lambda: reference_search(q, value_only), helpers)
-            assert got == want and nodes <= ref_nodes, (q.cardinality, nodes, ref_nodes)
+            got, nodes = dfs_frames(lambda: search(family, prices, card, value_only), oracle)
+            want, ref_nodes = dfs_frames(
+                lambda: reference_search(family.instance, family.policy, prices, card, value_only),
+                helpers,
+            )
+            assert got == want and nodes <= ref_nodes, (card, nodes, ref_nodes)
             totals[0] += nodes
             totals[1] += ref_nodes
         assert totals[0] < totals[1], totals
@@ -675,8 +679,8 @@ class TestUnitOptimum:
             packing, maxcard = family.maximum()
             for k in range(maxcard + 1):
                 card = ("atleast", k)
-                q = OracleQuery(instance=inst, policy=pol, node_prices=unit(inst), cardinality=card)
-                assert max_price_packing(q, value_only=True)[0] == packing, (trial, k)
+                got = max_price_packing(PackingFamily(inst, pol), unit(inst), card, value_only=True)
+                assert got[0] == packing, (trial, k)
                 assert family.unit_optimum(card) == (packing, maxcard), (trial, k)
             with pytest.raises(OracleInfeasible):
                 family.unit_optimum(("atleast", maxcard + 1))
