@@ -346,9 +346,13 @@ def _cmd_lottery(args) -> int:
     pairs = sorted(instance.pairs)
     q = lottery.marginals(pairs)
     if engine:
-        # one exact pass, no pricing: the objective is the sorted marginal vector
-        objective = eval_leximin([q[v] for v in pairs])
-        report_dict = {"objective": _num(objective), "iterations": 0, "pricing_calls": 0, "gap": 0}
+        # one exact pass, no pricing: the objective is the sorted marginal
+        # vector over the pairs some matching can cover, as preprocessing
+        # keeps them on the column-generation route
+        matchable = {v for e in instance.undirected_edges() for v in e}
+        objective = eval_leximin([q[v] for v in pairs if v in matchable])
+        report_dict = {"objective": _num(objective), "iterations": 0, "pricing_calls": 0,
+                       "gap": _num(Fraction(0))}
     else:
         report_dict = {
             "objective": _num(report.objective),

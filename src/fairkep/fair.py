@@ -16,10 +16,14 @@ Nash's is an exact Fraction.
 - solve_nash: fully-corrective conditional gradient; the linear subproblem is
   a pricing call with node prices 1/q_v, each priced column enters at weight
   0 and SLSQP re-optimizes the whole mixture, and the Frank-Wolfe gap
-  certifies the log-objective within tolerance.
+  certifies the log-objective within tolerance.  The outer loop runs on
+  Python floats: numpy and scipy load in _corrective_step alone, so a solve
+  whose maximin start is already optimal never loads them.
 - solve_gini: Dinkelbach iterations on the mean-absolute-difference ratio.
   The inner LP is column-generated and bounds the absolute differences by
   one variable and sort-order cuts, exact like every other master LP.
+
+Beyond that, only the oracle's HiGHS routes load scipy.
 """
 
 from __future__ import annotations
@@ -27,9 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
-from scipy.optimize import minimize
 
 from .core import (
     EMPTY_PACKING,
@@ -365,15 +366,15 @@ def solve_nash(
             raise Uncoverable("some pair has zero maximin coverage; Nash optimum undefined")
         pairs = master.pairs
         n = len(pairs)
-        w = np.array([float(x) for x in weights], dtype=float)
-        A = _indicator_matrix(master, pairs)
+        w = [float(x) for x in weights]
         best_gap = float("inf")
         stalls = 0
         outer = 0
         for outer in range(1, 501):
-            q = A @ w
-            grad = 1.0 / np.clip(q, 1e-15, None)
-            prices = {v: grad[i] for i, v in enumerate(pairs)}
+            prices = {}
+            for v in pairs:
+                q = sum(wj for wj, cov in zip(w, master.covered) if v in cov)
+                prices[v] = 1.0 / max(q, 1e-15)
             packing, val = master.price(prices)
             gap = max(0.0, float(val) - n)
             best_gap = min(best_gap, gap)
@@ -385,10 +386,8 @@ def solve_nash(
                         f"Nash gap stalled at {best_gap:.3g} above tolerance {tol:g}", best_gap
                     )
                 stalls += 1
-            if len(master.columns) > len(w):
-                A = _indicator_matrix(master, pairs)
-                w = np.append(w, np.zeros(len(master.columns) - len(w)))
-            w = _corrective_step(A, w)
+            w += [0.0] * (len(master.columns) - len(w))
+            w = _corrective_step(master, w)
         else:
             raise StalledBelowTolerance(
                 f"Nash gap {best_gap:.3g} above tolerance {tol:g} after {outer} iterations",
@@ -399,17 +398,13 @@ def solve_nash(
     return _solve(instance, policy, eval_nash, run, empty=Fraction(1))
 
 
-def _indicator_matrix(master: RestrictedMaster, pairs: list[int]) -> np.ndarray:
-    A = np.zeros((len(pairs), len(master.columns)))
-    for j, cov in enumerate(master.covered):
-        for i, v in enumerate(pairs):
-            if v in cov:
-                A[i, j] = 1.0
-    return A
+def _corrective_step(master: RestrictedMaster, w0: list[float]) -> list[float]:
+    """Re-optimize sum(log q) over the simplex of the master's columns."""
+    import numpy as np
+    from scipy.optimize import minimize
 
-
-def _corrective_step(A: np.ndarray, w0: np.ndarray) -> np.ndarray:
-    """Re-optimize sum(log q) over the simplex of current columns."""
+    A = np.array([[1.0 if v in cov else 0.0 for cov in master.covered] for v in master.pairs])
+    x0 = np.array(w0)
     k = len(w0)
 
     def fun(w):
@@ -422,16 +417,16 @@ def _corrective_step(A: np.ndarray, w0: np.ndarray) -> np.ndarray:
 
     res = minimize(
         fun,
-        w0,
+        x0,
         jac=jac,
         bounds=[(0.0, 1.0)] * k,
         constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0, "jac": lambda w: np.ones(k)}],
         method="SLSQP",
         options={"maxiter": 300, "ftol": 1e-14},
     )
-    w = np.clip(res.x if res.success or res.fun <= fun(w0) else w0, 0.0, None)
+    w = np.clip(res.x if res.success or res.fun <= fun(x0) else x0, 0.0, None)
     total = w.sum()
-    return w / total if total > 0 else w0
+    return (w / total).tolist() if total > 0 else w0
 
 
 def solve_gini(

@@ -6,7 +6,9 @@ edges of a bipartite graph (edges lying in some maximum-weight perfect
 matching) from one optimal matching, its exact dual potentials and one
 strongly-connected-components pass over the tight edges. Weighted matching
 runs networkx on integer weights (the exact weights scaled by the lcm of their
-denominators), so its dual arithmetic stays exact.
+denominators), so its dual arithmetic stays exact. networkx loads inside
+max_weight_matching and bipartite_admissible_subgraph, on their first call;
+the blossom and Gallai-Edmonds kernels never load it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional
-
-import networkx as nx
 
 from .core import FairkepError
 # perfbench/tracing.py looks this name up on the module
@@ -283,17 +283,14 @@ def _int_weights(graph: UGraph, weights: Mapping[Edge, Fraction]) -> dict[Edge, 
     return {e: f.numerator * (scale // f.denominator) for e, f in exact.items()}
 
 
-def _nx_graph(graph: UGraph, weights: Mapping[Edge, Fraction]) -> "nx.Graph":
-    g = nx.Graph()
-    g.add_nodes_from(graph.vertices)
-    g.add_edges_from((u, v, {"weight": w}) for (u, v), w in _int_weights(graph, weights).items())
-    return g
-
-
 def max_weight_matching(
     graph: UGraph, weights: Mapping[Edge, Fraction], maxcardinality: bool = False
 ) -> set[Edge]:
-    g = _nx_graph(graph, weights)
+    import networkx as nx
+
+    g = nx.Graph()
+    g.add_nodes_from(graph.vertices)
+    g.add_edges_from((u, v, {"weight": w}) for (u, v), w in _int_weights(graph, weights).items())
     m = nx.max_weight_matching(g, maxcardinality=maxcardinality)
     return {norm_edge(u, v) for (u, v) in m}
 
@@ -355,6 +352,8 @@ def bipartite_admissible_subgraph(
     M-alternating cycle (Dulmage-Mendelsohn), that is iff l and M(r) share a
     strongly connected component of the tight arcs.
     """
+    import networkx as nx
+
     left, _ = bipartition(graph)  # raises NotBipartite
     w = _int_weights(graph, weights)
     m = max_weight_matching(graph, w, maxcardinality=True)

@@ -331,10 +331,10 @@ def run_simulation(batches: Sequence[KepInstance], config: SimConfig) -> tuple[S
 
 def jeffreys_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
     """Jeffreys equal-tailed interval for a binomial proportion."""
-    from scipy.stats import beta
-
     if trials <= 0:
         raise ValueError("trials must be positive")
+    from scipy.stats import beta
+
     tail = (1 - confidence) / 2
     lo = 0.0 if successes == 0 else float(beta.ppf(tail, successes + 0.5, trials - successes + 0.5))
     hi = 1.0 if successes == trials else float(beta.isf(tail, successes + 0.5, trials - successes + 0.5))

@@ -232,8 +232,26 @@ class TestLottery:
         argv = ["lottery", files["instance"], "--policy", "match", *(a.format(**files) for a in argv)]
         assert run([*argv, "-o", str(out)]) == EXIT_OK
         rep = json.loads(out.read_text())
-        assert rep["objective"] == sorted(rep["marginals"].values(), key=F)
-        assert (rep["iterations"], rep["pricing_calls"], rep["gap"]) == (0, 0, 0)
+        # the objective covers the pairs on a mutual-compatibility edge, the
+        # ones column generation keeps after preprocessing
+        matchable = {str(v) for e in io.read_instance(files["instance"]).undirected_edges() for v in e}
+        want = sorted((q for v, q in rep["marginals"].items() if v in matchable), key=F)
+        assert rep["objective"] == want
+        assert (rep["iterations"], rep["pricing_calls"], rep["gap"]) == (0, 0, "0")
+
+    def test_matching_engine_reports_like_column_generation(self, tmp_path):
+        # ν = 3 on this pool, so --mu 3 asks the matching engine for the
+        # lottery that column generation finds at δ* = 0
+        inst = self.weighted_pool(tmp_path)["instance"]
+        reports = []
+        for extra in ([], ["--mu", "3"]):
+            out = tmp_path / "lot.json"
+            assert run(["lottery", inst, "--policy", "match", *extra, "-o", str(out)]) == EXIT_OK
+            reports.append(json.loads(out.read_text()))
+        cg, engine = reports
+        assert len(engine["objective"]) == 8
+        for key in ("objective", "gap", "marginals"):
+            assert engine[key] == cg[key], key
 
 
 class TestSolveAndStats:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,3 +236,37 @@ def test_library_imports_only_what_it_uses():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, unused
+
+
+ROUTES_WITHOUT_THIRD_PARTY = """
+import sys
+from fractions import Fraction as F
+import fairkep.cli
+from fairkep import fair, gen, lorenz, sim
+from fairkep.core import KepInstance, StructurePolicy
+cyc3 = StructurePolicy(max_cycle_len=3)
+batches = gen.generate_batches(gen.GenConfig(n_pairs=6, n_ndds=1, seed=5), 3)
+sim.run_simulation(batches, sim.SimConfig(policy=cyc3))
+pool, _ = fair.preprocess(gen.generate_instance(gen.GenConfig(n_pairs=14, seed=47)), cyc3)
+assert len(pool.pairs) <= 18
+fair.solve_leximin(pool, cyc3)
+# on a triangle of 2-cycles the maximin lottery (1/3 on each edge) is Nash-optimal
+triangle = KepInstance(pairs=frozenset({1, 2, 3}), ndds=frozenset(),
+                       arcs={(u, v): F(1) for u in (1, 2, 3) for v in (1, 2, 3) if u != v})
+assert fair.solve_nash(triangle, StructurePolicy(max_cycle_len=2)).iterations == 1
+lorenz.leximin_matching_lottery(gen.generate_instance(gen.GenConfig(n_pairs=30, seed=3)))
+print(sorted(m for m in ("numpy", "scipy", "networkx") if m in sys.modules))
+"""
+
+
+def test_routes_load_no_third_party_module():
+    # numpy, scipy and networkx load inside the functions that use them; the
+    # simulator, small exact leximin, a Nash solve with no corrective step and
+    # an unweighted Lorenz lottery reach none of them, so none is loaded
+    src = str(Path(fairkep.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", ROUTES_WITHOUT_THIRD_PARTY],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -496,3 +496,22 @@ class TestPinnedMarginals:
             exact = solve_leximin(inst, pol).marginals
             h.update(repr(sorted(exact.items())).encode())
         assert h.hexdigest() == self.PINNED
+
+    # (float objective, iterations, gap, support size) of solve_nash at delta*
+    # on preprocessed 14-pair cyc3 pools; each solve takes 2 corrective steps
+    NASH_PINNED = {
+        47: (0.09329324442896418, 3, 8.30446911237459e-08, 7),
+        38: (0.0009765624999999985, 3, 1.5503991868115463e-07, 4),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(NASH_PINNED))
+    def test_nash_corrective_steps_unchanged(self, seed, monkeypatch):
+        steps = []
+        step = fair._corrective_step
+        monkeypatch.setattr(fair, "_corrective_step", lambda *a: steps.append(1) or step(*a))
+        inst, _ = fair.preprocess(gen.generate_instance(gen.GenConfig(n_pairs=14, seed=seed)), CYC3)
+        pol = replace(CYC3, cardinality_mode="delta", delta=delta_star(inst, CYC3))
+        r = solve_nash(inst, pol)
+        got = (float(r.objective), r.iterations, r.gap, len(r.lottery.support))
+        assert got == self.NASH_PINNED[seed]
+        assert len(steps) == 2
