@@ -56,29 +56,29 @@ def parse_policy(spec: str, delta: Optional[int] = None, mu: Optional[int] = Non
     `solve` branches refuse `--prices`, `--delta` and `--mu`.
     """
     name = spec.strip()
-    if name in ("match", "matching"):
-        policy = StructurePolicy(max_cycle_len=2)
-    elif name == "cyc3":
-        policy = StructurePolicy(max_cycle_len=3)
-    elif name == "cyc3chain" or name.startswith("cyc3chain:"):
-        length: float = UNBOUNDED
-        if ":" in name:
-            tail = name.split(":", 1)[1]
-            if tail not in ("inf", "unbounded", "∞"):
-                try:
-                    length = int(tail)
-                except ValueError:
-                    raise UsageError(f"bad chain length {tail!r} in --policy {spec!r}")
-        policy = StructurePolicy(max_cycle_len=3, max_chain_len=length)
-    elif name == "2path":
-        policy = paths.TWO_PATH
-    elif name == "2cyc2path":
-        policy = paths.TWO_CYCLE_TWO_PATH
-    else:
-        raise UsageError(f"unknown policy {spec!r} (expected {POLICY_NAMES})")
-    if delta is not None and mu is not None:
-        raise UsageError("--delta and --mu are mutually exclusive")
     try:
+        if name in ("match", "matching"):
+            policy = StructurePolicy(max_cycle_len=2)
+        elif name == "cyc3":
+            policy = StructurePolicy(max_cycle_len=3)
+        elif name == "cyc3chain" or name.startswith("cyc3chain:"):
+            length: float = UNBOUNDED
+            if ":" in name:
+                tail = name.split(":", 1)[1]
+                if tail not in ("inf", "unbounded", "∞"):
+                    try:
+                        length = int(tail)
+                    except ValueError:
+                        raise UsageError(f"bad chain length {tail!r} in --policy {spec!r}")
+            policy = StructurePolicy(max_cycle_len=3, max_chain_len=length)
+        elif name == "2path":
+            policy = paths.TWO_PATH
+        elif name == "2cyc2path":
+            policy = paths.TWO_CYCLE_TWO_PATH
+        else:
+            raise UsageError(f"unknown policy {spec!r} (expected {POLICY_NAMES})")
+        if delta is not None and mu is not None:
+            raise UsageError("--delta and --mu are mutually exclusive")
         if delta is not None:
             policy = replace(policy, cardinality_mode="delta", delta=delta)
         if mu is not None:
@@ -215,21 +215,17 @@ def load_gen_config(n_pairs: int, n_ndds: int, seed: int, dist_path: Optional[st
 
 
 def export_coverage_distribution(entries: Iterable[tuple], out: TextIO) -> None:
-    """CSV of sorted inclusion probabilities with Jeffreys 95% CI columns.
+    """CSV of sorted inclusion frequencies with Jeffreys 95% CI columns.
 
-    Each entry is (label, (counts_by_pair, n_runs)) of empirical inclusion
-    counts.  Rows are sorted nondecreasing within each label block.
+    Each entry is (label, frequencies, intervals): the nondecreasing
+    empirical inclusion frequencies of one algorithm and the (lo, hi)
+    interval of each, as `sim.CompareResult` holds them.
     """
     writer = csv.writer(out)
     writer.writerow(["rank", "q", "ci_lo", "ci_hi", "algorithm"])
     wrote = False
-    for label, (counts, n_runs) in entries:
-        rows = []
-        for v in sorted(counts):
-            lo, hi = sim.jeffreys_interval(counts[v], n_runs)
-            rows.append((counts[v] / n_runs, lo, hi))
-        rows.sort()
-        for rank, (q_hat, lo, hi) in enumerate(rows):
+    for label, freqs, intervals in entries:
+        for rank, (q_hat, (lo, hi)) in enumerate(zip(freqs, intervals)):
             writer.writerow([rank, f"{q_hat:.10g}", f"{lo:.10g}", f"{hi:.10g}", label])
             wrote = True
     if not wrote:
@@ -242,14 +238,17 @@ def export_coverage_distribution(entries: Iterable[tuple], out: TextIO) -> None:
 
 def _cmd_generate(args) -> int:
     config = load_gen_config(args.pairs, args.ndds, args.seed, args.dist)
-    if args.batches is None:
-        io.write_instance(gen.generate_instance(config), args.output or "instance.json")
-        return EXIT_OK
-    batches = gen.generate_batches(config, args.batches)
-    outdir = Path(args.output or "batches")
-    outdir.mkdir(parents=True, exist_ok=True)
-    for i, inst in enumerate(batches):
-        io.write_instance(inst, outdir / f"batch_{i:03d}.json")
+    try:
+        if args.batches is None:
+            io.write_instance(gen.generate_instance(config), args.output or "instance.json")
+            return EXIT_OK
+        batches = gen.generate_batches(config, args.batches)
+        outdir = Path(args.output or "batches")
+        outdir.mkdir(parents=True, exist_ok=True)
+        for i, inst in enumerate(batches):
+            io.write_instance(inst, outdir / f"batch_{i:03d}.json")
+    except OSError as exc:
+        raise UsageError(f"cannot write the output: {exc}")
     return EXIT_OK
 
 
@@ -375,18 +374,8 @@ def _cmd_sample(args) -> int:
     except (io.ParseError, ValueError) as exc:
         raise UsageError(f"bad lottery file {args.lottery}: {exc}")
     rng = random.Random(args.seed)
-    support = lottery.merged().support
-    draws = []
-    for _ in range(args.n):
-        x = rng.random()
-        acc = Fraction(0)
-        chosen = support[-1][0]
-        for packing, p in support:
-            acc += p
-            if x < acc:
-                chosen = packing
-                break
-        draws.append(_packing_dict(chosen))
+    lottery = lottery.merged()
+    draws = [_packing_dict(lottery.draw(rng.random())) for _ in range(args.n)]
     _emit({"seed": args.seed, "draws": draws}, args.output)
     return EXIT_OK
 
@@ -466,13 +455,11 @@ def _cmd_compare(args) -> int:
         result = sim.compare_heuristics(instance, args.runs, seed=args.seed, policy=policy)
     except ValueError as exc:  # too few --runs
         raise UsageError(str(exc))
-    counts_a = {i: round(f * args.runs) for i, f in enumerate(result.sorted_ilp_shuffle)}
-    counts_b = {i: round(f * args.runs) for i, f in enumerate(result.sorted_node_shuffle)}
     stream = _out_stream(args.output)
     export_coverage_distribution(
         [
-            (sim.HEURISTIC_ILP_SHUFFLE, (counts_a, args.runs)),
-            (sim.HEURISTIC_NODE_SHUFFLE, (counts_b, args.runs)),
+            (sim.HEURISTIC_ILP_SHUFFLE, result.sorted_ilp_shuffle, result.ci_ilp_shuffle),
+            (sim.HEURISTIC_NODE_SHUFFLE, result.sorted_node_shuffle, result.ci_node_shuffle),
         ],
         stream,
     )
@@ -512,10 +499,11 @@ def _cmd_fixtures(args) -> int:
             raise UsageError("fixtures 3dm requires --size and --triples 'x,y,z;x,y,z;...'")
         triples = []
         for part in args.triples.split(";"):
-            xs = [int(t) for t in part.split(",")]
-            if len(xs) != 3:
+            try:
+                x, y, z = (int(t) for t in part.split(","))
+            except ValueError:
                 raise UsageError(f"bad triple {part!r}")
-            triples.append((xs[0], xs[1], xs[2]))
+            triples.append((x, y, z))
         instance = paths.build_3dm_gadget(triples, args.size)
     io.write_instance(instance, args.output or f"{args.name}.json")
     return EXIT_OK
@@ -523,6 +511,24 @@ def _cmd_fixtures(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _checked(cast, ok, what: str):
+    """An argparse type: cast the flag's text, refusing a value that fails ok."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_positive_float = _checked(float, lambda x: x > 0, "a positive number")
+_positive_int = _checked(int, lambda x: x > 0, "a positive integer")
+_nonnegative_int = _checked(int, lambda x: x >= 0, "a non-negative integer")
 
 
 def _add_common(sub, seed: bool = False, policy: bool = False) -> None:
@@ -547,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--ndds", type=int, default=0)
     p.add_argument("--dist", default=None, help="JSON distribution file")
-    p.add_argument("--batches", type=int, default=None, help="write N batch files instead of one instance")
+    p.add_argument("--batches", type=_positive_int, default=None, help="write N batch files instead of one instance")
     p.set_defaults(func=_cmd_generate)
 
     p = subs.add_parser("solve", help="one optimal packing under a policy")
@@ -558,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("lottery", help="fair lottery over acceptable packings")
     _add_common(p, policy=True)
-    p.add_argument("--tol", type=float, default=1e-6, help="nash/gini convergence tolerance")
+    p.add_argument("--tol", type=_positive_float, default=1e-6, help="nash/gini convergence tolerance")
     p.add_argument(
         "--objective",
         choices=("utilitarian", "maximin", "leximin", "nash", "gini"),
@@ -571,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sample", help="draw packings from a lottery file")
     _add_common(p, seed=True)
-    p.add_argument("-n", type=int, default=1)
+    p.add_argument("-n", type=_nonnegative_int, default=1)
     p.add_argument("lottery")
     p.set_defaults(func=_cmd_sample)
 
@@ -604,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("fixtures", help="write benchmark fixture instances")
     _add_common(p)
     p.add_argument("name", choices=("fig1a", "fig1b", "3dm"))
-    p.add_argument("--size", type=int, default=None)
+    p.add_argument("--size", type=_positive_int, default=None)
     p.add_argument("--triples", default=None, help="'x,y,z;x,y,z;...'")
     p.set_defaults(func=_cmd_fixtures)
 

@@ -161,8 +161,9 @@ class StructurePolicy:
 
     max_cycle_len / max_chain_len of None disallow the structure kind entirely;
     max_chain_len may be UNBOUNDED. cardinality_mode is one of "max",
-    "delta" (coverage at least max - delta) or "fixed" (matching-only, exactly mu
-    edges).
+    "delta" (coverage at least max - delta) or "fixed" (exactly 2·mu covered
+    pairs under any policy: mu edges of a matching, or for example
+    `lottery --policy cyc3 --mu k` over cyc3 packings covering 2k pairs).
     """
 
     max_cycle_len: Optional[int] = 2
@@ -246,6 +247,16 @@ class Lottery:
                 if v in q:
                     q[v] += p
         return q
+
+    def draw(self, x) -> Packing:
+        """The first packing whose running total exceeds x, compared exactly
+        (the last past 1): a uniform x in [0, 1) draws each by its probability."""
+        acc = Fraction(0)
+        for packing, p in self.support:
+            acc += p
+            if x < acc:
+                return packing
+        return self.support[-1][0]
 
     def merged(self) -> "Lottery":
         """Sum probabilities of duplicate packings and drop zero entries."""

@@ -456,10 +456,9 @@ def solve_gini(
             if D >= -tol_val:
                 break
             weights = p_star
-            denom = 2 * len(master.pairs) * sum(q_star)
-            if not denom > 0:
+            if not sum(q_star) > 0:
                 raise FairkepError("Gini inner optimum covers no pair")
-            mu_next = _abs_diff_sum(q_star) / denom
+            mu_next = eval_gini(q_star)
             if not mu_next < mu:
                 raise FairkepError(f"Gini ratio must decrease: {mu_next} after {mu}")
             mu = mu_next
@@ -470,18 +469,13 @@ def solve_gini(
     return _solve(instance, policy, eval_gini, run, empty=Fraction(0))
 
 
-def _abs_diff_sum(q: Sequence) -> object:
-    s = sorted(q)
-    n = len(s)
-    return 2 * sum((2 * i - n + 1) * x for i, x in enumerate(s))
-
-
 def _gini_inner(master: RestrictedMaster, mu, cuts: dict):
     """min T - mu*2n*sum(q) over the marginal polytope, via pricing.
 
     The LP's variables are the column weights p, whose marginals are q, and
-    T >= 0, which stands for _abs_diff_sum(q): the maximum over orderings pi
-    of 2 * sum_i (2i - n + 1) q_pi(i), reached at the ascending order of q.
+    T >= 0, which stands for sum over ordered pairs |q_u - q_v| (eval_gini's
+    numerator): the maximum over orderings pi of 2 * sum_i (2i - n + 1)
+    q_pi(i), reached at the ascending order of q.
     cuts maps each ordering separated so far in the solve to its
     coefficients over q, and the LP holds T >= those coefficients times q for
     each.  Every LP is re-solved until the ascending order of its own q*

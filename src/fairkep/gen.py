@@ -154,14 +154,13 @@ def generate_instance(config: GenConfig) -> KepInstance:
     )
 
 
-def generate_batches(config: GenConfig, n_batches: int, seed: int | None = None) -> list[KepInstance]:
-    """n_batches independent instances; batch i uses sub-seed (seed xor i).
+def generate_batches(config: GenConfig, n_batches: int) -> list[KepInstance]:
+    """n_batches independent instances; batch i uses sub-seed (config.seed xor i).
 
     Batch i's config is a copy of config with its seed set, so all of them
     share one validation and one set of draw tables.
     """
-    base = config.seed if seed is None else seed
     batches = [copy.copy(config) for _ in range(n_batches)]
     for i, batch in enumerate(batches):
-        object.__setattr__(batch, "seed", base ^ i)
+        object.__setattr__(batch, "seed", config.seed ^ i)
     return [generate_instance(batch) for batch in batches]

@@ -184,13 +184,16 @@ def lottery_from_dict(data: dict) -> Lottery:
     return Lottery(tuple(support))
 
 
-def read_instance(path) -> KepInstance:
+def _read_json(path) -> Any:
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: {e}") from None
-    return instance_from_dict(data)
+
+
+def read_instance(path) -> KepInstance:
+    return instance_from_dict(_read_json(path))
 
 
 def write_instance(instance: KepInstance, path) -> None:
@@ -198,12 +201,7 @@ def write_instance(instance: KepInstance, path) -> None:
 
 
 def read_lottery(path) -> Lottery:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: {e}") from None
-    return lottery_from_dict(data)
+    return lottery_from_dict(_read_json(path))
 
 
 def write_lottery(lottery: Lottery, path) -> None:

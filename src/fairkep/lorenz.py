@@ -1,10 +1,11 @@
 """Lorenz-dominant (leximin) lotteries over maximum-cardinality matchings.
 
-One frame runs both solvers, unweighted and edge-weighted: Gallai-Edmonds
-decomposition, contraction of its factor-critical components into
-pseudonodes (none when the graph has a perfect matching), one cache of the
-matchings inside them, exact per-block coverage levels λ (parametric
-min-cut), one feasible circulation fixing edge-inclusion probabilities, a
+One frame, leximin_lottery_graph, runs both solvers, unweighted and
+edge-weighted: Gallai-Edmonds decomposition, contraction of its
+factor-critical components into pseudonodes (none when the graph has a
+perfect matching), one cache of the matchings inside them, exact per-block
+coverage levels λ (Dinkelbach iteration, a fresh max flow and min cut per
+trial λ), one feasible circulation fixing edge-inclusion probabilities, a
 Birkhoff-von Neumann decomposition of that matrix by repairing one matching
 from step to step, expansion into full matchings, an exact Carathéodory
 elimination (simplexlp.caratheodory) and a check of the marginals. Weights
@@ -203,7 +204,9 @@ def lambda_star(
     than by enumerating neighborhood classes, because the minimizing set need
     not share a single neighborhood. Each trial λ costs one max flow; the min
     cut of the last trial is the block, so it is not solved again. At λ = 1
-    the block is everything left.
+    the block is everything left. The first trial, at λ = 1, checks Hall's
+    condition for the must-match pseudonodes, whose demand is 1 at every λ:
+    a set of them that fails it stalls the ratio, and this raises.
     """
     if rem_left is None:
         rem_left = frozenset(cb.left)
@@ -214,7 +217,6 @@ def lambda_star(
     for (u, pid) in cb.edges:
         if pid in neigh and u in rem_left:
             neigh[pid].add(u)
-    optionals = [p for p in pseudos if not p.must_match]
 
     def peel(left: frozenset[int], pids: frozenset[int], lam: Fraction) -> tuple[Fraction, Peel]:
         musts = frozenset(pid for pid in pids if cb.pseudo(pid).must_match)
@@ -244,11 +246,6 @@ def lambda_star(
         can_reach = net.reaches_sink(snk)
         return flow - total, frozenset(pid for pid in positive if ("z", pid) not in can_reach)
 
-    if not optionals:
-        # λ is 1 once Hall's condition holds for the must-match pseudonodes
-        if tight_set(ONE)[0] < 0:
-            raise FairkepError("must-match pseudonodes unmatchable")
-        return peel(rem_left, rem_pids, ONE)
     lam = ONE
     while True:
         h, S = tight_set(lam)
@@ -267,7 +264,7 @@ def lambda_star(
     S_A = frozenset().union(*(neigh[pid] for pid in S)) if S else frozenset()
     extra = {
         p.pid
-        for p in optionals
+        for p in pseudos
         if p.pid not in S and _demand(p, lam) == 0
         and lam == Fraction(p.sigma - 1, p.sigma) and neigh[p.pid] <= S_A
     }
@@ -670,10 +667,15 @@ def _admissible(cb: ContractedBipartite, internals: _Internals) -> ContractedBip
     )
 
 
-def _solve(graph: UGraph, weights: Optional[Mapping[Edge, Fraction]]) -> LeximinSolution:
-    """The frame of both solvers: Gallai-Edmonds, the contraction, one inner
-    matching cache, with weights the admissible restriction, then the engine.
+def leximin_lottery_graph(
+    graph: UGraph, weights: Optional[Mapping[Edge, Fraction]] = None
+) -> LeximinSolution:
+    """Leximin (Lorenz-dominant) lottery over maximum-cardinality matchings,
+    with edge weights over the maximum-weight ones (an edge missing from
+    weights weighs 0).
 
+    The frame of both solvers: Gallai-Edmonds, the contraction, one inner
+    matching cache, with weights the admissible restriction, then the engine.
     A graph with a perfect matching has D = ∅: no pseudonodes, so no peels,
     the decomposition [({}, 1)] and the support [(pm(C), 1)].
     """
@@ -683,19 +685,6 @@ def _solve(graph: UGraph, weights: Optional[Mapping[Edge, Fraction]]) -> Leximin
     if weights is not None:
         cb = _admissible(cb, internals)
     return _solve_engine(graph, cb, internals, frozenset(ge.C))
-
-
-def leximin_lottery_graph(graph: UGraph) -> LeximinSolution:
-    """Leximin (Lorenz-dominant) lottery over maximum-cardinality matchings."""
-    return _solve(graph, None)
-
-
-def edge_weight_solution(graph: UGraph, weights: Mapping[Edge, Fraction]) -> LeximinSolution:
-    """Leximin lottery over maximum-weight maximum-cardinality matchings.
-
-    An edge missing from weights weighs 0.
-    """
-    return _solve(graph, weights)
 
 
 def sample_matching(solution: LeximinSolution, seed: int) -> frozenset[Edge]:
@@ -767,7 +756,7 @@ def node_weight_leximin(
     w = {v: Fraction(node_weights.get(v, 0)) for v in instance.pairs}
     graph = _undirected_projection(instance)
     derived = {e: w[e[0]] + w[e[1]] for e in graph.edges}
-    sol = edge_weight_solution(graph, derived)
+    sol = leximin_lottery_graph(graph, derived)
     return _support_to_lottery(sol.support)
 
 
@@ -778,7 +767,7 @@ def edge_weight_reduction(
 
     Without edge_weights an edge weighs the sum of its two arc weights.
     """
-    sol = edge_weight_solution(_undirected_projection(instance), _edge_weights(instance, edge_weights))
+    sol = leximin_lottery_graph(_undirected_projection(instance), _edge_weights(instance, edge_weights))
     return _support_to_lottery(sol.support)
 
 

@@ -241,9 +241,11 @@ class PackingFamily:
     `StructureRows.permuted`.  They are the bit tables, and a row's index is
     its tie-break rank (its `sort_key` rank when enumerated).  `structures` is
     the `StructureRows` view, which builds an object only for a row that is
-    read.  It is None for a family too large to enumerate (the
+    read.  It is None for a chain family too large to enumerate (the
     `ExplosionGuard` trips, or unbounded chains on more than 2000 arcs); its
-    queries go to the MILP with chain-arc flows.  `maximum()` solves the
+    queries go to the MILP with chain-arc flows.  A chain-free family past
+    `ENUM_CAP` has no such model: reading `structures` raises the
+    `ExplosionGuard`, at every query.  `maximum()` solves the
     unit-price query once.
 
     The family is how a caller names its pool to the oracle: every query is
@@ -270,10 +272,10 @@ class PackingFamily:
     def structures(self) -> Optional[StructureRows]:
         if not self._built:
             self._build()
+            self._built = True
         return self._structs
 
     def _build(self) -> None:
-        self._built = True
         self._structs = None
         inst, policy = self.instance, self.policy
         self.pairs = sorted(inst.pairs)
@@ -286,6 +288,9 @@ class PackingFamily:
             try:
                 rows = enumerate_structures(inst, policy)
             except ExplosionGuard:
+                # only a chain family has a smaller model: chain-arc flows
+                if policy.max_chain_len is None:
+                    raise
                 return
         self._structs = rows
         self.members, self.masks = rows.members, rows.masks
@@ -436,7 +441,8 @@ def _milp_max_price(
     Every pair is covered at most once, every NDD roots at most one chain,
     and a cardinality constraint counts the covered pairs.  Given `columns`,
     the model is a plain set packing over them, with no arc or position
-    variables.  Without them the columns are the policy's cycle rows, or
+    variables.  Without them, which only a chain family too large to
+    enumerate asks, the columns are the policy's cycle rows, or
     none under unbounded chains, whose arcs carry the cycles too, and the
     policy's chains are arc flows: a binary per arc into a pair, flow
     conservation at each pair, and either position (MTZ-style) variables
@@ -453,7 +459,7 @@ def _milp_max_price(
     from scipy.sparse import coo_matrix
 
     inst, policy = family.instance, family.policy
-    chains = columns is None and policy.max_chain_len is not None
+    chains = columns is None
     if chains and policy.min_chain_len > 1:
         raise ExplosionGuard("chain-arc flows do not support min_chain_len > 1")
     # Bounded chain lengths use position variables; unbounded ones drop them
@@ -607,9 +613,10 @@ def max_price_packing(
     smallest structure ids.  `value_only` skips the tie-break layers,
     returning the first optimal packing found; with integer prices on more
     than `BB_MAX_PAIRS` pairs `_milp_max_price` answers it as a set packing
-    over the family's rows.  Families that trip the `ExplosionGuard`, or
-    unbounded chains on more than 2000 arcs, go to the same MILP with cycle
-    columns and chain-arc flows.  A caller that asks many queries of one pool
+    over the family's rows.  Chain families that trip the `ExplosionGuard`,
+    or unbounded chains on more than 2000 arcs, go to the same MILP with
+    cycle columns and chain-arc flows; chain-free families past `ENUM_CAP`
+    raise the `ExplosionGuard`.  A caller that asks many queries of one pool
     passes the same family to each; no family outlives the call that built
     it.  The search itself, with its incrementally carried bound, is
     `PackingFamily.search`.  Prices in, one best packing out: no solver state

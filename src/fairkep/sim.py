@@ -223,14 +223,7 @@ def _solve_period(pool: _Pool, config: SimConfig, period: int, rng: random.Rando
     wait_prices, arrival = pool.wait_prices, pool.arrival
     prices = {v: wait_prices[period - arrival[v]] for v in sorted(inst.pairs)}
     if config.algorithm == LEXIMIN:
-        report = solve_leximin(inst, config.policy)
-        x = rng.random()
-        acc = Fraction(0)
-        for packing, p in report.lottery.support:
-            acc += p
-            if x < float(acc):
-                return packing
-        return report.lottery.support[-1][0]
+        return solve_leximin(inst, config.policy).lottery.draw(rng.random())
     if config.algorithm == IMPLICIT:
         packing, _ = max_price_packing(PackingFamily(inst, config.policy), prices)
         return packing
@@ -329,13 +322,13 @@ def run_simulation(batches: Sequence[KepInstance], config: SimConfig) -> tuple[S
 # heuristic-implementation comparison
 
 
-def jeffreys_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Jeffreys equal-tailed interval for a binomial proportion."""
+def jeffreys_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Jeffreys equal-tailed 95% interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     from scipy.stats import beta
 
-    tail = (1 - confidence) / 2
+    tail = (1 - 0.95) / 2
     lo = 0.0 if successes == 0 else float(beta.ppf(tail, successes + 0.5, trials - successes + 0.5))
     hi = 1.0 if successes == trials else float(beta.isf(tail, successes + 0.5, trials - successes + 0.5))
     return lo, hi
@@ -379,21 +372,17 @@ def compare_heuristics(instance: KepInstance, n_runs: int, seed: int = 0,
             for v in pairs:
                 if remap[v] in covered:
                     counts[alg][v] += 1
-    freq = {
-        alg: sorted(counts[alg][v] / n_runs for v in pairs)
-        for alg in (HEURISTIC_ILP_SHUFFLE, HEURISTIC_NODE_SHUFFLE)
-    }
-    count_sorted = {
-        alg: sorted(counts[alg][v] for v in pairs)
-        for alg in (HEURISTIC_ILP_SHUFFLE, HEURISTIC_NODE_SHUFFLE)
-    }
+    # frequencies rise with counts, so both sort in one order
+    ranked = {alg: sorted(c.values()) for alg, c in counts.items()}
+    freq = {alg: tuple(x / n_runs for x in xs) for alg, xs in ranked.items()}
+    ci = {alg: tuple(jeffreys_interval(x, n_runs) for x in xs) for alg, xs in ranked.items()}
     diff = tuple(a - b for a, b in zip(freq[HEURISTIC_ILP_SHUFFLE], freq[HEURISTIC_NODE_SHUFFLE]))
     return CompareResult(
-        sorted_ilp_shuffle=tuple(freq[HEURISTIC_ILP_SHUFFLE]),
-        sorted_node_shuffle=tuple(freq[HEURISTIC_NODE_SHUFFLE]),
+        sorted_ilp_shuffle=freq[HEURISTIC_ILP_SHUFFLE],
+        sorted_node_shuffle=freq[HEURISTIC_NODE_SHUFFLE],
         difference=diff,
-        ci_ilp_shuffle=tuple(jeffreys_interval(x, n_runs) for x in count_sorted[HEURISTIC_ILP_SHUFFLE]),
-        ci_node_shuffle=tuple(jeffreys_interval(x, n_runs) for x in count_sorted[HEURISTIC_NODE_SHUFFLE]),
+        ci_ilp_shuffle=ci[HEURISTIC_ILP_SHUFFLE],
+        ci_node_shuffle=ci[HEURISTIC_NODE_SHUFFLE],
         max_abs_difference=max((abs(d) for d in diff), default=0.0),
         integral=sum(abs(d) for d in diff) / len(diff) if diff else 0.0,
     )

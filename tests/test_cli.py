@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairkep import io
+from fairkep import io, sim
 from fairkep.cli import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -427,6 +427,8 @@ class TestGenerateSimulateCompare:
         assert algs == {"heuristic-ilp-shuffle", "heuristic-node-shuffle"}
         for r in rows[1:]:
             assert float(r[2]) <= float(r[1]) <= float(r[3])
+            lo, hi = sim.jeffreys_interval(round(float(r[1]) * 30), 30)
+            assert [r[2], r[3]] == [f"{lo:.10g}", f"{hi:.10g}"]
 
 
 class TestExitCodes:
@@ -494,9 +496,24 @@ class TestExitCodes:
         ["lottery", "{instance}", "--delta", "-1"],
         ["stats", "{instance}", "--metric", "delta_star", "--delta", "-2"],
         ["lottery", "{instance}", "--mu", "-1"],
-    ], ids=["replications", "runs", "lottery-delta", "stats-delta", "mu"])
+        ["lottery", "{instance}", "--policy", "cyc3chain:0"],
+        ["stats", "{instance}", "--metric", "max_cardinality", "--policy", "cyc3chain:-2"],
+        ["fixtures", "3dm", "--size", "2", "--triples", "a,b,c", "-o", "{out}"],
+        ["generate", "--pairs", "5", "--batches", "2", "-o", "{instance}"],
+        ["lottery", "{instance}", "--objective", "nash", "--tol", "0"],
+        ["generate", "--pairs", "5", "--batches", "-2", "-o", "{out}"],
+        ["sample", "-n", "-3", "{lottery}"],
+        ["fixtures", "3dm", "--size", "-1", "--triples", "1,2,3", "-o", "{out}"],
+    ], ids=["replications", "runs", "lottery-delta", "stats-delta", "mu", "chain-zero",
+            "chain-negative", "triple-letters", "batches-onto-file", "tol-zero",
+            "batches-negative", "draws-negative", "size-negative"])
     def test_bad_flag_values_exit_2(self, argv, fig1a, tmp_path):
         batches = tmp_path / "batches"
         assert run(["generate", "--pairs", "4", "--batches", "1", "-o", str(batches)]) == EXIT_OK
-        paths = {"batches": str(batches), "instance": str(fig1a)}
+        lottery = tmp_path / "lottery.json"
+        lottery.write_text(json.dumps({"support": [{"packing": [], "prob": "1"}]}))
+        assert run(["sample", str(lottery), "-o", str(tmp_path / "draws.json")]) == EXIT_OK
+        paths = {"batches": str(batches), "instance": str(fig1a), "lottery": str(lottery),
+                 "out": str(tmp_path / "out")}
         assert run([arg.format(**paths) for arg in argv]) == EXIT_VALIDATION
+        assert not (tmp_path / "out").exists()

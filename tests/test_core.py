@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -197,6 +198,20 @@ class TestLottery:
         assert len(merged.support) == 2
         assert dict(merged.support)[p] == F(1, 2)
 
+    def test_draw_boundaries(self):
+        a, b, c = (Packing.of(Cycle((v, v + 1))) for v in (1, 3, 5))
+        lot = Lottery(((a, F(1, 4)), (b, F(1, 2)), (c, F(1, 4))))
+        assert lot.draw(0.0) == a
+        # an x equal to a running total goes to the next packing
+        assert lot.draw(0.25) == b
+        assert lot.draw(0.75) == c
+        assert lot.draw(math.nextafter(1.0, 0.0)) == c
+        # exact comparison: the double nearest 1/3 lies below 1/3, so it
+        # draws the first packing, where a float running total would not
+        third = Lottery(((a, F(1, 3)), (b, F(2, 3))))
+        assert 1 / 3 < F(1, 3) and not 1 / 3 < float(F(1, 3))
+        assert third.draw(1 / 3) == a
+
 
 
 def test_library_has_no_assert():
@@ -236,6 +251,34 @@ def test_library_imports_only_what_it_uses():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, unused
+
+
+def test_every_private_helper_is_referenced():
+    # a deletion can orphan a private helper that only the deleted code
+    # called: a private module-level function or class that no module of the
+    # library names outside its own body is dead code.  A name counts for its
+    # own module, `module.name` and `from .module import name` for that module.
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(Path(fairkep.__file__).parent.glob("*.py"))}
+    private, used = [], set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and owner.startswith("_") \
+                    and not owner.startswith("__"):
+                private.append((module, owner))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    targets = [(module, node.id)]
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    targets = [(node.value.id, node.attr)]
+                elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                    targets = [(node.module, alias.name) for alias in node.names]
+                else:
+                    continue
+                used.update(t for t in targets if t != (module, owner))
+    orphans = [f"{module}.{name}" for module, name in private if (module, name) not in used]
+    assert not orphans, orphans
 
 
 ROUTES_WITHOUT_THIRD_PARTY = """

@@ -19,10 +19,10 @@ from fairkep.lorenz import (
     ContractedBipartite,
     CoverMatrix,
     NotStochastic,
+    Peel,
     Pseudo,
     decompose_matrix,
     edge_weight_reduction,
-    edge_weight_solution,
     fixed_cardinality_reduction,
     lambda_star,
     leximin_lottery_graph,
@@ -83,7 +83,7 @@ class TestLeximinLotteryGraph:
             w = {norm_edge(*e): F(i % 3) for i, e in enumerate(edges)}
             best = max((sum((w[e] for e in m), F(0)) for m in maximum_matchings(g.edges)),
                        default=F(0))
-            for sol in (leximin_lottery_graph(g), edge_weight_solution(g, w)):
+            for sol in (leximin_lottery_graph(g), leximin_lottery_graph(g, w)):
                 assert not sol.partition.peels and not sol.cb.pseudos
                 assert sol.decomposition == [({}, F(1))]
                 assert sol.marginals == {v: F(1) for v in g.vertices}
@@ -144,7 +144,7 @@ class TestSampling:
             w = {e: F(rng.randint(0, 4)) for e in sorted(g.edges)}
             best = max((sum((w[e] for e in m), F(0)) for m in maximum_matchings(g.edges)),
                        default=F(0))
-            sol = edge_weight_solution(g, w)
+            sol = leximin_lottery_graph(g, w)
             for seed in range(5):
                 m = sample_matching(sol, seed)
                 check_is_max_matching(g, m)
@@ -290,7 +290,7 @@ class TestDecomposeMatrix:
         for _ in range(30):
             g = random_graph(rng, rng.randint(10, 20), rng.uniform(0.12, 0.25))
             w = {e: F(rng.randint(1, 2), rng.randint(1, 2)) for e in sorted(g.edges)}
-            for sol in (leximin_lottery_graph(g), edge_weight_solution(g, w)):
+            for sol in (leximin_lottery_graph(g), leximin_lottery_graph(g, w)):
                 if sol.cover.rows:
                     nontrivial += 1
                     steps += self.check_against_reference(sol.cover)
@@ -431,6 +431,27 @@ class TestChecks:
         with pytest.raises(FairkepError, match="must-match"):
             peel_blocks(self.must_match_overload())
 
+    def test_lambda_star_must_match_only(self):
+        # every pseudonode must match: once the first trial at λ = 1 finds
+        # Hall's condition, one peel at 1 takes them all; when it fails, no
+        # optional pseudonode can lower λ and the ratio stalls
+        pseudos = (Pseudo(0, (2,), ()), Pseudo(1, (3,), ()))
+
+        def contraction(edges):
+            left = tuple(sorted({u for u, _ in edges}))
+            return ContractedBipartite(left=left, pseudos=pseudos, edges=frozenset(edges),
+                                       attach={(u, z): (z + 2,) for u, z in edges})
+
+        matchable = contraction({(0, 0), (0, 1), (1, 1)})
+        peel = Peel(frozenset({0, 1}), frozenset(), frozenset({0, 1}), F(1))
+        assert lambda_star(matchable) == (F(1), peel)
+        assert peel_blocks(matchable).peels == (peel,)
+        overloaded = contraction({(0, 0), (0, 1)})
+        with pytest.raises(FairkepError, match="must-match pseudonodes unmatchable"):
+            lambda_star(overloaded)
+        with pytest.raises(FairkepError, match="must-match"):
+            peel_blocks(overloaded)
+
     def test_solution_check_rejects_tampering(self):
         g = ug(range(8), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6), (3, 7)])
         sol = leximin_lottery_graph(g)
@@ -541,7 +562,7 @@ class TestLambdaStarBruteForce:
         for _ in range(60):
             g = random_graph(rng, rng.randint(5, 14), rng.uniform(0.1, 0.4))
             w = {e: F(rng.randint(0, 4), rng.randint(1, 2)) for e in sorted(g.edges)}
-            for sol in (leximin_lottery_graph(g), edge_weight_solution(g, w)):
+            for sol in (leximin_lottery_graph(g), leximin_lottery_graph(g, w)):
                 cover, lam_of = sol.cover, sol.partition.lambda_of()
                 for p in sol.cb.pseudos:
                     lam = lam_of[p.pid]
@@ -595,7 +616,7 @@ class TestPinnedSolutions:
         for _ in range(30):
             g = random_graph(rng, rng.randint(10, 20), rng.uniform(0.12, 0.25))
             w = {e: F(rng.randint(1, 2), rng.randint(1, 2)) for e in sorted(g.edges)}
-            for sol in (leximin_lottery_graph(g), edge_weight_solution(g, w)):
+            for sol in (leximin_lottery_graph(g), leximin_lottery_graph(g, w)):
                 sol.check()
                 nontrivial += bool(sol.partition.peels)
                 h.update(solution_digest(sol, parts).encode())
@@ -636,7 +657,7 @@ class TestOneSolveFrame:
             g = random_graph(rng, rng.randint(6, 14), rng.uniform(0.15, 0.4))
             w = {e: F(rng.randint(1, 3)) for e in sorted(g.edges)}
             calls.clear()
-            sol = edge_weight_solution(g, w)
+            sol = leximin_lottery_graph(g, w)
             assert len(calls) == len(set(calls))
             solved = len(calls)
             for seed in range(3):
@@ -686,5 +707,5 @@ class TestAdmissibleRestriction:
             g = random_graph(rng, rng.randint(6, 16), rng.uniform(0.12, 0.35))
             w = {e: F(rng.randint(0, 4), rng.randint(1, 3)) for e in sorted(g.edges)
                  if rng.random() < 0.9}
-            edge_weight_solution(g, w).check()
+            leximin_lottery_graph(g, w).check()
         assert compared == 60 and restricted >= 20, (compared, restricted)

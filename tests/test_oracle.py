@@ -14,6 +14,7 @@ from fairkep import fair, gen, oracle, sim
 from fairkep.core import UNBOUNDED, Chain, Cycle, KepInstance, StructurePolicy
 from fairkep.oracle import (
     CARD_FREE,
+    ExplosionGuard,
     OracleInfeasible,
     PackingFamily,
     Uncoverable,
@@ -484,6 +485,25 @@ class TestMaxPrice:
             assert all(pol.allows(s) for s in pk.structures), trial
             checked += 1
         assert checked >= 15 and len(routed) >= checked
+
+    def test_chain_free_family_past_cap_enumerates_once(self, monkeypatch):
+        """A chain-free family past `ENUM_CAP` has no chain-arc model to fall
+        back on: its query raises `ExplosionGuard` from the one enumeration,
+        without enumerating the same cycles again for the MILP."""
+        enumerations = []
+        real = oracle.enumerate_structures
+
+        def counting(*args, **kwargs):
+            enumerations.append(1)
+            return real(*args, **kwargs)
+
+        pool = gen.generate_instance(gen.GenConfig(n_pairs=12, seed=3))
+        assert len(real(pool, CYC3)) > 5
+        monkeypatch.setattr(oracle, "enumerate_structures", counting)
+        monkeypatch.setattr(oracle, "ENUM_CAP", 5)
+        with pytest.raises(ExplosionGuard):
+            max_price_packing(PackingFamily(pool, CYC3), unit(pool))
+        assert len(enumerations) == 1
 
     def test_large_denominators_stay_exact(self):
         """Prices whose common denominator is far beyond 64 bits."""
