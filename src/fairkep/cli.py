@@ -2,7 +2,9 @@
 
 Verbs: generate, solve, lottery, sample, simulate, stats, compare, fixtures.
 Every run is reproducible from (command line, input files, --seed).  Exit
-codes: 0 success, 2 validation/usage error, 3 solver failure.
+codes: 0 success, 2 validation/usage error, 3 solver failure.  Exit 2 covers
+input and output files that cannot be read, decoded or written: every file
+goes through `io` or `_output`, and `run` alone maps errors to exit codes.
 
 Outputs are machine-readable JSON or CSV; plotting is left to external
 tooling.
@@ -15,6 +17,7 @@ import csv
 import json
 import random
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -88,14 +91,6 @@ def parse_policy(spec: str, delta: Optional[int] = None, mu: Optional[int] = Non
     return policy
 
 
-def _read_json(path) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
-
-
 def _json_object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise UsageError(f"{what} must hold a JSON object")
@@ -105,7 +100,7 @@ def _json_object(value, what: str) -> dict:
 def _read_map(path, instance: KepInstance, what: str, edges: bool = False) -> dict:
     """{pair: rational} from a JSON object keyed by pair ids, or with edges
     {(u, v): rational} keyed by "u,v" mutual-compatibility edges (u < v)."""
-    raw = _json_object(_read_json(path), f"{what} file {path}")
+    raw = _json_object(io.read_json(path), f"{what} file {path}")
     valid = instance.undirected_edges() if edges else instance.pairs
     out: dict = {}
     for k, x in raw.items():
@@ -117,30 +112,19 @@ def _read_map(path, instance: KepInstance, what: str, edges: bool = False) -> di
         if key not in valid:
             kind = "mutual-compatibility edge 'u,v'" if edges else "pair"
             raise UsageError(f"{what} key {k!r} in {path} names no {kind} of the instance")
-        try:
-            out[key] = io.parse_rational(x, f"{what}[{k}]")
-        except io.ParseError as exc:
-            raise UsageError(f"{path}: {exc}")
+        out[key] = io.parse_rational(x, f"{what}[{k}] in {path}")
     return out
 
 
-def _load_instance(path) -> KepInstance:
-    try:
-        return io.read_instance(path)
-    except (OSError, io.ParseError, ValueError) as exc:
-        raise UsageError(f"bad instance file {path}: {exc}")
-
-
-def _out_stream(path: Optional[str]):
-    return open(path, "w") if path else sys.stdout
+def _output(path: Optional[str]):
+    """A context holding the file at path, closed on exit, or stdout if no path is given."""
+    return open(path, "w") if path else nullcontext(sys.stdout)
 
 
 def _emit(obj, out: Optional[str]) -> None:
-    stream = _out_stream(out)
-    json.dump(obj, stream, indent=2, sort_keys=True)
-    stream.write("\n")
-    if stream is not sys.stdout:
-        stream.close()
+    with _output(out) as stream:
+        json.dump(obj, stream, indent=2, sort_keys=True)
+        stream.write("\n")
 
 
 def _num(x) -> object:
@@ -178,13 +162,14 @@ def load_gen_config(n_pairs: int, n_ndds: int, seed: int, dist_path: Optional[st
     The file holds one JSON object mirroring GenConfig: blood_pair_distribution
     keyed by "PATIENT,DONOR", pra_conditional mapping the same keys to
     {pra: prob}, donor_bt_distribution keyed by blood type.  Missing sections
-    keep the defaults.  Anything malformed, in the file or in the config it
-    describes, is a UsageError.
+    keep the defaults.  A file io.read_json cannot read or decode raises its
+    OSError or io.ParseError; anything malformed in its content, or in the
+    config it describes, is a UsageError.
     """
     kwargs: dict = {}
     try:
         if dist_path:
-            data = _json_object(_read_json(dist_path), f"distribution file {dist_path}")
+            data = _json_object(io.read_json(dist_path), f"distribution file {dist_path}")
 
             def section(name: str):
                 return _json_object(data[name], f"{name} in {dist_path}").items()
@@ -238,22 +223,19 @@ def export_coverage_distribution(entries: Iterable[tuple], out: TextIO) -> None:
 
 def _cmd_generate(args) -> int:
     config = load_gen_config(args.pairs, args.ndds, args.seed, args.dist)
-    try:
-        if args.batches is None:
-            io.write_instance(gen.generate_instance(config), args.output or "instance.json")
-            return EXIT_OK
-        batches = gen.generate_batches(config, args.batches)
-        outdir = Path(args.output or "batches")
-        outdir.mkdir(parents=True, exist_ok=True)
-        for i, inst in enumerate(batches):
-            io.write_instance(inst, outdir / f"batch_{i:03d}.json")
-    except OSError as exc:
-        raise UsageError(f"cannot write the output: {exc}")
+    if args.batches is None:
+        io.write_instance(gen.generate_instance(config), args.output or "instance.json")
+        return EXIT_OK
+    batches = gen.generate_batches(config, args.batches)
+    outdir = Path(args.output or "batches")
+    outdir.mkdir(parents=True, exist_ok=True)
+    for i, inst in enumerate(batches):
+        io.write_instance(inst, outdir / f"batch_{i:03d}.json")
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = io.read_instance(args.instance)
     if args.policy in ("2path", "2cyc2path"):
         given = {"--prices": args.prices, "--delta": args.delta, "--mu": args.mu}
         unread = [flag for flag, value in given.items() if value is not None]
@@ -314,7 +296,7 @@ def _solve_lottery(instance: KepInstance, args) -> fair.SolveReport:
 
 
 def _cmd_lottery(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = io.read_instance(args.instance)
     match_policy = args.policy.strip() in ("match", "matching")
     weighted = args.node_weights is not None or args.edge_weights is not None
     if weighted:
@@ -339,42 +321,29 @@ def _cmd_lottery(args) -> int:
         else:
             policy = parse_policy(args.policy, args.delta, args.mu)
             lottery = lorenz.fixed_cardinality_reduction(instance, mu=policy.mu)
-    else:
-        report = _solve_lottery(instance, args)
-        lottery = report.lottery
-    pairs = sorted(instance.pairs)
-    q = lottery.marginals(pairs)
-    if engine:
         # one exact pass, no pricing: the objective is the sorted marginal
         # vector over the pairs some matching can cover, as preprocessing
         # keeps them on the column-generation route
-        matchable = {v for e in instance.undirected_edges() for v in e}
-        objective = eval_leximin([q[v] for v in pairs if v in matchable])
-        report_dict = {"objective": _num(objective), "iterations": 0, "pricing_calls": 0,
-                       "gap": _num(Fraction(0))}
+        q = lottery.marginals({v for e in instance.undirected_edges() for v in e})
+        report = fair.SolveReport(lottery, eval_leximin(list(q.values())), 0, 0, Fraction(0), q)
     else:
-        report_dict = {
-            "objective": _num(report.objective),
-            "iterations": report.iterations,
-            "pricing_calls": report.pricing_calls,
-            "gap": _num(report.gap),
-        }
-    report_dict["marginals"] = {str(v): _num(q[v]) for v in pairs}
-    report_dict["lottery"] = io.lottery_to_dict(lottery)
-    _emit(report_dict, args.output)
+        report = _solve_lottery(instance, args)
+    pairs = sorted(instance.pairs)
+    q = report.lottery.marginals(pairs)
+    _emit({
+        "objective": _num(report.objective),
+        "iterations": report.iterations,
+        "pricing_calls": report.pricing_calls,
+        "gap": _num(report.gap),
+        "marginals": {str(v): _num(q[v]) for v in pairs},
+        "lottery": io.lottery_to_dict(report.lottery),
+    }, args.output)
     return EXIT_OK
 
 
 def _cmd_sample(args) -> int:
-    data = _read_json(args.lottery)
-    if "lottery" in data and "support" not in data:  # full `lottery` verb report
-        data = data["lottery"]
-    try:
-        lottery = io.lottery_from_dict(data)
-    except (io.ParseError, ValueError) as exc:
-        raise UsageError(f"bad lottery file {args.lottery}: {exc}")
+    lottery = io.read_lottery(args.lottery).merged()
     rng = random.Random(args.seed)
-    lottery = lottery.merged()
     draws = [_packing_dict(lottery.draw(rng.random())) for _ in range(args.n)]
     _emit({"seed": args.seed, "draws": draws}, args.output)
     return EXIT_OK
@@ -385,7 +354,7 @@ def _cmd_simulate(args) -> int:
     files = sorted(batch_dir.glob("*.json"))
     if not files:
         raise UsageError(f"no *.json batch files in {batch_dir}")
-    batches = [_load_instance(f) for f in files]
+    batches = [io.read_instance(f) for f in files]
     policy = parse_policy(args.policy, args.delta, args.mu)
     weighting = sim.WaitTimeLinear() if args.wait_weighting else None
     try:
@@ -399,15 +368,13 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     trace, stats = sim.run_simulation(batches, config)
-    stream = _out_stream(args.output)
-    writer = csv.writer(stream)
-    writer.writerow(["algorithm", "num_matched", "median_wait", "p90_wait", "max_wait", "mean_wait"])
-    writer.writerow(
-        [args.algorithm]
-        + [f"{x:.10g}" for x in (stats.num_matched, stats.median, stats.p90, stats.max, stats.mean)]
-    )
-    if stream is not sys.stdout:
-        stream.close()
+    with _output(args.output) as stream:
+        writer = csv.writer(stream)
+        writer.writerow(["algorithm", "num_matched", "median_wait", "p90_wait", "max_wait", "mean_wait"])
+        writer.writerow(
+            [args.algorithm]
+            + [f"{x:.10g}" for x in (stats.num_matched, stats.median, stats.p90, stats.max, stats.mean)]
+        )
     if args.trace:
         _emit(
             {
@@ -426,8 +393,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = io.read_instance(args.instance)
     policy = parse_policy(args.policy, args.delta, args.mu)
+    if args.node is not None and args.metric != "coverage_loss":
+        raise UsageError(f"--node reads only --metric coverage_loss, not {args.metric}")
     if args.metric == "delta_star":
         value: object = max(_coverable_losses(instance, policy).values(), default=0)
     elif args.metric == "always_covered":
@@ -449,22 +418,21 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = io.read_instance(args.instance)
     policy = parse_policy(args.policy, args.delta, args.mu)
     try:
         result = sim.compare_heuristics(instance, args.runs, seed=args.seed, policy=policy)
     except ValueError as exc:  # too few --runs
         raise UsageError(str(exc))
-    stream = _out_stream(args.output)
-    export_coverage_distribution(
-        [
-            (sim.HEURISTIC_ILP_SHUFFLE, result.sorted_ilp_shuffle, result.ci_ilp_shuffle),
-            (sim.HEURISTIC_NODE_SHUFFLE, result.sorted_node_shuffle, result.ci_node_shuffle),
-        ],
-        stream,
-    )
-    if stream is not sys.stdout:
-        stream.close()
+    with _output(args.output) as stream:
+        export_coverage_distribution(
+            [
+                (sim.HEURISTIC_ILP_SHUFFLE, result.sorted_ilp_shuffle, result.ci_ilp_shuffle),
+                (sim.HEURISTIC_NODE_SHUFFLE, result.sorted_node_shuffle, result.ci_node_shuffle),
+            ],
+            stream,
+        )
+    if args.output:  # the summary goes to stdout beside a CSV file
         _emit(
             {
                 "max_abs_difference": result.max_abs_difference,
@@ -490,6 +458,8 @@ def _fixture_fig1b() -> KepInstance:
 
 
 def _cmd_fixtures(args) -> int:
+    if args.name != "3dm" and (args.size is not None or args.triples is not None):
+        raise UsageError(f"fixtures {args.name} takes no --size or --triples")
     if args.name == "fig1a":
         instance = _fixture_fig1a()
     elif args.name == "fig1b":
@@ -625,7 +595,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, io.ParseError, OSError) as exc:  # flags, input and output files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FairkepError as exc:

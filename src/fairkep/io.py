@@ -1,4 +1,8 @@
-"""JSON serialization of instances and lotteries; rationals as "num/den" strings."""
+"""JSON serialization of instances and lotteries; rationals as "num/den" strings.
+
+read_json and the readers on it raise ParseError, naming the file, for content
+that is not UTF-8 JSON of the expected shape, and OSError for a bad path.
+"""
 
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ def parse_rational(s: Any, where: str = "") -> Fraction:
     try:
         if isinstance(s, str):
             return Fraction(s)
-        if isinstance(s, int):
+        if isinstance(s, int) and not isinstance(s, bool):
             return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad rational {s!r} {where}: {e}") from None
@@ -184,16 +188,24 @@ def lottery_from_dict(data: dict) -> Lottery:
     return Lottery(tuple(support))
 
 
-def _read_json(path) -> Any:
-    with open(path) as fh:
+def read_json(path) -> Any:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
             raise ParseError(f"{path}: {e}") from None
 
 
+def _named(path, parse, data):
+    """parse(data), its ParseError naming the file."""
+    try:
+        return parse(data)
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from None
+
+
 def read_instance(path) -> KepInstance:
-    return instance_from_dict(_read_json(path))
+    return _named(path, instance_from_dict, read_json(path))
 
 
 def write_instance(instance: KepInstance, path) -> None:
@@ -201,7 +213,11 @@ def write_instance(instance: KepInstance, path) -> None:
 
 
 def read_lottery(path) -> Lottery:
-    return lottery_from_dict(_read_json(path))
+    """A lottery file, or the full report the `lottery` verb writes."""
+    data = read_json(path)
+    if isinstance(data, dict) and "lottery" in data and "support" not in data:
+        data = data["lottery"]
+    return _named(path, lottery_from_dict, data)
 
 
 def write_lottery(lottery: Lottery, path) -> None:

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .core import (
     Cycle,
@@ -459,8 +459,8 @@ def decompose_matrix(cover: CoverMatrix) -> list[tuple[dict[int, int], Fraction]
 class _Internals:
     """Cached (maximum-weight) perfect matchings inside subsets of the graph.
 
-    One per solve: the admissible restriction's component weights, the
-    support's assembly and sample_matching match each vertex set once.
+    One per solve: the admissible restriction's component weights and the
+    support's assembly match each vertex set once.
     """
 
     def __init__(self, graph: UGraph, weights: Optional[Mapping[Edge, Fraction]]):
@@ -484,11 +484,7 @@ class _Internals:
 
 @dataclass
 class LeximinSolution:
-    """A solved leximin lottery over matchings of an undirected graph.
-
-    internals holds the solve's inner matchings (maximum-weight ones when the
-    solve had edge weights), which sample_matching reuses.
-    """
+    """A solved leximin lottery over matchings of an undirected graph."""
 
     graph: UGraph
     cb: ContractedBipartite
@@ -498,7 +494,6 @@ class LeximinSolution:
     c_matching: frozenset[Edge]
     support: list[tuple[frozenset[Edge], Fraction]]
     marginals: dict[int, Fraction]
-    internals: _Internals
 
     def check(self) -> None:
         """Recompute marginals from the support, as integer numerators over the
@@ -531,18 +526,17 @@ def _marginals_from_partition(
 
 
 def _expand(cb: ContractedBipartite, internals: _Internals, c_matching: frozenset[Edge],
-            M: Mapping[int, int], attach: Callable[[Sequence[int]], int],
-            remove: Callable[[Pseudo], int]) -> frozenset[Edge]:
-    """The full matching of one decomposition matching M.
+            M: Mapping[int, int], j: int) -> frozenset[Edge]:
+    """Slice j of one decomposition matching M.
 
-    C's perfect matching, then for each edge (u, z) of M an attach edge u–x
-    with a perfect matching of z's component without x, and for each
-    pseudonode M leaves out a perfect matching of its component without one
-    removal vertex; attach and remove choose x and that vertex.
+    C's perfect matching, then for each edge (u, z) of M an attach edge u–x,
+    x the first attach vertex, with a perfect matching of z's component
+    without x, and for each pseudonode M leaves out a perfect matching of its
+    component without its (j mod σ)-th removal vertex.
     """
     edges: set[Edge] = set(c_matching)
     for u, pid in M.items():
-        x = attach(cb.attach[(u, pid)])
+        x = cb.attach[(u, pid)][0]
         edges.add(norm_edge(u, x))
         edges |= internals.pm(frozenset(cb.pseudo(pid).members) - {x})
     matched = set(M.values())
@@ -551,7 +545,7 @@ def _expand(cb: ContractedBipartite, internals: _Internals, c_matching: frozense
             continue
         if z.must_match:
             raise FairkepError(f"must-match pseudonode {z.pid} left unmatched")
-        edges |= internals.pm(frozenset(z.members) - {remove(z)})
+        edges |= internals.pm(frozenset(z.members) - {z.removal[j % z.sigma]})
     return frozenset(edges)
 
 
@@ -569,8 +563,7 @@ def _assemble_support(
         L = lcm(*(z.sigma for z in cb.pseudos if z.pid not in matched)) or 1
         slice_p = prob / L
         for j in range(L):
-            key = _expand(cb, internals, c_matching, M, lambda xs: xs[0],
-                          lambda z: z.removal[j % z.sigma])
+            key = _expand(cb, internals, c_matching, M, j)
             support[key] = support.get(key, ZERO) + slice_p
     return [(edges, p) for edges, p in sorted(support.items(), key=lambda kv: sorted(kv[0])) if p > 0]
 
@@ -603,9 +596,7 @@ def _solve_engine(
     support = _assemble_support(cb, decomposition, c_matching, internals)
     marginals = _marginals_from_partition(graph, cb, partition)
     support = sparsify_support(support, sorted(graph.vertices))
-    solution = LeximinSolution(
-        graph, cb, partition, cover, decomposition, c_matching, support, marginals, internals
-    )
+    solution = LeximinSolution(graph, cb, partition, cover, decomposition, c_matching, support, marginals)
     solution.check()
     return solution
 
@@ -688,24 +679,11 @@ def leximin_lottery_graph(
 
 
 def sample_matching(solution: LeximinSolution, seed: int) -> frozenset[Edge]:
-    """Sample one matching of the solution's family (maximum-weight when the
-    solve had edge weights); frequencies converge to the lottery marginals.
-
-    Draws a decomposition matching by its probability, then attach and
-    removal vertices uniformly; inner matchings come from the solve's cache.
-    """
-    rng = random.Random(seed)
-    den = lcm(*(p.denominator for _, p in solution.decomposition))
-    draw = rng.randrange(den)
-    acc = 0
-    chosen = solution.decomposition[-1][0]
-    for M, p in solution.decomposition:
-        acc += int(p * den)
-        if draw < acc:
-            chosen = M
-            break
-    return _expand(solution.cb, solution.internals, solution.c_matching, chosen,
-                   rng.choice, lambda z: rng.choice(z.removal))
+    """Sample one matching of the solution's support (maximum-weight when the
+    solve had edge weights) by its probability; frequencies converge to the
+    lottery marginals."""
+    packing = _support_to_lottery(solution.support).draw(random.Random(seed).random())
+    return frozenset(c.vertices for c in packing.structures)
 
 
 # ---------------------------------------------------------------------------

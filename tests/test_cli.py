@@ -504,9 +504,15 @@ class TestExitCodes:
         ["generate", "--pairs", "5", "--batches", "-2", "-o", "{out}"],
         ["sample", "-n", "-3", "{lottery}"],
         ["fixtures", "3dm", "--size", "-1", "--triples", "1,2,3", "-o", "{out}"],
+        ["stats", "{instance}", "--metric", "delta_star", "--node", "1", "-o", "{out}"],
+        ["stats", "{instance}", "--metric", "always_covered", "--node", "1", "-o", "{out}"],
+        ["stats", "{instance}", "--metric", "max_cardinality", "--node", "1", "-o", "{out}"],
+        ["fixtures", "fig1a", "--size", "2", "-o", "{out}"],
+        ["fixtures", "fig1b", "--triples", "1,2,3", "-o", "{out}"],
     ], ids=["replications", "runs", "lottery-delta", "stats-delta", "mu", "chain-zero",
             "chain-negative", "triple-letters", "batches-onto-file", "tol-zero",
-            "batches-negative", "draws-negative", "size-negative"])
+            "batches-negative", "draws-negative", "size-negative", "node-delta-star",
+            "node-always-covered", "node-max-cardinality", "fig1a-size", "fig1b-triples"])
     def test_bad_flag_values_exit_2(self, argv, fig1a, tmp_path):
         batches = tmp_path / "batches"
         assert run(["generate", "--pairs", "4", "--batches", "1", "-o", str(batches)]) == EXIT_OK
@@ -517,3 +523,50 @@ class TestExitCodes:
                  "out": str(tmp_path / "out")}
         assert run([arg.format(**paths) for arg in argv]) == EXIT_VALIDATION
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--pairs", "4", "-o", "{missing}"],
+        ["solve", "{instance}", "-o", "{missing}"],
+        ["lottery", "{instance}", "-o", "{missing}"],
+        ["sample", "{lottery}", "-o", "{missing}"],
+        ["simulate", "--batches", "{batches}", "-o", "{missing}"],
+        ["simulate", "--batches", "{batches}", "--trace", "{missing}"],
+        ["stats", "{instance}", "--metric", "max_cardinality", "-o", "{missing}"],
+        ["compare", "{instance}", "--runs", "30", "-o", "{missing}"],
+        ["fixtures", "fig1a", "-o", "{missing}"],
+    ], ids=["generate", "solve", "lottery", "sample", "simulate", "simulate-trace", "stats",
+            "compare", "fixtures"])
+    def test_output_into_missing_directory_exits_2(self, argv, fig1a, tmp_path, capsys):
+        batches = tmp_path / "batches"
+        assert run(["generate", "--pairs", "4", "--batches", "1", "-o", str(batches)]) == EXIT_OK
+        lottery = tmp_path / "lottery.json"
+        lottery.write_text(json.dumps({"support": [{"packing": [], "prob": "1"}]}))
+        capsys.readouterr()
+        paths = {"batches": str(batches), "instance": str(fig1a), "lottery": str(lottery),
+                 "missing": str(tmp_path / "missing" / "out")}
+        assert run([arg.format(**paths) for arg in argv]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{bad}"],
+        ["solve", "{instance}", "--prices", "{bad}"],
+        ["lottery", "{instance}", "--policy", "match", "--node-weights", "{bad}"],
+        ["lottery", "{instance}", "--policy", "match", "--edge-weights", "{bad}"],
+        ["sample", "{bad}"],
+        ["generate", "--pairs", "3", "--dist", "{bad}", "-o", "{out}"],
+    ], ids=["instance", "prices", "node-weights", "edge-weights", "sample", "dist"])
+    def test_non_utf8_files_exit_2(self, argv, fig1a, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"1": "\xe9"}')
+        paths = {"bad": str(bad), "instance": str(fig1a), "out": str(tmp_path / "out")}
+        assert run([arg.format(**paths) for arg in argv]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content", ["5", '"support"', "null"], ids=["number", "string", "null"])
+    def test_sample_of_a_non_object_exits_2(self, content, tmp_path, capsys):
+        lottery = tmp_path / "lottery.json"
+        lottery.write_text(content)
+        assert run(["sample", str(lottery)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {lottery}: ")

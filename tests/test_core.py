@@ -223,6 +223,28 @@ def test_library_has_no_assert():
     assert not found, found
 
 
+def test_cli_reads_and_writes_files_only_through_io():
+    # one JSON reader: cli.py parses no JSON itself and opens a file only in
+    # _output, its -o/--trace stream; every input goes through fairkep.io
+    tree = ast.parse((Path(fairkep.__file__).parent / "cli.py").read_text())
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            if isinstance(child, ast.Call):
+                f = child.func
+                reads = (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                         and f.value.id == "json" and f.attr in ("load", "loads"))
+                opens = isinstance(f, ast.Name) and f.id == "open" and where != "_output"
+                if reads or opens:
+                    found.append(f"cli.py:{child.lineno}")
+            visit(child, inner)
+
+    visit(tree, None)
+    assert not found, found
+
+
 def test_library_imports_only_what_it_uses():
     # no linter runs on the library, so an import left behind by a refactor
     # would go unseen; a line marked `# noqa: F401` imports a name on purpose

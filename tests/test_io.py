@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from fairkep.io import (
     lottery_to_dict,
     parse_rational,
     read_instance,
+    read_json,
     read_lottery,
     write_instance,
     write_lottery,
@@ -41,7 +43,7 @@ class TestRationals:
         assert parse_rational(format_rational(x)) == x
 
     def test_bad_input(self):
-        for bad in ("1/0", "a/b", None, "1.5.2", [1]):
+        for bad in ("1/0", "a/b", None, "1.5.2", [1], True, False):
             with pytest.raises(ParseError):
                 parse_rational(bad, "here")
 
@@ -159,6 +161,14 @@ class TestLotteryIO:
         write_lottery(lot, path)
         assert read_lottery(path) == lot
 
+    def test_full_lottery_report(self, tmp_path):
+        # the report the `lottery` verb writes holds the lottery under "lottery"
+        lot = sample_lottery()
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"objective": ["1/3"], "marginals": {"1": "1/3"},
+                                    "lottery": lottery_to_dict(lot)}))
+        assert read_lottery(path) == lot
+
     def test_schema(self):
         d = lottery_to_dict(sample_lottery())
         assert set(d) == {"support"}
@@ -190,3 +200,28 @@ class TestLotteryIO:
     def test_malformed_entries_become_parse_errors(self, data):
         with pytest.raises(ParseError):
             lottery_from_dict(data)
+
+
+class TestReadJson:
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"1": "\xe9"}')
+        with pytest.raises(ParseError, match="bad.json"):
+            read_json(path)
+
+    def test_bad_json_and_missing_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{")
+        with pytest.raises(ParseError, match="bad.json"):
+            read_json(path)
+        with pytest.raises(OSError):
+            read_json(tmp_path / "missing.json")
+
+    @pytest.mark.parametrize("content", ["5", "[]", '{"pairs": 5}'], ids=["number", "list", "pairs"])
+    def test_readers_name_the_file(self, content, tmp_path):
+        path = tmp_path / "file.json"
+        path.write_text(content)
+        with pytest.raises(ParseError, match="file.json"):
+            read_instance(path)
+        with pytest.raises(ParseError, match="file.json"):
+            read_lottery(path)

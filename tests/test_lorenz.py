@@ -641,8 +641,8 @@ class TestOneSolveFrame:
             assert leximin_matching_lottery(pool).marginals(pairs) == want
 
     def test_inner_matchings_solved_once_per_vertex_set(self, monkeypatch):
-        # the admissible restriction, the support's assembly and
-        # sample_matching share one cache of maximum-weight inner matchings
+        # the admissible restriction and the support's assembly share one
+        # cache of maximum-weight inner matchings; sampling solves none
         calls = []
         solve = lorenz.max_weight_matching
 
