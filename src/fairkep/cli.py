@@ -121,10 +121,14 @@ def _output(path: Optional[str]):
     return open(path, "w") if path else nullcontext(sys.stdout)
 
 
+def _dump(obj, stream: TextIO) -> None:
+    json.dump(obj, stream, indent=2, sort_keys=True)
+    stream.write("\n")
+
+
 def _emit(obj, out: Optional[str]) -> None:
     with _output(out) as stream:
-        json.dump(obj, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+        _dump(obj, stream)
 
 
 def _num(x) -> object:
@@ -368,27 +372,21 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     trace, stats = sim.run_simulation(batches, config)
-    with _output(args.output) as stream:
+    # both outputs open before either is written, the trace first: a bad
+    # --trace path fails before the -o file is created
+    with (_output(args.trace) if args.trace else nullcontext()) as periods, \
+            _output(args.output) as stream:
         writer = csv.writer(stream)
         writer.writerow(["algorithm", "num_matched", "median_wait", "p90_wait", "max_wait", "mean_wait"])
         writer.writerow(
             [args.algorithm]
             + [f"{x:.10g}" for x in (stats.num_matched, stats.median, stats.p90, stats.max, stats.mean)]
         )
-    if args.trace:
-        _emit(
-            {
-                "periods": [
-                    {
-                        "arrivals": sorted(p.arrivals),
-                        "matched": sorted(p.matched),
-                        "pool_size": p.pool_size,
-                    }
-                    for p in trace.periods
-                ]
-            },
-            args.trace,
-        )
+        if periods:
+            _dump({"periods": [
+                {"arrivals": sorted(p.arrivals), "matched": sorted(p.matched), "pool_size": p.pool_size}
+                for p in trace.periods
+            ]}, periods)
     return EXIT_OK
 
 

@@ -3,13 +3,14 @@
 `max_price_packing` maximizes the total node price of covered pairs over all
 packings a `StructurePolicy` admits; it is the one solver for every cycle and
 chain family, 2-cycle + 2-path packings included.  Enumerable families are
-solved by an exact branch-and-bound over bitmask-encoded structures with fully
-specified tie-breaking; it runs on integers (prices scaled by their common
-denominator) and returns the optimum as a `Fraction`.  One HiGHS model,
-through scipy, takes the rest: the integer-priced value-only queries on pools
-above `BB_MAX_PAIRS` as a set packing over the enumerated structures, and
-families too large to enumerate as cycle columns plus chain-arc flows with
-position variables or subtour cuts.
+solved by an exact branch-and-bound over bitmask-encoded structures, on
+integers (prices scaled by their common denominator); it returns the optimum
+as a `Fraction` and, of equal optima, the packing of fewest structures, then
+of smallest tuple of row indices (`sort_key` ranks on an enumerated family).
+One HiGHS model, through scipy, takes the rest: the integer-priced
+value-only queries on pools above `BB_MAX_PAIRS` as a set packing over the
+enumerated structures, and families too large to enumerate as cycle columns
+plus chain-arc flows with position variables or subtour cuts.
 
 The branch-and-bound has two halves.  A `PackingFamily` holds what does not
 depend on prices: the enumerated structures, their bitmasks, their drop sets
@@ -342,39 +343,46 @@ class PackingFamily:
         """Branch-and-bound for one query over the enumerated family.
 
         Pairs missing from `prices` have price 0.  Prices are scaled to
-        integers by their common denominator.  Structures are visited in order,
-        inclusion first; recursion happens only on inclusion, so the depth is
-        bounded by the packing size.  Call a pair open when no chosen structure
-        covers it and a remaining one does.  A node carries two bounds:
-        `bound`, its value plus the positive prices of the open pairs, pruned
-        against the incumbent, and `room`, its covered count plus the number
-        of open pairs, pruned against the cardinality row's k.  Both are
-        carried down, not recomputed.  Skipping structure i closes the open
-        pairs of its drop set.  Including it adds its value less the positive
-        prices of its own pairs to `bound` and leaves `room` as it is: its
+        integers by their common denominator and, for a full query, by n + 1
+        (n pairs), and each chosen structure is charged 1: a structure covers
+        a pair, so the total charge, at most n, stays below n + 1, the least
+        gap between two values, and the highest charged value is the highest
+        value, then the fewest structures.
+        Structures are visited in order, inclusion first; recursion happens
+        only on inclusion, so the depth is bounded by the packing size.  Call
+        a pair open when no chosen structure covers it and a remaining one
+        does.  A node carries two bounds: `bound`, its charged value plus the
+        positive prices of the open pairs, pruned against the incumbent, and
+        `room`, its covered count plus the number of open pairs, pruned
+        against the cardinality row's k.  Both are carried down, not
+        recomputed.  Skipping structure i closes the open pairs of its drop
+        set.  Including it adds its value, less its charge and the positive
+        prices of its own pairs, to `bound` and leaves `room` as it is: its
         pairs turn from open to covered, and its drop set lies inside its
-        mask.  At a leaf they are the value and the count.
+        mask.  At a leaf they are the charged value and the count.
 
-        Pruning never changes an answer.  The branching order is fixed, and a
-        bound cuts only subtrees that hold no feasible leaf better than the
-        incumbent (strictly better, with `value_only`), so the search meets
-        the same improving leaves in the same order under any valid bound.
-
-        The search runs on the family's tables and row indices alone; ties
-        compare the chosen indices, which are the `sort_key` ranks on an
-        enumerated family.  Only the returned packing's structures are read
-        from `structures`, so only they are built as objects.
+        One leaf rule: a leaf above the incumbent replaces it, so of equal
+        charged values the first leaf met wins.  The inclusion-first order
+        meets equal-size packings in ascending tuple of row indices, so this
+        is `max_price_packing`'s tie-break; a new branching order must keep
+        that invariant or redefine the tie-break.  A `value_only` query has
+        no multiplier and no charge and returns the first optimum met.
+        Pruning never changes an answer: the order is fixed, and a bound cuts
+        only subtrees with no feasible leaf above the incumbent.  Only the
+        returned packing's structures are read from `structures`, so only
+        they are built as objects.
         """
         structs = self.structures
         n = len(structs)
         price = [_fraction(prices.get(v, 0)) for v in self.pairs]
         scale = math.lcm(*(p.denominator for p in price))
-        price = [p.numerator * (scale // p.denominator) for p in price]
-        # including a structure moves the value bound by its negative prices
+        multiplier, charge = (1, 0) if value_only else (len(self.pairs) + 1, 1)
+        price = [p.numerator * (scale // p.denominator) * multiplier for p in price]
+        # including a structure moves the value bound by its negative prices and charge
         if min(price, default=0) < 0:
-            adj = [sum(min(price[b], 0) for b in bits) for bits in self.members]
+            adj = [sum(min(price[b], 0) for b in bits) - charge for bits in self.members]
         else:
-            adj = [0] * n
+            adj = [-charge] * n
         drops = [()] * n
         for i, bits in self.drop:
             drops[i] = [(1 << b, max(price[b], 0)) for b in bits]
@@ -382,29 +390,20 @@ class PackingFamily:
         mode, k = cardinality
         low = 0 if mode == "free" else k
         exact = mode == "exact"
-        best_val = -math.inf
-        best_key = best_chosen = None
-        # a bound below `cut` cannot beat the incumbent: below its value, or
-        # with value_only, not above it (the values are integers)
+        best = best_chosen = None
+        # a bound below `cut` cannot beat the incumbent: the values are integers
         cut = -math.inf
         chosen: list[int] = []
 
         def dfs(i: int, used: int, bound: int, room: int, count: int) -> None:
-            nonlocal best_val, best_key, best_chosen, cut
+            nonlocal best, best_chosen, cut
             while True:
                 # at a leaf `room` is the count, so this leaves exactly the
                 # feasible counts: an inclusion never overshoots an exact k
                 if room < low or bound < cut:
                     return
                 if i == n:
-                    if value_only:
-                        best_val, best_chosen, cut = bound, list(chosen), bound + 1
-                        return
-                    # tie-break key, smaller is better: fewest structures, then
-                    # their row indices, which `chosen` holds in ascending order
-                    key = (len(chosen), tuple(chosen))
-                    if bound > best_val or key < best_key:
-                        best_val, best_key, best_chosen, cut = bound, key, list(chosen), bound
+                    best, best_chosen, cut = bound, list(chosen), bound + 1
                     return
                 m = masks[i]
                 if not m & used and not (exact and count + sizes[i] > k):
@@ -420,7 +419,8 @@ class PackingFamily:
         dfs(0, 0, sum(g for d in drops for _, g in d), self.coverable, 0)
         if best_chosen is None:
             raise OracleInfeasible("no packing satisfies the cardinality constraint")
-        return Packing(frozenset(structs[j] for j in best_chosen)), Fraction(best_val, scale)
+        packing = Packing(frozenset(structs[j] for j in best_chosen))
+        return packing, Fraction(best + charge * len(best_chosen), scale * multiplier)
 
 
 # ---------------------------------------------------------------------------
@@ -609,16 +609,17 @@ def max_price_packing(
     Pairs missing from `prices` have price 0.  `cardinality` is
     ("free", None), ("exact", k) or ("atleast", k), counted in covered pairs;
     anything else raises ValueError.  Exact and deterministic on enumerable
-    families: ties are broken by fewest structures then lexicographically
-    smallest structure ids.  `value_only` skips the tie-break layers,
-    returning the first optimal packing found; with integer prices on more
-    than `BB_MAX_PAIRS` pairs `_milp_max_price` answers it as a set packing
-    over the family's rows.  Chain families that trip the `ExplosionGuard`,
-    or unbounded chains on more than 2000 arcs, go to the same MILP with
-    cycle columns and chain-arc flows; chain-free families past `ENUM_CAP`
-    raise the `ExplosionGuard`.  A caller that asks many queries of one pool
-    passes the same family to each; no family outlives the call that built
-    it.  The search itself, with its incrementally carried bound, is
+    families: the answer has the highest value, then the fewest structures,
+    then the smallest tuple of row indices (the `sort_key` ranks on an
+    enumerated family).  `value_only` returns the first optimum the search
+    meets; with integer prices on more than `BB_MAX_PAIRS` pairs
+    `_milp_max_price` answers it as a set packing over the family's rows.
+    Chain families that trip the `ExplosionGuard`, or unbounded chains on
+    more than 2000 arcs, go to the same MILP with cycle columns and chain-arc
+    flows; chain-free families past `ENUM_CAP` raise the `ExplosionGuard`.
+    A caller that asks many queries of one pool passes the same family to
+    each; no family outlives the call that built it.  The search itself,
+    with its incrementally carried bound, is
     `PackingFamily.search`.  Prices in, one best packing out: no solver state
     (subtour cuts, incumbents) survives the call.
     """

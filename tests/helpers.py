@@ -6,7 +6,7 @@ contraction/peeling or column-generation code paths.  The flow references at
 the end (Edmonds-Karp, a circulation per decomposition step) are the
 algorithms the library's flow kernel and matrix decomposition replaced, and
 `reference_search` is the packing search before it pruned on the cardinality
-row.
+row and charged for the structure count.
 """
 
 from __future__ import annotations
@@ -386,11 +386,16 @@ def circulation_decompose(rows, entries):
 def reference_search(inst, policy, prices, cardinality, value_only):
     """The oracle's branch-and-bound as it was with a value bound only.
 
-    Same structure order, inclusion-first branching and tie-break key as
+    Same structure order and inclusion-first branching as
     `oracle.PackingFamily.search`; the cardinality row prunes only through
     `count + suffix_size[i] < low`, the total size of every remaining
-    structure, conflicting ones included.  Kept as the reference the
-    stronger bound must agree with packing for packing.
+    structure, conflicting ones included.  Full queries keep the explicit
+    tie-break key (fewest structures, then smallest tuple of `sort_key`s)
+    and visit every optimal leaf to compare it.  That is on purpose: it is
+    the independent reference for the search's count charge, so it must not
+    adopt the charge, or the differential tests would compare the search
+    with itself.  Kept as the reference the stronger bound and the charge
+    must agree with packing for packing.
     """
     structs = enumerate_structures(inst, policy)
     pairs = sorted(inst.pairs)

@@ -531,11 +531,12 @@ class TestExitCodes:
         ["sample", "{lottery}", "-o", "{missing}"],
         ["simulate", "--batches", "{batches}", "-o", "{missing}"],
         ["simulate", "--batches", "{batches}", "--trace", "{missing}"],
+        ["simulate", "--batches", "{batches}", "-o", "{out}", "--trace", "{missing}"],
         ["stats", "{instance}", "--metric", "max_cardinality", "-o", "{missing}"],
         ["compare", "{instance}", "--runs", "30", "-o", "{missing}"],
         ["fixtures", "fig1a", "-o", "{missing}"],
-    ], ids=["generate", "solve", "lottery", "sample", "simulate", "simulate-trace", "stats",
-            "compare", "fixtures"])
+    ], ids=["generate", "solve", "lottery", "sample", "simulate", "simulate-trace",
+            "simulate-table-and-trace", "stats", "compare", "fixtures"])
     def test_output_into_missing_directory_exits_2(self, argv, fig1a, tmp_path, capsys):
         batches = tmp_path / "batches"
         assert run(["generate", "--pairs", "4", "--batches", "1", "-o", str(batches)]) == EXIT_OK
@@ -543,10 +544,11 @@ class TestExitCodes:
         lottery.write_text(json.dumps({"support": [{"packing": [], "prob": "1"}]}))
         capsys.readouterr()
         paths = {"batches": str(batches), "instance": str(fig1a), "lottery": str(lottery),
-                 "missing": str(tmp_path / "missing" / "out")}
+                 "missing": str(tmp_path / "missing" / "out"), "out": str(tmp_path / "out")}
         assert run([arg.format(**paths) for arg in argv]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: ")
-        assert not (tmp_path / "missing").exists()
+        # nothing is written, neither at the bad path nor at a good -o path
+        assert not (tmp_path / "missing").exists() and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["solve", "{bad}"],

@@ -524,6 +524,9 @@ class TestMaxPrice:
                 assert type(val) is F
                 assert val == brute_best(inst, pol, prices), (trial, value_only)
                 assert val == sum((prices[v] for v in pk.covered), F(0))
+                if not value_only:
+                    # the tie-break's count charge multiplies the largest integers here
+                    assert (pk, val) == reference_search(inst, pol, prices, CARD_FREE, False), trial
 
 
 def pinned_queries():
@@ -622,37 +625,61 @@ def dfs_frames(run, module):
     return answer, frames
 
 
+def reference_queries():
+    """Random 4-14-pair pools with 0-2 NDDs under 2-cycles, 3-cycles, bounded
+    chains and chains of 2-3 pairs, prices of both signs with denominators
+    1-5, and free, atleast and exact rows around the maximum, as (trial,
+    instance, policy, family, prices, cardinality)."""
+    rng = random.Random(67)
+    policies = [StructurePolicy(max_cycle_len=2), CYC3, CYC3_CHAIN2,
+                StructurePolicy(max_cycle_len=2, max_chain_len=3),
+                StructurePolicy(max_cycle_len=2, max_chain_len=3, min_chain_len=2)]
+    for trial in range(96):
+        inst = random_instance(rng, 4, 14, 0, 2, rng.choice([0.15, 0.25, 0.35]))
+        pol = policies[trial % len(policies)]
+        family = oracle.PackingFamily(inst, pol)
+        maxcard = family.maximum()[1]
+        pairs = sorted(inst.pairs)
+        for _ in range(5):
+            prices = {v: F(rng.randint(-4, 8), rng.randint(1, 5)) for v in pairs}
+            k = rng.randint(max(maxcard - 3, 0), maxcard + 1)
+            card = rng.choice([CARD_FREE, ("atleast", k), ("exact", k)])
+            yield trial, inst, pol, family, prices, card
+
+
 class TestAgainstReferenceSearch:
-    """The search prunes on the cardinality row as well as on value; the
-    reference in helpers is the search as it was, with the value bound only."""
+    """The search prunes on the cardinality row as well as on value, and
+    breaks ties by a count charge; the reference in helpers is the search as
+    it was, with the value bound only and an explicit tie-break key."""
 
     def test_same_packing_as_reference(self):
         """The same packing, not only the same value, and OracleInfeasible on
-        the same queries: random 4-14-pair pools with 0-2 NDDs under 2-cycles,
-        3-cycles and bounded chains, prices of both signs with denominators
-        1-5, and free, atleast and exact rows around the maximum."""
-        rng = random.Random(67)
-        policies = [StructurePolicy(max_cycle_len=2), CYC3, CYC3_CHAIN2,
-                    StructurePolicy(max_cycle_len=2, max_chain_len=3)]
+        the same queries of `reference_queries`, full and value-only."""
         infeasible = 0
-        for trial in range(96):
-            inst = random_instance(rng, 4, 14, 0, 2, rng.choice([0.15, 0.25, 0.35]))
-            pol = policies[trial % len(policies)]
-            family = oracle.PackingFamily(inst, pol)
-            maxcard = family.maximum()[1]
-            pairs = sorted(inst.pairs)
-            for _ in range(5):
-                prices = {v: F(rng.randint(-4, 8), rng.randint(1, 5)) for v in pairs}
-                k = rng.randint(max(maxcard - 3, 0), maxcard + 1)
-                card = rng.choice([CARD_FREE, ("atleast", k), ("exact", k)])
-                for value_only in (False, True):
-                    want, _ = dfs_frames(
-                        lambda: reference_search(inst, pol, prices, card, value_only), helpers
-                    )
-                    got, _ = dfs_frames(lambda: family.search(prices, card, value_only), oracle)
-                    assert got == want, (trial, card, value_only)
-                    infeasible += want == "infeasible"
+        for trial, inst, pol, family, prices, card in reference_queries():
+            for value_only in (False, True):
+                want, _ = dfs_frames(
+                    lambda: reference_search(inst, pol, prices, card, value_only), helpers
+                )
+                got, _ = dfs_frames(lambda: family.search(prices, card, value_only), oracle)
+                assert got == want, (trial, card, value_only)
+                infeasible += want == "infeasible"
         assert infeasible > 0
+
+    def test_full_queries_visit_no_more_nodes_than_reference(self):
+        """On every full (tie-break) query of `reference_queries` the search
+        opens no more `dfs` frames than the reference, which visits every
+        optimal leaf to compare keys; summed over the queries it opens fewer."""
+        totals = [0, 0]
+        for trial, inst, pol, family, prices, card in reference_queries():
+            _, nodes = dfs_frames(lambda: family.search(prices, card, False), oracle)
+            _, ref_nodes = dfs_frames(
+                lambda: reference_search(inst, pol, prices, card, False), helpers
+            )
+            assert nodes <= ref_nodes, (trial, card, nodes, ref_nodes)
+            totals[0] += nodes
+            totals[1] += ref_nodes
+        assert totals[0] < totals[1], totals
 
     def test_visits_no_more_nodes_than_reference(self, monkeypatch):
         """On every `atleast` query that fair.preprocess and oracle.delta_star
