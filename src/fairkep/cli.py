@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -116,9 +117,24 @@ def _read_map(path, instance: KepInstance, what: str, edges: bool = False) -> di
     return out
 
 
+@contextmanager
 def _output(path: Optional[str]):
-    """A context holding the file at path, closed on exit, or stdout if no path is given."""
-    return open(path, "w") if path else nullcontext(sys.stdout)
+    """A context holding the file at path, closed on exit, or stdout if no path is given.
+
+    A file it created is removed again if the command fails inside it; a
+    path that was there before (a file it truncated, /dev/null) stays.
+    """
+    if not path:
+        yield sys.stdout
+        return
+    created = not os.path.lexists(path)
+    try:
+        with open(path, "w") as stream:
+            yield stream
+    except BaseException:
+        if created:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _dump(obj, stream: TextIO) -> None:
@@ -265,7 +281,7 @@ def _cmd_solve(args) -> int:
         prices = _read_map(args.prices, instance, "price")
     else:
         prices = {v: Fraction(1) for v in instance.pairs}
-    family = oracle.PackingFamily(instance, policy)
+    family = oracle._family_of(instance, policy)
     card = oracle.acceptable_cardinality(instance, policy, family)
     packing, value = oracle.max_price_packing(family, prices, card)
     result = _packing_dict(packing)
@@ -373,7 +389,8 @@ def _cmd_simulate(args) -> int:
         raise UsageError(str(exc))
     trace, stats = sim.run_simulation(batches, config)
     # both outputs open before either is written, the trace first: a bad
-    # --trace path fails before the -o file is created
+    # --trace path fails before the -o file is created, and a bad -o path
+    # removes the trace file the run created
     with (_output(args.trace) if args.trace else nullcontext()) as periods, \
             _output(args.output) as stream:
         writer = csv.writer(stream)

@@ -46,8 +46,8 @@ from .core import (
     eval_utilitarian,
 )
 from .oracle import (
-    PackingFamily,
     Uncoverable,
+    _family_of,
     acceptable_cardinality,
     coverable_pairs,
     max_price_packing,
@@ -189,17 +189,18 @@ def _oracle_master(
     """A master priced by the packing oracle over the policy's acceptable family.
 
     Each pricing call is one oracle query, prices in and one best packing
-    out, on the family built here for the whole solve; the oracle keeps no
-    solver state between calls.  Float prices (Nash's gradients) are rounded
-    to Fractions first.  Its seed is the family's unit-price optimum: under
-    cardinality ≥ k the maximum packing `acceptable_cardinality` has just
-    found.  Returns (master, full_coverage); full_coverage says the
-    acceptable family is forced to cover every pair, so all marginals are 1
-    and the seed packing alone is optimal for any fair objective.
+    out, on one family for the whole solve (the one `preprocess` attached to
+    the instance, or a new one); the oracle keeps no solver state between
+    calls.  Float prices (Nash's gradients) are rounded to Fractions first.
+    Its seed is the family's unit-price optimum: under cardinality ≥ k the
+    maximum packing `acceptable_cardinality` has just found.  Returns
+    (master, full_coverage); full_coverage says the acceptable family is
+    forced to cover every pair, so all marginals are 1 and the seed packing
+    alone is optimal for any fair objective.
     """
     pairs = sorted(instance.pairs)
     # one family prices every query of the solve
-    family = PackingFamily(instance, policy)
+    family = _family_of(instance, policy)
     cardinality = acceptable_cardinality(instance, policy, family)
 
     def pricing(prices):
@@ -553,12 +554,20 @@ def preprocess(
     cardinality finds the kept pairs; both run on one packing family, whose
     maximum packing is the loop's first witness under cardinality ≥ k.  A
     packing covering a kept pair never routes through a dropped one, so one
-    pass suffices; the instance itself comes back when nothing is dropped.
+    pass suffices; the instance itself comes back, carrying nothing, when
+    nothing is dropped.  Otherwise the new reduced instance carries the family
+    restricted to it (`PackingFamily.restrict`), maximum included under modes
+    max and delta, so δ* and a solve over it with the same structures
+    enumerate nothing and search no maximum again.
     """
-    family = PackingFamily(instance, policy)
+    family = _family_of(instance, policy)
     card = acceptable_cardinality(instance, policy, family)
     kept = coverable_pairs(family, card)
     dropped = sorted(instance.pairs - kept)
     if not dropped:
         return instance, []
-    return instance.restrict(kept), dropped
+    reduced = instance.restrict(kept)
+    # set as a frozen dataclass's __init__ sets a field; `replace` and
+    # `restrict` copy fields only, so no instance made from it carries it
+    object.__setattr__(reduced, "_family", family.restrict(reduced))
+    return reduced, dropped

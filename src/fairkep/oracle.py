@@ -21,8 +21,11 @@ reads as its tables, so a row's index is its tie-break rank.  Rows are the
 only way into a family and into the set-packing MILP; a `Cycle` or `Chain`
 object is built only for the structures of a returned packing.  A family lives
 at call scope: a `fair` solve, a witness loop, a CLI command or a simulated
-period builds one and asks each of its queries of it, and nothing keeps it
-once that call returns.  It is the oracle's only handle on a pool:
+period builds one and asks each of its queries of it.  Only a pool that
+`fair.preprocess` reduced carries one, preprocessing's family restricted to it
+(`PackingFamily.restrict`), which `_family_of` hands to every call over that
+pool with the same structures; no module-level cache keeps a family.  It is
+the oracle's only handle on a pool:
 `max_price_packing(family, prices, cardinality, value_only)` is the one entry,
 prices in and one best packing out.  The family's `search` scales one query's
 prices and runs the depth-first search, carrying a value bound and a
@@ -41,12 +44,13 @@ packing avoids one.  Under cardinality ≥ k both take the family's maximum
 packing as their first witness (`PackingFamily.unit_optimum`), as `fair`'s
 master takes it as its seed, so no loop searches it again.  `coverable_pairs`
 runs on a family its caller holds; the other metrics take (instance, policy)
-and build their family inside.
+and ask `_family_of` for the instance's carried family or a new one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections.abc import Sequence
 from dataclasses import replace
@@ -247,14 +251,15 @@ class PackingFamily:
     queries go to the MILP with chain-arc flows.  A chain-free family past
     `ENUM_CAP` has no such model: reading `structures` raises the
     `ExplosionGuard`, at every query.  `maximum()` solves the
-    unit-price query once.
+    unit-price query once, and `restrict` carries it to a smaller pool.
 
     The family is how a caller names its pool to the oracle: every query is
     `max_price_packing(family, prices, ...)`.  A family lives as long as the
     call that builds it (a `fair` solve, a witness loop, one simulated
-    period, one CLI command) and is never cached globally.  A query's search
-    state lives in `search` alone, so one family answers any sequence of
-    queries exactly as fresh families would.
+    period, one CLI command), or, restricted by `fair.preprocess`, as long
+    as the reduced instance that carries it; it is never cached globally.  A
+    query's search state lives in `search` alone, so one family answers any
+    sequence of queries exactly as fresh families would.
     """
 
     def __init__(
@@ -316,6 +321,38 @@ class PackingFamily:
             packing, value = max_price_packing(self, unit, value_only=True)
             self._maximum = (packing, int(value))
         return self._maximum
+
+    def restrict(self, instance: KepInstance) -> PackingFamily:
+        """This family over `instance`, its pool restricted to fewer pairs.
+
+        `instance` must be `self.instance.restrict(kept)`.  The rows whose
+        pairs all lie in the kept pool stay, in their order, with their bits
+        renumbered: they are the rows `enumerate_structures` emits for
+        `instance`, so every query answers as on a new family.  The memoized
+        maximum comes along only when its packing lies inside the kept pairs
+        (always so when they are coverable at maximum cardinality).  A family
+        too large to enumerate gives a new one.
+        """
+        if not instance.pairs <= self.instance.pairs or instance.ndds != self.instance.ndds:
+            raise ValueError("a family restricts only to a subset of its pairs")
+        rows = self.structures
+        if rows is None:
+            return PackingFamily(instance, self.policy)
+        ids = sorted(instance.pairs) + sorted(instance.ndds)
+        bit = dict(zip(ids, range(len(ids))))
+        new = [bit.get(v) for v in rows.ids]
+        gone = sum(1 << b for b, nb in enumerate(new) if nb is None)
+        single = [0 if nb is None else 1 << nb for nb in new]
+        members, masks, ndds = [], [], []
+        for bits, mask, ndd in zip(rows.members, rows.masks, rows.ndds):
+            if not mask & gone:
+                members.append(tuple(map(new.__getitem__, bits)))
+                masks.append(sum(map(single.__getitem__, bits)) | (0 if ndd is None else single[ndd]))
+                ndds.append(None if ndd is None else new[ndd])
+        family = PackingFamily(instance, self.policy, StructureRows(ids, members, masks, ndds))
+        if self._maximum is not None and self._maximum[0].covered <= instance.pairs:
+            family._maximum = self._maximum
+        return family
 
     def unit_optimum(self, cardinality: tuple[str, Optional[int]]) -> tuple[Packing, Fraction]:
         """The value-only answer to the unit-price query under `cardinality`.
@@ -562,8 +599,11 @@ def _milp_max_price(
             integrality=integrality,
             bounds=Bounds(np.zeros(nvar), ub),
         )
+        # HiGHS status 2 is infeasible; any other (a limit, an error) is no answer
+        if res.status == 2:
+            raise OracleInfeasible(f"MILP reported status 2: {res.message}")
         if res.status != 0 or res.x is None:
-            raise OracleInfeasible(f"MILP reported status {res.status}: {res.message}")
+            raise FairkepError(f"MILP reported status {res.status}: {res.message}")
         x = res.x
         # the chosen arcs split into walks: a chain from each NDD's arc, and
         # closed walks among the pairs, which are cycles
@@ -618,10 +658,13 @@ def max_price_packing(
     more than 2000 arcs, go to the same MILP with cycle columns and chain-arc
     flows; chain-free families past `ENUM_CAP` raise the `ExplosionGuard`.
     A caller that asks many queries of one pool passes the same family to
-    each; no family outlives the call that built it.  The search itself,
+    each; no family outlives the call that built it, or the reduced instance
+    that `fair.preprocess` attached it to.  The search itself,
     with its incrementally carried bound, is
     `PackingFamily.search`.  Prices in, one best packing out: no solver state
-    (subtour cuts, incumbents) survives the call.
+    (subtour cuts, incumbents) survives the call.  A query no packing
+    satisfies raises `OracleInfeasible` on every route; a HiGHS status other
+    than optimal or infeasible (a limit, an error) raises `FairkepError`.
     """
     mode, k = cardinality
     if mode not in ("free", "exact", "atleast"):
@@ -665,8 +708,23 @@ def max_price_over(
 # pool metrics
 
 
+def _family_of(instance: KepInstance, policy: StructurePolicy) -> PackingFamily:
+    """The family `fair.preprocess` attached to `instance`, if it holds the
+    policy's structures, else a new one.
+
+    The match is on the fields that decide the structures, not on the
+    cardinality mode or δ, so δ* and a solve at δ* ask preprocessing's family
+    and its maximum.  Only an instance that `fair.preprocess` made carries one.
+    """
+    family = vars(instance).get("_family")
+    structures = operator.attrgetter("max_cycle_len", "max_chain_len", "min_chain_len")
+    if family is not None and structures(family.policy) == structures(policy):
+        return family
+    return PackingFamily(instance, policy)
+
+
 def max_cardinality(instance: KepInstance, policy: StructurePolicy) -> int:
-    return PackingFamily(instance, policy).maximum()[1]
+    return _family_of(instance, policy).maximum()[1]
 
 
 def acceptable_cardinality(
@@ -679,7 +737,7 @@ def acceptable_cardinality(
     """
     if policy.cardinality_mode == "fixed":
         return ("exact", 2 * policy.mu)
-    maxcard = (family or PackingFamily(instance, policy)).maximum()[1]
+    maxcard = (family or _family_of(instance, policy)).maximum()[1]
     slack = policy.delta if policy.cardinality_mode == "delta" else 0
     return ("atleast", max(maxcard - slack, 0))
 
@@ -724,7 +782,7 @@ def coverage_losses(instance: KepInstance, policy: StructurePolicy) -> dict[int,
     constraint, seeded with what level 0 reached, find the coverable pairs
     that the levels then run to.  All of it runs on one family.
     """
-    family = PackingFamily(instance, policy)
+    family = _family_of(instance, policy)
     packing, maxcard = family.maximum()
     certified = coverable_pairs(family, ("atleast", maxcard), packing.covered)
     # searches nothing once level 0 has reached every pair
@@ -771,7 +829,7 @@ def always_covered_count(
     remaining candidate.  All of it runs on one family, and the first witness
     is its unit-price optimum (`PackingFamily.unit_optimum`).
     """
-    family = PackingFamily(instance, policy)
+    family = _family_of(instance, policy)
     card = acceptable_cardinality(instance, policy, family)
     witness = set(family.unit_optimum(card)[0].covered)
     while witness:

@@ -8,8 +8,9 @@ fair.preprocess with oracle.delta_star and short simulations under that
 instrumentation, and checks the spans the matching-lottery, exact-lottery and
 pool-sim metrics rest on (the pool-sim period spans read the pool off the
 first argument of sim._solve_period).  It also checks that a solve
-enumerates its packing family once, and that an enumeration past the cap
-is counted as a fallback.
+enumerates its packing family once, that preprocessing hands its family to
+δ* and the solve, and that an enumeration past the cap is counted as a
+fallback.
 """
 
 from __future__ import annotations
@@ -86,9 +87,11 @@ def test_exact_lp_spans_recorded(monkeypatch):
     # every master LP goes through the wrapped name fair.lp_solve, exactly
     assert metrics["fair.lp_exact_calls"][0] > 0
     assert metrics["fair.lp_float_calls"][0] == 0
-    # the seed and every pricing call reach the oracle through the name
-    # fair.max_price_packing, looked up at call time
-    assert metrics["oracle.calls"][0] > report.pricing_calls > 0
+    # every pricing call reaches the oracle through the name
+    # fair.max_price_packing, looked up at call time; the seed is the maximum
+    # the preprocessed pool carries, so it makes no call
+    assert oracle._family_of(pool, policy) is oracle._family_of(pool, policy)
+    assert metrics["oracle.calls"][0] == report.pricing_calls > 0
 
 
 def traced_searches(monkeypatch, tracing, run):
@@ -161,9 +164,8 @@ def test_sim_period_metrics_recorded(monkeypatch):
     assert metrics["sim.solve_s"][0] > 0
 
 
-def test_one_enumeration_per_solve(monkeypatch):
-    """A leximin solve builds one packing family: the structures are
-    enumerated once for its cardinality, seed and every pricing call."""
+def counting_enumerations(monkeypatch) -> list:
+    """One entry per call of the name oracle.enumerate_structures from now on."""
     enumerations = []
     enumerate_structures = oracle.enumerate_structures
 
@@ -172,6 +174,13 @@ def test_one_enumeration_per_solve(monkeypatch):
         return enumerate_structures(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "enumerate_structures", counting)
+    return enumerations
+
+
+def test_one_enumeration_per_solve(monkeypatch):
+    """A leximin solve builds one packing family: the structures are
+    enumerated once for its cardinality, seed and every pricing call."""
+    enumerations = counting_enumerations(monkeypatch)
     pool = gen.generate_instance(gen.GenConfig(n_pairs=12, seed=3))
     report = fair.solve_leximin(pool, StructurePolicy(max_cycle_len=3))
     assert report.pricing_calls > 1
@@ -203,9 +212,11 @@ def test_enumeration_fallback_counted(monkeypatch):
 
 
 def test_each_maximum_searched_once(monkeypatch):
-    """preprocessing, δ* and a leximin solve search each family's all-unit-price
-    optimum once (the family's maximum), and δ* runs no cardinality-free
-    witness loop once loss level 0 has reached every pair."""
+    """preprocessing, δ* and a leximin solve enumerate one packing family and
+    search its all-unit-price optimum (the family's maximum) once: the reduced
+    pool carries the family, restricted, with its maximum, to δ* and the
+    solve.  δ* runs no cardinality-free witness loop once loss level 0 has
+    reached every pair."""
     searches = []
     search = oracle.PackingFamily.search
 
@@ -216,25 +227,54 @@ def test_each_maximum_searched_once(monkeypatch):
     monkeypatch.setattr(oracle.PackingFamily, "search", recording)
     policy = StructurePolicy(max_cycle_len=3)
     pool = gen.generate_instance(gen.GenConfig(n_pairs=12, seed=3))
-    reduced, _ = fair.preprocess(pool, policy)
+    reduced, dropped = fair.preprocess(pool, policy)
+    assert dropped
     # every kept pair lies in a maximum packing, so loss level 0 reaches them all
     assert set(oracle.coverage_losses(reduced, policy).values()) == {0}
     searches.clear()
-    fair.preprocess(pool, policy)
+    enumerations = counting_enumerations(monkeypatch)
+    reduced, _ = fair.preprocess(pool, policy)
     first_delta = len(searches)
     delta = oracle.delta_star(reduced, policy)
     first_solve = len(searches)
     fair.solve_leximin(reduced, replace(policy, cardinality_mode="delta", delta=delta))
-    families = list(dict.fromkeys(family for family, _, _ in searches))
-    assert len(families) == 3
+    assert len(enumerations) == 1
+    full, carried = dict.fromkeys(family for family, _, _ in searches)
+    assert carried is oracle._family_of(reduced, policy)
+    assert {f for f, _, _ in searches[:first_delta]} == {full}
+    assert {f for f, _, _ in searches[first_delta:]} == {carried}
 
     def unit(family, prices):
         return prices == {v: 1 for v in family.instance.pairs}
 
-    for family in families:
-        assert sum(unit(f, p) for f, p, _ in searches if f is family) == 1
+    assert [unit(f, p) for f, p, _ in searches].count(True) == 1
+    assert unit(*searches[0][:2])
+    # the carried maximum leaves δ* no search without a cardinality row
     delta_searches = searches[first_delta:first_solve]
-    assert {f for f, _, _ in delta_searches} == {families[1]}
-    # the family's maximum is its only search without a cardinality row
-    assert [card for _, _, card in delta_searches].count(oracle.CARD_FREE) == 1
-    assert delta_searches[0][2] == oracle.CARD_FREE
+    assert delta_searches
+    assert oracle.CARD_FREE not in [card for _, _, card in delta_searches]
+
+
+def test_preprocess_keeps_no_family_between_calls(monkeypatch):
+    """No memo outlives a reduced instance: preprocessing one pool twice
+    enumerates twice, and a pool with nothing to drop comes back as itself,
+    carrying no family."""
+    policy = StructurePolicy(max_cycle_len=3)
+    pool = gen.generate_instance(gen.GenConfig(n_pairs=12, seed=3))
+    enumerations = counting_enumerations(monkeypatch)
+    first, _ = fair.preprocess(pool, policy)
+    second, _ = fair.preprocess(pool, policy)
+    assert len(enumerations) == 2
+    assert first == second and first is not second
+    assert oracle._family_of(first, policy) is not oracle._family_of(second, policy)
+
+    def carries(instance):
+        return oracle._family_of(instance, policy) is oracle._family_of(instance, policy)
+
+    assert carries(first) and not carries(pool)
+    # a copy of a reduced instance carries nothing, and preprocessing it
+    # drops nothing, so it comes back as it is, still carrying nothing
+    copy = first.restrict(first.pairs)
+    again, dropped = fair.preprocess(copy, policy)
+    assert again is copy and dropped == []
+    assert not carries(copy)

@@ -532,11 +532,13 @@ class TestExitCodes:
         ["simulate", "--batches", "{batches}", "-o", "{missing}"],
         ["simulate", "--batches", "{batches}", "--trace", "{missing}"],
         ["simulate", "--batches", "{batches}", "-o", "{out}", "--trace", "{missing}"],
+        ["simulate", "--batches", "{batches}", "-o", "{missing}", "--trace", "{out}"],
         ["stats", "{instance}", "--metric", "max_cardinality", "-o", "{missing}"],
         ["compare", "{instance}", "--runs", "30", "-o", "{missing}"],
         ["fixtures", "fig1a", "-o", "{missing}"],
     ], ids=["generate", "solve", "lottery", "sample", "simulate", "simulate-trace",
-            "simulate-table-and-trace", "stats", "compare", "fixtures"])
+            "simulate-table-and-trace", "simulate-trace-and-table", "stats", "compare",
+            "fixtures"])
     def test_output_into_missing_directory_exits_2(self, argv, fig1a, tmp_path, capsys):
         batches = tmp_path / "batches"
         assert run(["generate", "--pairs", "4", "--batches", "1", "-o", str(batches)]) == EXIT_OK
@@ -549,6 +551,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         # nothing is written, neither at the bad path nor at a good -o path
         assert not (tmp_path / "missing").exists() and not (tmp_path / "out").exists()
+
+    def test_failed_run_keeps_a_file_it_did_not_create(self, tmp_path, capsys):
+        """A failed `simulate` removes the trace file it created, but not one
+        that was there before it ran."""
+        batches = tmp_path / "batches"
+        assert run(["generate", "--pairs", "4", "--batches", "1", "-o", str(batches)]) == EXIT_OK
+        trace = tmp_path / "t.json"
+        trace.write_text("old")
+        argv = ["simulate", "--batches", str(batches), "-o", str(tmp_path / "missing" / "s.csv"),
+                "--trace", str(trace)]
+        assert run(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+        assert trace.exists()
 
     @pytest.mark.parametrize("argv", [
         ["solve", "{bad}"],

@@ -270,7 +270,9 @@ class TestChainArcMilp:
     def test_leximin_equals_enumerated_family(self, monkeypatch):
         """With the enumeration cap at 0 every oracle query of the solve, the
         seed and each pricing call, is the chain-arc MILP with lazy subtour
-        cuts; its leximin marginals equal those over the enumerated family."""
+        cuts; its leximin marginals equal those over the enumerated family.
+        The capped solve runs on a copy of the preprocessed pool, which
+        carries no family, so its maximum is a MILP query too."""
         import scipy.optimize
 
         from fairkep import oracle
@@ -298,7 +300,7 @@ class TestChainArcMilp:
                 m.setattr(oracle, "_milp_max_price", call)
                 # _milp_max_price imports milp from scipy.optimize when called
                 m.setattr(scipy.optimize, "milp", solve)
-                got = solve_leximin(inst, pol)
+                got = solve_leximin(inst.restrict(inst.pairs), pol)
             assert got.pricing_calls > 0, seed
             assert (got.objective, got.marginals) == (want.objective, want.marginals), seed
         # a solve per query, plus one more for every round that added cuts

@@ -7,11 +7,12 @@ import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from fairkep import fair, gen, oracle, sim
-from fairkep.core import UNBOUNDED, Chain, Cycle, KepInstance, StructurePolicy
+from fairkep.core import UNBOUNDED, Chain, Cycle, FairkepError, KepInstance, StructurePolicy
 from fairkep.oracle import (
     CARD_FREE,
     ExplosionGuard,
@@ -175,6 +176,63 @@ class TestFamilyTables:
             assert val == want_val, trial
             moved += pk != want_pk
         assert chains > 0 and moved > 0
+
+
+    def test_restricted_family_answers_like_a_new_one(self):
+        """`family.restrict(sub)` holds the rows, coverable count and drop
+        tables that enumerating `sub` gives, and answers every query alike:
+        the same packing and value, value-only and tie-break, and
+        OracleInfeasible on the same queries, for prices of both signs in all
+        three cardinality modes.  Generated 8-14-pair pools with 0-2 NDDs
+        under match, cyc3 and cyc3chain:2, restricted to random pair subsets
+        and to the pairs `fair.preprocess` keeps.  The maximum comes along
+        when its packing lies inside the kept pairs."""
+        policies = [StructurePolicy(max_cycle_len=2), CYC3, CYC3_CHAIN2]
+        rng = random.Random(29)
+        queries = infeasible = carried = 0
+        for trial in range(36):
+            pol = policies[trial % len(policies)]
+            config = gen.GenConfig(n_pairs=rng.randint(8, 14), n_ndds=rng.randint(0, 2),
+                                   seed=3000 + trial)
+            inst = gen.generate_instance(config)
+            family = PackingFamily(inst, pol)
+            maximum = family.maximum()
+            if trial % 2:
+                sub, _ = fair.preprocess(inst, pol)
+            else:
+                sub = inst.restrict(v for v in sorted(inst.pairs) if rng.random() < 0.8)
+            restricted, fresh = family.restrict(sub), PackingFamily(sub, pol)
+            rows, want = restricted.structures, fresh.structures
+            assert rows == want, trial
+            for table in ("ids", "members", "masks", "ndds"):
+                assert getattr(rows, table) == getattr(want, table), (trial, table)
+            assert restricted.coverable == fresh.coverable, trial
+            assert restricted.drop == fresh.drop, trial
+            if maximum[0].covered <= sub.pairs:
+                assert restricted._maximum is maximum, trial
+                carried += 1
+            assert restricted.maximum() == fresh.maximum(), trial
+            pairs = sorted(sub.pairs)
+            for _ in range(4):
+                prices = {v: F(rng.randint(-3, 6), rng.randint(1, 4)) for v in pairs}
+                k = rng.randint(0, len(pairs))
+                card = rng.choice([CARD_FREE, ("atleast", k), ("exact", k)])
+                for value_only in (False, True):
+                    queries += 1
+                    try:
+                        got = restricted.search(prices, card, value_only)
+                    except OracleInfeasible:
+                        infeasible += 1
+                        with pytest.raises(OracleInfeasible):
+                            fresh.search(prices, card, value_only)
+                        continue
+                    assert got == fresh.search(prices, card, value_only), (trial, card)
+        assert carried > 0 and 0 < infeasible < queries
+
+    def test_restrict_needs_a_subset_of_the_pool(self):
+        family = PackingFamily(TRIPLE, CYC3)
+        with pytest.raises(ValueError):
+            family.restrict(make(range(1, 9), [], []))
 
 
 class TestLazyObjects:
@@ -485,6 +543,34 @@ class TestMaxPrice:
             assert all(pol.allows(s) for s in pk.structures), trial
             checked += 1
         assert checked >= 15 and len(routed) >= checked
+
+    def test_milp_status_other_than_infeasible_raises(self, monkeypatch):
+        """Only HiGHS status 2 reads as `OracleInfeasible`; a limit or an error
+        status is no answer, so it raises `FairkepError` out of the query and
+        out of `coverable_pairs`' witness loop instead of ending the loop as
+        if no packing covered another pair."""
+        import scipy.optimize
+
+        pool = gen.generate_instance(gen.GenConfig(n_pairs=20, seed=3))
+        assert len(pool.pairs) > oracle.BB_MAX_PAIRS  # unit-price queries go to HiGHS
+        status = None
+
+        def stub(*args, **kwargs):
+            return SimpleNamespace(status=status, x=None, message=f"status {status}")
+
+        monkeypatch.setattr(scipy.optimize, "milp", stub)
+        for status in (1, 2, 3, 4):
+            family = PackingFamily(pool, CYC3)
+            error = OracleInfeasible if status == 2 else FairkepError
+            with pytest.raises(error) as raised:
+                max_price_packing(family, unit(pool), value_only=True)
+            assert (raised.type is OracleInfeasible) == (status == 2), status
+            if status == 2:
+                assert oracle.coverable_pairs(family, CARD_FREE) == frozenset()
+            else:
+                with pytest.raises(FairkepError) as raised:
+                    oracle.coverable_pairs(family, CARD_FREE)
+                assert raised.type is FairkepError, status
 
     def test_chain_free_family_past_cap_enumerates_once(self, monkeypatch):
         """A chain-free family past `ENUM_CAP` has no chain-arc model to fall
