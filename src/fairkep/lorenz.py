@@ -10,9 +10,9 @@ Birkhoff-von Neumann decomposition of that matrix by repairing one matching
 from step to step, expansion into full matchings, an exact Carathéodory
 elimination (simplexlp.caratheodory) and a check of the marginals. Weights
 (node weights reduce to edge weights) first restrict removal vertices,
-admissible edges (one maximum-weight perfect matching, its dual potentials
-and the Dulmage-Mendelsohn alternating cycles of a doubled bipartite graph)
-and forced ("must-match") pseudonodes. Fixed cardinality runs on fair's
+admissible edges and forced ("must-match") pseudonodes by one assignment
+solve over the contraction (exact Hungarian potentials, then alternating
+cycles and paths over the tight edges). Fixed cardinality runs on fair's
 column-generation engine (leximin level fixing), priced by perfect matchings.
 """
 
@@ -475,7 +475,7 @@ class _Internals:
             if self.weights is None:
                 m = perfect_matching(sub)
             else:
-                m = max_weight_matching(sub, self.weights, maxcardinality=True)
+                m = max_weight_matching(sub, self.weights)
                 if 2 * len(m) != len(key):
                     raise FairkepError("expected a perfect matching inside component")
             self.cache[key] = frozenset(m)
@@ -604,17 +604,18 @@ def _solve_engine(
 def _admissible(cb: ContractedBipartite, internals: _Internals) -> ContractedBipartite:
     """Restrict the contraction to the choices of maximum-weight maximum matchings.
 
-    A doubled bipartite graph H over two copies of the contraction encodes the
-    choice between matching a pseudonode externally (the best attachment
-    weight, on each copy's attach edge) and leaving it internally matched
-    (twice the best internal weight). The admissible edges of H keep the
-    attach edges; a pseudonode whose internal edge is not admissible becomes
-    must-match, the others keep the removal vertices of best weight.
+    A maximum matching matches every vertex of A to its own pseudonode and
+    each pseudonode z it leaves out inside z's component, so its best weight
+    is that of one assignment of A to the pseudonodes: matching u to z earns
+    z's best attachment weight over (u, z), leaving z out z's best inner
+    weight.  One assignment solve (bipartite_admissible_subgraph) keeps the
+    contraction edges of the optimal assignments; a pseudonode no optimal
+    assignment leaves out becomes must-match, the others keep the removal
+    vertices of best weight.
 
-    No cardinality tier is needed: every perfect matching of H matches both
-    copies of A to the same |A| pseudonodes, so a size tier (s_z per attach
-    edge, 2(s_z - 1) per internal edge) sums to 2·Σs_z - 2(|Z| - |A|) on all
-    of them and cannot change which are of maximum weight.
+    No cardinality tier is needed: a size tier (s_z per edge, s_z - 1 per
+    pseudonode left out) sums to Σs_z - (|Z| - |A|) on every assignment and
+    cannot change which are optimal.
     """
     weights = internals.weights
     # best weight of each component without one member: a perfect matching,
@@ -625,9 +626,7 @@ def _admissible(cb: ContractedBipartite, internals: _Internals) -> ContractedBip
         for x in p.members
     }
     w_best = {p.pid: max(inner[(p.pid, x)] for x in p.members) for p in cb.pseudos}
-    # H's plain weights; a pseudonode-size tier would be constant over its
-    # perfect matchings (see above)
-    hw: dict[Edge, Fraction] = {}
+    w_attach: dict[tuple[int, int], Fraction] = {}
     best_attach: dict[tuple[int, int], tuple[int, ...]] = {}
     for (u, pid) in cb.edges:
         # the attachment weight w(u,z) and the attach vertices achieving it
@@ -635,19 +634,14 @@ def _admissible(cb: ContractedBipartite, internals: _Internals) -> ContractedBip
             x: Fraction(weights.get(norm_edge(u, x), 0)) + inner[(pid, x)]
             for x in cb.attach[(u, pid)]
         }
-        wuz = max(cands.values())
-        best_attach[(u, pid)] = tuple(sorted(x for x, v in cands.items() if v == wuz))
-        hw[norm_edge(("A1", u), ("Z2", pid))] = wuz
-        hw[norm_edge(("A2", u), ("Z1", pid))] = wuz
-    for p in cb.pseudos:
-        hw[norm_edge(("Z1", p.pid), ("Z2", p.pid))] = 2 * w_best[p.pid]
-    # every vertex of H has an edge: each vertex of A(G) has a neighbor in D(G)
-    H = UGraph.of({x for e in hw for x in e}, hw)
-    adm = bipartite_admissible_subgraph(H, hw)
-    adm_edges = {(u, pid) for (u, pid) in cb.edges if norm_edge(("A1", u), ("Z2", pid)) in adm}
+        w_attach[(u, pid)] = max(cands.values())
+        best_attach[(u, pid)] = tuple(sorted(x for x, v in cands.items() if v == w_attach[(u, pid)]))
+    adm_edges, free = bipartite_admissible_subgraph(
+        cb.left, [p.pid for p in cb.pseudos], w_attach, w_best
+    )
     pseudos = tuple(
         Pseudo(p.pid, p.members, tuple(x for x in p.members if inner[(p.pid, x)] == w_best[p.pid])
-               if norm_edge(("Z1", p.pid), ("Z2", p.pid)) in adm else ())
+               if p.pid in free else ())
         for p in cb.pseudos
     )
     return ContractedBipartite(
@@ -787,7 +781,7 @@ def fixed_cardinality_reduction(
                 Fraction(weights.get(e, 0)),
                 Fraction(prices.get(u, 0)) + Fraction(prices.get(v, 0)),
             )
-        m = max_weight_matching(big, lex_weights(tiers, len(big.vertices)), maxcardinality=True)
+        m = max_weight_matching(big, lex_weights(tiers, len(big.vertices)))
         if 2 * len(m) != len(big.vertices):
             raise CardinalityOutOfRange(f"no matching with exactly {mu} edges exists")
         real = frozenset(e for e in m if e[0] >= 0 and e[1] >= 0)

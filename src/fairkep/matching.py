@@ -1,14 +1,13 @@
 """Undirected matching kernel.
 
 Maximum-cardinality matching via blossoms, Gallai-Edmonds decomposition,
-weighted (perfect) matching with exact rational weights, and the admissible
-edges of a bipartite graph (edges lying in some maximum-weight perfect
-matching) from one optimal matching, its exact dual potentials and one
-strongly-connected-components pass over the tight edges. Weighted matching
-runs networkx on integer weights (the exact weights scaled by the lcm of their
-denominators), so its dual arithmetic stays exact. networkx loads inside
-max_weight_matching and bipartite_admissible_subgraph, on their first call;
-the blossom and Gallai-Edmonds kernels never load it.
+weighted matching with exact rational weights, and the admissible edges of an
+assignment problem (edges lying in some optimal assignment of every row, each
+column left out earning a bonus) from one Hungarian solve, its exact dual
+potentials and reachability over the tight edges.  Weighted matching runs
+networkx on integer weights (the exact weights scaled by the lcm of their
+denominators), so its dual arithmetic stays exact; networkx loads inside
+max_weight_matching on its first call, and no other kernel here uses it.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Optional
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .core import FairkepError
 # perfbench/tracing.py looks this name up on the module
@@ -27,10 +26,6 @@ Edge = tuple[int, int]
 
 
 class NoPerfectMatching(FairkepError):
-    pass
-
-
-class NotBipartite(FairkepError):
     pass
 
 
@@ -199,10 +194,6 @@ def matching_number(graph: UGraph) -> int:
     return _Blossom(len(order), adj).solve()
 
 
-def has_perfect_matching(graph: UGraph) -> bool:
-    return len(graph.vertices) % 2 == 0 and 2 * matching_number(graph) == len(graph.vertices)
-
-
 def perfect_matching(graph: UGraph) -> set[Edge]:
     """A perfect matching; raises NoPerfectMatching if none exists."""
     m = max_matching(graph)
@@ -269,30 +260,30 @@ def _components(D: set[int], adjmap: dict[int, list[int]]) -> list[frozenset[int
 
 
 # ---------------------------------------------------------------------------
-# weighted matching (networkx kernel on integer-scaled exact weights)
+# weighted matching and assignment (integer-scaled exact weights)
 # ---------------------------------------------------------------------------
 
-def _int_weights(graph: UGraph, weights: Mapping[Edge, Fraction]) -> dict[Edge, int]:
-    """Edge weights times the lcm of their denominators (missing weights are 0).
+def _integers(exact: Mapping[Hashable, Fraction]) -> dict[Hashable, int]:
+    """The exact values times the lcm of their denominators.
 
-    A common positive scale keeps the same optimal matchings; integer weights
-    keep networkx's dual arithmetic exact (non-int weights are halved as floats).
+    A common positive scale keeps the same optima; integers keep networkx's
+    dual arithmetic exact (it halves non-int weights as floats) and the
+    Hungarian potentials integral.
     """
-    exact = {e: Fraction(weights.get(e, 0)) for e in graph.edges}
     scale = lcm(*(f.denominator for f in exact.values()))
-    return {e: f.numerator * (scale // f.denominator) for e, f in exact.items()}
+    return {k: f.numerator * (scale // f.denominator) for k, f in exact.items()}
 
 
-def max_weight_matching(
-    graph: UGraph, weights: Mapping[Edge, Fraction], maxcardinality: bool = False
-) -> set[Edge]:
+def max_weight_matching(graph: UGraph, weights: Mapping[Edge, Fraction]) -> set[Edge]:
+    """A matching of maximum weight (a missing weight is 0) among the
+    maximum-cardinality ones."""
     import networkx as nx
 
     g = nx.Graph()
     g.add_nodes_from(graph.vertices)
-    g.add_edges_from((u, v, {"weight": w}) for (u, v), w in _int_weights(graph, weights).items())
-    m = nx.max_weight_matching(g, maxcardinality=maxcardinality)
-    return {norm_edge(u, v) for (u, v) in m}
+    w = _integers({e: Fraction(weights.get(e, 0)) for e in graph.edges})
+    g.add_edges_from((u, v, {"weight": x}) for (u, v), x in w.items())
+    return {norm_edge(u, v) for (u, v) in nx.max_weight_matching(g, maxcardinality=True)}
 
 
 def matching_weight(matching: Iterable[Edge], weights: Mapping[Edge, Fraction]) -> Fraction:
@@ -316,69 +307,81 @@ def lex_weights(
     return {e: Fraction(t1) * den + Fraction(t2) * scale for e, (t1, t2) in tiers.items()}
 
 
-def bipartition(graph: UGraph) -> tuple[set[int], set[int]]:
-    """Two-color the graph; raises NotBipartite on an odd cycle."""
-    color: dict[int, int] = {}
-    adj = graph.adjacency()
-    for start in sorted(graph.vertices):
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    raise NotBipartite(f"odd cycle through edge ({u},{w})")
-    left = {v for v, c in color.items() if c == 0}
-    return left, graph.vertices - left
-
-
 def bipartite_admissible_subgraph(
-    graph: UGraph, weights: Mapping[Edge, Fraction]
-) -> set[Edge]:
-    """Edges lying in some maximum-weight perfect matching of a bipartite graph.
+    rows: Sequence[Hashable], cols: Sequence[Hashable],
+    weights: Mapping[tuple[Hashable, Hashable], Fraction], bonus: Mapping[Hashable, Fraction],
+) -> tuple[set[tuple[Hashable, Hashable]], set[Hashable]]:
+    """The edges and the left-out columns of the optimal row-covering assignments.
 
-    One maximum-weight perfect matching M fixes exact optimal dual potentials:
-    y_r = w(M(r), r) - y_{M(r)}, and the left potentials are longest-path
-    values (Bellman-Ford, on integer-scaled weights) in the exchange digraph
-    with an arc M(r) -> l of gain w(l, r) - w(M(r), r) for each edge (l, r)
-    not in M.  By complementary slackness the optimal perfect matchings are
-    the perfect matchings of the tight subgraph, whatever optimal duals are
-    used.  A tight edge (l, r) lies in one of them iff it is in M or on an
-    M-alternating cycle (Dulmage-Mendelsohn), that is iff l and M(r) share a
-    strongly connected component of the tight arcs.
+    An assignment gives every row its own column along an edge (a key (row,
+    col) of weights) and is worth its edges' weights plus the bonus (default
+    0) of each column it leaves out.  Returns the edges of the assignments of
+    maximum worth and the columns they leave out; raises NoPerfectMatching
+    when no assignment exists.
+
+    One Hungarian solve (successive shortest paths; Kuhn 1955) on the integer-
+    scaled costs bonus(c) - w(r, c) gives an optimal assignment M and integer
+    potentials with u_r + v_c <= cost(r, c), v <= 0, and v = 0 on every column
+    M leaves out.  By complementary slackness the optimal assignments are the
+    row-covering matchings of tight edges that cover every column with v < 0;
+    each differs from M by alternating cycles and by alternating paths
+    between columns with v = 0.  In the digraph with an arc M(r) -> c per
+    tight edge (r, c), an arc from each column M leaves out to a source s and
+    one from s to each column with v = 0, a tight edge (r, c) is admissible
+    iff c reaches M(r), and a column can be left out iff v = 0 and it reaches
+    s (s reaches columns with v < 0 too, so its strongly connected component
+    is not the test).
     """
-    import networkx as nx
-
-    left, _ = bipartition(graph)  # raises NotBipartite
-    w = _int_weights(graph, weights)
-    m = max_weight_matching(graph, w, maxcardinality=True)
-    if 2 * len(m) != len(graph.vertices):
-        raise NoPerfectMatching("bipartite graph has no perfect matching")
-    mate = {}  # right vertex -> its left partner in M
-    for (a, b) in m:
-        l, r = (a, b) if a in left else (b, a)
-        mate[r] = l
-    arcs = []  # (M(r), l, gain, edge (l, r))
-    for e in graph.edges - m:
-        l, r = e if e[0] in left else (e[1], e[0])
-        arcs.append((mate[r], l, w[e] - w[norm_edge(mate[r], r)], e))
-    y = dict.fromkeys(left, 0)
-    for _ in range(len(left) + 1):
-        changed = False
-        for (a, b, gain, _) in arcs:
-            if y[a] + gain > y[b]:
-                y[b] = y[a] + gain
-                changed = True
-        if not changed:
-            break
-    else:
-        raise FairkepError("exchange digraph has a positive cycle: matching not optimal")
-    tight = [(a, b, e) for (a, b, gain, e) in arcs if y[b] - y[a] == gain]
-    digraph = nx.DiGraph((a, b) for (a, b, _) in tight)
-    comp = {v: i for i, scc in enumerate(nx.strongly_connected_components(digraph)) for v in scc}
-    return m | {e for (a, b, e) in tight if comp[a] == comp[b]}
+    n, m = len(rows), len(cols)
+    row_of = {r: i for i, r in enumerate(rows, 1)}
+    col_of = {c: j for j, c in enumerate(cols, 1)}
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    cost = _integers({e: Fraction(bonus.get(e[1], 0)) - Fraction(w) for e, w in weights.items()})
+    for (r, c), x in cost.items():
+        adj[row_of[r]].append((col_of[c], x))
+    # 1-based rows and columns; column 0 stands for the row being added
+    u = [0] * (n + 1)
+    v = [0] * (m + 1)
+    p = [0] * (m + 1)  # p[j]: the row matched to column j, 0 for none
+    inf = float("inf")
+    for i in range(1, n + 1):
+        p[0], j0 = i, 0
+        minv = [inf] * (m + 1)
+        way = [0] * (m + 1)
+        used = [False] * (m + 1)
+        while p[j0]:
+            used[j0] = True
+            i0 = p[j0]
+            for j, c in adj[i0]:
+                if not used[j] and c - u[i0] - v[j] < minv[j]:
+                    minv[j], way[j] = c - u[i0] - v[j], j0
+            delta, j0 = min(((minv[j], j) for j in range(1, m + 1) if not used[j]), default=(inf, 0))
+            if delta == inf:
+                raise NoPerfectMatching(f"row {rows[i - 1]!r} cannot be assigned")
+            for j in range(m + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+        while j0:
+            p[j0] = p[way[j0]]
+            j0 = way[j0]
+    mine = {p[j]: j for j in range(1, m + 1) if p[j]}
+    # node 0 is the source s
+    succ = [[j for j in range(1, m + 1) if v[j] == 0]] + [[] if p[j] else [0] for j in range(1, m + 1)]
+    # M's own edges are tight too: their arcs are loops, and they pass the test
+    tight = [(i, j) for i in range(1, n + 1) for j, c in adj[i] if c == u[i] + v[j]]
+    for i, j in tight:
+        succ[mine[i]].append(j)
+    reach = []
+    for j in range(m + 1):
+        seen, stack = {j}, [j]
+        while stack:
+            for k in succ[stack.pop()]:
+                if k not in seen:
+                    seen.add(k)
+                    stack.append(k)
+        reach.append(seen)
+    return ({(rows[i - 1], cols[j - 1]) for i, j in tight if mine[i] in reach[j]},
+            {cols[j - 1] for j in range(1, m + 1) if v[j] == 0 and 0 in reach[j]})

@@ -197,7 +197,6 @@ class _Pool:
             pairs=frozenset(self.pairs),
             ndds=frozenset(self.ndds),
             arcs=dict(self.arcs),
-            attributes=dict(self.attributes),
         )
 
     def depart(self, packing: Packing) -> frozenset[int]:

@@ -4,9 +4,10 @@ Everything here works by exhaustive enumeration plus direct LP solves over the
 full enumerated family — deliberately sharing no logic with the library's
 contraction/peeling or column-generation code paths.  The flow references at
 the end (Edmonds-Karp, a circulation per decomposition step) are the
-algorithms the library's flow kernel and matrix decomposition replaced, and
+algorithms the library's flow kernel and matrix decomposition replaced,
 `reference_search` is the packing search before it pruned on the cardinality
-row and charged for the structure count.
+row and charged for the structure count, and `doubled_graph_admissible` is the
+weighted Lorenz restriction before it became one assignment solve.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 
+import networkx as nx
+
 from fairkep.core import Chain, Cycle, Packing
-from fairkep.matching import has_perfect_matching
+from fairkep.lorenz import ContractedBipartite, Pseudo
+from fairkep.matching import matching_weight, norm_edge
 from fairkep.oracle import OracleInfeasible, enumerate_structures
 from fairkep.simplexlp import lp_solve_exact
 
@@ -155,23 +160,141 @@ def covered_set(matching):
     return frozenset(x for e in matching for x in e)
 
 
+def max_matching_size(graph):
+    """Size of a maximum matching, by a memoised search over vertex bitmasks:
+    the lowest vertex left is either unmatched or matched to a neighbour left."""
+    bit = {v: 1 << i for i, v in enumerate(sorted(graph.vertices))}
+    neighbours = [0] * len(bit)
+    for u, v in graph.edges:
+        neighbours[bit[u].bit_length() - 1] |= bit[v]
+        neighbours[bit[v].bit_length() - 1] |= bit[u]
+
+    @cache
+    def best(left):
+        if not left:
+            return 0
+        low = left & -left
+        rest = left ^ low
+        size = best(rest)
+        options = neighbours[low.bit_length() - 1] & rest
+        while options:
+            w = options & -options
+            size = max(size, 1 + best(rest ^ w))
+            options ^= w
+        return size
+
+    return best(sum(bit.values()))
+
+
 def is_factor_critical(graph):
     """Odd order, and deleting any one vertex leaves a perfect matching."""
     n = len(graph.vertices)
     if n % 2 == 0:
         return False
-    return all(has_perfect_matching(graph.without([v])) for v in graph.vertices)
+    return all(2 * max_matching_size(graph.without([v])) == n - 1 for v in graph.vertices)
 
 
-def max_weight_perfect_matching_edges(vertices, edges, weights):
-    """Union of the maximum-weight perfect matchings, or None if there is none."""
-    n = len(vertices)
-    perfect = [m for m in enumerate_matchings(edges) if 2 * len(m) == n]
-    if not perfect:
+def best_assignments(rows, cols, weights, bonus):
+    """(edges, left-out columns) of the row-covering assignments of maximum
+    worth, by enumerating every one, or None if there is none.
+
+    An assignment gives each row its own column along a key (row, col) of
+    weights; it is worth its edges' weights plus the bonus (default 0) of
+    each column it leaves out.
+    """
+    by_row = {r: [c for (rr, c) in weights if rr == r] for r in rows}
+    found = []
+
+    def rec(k, taken, chosen):
+        if k == len(rows):
+            worth = sum((Fraction(weights[e]) for e in chosen), ZERO)
+            worth += sum((Fraction(bonus.get(c, 0)) for c in cols if c not in taken), ZERO)
+            found.append((worth, tuple(chosen), frozenset(cols) - taken))
+            return
+        for c in by_row[rows[k]]:
+            if c not in taken:
+                rec(k + 1, taken | {c}, chosen + [(rows[k], c)])
+
+    rec(0, frozenset(), [])
+    if not found:
         return None
-    value = {m: sum((Fraction(weights.get(e, 0)) for e in m), ZERO) for m in perfect}
-    best = max(value.values())
-    return frozenset(e for m in perfect if value[m] == best for e in m)
+    top = max(worth for worth, _, _ in found)
+    best = [(chosen, free) for worth, chosen, free in found if worth == top]
+    return {e for chosen, _ in best for e in chosen}, set().union(*(free for _, free in best))
+
+
+def doubled_graph_admissible(cb, internals):
+    """The weighted restriction of a contraction through a doubled graph.
+
+    H holds two copies of A and of the pseudonodes: each contraction edge
+    (u, z) becomes A1u-Z2z and Z1z-A2u at z's best attachment weight, and
+    Z1z-Z2z weighs twice z's best inner weight.  The admissible edges of H
+    (those in some maximum-weight perfect matching) come from one networkx
+    matching, dual potentials rebuilt by Bellman-Ford over the exchange
+    digraph, and networkx strongly connected components of its tight arcs.
+    An attach edge of H keeps its contraction edge; a pseudonode whose
+    internal edge is not admissible becomes must-match.
+    """
+    weights = internals.weights
+    inner = {
+        (p.pid, x): matching_weight(internals.pm(frozenset(p.members) - {x}), weights)
+        for p in cb.pseudos
+        for x in p.members
+    }
+    w_best = {p.pid: max(inner[(p.pid, x)] for x in p.members) for p in cb.pseudos}
+    hw = {}
+    best_attach = {}
+    for (u, pid) in cb.edges:
+        cands = {
+            x: Fraction(weights.get(norm_edge(u, x), 0)) + inner[(pid, x)]
+            for x in cb.attach[(u, pid)]
+        }
+        wuz = max(cands.values())
+        best_attach[(u, pid)] = tuple(sorted(x for x, v in cands.items() if v == wuz))
+        hw[(("A1", u), ("Z2", pid))] = wuz
+        hw[(("Z1", pid), ("A2", u))] = wuz
+    for p in cb.pseudos:
+        hw[(("Z1", p.pid), ("Z2", p.pid))] = 2 * w_best[p.pid]
+    scale = math.lcm(*(w.denominator for w in hw.values()))
+    w = {e: int(x * scale) for e, x in hw.items()}
+    g = nx.Graph()
+    g.add_edges_from((a, b, {"weight": x}) for (a, b), x in w.items())
+    m = {frozenset(e) for e in nx.max_weight_matching(g, maxcardinality=True)}
+    assert 2 * len(m) == g.number_of_nodes()
+    # every edge of H runs from a left vertex (A1, Z1) to a right one (A2, Z2)
+    mate = {}
+    for e in hw:
+        if frozenset(e) in m:
+            mate[e[1]] = e[0]
+    arcs = [(mate[r], l, w[(l, r)] - w[(mate[r], r)], (l, r))
+            for (l, r) in hw if frozenset((l, r)) not in m]
+    y = {l: 0 for (l, _) in hw}
+    for _ in range(len(y) + 1):
+        changed = False
+        for (a, b, gain, _) in arcs:
+            if y[a] + gain > y[b]:
+                y[b] = y[a] + gain
+                changed = True
+        if not changed:
+            break
+    else:
+        raise AssertionError("exchange digraph has a positive cycle")
+    tight = [(a, b, e) for (a, b, gain, e) in arcs if y[b] - y[a] == gain]
+    digraph = nx.DiGraph((a, b) for (a, b, _) in tight)
+    comp = {v: i for i, scc in enumerate(nx.strongly_connected_components(digraph)) for v in scc}
+    adm = {e for e in hw if frozenset(e) in m} | {e for (a, b, e) in tight if comp[a] == comp[b]}
+    adm_edges = {(u, pid) for (u, pid) in cb.edges if (("A1", u), ("Z2", pid)) in adm}
+    pseudos = tuple(
+        Pseudo(p.pid, p.members, tuple(x for x in p.members if inner[(p.pid, x)] == w_best[p.pid])
+               if (("Z1", p.pid), ("Z2", p.pid)) in adm else ())
+        for p in cb.pseudos
+    )
+    return ContractedBipartite(
+        left=cb.left,
+        pseudos=pseudos,
+        edges=frozenset(adm_edges),
+        attach={e: best_attach[e] for e in adm_edges},
+    )
 
 
 def rank(vectors):

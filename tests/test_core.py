@@ -275,6 +275,47 @@ def test_library_imports_only_what_it_uses():
     assert not unused, unused
 
 
+# the functions allowed to import each third-party package: every other route
+# through the library runs without it, and a module-level import would load it
+# on `import fairkep`
+THIRD_PARTY_IMPORTERS = {
+    "networkx": {"matching.max_weight_matching"},
+    "numpy": {"oracle._milp_max_price", "fair._corrective_step"},
+    "scipy": {"oracle._milp_max_price", "fair._corrective_step"},
+    "scipy.stats": {"sim.jeffreys_interval"},
+}
+
+
+def test_third_party_imports_stay_in_their_functions():
+    misplaced = []
+    for path in sorted(Path(fairkep.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, f"{owner}.{child.name}")
+                    continue
+                if isinstance(child, ast.Import):
+                    modules = [alias.name for alias in child.names]
+                elif isinstance(child, ast.ImportFrom) and not child.level:
+                    modules = [child.module]
+                else:
+                    modules = []
+                for module in modules:
+                    if module.split(".")[0] in sys.stdlib_module_names:
+                        continue
+                    # the most specific listed package that holds the module
+                    package = max((k for k in THIRD_PARTY_IMPORTERS
+                                   if module == k or module.startswith(k + ".")), key=len, default=None)
+                    if owner not in THIRD_PARTY_IMPORTERS.get(package, ()):
+                        misplaced.append(f"{path.name}:{child.lineno} {module} in {owner}")
+                visit(child, owner)
+
+        visit(tree, path.stem)
+    assert not misplaced, misplaced
+
+
 def test_every_private_helper_is_referenced():
     # a deletion can orphan a private helper that only the deleted code
     # called: a private module-level function or class that no module of the

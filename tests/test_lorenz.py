@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -32,10 +33,11 @@ from fairkep.lorenz import (
     sample_matching,
     sparsify_support,
 )
-from fairkep.matching import UGraph, matching_number, norm_edge
+from fairkep.matching import UGraph, gallai_edmonds, matching_number, norm_edge
 from helpers import (
     circulation_decompose,
     covered_set,
+    doubled_graph_admissible,
     enumerate_matchings,
     leximin_marginals,
     maximum_matchings,
@@ -669,10 +671,10 @@ class TestOneSolveFrame:
 
 class TestAdmissibleRestriction:
     def test_plain_weights_match_size_tiered_reference(self, monkeypatch):
-        """The doubled graph's admissible edges under its plain weights equal
-        those under the two-tier weights (pseudonode size first: s_z on an
-        attach edge, 2(s_z - 1) on an internal one), which the restriction
-        drops as constant over its perfect matchings."""
+        """The assignment's admissible edges and left-out pseudonodes under its
+        plain weights equal those under the two-tier weights (pseudonode size
+        first: s_z on an edge, s_z - 1 on a pseudonode left out), which the
+        restriction drops as constant over its assignments."""
         from fairkep.matching import bipartite_admissible_subgraph, lex_weights
 
         sizes: dict = {}
@@ -686,18 +688,18 @@ class TestAdmissibleRestriction:
 
         compared = restricted = 0
 
-        def compared_restriction(H, weights):
+        def compared_restriction(rows, cols, weights, bonus):
             nonlocal compared, restricted
-            tiers = {}
-            for e, w in weights.items():
-                (side, x), (other, y) = e
-                pid = x if side.startswith("Z") else y
-                internal = side.startswith("Z") and other.startswith("Z")
-                tiers[e] = (2 * (sizes[pid] - 1) if internal else sizes[pid], w)
-            got = bipartite_admissible_subgraph(H, weights)
-            assert got == bipartite_admissible_subgraph(H, lex_weights(tiers, len(H.vertices)))
+            tiers = {("edge", e): (sizes[e[1]], w) for e, w in weights.items()}
+            tiers.update((("out", z), (sizes[z] - 1, b)) for z, b in bonus.items())
+            tiered = lex_weights(tiers, len(cols))
+            got = bipartite_admissible_subgraph(rows, cols, weights, bonus)
+            assert got == bipartite_admissible_subgraph(
+                rows, cols, {e: tiered[("edge", e)] for e in weights},
+                {z: tiered[("out", z)] for z in bonus},
+            )
             compared += 1
-            restricted += got != H.edges
+            restricted += got != (set(weights), set(cols))
             return got
 
         monkeypatch.setattr(lorenz, "contract", recording_contract)
@@ -709,3 +711,31 @@ class TestAdmissibleRestriction:
                  if rng.random() < 0.9}
             leximin_lottery_graph(g, w).check()
         assert compared == 60 and restricted >= 20, (compared, restricted)
+
+    def test_equals_doubled_graph_reference(self):
+        """One assignment solve restricts the contraction exactly as the doubled
+        graph did (admissible edges, removal tuples, must-match pseudonodes,
+        attach vertices), under equal, node-derived, signed and rational
+        weights (the equal ones as the case that restricts nothing)."""
+        rng = random.Random(46)
+        restricted = Counter()
+        for k in range(1000):
+            n = rng.randint(6, 40)
+            g = random_graph(rng, n, rng.uniform(1.0, 3.0) / n)
+            regime = k % 4
+            if regime == 0:
+                w = {e: F(1) for e in g.edges}
+            elif regime == 1:
+                node = {v: F(rng.randint(1, 5)) for v in g.vertices}
+                w = {e: node[e[0]] + node[e[1]] for e in g.edges}
+            elif regime == 2:
+                w = {e: F(rng.randint(-3, 3)) for e in g.edges if rng.random() < 0.9}
+            else:
+                w = {e: F(rng.randint(0, 6), rng.randint(1, 4)) for e in g.edges}
+            cb = lorenz.contract(g, gallai_edmonds(g))
+            internals = lorenz._Internals(g, w)
+            got = lorenz._admissible(cb, internals)
+            assert got == doubled_graph_admissible(cb, internals), (k, sorted(g.edges), w)
+            restricted[regime] += got.edges != cb.edges or got.pseudos != cb.pseudos
+        # equal weights tie every maximum matching, so they restrict nothing
+        assert restricted[0] == 0 and min(restricted[r] for r in (1, 2, 3)) >= 50, restricted

@@ -11,12 +11,9 @@ import pytest
 
 from fairkep.matching import (
     NoPerfectMatching,
-    NotBipartite,
     UGraph,
     bipartite_admissible_subgraph,
-    bipartition,
     gallai_edmonds,
-    has_perfect_matching,
     lex_weights,
     matching_number,
     matching_weight,
@@ -25,7 +22,7 @@ from fairkep.matching import (
     norm_edge,
     perfect_matching,
 )
-from helpers import enumerate_matchings, is_factor_critical, max_weight_perfect_matching_edges
+from helpers import best_assignments, enumerate_matchings, is_factor_critical, max_matching_size
 
 F = Fraction
 
@@ -52,7 +49,8 @@ class TestMaxMatching:
     def test_triangle(self):
         g = ug([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
         assert matching_number(g) == 1
-        assert not has_perfect_matching(g)
+        with pytest.raises(NoPerfectMatching):
+            perfect_matching(g)
 
     def test_blossom_needed(self):
         # two triangles joined by an edge: perfect matching exists but a
@@ -95,7 +93,7 @@ class TestGallaiEdmonds:
                 u for v in D for u in adj[v] if u not in D
             )
             assert ge.C == g.vertices - ge.D - ge.A
-            assert ge.nu == matching_number(g)
+            assert ge.nu == max_matching_size(g)
             # components of D are factor-critical
             for comp in ge.components_D:
                 assert is_factor_critical(g.induced(comp))
@@ -129,20 +127,22 @@ class TestWeighted:
         return best
 
     def test_max_weight_exact_random(self):
+        # the best weight among the maximum-cardinality matchings
         rng = random.Random(21)
         for _ in range(80):
             g = random_graph(rng, rng.randint(2, 8), 0.5)
             w = {e: F(rng.randint(-3, 9), rng.randint(1, 4)) for e in g.edges}
             m = max_weight_matching(g, w)
             check_matching(g, m)
-            assert matching_weight(m, w) == self.brute_best_weight(g, w)
+            assert len(m) == max_matching_size(g)
+            assert matching_weight(m, w) == self.brute_best_weight(g, w, size=len(m))
 
     def test_perfect_matching_value(self):
         rng = random.Random(22)
         for _ in range(60):
             g = random_graph(rng, rng.choice([4, 6]), 0.6)
             w = {e: F(rng.randint(0, 9)) for e in g.edges}
-            m = max_weight_matching(g, w, maxcardinality=True)
+            m = max_weight_matching(g, w)
             want = self.brute_best_weight(g, w, size=len(g.vertices) // 2)
             if want is None:
                 assert 2 * len(m) < len(g.vertices)
@@ -170,57 +170,51 @@ class TestLexWeights:
         assert abs(w[(3, 4)] - w[(1, 2)]) < 1
 
 
-class TestBipartition:
-    def test_splits(self):
-        left, right = bipartition(ug([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)]))
-        assert {frozenset(left), frozenset(right)} == {
-            frozenset({1, 3}),
-            frozenset({2, 4}),
-        }
-
-    def test_odd_cycle(self):
-        with pytest.raises(NotBipartite):
-            bipartition(ug([1, 2, 3], [(1, 2), (2, 3), (1, 3)]))
-
-
 class TestAdmissibleEdges:
-    def random_bipartite(self, rng):
-        k = rng.randint(1, 6)
-        left = list(range(k))
-        right = list(range(10, 10 + k + rng.choice([0, 0, 0, 1])))
+    def random_assignment(self, rng):
+        rows = list(range(rng.randint(0, 5)))
+        cols = list(range(10, 10 + len(rows) + rng.choice([0, 0, 1, 2, 3])))
         p = rng.uniform(0.3, 0.9)
-        edges = [(u, v) for u in left for v in right if rng.random() < p]
-        # half-integer weights from a tiny range, so ties and non-unique duals abound
-        weights = {e: F(rng.randint(-2, 4), rng.choice([1, 2])) for e in edges}
-        return ug(left + right, edges), weights
+        # half-integer weights and bonuses from a tiny range, so ties and
+        # non-unique duals abound; some columns have no bonus
+        weights = {(r, c): F(rng.randint(-2, 4), rng.choice([1, 2]))
+                   for r in rows for c in cols if rng.random() < p}
+        bonus = {c: F(rng.randint(-2, 4), rng.choice([1, 2])) for c in cols if rng.random() < 0.8}
+        return rows, cols, weights, bonus
 
     def test_against_enumerated_optima(self):
         rng = random.Random(41)
-        solved = 0
-        for _ in range(400):
-            g, w = self.random_bipartite(rng)
-            want = max_weight_perfect_matching_edges(g.vertices, g.edges, w)
+        solved = restricted = 0
+        for _ in range(600):
+            rows, cols, weights, bonus = self.random_assignment(rng)
+            want = best_assignments(rows, cols, weights, bonus)
             if want is None:
                 with pytest.raises(NoPerfectMatching):
-                    bipartite_admissible_subgraph(g, w)
+                    bipartite_admissible_subgraph(rows, cols, weights, bonus)
                 continue
-            assert bipartite_admissible_subgraph(g, w) == want
+            got = bipartite_admissible_subgraph(rows, cols, weights, bonus)
+            assert got == want, (rows, cols, weights, bonus)
             solved += 1
-        assert solved >= 150
+            restricted += got != (set(weights), set(cols) if len(cols) > len(rows) else set())
+        assert solved >= 300 and restricted >= 150, (solved, restricted)
 
     def test_tuple_vertices_and_missing_weights(self):
-        # a 4-cycle with one heavy edge pair; weights default to 0
+        # a 2x2 assignment with one heavy edge pair; bonuses default to 0
         a, b, c, d = ("L", 1), ("L", 2), ("R", 1), ("R", 2)
-        g = UGraph.of([a, b, c, d], [norm_edge(a, c), norm_edge(a, d), norm_edge(b, c), norm_edge(b, d)])
-        w = {norm_edge(a, c): F(1), norm_edge(b, d): F(1)}
-        assert bipartite_admissible_subgraph(g, w) == {norm_edge(a, c), norm_edge(b, d)}
-        assert bipartite_admissible_subgraph(g, {}) == set(g.edges)
+        w = {(a, c): F(1), (a, d): F(0), (b, c): F(0), (b, d): F(1)}
+        assert bipartite_admissible_subgraph([a, b], [c, d], w, {}) == ({(a, c), (b, d)}, set())
+        # a third column is left out by every optimum, and with all weights
+        # zero every edge and every column is admissible
+        e = ("R", 3)
+        w.update({(a, e): F(0), (b, e): F(0)})
+        assert bipartite_admissible_subgraph([a, b], [c, d, e], w, {e: F(2)}) == ({(a, c), (b, d)}, {e})
+        zero = dict.fromkeys(w, F(0))
+        assert bipartite_admissible_subgraph([a, b], [c, d, e], zero, {}) == (set(w), {c, d, e})
 
     def test_errors(self):
-        with pytest.raises(NotBipartite):
-            bipartite_admissible_subgraph(ug([1, 2, 3], [(1, 2), (2, 3), (1, 3)]), {})
         with pytest.raises(NoPerfectMatching):
-            bipartite_admissible_subgraph(ug([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)]), {})
+            bipartite_admissible_subgraph([1, 2], [3, 4], {(1, 3): F(0), (2, 3): F(0)}, {})
         with pytest.raises(NoPerfectMatching):
-            bipartite_admissible_subgraph(ug([1, 2, 3], [(1, 2), (2, 3)]), {})
-        assert bipartite_admissible_subgraph(ug([], []), {}) == set()
+            bipartite_admissible_subgraph([1, 2], [3], {(1, 3): F(0), (2, 3): F(0)}, {})
+        assert bipartite_admissible_subgraph([], [], {}, {}) == (set(), set())
+        assert bipartite_admissible_subgraph([], [5], {}, {}) == (set(), {5})
