@@ -290,20 +290,16 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _coverable_losses(instance: KepInstance, policy) -> dict[int, int]:
-    """Coverage loss of each pair some packing covers (δ* is the largest); the rest are dropped."""
-    return {v: x for v, x in oracle.coverage_losses(instance, policy).items() if x is not None}
-
-
 def _solve_lottery(instance: KepInstance, args) -> fair.SolveReport:
     policy = parse_policy(args.policy, args.delta, args.mu)
     if args.delta is None and args.mu is None and args.objective != "utilitarian":
         # fairness objectives are only interesting on the family that trades a
         # little cardinality for coverage; default to the smallest sufficient
-        # relaxation, δ* over the coverable pairs.
-        kept = _coverable_losses(instance, policy)
-        instance = instance.restrict(kept)
-        policy = replace(policy, cardinality_mode="delta", delta=max(kept.values(), default=0))
+        # relaxation, δ* over the pairs some packing covers, which
+        # preprocessing at any cardinality keeps, handing on its family.
+        any_size = replace(policy, cardinality_mode="delta", delta=len(instance.pairs))
+        instance, _ = fair.preprocess(instance, any_size)
+        policy = replace(any_size, delta=oracle.delta_star(instance, policy))
     if args.objective == "utilitarian":
         return fair.solve_utilitarian(instance, policy)
     if args.objective == "maximin":
@@ -412,8 +408,12 @@ def _cmd_stats(args) -> int:
     policy = parse_policy(args.policy, args.delta, args.mu)
     if args.node is not None and args.metric != "coverage_loss":
         raise UsageError(f"--node reads only --metric coverage_loss, not {args.metric}")
+    if (args.delta is not None or args.mu is not None) and args.metric != "always_covered":
+        raise UsageError(f"--delta and --mu read only --metric always_covered, not {args.metric}")
     if args.metric == "delta_star":
-        value: object = max(_coverable_losses(instance, policy).values(), default=0)
+        # δ* over the pairs some packing covers
+        losses = oracle.coverage_losses(instance, policy).values()
+        value: object = max((x for x in losses if x is not None), default=0)
     elif args.metric == "always_covered":
         count, members = oracle.always_covered_count(instance, policy)
         value = {"count": count, "pairs": sorted(members)}

@@ -1,10 +1,12 @@
-"""Domain types, validation, fairness metrics and Lorenz-order utilities."""
+"""Domain types, validation, exact integer scaling, fairness metrics and
+Lorenz-order utilities."""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 UNBOUNDED = float("inf")
@@ -40,6 +42,14 @@ class GiniUndefined(FairkepError):
 
 class LengthMismatch(FairkepError):
     pass
+
+
+def integer_scaled(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """(ints, d) with ints[i] / d == values[i], d the lcm of their denominators
+    (1 for none): a positive scale, so comparisons, sums and optima stay."""
+    values = list(values)
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 @dataclass(frozen=True)

@@ -548,26 +548,24 @@ def sparsify(lottery: Lottery) -> Lottery:
 def preprocess(
     instance: KepInstance, policy: StructurePolicy
 ) -> tuple[KepInstance, list[int]]:
-    """Drop pairs covered by no acceptable packing; returns (instance, dropped).
+    """Drop pairs covered by no acceptable packing; returns (reduced, dropped).
 
     One `oracle.coverable_pairs` witness loop under the policy's acceptable
     cardinality finds the kept pairs; both run on one packing family, whose
     maximum packing is the loop's first witness under cardinality ≥ k.  A
     packing covering a kept pair never routes through a dropped one, so one
-    pass suffices; the instance itself comes back, carrying nothing, when
-    nothing is dropped.  Otherwise the new reduced instance carries the family
-    restricted to it (`PackingFamily.restrict`), maximum included under modes
-    max and delta, so δ* and a solve over it with the same structures
-    enumerate nothing and search no maximum again.
+    pass suffices.  `reduced` is always a new instance,
+    `instance.restrict(kept)`, equal to the input when nothing is dropped,
+    and it carries the family restricted to it (`PackingFamily.restrict`),
+    maximum included under modes max and delta, so δ* and a solve over it
+    with the same structures enumerate nothing and search no maximum again.
+    The input carries nothing new.
     """
     family = _family_of(instance, policy)
     card = acceptable_cardinality(instance, policy, family)
     kept = coverable_pairs(family, card)
-    dropped = sorted(instance.pairs - kept)
-    if not dropped:
-        return instance, []
     reduced = instance.restrict(kept)
     # set as a frozen dataclass's __init__ sets a field; `replace` and
     # `restrict` copy fields only, so no instance made from it carries it
     object.__setattr__(reduced, "_family", family.restrict(reduced))
-    return reduced, dropped
+    return reduced, sorted(instance.pairs - kept)

@@ -4,7 +4,8 @@ Each pair draws a (patient, donor) blood-type pairing and then a patient PRA
 (panel reactive antibody) level conditional on that pairing; NDD donors draw a
 blood type from the population distribution.  An arc u -> v exists when u's
 donor is ABO-compatible with v's patient and an independent uniform draw in
-0..100 exceeds v's PRA.  Generation is a pure function of (config, seed).
+0..100 exceeds v's PRA (`draw_arcs`, which `sim` draws its cross-batch arcs
+with too).  Generation is a pure function of (config, seed).
 
 The shipped default distributions (US census ABO frequencies, uniform PRA
 buckets) are placeholders, not calibrated to any registry; override them via
@@ -19,7 +20,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .core import FairkepError, KepInstance
 
@@ -118,6 +119,40 @@ def _draw(rng: random.Random, table: tuple[list, list[float]]):
     return keys[min(bisect_right(sums, rng.random()), len(keys) - 1)]
 
 
+# the weight of every drawn arc, shared (Fractions are immutable)
+ONE = Fraction(1)
+
+
+def draw_arcs(rng: random.Random, attributes: Mapping[int, Mapping], sources: Sequence[int],
+              targets: Sequence[int], arcs: dict[tuple[int, int], Fraction]) -> None:
+    """The arc draw of generated instances and of `sim`'s cross-batch arcs.
+
+    Each source, in order, tests its targets other than itself, in order: a
+    donor blood type compatible with the target's patient blood type makes
+    one uniform draw in [0, 100), and the arc goes into `arcs` when the draw
+    exceeds the target's PRA.  Incompatible or attribute-less nodes make no
+    draw."""
+    draw = rng.random
+    # donor blood type -> the compatible targets with their PRA, in order
+    compatible: dict[str, list[tuple[int, int]]] = {}
+    for u in sources:
+        donor = attributes.get(u, {}).get("blood_donor")
+        if donor is None:
+            continue
+        row = compatible.get(donor)
+        if row is None:
+            ok = ABO_COMPATIBLE[donor]
+            row = compatible[donor] = [
+                (v, attributes[v]["pra"])
+                for v in targets
+                if attributes.get(v, {}).get("blood_patient") in ok
+            ]
+        for v, pra in row:
+            # rng.uniform(0, 100), inlined: the same float from one draw
+            if v != u and 100 * draw() > pra:
+                arcs[(u, v)] = ONE
+
+
 def generate_instance(config: GenConfig) -> KepInstance:
     """Deterministic instance for (config, config.seed).
 
@@ -131,24 +166,14 @@ def generate_instance(config: GenConfig) -> KepInstance:
     pairs = list(range(config.n_pairs))
     ndds = list(range(config.n_pairs, config.n_pairs + config.n_ndds))
     attributes: dict[int, dict] = {}
-    patient_bt: dict[int, str] = {}
-    donor_bt: dict[int, str] = {}
-    pra: dict[int, int] = {}
     for v in pairs:
         p_bt, d_bt = _draw(rng, pairing_table)
-        pra_v = _draw(rng, pra_tables[(p_bt, d_bt)])
-        patient_bt[v], donor_bt[v], pra[v] = p_bt, d_bt, pra_v
-        attributes[v] = {"blood_patient": p_bt, "blood_donor": d_bt, "pra": pra_v}
+        pra = _draw(rng, pra_tables[(p_bt, d_bt)])
+        attributes[v] = {"blood_patient": p_bt, "blood_donor": d_bt, "pra": pra}
     for a in ndds:
-        donor_bt[a] = _draw(rng, donor_table)
-        attributes[a] = {"blood_donor": donor_bt[a]}
+        attributes[a] = {"blood_donor": _draw(rng, donor_table)}
     arcs: dict[tuple[int, int], Fraction] = {}
-    for u in pairs + ndds:
-        for v in pairs:
-            if u == v or patient_bt[v] not in ABO_COMPATIBLE[donor_bt[u]]:
-                continue
-            if rng.uniform(0, 100) > pra[v]:
-                arcs[(u, v)] = Fraction(1)
+    draw_arcs(rng, attributes, pairs + ndds, pairs, arcs)
     return KepInstance(
         pairs=frozenset(pairs), ndds=frozenset(ndds), arcs=arcs, attributes=attributes
     )

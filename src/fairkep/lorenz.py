@@ -31,6 +31,7 @@ from .core import (
     KepInstance,
     Lottery,
     Packing,
+    integer_scaled,
 )
 from .fair import RestrictedMaster, leximin_lottery
 from .flows import INF, Arc, _MaxFlow, feasible_circulation
@@ -312,12 +313,11 @@ def cover_matrix(partition: BlockPartition) -> CoverMatrix:
     cb = partition.cb
     lam_of = partition.lambda_of()
     demands = {p.pid: _demand(p, lam_of[p.pid]) for p in cb.pseudos}
-    D = lcm(*(d.denominator for d in demands.values()))
+    scaled, D = integer_scaled(demands.values())
     arcs = [Arc("source", ("u", u), D, D) for u in cb.left]
     edge_list = sorted(cb.edges)
     arcs += [Arc(("u", u), ("z", z), 0, D) for (u, z) in edge_list]
-    for p in cb.pseudos:
-        d = int(demands[p.pid] * D)
+    for p, d in zip(cb.pseudos, scaled):
         arcs.append(Arc(("z", p.pid), "sink", d, d))
     arcs.append(Arc("sink", "source"))
     flows = feasible_circulation(arcs)
@@ -349,8 +349,8 @@ def decompose_matrix(cover: CoverMatrix) -> list[tuple[dict[int, int], Fraction]
     the largest mass δ that keeps every uncovered column at most t - δ.
     """
     rows = list(cover.rows)
-    D = lcm(*(v.denominator for v in cover.entries.values()))
-    P = {e: int(v * D) for e, v in cover.entries.items() if v > 0}
+    scaled, D = integer_scaled(cover.entries.values())
+    P = {e: v for e, v in zip(cover.entries, scaled) if v > 0}
     rowsum = dict.fromkeys(rows, 0)
     colsum = dict.fromkeys(cover.cols, 0)
     cols_of: dict[int, list[int]] = {}
@@ -498,11 +498,10 @@ class LeximinSolution:
     def check(self) -> None:
         """Recompute marginals from the support, as integer numerators over the
         lcm D of its denominators, and compare with the formula."""
-        D = lcm(*(p.denominator for _, p in self.support))
+        scaled, D = integer_scaled(p for _, p in self.support)
         q = dict.fromkeys(self.graph.vertices, 0)
         total = 0
-        for edges, p in self.support:
-            n = p.numerator * (D // p.denominator)
+        for (edges, _), n in zip(self.support, scaled):
             total += n
             for (a, b) in edges:
                 q[a] += n

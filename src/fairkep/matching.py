@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-from .core import FairkepError
+from .core import FairkepError, integer_scaled
 # perfbench/tracing.py looks this name up on the module
 from .simplexlp import lp_solve_exact  # noqa: F401
 
@@ -263,17 +263,6 @@ def _components(D: set[int], adjmap: dict[int, list[int]]) -> list[frozenset[int
 # weighted matching and assignment (integer-scaled exact weights)
 # ---------------------------------------------------------------------------
 
-def _integers(exact: Mapping[Hashable, Fraction]) -> dict[Hashable, int]:
-    """The exact values times the lcm of their denominators.
-
-    A common positive scale keeps the same optima; integers keep networkx's
-    dual arithmetic exact (it halves non-int weights as floats) and the
-    Hungarian potentials integral.
-    """
-    scale = lcm(*(f.denominator for f in exact.values()))
-    return {k: f.numerator * (scale // f.denominator) for k, f in exact.items()}
-
-
 def max_weight_matching(graph: UGraph, weights: Mapping[Edge, Fraction]) -> set[Edge]:
     """A matching of maximum weight (a missing weight is 0) among the
     maximum-cardinality ones."""
@@ -281,8 +270,10 @@ def max_weight_matching(graph: UGraph, weights: Mapping[Edge, Fraction]) -> set[
 
     g = nx.Graph()
     g.add_nodes_from(graph.vertices)
-    w = _integers({e: Fraction(weights.get(e, 0)) for e in graph.edges})
-    g.add_edges_from((u, v, {"weight": x}) for (u, v), x in w.items())
+    # on ints networkx's dual arithmetic stays exact (it halves others as floats)
+    edges = list(graph.edges)
+    w, _ = integer_scaled(Fraction(weights.get(e, 0)) for e in edges)
+    g.add_edges_from((u, v, {"weight": x}) for (u, v), x in zip(edges, w))
     return {norm_edge(u, v) for (u, v) in nx.max_weight_matching(g, maxcardinality=True)}
 
 
@@ -336,8 +327,9 @@ def bipartite_admissible_subgraph(
     row_of = {r: i for i, r in enumerate(rows, 1)}
     col_of = {c: j for j, c in enumerate(cols, 1)}
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    cost = _integers({e: Fraction(bonus.get(e[1], 0)) - Fraction(w) for e, w in weights.items()})
-    for (r, c), x in cost.items():
+    # integer costs keep the potentials integral
+    cost, _ = integer_scaled(Fraction(bonus.get(c, 0)) - Fraction(w) for (_, c), w in weights.items())
+    for (r, c), x in zip(weights, cost):
         adj[row_of[r]].append((col_of[c], x))
     # 1-based rows and columns; column 0 stands for the row being added
     u = [0] * (n + 1)

@@ -27,8 +27,10 @@ period builds one and asks each of its queries of it.  Only a pool that
 pool with the same structures; no module-level cache keeps a family.  It is
 the oracle's only handle on a pool:
 `max_price_packing(family, prices, cardinality, value_only)` is the one entry,
-prices in and one best packing out.  The family's `search` scales one query's
-prices and runs the depth-first search, carrying a value bound and a
+prices in and one best packing out.  A query's cardinality has two modes,
+("exact", k) and ("atleast", k) in covered pairs; `CARD_FREE` is
+("atleast", 0), which every packing meets.  The family's `search` scales one
+query's prices and runs the depth-first search, carrying a value bound and a
 cardinality bound down the tree incrementally.  Neither changes an answer: the
 branching order is fixed, and they cut only subtrees with no leaf that could
 replace the incumbent.  Every query enters through `max_price_packing`, and a
@@ -65,6 +67,7 @@ from .core import (
     Packing,
     Structure,
     StructurePolicy,
+    integer_scaled,
 )
 
 # Most structures `enumerate_structures` emits; read at call time, so a
@@ -77,7 +80,8 @@ ENUM_CAP = 200_000
 # per query.
 BB_MAX_PAIRS = 18
 
-CARD_FREE = ("free", None)
+# no cardinality constraint: every packing covers at least 0 pairs
+CARD_FREE = ("atleast", 0)
 
 
 class ExplosionGuard(FairkepError):
@@ -357,16 +361,17 @@ class PackingFamily:
     def unit_optimum(self, cardinality: tuple[str, Optional[int]]) -> tuple[Packing, Fraction]:
         """The value-only answer to the unit-price query under `cardinality`.
 
-        Under ("atleast", k), k up to the maximum, it is `maximum()`'s packing:
-        the search returns the first leaf in its order that reaches the
-        optimum, and neither the bound nor the row prunes a maximum leaf.
+        `cardinality` is ("exact", k) or ("atleast", k).  Under ("atleast", k),
+        k up to the maximum, it is `maximum()`'s packing: the search returns
+        the first leaf in its order that reaches the optimum, and neither the
+        bound nor the row prunes a maximum leaf.
         (Where HiGHS answers, it may pick another maximum packing.)  Other
         cardinalities are searched and may raise `OracleInfeasible`.
         """
         mode, k = cardinality
         if mode != "exact":
             packing, maxcard = self.maximum()
-            if mode == "free" or k <= maxcard:
+            if k <= maxcard:
                 return packing, Fraction(maxcard)
         unit = dict.fromkeys(self.instance.pairs, Fraction(1))
         return max_price_packing(self, unit, cardinality, value_only=True)
@@ -411,10 +416,10 @@ class PackingFamily:
         """
         structs = self.structures
         n = len(structs)
-        price = [_fraction(prices.get(v, 0)) for v in self.pairs]
-        scale = math.lcm(*(p.denominator for p in price))
+        price, scale = integer_scaled(_fraction(prices.get(v, 0)) for v in self.pairs)
         multiplier, charge = (1, 0) if value_only else (len(self.pairs) + 1, 1)
-        price = [p.numerator * (scale // p.denominator) * multiplier for p in price]
+        if not value_only:
+            price = [p * multiplier for p in price]
         # including a structure moves the value bound by its negative prices and charge
         if min(price, default=0) < 0:
             adj = [sum(min(price[b], 0) for b in bits) - charge for bits in self.members]
@@ -425,7 +430,6 @@ class PackingFamily:
             drops[i] = [(1 << b, max(price[b], 0)) for b in bits]
         masks, sizes = self.masks, self.sizes
         mode, k = cardinality
-        low = 0 if mode == "free" else k
         exact = mode == "exact"
         best = best_chosen = None
         # a bound below `cut` cannot beat the incumbent: the values are integers
@@ -437,7 +441,7 @@ class PackingFamily:
             while True:
                 # at a leaf `room` is the count, so this leaves exactly the
                 # feasible counts: an inclusion never overshoots an exact k
-                if room < low or bound < cut:
+                if room < k or bound < cut:
                     return
                 if i == n:
                     best, best_chosen, cut = bound, list(chosen), bound + 1
@@ -583,7 +587,8 @@ def _milp_max_price(
                     float(L),
                 )
     card_mode, card_k = cardinality
-    if card_mode != "free":
+    # every packing covers at least 0 pairs, so ("atleast", 0) needs no row
+    if cardinality != CARD_FREE:
         add_row(card_entries, float(card_k), float(card_k) if card_mode == "exact" else np.inf)
     arc_idx = {a: j for j, a in enumerate(arcs, nz)}
     ub = np.ones(nvar)
@@ -646,14 +651,15 @@ def max_price_packing(
 ) -> tuple[Packing, Fraction]:
     """Packing of `family` maximizing the total price of covered pairs, with its value.
 
-    Pairs missing from `prices` have price 0.  `cardinality` is
-    ("free", None), ("exact", k) or ("atleast", k), counted in covered pairs;
-    anything else raises ValueError.  Exact and deterministic on enumerable
-    families: the answer has the highest value, then the fewest structures,
-    then the smallest tuple of row indices (the `sort_key` ranks on an
-    enumerated family).  `value_only` returns the first optimum the search
-    meets; with integer prices on more than `BB_MAX_PAIRS` pairs
-    `_milp_max_price` answers it as a set packing over the family's rows.
+    Pairs missing from `prices` have price 0.  `cardinality` has two modes,
+    ("exact", k) and ("atleast", k), k ≥ 0 counted in covered pairs;
+    ("atleast", 0), `CARD_FREE`, leaves the count free.  Anything else raises
+    ValueError.  Exact and deterministic on enumerable families: the answer
+    has the highest value, then the fewest structures, then the smallest
+    tuple of row indices (the `sort_key` ranks on an enumerated family).
+    `value_only` returns the first optimum the search meets; with integer
+    prices on more than `BB_MAX_PAIRS` pairs `_milp_max_price` answers it as
+    a set packing over the family's rows.
     Chain families that trip the `ExplosionGuard`, or unbounded chains on
     more than 2000 arcs, go to the same MILP with cycle columns and chain-arc
     flows; chain-free families past `ENUM_CAP` raise the `ExplosionGuard`.
@@ -667,9 +673,9 @@ def max_price_packing(
     than optimal or infeasible (a limit, an error) raises `FairkepError`.
     """
     mode, k = cardinality
-    if mode not in ("free", "exact", "atleast"):
+    if mode not in ("exact", "atleast"):
         raise ValueError(f"unknown cardinality mode {mode!r}")
-    if mode != "free" and (k is None or k < 0):
+    if k is None or k < 0:
         raise ValueError("cardinality constraint needs a count >= 0")
     structures = family.structures
     if structures is None:
@@ -690,7 +696,8 @@ def max_price_over(
     prices: Mapping[int, Fraction],
     rng: random.Random,
 ) -> tuple[Packing, Fraction]:
-    """The first optimum the value-only search meets over a shuffled family.
+    """The first optimum the value-only search meets over a shuffled family,
+    under `CARD_FREE`, ("atleast", 0): no cardinality constraint.
 
     `rng` shuffles the enumerated rows, and that order decides among
     equal-priced packings: how `sim` emulates solver nondeterminism.  It

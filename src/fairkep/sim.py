@@ -2,9 +2,9 @@
 
 Nodes arrive in batches every period (default 30 days).  Each period a packing
 is computed on the current pool under the configured algorithm and the matched
-pairs and used NDDs leave.  Cross-batch compatibility arcs are generated from
-the nodes' stored blood-type/PRA attributes with the same test as `gen`;
-batch-internal arcs are taken as given.
+pairs and used NDDs leave.  Cross-batch compatibility arcs are drawn from the
+nodes' stored blood-type/PRA attributes by `gen.draw_arcs`, the draw that
+generates instances; batch-internal arcs are taken as given.
 
 Algorithms:
 - implicit: the deterministic oracle with fixed tie-breaking (a reproducible
@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .core import KepInstance, Packing, StructurePolicy
 from .fair import solve_leximin
-from .gen import ABO_COMPATIBLE
+from .gen import ONE, draw_arcs
 from .oracle import PackingFamily, max_price_over, max_price_packing
 
 IMPLICIT = "implicit"
@@ -37,9 +37,6 @@ HEURISTIC_ILP_SHUFFLE = "heuristic-ilp-shuffle"
 HEURISTIC_NODE_SHUFFLE = "heuristic-node-shuffle"
 LEXIMIN = "leximin"
 ALGORITHMS = (IMPLICIT, HEURISTIC_ILP_SHUFFLE, HEURISTIC_NODE_SHUFFLE, LEXIMIN)
-
-# the weight of every cross-batch arc, shared (Fractions are immutable)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -127,14 +124,12 @@ class _Pool:
 
     Arrival draw order: a batch's nodes get the next ids, its pairs first,
     each part in the batch's id order.  Its own arcs are kept as given.  Then
-    every node already in the pool (pairs and NDDs, in id order) is tested
-    against every new pair, and every new node (in id order) against every
-    pair already in the pool, each source's targets in id order.  Each test
-    of a donor blood type against a compatible patient blood type makes one
-    uniform draw in [0, 100); the arc exists when the draw exceeds the
-    patient's PRA.  Incompatible or attribute-less pairs make no draw.  The
-    draws share the replication's generator with the period solves, so a
-    simulation is reproducible only as long as this order holds.
+    `gen.draw_arcs`, the draw that generates instances, tests every node
+    already in the pool (pairs and NDDs, in id order) against every new pair,
+    and every new node (in id order) against every pair already in the pool,
+    each source's targets in id order.  The draws share the replication's
+    generator with the period solves, so a simulation is reproducible only
+    as long as this order holds.
     """
 
     def __init__(self, rng: random.Random, wait_prices: Sequence[Fraction]):
@@ -162,35 +157,13 @@ class _Pool:
             self.attributes[remap[v]] = dict(attrs)
         # cross-batch arcs from blood-type compatibility + PRA test; new ids
         # exceed old ones, so old sources come first
-        self._draw_arcs(sorted(self.pairs | self.ndds), new_pairs)
-        self._draw_arcs(new_nodes, sorted(self.pairs))
+        draw_arcs(self.rng, self.attributes, sorted(self.pairs | self.ndds), new_pairs, self.arcs)
+        draw_arcs(self.rng, self.attributes, new_nodes, sorted(self.pairs), self.arcs)
         self.pairs.update(new_pairs)
         self.ndds.update(new_ndds)
         for v in new_nodes:
             self.arrival[v] = period
         return frozenset(new_nodes)
-
-    def _draw_arcs(self, sources: list[int], targets: list[int]) -> None:
-        """One draw per blood-compatible (source, target), in list order."""
-        attributes, arcs, draw = self.attributes, self.arcs, self.rng.random
-        # donor blood type -> the compatible targets with their PRA, in order
-        compatible: dict[str, list[tuple[int, int]]] = {}
-        for u in sources:
-            donor = attributes.get(u, {}).get("blood_donor")
-            if donor is None:
-                continue
-            row = compatible.get(donor)
-            if row is None:
-                ok = ABO_COMPATIBLE[donor]
-                row = compatible[donor] = [
-                    (v, attributes[v]["pra"])
-                    for v in targets
-                    if attributes.get(v, {}).get("blood_patient") in ok
-                ]
-            for v, pra in row:
-                # rng.uniform(0, 100), inlined: the same float from one draw
-                if 100 * draw() > pra:
-                    arcs[(u, v)] = ONE
 
     def instance(self) -> KepInstance:
         return KepInstance(
@@ -362,14 +335,10 @@ def compare_heuristics(instance: KepInstance, n_runs: int, seed: int = 0,
     for alg in (HEURISTIC_ILP_SHUFFLE, HEURISTIC_NODE_SHUFFLE):
         config = SimConfig(policy=policy, algorithm=alg, seed=seed)
         for r in range(n_runs):
-            rng = random.Random(seed ^ (r * 0x9E3779B97F4A7C15))
-            pool = _Pool(rng, _wait_prices(config, 1))
-            pool.arrive(instance, 0)
-            remap = dict(zip(sorted(instance.pairs) + sorted(instance.ndds), range(10**9)))
-            packing = _solve_period(pool, config, 0, rng)
-            covered = packing.covered
-            for v in pairs:
-                if remap[v] in covered:
+            # one period over the instance, its pairs relabelled 0, 1, ... in order
+            matched = _run_one([instance], config, r).periods[0].matched
+            for i, v in enumerate(pairs):
+                if i in matched:
                     counts[alg][v] += 1
     # frequencies rise with counts, so both sort in one order
     ranked = {alg: sorted(c.values()) for alg, c in counts.items()}

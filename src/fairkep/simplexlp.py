@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Iterable, Sequence
 
-from .core import FairkepError
+from .core import FairkepError, integer_scaled
 
 
 class LpInfeasible(FairkepError):
@@ -47,12 +47,6 @@ def _eliminate(row: list[int], pivot_row: list[int], i: int) -> list[int]:
     out = [g * a - f * b for a, b in zip(row, pivot_row)]
     k = gcd(*out)
     return [a // k for a in out] if k > 1 else out
-
-
-def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(ints, d) with ints / d == values and d > 0 the least such d."""
-    d = lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def _simplex(tab: list[list[int]], basis: list[int], ncols: int) -> None:
@@ -147,7 +141,7 @@ def lp_solve_exact(
     si, ai = ext, art0
     for r, b, is_eq in constraints:
         flip = b < 0
-        ints, d = _integer_row([-v for v in r] + [-b] if flip else r + [b])
+        ints, d = integer_scaled([-v for v in r] + [-b] if flip else r + [b])
         row = ints[:-1] + [0] * (nslack + nart) + [ints[-1], 0]
         if not is_eq:
             row[si] = -d if flip else d
@@ -190,10 +184,9 @@ def lp_solve_exact(
     # phase 2: reduced costs c_B B^-1 A - c over the final phase-1 basis
     cfull = cx + [Fraction(0)] * (nslack + nart)
     weights = [(cfull[b] / tab[i][b], i) for i, b in enumerate(basis) if cfull[b]]
-    d2 = lcm(*(v.denominator for v in cx), *(w.denominator for w, _ in weights))
-    z2 = [-(v.numerator * (d2 // v.denominator)) for v in cfull] + [0, d2]
-    for w, i in weights:
-        f = w.numerator * (d2 // w.denominator)
+    ints, d2 = integer_scaled(cx + [w for w, _ in weights])
+    z2 = [-a for a in ints[:ext]] + [0] * (nslack + nart + 1) + [d2]
+    for f, (_, i) in zip(ints[ext:], weights):
         z2 = [z + f * a for z, a in zip(z2, tab[i])]
     tab.append(z2)
     _simplex(tab, basis, art0)

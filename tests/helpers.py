@@ -23,7 +23,7 @@ import networkx as nx
 from fairkep.core import Chain, Cycle, Packing
 from fairkep.lorenz import ContractedBipartite, Pseudo
 from fairkep.matching import matching_weight, norm_edge
-from fairkep.oracle import OracleInfeasible, enumerate_structures
+from fairkep.oracle import CARD_FREE, OracleInfeasible, enumerate_structures
 from fairkep.simplexlp import lp_solve_exact
 
 ZERO = Fraction(0)
@@ -59,7 +59,7 @@ def all_structures(instance, policy):
     return sorted(out, key=lambda s: s.sort_key())
 
 
-def packing_covers(instance, policy, card=("free", None)):
+def packing_covers(instance, policy, card=CARD_FREE):
     """Covered-pair sets of every packing of `all_structures` that meets `card`.
 
     One entry per packing, by exhaustive search over subsets of disjoint
@@ -70,7 +70,7 @@ def packing_covers(instance, policy, card=("free", None)):
     out = []
 
     def rec(i, used, used_ndds):
-        if mode == "free" or (len(used) == k if mode == "exact" else len(used) >= k):
+        if len(used) == k if mode == "exact" else len(used) >= k:
             out.append(used)
         for j in range(i, len(structs)):
             cov = frozenset(structs[j].covered())
@@ -83,7 +83,7 @@ def packing_covers(instance, policy, card=("free", None)):
     return out
 
 
-def brute_best(instance, policy, prices, must=frozenset(), card=("free", None)):
+def brute_best(instance, policy, prices, must=frozenset(), card=CARD_FREE):
     """Best total price over every packing that covers `must` and meets `card`.
 
     None when no packing qualifies.
@@ -550,7 +550,7 @@ def reference_search(inst, policy, prices, cardinality, value_only):
     adj = [sum(neg[b] for b in bits) for bits in members]
     drops = [[(1 << b, price[b]) for b in bits if price[b] > 0] for bits in drop_bits]
     mode, k = cardinality
-    low = 0 if mode == "free" else k
+    low = k
     exact = mode == "exact"
     best_val = -math.inf
     best_key = best_chosen = None

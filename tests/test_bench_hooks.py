@@ -255,10 +255,24 @@ def test_each_maximum_searched_once(monkeypatch):
     assert oracle.CARD_FREE not in [card for _, _, card in delta_searches]
 
 
+def test_pool_with_nothing_to_drop_enumerated_once(monkeypatch):
+    """Preprocessing a pool that drops nothing still hands δ* and the solve
+    its family, on the equal copy it returns."""
+    policy = StructurePolicy(max_cycle_len=3)
+    reduced, _ = fair.preprocess(gen.generate_instance(gen.GenConfig(n_pairs=12, seed=3)), policy)
+    # the same pool, carrying no family
+    pool = reduced.restrict(reduced.pairs)
+    enumerations = counting_enumerations(monkeypatch)
+    again, dropped = fair.preprocess(pool, policy)
+    delta = oracle.delta_star(again, policy)
+    fair.solve_leximin(again, replace(policy, cardinality_mode="delta", delta=delta))
+    assert dropped == [] and len(enumerations) == 1
+
+
 def test_preprocess_keeps_no_family_between_calls(monkeypatch):
     """No memo outlives a reduced instance: preprocessing one pool twice
-    enumerates twice, and a pool with nothing to drop comes back as itself,
-    carrying no family."""
+    enumerates twice, and a pool with nothing to drop comes back as an equal
+    copy that carries the family, the input still carrying none."""
     policy = StructurePolicy(max_cycle_len=3)
     pool = gen.generate_instance(gen.GenConfig(n_pairs=12, seed=3))
     enumerations = counting_enumerations(monkeypatch)
@@ -273,8 +287,8 @@ def test_preprocess_keeps_no_family_between_calls(monkeypatch):
 
     assert carries(first) and not carries(pool)
     # a copy of a reduced instance carries nothing, and preprocessing it
-    # drops nothing, so it comes back as it is, still carrying nothing
+    # drops nothing, so it comes back as an equal copy that carries a family
     copy = first.restrict(first.pairs)
     again, dropped = fair.preprocess(copy, policy)
-    assert again is copy and dropped == []
-    assert not carries(copy)
+    assert again == copy and again is not copy and dropped == []
+    assert carries(again) and not carries(copy)

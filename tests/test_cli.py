@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairkep import io, sim
+from fairkep import io, oracle, sim
 from fairkep.cli import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -132,6 +132,22 @@ class TestLottery:
         assert uncoverable and len(marginals) == len(inst.pairs)
         for v, q in marginals.items():
             assert (q == 0) == (v in uncoverable), v
+
+    @pytest.mark.parametrize("pool", ["pool20", "fig1b"])
+    def test_default_delta_enumerates_once(self, pool, request, monkeypatch, tmp_path):
+        """Preprocessing, δ* and the solve of one `lottery` command share one
+        packing family, whether pairs are dropped (pool20) or not (fig1b)."""
+        enumerations = []
+        enumerate_structures = oracle.enumerate_structures
+
+        def counting(*args):
+            enumerations.append(1)
+            return enumerate_structures(*args)
+
+        monkeypatch.setattr(oracle, "enumerate_structures", counting)
+        path = request.getfixturevalue(pool)
+        assert run(["lottery", str(path), "-o", str(tmp_path / "lot.json")]) == EXIT_OK
+        assert len(enumerations) == 1
 
     def test_fixed_cardinality_match(self, tmp_path):
         # a 5-cycle 1..5 with a pendant pair 6 on 1: ν = 3, every 2-edge matching
@@ -509,10 +525,14 @@ class TestExitCodes:
         ["stats", "{instance}", "--metric", "max_cardinality", "--node", "1", "-o", "{out}"],
         ["fixtures", "fig1a", "--size", "2", "-o", "{out}"],
         ["fixtures", "fig1b", "--triples", "1,2,3", "-o", "{out}"],
+        ["stats", "{instance}", "--metric", "delta_star", "--delta", "1", "-o", "{out}"],
+        ["stats", "{instance}", "--metric", "coverage_loss", "--mu", "1", "-o", "{out}"],
+        ["stats", "{instance}", "--metric", "max_cardinality", "--delta", "1", "-o", "{out}"],
     ], ids=["replications", "runs", "lottery-delta", "stats-delta", "mu", "chain-zero",
             "chain-negative", "triple-letters", "batches-onto-file", "tol-zero",
             "batches-negative", "draws-negative", "size-negative", "node-delta-star",
-            "node-always-covered", "node-max-cardinality", "fig1a-size", "fig1b-triples"])
+            "node-always-covered", "node-max-cardinality", "fig1a-size", "fig1b-triples",
+            "delta-star-delta", "coverage-loss-mu", "max-cardinality-delta"])
     def test_bad_flag_values_exit_2(self, argv, fig1a, tmp_path):
         batches = tmp_path / "batches"
         assert run(["generate", "--pairs", "4", "--batches", "1", "-o", str(batches)]) == EXIT_OK

@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import fairkep
 from fairkep.core import (
@@ -35,6 +36,7 @@ from fairkep.core import (
     eval_nash,
     eval_neg_gini,
     eval_utilitarian,
+    integer_scaled,
     lorenz_compare,
     validate_packing,
     DOMINATES,
@@ -213,6 +215,17 @@ class TestLottery:
         assert third.draw(1 / 3) == a
 
 
+class TestIntegerScaled:
+    @given(st.lists(st.fractions(max_denominator=10**6)))
+    def test_exact_over_the_lcm(self, values):
+        ints, d = integer_scaled(values)
+        assert [F(i, d) for i in ints] == values
+        assert d == math.lcm(*(v.denominator for v in values))
+
+    def test_empty(self):
+        assert integer_scaled([]) == ([], 1)
+        assert integer_scaled(iter(())) == ([], 1)
+
 
 def test_library_has_no_assert():
     # `python -O` strips assert statements, so the library must not rely on them
@@ -321,15 +334,21 @@ def test_every_private_helper_is_referenced():
     # called: a private module-level function or class that no module of the
     # library names outside its own body is dead code.  A name counts for its
     # own module, `module.name` and `from .module import name` for that module.
+    # A private method of a module-level class (`_Pool._draw`) is dead unless
+    # some attribute of that name appears outside its own body.
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
              for p in sorted(Path(fairkep.__file__).parent.glob("*.py"))}
-    private, used = [], set()
+    private, used, methods = [], set(), []
     for module, tree in trees.items():
         for top in tree.body:
             owner = getattr(top, "name", None)
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and owner.startswith("_") \
                     and not owner.startswith("__"):
                 private.append((module, owner))
+            if isinstance(top, ast.ClassDef):
+                methods += [(f"{module}.{owner}", m) for m in top.body
+                            if isinstance(m, ast.FunctionDef) and m.name.startswith("_")
+                            and not m.name.startswith("__")]
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
                     targets = [(module, node.id)]
@@ -341,6 +360,12 @@ def test_every_private_helper_is_referenced():
                     continue
                 used.update(t for t in targets if t != (module, owner))
     orphans = [f"{module}.{name}" for module, name in private if (module, name) not in used]
+
+    def attributes(node, name):
+        return sum(isinstance(n, ast.Attribute) and n.attr == name for n in ast.walk(node))
+
+    orphans += [f"{cls}.{m.name}" for cls, m in methods
+                if sum(attributes(tree, m.name) for tree in trees.values()) == attributes(m, m.name)]
     assert not orphans, orphans
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import fairkep
-from fairkep import fair, gen
+from fairkep import fair, gen, oracle
 from fairkep.core import UNBOUNDED, Cycle, FairkepError, KepInstance, Lottery, Packing, StructurePolicy
 from fairkep.fair import (
     solve_gini,
@@ -336,8 +336,11 @@ class TestPreprocess:
         sub, dropped = fair.preprocess(inst, MATCH)
         assert sub.pairs == frozenset({1, 2})
         assert dropped == [3]
+        # nothing to drop: an equal copy, carrying its own family
         same, none_dropped = fair.preprocess(sub, MATCH)
-        assert same is sub and none_dropped == []
+        assert same == sub and same is not sub and none_dropped == []
+        assert oracle._family_of(same, MATCH) is oracle._family_of(same, MATCH)
+        assert oracle._family_of(same, MATCH) is not oracle._family_of(sub, MATCH)
 
 
 class TestChecks:

@@ -58,7 +58,7 @@ def unit(inst):
 def assert_cardinality(packing, card):
     mode, k = card
     n = len(packing.covered)
-    assert mode == "free" or (n == k if mode == "exact" else n >= k), (n, card)
+    assert n == k if mode == "exact" else n >= k, (n, card)
 
 
 def random_instance(rng, n_lo, n_hi, ndd_lo, ndd_hi, density):
@@ -366,7 +366,7 @@ class TestMaxPrice:
             )
             for _ in range(4):
                 prices = {v: F(rng.randint(-2, 6), rng.randint(1, 4)) for v in pairs}
-                card = rng.choice([("free", None), ("atleast", 2), ("exact", 2)])
+                card = rng.choice([CARD_FREE, ("atleast", 2), ("exact", 2)])
                 bb = brute_best(inst, pol, prices, card=card)
                 for value_only in (False, True):
                     try:
@@ -414,7 +414,7 @@ class TestMaxPrice:
             pairs = sorted(inst.pairs)
             pol = StructurePolicy(max_cycle_len=3, max_chain_len=rng.choice([2, 3]))
             prices = {v: F(rng.randint(-3, 8), rng.choice([1, 2, 3, 4])) for v in pairs}
-            card = rng.choice([("free", None), ("atleast", 3), ("exact", 4)])
+            card = rng.choice([CARD_FREE, ("atleast", 3), ("exact", 4)])
             family = PackingFamily(inst, pol)
             try:
                 pk_bb, val_bb = max_price_packing(family, prices, card, value_only=True)
@@ -450,7 +450,7 @@ class TestMaxPrice:
             pairs = sorted(inst.pairs)
             pol = StructurePolicy(max_cycle_len=2)
             prices = {v: F(rng.randint(-1, 3)) for v in pairs}
-            card = rng.choice([("free", None), ("atleast", 4)])
+            card = rng.choice([CARD_FREE, ("atleast", 4)])
             try:
                 want = PackingFamily(inst, pol).search(prices, card, value_only=True)[1]
             except OracleInfeasible:
@@ -481,7 +481,7 @@ class TestMaxPrice:
             )
             family = oracle.PackingFamily(inst, pol)
             queries = [(unit(inst), CARD_FREE)]
-            for card in (("free", None), ("atleast", 6), ("exact", 8)):
+            for card in (CARD_FREE, ("atleast", 6), ("exact", 8)):
                 prices = {v: F(rng.randint(-1, 3)) for v in inst.pairs}
                 queries.append((prices, card))
             for prices, card in queries:
@@ -523,7 +523,7 @@ class TestMaxPrice:
             if n_cycles == len(full.structures):
                 continue
             prices = {v: F(rng.randint(-2, 6), rng.choice([1, 2, 3])) for v in inst.pairs}
-            card = rng.choice([("free", None), ("atleast", 2)])
+            card = rng.choice([CARD_FREE, ("atleast", 2)])
             with monkeypatch.context() as m:
                 # room for the cycles the arc model enumerates, none for the chains
                 m.setattr(oracle, "ENUM_CAP", n_cycles)
@@ -639,7 +639,7 @@ def pinned_queries():
         if trial % 4 == 0:
             prices = {v: F(rng.randint(0, 2)) for v in pairs}  # many ties
         k = rng.randint(0, 2 * len(pairs) // 3)
-        card = rng.choice([("free", None), ("atleast", k), ("exact", k)])
+        card = rng.choice([CARD_FREE, ("atleast", k), ("exact", k)])
         out.append((inst, pol, prices, card))
     return out
 
@@ -682,7 +682,7 @@ class TestPinnedAnswers:
             for _ in range(50):
                 prices = {v: F(rng.randint(-2, 6), rng.randint(1, 3)) for v in pairs}
                 k = rng.randint(0, len(pairs) // 2)
-                card = rng.choice([("free", None), ("atleast", k), ("exact", k)])
+                card = rng.choice([CARD_FREE, ("atleast", k), ("exact", k)])
                 q = (inst, pol, prices, card)
                 value_only = rng.random() < 0.5
                 assert answer_key(q, value_only, family) == answer_key(q, value_only)
