@@ -5,6 +5,9 @@ Every run is reproducible from (command line, input files, --seed).  Exit
 codes: 0 success, 2 validation/usage error, 3 solver failure.  Exit 2 covers
 input and output files that cannot be read, decoded or written: every file
 goes through `io` or `_output`, and `run` alone maps errors to exit codes.
+`run` also parses the --policy/--delta/--mu triple, once, into the
+StructurePolicy that the verbs taking it (solve, lottery, simulate, stats,
+compare) find as `args.policy`; they decide on that object alone.
 
 Outputs are machine-readable JSON or CSV; plotting is left to external
 tooling.
@@ -26,6 +29,7 @@ from typing import Iterable, Optional, Sequence, TextIO
 
 from . import fair, gen, io, lorenz, oracle, paths, sim
 from .core import (
+    MATCHING_POLICY,
     FairkepError,
     KepInstance,
     Packing,
@@ -52,6 +56,7 @@ class UsageError(FairkepError):
 def parse_policy(spec: str, delta: Optional[int] = None, mu: Optional[int] = None) -> StructurePolicy:
     """Translate a --policy string (plus --delta/--mu) into a StructurePolicy.
 
+    `run` calls it once per command; no verb reads the three flags again.
     `2path` is `paths.TWO_PATH`; the `solve` verb answers it with a dedicated
     solver that carries a deficiency certificate (`paths.max_2path_packing`),
     and every other verb with the oracle family.  `2cyc2path` is
@@ -159,10 +164,12 @@ def _num(x) -> object:
 
 
 def _packing_dict(packing: Packing) -> dict:
-    return {
-        "structures": [io._structure_to_list(s) for s in packing.sorted_structures()],
-        "covered": sorted(packing.covered),
-    }
+    return {"structures": io.packing_to_list(packing), "covered": sorted(packing.covered)}
+
+
+def _structures(policy: StructurePolicy) -> StructurePolicy:
+    """The policy's structure rules alone, its cardinality fields at their defaults."""
+    return replace(policy, cardinality_mode="max", delta=0, mu=None)
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +232,16 @@ def export_coverage_distribution(entries: Iterable[tuple], out: TextIO) -> None:
     Each entry is (label, frequencies, intervals): the nondecreasing
     empirical inclusion frequencies of one algorithm and the (lo, hi)
     interval of each, as `sim.CompareResult` holds them.
+    An entry without pairs (a pool with none) writes no rows.
     """
+    entries = list(entries)
+    if not entries:
+        raise UsageError("export_coverage_distribution needs at least one entry")
     writer = csv.writer(out)
     writer.writerow(["rank", "q", "ci_lo", "ci_hi", "algorithm"])
-    wrote = False
     for label, freqs, intervals in entries:
         for rank, (q_hat, (lo, hi)) in enumerate(zip(freqs, intervals)):
             writer.writerow([rank, f"{q_hat:.10g}", f"{lo:.10g}", f"{hi:.10g}", label])
-            wrote = True
-    if not wrote:
-        raise UsageError("export_coverage_distribution needs at least one result")
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +263,13 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = io.read_instance(args.instance)
-    if args.policy in ("2path", "2cyc2path"):
-        given = {"--prices": args.prices, "--delta": args.delta, "--mu": args.mu}
-        unread = [flag for flag, value in given.items() if value is not None]
-        if unread:
-            raise UsageError(
-                f"solve --policy {args.policy} finds a maximum packing; it takes no {', '.join(unread)}"
-            )
-    if args.policy == "2path":
+    policy = args.policy
+    kind = _structures(policy)
+    unread = args.prices is not None or policy.cardinality_mode != "max"
+    if unread and kind in (paths.TWO_PATH, paths.TWO_CYCLE_TWO_PATH):
+        raise UsageError("solve --policy 2path|2cyc2path finds a maximum packing; "
+                         "it takes no --prices, --delta or --mu")
+    if kind == paths.TWO_PATH:
         packing, cert = paths.max_2path_packing(instance)
         result = _packing_dict(packing)
         result["deficiency"] = {
@@ -272,11 +278,10 @@ def _cmd_solve(args) -> int:
         }
         _emit(result, args.output)
         return EXIT_OK
-    if args.policy == "2cyc2path":
+    if kind == paths.TWO_CYCLE_TWO_PATH:
         packing = paths.max_2cycle_2path_packing(instance)
         _emit(_packing_dict(packing), args.output)
         return EXIT_OK
-    policy = parse_policy(args.policy, args.delta, args.mu)
     if args.prices:
         prices = _read_map(args.prices, instance, "price")
     else:
@@ -291,8 +296,8 @@ def _cmd_solve(args) -> int:
 
 
 def _solve_lottery(instance: KepInstance, args) -> fair.SolveReport:
-    policy = parse_policy(args.policy, args.delta, args.mu)
-    if args.delta is None and args.mu is None and args.objective != "utilitarian":
+    policy = args.policy
+    if policy.cardinality_mode == "max" and args.objective != "utilitarian":
         # fairness objectives are only interesting on the family that trades a
         # little cardinality for coverage; default to the smallest sufficient
         # relaxation, δ* over the pairs some packing covers, which
@@ -313,18 +318,13 @@ def _solve_lottery(instance: KepInstance, args) -> fair.SolveReport:
 
 def _cmd_lottery(args) -> int:
     instance = io.read_instance(args.instance)
-    match_policy = args.policy.strip() in ("match", "matching")
-    weighted = args.node_weights is not None or args.edge_weights is not None
-    if weighted:
-        given = {"--node-weights": args.node_weights, "--edge-weights": args.edge_weights,
-                 "--delta": args.delta, "--mu": args.mu}
-        flags = [flag for flag, value in given.items() if value is not None]
-        if not match_policy:
-            raise UsageError(f"{flags[0]} weighs matchings; it needs --policy match")
-        if len(flags) > 1:
-            raise UsageError(f"lottery takes only one of {', '.join(flags)}")
-    engine = weighted or (args.mu is not None and match_policy)
-    if engine:
+    policy = args.policy
+    weights = [flag for flag, value in (("--node-weights", args.node_weights),
+                                        ("--edge-weights", args.edge_weights)) if value is not None]
+    if weights and (policy != MATCHING_POLICY or len(weights) > 1):
+        raise UsageError(f"{' and '.join(weights)}: lottery weighs maximum matchings by one "
+                         "weight file, under --policy match with no --delta or --mu")
+    if weights or (policy.cardinality_mode == "fixed" and _structures(policy) == MATCHING_POLICY):
         # matching-engine reductions (exact, leximin only)
         if args.objective != "leximin":
             raise UsageError("weighted/fixed-cardinality lotteries support --objective leximin only")
@@ -335,7 +335,6 @@ def _cmd_lottery(args) -> int:
             ew = _read_map(args.edge_weights, instance, "weight", edges=True)
             lottery = lorenz.edge_weight_reduction(instance, ew)
         else:
-            policy = parse_policy(args.policy, args.delta, args.mu)
             lottery = lorenz.fixed_cardinality_reduction(instance, mu=policy.mu)
         # one exact pass, no pricing: the objective is the sorted marginal
         # vector over the pairs some matching can cover, as preprocessing
@@ -371,11 +370,10 @@ def _cmd_simulate(args) -> int:
     if not files:
         raise UsageError(f"no *.json batch files in {batch_dir}")
     batches = [io.read_instance(f) for f in files]
-    policy = parse_policy(args.policy, args.delta, args.mu)
     weighting = sim.WaitTimeLinear() if args.wait_weighting else None
     try:
         config = sim.SimConfig(
-            policy=policy,
+            policy=args.policy,
             algorithm=args.algorithm,
             weighting=weighting,
             replications=args.replications,
@@ -405,10 +403,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_stats(args) -> int:
     instance = io.read_instance(args.instance)
-    policy = parse_policy(args.policy, args.delta, args.mu)
+    policy = args.policy
     if args.node is not None and args.metric != "coverage_loss":
         raise UsageError(f"--node reads only --metric coverage_loss, not {args.metric}")
-    if (args.delta is not None or args.mu is not None) and args.metric != "always_covered":
+    if policy.cardinality_mode != "max" and args.metric != "always_covered":
         raise UsageError(f"--delta and --mu read only --metric always_covered, not {args.metric}")
     if args.metric == "delta_star":
         # δ* over the pairs some packing covers
@@ -434,9 +432,8 @@ def _cmd_stats(args) -> int:
 
 def _cmd_compare(args) -> int:
     instance = io.read_instance(args.instance)
-    policy = parse_policy(args.policy, args.delta, args.mu)
     try:
-        result = sim.compare_heuristics(instance, args.runs, seed=args.seed, policy=policy)
+        result = sim.compare_heuristics(instance, args.runs, seed=args.seed, policy=args.policy)
     except ValueError as exc:  # too few --runs
         raise UsageError(str(exc))
     with _output(args.output) as stream:
@@ -609,6 +606,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
+        if hasattr(args, "policy"):  # the verbs that take --policy/--delta/--mu
+            args.policy = parse_policy(args.policy, args.delta, args.mu)
         return args.func(args)
     except (UsageError, io.ParseError, OSError) as exc:  # flags, input and output files
         print(f"error: {exc}", file=sys.stderr)

@@ -228,7 +228,7 @@ class Packing:
 
     @property
     def cardinality(self) -> int:
-        return sum(s.length if isinstance(s, Chain) else len(s.vertices) for s in self.structures)
+        return sum(s.length for s in self.structures)
 
     def sorted_structures(self) -> list[Structure]:
         return sorted(self.structures, key=lambda s: s.sort_key())

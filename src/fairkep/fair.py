@@ -307,8 +307,11 @@ def leximin_lottery(master: RestrictedMaster) -> tuple[Lottery, int, Fraction]:
     every round fixes a pair and there are at most n rounds.  Levels never
     decrease, though consecutive ones may be equal; all comparisons are
     exact.  Returns (sparsified lottery over the master's columns, rounds,
-    gap Fraction(0)).
+    gap Fraction(0)); a master without pairs has nothing to fix and returns
+    its seed packing in 0 rounds.
     """
+    if not master.pairs:
+        return Lottery(((master.columns[0], Fraction(1)),)), 0, Fraction(0)
     fixed: dict[int, Fraction] = {}
     level = None
     rounds = 0

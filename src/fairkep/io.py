@@ -137,10 +137,10 @@ def instance_from_dict(data: dict) -> KepInstance:
         raise ParseError(str(e)) from None
 
 
-def _structure_to_list(s) -> list:
-    if isinstance(s, Cycle):
-        return ["cycle", *s.vertices]
-    return ["chain", s.ndd, *s.pairs]
+def packing_to_list(packing: Packing) -> list[list]:
+    """The packing's structures in sort order: ["cycle", *vertices] or ["chain", ndd, *pairs]."""
+    return [["cycle", *s.vertices] if isinstance(s, Cycle) else ["chain", s.ndd, *s.pairs]
+            for s in packing.sorted_structures()]
 
 
 def _structure_from_list(item: list):
@@ -159,7 +159,7 @@ def lottery_to_dict(lottery: Lottery) -> dict:
     return {
         "support": [
             {
-                "packing": [_structure_to_list(s) for s in packing.sorted_structures()],
+                "packing": packing_to_list(packing),
                 "prob": format_rational(p),
             }
             for packing, p in lottery.support
@@ -180,12 +180,10 @@ def lottery_from_dict(data: dict) -> Lottery:
         structures = frozenset(_structure_from_list(s) for s in items)
         p = parse_rational(rec.get("prob"), f"in support entry #{i}")
         support.append((Packing(structures), p))
-    total = sum((p for _, p in support), Fraction(0))
-    if total != 1:
-        raise ParseError(f"SumNotOne: probabilities sum to {total}")
-    if any(p < 0 for _, p in support):
-        raise ParseError("negative probability")
-    return Lottery(tuple(support))
+    try:
+        return Lottery(tuple(support))
+    except ValueError as e:  # Lottery's own check of the probabilities
+        raise ParseError(str(e)) from None
 
 
 def read_json(path) -> Any:

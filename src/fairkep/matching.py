@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .core import FairkepError, integer_scaled
@@ -292,10 +291,10 @@ def lex_weights(
     """
     if not tiers:
         return {}
-    den = lcm(*(Fraction(t1).denominator for (t1, _) in tiers.values()))
-    max2 = max((abs(Fraction(t2)) for (_, t2) in tiers.values()), default=Fraction(0))
+    primary, _ = integer_scaled(Fraction(t1) for (t1, _) in tiers.values())
+    max2 = max(abs(Fraction(t2)) for (_, t2) in tiers.values())
     scale = Fraction(1, int(n_vertices * max2) + 1)
-    return {e: Fraction(t1) * den + Fraction(t2) * scale for e, (t1, t2) in tiers.items()}
+    return {e: w1 + Fraction(t2) * scale for w1, (e, (_, t2)) in zip(primary, tiers.items())}
 
 
 def bipartite_admissible_subgraph(

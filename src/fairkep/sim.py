@@ -1,10 +1,11 @@
 """Dynamic-pool simulation: batch arrivals, per-period solves, waiting stats.
 
-Nodes arrive in batches every period (default 30 days).  Each period a packing
-is computed on the current pool under the configured algorithm and the matched
-pairs and used NDDs leave.  Cross-batch compatibility arcs are drawn from the
-nodes' stored blood-type/PRA attributes by `gen.draw_arcs`, the draw that
-generates instances; batch-internal arcs are taken as given.
+Nodes arrive in batches, one every period of `PERIOD_DAYS` (30) days.  Each
+period a packing is computed on the current pool under the configured
+algorithm and the matched pairs and used NDDs leave.  Cross-batch
+compatibility arcs are drawn from the nodes' stored blood-type/PRA
+attributes by `gen.draw_arcs`, the draw that generates instances;
+batch-internal arcs are taken as given.
 
 Algorithms:
 - implicit: the deterministic oracle with fixed tie-breaking (a reproducible
@@ -37,6 +38,7 @@ HEURISTIC_ILP_SHUFFLE = "heuristic-ilp-shuffle"
 HEURISTIC_NODE_SHUFFLE = "heuristic-node-shuffle"
 LEXIMIN = "leximin"
 ALGORITHMS = (IMPLICIT, HEURISTIC_ILP_SHUFFLE, HEURISTIC_NODE_SHUFFLE, LEXIMIN)
+PERIOD_DAYS = 30
 
 
 @dataclass(frozen=True)
@@ -51,20 +53,11 @@ class WaitTimeLinear:
             raise ValueError("alpha must be >= 0")
 
 
-def waiting_weight(elapsed_days, weighting: Optional[WaitTimeLinear]) -> Fraction:
-    if elapsed_days < 0:
-        raise ValueError("elapsed time must be >= 0")
-    if weighting is None:
-        return ONE
-    return weighting.base + weighting.alpha * Fraction(elapsed_days)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     policy: StructurePolicy
     algorithm: str = IMPLICIT
     weighting: Optional[WaitTimeLinear] = None
-    period_days: int = 30
     replications: int = 1
     seed: int = 0
 
@@ -73,8 +66,6 @@ class SimConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.period_days < 1:
-            raise ValueError("period_days must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -111,9 +102,11 @@ def _wait_prices(config: SimConfig, periods: int) -> list[Fraction]:
     """The waiting-time price of a pair after 0, 1, ..., periods - 1 periods.
 
     A wait is a whole number of periods, so a replication prices each
-    possible wait once instead of every pair in every period.
+    possible wait once instead of every pair in every period.  Without a
+    weighting every price is 1.
     """
-    return [waiting_weight(t * config.period_days, config.weighting) for t in range(periods)]
+    w = config.weighting or WaitTimeLinear(alpha=Fraction(0))
+    return [w.base + w.alpha * (t * PERIOD_DAYS) for t in range(periods)]
 
 
 class _Pool:

@@ -178,6 +178,16 @@ class TestLottery:
         assert run(["lottery", str(inst), "--policy", "match", "--mu", "1", "--delta", "1"]) == EXIT_VALIDATION
         assert run(["lottery", str(inst), "--policy", "match", "--mu", "99"]) == EXIT_SOLVER
 
+    @pytest.mark.parametrize("ndds", [[], [{"id": 1}, {"id": 2}]], ids=["empty", "ndd-only"])
+    def test_fixed_cardinality_without_pairs(self, ndds, tmp_path):
+        # no pair to cover: --mu 0 asks for the empty matching, surely
+        inst, out = tmp_path / "pool.json", tmp_path / "lot.json"
+        inst.write_text(json.dumps({"pairs": [], "ndds": ndds, "arcs": []}))
+        assert run(["lottery", str(inst), "--policy", "match", "--mu", "0", "-o", str(out)]) == EXIT_OK
+        rep = json.loads(out.read_text())
+        assert rep["lottery"] == {"support": [{"packing": [], "prob": "1"}]}
+        assert (rep["objective"], rep["marginals"]) == ([], {})
+
     def test_weighted_requires_leximin(self, fig1a, tmp_path):
         w = tmp_path / "w.json"
         w.write_text(json.dumps({"1": "2", "2": "1", "3": "1", "4": "1"}))
@@ -314,6 +324,27 @@ class TestSolveAndStats:
                 assert run(["solve", str(fig1a), "--policy", pol, *extra]) == EXIT_VALIDATION
             assert run(["solve", str(fig1a), "--policy", pol, "-o", str(tmp_path / "p.json")]) == EXIT_OK
 
+    @pytest.mark.parametrize("verb", [["solve"], ["lottery"], ["stats", "--metric", "coverage_loss"]],
+                             ids=["solve", "lottery", "stats"])
+    @pytest.mark.parametrize("spelling,name", [
+        (" 2path", "2path"), ("2path ", "2path"), ("2cyc2path ", "2cyc2path"),
+        (" match", "match"), ("matching", "match"), ("cyc3chain:inf", "cyc3chain"),
+    ], ids=["lead-2path", "trail-2path", "trail-2cyc2path", "lead-match", "matching", "cyc3chain-inf"])
+    def test_policy_spellings_write_identical_files(self, verb, spelling, name, tmp_path):
+        # every verb reads --policy through one parse, so a spelling of a
+        # policy name takes the route the name takes
+        inst = tmp_path / "g.json"
+        assert run(["generate", "--pairs", "10", "--ndds", "2", "--seed", "3", "-o", str(inst)]) == EXIT_OK
+        files = []
+        for policy in (spelling, name):
+            out = tmp_path / f"out{len(files)}.json"
+            assert run([*verb, str(inst), "--policy", policy, "-o", str(out)]) == EXIT_OK
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
+
+    def test_spelled_2path_rejects_a_relaxation(self, fig1a):
+        assert run(["solve", str(fig1a), "--policy", "2path ", "--delta", "1"]) == EXIT_VALIDATION
+
     def test_solve_honours_mu_without_prices(self, tmp_path):
         # the unit-price query keeps the policy's cardinality, with or without --prices
         inst, prices = tmp_path / "g.json", tmp_path / "prices.json"
@@ -374,6 +405,16 @@ class TestSample:
         assert d1 == d2 and len(d1["draws"]) == 6
         for draw in d1["draws"]:
             assert draw["covered"] in ([1, 2], [2, 3, 4])
+
+    @pytest.mark.parametrize("probs", [("1/2", "2/3"), ("-1/3", "4/3")], ids=["sum", "negative"])
+    def test_sample_of_bad_probabilities_exits_2(self, probs, tmp_path, capsys):
+        lottery = tmp_path / "lottery.json"
+        lottery.write_text(json.dumps({"support": [
+            {"packing": [["cycle", 1, 2]], "prob": probs[0]},
+            {"packing": [["cycle", 3, 4]], "prob": probs[1]},
+        ]}))
+        assert run(["sample", str(lottery)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {lottery}: ")
 
 
 class TestGenerateSimulateCompare:
@@ -445,6 +486,15 @@ class TestGenerateSimulateCompare:
             assert float(r[2]) <= float(r[1]) <= float(r[3])
             lo, hi = sim.jeffreys_interval(round(float(r[1]) * 30), 30)
             assert [r[2], r[3]] == [f"{lo:.10g}", f"{hi:.10g}"]
+
+    @pytest.mark.parametrize("ndds", [[], [{"id": 1}, {"id": 2}]], ids=["empty", "ndd-only"])
+    def test_compare_without_pairs(self, ndds, tmp_path, capsys):
+        # a pool without pairs is valid input: no ranks to write, no differences
+        inst, out = tmp_path / "pool.json", tmp_path / "cmp.csv"
+        inst.write_text(json.dumps({"pairs": [], "ndds": ndds, "arcs": []}))
+        assert run(["compare", str(inst), "-o", str(out)]) == EXIT_OK
+        assert list(csv.reader(out.open())) == [["rank", "q", "ci_lo", "ci_hi", "algorithm"]]
+        assert json.loads(capsys.readouterr().out) == {"max_abs_difference": 0.0, "mean_abs_difference": 0.0}
 
 
 class TestExitCodes:

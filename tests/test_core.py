@@ -258,6 +258,27 @@ def test_cli_reads_and_writes_files_only_through_io():
     assert not found, found
 
 
+def test_cli_parses_the_policy_once_in_run():
+    # --policy/--delta/--mu are read by one parse_policy call, in cli.run;
+    # every verb decides on the StructurePolicy it leaves on args
+    calls = []
+    for path in sorted(Path(fairkep.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+                if isinstance(child, ast.Call):
+                    f = child.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name == "parse_policy":
+                        calls.append(f"{path.stem}.{owner}")
+                visit(child, inner)
+
+        visit(tree, None)
+    assert calls == ["cli.run"], calls
+
+
 def test_library_imports_only_what_it_uses():
     # no linter runs on the library, so an import left behind by a refactor
     # would go unseen; a line marked `# noqa: F401` imports a name on purpose

@@ -184,7 +184,10 @@ class TestLotteryIO:
     def test_bad_probabilities_rejected(self):
         d = lottery_to_dict(sample_lottery())
         d["support"][0]["prob"] = "1/2"  # sums to 7/6 now
-        with pytest.raises((ParseError, ValueError)):
+        with pytest.raises(ParseError, match="sum"):
+            lottery_from_dict(d)
+        d["support"][0]["prob"], d["support"][1]["prob"] = "-1/3", "4/3"  # sums to 1, one negative
+        with pytest.raises(ParseError, match="negative"):
             lottery_from_dict(d)
 
     def test_malformed_structure(self):

@@ -13,7 +13,8 @@ import pytest
 
 from fairkep import gen, lorenz
 from fairkep.core import (
-    DOMINATES, EQUAL, MATCHING_POLICY, Cycle, FairkepError, KepInstance, Packing, lorenz_compare,
+    DOMINATES, EMPTY_PACKING, EQUAL, MATCHING_POLICY, Cycle, FairkepError, KepInstance, Lottery, Packing,
+    lorenz_compare,
 )
 from fairkep.fair import RestrictedMaster, leximin_lottery, solve_leximin
 from fairkep.lorenz import (
@@ -414,6 +415,16 @@ class TestInstanceEntryPoints:
                     assert value.get(edges) == best
             checked += 1
         assert checked >= 25
+
+    @pytest.mark.parametrize("ndds", [frozenset(), frozenset({1, 2})], ids=["empty", "ndd-only"])
+    def test_fixed_cardinality_reduction_without_pairs(self, ndds):
+        # no pair to fix a level for: the seed packing, the empty matching,
+        # with probability 1 after 0 rounds
+        inst = KepInstance(pairs=frozenset(), ndds=ndds, arcs={})
+        assert fixed_cardinality_reduction(inst, mu=0) == Lottery(((EMPTY_PACKING, F(1)),))
+        master = RestrictedMaster([], lambda prices: (EMPTY_PACKING, F(0)), seed=EMPTY_PACKING)
+        assert leximin_lottery(master) == (Lottery(((EMPTY_PACKING, F(1)),)), 0, F(0))
+        assert master.pricing_calls == 0
 
 
 class TestChecks:

@@ -17,6 +17,7 @@ from fairkep.sim import (
     ALGORITHMS,
     HEURISTIC_ILP_SHUFFLE,
     IMPLICIT,
+    PERIOD_DAYS,
     SimConfig,
     WaitTimeLinear,
     _Pool,
@@ -25,7 +26,6 @@ from fairkep.sim import (
     compare_heuristics,
     jeffreys_interval,
     run_simulation,
-    waiting_weight,
 )
 
 F = Fraction
@@ -48,16 +48,15 @@ def simulation_digest(trace, stats) -> str:
 
 class TestWeighting:
     def test_linear_weight(self):
+        # a pair that has waited t periods is priced base + alpha * t * PERIOD_DAYS
         w = WaitTimeLinear(base=F(2), alpha=F(1, 10))
-        assert waiting_weight(30, w) == F(5)
-        assert waiting_weight(0, w) == F(2)
-        assert waiting_weight(30, None) == F(1)
+        assert PERIOD_DAYS == 30
+        assert _wait_prices(SimConfig(policy=CYC3, weighting=w), 3) == [F(2), F(5), F(8)]
+        assert _wait_prices(SimConfig(policy=CYC3), 2) == [F(1), F(1)]
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             WaitTimeLinear(alpha=F(-1))
-        with pytest.raises(ValueError):
-            waiting_weight(-1, None)
 
 
 class TestConfig:
