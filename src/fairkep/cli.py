@@ -1,13 +1,16 @@
-"""Command-line entry point wiring all modules together.
+"""Command-line entry point: it reads flags and files, calls the library, and writes files.
 
 Verbs: generate, solve, lottery, sample, simulate, stats, compare, fixtures.
 Every run is reproducible from (command line, input files, --seed).  Exit
 codes: 0 success, 2 validation/usage error, 3 solver failure.  Exit 2 covers
 input and output files that cannot be read, decoded or written: every file
 goes through `io` or `_output`, and `run` alone maps errors to exit codes.
-`run` also parses the --policy/--delta/--mu triple, once, into the
-StructurePolicy that the verbs taking it (solve, lottery, simulate, stats,
-compare) find as `args.policy`; they decide on that object alone.
+No path flag may be empty.  `run` also parses the --policy/--delta/--mu
+triple, once, into the StructurePolicy that the verbs taking it (solve,
+lottery, simulate, stats, compare) find as `args.policy`.  The verbs pick no
+engine: `solve`, `lottery` and `stats` hand that policy to
+`fair.best_packing`, `fair.lottery` and `fair.pool_metric`.  A request the
+library refuses with ValueError exits 2, like a bad flag.
 
 Outputs are machine-readable JSON or CSV; plotting is left to external
 tooling.
@@ -27,16 +30,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, TextIO
 
-from . import fair, gen, io, lorenz, oracle, paths, sim
-from .core import (
-    MATCHING_POLICY,
-    FairkepError,
-    KepInstance,
-    Packing,
-    StructurePolicy,
-    UNBOUNDED,
-    eval_leximin,
-)
+from . import fair, gen, io, paths, sim
+from .core import FairkepError, KepInstance, Packing, StructurePolicy, UNBOUNDED
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -57,12 +52,8 @@ def parse_policy(spec: str, delta: Optional[int] = None, mu: Optional[int] = Non
     """Translate a --policy string (plus --delta/--mu) into a StructurePolicy.
 
     `run` calls it once per command; no verb reads the three flags again.
-    `2path` is `paths.TWO_PATH`; the `solve` verb answers it with a dedicated
-    solver that carries a deficiency certificate (`paths.max_2path_packing`),
-    and every other verb with the oracle family.  `2cyc2path` is
-    `paths.TWO_CYCLE_TWO_PATH`, an ordinary oracle family for every verb;
-    `solve` answers it with one value-only maximum-cardinality query.  Both
-    `solve` branches refuse `--prices`, `--delta` and `--mu`.
+    `2path` is `paths.TWO_PATH` and `2cyc2path` `paths.TWO_CYCLE_TWO_PATH`;
+    `fair.best_packing` says how `solve` answers them.
     """
     name = spec.strip()
     try:
@@ -103,9 +94,12 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
-def _read_map(path, instance: KepInstance, what: str, edges: bool = False) -> dict:
+def _read_map(path, instance: KepInstance, what: str, edges: bool = False) -> Optional[dict]:
     """{pair: rational} from a JSON object keyed by pair ids, or with edges
-    {(u, v): rational} keyed by "u,v" mutual-compatibility edges (u < v)."""
+    {(u, v): rational} keyed by "u,v" mutual-compatibility edges (u < v);
+    None for no path."""
+    if path is None:
+        return None
     raw = _json_object(io.read_json(path), f"{what} file {path}")
     valid = instance.undirected_edges() if edges else instance.pairs
     out: dict = {}
@@ -129,7 +123,7 @@ def _output(path: Optional[str]):
     A file it created is removed again if the command fails inside it; a
     path that was there before (a file it truncated, /dev/null) stays.
     """
-    if not path:
+    if path is None:
         yield sys.stdout
         return
     created = not os.path.lexists(path)
@@ -167,11 +161,6 @@ def _packing_dict(packing: Packing) -> dict:
     return {"structures": io.packing_to_list(packing), "covered": sorted(packing.covered)}
 
 
-def _structures(policy: StructurePolicy) -> StructurePolicy:
-    """The policy's structure rules alone, its cardinality fields at their defaults."""
-    return replace(policy, cardinality_mode="max", delta=0, mu=None)
-
-
 # ---------------------------------------------------------------------------
 # distribution files (generate verb)
 
@@ -195,7 +184,7 @@ def load_gen_config(n_pairs: int, n_ndds: int, seed: int, dist_path: Optional[st
     """
     kwargs: dict = {}
     try:
-        if dist_path:
+        if dist_path is not None:
             data = _json_object(io.read_json(dist_path), f"distribution file {dist_path}")
 
             def section(name: str):
@@ -219,7 +208,7 @@ def load_gen_config(n_pairs: int, n_ndds: int, seed: int, dist_path: Optional[st
                 }
         return gen.GenConfig(n_pairs=n_pairs, n_ndds=n_ndds, seed=seed, **kwargs)
     except (TypeError, ValueError, gen.InvalidDistribution) as exc:
-        raise UsageError(f"bad distribution file {dist_path}: {exc}" if dist_path else str(exc))
+        raise UsageError(f"bad distribution file {dist_path}: {exc}" if dist_path is not None else str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +240,11 @@ def export_coverage_distribution(entries: Iterable[tuple], out: TextIO) -> None:
 def _cmd_generate(args) -> int:
     config = load_gen_config(args.pairs, args.ndds, args.seed, args.dist)
     if args.batches is None:
-        io.write_instance(gen.generate_instance(config), args.output or "instance.json")
+        io.write_instance(gen.generate_instance(config),
+                          "instance.json" if args.output is None else args.output)
         return EXIT_OK
     batches = gen.generate_batches(config, args.batches)
-    outdir = Path(args.output or "batches")
+    outdir = Path("batches" if args.output is None else args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     for i, inst in enumerate(batches):
         io.write_instance(inst, outdir / f"batch_{i:03d}.json")
@@ -263,86 +253,23 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = io.read_instance(args.instance)
-    policy = args.policy
-    kind = _structures(policy)
-    unread = args.prices is not None or policy.cardinality_mode != "max"
-    if unread and kind in (paths.TWO_PATH, paths.TWO_CYCLE_TWO_PATH):
-        raise UsageError("solve --policy 2path|2cyc2path finds a maximum packing; "
-                         "it takes no --prices, --delta or --mu")
-    if kind == paths.TWO_PATH:
-        packing, cert = paths.max_2path_packing(instance)
-        result = _packing_dict(packing)
-        result["deficiency"] = {
-            "ndd_set": sorted(cert.ndd_set),
-            "deficiency": cert.deficiency,
-        }
-        _emit(result, args.output)
-        return EXIT_OK
-    if kind == paths.TWO_CYCLE_TWO_PATH:
-        packing = paths.max_2cycle_2path_packing(instance)
-        _emit(_packing_dict(packing), args.output)
-        return EXIT_OK
-    if args.prices:
-        prices = _read_map(args.prices, instance, "price")
-    else:
-        prices = {v: Fraction(1) for v in instance.pairs}
-    family = oracle._family_of(instance, policy)
-    card = oracle.acceptable_cardinality(instance, policy, family)
-    packing, value = oracle.max_price_packing(family, prices, card)
+    prices = _read_map(args.prices, instance, "price")
+    packing, value, certificate = fair.best_packing(instance, args.policy, prices)
     result = _packing_dict(packing)
-    result["value"] = _num(value)
+    if value is not None:
+        result["value"] = _num(value)
+    if certificate is not None:
+        result["deficiency"] = {"ndd_set": sorted(certificate.ndd_set),
+                                "deficiency": certificate.deficiency}
     _emit(result, args.output)
     return EXIT_OK
 
 
-def _solve_lottery(instance: KepInstance, args) -> fair.SolveReport:
-    policy = args.policy
-    if policy.cardinality_mode == "max" and args.objective != "utilitarian":
-        # fairness objectives are only interesting on the family that trades a
-        # little cardinality for coverage; default to the smallest sufficient
-        # relaxation, δ* over the pairs some packing covers, which
-        # preprocessing at any cardinality keeps, handing on its family.
-        any_size = replace(policy, cardinality_mode="delta", delta=len(instance.pairs))
-        instance, _ = fair.preprocess(instance, any_size)
-        policy = replace(any_size, delta=oracle.delta_star(instance, policy))
-    if args.objective == "utilitarian":
-        return fair.solve_utilitarian(instance, policy)
-    if args.objective == "maximin":
-        return fair.solve_maximin(instance, policy)
-    if args.objective == "leximin":
-        return fair.solve_leximin(instance, policy)
-    if args.objective == "nash":
-        return fair.solve_nash(instance, policy, tol=args.tol)
-    return fair.solve_gini(instance, policy, tol=min(args.tol, 1e-8))
-
-
 def _cmd_lottery(args) -> int:
     instance = io.read_instance(args.instance)
-    policy = args.policy
-    weights = [flag for flag, value in (("--node-weights", args.node_weights),
-                                        ("--edge-weights", args.edge_weights)) if value is not None]
-    if weights and (policy != MATCHING_POLICY or len(weights) > 1):
-        raise UsageError(f"{' and '.join(weights)}: lottery weighs maximum matchings by one "
-                         "weight file, under --policy match with no --delta or --mu")
-    if weights or (policy.cardinality_mode == "fixed" and _structures(policy) == MATCHING_POLICY):
-        # matching-engine reductions (exact, leximin only)
-        if args.objective != "leximin":
-            raise UsageError("weighted/fixed-cardinality lotteries support --objective leximin only")
-        if args.node_weights is not None:
-            w = _read_map(args.node_weights, instance, "weight")
-            lottery = lorenz.node_weight_leximin(instance, w)
-        elif args.edge_weights is not None:
-            ew = _read_map(args.edge_weights, instance, "weight", edges=True)
-            lottery = lorenz.edge_weight_reduction(instance, ew)
-        else:
-            lottery = lorenz.fixed_cardinality_reduction(instance, mu=policy.mu)
-        # one exact pass, no pricing: the objective is the sorted marginal
-        # vector over the pairs some matching can cover, as preprocessing
-        # keeps them on the column-generation route
-        q = lottery.marginals({v for e in instance.undirected_edges() for v in e})
-        report = fair.SolveReport(lottery, eval_leximin(list(q.values())), 0, 0, Fraction(0), q)
-    else:
-        report = _solve_lottery(instance, args)
+    report = fair.lottery(instance, args.policy, args.objective, tol=args.tol,
+                          node_weights=_read_map(args.node_weights, instance, "weight"),
+                          edge_weights=_read_map(args.edge_weights, instance, "weight", edges=True))
     pairs = sorted(instance.pairs)
     q = report.lottery.marginals(pairs)
     _emit({
@@ -371,21 +298,13 @@ def _cmd_simulate(args) -> int:
         raise UsageError(f"no *.json batch files in {batch_dir}")
     batches = [io.read_instance(f) for f in files]
     weighting = sim.WaitTimeLinear() if args.wait_weighting else None
-    try:
-        config = sim.SimConfig(
-            policy=args.policy,
-            algorithm=args.algorithm,
-            weighting=weighting,
-            replications=args.replications,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    config = sim.SimConfig(policy=args.policy, algorithm=args.algorithm, weighting=weighting,
+                           replications=args.replications, seed=args.seed)
     trace, stats = sim.run_simulation(batches, config)
     # both outputs open before either is written, the trace first: a bad
     # --trace path fails before the -o file is created, and a bad -o path
     # removes the trace file the run created
-    with (_output(args.trace) if args.trace else nullcontext()) as periods, \
+    with (_output(args.trace) if args.trace is not None else nullcontext()) as periods, \
             _output(args.output) as stream:
         writer = csv.writer(stream)
         writer.writerow(["algorithm", "num_matched", "median_wait", "p90_wait", "max_wait", "mean_wait"])
@@ -403,39 +322,23 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_stats(args) -> int:
     instance = io.read_instance(args.instance)
-    policy = args.policy
     if args.node is not None and args.metric != "coverage_loss":
         raise UsageError(f"--node reads only --metric coverage_loss, not {args.metric}")
-    if policy.cardinality_mode != "max" and args.metric != "always_covered":
-        raise UsageError(f"--delta and --mu read only --metric always_covered, not {args.metric}")
-    if args.metric == "delta_star":
-        # δ* over the pairs some packing covers
-        losses = oracle.coverage_losses(instance, policy).values()
-        value: object = max((x for x in losses if x is not None), default=0)
-    elif args.metric == "always_covered":
-        count, members = oracle.always_covered_count(instance, policy)
-        value = {"count": count, "pairs": sorted(members)}
+    if args.node is not None and args.node not in instance.pairs:
+        raise UsageError(f"--node {args.node} is not a pair of the instance")
+    value = fair.pool_metric(instance, args.policy, args.metric)
+    if args.metric == "always_covered":
+        value = {"count": value[0], "pairs": sorted(value[1])}
     elif args.metric == "coverage_loss":
-        if args.node is not None and args.node not in instance.pairs:
-            raise UsageError(f"--node {args.node} is not a pair of the instance")
         # a pair no packing covers has no loss: null
-        losses = oracle.coverage_losses(instance, policy)
-        if args.node is not None:
-            value = losses[args.node]
-        else:
-            value = {str(v): loss for v, loss in losses.items()}
-    else:  # max_cardinality
-        value = oracle.max_cardinality(instance, policy)
+        value = value[args.node] if args.node is not None else {str(v): x for v, x in value.items()}
     _emit(value, args.output)
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
     instance = io.read_instance(args.instance)
-    try:
-        result = sim.compare_heuristics(instance, args.runs, seed=args.seed, policy=args.policy)
-    except ValueError as exc:  # too few --runs
-        raise UsageError(str(exc))
+    result = sim.compare_heuristics(instance, args.runs, seed=args.seed, policy=args.policy)
     with _output(args.output) as stream:
         export_coverage_distribution(
             [
@@ -444,7 +347,7 @@ def _cmd_compare(args) -> int:
             ],
             stream,
         )
-    if args.output:  # the summary goes to stdout beside a CSV file
+    if args.output is not None:  # the summary goes to stdout beside a CSV file
         _emit(
             {
                 "max_abs_difference": result.max_abs_difference,
@@ -487,7 +390,7 @@ def _cmd_fixtures(args) -> int:
                 raise UsageError(f"bad triple {part!r}")
             triples.append((x, y, z))
         instance = paths.build_3dm_gadget(triples, args.size)
-    io.write_instance(instance, args.output or f"{args.name}.json")
+    io.write_instance(instance, f"{args.name}.json" if args.output is None else args.output)
     return EXIT_OK
 
 
@@ -511,6 +414,8 @@ def _checked(cast, ok, what: str):
 _positive_float = _checked(float, lambda x: x > 0, "a positive number")
 _positive_int = _checked(int, lambda x: x > 0, "a positive integer")
 _nonnegative_int = _checked(int, lambda x: x >= 0, "a non-negative integer")
+# an empty path would name no file, or the working directory as a directory
+_path = _checked(str, bool, "a path")
 
 
 def _add_common(sub, seed: bool = False, policy: bool = False) -> None:
@@ -521,7 +426,7 @@ def _add_common(sub, seed: bool = False, policy: bool = False) -> None:
         sub.add_argument("--policy", default="cyc3", help=POLICY_NAMES)
         sub.add_argument("--delta", type=int, default=None)
         sub.add_argument("--mu", type=int, default=None)
-    sub.add_argument("-o", "--output", default=None)
+    sub.add_argument("-o", "--output", type=_path, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -534,59 +439,53 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--ndds", type=int, default=0)
-    p.add_argument("--dist", default=None, help="JSON distribution file")
+    p.add_argument("--dist", type=_path, default=None, help="JSON distribution file")
     p.add_argument("--batches", type=_positive_int, default=None, help="write N batch files instead of one instance")
     p.set_defaults(func=_cmd_generate)
 
     p = subs.add_parser("solve", help="one optimal packing under a policy")
     _add_common(p, policy=True)
-    p.add_argument("--prices", default=None, help="JSON {node: price}")
-    p.add_argument("instance")
+    p.add_argument("--prices", type=_path, default=None, help="JSON {node: price}")
+    p.add_argument("instance", type=_path)
     p.set_defaults(func=_cmd_solve)
 
     p = subs.add_parser("lottery", help="fair lottery over acceptable packings")
     _add_common(p, policy=True)
     p.add_argument("--tol", type=_positive_float, default=1e-6, help="nash/gini convergence tolerance")
-    p.add_argument(
-        "--objective",
-        choices=("utilitarian", "maximin", "leximin", "nash", "gini"),
-        default="leximin",
-    )
-    p.add_argument("--node-weights", default=None, help="JSON {node: weight} (--policy match only)")
-    p.add_argument("--edge-weights", default=None, help="JSON {'u,v': weight} (--policy match only)")
-    p.add_argument("instance")
+    p.add_argument("--objective", choices=fair.OBJECTIVES, default="leximin")
+    p.add_argument("--node-weights", type=_path, default=None,
+                   help="JSON {node: weight} (--policy match only)")
+    p.add_argument("--edge-weights", type=_path, default=None,
+                   help="JSON {'u,v': weight} (--policy match only)")
+    p.add_argument("instance", type=_path)
     p.set_defaults(func=_cmd_lottery)
 
     p = subs.add_parser("sample", help="draw packings from a lottery file")
     _add_common(p, seed=True)
     p.add_argument("-n", type=_nonnegative_int, default=1)
-    p.add_argument("lottery")
+    p.add_argument("lottery", type=_path)
     p.set_defaults(func=_cmd_sample)
 
     p = subs.add_parser("simulate", help="dynamic pool simulation over batches")
     _add_common(p, seed=True, policy=True)
-    p.add_argument("--batches", required=True, help="directory of batch_*.json files")
+    p.add_argument("--batches", type=_path, required=True, help="directory of batch_*.json files")
     p.add_argument("--algorithm", choices=sim.ALGORITHMS, default=sim.IMPLICIT)
     p.add_argument("--replications", type=int, default=1)
     p.add_argument("--wait-weighting", action="store_true", help="linear waiting-time prices")
-    p.add_argument("--trace", default=None, help="also write the period trace JSON here")
+    p.add_argument("--trace", type=_path, default=None, help="also write the period trace JSON here")
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("stats", help="structural metrics of an instance")
     _add_common(p, policy=True)
-    p.add_argument(
-        "--metric",
-        choices=("delta_star", "always_covered", "coverage_loss", "max_cardinality"),
-        required=True,
-    )
+    p.add_argument("--metric", choices=fair.METRICS, required=True)
     p.add_argument("--node", type=int, default=None)
-    p.add_argument("instance")
+    p.add_argument("instance", type=_path)
     p.set_defaults(func=_cmd_stats)
 
     p = subs.add_parser("compare", help="empirical comparison of heuristic variants")
     _add_common(p, seed=True, policy=True)
     p.add_argument("--runs", type=int, default=30)
-    p.add_argument("instance")
+    p.add_argument("instance", type=_path)
     p.set_defaults(func=_cmd_compare)
 
     p = subs.add_parser("fixtures", help="write benchmark fixture instances")
@@ -609,7 +508,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if hasattr(args, "policy"):  # the verbs that take --policy/--delta/--mu
             args.policy = parse_policy(args.policy, args.delta, args.mu)
         return args.func(args)
-    except (UsageError, io.ParseError, OSError) as exc:  # flags, input and output files
+    except (UsageError, ValueError, io.ParseError, OSError) as exc:  # flags, files, refused requests
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FairkepError as exc:

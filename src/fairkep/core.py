@@ -197,6 +197,11 @@ class StructurePolicy:
         if self.cardinality_mode == "fixed" and self.mu < 0:
             raise ValueError("mu must be >= 0")
 
+    @property
+    def structure_rules(self) -> tuple:
+        """The fields that decide which structures are allowed, without the cardinality ones."""
+        return (self.max_cycle_len, self.max_chain_len, self.min_chain_len)
+
     def allows(self, s: Structure) -> bool:
         if isinstance(s, Cycle):
             return self.max_cycle_len is not None and s.length <= self.max_cycle_len

@@ -24,16 +24,22 @@ Nash's is an exact Fraction.
   one variable and sort-order cuts, exact like every other master LP.
 
 Beyond that, only the oracle's HiGHS routes load scipy.
+
+`lottery`, `best_packing` and `pool_metric` are the front door, the CLI's
+too: the request picks the engine, column generation here, the matching
+engines of `lorenz` or the 2-path solver of `paths`.  Those two load at call
+time, since `lorenz` imports this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .core import (
     EMPTY_PACKING,
+    MATCHING_POLICY,
     FairkepError,
     KepInstance,
     Lottery,
@@ -49,7 +55,10 @@ from .oracle import (
     Uncoverable,
     _family_of,
     acceptable_cardinality,
+    always_covered_count,
     coverable_pairs,
+    coverage_losses,
+    delta_star,
     max_price_packing,
 )
 from .simplexlp import caratheodory, lp_solve_exact
@@ -59,6 +68,8 @@ from .simplexlp import caratheodory, lp_solve_exact
 GINI_EXACT_PAIR_LIMIT = 8
 # Nash's float gradient prices are rounded to this denominator before pricing
 _PRICE_DENOM = 10**12
+OBJECTIVES = ("utilitarian", "maximin", "leximin", "nash", "gini")
+METRICS = ("delta_star", "always_covered", "coverage_loss", "max_cardinality")
 
 
 class StalledBelowTolerance(FairkepError):
@@ -572,3 +583,102 @@ def preprocess(
     # `restrict` copy fields only, so no instance made from it carries it
     object.__setattr__(reduced, "_family", family.restrict(reduced))
     return reduced, sorted(instance.pairs - kept)
+
+
+# ---------------------------------------------------------------------------
+# front door: the request picks the engine
+
+
+def lottery(instance: KepInstance, policy: StructurePolicy, objective: str = "leximin", *,
+            node_weights: Optional[dict] = None, edge_weights: Optional[dict] = None,
+            tol: float = 1e-6) -> SolveReport:
+    """The `objective` lottery over the policy's acceptable packings, from the engine that answers it.
+
+    Weights, node {pair: w} or edge {(u, v): w} (one map, under
+    `MATCHING_POLICY` exactly), and mode "fixed" under its structures go to
+    `lorenz`'s matching engines, for leximin alone.  Their objective is the
+    sorted marginal vector over the pairs on a mutual-compatibility edge (the
+    pairs `preprocess` keeps), with no iterations or pricing calls and gap 0.
+    The rest is column generation.  Under mode "max" every objective but
+    utilitarian runs at δ* (`oracle.delta_star`), over the pool `preprocess`
+    reduces at any cardinality.  Nash runs to `tol`, Gini to min(tol, 1e-8).
+    A request no engine answers raises ValueError before any engine runs.
+    """
+    weighted = [w for w in (node_weights, edge_weights) if w is not None]
+    if weighted and (policy != MATCHING_POLICY or len(weighted) > 1):
+        raise ValueError("weights weigh maximum matchings by one map, under MATCHING_POLICY alone")
+    matching = bool(weighted) or (policy.cardinality_mode == "fixed"
+                            and policy.structure_rules == MATCHING_POLICY.structure_rules)
+    if objective not in OBJECTIVES or matching and objective != "leximin":
+        raise ValueError(f"no engine answers objective {objective!r} here")
+    if matching:
+        from . import lorenz
+
+        if node_weights is not None:
+            chosen = lorenz.node_weight_leximin(instance, node_weights)
+        elif edge_weights is not None:
+            chosen = lorenz.edge_weight_reduction(instance, edge_weights)
+        else:
+            chosen = lorenz.fixed_cardinality_reduction(instance, mu=policy.mu)
+        q = chosen.marginals({v for e in instance.undirected_edges() for v in e})
+        return SolveReport(chosen, eval_leximin(list(q.values())), 0, 0, Fraction(0), q)
+    if policy.cardinality_mode == "max" and objective != "utilitarian":
+        any_size = replace(policy, cardinality_mode="delta", delta=len(instance.pairs))
+        instance, _ = preprocess(instance, any_size)
+        policy = replace(any_size, delta=delta_star(instance, policy))
+    if objective == "nash":
+        return solve_nash(instance, policy, tol=tol)
+    if objective == "gini":
+        return solve_gini(instance, policy, tol=min(tol, 1e-8))
+    solve = {"utilitarian": solve_utilitarian, "maximin": solve_maximin, "leximin": solve_leximin}
+    return solve[objective](instance, policy)
+
+
+def best_packing(instance: KepInstance, policy: StructurePolicy,
+                 prices: Optional[dict] = None) -> tuple[Packing, Optional[Fraction], object]:
+    """A best packing under the policy, its value, and its engine's certificate.
+
+    `paths.TWO_PATH` goes to `paths.max_2path_packing`, whose deficiency
+    certificate over the NDDs proves its packing maximum, and
+    `paths.TWO_CYCLE_TWO_PATH` to its oracle family's value-only maximum.
+    Both take no prices and no relaxation, mode "max" alone (else ValueError),
+    and return value None.  Any other policy gets one full oracle query at `prices`
+    (every pair at 1 by default) under its acceptable cardinality.
+    """
+    from . import paths
+
+    rules = policy.structure_rules
+    if rules in (paths.TWO_PATH.structure_rules, paths.TWO_CYCLE_TWO_PATH.structure_rules):
+        if prices is not None or policy.cardinality_mode != "max":
+            raise ValueError("the 2-path policies find a maximum packing; they take no prices, delta or mu")
+        if rules == paths.TWO_PATH.structure_rules:
+            packing, certificate = paths.max_2path_packing(instance)
+            return packing, None, certificate
+        return _family_of(instance, policy).maximum()[0], None, None
+    if prices is None:
+        prices = {v: Fraction(1) for v in instance.pairs}
+    family = _family_of(instance, policy)
+    card = acceptable_cardinality(instance, policy, family)
+    return (*max_price_packing(family, prices, card), None)
+
+
+def pool_metric(instance: KepInstance, policy: StructurePolicy, metric: str):
+    """One of the `METRICS` of the pool under the policy.
+
+    "delta_star" is the largest coverage loss over the pairs some packing
+    covers, the δ* `lottery` relaxes to; "coverage_loss" maps every pair to
+    its loss, None where no packing covers it; "max_cardinality" is a
+    maximum packing's size; "always_covered" is the (count, pairs) covered by
+    every acceptable packing.  Only "always_covered" reads the policy's
+    cardinality mode: the others raise ValueError under mode delta or fixed.
+    """
+    if metric not in METRICS or policy.cardinality_mode != "max" and metric != "always_covered":
+        raise ValueError(f"no metric {metric!r} under cardinality mode {policy.cardinality_mode!r}")
+    if metric == "always_covered":
+        return always_covered_count(instance, policy)
+    if metric == "max_cardinality":
+        return _family_of(instance, policy).maximum()[1]
+    losses = coverage_losses(instance, policy)
+    if metric == "coverage_loss":
+        return losses
+    return max((x for x in losses.values() if x is not None), default=0)

@@ -52,7 +52,6 @@ and ask `_family_of` for the instance's carried family or a new one.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from collections.abc import Sequence
 from dataclasses import replace
@@ -724,14 +723,9 @@ def _family_of(instance: KepInstance, policy: StructurePolicy) -> PackingFamily:
     and its maximum.  Only an instance that `fair.preprocess` made carries one.
     """
     family = vars(instance).get("_family")
-    structures = operator.attrgetter("max_cycle_len", "max_chain_len", "min_chain_len")
-    if family is not None and structures(family.policy) == structures(policy):
+    if family is not None and family.policy.structure_rules == policy.structure_rules:
         return family
     return PackingFamily(instance, policy)
-
-
-def max_cardinality(instance: KepInstance, policy: StructurePolicy) -> int:
-    return _family_of(instance, policy).maximum()[1]
 
 
 def acceptable_cardinality(

@@ -11,9 +11,8 @@ once no augmentation is found, a deficiency certificate over the NDDs witnesses
 that the packing is maximum.  `max_2path_packing` checks that certificate and
 returns the packing as plain `Chain`s.
 
-Packings of 2-cycles and 2-paths together are an ordinary oracle family, the
-`TWO_CYCLE_TWO_PATH` policy, and `max_2cycle_2path_packing` is one query to
-`oracle.max_price_packing`.
+Packings of 2-cycles and 2-paths together, the `TWO_CYCLE_TWO_PATH` policy,
+are an ordinary oracle family; `fair.best_packing` picks the engine for both.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from itertools import count
 from typing import Iterator, Optional, Sequence
 
 from .core import Chain, FairkepError, KepInstance, Packing, StructurePolicy, validate_packing
-from .oracle import PackingFamily
 
 # NDD-rooted chains of exactly two pairs, alone and with 2-cycles
 TWO_PATH = StructurePolicy(max_cycle_len=None, max_chain_len=2, min_chain_len=2)
@@ -187,16 +185,6 @@ def max_2path_packing(instance: KepInstance) -> tuple[Packing, DeficiencyCertifi
             f" {cert.exposed} exposed NDDs"
         )
     return packing, cert
-
-
-def max_2cycle_2path_packing(instance: KepInstance) -> Packing:
-    """Maximum pair coverage over vertex-disjoint 2-cycles and NDD 2-paths.
-
-    One unit-price, value-only query to `oracle.max_price_packing` under
-    `TWO_CYCLE_TWO_PATH`: the branch-and-bound up to `oracle.BB_MAX_PAIRS`
-    pairs, a HiGHS set packing above.
-    """
-    return PackingFamily(instance, TWO_CYCLE_TWO_PATH).maximum()[0]
 
 
 def build_3dm_gadget(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from fractions import Fraction
 
@@ -651,9 +652,128 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{instance}", "--prices", ""],
+        ["generate", "--pairs", "3", "--dist", "", "-o", "x.json"],
+        ["simulate", "--batches", "{batches}", "--trace", "", "-o", "x.csv"],
+        ["solve", "{instance}", "-o", ""],
+        ["generate", "--pairs", "3", "-o", ""],
+        ["generate", "--pairs", "3", "--batches", "2", "-o", ""],
+        ["fixtures", "fig1a", "-o", ""],
+        ["simulate", "--batches", ""],
+        ["lottery", "{instance}", "--policy", "match", "--node-weights", ""],
+    ], ids=["prices", "dist", "trace", "solve-output", "generate-output", "batches-output",
+            "fixtures-output", "simulate-batches", "node-weights"])
+    def test_empty_path_exits_2(self, argv, fig1a, tmp_path, monkeypatch, capsys):
+        # an empty path names no file: it is neither the flag left out (unit
+        # prices, stdout, a default file name) nor the working directory
+        batches = tmp_path / "batches"
+        assert run(["generate", "--pairs", "4", "--batches", "1", "-o", str(batches)]) == EXIT_OK
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        assert run([arg.format(instance=fig1a, batches=batches) for arg in argv]) == EXIT_VALIDATION
+        assert capsys.readouterr().out == ""
+        assert list(work.iterdir()) == []
+
     @pytest.mark.parametrize("content", ["5", '"support"', "null"], ids=["number", "string", "null"])
     def test_sample_of_a_non_object_exits_2(self, content, tmp_path, capsys):
         lottery = tmp_path / "lottery.json"
         lottery.write_text(content)
         assert run(["sample", str(lottery)]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(f"error: {lottery}: ")
+
+
+class TestPinnedCli:
+    """One sha256 over an in-process sweep of `run`: each command's argv, exit
+    code and stdout, then every file the sweep leaves.  The sweep covers
+    every verb, every policy spelling, the five objectives, --delta, --mu,
+    --prices and node and edge weights, on fig1a, fig1b and two generated
+    pools, one with NDDs.  A change to the CLI or to the engines behind it
+    that moves one byte of an answer, or one exit code, moves the digest."""
+
+    DIGEST = "841d68d3d203dc0af38fb874df0507769d197d2d5a02b41e5848772c23be6e2a"
+    POOLS = ("fig1a.json", "fig1b.json", "g12.json", "g10.json")
+    OBJECTIVES = ("utilitarian", "maximin", "leximin", "nash", "gini")
+    POLICIES = ("match", "matching", " match", "cyc3", "cyc3chain", "cyc3chain:2", "cyc3chain:inf",
+                "2path", " 2path", "2path ", "2cyc2path", "2cyc2path ")
+    METRICS = ("delta_star", "always_covered", "coverage_loss", "max_cardinality")
+
+    def sweep(self):
+        """The commands, in order; each writes -o to a file of its own."""
+        outs = iter(range(1000))
+
+        def to_file(*argv):
+            return [*argv, "-o", f"out{next(outs):03d}.json"]
+
+        yield ["fixtures", "fig1a", "-o", "fig1a.json"]
+        yield ["fixtures", "fig1b", "-o", "fig1b.json"]
+        yield ["fixtures", "3dm", "--size", "2", "--triples", "0,0,0;1,1,1", "-o", "3dm.json"]
+        yield ["generate", "--pairs", "12", "--seed", "3", "-o", "g12.json"]
+        yield ["generate", "--pairs", "10", "--ndds", "2", "--seed", "3", "-o", "g10.json"]
+        yield ["generate", "--pairs", "6", "--ndds", "1", "--seed", "2", "--batches", "3", "-o", "batches"]
+        pool = io.read_instance("g12.json")
+        (u, v), (x, y) = sorted(pool.undirected_edges())[:2]
+        with open("prices.json", "w") as f:
+            json.dump({str(w): str(w % 3 + 1) for w in sorted(pool.pairs)}, f)
+        with open("nw.json", "w") as f:
+            json.dump({str(u): "2", str(v): "1", str(y): "5/2"}, f)
+        with open("ew.json", "w") as f:
+            json.dump({f"{u},{v}": "3", f"{y},{x}": "1/2"}, f)
+        for inst in self.POOLS:
+            for objective in self.OBJECTIVES:
+                yield to_file("lottery", inst, "--objective", objective)
+            for policy in self.POLICIES:
+                yield to_file("lottery", inst, "--policy", policy)
+                yield to_file("solve", inst, "--policy", policy)
+            for metric in self.METRICS:
+                yield to_file("stats", inst, "--metric", metric)
+        for objective in self.OBJECTIVES:
+            yield to_file("lottery", "g12.json", "--delta", "1", "--objective", objective)
+        yield to_file("lottery", "g10.json", "--policy", "cyc3chain:2", "--delta", "2")
+        yield to_file("lottery", "g12.json", "--policy", "match", "--mu", "2")
+        yield to_file("lottery", "g12.json", "--policy", "cyc3", "--mu", "2")
+        yield to_file("lottery", "g12.json", "--policy", "matching", "--mu", "99")
+        yield to_file("lottery", "g12.json", "--policy", "match", "--node-weights", "nw.json")
+        yield to_file("lottery", "g12.json", "--policy", "match", "--edge-weights", "ew.json")
+        yield to_file("lottery", "g12.json", "--node-weights", "nw.json")
+        yield to_file("lottery", "g12.json", "--policy", "match", "--objective", "nash",
+                      "--node-weights", "nw.json")
+        yield to_file("lottery", "g12.json", "--policy", "match", "--objective", "maximin", "--mu", "2")
+        yield to_file("lottery", "g12.json", "--policy", "match", "--node-weights", "nw.json",
+                      "--edge-weights", "ew.json")
+        yield to_file("lottery", "g12.json", "--policy", "match", "--delta", "1", "--edge-weights", "ew.json")
+        for policy in ("cyc3", "match", "cyc3chain:2"):
+            yield to_file("solve", "g12.json", "--policy", policy, "--prices", "prices.json")
+        yield to_file("solve", "g12.json", "--delta", "1", "--prices", "prices.json")
+        yield to_file("solve", "g12.json", "--policy", "match", "--mu", "1")
+        yield to_file("solve", "g10.json", "--policy", "2path", "--prices", "prices.json")
+        yield to_file("solve", "g10.json", "--policy", "2cyc2path", "--delta", "1")
+        yield to_file("solve", "g10.json", "--policy", "2path ", "--mu", "1")
+        yield to_file("stats", "g10.json", "--metric", "always_covered", "--delta", "1")
+        yield to_file("stats", "g10.json", "--metric", "coverage_loss", "--node", "3")
+        yield to_file("stats", "g10.json", "--metric", "max_cardinality", "--policy", "2path")
+        yield to_file("stats", "g10.json", "--metric", "delta_star", "--mu", "1")
+        yield to_file("sample", "out002.json", "-n", "5", "--seed", "4")
+        yield ["sample", "out068.json", "-n", "3"]
+        for algorithm in sim.ALGORITHMS:
+            yield ["simulate", "--batches", "batches", "--algorithm", algorithm, "--seed", "1",
+                   "-o", f"sim-{algorithm}.csv"]
+        yield ["simulate", "--batches", "batches", "--policy", "match", "--wait-weighting",
+               "--trace", "trace.json", "-o", "sim-match.csv"]
+        yield ["compare", "g10.json", "--runs", "30", "--seed", "2", "-o", "compare.csv"]
+        yield ["compare", "fig1a.json", "--runs", "30"]
+        yield ["solve", "fig1a.json"]
+        yield ["lottery", "fig1b.json", "--objective", "gini"]
+        yield ["stats", "fig1b.json", "--metric", "coverage_loss"]
+
+    def test_sweep_digest(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        digest = hashlib.sha256()
+        for argv in self.sweep():
+            code = run(argv)
+            digest.update(json.dumps([argv, code, capsys.readouterr().out]).encode())
+        for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+            digest.update(json.dumps(str(path.relative_to(tmp_path))).encode() + path.read_bytes())
+        assert digest.hexdigest() == self.DIGEST

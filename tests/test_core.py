@@ -279,6 +279,27 @@ def test_cli_parses_the_policy_once_in_run():
     assert calls == ["cli.run"], calls
 
 
+def test_cli_calls_no_engine():
+    # the library picks the engine: cli names neither `lorenz` nor `oracle`,
+    # and of `fair` and `paths` only the front door, the policy constants
+    # parse_policy returns and the 3DM fixture
+    allowed = {"fair": {"lottery", "best_packing", "pool_metric", "OBJECTIVES", "METRICS"},
+               "paths": {"TWO_PATH", "TWO_CYCLE_TWO_PATH", "build_3dm_gadget"}}
+    tree = ast.parse((Path(fairkep.__file__).parent / "cli.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = {alias.name for alias in node.names}
+            if node.module is None and names & {"lorenz", "oracle"} or node.module not in (None, "core"):
+                found.append(f"cli.py:{node.lineno} import from .{node.module or ''}")
+        elif isinstance(node, ast.Name) and node.id in ("lorenz", "oracle"):
+            found.append(f"cli.py:{node.lineno} {node.id}")
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.attr not in allowed.get(node.value.id, {node.attr}):
+            found.append(f"cli.py:{node.lineno} {node.value.id}.{node.attr}")
+    assert not found, found
+
+
 def test_library_imports_only_what_it_uses():
     # no linter runs on the library, so an import left behind by a refactor
     # would go unseen; a line marked `# noqa: F401` imports a name on purpose

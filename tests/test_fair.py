@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import fairkep
-from fairkep import fair, gen, oracle
+from fairkep import fair, gen, lorenz, oracle, paths
 from fairkep.core import UNBOUNDED, Cycle, FairkepError, KepInstance, Lottery, Packing, StructurePolicy
 from fairkep.fair import (
     solve_gini,
@@ -520,3 +520,114 @@ class TestPinnedMarginals:
         got = (float(r.objective), r.iterations, r.gap, len(r.lottery.support))
         assert got == self.NASH_PINNED[seed]
         assert len(steps) == 2
+
+
+class TestFrontDoor:
+    """`fair.lottery`, `fair.best_packing` and `fair.pool_metric` answer as
+    the engine routes they pick, and refuse a request no engine answers
+    before any engine runs."""
+
+    @staticmethod
+    def pool(n_pairs, seed, n_ndds=0):
+        return gen.generate_instance(gen.GenConfig(n_pairs=n_pairs, n_ndds=n_ndds, seed=seed))
+
+    @pytest.mark.parametrize("objective, tol, solve_tol", [
+        ("maximin", 1e-6, None), ("leximin", 1e-6, None), ("nash", 1e-3, 1e-3), ("gini", 1e-3, 1e-8),
+    ])
+    def test_fairness_objectives_run_at_delta_star(self, objective, tol, solve_tol):
+        # the pool has pairs no cyc3 packing covers: preprocessing at any
+        # cardinality drops them, then the solve runs at δ* of what is left
+        inst = self.pool(20, 100)
+        any_size = replace(CYC3, cardinality_mode="delta", delta=len(inst.pairs))
+        reduced, dropped = fair.preprocess(inst, any_size)
+        assert dropped
+        policy = replace(any_size, delta=delta_star(reduced, CYC3))
+        solve = {"maximin": solve_maximin, "leximin": solve_leximin, "nash": solve_nash, "gini": solve_gini}
+        kwargs = {} if solve_tol is None else {"tol": solve_tol}
+        assert fair.lottery(inst, CYC3, objective, tol=tol) == solve[objective](reduced, policy, **kwargs)
+
+    def test_utilitarian_and_a_given_relaxation_skip_delta_star(self):
+        inst = self.pool(20, 100)
+        assert fair.lottery(inst, CYC3, "utilitarian") == solve_utilitarian(inst, CYC3)
+        assert fair.lottery(inst, CYC3D1, "maximin") == solve_maximin(inst, CYC3D1)
+
+    @pytest.mark.parametrize("route", ["node", "edge", "mu"])
+    def test_matching_engines(self, route):
+        inst = self.pool(12, 3)
+        u, v = min(inst.undirected_edges())
+        if route == "node":
+            report = fair.lottery(inst, MATCH, node_weights={u: F(2), v: F(1)})
+            want = lorenz.node_weight_leximin(inst, {u: F(2), v: F(1)})
+        elif route == "edge":
+            report = fair.lottery(inst, MATCH, edge_weights={(u, v): F(3)})
+            want = lorenz.edge_weight_reduction(inst, {(u, v): F(3)})
+        else:
+            report = fair.lottery(inst, replace(MATCH, cardinality_mode="fixed", mu=2))
+            want = lorenz.fixed_cardinality_reduction(inst, mu=2)
+        # the objective covers the pairs on a mutual-compatibility edge, the
+        # pairs preprocessing keeps on the column-generation route
+        q = want.marginals({w for e in inst.undirected_edges() for w in e})
+        assert report == fair.SolveReport(want, tuple(sorted(q.values())), 0, 0, F(0), q)
+
+    @pytest.mark.parametrize("policy, objective, weights", [
+        (CYC3, "leximin", "node"),
+        (replace(MATCH, cardinality_mode="delta", delta=1), "leximin", "edge"),
+        (replace(MATCH, cardinality_mode="fixed", mu=1), "leximin", "node"),
+        (MATCH, "leximin", "both"),
+        (MATCH, "nash", "node"),
+        (replace(MATCH, cardinality_mode="fixed", mu=1), "maximin", None),
+        (CYC3, "median", None),
+    ], ids=["node-cyc3", "edge-delta", "node-mu", "both-maps", "nash-weights", "maximin-mu", "unknown"])
+    def test_lottery_refuses_before_any_engine_runs(self, policy, objective, weights, monkeypatch):
+        def engine(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        for module, name in ((fair, "preprocess"), (fair, "_solve"), (lorenz, "node_weight_leximin"),
+                             (lorenz, "edge_weight_reduction"), (lorenz, "fixed_cardinality_reduction")):
+            monkeypatch.setattr(module, name, engine)
+        maps = {"node_weights": {1: F(1)}, "edge_weights": {(1, 2): F(1)}}
+        if weights != "both":
+            maps = {k: m for k, m in maps.items() if k.startswith(str(weights))}
+        with pytest.raises(ValueError):
+            fair.lottery(SHARED, policy, objective, **maps)
+
+    def test_best_packing_routes(self):
+        inst = self.pool(10, 3, n_ndds=2)
+        packing, certificate = paths.max_2path_packing(inst)
+        assert fair.best_packing(inst, paths.TWO_PATH) == (packing, None, certificate)
+        mixed = oracle.PackingFamily(inst, paths.TWO_CYCLE_TWO_PATH).maximum()[0]
+        assert fair.best_packing(inst, paths.TWO_CYCLE_TWO_PATH) == (mixed, None, None)
+        prices = {v: F(v % 3 + 1) for v in inst.pairs}
+        match_mu = replace(MATCH, cardinality_mode="fixed", mu=1)
+        for policy, given in ((CYC3, None), (CYC3D1, prices), (match_mu, None)):
+            family = oracle.PackingFamily(inst, policy)
+            card = oracle.acceptable_cardinality(inst, policy, family)
+            want = oracle.max_price_packing(family, given or dict.fromkeys(inst.pairs, F(1)), card)
+            assert fair.best_packing(inst, policy, given) == (*want, None)
+
+    @pytest.mark.parametrize("policy, prices", [
+        (paths.TWO_PATH, {1: F(1)}),
+        (replace(paths.TWO_PATH, cardinality_mode="fixed", mu=1), None),
+        (replace(paths.TWO_CYCLE_TWO_PATH, cardinality_mode="delta", delta=1), None),
+        (paths.TWO_CYCLE_TWO_PATH, {1: F(1)}),
+    ], ids=["2path-prices", "2path-mu", "2cyc2path-delta", "2cyc2path-prices"])
+    def test_best_packing_refuses_prices_and_relaxations_on_2paths(self, policy, prices):
+        with pytest.raises(ValueError):
+            fair.best_packing(SHARED, policy, prices)
+
+    def test_pool_metric(self):
+        inst = self.pool(20, 100)
+        losses = oracle.coverage_losses(inst, CYC3)
+        assert None in losses.values()
+        assert fair.pool_metric(inst, CYC3, "coverage_loss") == losses
+        # the δ* over the pairs some packing covers, which `lottery` relaxes to
+        any_size = replace(CYC3, cardinality_mode="delta", delta=len(inst.pairs))
+        star = delta_star(fair.preprocess(inst, any_size)[0], CYC3)
+        assert fair.pool_metric(inst, CYC3, "delta_star") == star
+        assert star == max(x for x in losses.values() if x is not None)
+        covered = oracle.always_covered_count(inst, CYC3D1)
+        assert fair.pool_metric(inst, CYC3D1, "always_covered") == covered
+        assert fair.pool_metric(inst, CYC3, "max_cardinality") == oracle.PackingFamily(inst, CYC3).maximum()[1]
+        for policy, metric in ((CYC3D1, "delta_star"), (CYC3D1, "max_cardinality"), (CYC3, "median")):
+            with pytest.raises(ValueError):
+                fair.pool_metric(inst, policy, metric)

@@ -8,12 +8,11 @@ from itertools import combinations, product
 
 import pytest
 
-from fairkep import oracle, paths
+from fairkep import fair, oracle, paths
 from fairkep.core import Chain, FairkepError, KepInstance, Packing
 from fairkep.gen import GenConfig, generate_instance
 from fairkep.paths import (
     build_3dm_gadget,
-    max_2cycle_2path_packing,
     max_2path_packing,
     second_arc_matching,
 )
@@ -157,7 +156,8 @@ class TestRandomSweeps:
         rng = random.Random(17)
         for trial in range(250):
             inst = random_instance(rng, rng.randint(2, 8), rng.randint(0, 2), rng.uniform(0.15, 0.55))
-            assert max_2cycle_2path_packing(inst).cardinality == brute_mixed(inst), trial
+            packing, _, _ = fair.best_packing(inst, paths.TWO_CYCLE_TWO_PATH)
+            assert packing.cardinality == brute_mixed(inst), trial
 
     def test_hall_condition(self):
         rng = random.Random(27)
