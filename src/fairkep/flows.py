@@ -1,8 +1,9 @@
 """Exact max flow (Dinic's blocking flows) and feasible circulation with arc lower bounds.
 
 One kernel, `_MaxFlow`, serves every flow of the library: `max_flow`,
-`feasible_circulation` and lorenz's min cut per trial λ.  Capacities are ints
-or Fractions, never coerced; lorenz scales its networks to ints.
+`feasible_circulation` and lorenz's min cuts, one per Dinkelbach trial λ on a
+connected component (none for a lone pseudonode).  Capacities are ints or
+Fractions, never coerced; lorenz scales its networks to ints.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ One frame, leximin_lottery_graph, runs both solvers, unweighted and
 edge-weighted: Gallai-Edmonds decomposition, contraction of its
 factor-critical components into pseudonodes (none when the graph has a
 perfect matching), one cache of the matchings inside them, exact per-block
-coverage levels λ (Dinkelbach iteration, a fresh max flow and min cut per
-trial λ), one feasible circulation fixing edge-inclusion probabilities, a
+coverage levels λ (one connected component at a time: Dinkelbach iteration
+from its own ratio, a max flow and min cut per trial λ, none for a lone
+pseudonode), one feasible circulation fixing edge-inclusion probabilities, a
 Birkhoff-von Neumann decomposition of that matrix by repairing one matching
 from step to step, expansion into full matchings, an exact Carathéodory
 elimination (simplexlp.caratheodory) and a check of the marginals. Weights
@@ -54,6 +55,7 @@ from .simplexlp import lp_solve_exact  # noqa: F401
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+Neighbours = Mapping[int, set[int]]  # pseudonode id -> its left vertices still in play
 
 
 class NotStochastic(FairkepError):
@@ -193,6 +195,66 @@ def _tight_lambda(pseudos: Sequence[Pseudo], capacity: int) -> Fraction:
     return best
 
 
+def _peel(cb: ContractedBipartite, left, pids, lam: Fraction) -> Peel:
+    musts = frozenset(pid for pid in pids if cb.pseudo(pid).must_match)
+    return Peel(frozenset(left), frozenset(pids) - musts, musts, lam)
+
+
+def _tight_set(pseudos: Sequence[Pseudo], neigh: Neighbours, lam: Fraction) -> tuple[int, frozenset[int]]:
+    """q·min over S of |N(S)| - Σ demand(λ), with the maximal minimizing S.
+
+    For λ = a/q every capacity is scaled by q, so the flow runs on ints."""
+    a, q = lam.numerator, lam.denominator
+    net = _MaxFlow()
+    total = 0
+    src, snk = ("s",), ("t",)
+    positive = []
+    for p in pseudos:
+        d = q if p.must_match else p.sigma * a - (p.sigma - 1) * q
+        if d > 0:
+            positive.append(p.pid)
+            net.add(src, ("z", p.pid), d)
+            total += d
+            for u in neigh[p.pid]:
+                net.add(("z", p.pid), ("u", u), INF)
+    for u in frozenset().union(*(neigh[pid] for pid in positive)):
+        net.add(("u", u), snk, q)
+    flow = net.run(src, snk)
+    # maximal source side of a min cut: complement of nodes reaching the sink
+    can_reach = net.reaches_sink(snk)
+    return flow - total, frozenset(pid for pid in positive if ("z", pid) not in can_reach)
+
+
+def _block(cb: ContractedBipartite, pseudos: Sequence[Pseudo], neigh: Neighbours, S: frozenset[int],
+           lam: Fraction) -> Peel:
+    """The block of the maximal tight set S at λ < 1: N(S) and S, with the pseudonodes
+    stranded in N(S) that are must-match or on the boundary (demand exactly 0 at λ)."""
+    S_A = frozenset().union(*(neigh[pid] for pid in S))
+    stranded = {
+        p.pid for p in pseudos
+        if neigh[p.pid] <= S_A and (p.must_match or lam == Fraction(p.sigma - 1, p.sigma))
+    }
+    return _peel(cb, S_A, S | stranded, lam)
+
+
+def _min_ratio_block(cb: ContractedBipartite, pseudos: Sequence[Pseudo], neigh: Neighbours,
+                     left: frozenset[int]) -> Peel:
+    """lambda_star's iteration; at λ = 1 the block is every pseudonode given and `left`."""
+    lam = _tight_lambda(pseudos, len(frozenset().union(*(neigh[p.pid] for p in pseudos))))
+    while True:
+        h, S = _tight_set(pseudos, neigh, lam)
+        if h >= 0:
+            break
+        capacity = len(frozenset().union(*(neigh[pid] for pid in S)))
+        new_lam = _tight_lambda([cb.pseudo(pid) for pid in S], capacity)
+        if new_lam >= lam:
+            raise FairkepError(f"ratio stalled at λ={lam}: must-match pseudonodes unmatchable")
+        lam = new_lam
+    if lam >= 1:
+        return _peel(cb, left, [p.pid for p in pseudos], ONE)
+    return _block(cb, pseudos, neigh, S, lam)
+
+
 def lambda_star(
     cb: ContractedBipartite,
     rem_left: Optional[frozenset[int]] = None,
@@ -205,91 +267,90 @@ def lambda_star(
     than by enumerating neighborhood classes, because the minimizing set need
     not share a single neighborhood. Each trial λ costs one max flow; the min
     cut of the last trial is the block, so it is not solved again. At λ = 1
-    the block is everything left. The first trial, at λ = 1, checks Hall's
-    condition for the must-match pseudonodes, whose demand is 1 at every λ:
-    a set of them that fails it stalls the ratio, and this raises.
+    the block is everything left. The first trial is at the ratio of all the
+    pseudonodes, an upper bound on λ. A set of must-match pseudonodes (demand
+    1 at every λ) failing Hall's condition stalls the ratio, and this raises.
     """
     if rem_left is None:
         rem_left = frozenset(cb.left)
     if rem_pids is None:
         rem_pids = frozenset(p.pid for p in cb.pseudos)
-    pseudos = [cb.pseudo(pid) for pid in sorted(rem_pids)]
     neigh: dict[int, set[int]] = {pid: set() for pid in rem_pids}
     for (u, pid) in cb.edges:
         if pid in neigh and u in rem_left:
             neigh[pid].add(u)
+    peel = _min_ratio_block(cb, [cb.pseudo(pid) for pid in sorted(rem_pids)], neigh, rem_left)
+    return peel.lam, peel
 
-    def peel(left: frozenset[int], pids: frozenset[int], lam: Fraction) -> tuple[Fraction, Peel]:
-        musts = frozenset(pid for pid in pids if cb.pseudo(pid).must_match)
-        return lam, Peel(left, pids - musts, musts, lam)
 
-    def tight_set(lam: Fraction) -> tuple[int, frozenset[int]]:
-        """q·min over S of |N(S)| - Σ demand(λ), with the maximal minimizing S.
-
-        For λ = a/q every capacity is scaled by q, so the flow runs on ints."""
-        a, q = lam.numerator, lam.denominator
-        net = _MaxFlow()
-        total = 0
-        src, snk = ("s",), ("t",)
-        positive = []
-        for p in pseudos:
-            d = q if p.must_match else p.sigma * a - (p.sigma - 1) * q
-            if d > 0:
-                positive.append(p.pid)
-                net.add(src, ("z", p.pid), d)
-                total += d
-                for u in neigh[p.pid]:
-                    net.add(("z", p.pid), ("u", u), INF)
-        for u in rem_left:
-            net.add(("u", u), snk, q)
-        flow = net.run(src, snk)
-        # maximal source side of a min cut: complement of nodes reaching the sink
-        can_reach = net.reaches_sink(snk)
-        return flow - total, frozenset(pid for pid in positive if ("z", pid) not in can_reach)
-
-    lam = ONE
-    while True:
-        h, S = tight_set(lam)
-        if h >= 0:
-            break
-        members = [cb.pseudo(pid) for pid in S]
-        capacity = len(frozenset().union(*(neigh[pid] for pid in S)) if S else frozenset())
-        new_lam = _tight_lambda(members, capacity)
-        if new_lam >= lam:
-            raise FairkepError(f"ratio stalled at λ={lam}: must-match pseudonodes unmatchable")
-        lam = new_lam
-    if lam >= 1:
-        return peel(rem_left, rem_pids, ONE)
-    # S is the maximal tight set of the last tight_set(lam)
-    # pull in boundary pseudonodes (demand exactly 0 at λ) stranded inside the block
-    S_A = frozenset().union(*(neigh[pid] for pid in S)) if S else frozenset()
-    extra = {
-        p.pid
-        for p in pseudos
-        if p.pid not in S and _demand(p, lam) == 0
-        and lam == Fraction(p.sigma - 1, p.sigma) and neigh[p.pid] <= S_A
-    }
-    musts = {p.pid for p in pseudos if p.must_match and neigh[p.pid] <= S_A}
-    return peel(S_A, S | extra | musts, lam)
+def _component_blocks(cb: ContractedBipartite, pids: Sequence[int],
+                      neigh: Neighbours) -> list[tuple[list[Pseudo], Peel]]:
+    """Each connected component of the pseudonodes (joined through shared left
+    vertices) with its minimum-ratio block; a lone pseudonode needs no flow."""
+    out, todo = [], set(pids)
+    while todo:
+        comp, left, grow = set(), frozenset(), {min(todo)}
+        while grow:
+            comp |= grow
+            todo -= grow
+            left = left.union(*(neigh[pid] for pid in grow))
+            grow = {pid for pid in todo if not left.isdisjoint(neigh[pid])}
+        pseudos = [cb.pseudo(pid) for pid in sorted(comp)]
+        if len(pseudos) > 1 or (pseudos[0].must_match and not left):  # the latter fails Hall's condition
+            block = _min_ratio_block(cb, pseudos, neigh, left)
+        else:  # a lone pseudonode: min(1, (|N(z)| + σ - 1)/σ), or 1 when it must match
+            (p,) = pseudos
+            lam = ONE if p.must_match else min(ONE, Fraction(len(left) + p.sigma - 1, p.sigma))
+            block = _peel(cb, left, comp, lam)
+        out.append((pseudos, block))
+    return out
 
 
 def peel_blocks(cb: ContractedBipartite) -> BlockPartition:
-    """Iteratively remove minimum-ratio blocks; λ values strictly increase."""
-    rem_left = frozenset(cb.left)
-    rem_pids = frozenset(p.pid for p in cb.pseudos)
-    peels: list[Peel] = []
-    prev = Fraction(-1)
-    while rem_pids:
-        _, peel = lambda_star(cb, rem_left, rem_pids)
-        rem_left = rem_left - peel.left
-        rem_pids = rem_pids - peel.pids - peel.must_pids
-        if peel.lam <= prev:
-            raise FairkepError(f"peel λ values must strictly increase: {prev} then {peel.lam}")
-        prev = peel.lam
-        peels.append(peel)
-    if rem_left:
-        raise FairkepError("left vertices remained after peeling")
-    return BlockPartition(cb=cb, peels=tuple(peels))
+    """Remove minimum-ratio blocks, one connected component at a time; λ values strictly increase.
+
+    The min cut is a sum over the components (Fujishige, Math. Oper. Res.
+    1980), so each peels on its own, its rest splitting anew; blocks of equal
+    λ merge into one Peel, and left vertices with no pseudonode left join the
+    one at λ = 1. A Hall-tight set M of must-match pseudonodes (|N(M)| = |M|)
+    is tight at every λ, so it goes with N(M) at the first λ of all: one flow
+    there finds it in each component that peels later. No rest after a peel
+    holds one: it would have joined the maximal tight set.
+    """
+    neigh: dict[int, set[int]] = {p.pid: set() for p in cb.pseudos}
+    for (u, pid) in cb.edges:
+        neigh[pid].add(u)
+    work = _component_blocks(cb, list(neigh), neigh)
+    first = min((block.lam for _, block in work), default=ONE)
+    for i, (pseudos, block) in enumerate(work):
+        if block.lam > first and any(p.must_match for p in pseudos):
+            if len(pseudos) > 1:
+                S = _tight_set(pseudos, neigh, first)[1]
+            else:  # a lone must-match pseudonode is Hall-tight with one neighbour
+                S = frozenset(p.pid for p in pseudos if len(neigh[p.pid]) == 1)
+            hall = _block(cb, pseudos, neigh, S, first)
+            work[i] = (pseudos, hall if hall.must_pids else block)
+    levels: dict[Fraction, tuple[set[int], set[int]]] = {}
+    while work:
+        pseudos, block = work.pop()
+        gone = block.pids | block.must_pids
+        left, pids = levels.setdefault(block.lam, (set(), set()))
+        left |= block.left
+        pids |= gone
+        rest = [p.pid for p in pseudos if p.pid not in gone]
+        for pid in rest:
+            neigh[pid] -= block.left
+        for sub, after in _component_blocks(cb, rest, neigh):
+            if after.lam <= block.lam:
+                raise FairkepError(f"peel λ values must strictly increase: {block.lam} then {after.lam}")
+            work.append((sub, after))
+    free = frozenset(cb.left).difference(*(left for left, _ in levels.values()))
+    if free:
+        if ONE not in levels:
+            raise FairkepError("left vertices remained after peeling")
+        levels[ONE][0].update(free)
+    peels = tuple(_peel(cb, left, pids, lam) for lam, (left, pids) in sorted(levels.items()))
+    return BlockPartition(cb=cb, peels=peels)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ contraction/peeling or column-generation code paths.  The flow references at
 the end (Edmonds-Karp, a circulation per decomposition step) are the
 algorithms the library's flow kernel and matrix decomposition replaced,
 `reference_search` is the packing search before it pruned on the cardinality
-row and charged for the structure count, and `doubled_graph_admissible` is the
-weighted Lorenz restriction before it became one assignment solve.
+row and charged for the structure count, `doubled_graph_admissible` is the
+weighted Lorenz restriction before it became one assignment solve, and
+`reference_peel_blocks` is the peeling loop before it went one connected
+component at a time: a Dinkelbach iteration from λ = 1 over everything left
+per block (it shares the library's `_tight_lambda` and `_demand`).
 """
 
 from __future__ import annotations
@@ -17,11 +20,13 @@ from collections import deque
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
+from typing import Optional
 
 import networkx as nx
 
-from fairkep.core import Chain, Cycle, Packing
-from fairkep.lorenz import ContractedBipartite, Pseudo
+from fairkep.core import Chain, Cycle, FairkepError, Packing
+from fairkep.flows import INF, _MaxFlow
+from fairkep.lorenz import BlockPartition, ContractedBipartite, Peel, Pseudo, _demand, _tight_lambda
 from fairkep.matching import matching_weight, norm_edge
 from fairkep.oracle import CARD_FREE, OracleInfeasible, enumerate_structures
 from fairkep.simplexlp import lp_solve_exact
@@ -584,3 +589,102 @@ def reference_search(inst, policy, prices, cardinality, value_only):
     if best_chosen is None:
         raise OracleInfeasible("no packing satisfies the cardinality constraint")
     return Packing(frozenset(structs[j] for j in best_chosen)), Fraction(best_val, scale)
+
+
+def reference_lambda_star(
+    cb: ContractedBipartite,
+    rem_left: Optional[frozenset[int]] = None,
+    rem_pids: Optional[frozenset[int]] = None,
+) -> tuple[Fraction, Peel]:
+    """Exact minimum coverage ratio over pseudonode subsets, with the maximal tight block.
+
+    λ = min over sets S of (|N(S)| - #musts(S) + Σ_{z∈S}(σ_z - 1)) / Σ_{z∈S} σ_z,
+    capped at 1. Computed by Dinkelbach iteration over exact min-cuts rather
+    than by enumerating neighborhood classes, because the minimizing set need
+    not share a single neighborhood. Each trial λ costs one max flow; the min
+    cut of the last trial is the block, so it is not solved again. At λ = 1
+    the block is everything left. The first trial, at λ = 1, checks Hall's
+    condition for the must-match pseudonodes, whose demand is 1 at every λ:
+    a set of them that fails it stalls the ratio, and this raises.
+    """
+    if rem_left is None:
+        rem_left = frozenset(cb.left)
+    if rem_pids is None:
+        rem_pids = frozenset(p.pid for p in cb.pseudos)
+    pseudos = [cb.pseudo(pid) for pid in sorted(rem_pids)]
+    neigh: dict[int, set[int]] = {pid: set() for pid in rem_pids}
+    for (u, pid) in cb.edges:
+        if pid in neigh and u in rem_left:
+            neigh[pid].add(u)
+
+    def peel(left: frozenset[int], pids: frozenset[int], lam: Fraction) -> tuple[Fraction, Peel]:
+        musts = frozenset(pid for pid in pids if cb.pseudo(pid).must_match)
+        return lam, Peel(left, pids - musts, musts, lam)
+
+    def tight_set(lam: Fraction) -> tuple[int, frozenset[int]]:
+        """q·min over S of |N(S)| - Σ demand(λ), with the maximal minimizing S.
+
+        For λ = a/q every capacity is scaled by q, so the flow runs on ints."""
+        a, q = lam.numerator, lam.denominator
+        net = _MaxFlow()
+        total = 0
+        src, snk = ("s",), ("t",)
+        positive = []
+        for p in pseudos:
+            d = q if p.must_match else p.sigma * a - (p.sigma - 1) * q
+            if d > 0:
+                positive.append(p.pid)
+                net.add(src, ("z", p.pid), d)
+                total += d
+                for u in neigh[p.pid]:
+                    net.add(("z", p.pid), ("u", u), INF)
+        for u in rem_left:
+            net.add(("u", u), snk, q)
+        flow = net.run(src, snk)
+        # maximal source side of a min cut: complement of nodes reaching the sink
+        can_reach = net.reaches_sink(snk)
+        return flow - total, frozenset(pid for pid in positive if ("z", pid) not in can_reach)
+
+    lam = ONE
+    while True:
+        h, S = tight_set(lam)
+        if h >= 0:
+            break
+        members = [cb.pseudo(pid) for pid in S]
+        capacity = len(frozenset().union(*(neigh[pid] for pid in S)) if S else frozenset())
+        new_lam = _tight_lambda(members, capacity)
+        if new_lam >= lam:
+            raise FairkepError(f"ratio stalled at λ={lam}: must-match pseudonodes unmatchable")
+        lam = new_lam
+    if lam >= 1:
+        return peel(rem_left, rem_pids, ONE)
+    # S is the maximal tight set of the last tight_set(lam)
+    # pull in boundary pseudonodes (demand exactly 0 at λ) stranded inside the block
+    S_A = frozenset().union(*(neigh[pid] for pid in S)) if S else frozenset()
+    extra = {
+        p.pid
+        for p in pseudos
+        if p.pid not in S and _demand(p, lam) == 0
+        and lam == Fraction(p.sigma - 1, p.sigma) and neigh[p.pid] <= S_A
+    }
+    musts = {p.pid for p in pseudos if p.must_match and neigh[p.pid] <= S_A}
+    return peel(S_A, S | extra | musts, lam)
+
+
+def reference_peel_blocks(cb: ContractedBipartite) -> BlockPartition:
+    """Iteratively remove minimum-ratio blocks; λ values strictly increase."""
+    rem_left = frozenset(cb.left)
+    rem_pids = frozenset(p.pid for p in cb.pseudos)
+    peels: list[Peel] = []
+    prev = Fraction(-1)
+    while rem_pids:
+        _, peel = reference_lambda_star(cb, rem_left, rem_pids)
+        rem_left = rem_left - peel.left
+        rem_pids = rem_pids - peel.pids - peel.must_pids
+        if peel.lam <= prev:
+            raise FairkepError(f"peel λ values must strictly increase: {prev} then {peel.lam}")
+        prev = peel.lam
+        peels.append(peel)
+    if rem_left:
+        raise FairkepError("left vertices remained after peeling")
+    return BlockPartition(cb=cb, peels=tuple(peels))

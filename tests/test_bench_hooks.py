@@ -7,7 +7,8 @@ zero. This runs the two lorenz entry points, an exact leximin solve,
 fair.preprocess with oracle.delta_star and short simulations under that
 instrumentation, and checks the spans the matching-lottery, exact-lottery and
 pool-sim metrics rest on (the pool-sim period spans read the pool off the
-first argument of sim._solve_period).  It also checks that a solve
+first argument of sim._solve_period), and that the peel's max flows are
+recorded inside the peel's span.  It also checks that a solve
 enumerates its packing family once, that preprocessing hands its family to
 δ* and the solve, and that an enumeration past the cap is counted as a
 fallback.
@@ -70,6 +71,23 @@ def test_matching_pipeline_spans_recorded(monkeypatch):
     assert metrics["flows.circulations"][0] == len(engine_solves) / (1 + len(pools))
     assert metrics["flows.busy_s"][0] > 0
     assert metrics["lorenz.decompose_s"][0] > 0
+
+
+def test_peel_flows_recorded_inside_peel(monkeypatch):
+    # vertex 0 joins two triangles: A(G) = {0} and both triangles are
+    # pseudonodes of one component, which only a max flow peels (a lone
+    # pseudonode needs none); its flows must reach the tracer's
+    # lorenz._MaxFlow, inside the lorenz.peel span
+    tracing = load_tracing(monkeypatch)
+    rec = tracing.Recorder()
+    edges = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (0, 1), (0, 4)]
+    arcs = {a: Fraction(1) for (u, v) in edges for a in ((u, v), (v, u))}
+    with tracing.Instrumentation(rec):
+        lorenz.leximin_matching_lottery(KepInstance(pairs=frozenset(range(7)), arcs=arcs))
+    flows = [s for s in rec.spans if s.name == "flows.max_flow"]
+    assert flows and all(rec.spans[s.parent].name == "lorenz.peel" for s in flows)
+    metrics = tracing.layer_metrics(rec, 1)
+    assert metrics["lorenz.peel_s"][0] > 0 and metrics["flows.busy_s"][0] > 0
 
 
 def test_exact_lp_spans_recorded(monkeypatch):

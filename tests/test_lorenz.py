@@ -42,6 +42,7 @@ from helpers import (
     enumerate_matchings,
     leximin_marginals,
     maximum_matchings,
+    reference_peel_blocks,
 )
 
 F = Fraction
@@ -445,9 +446,10 @@ class TestChecks:
             peel_blocks(self.must_match_overload())
 
     def test_lambda_star_must_match_only(self):
-        # every pseudonode must match: once the first trial at λ = 1 finds
-        # Hall's condition, one peel at 1 takes them all; when it fails, no
-        # optional pseudonode can lower λ and the ratio stalls
+        # every pseudonode must match, so their own ratio, where the first
+        # trial runs, is 1: when Hall's condition holds one peel at 1 takes
+        # them all; when it fails, no optional pseudonode can lower λ and the
+        # ratio stalls
         pseudos = (Pseudo(0, (2,), ()), Pseudo(1, (3,), ()))
 
         def contraction(edges):
@@ -594,6 +596,74 @@ class TestLambdaStarBruteForce:
         assert musts >= 10 and fractional >= 20
 
 
+def random_split_contraction(rng):
+    """A random contraction whose left vertices and pseudonodes are dealt into
+    1–3 groups with no edge between groups: several components, isolated
+    pseudonodes and left vertices, and must-match pseudonodes (σ = 0)."""
+    groups = rng.randint(1, 3)
+    left = tuple(range(rng.randint(0, 9)))
+    pseudos = []
+    for pid in range(rng.randint(1, 9)):
+        sigma = 0 if rng.random() < 0.2 else rng.randint(1, 4)
+        members = tuple(1000 * (pid + 1) + i for i in range(2 * max(sigma, 1) - 1))
+        pseudos.append(Pseudo(pid, members, members[:sigma]))
+    group = {x: rng.randrange(groups) for x in left + tuple(1000 + p.pid for p in pseudos)}
+    density = rng.uniform(0.2, 0.7)
+    edges = frozenset(
+        (u, p.pid) for u in left for p in pseudos
+        if group[u] == group[1000 + p.pid] and rng.random() < density
+    )
+    attach = {(u, pid): (pseudos[pid].members[0],) for (u, pid) in edges}
+    return ContractedBipartite(left=left, pseudos=tuple(pseudos), edges=edges, attach=attach)
+
+
+class TestPeelBlocksReference:
+    def test_matches_global_dinkelbach_loop(self):
+        # peeling one component at a time gives the peels of the global loop
+        # (a Dinkelbach iteration from λ = 1 over everything left per block),
+        # or the same error: a must-match set failing Hall's condition, or
+        # left vertices stranded with no block at λ = 1
+        rng = random.Random(44)
+        seen = Counter()
+        for _ in range(4000):
+            cb = random_split_contraction(rng)
+            neigh = {p.pid: frozenset(u for (u, z) in cb.edges if z == p.pid) for p in cb.pseudos}
+            try:
+                want = reference_peel_blocks(cb).peels
+            except FairkepError as e:
+                with pytest.raises(FairkepError) as got:
+                    peel_blocks(cb)
+                if "must-match" in str(e):
+                    assert "must-match" in str(got.value)
+                    seen["hall fails"] += 1
+                else:
+                    assert str(got.value) == str(e) == "left vertices remained after peeling"
+                    seen["left stranded"] += 1
+                continue
+            assert peel_blocks(cb).peels == want
+            seen["peeled"] += 1
+            # components of two or more pseudonodes, and how many peels each spans
+            spans, todo = [], set(neigh)
+            while todo:
+                comp, grow = set(), {todo.pop()}
+                while grow:
+                    comp |= grow
+                    reach = frozenset().union(*(neigh[z] for z in grow))
+                    grow = {z for z in todo if neigh[z] & reach}
+                    todo -= grow
+                if len(comp) > 1:
+                    spans.append(sum(bool(comp & (pl.pids | pl.must_pids)) for pl in want))
+            seen["several components"] += len(spans) >= 2
+            seen["multi-block component"] += any(n >= 2 for n in spans)
+            seen["isolated pseudonode"] += any(not n for n in neigh.values())
+            seen["isolated left vertex"] += bool(set(cb.left).difference(*neigh.values()))
+            musts = [z for z in neigh if cb.pseudo(z).must_match]
+            tight = any(len(frozenset().union(*(neigh[z] for z in M))) == k
+                        for k in range(1, len(musts) + 1) for M in combinations(musts, k))
+            seen["tight musts" if tight else "slack musts"] += bool(musts)
+        assert min(seen.values()) >= 100 and len(seen) == 9, seen
+
+
 SOLUTION_PARTS = ("peels", "cover", "demands", "decomposition", "support", "marginals")
 
 
@@ -641,6 +711,29 @@ class TestPinnedSolutions:
 
     def test_full_solutions_unchanged(self):
         assert self.digest() == self.PINNED
+
+    def test_peel_flow_count(self, monkeypatch):
+        # every max flow the peeling runs over the 60 solves (170 with a
+        # Dinkelbach iteration from λ = 1 over everything left per block); a
+        # contraction of lone optional pseudonodes runs none
+        flows = []
+
+        class CountingMaxFlow(lorenz._MaxFlow):
+            def run(self, *args):
+                flows.append(1)
+                return super().run(*args)
+
+        monkeypatch.setattr(lorenz, "_MaxFlow", CountingMaxFlow)
+        self.digest(("peels",))
+        assert len(flows) == 38
+        flows.clear()
+        pseudos = tuple(Pseudo(z, (10 * z,), (10 * z,)) for z in range(4))
+        edges = frozenset({(0, 0), (1, 1), (2, 1), (3, 2)})
+        cb = ContractedBipartite(left=(0, 1, 2, 3), pseudos=pseudos, edges=edges,
+                                 attach={(u, z): (10 * z,) for u, z in edges})
+        assert peel_blocks(cb).peels == reference_peel_blocks(cb).peels
+        assert [pl.lam for pl in peel_blocks(cb).peels] == [F(0), F(1)]
+        assert flows == []
 
 
 class TestOneSolveFrame:
