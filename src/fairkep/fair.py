@@ -8,7 +8,8 @@ column-generation loop (RestrictedMaster.generate) serves every LP and keeps
 the dual certificates it ends on; every priced packing is checked against
 them.  Every master LP, at every pool size, runs on the exact rational
 simplex, so certificates hold with zero tolerance and every objective but
-Nash's is an exact Fraction.
+Nash's is an exact Fraction; an LP that has only gained columns since its
+last solve resumes from that solve's tableau.
 
 - solve_maximin / solve_leximin: master LPs over (p_C, lambda); leximin_lottery
   is the level-fixing engine over any priced master: each round fixes the
@@ -61,7 +62,7 @@ from .oracle import (
     delta_star,
     max_price_packing,
 )
-from .simplexlp import caratheodory, lp_solve_exact
+from .simplexlp import Tableau, caratheodory, lp_solve_exact
 
 # no solver reads this; its only reader is perfbench/workloads.py, which
 # compares Gini items on more pairs with its float reference tolerance
@@ -111,6 +112,7 @@ def lp_solve(
     A_eq: Sequence[Sequence] = (),
     b_eq: Sequence = (),
     free_vars: Sequence[int] = (),
+    start: Optional[Tableau] = None,
 ):
     """Maximize c @ x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 
@@ -119,10 +121,13 @@ def lp_solve(
     integer tableau rows under Bland's rule; its duals are read off the final
     objective row as exact Fractions: duals_ub >= 0, duals_eq of either sign,
     A_ubᵀ duals_ub + A_eqᵀ duals_eq >= c and b · duals equal to the
-    objective.  Every master LP goes through this name.  Raises LpInfeasible /
-    LpUnbounded.
+    objective.  Every master LP goes through this name, whole: its full cost
+    vector and rows.  start is the Tableau of the LP's last solve, filled by
+    it: a master that has only gained columns since resumes from it (see
+    lp_solve_exact), and one whose rows or right-hand sides changed starts
+    an empty one.  Raises LpInfeasible / LpUnbounded.
     """
-    res = lp_solve_exact(c, A_ub, b_ub, A_eq, b_eq, free_vars)
+    res = lp_solve_exact(c, A_ub, b_ub, A_eq, b_eq, free_vars, start=start)
     return res.x, res.objective, res.duals_ub, res.duals_eq
 
 
@@ -180,7 +185,10 @@ class RestrictedMaster:
         the best packing of the family prices at most z as well, exactly, so
         the LP's optimum is the family's.  A priced column that the master
         already has proves the LP or the pricing wrong and raises.  Returns
-        (solution, prices, rounds).
+        (solution, prices, rounds).  Between calls the LP gains the priced
+        column, so a solve() whose LP has a variable per column keeps one
+        simplexlp.Tableau for the loop and resumes from it (_maximin_lp); one
+        whose LP gains a row per column solves each call cold (_gini_inner).
         """
         rounds = 0
         while True:
@@ -231,8 +239,10 @@ def _maximin_lp(master: RestrictedMaster, fixed: dict[int, object]):
     """Maximize the minimum marginal over unfixed pairs, floors on fixed ones.
 
     Returns (level, primal weights over master.columns, certified pair prices,
-    iterations).
+    iterations).  Each priced column is one more variable of the same rows,
+    so every LP after the round's first resumes from the last one's tableau.
     """
+    tableau = Tableau()
 
     def solve():
         k = len(master.columns)
@@ -247,7 +257,7 @@ def _maximin_lp(master: RestrictedMaster, fixed: dict[int, object]):
                 row.append(1)
                 b_ub.append(0)
             A_ub.append(row)
-        x, _, duals_ub, duals_eq = lp_solve(c, A_ub, b_ub, [[1] * k + [0]], [1])
+        x, _, duals_ub, duals_eq = lp_solve(c, A_ub, b_ub, [[1] * k + [0]], [1], start=tableau)
         return x, dict(zip(master.pairs, duals_ub)), duals_eq[0]
 
     x, prices, rounds = master.generate(solve)
@@ -500,7 +510,10 @@ def _gini_inner(master: RestrictedMaster, mu, cuts: dict):
     The simplex runs on the LP's dual, which has a row per column where the
     LP has one per cut, and whose right-hand sides are not all 0 as the
     cuts' are.  Its cut multipliers lam give each pair the price 2n*mu less
-    lam times the pair's cut coefficients.  Returns (inner optimum, p*, q*).
+    lam times the pair's cut coefficients.  A cut is one more dual column, so
+    the re-solve after it resumes from the last tableau; a priced column is
+    one more dual row, so each pricing round starts cold.  Returns (inner
+    optimum, p*, q*).
     """
     pairs = master.pairs
     n = len(pairs)
@@ -510,13 +523,15 @@ def _gini_inner(master: RestrictedMaster, mu, cuts: dict):
         k = len(master.columns)
         cols = [[i for i, v in enumerate(pairs) if v in cov] for cov in master.covered]
         b_ub = [-coef_q * len(col) for col in cols] + [1]
+        tableau = Tableau()
         while True:
             # the dual's variables: lam >= 0 per cut, then the free multiplier
             # of sum(p) = 1; its rows: one per column, then one for T
             rows = list(cuts.values())
             A_ub = [[-sum(r[i] for i in col) for r in rows] + [-1] for col in cols]
             A_ub.append([1] * len(rows) + [0])
-            lam, _, x, _ = lp_solve([0] * len(rows) + [-1], A_ub, b_ub, free_vars=[len(rows)])
+            lam, _, x, _ = lp_solve([0] * len(rows) + [-1], A_ub, b_ub, free_vars=[len(rows)],
+                                    start=tableau)
             q = [0] * n
             for col, p in zip(cols, x):
                 for i in col:

@@ -765,7 +765,12 @@ def _edges_to_packing(edges: frozenset[Edge]) -> Packing:
 
 
 def _support_to_lottery(support) -> Lottery:
-    return Lottery(tuple((_edges_to_packing(e), p) for e, p in support))
+    """The lottery over the support's matchings, each edge one shared 2-cycle.
+
+    Cycle is frozen, so the packings that match an edge share one Cycle.
+    """
+    cycles = {e: Cycle(e) for e in {e for edges, _ in support for e in edges}}
+    return Lottery(tuple((Packing(frozenset(cycles[e] for e in edges)), p) for edges, p in support))
 
 
 def leximin_matching_lottery(instance: KepInstance) -> Lottery:

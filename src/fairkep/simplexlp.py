@@ -6,15 +6,23 @@ pivot · row − factor · pivot row divided by the gcd of the result (Bareiss-s
 integer-preserving elimination), so no entry is ever a Fraction to normalise.
 
 It solves every master LP of lottery construction, whatever its size: there
-exact tie-free optima and exact duals matter.
+exact tie-free optima and exact duals matter.  A master grows by columns
+(priced packings, sort-order cuts of the Gini dual), so a solve may start
+from the Tableau of the same LP's last optimal solve: only the new columns
+are computed, as B⁻¹a off the columns that carry the basis inverse, and
+phase 2 resumes from the kept basis with no rebuild and no phase 1.  A start
+whose rows, right-hand sides or old columns differ from the LP's is refused,
+and a resumed solve may end at another optimal vertex than a cold one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from typing import Hashable, Iterable, Sequence
+from operator import attrgetter, itemgetter, mul
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .core import FairkepError, integer_scaled
 
@@ -33,6 +41,25 @@ class LpResult:
     objective: Fraction
     duals_ub: list[Fraction]
     duals_eq: list[Fraction]
+
+
+class Tableau:
+    """The optimal fraction-free tableau of an LP's last solve, kept to resume from.
+
+    Created empty and passed to lp_solve_exact as `start`, it is filled by
+    that solve; a later solve of the same LP grown by columns resumes from
+    it and refills it.  tab holds the constraint rows, then the phase-2
+    objective row; units[r] is the (column, sign) whose entries are row r's
+    column of the basis inverse (its slack, or its artificial signed as the
+    row was flipped), so its objective entry is row r's dual; lp is the LP
+    as solved: (c, rows, b, number of <= rows, sorted free variables).
+    """
+
+    def __init__(self):
+        self.tab: list[list[int]] = []
+        self.basis: list[int] = []
+        self.units: list[tuple[int, int]] = []
+        self.lp: tuple = ()
 
 
 def _eliminate(row: list[int], pivot_row: list[int], i: int) -> list[int]:
@@ -93,6 +120,70 @@ def _pivot(tab: list[list[int]], basis: list[int], leave: int, enter: int) -> No
     basis[leave] = enter
 
 
+def _drive_out(tab: list[list[int]], basis: list[int], art0: int) -> None:
+    """Pivot each basic artificial, at zero, onto a nonzero entry of a column < art0.
+
+    An artificial with no such entry marks a redundant row and stays basic.
+    """
+    for i in range(len(basis)):
+        if basis[i] >= art0:
+            j = next((j for j in range(art0) if tab[i][j]), -1)
+            if j >= 0:
+                if tab[i][j] < 0:
+                    tab[i] = [-a for a in tab[i]]
+                _pivot(tab, basis, i, j)
+
+
+def _splice(tab: list[list[int]], units: list[tuple[int, int]], at: int, count: int,
+            parts: list[list], costs: Sequence = ()) -> list[list[int]]:
+    """The rows of tab with count new columns spliced in before column at:
+    B⁻¹a, and on the objective row D·(reduced cost) if costs are given.
+
+    parts[r] is the LP's row r over the new columns, costs their cost
+    coefficients.  A row's entry on a new column a is Σ_r sign_r ·
+    row[col_r] · a_r over units, and the objective row's also less D·c_a;
+    a row whose new entries are not all integers is scaled up to clear them.
+    A row with one nonzero multiplier row[col_r] (every row of a cold build)
+    is part r scaled.  With costs, tab's last row is the objective row.
+    """
+    live = [r for r, part in enumerate(parts) if any(part)]
+    signed = [[units[r][1] * a for a in parts[r]] for r in live]
+    by_column = list(zip(*signed))
+    cols = [units[r][0] for r in live]
+    take = itemgetter(*cols) if len(cols) > 1 else lambda row: tuple(row[j] for j in cols)
+    ints = set(map(type, chain(costs, *signed))) <= {int}
+    zero = [0] * count
+    out = []
+    for i, row in enumerate(tab):
+        g = take(row)
+        zeros = g.count(0)
+        if zeros == len(g):
+            new = zero
+        elif zeros == len(g) - 1:  # one multiplier, as in every row of a cold build
+            t = next(t for t, v in enumerate(g) if v)
+            new = [g[t] * a for a in signed[t]]
+        else:
+            new = [sum(map(mul, g, column)) for column in by_column]
+        if costs and i == len(tab) - 1:
+            d = row[-1]
+            new = [v - d * cj for v, cj in zip(new, costs)]
+        if not ints:
+            k = lcm(*(v.denominator for v in new))
+            if k > 1:
+                row = [k * a for a in row]
+            new = [v.numerator * (k // v.denominator) for v in new]
+        out.append(row[:at] + new + row[at:])
+    return out
+
+
+def _exact(values: Iterable) -> list:
+    """The values as a list, ints as they are and anything else as a Fraction."""
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    return [v if type(v) is int else Fraction(v) for v in values]
+
+
 def lp_solve_exact(
     c: Sequence,
     A_ub: Sequence[Sequence] = (),
@@ -100,6 +191,7 @@ def lp_solve_exact(
     A_eq: Sequence[Sequence] = (),
     b_eq: Sequence = (),
     free_vars: Sequence[int] = (),
+    start: Optional[Tableau] = None,
 ) -> LpResult:
     """Maximize c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq, x >= 0.
 
@@ -115,47 +207,87 @@ def lp_solve_exact(
     those and the = rows get an artificial column.  The duals are read off the
     final objective row: a <= row's dual is the reduced cost of its slack
     column; an = row's is that of its artificial column, negated if the row
-    was negated.  Raises LpInfeasible or LpUnbounded.
+    was negated.  Ints among the entries stay ints; anything else becomes a
+    Fraction.  Raises LpInfeasible or LpUnbounded.
+
+    start, a Tableau, makes the solve resumable.  Empty, it is filled with
+    this solve's optimal tableau.  Filled by an earlier solve, it must hold
+    this LP less some columns: the same rows, in order, with the same
+    right-hand sides, and its columns, costs and free variables the LP's
+    with new ones, not free, inserted at one place (else ValueError).  The
+    new columns are spliced into the kept tableau (_splice), and primal
+    simplex resumes from the kept basis, which stays feasible, without a
+    rebuild or phase 1; start is refilled.  A resumed solve may reach another
+    optimal vertex than a cold one.  A solve that raises leaves start as it
+    was.
     """
-    c = [Fraction(v) for v in c]
-    n = len(c)
+    c = list(c)
+    rows = [list(r) for r in (*A_ub, *A_eq)]
+    b = list((*b_ub, *b_eq))
     free = sorted(set(free_vars))
-    # split free variables: x_i = x_i+ - x_i-
-    ext = n + len(free)
+    lp = (c, rows, b, len(A_ub), free)
+    if start is not None and start.tab:
+        tab, basis, units = _resume(start, lp)
+    else:
+        tab, basis, units = _cold(lp)
+    n, ext = len(c), len(c) + len(free)
+
+    zero = Fraction(0)
+    xext = [zero] * ext
+    for i, bi in enumerate(basis):
+        if bi < ext and tab[i][-2]:
+            xext[bi] = Fraction(tab[i][-2], tab[i][bi])
+    x = xext[:n]
+    for k, v in enumerate(free):
+        x[v] -= xext[n + k]
+    zrow = tab[-1]
+    objective = Fraction(zrow[-2], zrow[-1])
+    duals = [Fraction(sign * zrow[j], zrow[-1]) if zrow[j] else zero for j, sign in units]
+    if start is not None:
+        start.tab, start.basis, start.units, start.lp = tab, basis, units, lp
+    nslack = len(A_ub)
+    return LpResult(x=x, objective=objective, duals_ub=duals[:nslack], duals_eq=duals[nslack:])
+
+
+def _cold(lp: tuple) -> tuple[list[list[int]], list[int], list[tuple[int, int]]]:
+    """Two-phase simplex from the slack basis: (tableau, basis, units)."""
+    c, rows, b, nslack, free = lp
+    c, b, rows = _exact(c), _exact(b), [_exact(r) for r in rows]
+    m = len(rows)
+    ext = len(c) + len(free)
     cx = c + [-c[v] for v in free]
-    constraints = []  # (coefficients over the ext columns, rhs, is an = row)
-    for rows, rhs, is_eq in ((A_ub, b_ub, False), (A_eq, b_eq, True)):
-        for r, b in zip(rows, rhs):
-            r = [Fraction(v) for v in r]
-            constraints.append((r + [-r[v] for v in free], Fraction(b), is_eq))
-    m = len(constraints)
-    nslack = sum(1 for *_, is_eq in constraints if not is_eq)
+    parts = [r + [-r[v] for v in free] for r in rows]
     art0 = ext + nslack
-    nart = sum(1 for _, b, is_eq in constraints if is_eq or b < 0)
+    nart = sum(1 for i, bi in enumerate(b) if i >= nslack or bi < 0)
     total = art0 + nart
 
-    # constraint rows [coefficients | slack | artificial | rhs | 0], rhs >= 0
+    # rows [slack | artificial | rhs | 0], each scaled to clear the
+    # denominators of its LP row and negated if its rhs is negative; the
+    # LP's columns then enter through _splice as B⁻¹a, B the scaling
     tab: list[list[int]] = []
     basis: list[int] = []
-    dual_of: list[tuple[int, int]] = []  # (column, sign): dual = sign · its reduced cost
-    si, ai = ext, art0
-    for r, b, is_eq in constraints:
-        flip = b < 0
-        ints, d = integer_scaled([-v for v in r] + [-b] if flip else r + [b])
-        row = ints[:-1] + [0] * (nslack + nart) + [ints[-1], 0]
-        if not is_eq:
-            row[si] = -d if flip else d
-            dual_of.append((si, 1))
+    units: list[tuple[int, int]] = []
+    si, ai = 0, nslack
+    for i, (part, bi) in enumerate(zip(parts, b)):
+        flip = -1 if bi < 0 else 1
+        d = lcm(bi.denominator, *map(attrgetter("denominator"), part))
+        row = [0] * (nslack + nart) + [flip * (d * bi).numerator, 0]
+        if i < nslack:
+            row[si] = flip * d
+            units.append((si, 1))
             si += 1
-        if is_eq or flip:
+        if i >= nslack or flip < 0:
             row[ai] = d
-            if is_eq:
-                dual_of.append((ai, -1 if flip else 1))
+            if i >= nslack:
+                units.append((ai, flip))
             basis.append(ai)
             ai += 1
         else:
             basis.append(si - 1)
         tab.append(row)
+    tab = _splice(tab, units, 0, ext, parts)
+    basis = [bi + ext for bi in basis]
+    units = [(col + ext, sign) for col, sign in units]
 
     # phase 1: maximize -sum(artificials), reduced costs over the artificial rows
     starts = [i for i in range(m) if basis[i] >= art0]
@@ -171,38 +303,51 @@ def lp_solve_exact(
         _simplex(tab, basis, art0)  # artificials never re-enter
         if tab.pop()[-2] < 0:
             raise LpInfeasible("LP infeasible")
-        # drive artificials left at zero out of the basis; an artificial with
-        # no nonzero entry to its left marks a redundant row and stays basic
-        for i in range(m):
-            if basis[i] >= art0:
-                j = next((j for j in range(art0) if tab[i][j]), -1)
-                if j >= 0:
-                    if tab[i][j] < 0:
-                        tab[i] = [-a for a in tab[i]]
-                    _pivot(tab, basis, i, j)
+        _drive_out(tab, basis, art0)
 
     # phase 2: reduced costs c_B B^-1 A - c over the final phase-1 basis
-    cfull = cx + [Fraction(0)] * (nslack + nart)
-    weights = [(cfull[b] / tab[i][b], i) for i, b in enumerate(basis) if cfull[b]]
+    cfull = cx + [0] * (nslack + nart)
+    weights = [(Fraction(cfull[bi], tab[i][bi]), i) for i, bi in enumerate(basis) if cfull[bi]]
     ints, d2 = integer_scaled(cx + [w for w, _ in weights])
     z2 = [-a for a in ints[:ext]] + [0] * (nslack + nart + 1) + [d2]
     for f, (_, i) in zip(ints[ext:], weights):
         z2 = [z + f * a for z, a in zip(z2, tab[i])]
     tab.append(z2)
     _simplex(tab, basis, art0)
+    return tab, basis, units
 
-    xext = [Fraction(0)] * ext
-    for i, b in enumerate(basis):
-        if b < ext:
-            xext[b] = Fraction(tab[i][-2], tab[i][b])
-    x = xext[:n]
-    for k, v in enumerate(free):
-        x[v] -= xext[n + k]
-    objective = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
 
-    zrow = tab[-1]
-    duals = [Fraction(sign * zrow[j], zrow[-1]) for j, sign in dual_of]
-    return LpResult(x=x, objective=objective, duals_ub=duals[:nslack], duals_eq=duals[nslack:])
+def _resume(start: Tableau, lp: tuple) -> tuple[list[list[int]], list[int], list[tuple[int, int]]]:
+    """Phase 2 from start's basis over the LP start solved plus new columns."""
+    c, rows, b, nslack, free = lp
+    c0, rows0, b0, nslack0, free0 = start.lp
+    n0, n = len(c0), len(c)
+    if nslack != nslack0 or len(rows) != len(rows0) or b != b0 or n < n0:
+        raise ValueError("start solved other rows or right-hand sides")
+    # a column is its cost, entries and freedom; the new ones sit at
+    # [p, p + k), p the longest common prefix of old and new columns
+    lines = [(c, c0), *zip(rows, rows0)]
+    if free or free0:
+        lines.append(([j in free for j in range(n)], [j in free0 for j in range(n0)]))
+    p = n0
+    for new, old in lines:
+        if new[:p] != old[:p]:
+            p = next(j for j in range(p) if new[j] != old[j])
+    k = n - n0
+    if any(new[p + k:] != old[p:] for new, old in lines):
+        raise ValueError("start's columns are not this LP's columns less new ones")
+    if any(p <= v < p + k for v in free):
+        raise ValueError("a new column must not be free")
+    # the new columns enter before column p; the old ones from p on, the
+    # split copies of the free variables and the slacks move right by k
+    parts = [_exact(r[p:p + k]) for r in rows]
+    tab = _splice(start.tab, start.units, p, k, parts, _exact(c[p:p + k]))
+    basis = [j + k * (j >= p) for j in start.basis]
+    units = [(j + k * (j >= p), sign) for j, sign in start.units]
+    art0 = n + len(free) + nslack
+    _drive_out(tab, basis, art0)
+    _simplex(tab, basis, art0)
+    return tab, basis, units
 
 
 def caratheodory(

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from fairkep import fair, gen, lorenz, oracle, sim
 from fairkep.core import Cycle, KepInstance, StructurePolicy
+from test_fair import GINI_POOL, LP_WORK, at_delta_star
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -110,6 +111,23 @@ def test_exact_lp_spans_recorded(monkeypatch):
     # the preprocessed pool carries, so it makes no call
     assert oracle._family_of(pool, policy) is oracle._family_of(pool, policy)
     assert metrics["oracle.calls"][0] == report.pricing_calls > 0
+
+
+def test_resumed_lp_spans_recorded(monkeypatch):
+    """Every LP of a Gini solve, cold or resumed from its last tableau, is one
+    simplexlp.lp_solve_exact span inside a fair.lp_solve span, so
+    simplexlp.calls counts resumes: as many as test_fair.LP_WORK pins."""
+    tracing = load_tracing(monkeypatch)
+    rec = tracing.Recorder()
+    pool, policy = at_delta_star(*GINI_POOL)
+    with tracing.Instrumentation(rec):
+        fair.solve_gini(pool, policy)
+    simplex = [s for s in rec.spans if s.name == "simplexlp.lp_solve_exact"]
+    lps = [i for i, s in enumerate(rec.spans) if s.name == "fair.lp_solve"]
+    assert sorted(s.parent for s in simplex) == lps
+    cold, resumed, _ = LP_WORK["gini"]
+    assert len(simplex) == cold + resumed and resumed > 0
+    assert tracing.layer_metrics(rec, 1)["simplexlp.calls"][0] == cold + resumed
 
 
 def traced_searches(monkeypatch, tracing, run):

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import fairkep
-from fairkep import fair, gen, lorenz, oracle, paths
+from fairkep import fair, gen, lorenz, oracle, paths, simplexlp
 from fairkep.core import UNBOUNDED, Cycle, FairkepError, KepInstance, Lottery, Packing, StructurePolicy
 from fairkep.fair import (
     solve_gini,
@@ -521,6 +521,57 @@ class TestPinnedMarginals:
         assert got == self.NASH_PINNED[seed]
         assert len(steps) == 2
 
+
+
+def at_delta_star(n_pairs: int, seed: int):
+    """A generated pool, preprocessed under cyc3, and cyc3 at its δ*."""
+    pool, _ = fair.preprocess(gen.generate_instance(gen.GenConfig(n_pairs=n_pairs, seed=seed)), CYC3)
+    return pool, replace(CYC3, cardinality_mode="delta", delta=delta_star(pool, CYC3))
+
+
+# (cold solves, resumed solves, simplexlp._pivot calls) of the LPs of
+# TestLpWork's solves; GINI_POOL is the Gini solve's pool
+GINI_POOL = (12, 3)
+LP_WORK = {"leximin": (62, 67, 346), "maximin": (1, 6, 9), "gini": (3, 13, 47)}
+
+
+class TestLpWork:
+    """The exact LP work of column generation.  A master LP that has only
+    gained columns since its last solve resumes from that solve's tableau:
+    each maximin round solves cold once, then resumes per priced column; a
+    Gini pricing round solves cold once, then resumes per sort-order cut.
+    Leximin over TestPinnedMarginals' pools, maximin on a 14-pair pool and
+    Gini on GINI_POOL, all at δ*."""
+
+    def test_lp_work_pinned(self, monkeypatch):
+        work = {}
+        solve = fair.lp_solve_exact
+        pivot = simplexlp._pivot
+
+        def counting_solve(*args, **kwargs):
+            start = kwargs.get("start")
+            kind = "resumed" if start is not None and start.tab else "cold"
+            work[kind] = work.get(kind, 0) + 1
+            return solve(*args, **kwargs)
+
+        def counting_pivot(*args):
+            work["pivots"] = work.get("pivots", 0) + 1
+            return pivot(*args)
+
+        monkeypatch.setattr(fair, "lp_solve_exact", counting_solve)
+        monkeypatch.setattr(simplexlp, "_pivot", counting_pivot)
+
+        def counted(run):
+            work.clear()
+            run()
+            return tuple(work.get(k, 0) for k in ("cold", "resumed", "pivots"))
+
+        got = {
+            "leximin": counted(lambda: [solve_leximin(*pool) for pool in TestPinnedMarginals.pools()]),
+            "maximin": counted(lambda: solve_maximin(*at_delta_star(14, 47))),
+            "gini": counted(lambda: solve_gini(*at_delta_star(*GINI_POOL))),
+        }
+        assert got == LP_WORK
 
 class TestFrontDoor:
     """`fair.lottery`, `fair.best_packing` and `fair.pool_metric` answer as

@@ -1,5 +1,6 @@
 """Exact rational simplex (optima, duals, infeasibility/unboundedness, the
-pivot rule's choice of vertex) and the Carathéodory support reduction."""
+pivot rule's choice of vertex, resumed solves of LPs grown by columns) and
+the Carathéodory support reduction."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from fairkep.simplexlp import LpInfeasible, LpUnbounded, caratheodory, lp_solve_exact
+from fairkep.simplexlp import LpInfeasible, LpUnbounded, Tableau, caratheodory, lp_solve_exact
 from helpers import rank
 
 F = Fraction
@@ -211,8 +212,9 @@ class TestRandomCertificates:
 
 class TestPivotRule:
     """Degenerate LPs whose optimal vertex and duals are not unique: these pin
-    the vertex that Bland's rule reaches, since it fixes the columns a master
-    keeps and so the pricing calls made."""
+    the vertex that Bland's rule reaches from the slack basis in a cold solve
+    (no start), since it fixes the columns a master keeps and so the pricing
+    calls made."""
 
     COVERS = [{0, 1}, {2, 3}, {0, 2}, {1, 3}, {0}, {1, 2, 3}]
 
@@ -273,6 +275,132 @@ class TestPivotRule:
         assert res.duals_ub == [1 / (a + b), 1 / (a + b)]
         assert res.duals_eq == [F(11, 10**12 - 11)]
         assert_certified(res, c, A_ub, b_ub, A_eq, [1], [])
+
+
+def columns_of(lp, keep):
+    """The LP over the columns in keep, in order."""
+    c, A_ub, b_ub, A_eq, b_eq, free = lp
+    return ([c[j] for j in keep], [[r[j] for j in keep] for r in A_ub], b_ub,
+            [[r[j] for j in keep] for r in A_eq], b_eq, [i for i, j in enumerate(keep) if j in free])
+
+
+def outcome(lp, start=None):
+    try:
+        return lp_solve_exact(*lp, start=start)
+    except (LpInfeasible, LpUnbounded) as e:
+        return type(e)
+
+
+class TestResume:
+    """A solve given a filled Tableau as its start resumes from the kept basis.
+    Differential: random LPs with <= rows of both right-hand-side signs, =
+    rows and free variables are solved cold over a prefix of their columns
+    plus a fixed tail (the masters keep their level or free multiplier last),
+    then resumed as the rest, none free, enter, one at a time or several at
+    once.  Each resumed solve has the cold solve's outcome and optimal value,
+    exactly, and an exact certificate; its vertex may differ."""
+
+    def random_lp(self, rng):
+        n = rng.randint(2, 7)
+
+        def coef():
+            return F(rng.randint(-4, 5), rng.choice([1, 1, 2, 3])) if rng.random() < 0.6 else 0
+
+        x0 = [rng.randint(0, 2) for _ in range(n)]
+        c = [coef() for _ in range(n)]
+        A_ub = [[coef() for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        A_eq = [[coef() for _ in range(n)] for _ in range(rng.randint(0, 2))]
+        # = rows hold at x0 >= 0, <= rows too unless their slack is -1
+        b_ub = [sum(a * v for a, v in zip(r, x0)) + rng.randint(-1, 2) for r in A_ub]
+        b_eq = [sum(a * v for a, v in zip(r, x0)) for r in A_eq]
+        if rng.random() < 0.5:
+            A_ub.append([1] * n)
+            b_ub.append(rng.randint(3, 9))
+        free = [j for j in range(n) if rng.random() < 0.25]
+        return c, A_ub, b_ub, A_eq, b_eq, free
+
+    def test_random_resumes(self):
+        rng = random.Random(21)
+        kinds = dict.fromkeys(("one", "several", "optimal", "unbounded", "negative_rhs",
+                               "eq_rows", "free", "tail"), 0)
+        for _ in range(400):
+            *lp, free = self.random_lp(rng)
+            n = len(lp[0])
+            tail = list(range(n - rng.randint(0, 1), n))
+            body = [j for j in range(n) if j not in tail]
+            q = rng.randint(1, len(body) - 1) if len(body) > 1 else 0
+            if not q:
+                continue
+            first = body[:q] + tail
+            lp.append([j for j in free if j in first])
+            for several in (False, True):
+                start = Tableau()
+                if isinstance(outcome(columns_of(lp, first), start), type):
+                    break  # nothing to resume from
+                grown = list(body[:q])
+                rest = body[q:]
+                while rest:
+                    take = rng.randint(1, len(rest)) if several else 1
+                    grown, rest = grown + rest[:take], rest[take:]
+                    sub = columns_of(lp, grown + tail)
+                    cold, warm = outcome(sub), outcome(sub, start)
+                    if isinstance(cold, type):
+                        assert warm is cold
+                    else:
+                        assert warm.objective == cold.objective
+                        assert_certified(warm, *sub)
+                    kinds["several" if take > 1 else "one"] += 1
+                    kinds["optimal" if not isinstance(cold, type) else "unbounded"] += 1
+                    kinds["negative_rhs"] += any(b < 0 for b in sub[2])
+                    kinds["eq_rows"] += bool(sub[3])
+                    kinds["free"] += bool(lp[5])
+                    kinds["tail"] += bool(tail)
+        assert min(kinds.values()) >= 50, kinds
+
+    def test_resume_into_unbounded_keeps_start(self):
+        # max x0 s.t. x0 <= 1; x1 with cost 1 and entry -1 in the row is a ray
+        start = Tableau()
+        assert lp_solve_exact([1], [[1]], [1], start=start).objective == 1
+        kept = (start.tab, start.basis)
+        with pytest.raises(LpUnbounded):
+            lp_solve_exact([1, 1], [[1, -1]], [1], start=start)
+        assert (start.tab, start.basis) == kept
+        res = lp_solve_exact([1, 1], [[1, 1]], [1], start=start)
+        assert res.objective == 1
+
+    def test_redundant_eq_row_driven_out(self):
+        # the second = row is twice the first over x0, x1, so its artificial
+        # stays basic at zero; x2 breaks the dependence and must replace it
+        lp = ([1, 2], [], [], [[1, 1], [2, 2]], [1, 2], [])
+        start = Tableau()
+        assert lp_solve_exact(*lp, start=start).objective == 2
+        assert any(j >= 2 for j in start.basis)  # an artificial column
+        grown = ([1, 2, 5], [], [], [[1, 1, 1], [2, 2, 3]], [1, 2], [])
+        res = lp_solve_exact(*grown, start=start)
+        assert res.objective == lp_solve_exact(*grown).objective == 2
+        assert_certified(res, *grown)
+        assert all(j < 3 for j in start.basis)
+
+    def test_mismatched_start_refused(self):
+        c, A_ub, b_ub, A_eq, b_eq = [1, 1], [[1, 2], [3, 1]], [4, 6], [[1, 1]], [2]
+        start = Tableau()
+        lp_solve_exact(c, A_ub, b_ub, A_eq, b_eq, start=start)
+        kept = start.tab
+        bad = [
+            ([1, 1, 1], A_ub, [4, 5], A_eq, b_eq, ()),  # another right-hand side
+            ([1, 1, 1], [r + [1] for r in A_ub], b_ub, [], [], ()),  # a row less
+            ([1, 1, 1], [r + [1] for r in A_ub] + [[1, 1, 1]], b_ub + [9], [[1, 1, 1]], b_eq,
+             ()),  # a row more
+            ([1, 2, 1], [[1, 2, 1], [3, 1, 1]], b_ub, [[1, 1, 1]], b_eq, ()),  # an old cost moved
+            ([1, 1, 1], [[1, 2, 1], [3, 2, 1]], b_ub, [[1, 1, 1]], b_eq, ()),  # an old entry moved
+            ([1], [[1], [3]], b_ub, [[1]], b_eq, ()),  # a column fewer
+            ([1, 1, 1], [[1, 2, 1], [3, 1, 1]], b_ub, [[1, 1, 1]], b_eq, [0]),  # an old column freed
+            ([1, 1, 1], [[1, 2, 1], [3, 1, 1]], b_ub, [[1, 1, 1]], b_eq, [2]),  # a new column free
+        ]
+        for lp in bad:
+            with pytest.raises(ValueError):
+                lp_solve_exact(*lp, start=start)
+        assert start.tab is kept
 
 
 def coverage(covers, weights, rows):
