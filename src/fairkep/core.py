@@ -142,9 +142,6 @@ class KepInstance:
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs
 
-    def out_neighbors(self, u: int) -> list[int]:
-        return [v for (a, v) in self.arcs if a == u]
-
     def undirected_edges(self) -> set[tuple[int, int]]:
         """Mutual-compatibility (2-cycle) edges between pairs."""
         edges = set()

@@ -614,9 +614,10 @@ def lottery(instance: KepInstance, policy: StructurePolicy, objective: str = "le
     `lorenz`'s matching engines, for leximin alone.  Their objective is the
     sorted marginal vector over the pairs on a mutual-compatibility edge (the
     pairs `preprocess` keeps), with no iterations or pricing calls and gap 0.
-    The rest is column generation.  Under mode "max" every objective but
-    utilitarian runs at δ* (`oracle.delta_star`), over the pool `preprocess`
-    reduces at any cardinality.  Nash runs to `tol`, Gini to min(tol, 1e-8).
+    The rest is column generation.  Every objective but utilitarian runs over
+    the pool `preprocess` reduces at any cardinality, whatever the mode, and
+    under mode "max" at δ* (`oracle.delta_star`).  Nash runs to `tol`, Gini
+    to min(tol, 1e-8).
     A request no engine answers raises ValueError before any engine runs.
     """
     weighted = [w for w in (node_weights, edge_weights) if w is not None]
@@ -637,10 +638,11 @@ def lottery(instance: KepInstance, policy: StructurePolicy, objective: str = "le
             chosen = lorenz.fixed_cardinality_reduction(instance, mu=policy.mu)
         q = chosen.marginals({v for e in instance.undirected_edges() for v in e})
         return SolveReport(chosen, eval_leximin(list(q.values())), 0, 0, Fraction(0), q)
-    if policy.cardinality_mode == "max" and objective != "utilitarian":
+    if objective != "utilitarian":
         any_size = replace(policy, cardinality_mode="delta", delta=len(instance.pairs))
         instance, _ = preprocess(instance, any_size)
-        policy = replace(any_size, delta=delta_star(instance, policy))
+        if policy.cardinality_mode == "max":
+            policy = replace(any_size, delta=delta_star(instance, policy))
     if objective == "nash":
         return solve_nash(instance, policy, tol=tol)
     if objective == "gini":

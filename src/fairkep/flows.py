@@ -1,6 +1,6 @@
 """Exact max flow (Dinic's blocking flows) and feasible circulation with arc lower bounds.
 
-One kernel, `_MaxFlow`, serves every flow of the library: `max_flow`,
+One kernel, `_MaxFlow`, serves every flow of the library:
 `feasible_circulation` and lorenz's min cuts, one per Dinkelbach trial λ on a
 connected component (none for a lone pseudonode).  Capacities are ints or
 Fractions, never coerced; lorenz scales its networks to ints.
@@ -144,14 +144,6 @@ class _MaxFlow:
                     seen[u] = True
                     stack.append(u)
         return frozenset(k for k, i in self.index.items() if seen[i])
-
-
-def max_flow(arcs: Sequence[Arc], source: Node, sink: Node) -> tuple[Capacity, list[Capacity]]:
-    """Maximum source→sink flow ignoring lower bounds; returns (value, per-arc flow)."""
-    net = _MaxFlow()
-    ids = [net.add(a.tail, a.head, a.upper) for a in arcs]
-    value = net.run(source, sink)
-    return value, [net.flow_on(i) for i in ids]
 
 
 def feasible_circulation(arcs: Sequence[Arc]) -> list[Capacity]:

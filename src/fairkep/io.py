@@ -217,6 +217,3 @@ def read_lottery(path) -> Lottery:
         data = data["lottery"]
     return _named(path, lottery_from_dict, data)
 
-
-def write_lottery(lottery: Lottery, path) -> None:
-    Path(path).write_text(json.dumps(lottery_to_dict(lottery), indent=2) + "\n")

@@ -19,7 +19,6 @@ column-generation engine (leximin level fixing), priced by perfect matchings.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,10 +81,6 @@ class Pseudo:
     pid: int
     members: tuple[int, ...]
     removal: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
     @property
     def sigma(self) -> int:
@@ -239,7 +234,13 @@ def _block(cb: ContractedBipartite, pseudos: Sequence[Pseudo], neigh: Neighbours
 
 def _min_ratio_block(cb: ContractedBipartite, pseudos: Sequence[Pseudo], neigh: Neighbours,
                      left: frozenset[int]) -> Peel:
-    """lambda_star's iteration; at λ = 1 the block is every pseudonode given and `left`."""
+    """λ = min over S ⊆ pseudos of (|N(S)| - #musts(S) + Σ_S (σ_z - 1)) / Σ_S σ_z, capped at 1,
+    with the maximal tight block (at λ = 1, every pseudonode given and `left`).
+
+    Dinkelbach iteration from the ratio of all of `pseudos`, one max flow per
+    trial λ, the last trial's min cut giving the block.  Must-match
+    pseudonodes failing Hall's condition stall the ratio, and this raises.
+    """
     lam = _tight_lambda(pseudos, len(frozenset().union(*(neigh[p.pid] for p in pseudos))))
     while True:
         h, S = _tight_set(pseudos, neigh, lam)
@@ -253,34 +254,6 @@ def _min_ratio_block(cb: ContractedBipartite, pseudos: Sequence[Pseudo], neigh: 
     if lam >= 1:
         return _peel(cb, left, [p.pid for p in pseudos], ONE)
     return _block(cb, pseudos, neigh, S, lam)
-
-
-def lambda_star(
-    cb: ContractedBipartite,
-    rem_left: Optional[frozenset[int]] = None,
-    rem_pids: Optional[frozenset[int]] = None,
-) -> tuple[Fraction, Peel]:
-    """Exact minimum coverage ratio over pseudonode subsets, with the maximal tight block.
-
-    λ = min over sets S of (|N(S)| - #musts(S) + Σ_{z∈S}(σ_z - 1)) / Σ_{z∈S} σ_z,
-    capped at 1. Computed by Dinkelbach iteration over exact min-cuts rather
-    than by enumerating neighborhood classes, because the minimizing set need
-    not share a single neighborhood. Each trial λ costs one max flow; the min
-    cut of the last trial is the block, so it is not solved again. At λ = 1
-    the block is everything left. The first trial is at the ratio of all the
-    pseudonodes, an upper bound on λ. A set of must-match pseudonodes (demand
-    1 at every λ) failing Hall's condition stalls the ratio, and this raises.
-    """
-    if rem_left is None:
-        rem_left = frozenset(cb.left)
-    if rem_pids is None:
-        rem_pids = frozenset(p.pid for p in cb.pseudos)
-    neigh: dict[int, set[int]] = {pid: set() for pid in rem_pids}
-    for (u, pid) in cb.edges:
-        if pid in neigh and u in rem_left:
-            neigh[pid].add(u)
-    peel = _min_ratio_block(cb, [cb.pseudo(pid) for pid in sorted(rem_pids)], neigh, rem_left)
-    return peel.lam, peel
 
 
 def _component_blocks(cb: ContractedBipartite, pids: Sequence[int],
@@ -732,14 +705,6 @@ def leximin_lottery_graph(
     return _solve_engine(graph, cb, internals, frozenset(ge.C))
 
 
-def sample_matching(solution: LeximinSolution, seed: int) -> frozenset[Edge]:
-    """Sample one matching of the solution's support (maximum-weight when the
-    solve had edge weights) by its probability; frequencies converge to the
-    lottery marginals."""
-    packing = _support_to_lottery(solution.support).draw(random.Random(seed).random())
-    return frozenset(c.vertices for c in packing.structures)
-
-
 # ---------------------------------------------------------------------------
 # instance-level entry points
 # ---------------------------------------------------------------------------
@@ -818,18 +783,18 @@ def fixed_cardinality_reduction(
     *,
     mu: int,
 ) -> Lottery:
-    """Leximin lottery over maximum-weight matchings of exactly mu edges.
+    """Leximin lottery over maximum-weight matchings of exactly mu edges, any 0 <= mu <= ν.
 
-    Pricing solves a perfect-matching problem on the graph augmented with
-    |V| - 2·mu dummy vertices absorbing the uncovered ones; the lottery itself
-    is built by fair's exact column generation with iterative leximin level
-    fixing.
+    Pricing solves a perfect-matching problem on the graph plus |V| - 2·mu
+    dummy vertices, each adjacent to every vertex, so a perfect matching there
+    has exactly mu real edges; fair's exact column generation with iterative
+    leximin level fixing builds the lottery.
     """
     graph = _undirected_projection(instance)
     weights = _edge_weights(instance, edge_weights)
     nu = matching_number(graph)
-    if not (0 <= 2 * mu >= nu and mu <= nu):
-        raise CardinalityOutOfRange(f"need ν/2 <= mu <= ν, got mu={mu}, ν={nu}")
+    if not 0 <= mu <= nu:
+        raise CardinalityOutOfRange(f"need 0 <= mu <= ν, got mu={mu}, ν={nu}")
     n = len(graph.vertices)
     dummies = [-(i + 1) for i in range(n - 2 * mu)]
     # dummy edges absorb the uncovered vertices; their (0, 0) tiers add

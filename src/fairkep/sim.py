@@ -43,14 +43,10 @@ PERIOD_DAYS = 30
 
 @dataclass(frozen=True)
 class WaitTimeLinear:
-    """Node weight base + alpha * elapsed_days."""
+    """Waiting-time prices: a pair that has waited d days is priced base + alpha * d."""
 
-    base: Fraction = ONE
-    alpha: Fraction = Fraction(1, 100)
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+    base = ONE
+    alpha = Fraction(1, 100)
 
 
 @dataclass(frozen=True)
@@ -105,8 +101,8 @@ def _wait_prices(config: SimConfig, periods: int) -> list[Fraction]:
     possible wait once instead of every pair in every period.  Without a
     weighting every price is 1.
     """
-    w = config.weighting or WaitTimeLinear(alpha=Fraction(0))
-    return [w.base + w.alpha * (t * PERIOD_DAYS) for t in range(periods)]
+    w = config.weighting
+    return [ONE if w is None else w.base + w.alpha * (t * PERIOD_DAYS) for t in range(periods)]
 
 
 class _Pool:

@@ -693,7 +693,7 @@ class TestPinnedCli:
     pools, one with NDDs.  A change to the CLI or to the engines behind it
     that moves one byte of an answer, or one exit code, moves the digest."""
 
-    DIGEST = "6aeb3701fb42d1f6a5e9b80d9963c62f038ac9176c629d60d9c37d8670def76d"
+    DIGEST = "1592365614e605dc4c1101b22aa86a84d04365480017a5b5b1b79ecc234fb828"
     POOLS = ("fig1a.json", "fig1b.json", "g12.json", "g10.json")
     OBJECTIVES = ("utilitarian", "maximin", "leximin", "nash", "gini")
     POLICIES = ("match", "matching", " match", "cyc3", "cyc3chain", "cyc3chain:2", "cyc3chain:inf",

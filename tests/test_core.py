@@ -411,6 +411,25 @@ def test_every_private_helper_is_referenced():
     assert not orphans, orphans
 
 
+def test_every_public_function_has_a_caller():
+    # a public module-level function is an entry point only if the library or
+    # perfbench reaches it, by name or attribute outside its own body, or
+    # `fairkep.__all__` exports it; one that only the tests call is dead code
+    package = Path(fairkep.__file__).parent
+    paths = [*sorted(package.glob("*.py")), *sorted((package.parents[1] / "perfbench").glob("*.py"))]
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    public = [(path, top) for path, tree in trees.items() if path.parent == package for top in tree.body
+              if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) and not top.name.startswith("_")]
+
+    def references(node, name):
+        return sum(isinstance(n, ast.Name) and n.id == name or isinstance(n, ast.Attribute) and n.attr == name
+                   for n in ast.walk(node))
+
+    uncalled = [f"{path.stem}.{top.name}" for path, top in public if top.name not in fairkep.__all__
+                and sum(references(tree, top.name) for tree in trees.values()) == references(top, top.name)]
+    assert not uncalled, uncalled
+
+
 ROUTES_WITHOUT_THIRD_PARTY = """
 import sys
 from fractions import Fraction as F

@@ -598,9 +598,25 @@ class TestFrontDoor:
         assert fair.lottery(inst, CYC3, objective, tol=tol) == solve[objective](reduced, policy, **kwargs)
 
     def test_utilitarian_and_a_given_relaxation_skip_delta_star(self):
+        # a given relaxation still runs over the pool preprocessing keeps
         inst = self.pool(20, 100)
         assert fair.lottery(inst, CYC3, "utilitarian") == solve_utilitarian(inst, CYC3)
-        assert fair.lottery(inst, CYC3D1, "maximin") == solve_maximin(inst, CYC3D1)
+        any_size = replace(CYC3, cardinality_mode="delta", delta=len(inst.pairs))
+        reduced, _ = fair.preprocess(inst, any_size)
+        assert fair.lottery(inst, CYC3D1, "maximin") == solve_maximin(reduced, CYC3D1)
+
+    def test_a_given_relaxation_drops_uncoverable_pairs(self):
+        # `generate --pairs 12 --seed 3` has pairs no cyc3 packing covers; under
+        # δ = 1 they go as on the δ* route, so Nash answers and maximin is the
+        # least marginal over the kept pairs rather than 0
+        inst = self.pool(12, 3)
+        any_size = replace(CYC3, cardinality_mode="delta", delta=len(inst.pairs))
+        kept = fair.preprocess(inst, any_size)[0].pairs
+        assert kept < inst.pairs
+        maximin = fair.lottery(inst, CYC3D1, "maximin")
+        assert maximin.objective == min(maximin.lottery.marginals(kept).values()) > 0
+        nash = fair.lottery(inst, CYC3D1, "nash")
+        assert nash.gap <= 1e-6 and min(nash.lottery.marginals(kept).values()) > 0
 
     @pytest.mark.parametrize("route", ["node", "edge", "mu"])
     def test_matching_engines(self, route):

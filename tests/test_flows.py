@@ -8,10 +8,18 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from fairkep.flows import INF, Arc, Infeasible, _MaxFlow, feasible_circulation, max_flow
+from fairkep.flows import INF, Arc, Infeasible, _MaxFlow, feasible_circulation
 from helpers import EdmondsKarp
 
 F = Fraction
+
+
+def max_flow(arcs, source, sink):
+    """The maximum source→sink flow on `_MaxFlow`, ignoring lower bounds: (value, per-arc flow)."""
+    net = _MaxFlow()
+    ids = [net.add(a.tail, a.head, a.upper) for a in arcs]
+    value = net.run(source, sink)
+    return value, [net.flow_on(i) for i in ids]
 
 
 class TestMaxFlow:

@@ -26,12 +26,10 @@ from fairkep.lorenz import (
     decompose_matrix,
     edge_weight_reduction,
     fixed_cardinality_reduction,
-    lambda_star,
     leximin_lottery_graph,
     leximin_matching_lottery,
     node_weight_leximin,
     peel_blocks,
-    sample_matching,
     sparsify_support,
 )
 from fairkep.matching import UGraph, gallai_edmonds, matching_number, norm_edge
@@ -128,6 +126,12 @@ class TestLeximinLotteryGraph:
                 assert lorenz_compare(mine, other) in (DOMINATES, EQUAL)
 
 
+def draw_matching(sol, seed):
+    """One matching of the solution's support, drawn by `Lottery.draw` at seed's uniform."""
+    packing = lorenz._support_to_lottery(sol.support).draw(random.Random(seed).random())
+    return frozenset(c.vertices for c in packing.structures)
+
+
 class TestSampling:
     def test_deterministic_and_valid(self):
         rng = random.Random(33)
@@ -135,8 +139,8 @@ class TestSampling:
             g = random_graph(rng, rng.randint(2, 7), 0.5)
             sol = leximin_lottery_graph(g)
             for seed in range(5):
-                m1 = sample_matching(sol, seed)
-                assert m1 == sample_matching(sol, seed)
+                m1 = draw_matching(sol, seed)
+                assert m1 == draw_matching(sol, seed)
                 check_is_max_matching(g, m1)
 
     def test_weighted_samples_are_maximum_weight(self):
@@ -150,7 +154,7 @@ class TestSampling:
                        default=F(0))
             sol = leximin_lottery_graph(g, w)
             for seed in range(5):
-                m = sample_matching(sol, seed)
+                m = draw_matching(sol, seed)
                 check_is_max_matching(g, m)
                 assert sum((w[e] for e in m), F(0)) == best
 
@@ -160,7 +164,7 @@ class TestSampling:
         n = 1200
         hits = {v: 0 for v in g.vertices}
         for seed in range(n):
-            for (a, b) in sample_matching(sol, seed):
+            for (a, b) in draw_matching(sol, seed):
                 hits[a] += 1
                 hits[b] += 1
         for v in g.vertices:
@@ -396,7 +400,7 @@ class TestInstanceEntryPoints:
             nu = matching_number(g)
             if nu < 1:
                 continue
-            mu = rng.randint((nu + 1) // 2, nu)  # admissible range is ν/2..ν
+            mu = rng.randint(0, nu)  # admissible range is 0..ν
             inst = make_instance(g.vertices, mutual(g.edges))
             w = {e: F(wrng.randint(0, 6), wrng.randint(1, 3)) for e in g.edges}
             for weights in (None, w):
@@ -441,8 +445,6 @@ class TestChecks:
 
     def test_lambda_star_rejects_unmatchable_must_match(self):
         with pytest.raises(FairkepError, match="must-match"):
-            lambda_star(self.must_match_overload())
-        with pytest.raises(FairkepError, match="must-match"):
             peel_blocks(self.must_match_overload())
 
     def test_lambda_star_must_match_only(self):
@@ -459,11 +461,8 @@ class TestChecks:
 
         matchable = contraction({(0, 0), (0, 1), (1, 1)})
         peel = Peel(frozenset({0, 1}), frozenset(), frozenset({0, 1}), F(1))
-        assert lambda_star(matchable) == (F(1), peel)
         assert peel_blocks(matchable).peels == (peel,)
         overloaded = contraction({(0, 0), (0, 1)})
-        with pytest.raises(FairkepError, match="must-match pseudonodes unmatchable"):
-            lambda_star(overloaded)
         with pytest.raises(FairkepError, match="must-match"):
             peel_blocks(overloaded)
 
@@ -531,7 +530,7 @@ def random_contraction(rng):
 def brute_lambda(cb):
     """min over pseudonode sets S with Σσ > 0 of (|N(S)| - #musts(S) + Σ_opt(σ - 1)) / Σσ,
     capped at 1; None when the must-match pseudonodes fail Hall's condition (the
-    engine's contractions never do, and lambda_star raises on them)."""
+    engine's contractions never do, and `_min_ratio_block` raises on them)."""
     neigh = {p.pid: frozenset(u for (u, z) in cb.edges if z == p.pid) for p in cb.pseudos}
     best = F(1)
     for k in range(1, len(cb.pseudos) + 1):
@@ -547,6 +546,15 @@ def brute_lambda(cb):
     return best
 
 
+def min_ratio_block(cb):
+    """`lorenz._min_ratio_block` over every pseudonode and left vertex, with
+    the neighbourhoods `peel_blocks` builds."""
+    neigh = {p.pid: set() for p in cb.pseudos}
+    for (u, pid) in cb.edges:
+        neigh[pid].add(u)
+    return lorenz._min_ratio_block(cb, list(cb.pseudos), neigh, frozenset(cb.left))
+
+
 class TestLambdaStarBruteForce:
     def test_lambda_matches_subset_ratio(self):
         rng = random.Random(41)
@@ -558,11 +566,11 @@ class TestLambdaStarBruteForce:
                 # Hall's condition fails for the must-match pseudonodes, also
                 # when no optional pseudonode is left to bound the ratio
                 with pytest.raises(FairkepError, match="must-match pseudonodes unmatchable"):
-                    lambda_star(cb)
+                    min_ratio_block(cb)
                 unmatchable += 1
                 musts_only += all(p.must_match for p in cb.pseudos)
                 continue
-            lam, _ = lambda_star(cb)
+            lam = min_ratio_block(cb).lam
             assert isinstance(lam, Fraction) and lam == want
             fractional += lam.denominator > 1
             musts += any(p.must_match for p in cb.pseudos)
@@ -767,7 +775,7 @@ class TestOneSolveFrame:
             assert len(calls) == len(set(calls))
             solved = len(calls)
             for seed in range(3):
-                sample_matching(sol, seed)
+                draw_matching(sol, seed)
             assert len(calls) == solved
             shared += any(len(z.members) > 1 for z in sol.cb.pseudos)
         assert shared >= 10
@@ -787,7 +795,7 @@ class TestAdmissibleRestriction:
         def recording_contract(*args, **kwargs):
             cb = contract(*args, **kwargs)
             sizes.clear()
-            sizes.update({p.pid: p.size for p in cb.pseudos})
+            sizes.update({p.pid: len(p.members) for p in cb.pseudos})
             return cb
 
         compared = restricted = 0

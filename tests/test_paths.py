@@ -173,11 +173,12 @@ class TestRandomSweeps:
 
 
 def coverable_all(inst):
+    out = {u: [v for (a, v) in inst.arcs if a == u] for u in inst.pairs | inst.ndds}
     chains = []
     for a in sorted(inst.ndds):
-        for v1 in inst.out_neighbors(a):
-            for v2 in inst.out_neighbors(v1):
-                for v3 in inst.out_neighbors(v2):
+        for v1 in out[a]:
+            for v2 in out[v1]:
+                for v3 in out[v2]:
                     if len({v1, v2, v3}) == 3:
                         chains.append((a, v1, v2, v3))
     target = inst.pairs

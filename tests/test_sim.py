@@ -48,15 +48,11 @@ def simulation_digest(trace, stats) -> str:
 
 class TestWeighting:
     def test_linear_weight(self):
-        # a pair that has waited t periods is priced base + alpha * t * PERIOD_DAYS
-        w = WaitTimeLinear(base=F(2), alpha=F(1, 10))
+        # a pair that has waited t periods is priced 1 + t * PERIOD_DAYS / 100
         assert PERIOD_DAYS == 30
-        assert _wait_prices(SimConfig(policy=CYC3, weighting=w), 3) == [F(2), F(5), F(8)]
+        w = WaitTimeLinear()
+        assert _wait_prices(SimConfig(policy=CYC3, weighting=w), 3) == [F(1), F(13, 10), F(8, 5)]
         assert _wait_prices(SimConfig(policy=CYC3), 2) == [F(1), F(1)]
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            WaitTimeLinear(alpha=F(-1))
 
 
 class TestConfig:
