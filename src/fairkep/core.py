@@ -143,12 +143,9 @@ class KepInstance:
         return (u, v) in self.arcs
 
     def undirected_edges(self) -> set[tuple[int, int]]:
-        """Mutual-compatibility (2-cycle) edges between pairs."""
-        edges = set()
-        for (u, v) in self.arcs:
-            if u in self.pairs and v in self.pairs and (v, u) in self.arcs:
-                edges.add((min(u, v), max(u, v)))
-        return edges
+        """Mutual-compatibility (2-cycle) edges between pairs, as (u, v) with u < v."""
+        arcs, pairs = self.arcs, self.pairs
+        return {(u, v) for (u, v) in arcs if u < v and (v, u) in arcs and u in pairs and v in pairs}
 
     def restrict(self, keep_pairs: Iterable[int]) -> "KepInstance":
         keep = frozenset(keep_pairs)

@@ -524,11 +524,13 @@ def _gini_inner(master: RestrictedMaster, mu, cuts: dict):
         cols = [[i for i, v in enumerate(pairs) if v in cov] for cov in master.covered]
         b_ub = [-coef_q * len(col) for col in cols] + [1]
         tableau = Tableau()
+        # the dual's variables: lam >= 0 per cut, then the free multiplier of
+        # sum(p) = 1; its rows: one per column, then one for T.  A column's
+        # row gains one entry per cut
+        rows = list(cuts.values())
+        col_rows = [[-sum(r[i] for i in col) for r in rows] for col in cols]
         while True:
-            # the dual's variables: lam >= 0 per cut, then the free multiplier
-            # of sum(p) = 1; its rows: one per column, then one for T
-            rows = list(cuts.values())
-            A_ub = [[-sum(r[i] for i in col) for r in rows] + [-1] for col in cols]
+            A_ub = [entries + [-1] for entries in col_rows]
             A_ub.append([1] * len(rows) + [0])
             lam, _, x, _ = lp_solve([0] * len(rows) + [-1], A_ub, b_ub, free_vars=[len(rows)],
                                     start=tableau)
@@ -546,6 +548,9 @@ def _gini_inner(master: RestrictedMaster, mu, cuts: dict):
             if order in cuts:
                 raise FairkepError(f"the Gini cut of ordering {order} is violated in its own LP")
             cuts[order] = row
+            rows.append(row)
+            for entries, col in zip(col_rows, cols):
+                entries.append(-sum(row[i] for i in col))
         prices = {v: coef_q - sum(y * r[i] for y, r in zip(lam, rows))
                   for i, v in enumerate(pairs)}
         return (value - coef_q * sum(q), x[:k], q), prices, lam[-1]

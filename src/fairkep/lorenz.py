@@ -9,7 +9,9 @@ from its own ratio, a max flow and min cut per trial λ, none for a lone
 pseudonode), one feasible circulation fixing edge-inclusion probabilities, a
 Birkhoff-von Neumann decomposition of that matrix by repairing one matching
 from step to step, expansion into full matchings, an exact Carathéodory
-elimination (simplexlp.caratheodory) and a check of the marginals. Weights
+reduction to independent matchings (simplexlp.caratheodory: a forward
+echelon over their coverage vectors, one exchange per dependent matching)
+and a check of the marginals. Weights
 (node weights reduce to edge weights) first restrict removal vertices,
 admissible edges and forced ("must-match") pseudonodes by one assignment
 solve over the contraction (exact Hungarian potentials, then alternating

@@ -1,9 +1,12 @@
 """Exact rational LP solving: a fraction-free two-phase simplex with Bland's
 rule, and Carathéodory support reduction by elimination.
 
-Both keep every row as Python ints and eliminate with one shared step,
-pivot · row − factor · pivot row divided by the gcd of the result (Bareiss-style
-integer-preserving elimination), so no entry is ever a Fraction to normalise.
+Both keep every row as Python ints, so no entry is ever a Fraction to
+normalise.  The simplex eliminates with pivot · row − factor · pivot row
+divided by the gcd of the result (Bareiss-style integer-preserving
+elimination) over a full tableau.  The support reduction keeps a forward
+echelon whose rows carry combinations over the basis columns only, and its
+weights as ints over one common denominator.
 
 It solves every master LP of lottery construction, whatever its size: there
 exact tie-free optima and exact duals matter.  A master grows by columns
@@ -361,15 +364,22 @@ def caratheodory(
     linearly independent as coverage vectors extended by the all-ones row, so
     there are at most 1 + (number of distinct rows) of them.
 
-    Exact elimination: the columns enter, in order, an incremental reduced
-    echelon basis of integer rows [vector | the same vector as a combination
-    of columns].  A column that reduces to zero yields a null combination d;
-    mass shifts along -d until a weight hits zero.  If that is the new column
-    it is dropped; otherwise the zeroed column is eliminated from every row's
-    combination, which exchanges it for the new column and keeps the echelon
-    vectors.  Rows equal on every column are multiples of the all-ones row and
-    are skipped, as are repeats of another row.
+    Exact elimination over ints: the columns enter, in order, a forward echelon
+    of rows [vector | the same vector as a combination of the basis columns],
+    one row per basis column and each zero at the pivots of the rows before it,
+    so a new pivot leaves the other rows as they are.  A column that reduces to
+    zero yields the null combination d of the basis and itself, unique up to a
+    positive scale as the basis is independent; mass shifts along -d until a
+    weight hits zero (the first in column order, the new column winning ties).
+    If that is the new column it is dropped; otherwise it takes the zeroed
+    column's slot, and each row whose combination names the zeroed column is
+    rewritten through d, its vector scaled by d[out] > 0 so its pivot stays.
+    The weights are ints over one common denominator until they return.  Rows
+    equal on every column are multiples of the all-ones row and are skipped, as
+    are repeats of another row.
     """
+    if len(covers) != len(weights):
+        raise ValueError("covers and weights must have the same length")
     w = [Fraction(x) for x in weights]
     if any(x < 0 for x in w):
         raise ValueError("weights must be nonnegative")
@@ -381,28 +391,51 @@ def caratheodory(
     full = sum(1 << j for j in cols)
     patterns = [full] + sorted({m for m in masks.values() if m != full})
     m = len(patterns)
-    basis: list[tuple[int, list[int]]] = []  # (pivot, row); rows are 0 at other pivots
+    den = lcm(*(x.denominator for x in w))
+    mass = [x.numerator * (den // x.denominator) for x in w]  # w_j · den
+    slots: list[int] = []  # the basis columns; row entry m + i is slots[i]'s
+    basis: list[tuple[int, list[int]]] = []  # (pivot, row) in insertion order
     for j in cols:
-        row = [mask >> j & 1 for mask in patterns] + [0] * len(w)
-        row[m + j] = 1
+        k = len(slots)
+        row = [mask >> j & 1 for mask in patterns] + [0] * k + [1]
         for p, b in basis:
-            row = _eliminate(row, b, p)
+            f = row[p]
+            if f:
+                g = b[p]
+                row = [g * x - f * y for x, y in zip(row, b)] + [g * x for x in row[len(b):]]
+        h = gcd(*row)
+        if h > 1:
+            row = [x // h for x in row]
         pivot = next((i for i in range(m) if row[i]), None)
         if pivot is not None:
-            basis = [(p, _eliminate(b, row, pivot)) for p, b in basis]
             basis.append((pivot, row))
+            slots.append(j)
             continue
-        # Σ_c d_c · column c = 0 with d = row[m:]; shift mass along -d (d_j > 0)
-        d = row[m:] if row[m + j] > 0 else [-x for x in row[m:]]
-        out = j
-        for c in cols:
-            if d[c] > 0 and w[c] * d[out] < w[out] * d[c]:
-                out = c
-        t = w[out] / d[out]
-        for c in cols:
-            if d[c]:
-                w[c] -= t * d[c]
-        if out != j:
-            basis = [(p, _eliminate(b, row, m + out)) for p, b in basis]
-    return w
-
+        # Σ_i d_i · column slots[i] + d_k · column j = 0; shift mass along -d (d_k > 0)
+        d = row[m:] if row[-1] > 0 else [-x for x in row[m:]]
+        named = sorted((c, i) for i, c in enumerate(slots) if d[i]) + [(j, k)]
+        out, s = j, k
+        for c, i in named:
+            if d[i] > 0 and mass[c] * d[s] < mass[out] * d[i]:
+                out, s = c, i
+        w_out, d_out = mass[out], d[s]
+        mass = [x * d_out for x in mass]
+        for c, i in named:
+            mass[c] -= w_out * d[i]
+        den *= d_out
+        h = gcd(den, *mass)
+        den //= h
+        mass = [x // h for x in mass]
+        if out == j:
+            continue
+        at = m + s
+        for r, (p, b) in enumerate(basis):
+            f = b[at] if at < len(b) else 0
+            if f:
+                comb = b[m:] + [0] * (m + k + 1 - len(b))
+                b = [d_out * x for x in b[:m]] + [d_out * x - f * y for x, y in zip(comb, d)]
+                b[at] = b.pop()
+                h = gcd(*b)
+                basis[r] = (p, [x // h for x in b] if h > 1 else b)
+        slots[s] = j
+    return [Fraction(x, den) for x in mass]

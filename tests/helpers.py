@@ -11,6 +11,10 @@ weighted Lorenz restriction before it became one assignment solve, and
 `reference_peel_blocks` is the peeling loop before it went one connected
 component at a time: a Dinkelbach iteration from λ = 1 over everything left
 per block (it shares the library's `_tight_lambda` and `_demand`).
+`reference_caratheodory` is the support reduction before it kept a forward
+echelon with combinations over the basis only: a reduced echelon whose rows
+carry dense combinations over every column (it shares the library's
+`_eliminate`).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
-from typing import Optional
+from typing import Hashable, Iterable, Optional, Sequence
 
 import networkx as nx
 
@@ -29,7 +33,7 @@ from fairkep.flows import INF, _MaxFlow
 from fairkep.lorenz import BlockPartition, ContractedBipartite, Peel, Pseudo, _demand, _tight_lambda
 from fairkep.matching import matching_weight, norm_edge
 from fairkep.oracle import CARD_FREE, OracleInfeasible, enumerate_structures
-from fairkep.simplexlp import lp_solve_exact
+from fairkep.simplexlp import _eliminate, lp_solve_exact
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -688,3 +692,61 @@ def reference_peel_blocks(cb: ContractedBipartite) -> BlockPartition:
     if rem_left:
         raise FairkepError("left vertices remained after peeling")
     return BlockPartition(cb=cb, peels=tuple(peels))
+
+
+def reference_caratheodory(
+    covers: Sequence[Iterable[Hashable]], weights: Sequence
+) -> list[Fraction]:
+    """Nonnegative weights with the same coverage and total, on independent columns.
+
+    Column j covers the rows in covers[j] and carries weights[j] >= 0.  The
+    returned weights give every row the same total (Σ_j w_j [r in covers[j]])
+    and sum to the same value, and the columns left with positive weight are
+    linearly independent as coverage vectors extended by the all-ones row, so
+    there are at most 1 + (number of distinct rows) of them.
+
+    Exact elimination: the columns enter, in order, an incremental reduced
+    echelon basis of integer rows [vector | the same vector as a combination
+    of columns].  A column that reduces to zero yields a null combination d;
+    mass shifts along -d until a weight hits zero.  If that is the new column
+    it is dropped; otherwise the zeroed column is eliminated from every row's
+    combination, which exchanges it for the new column and keeps the echelon
+    vectors.  Rows equal on every column are multiples of the all-ones row and
+    are skipped, as are repeats of another row.
+    """
+    w = [Fraction(x) for x in weights]
+    if any(x < 0 for x in w):
+        raise ValueError("weights must be nonnegative")
+    cols = [j for j, x in enumerate(w) if x > 0]
+    masks: dict[Hashable, int] = {}
+    for j in cols:
+        for r in set(covers[j]):
+            masks[r] = masks.get(r, 0) | (1 << j)
+    full = sum(1 << j for j in cols)
+    patterns = [full] + sorted({m for m in masks.values() if m != full})
+    m = len(patterns)
+    basis: list[tuple[int, list[int]]] = []  # (pivot, row); rows are 0 at other pivots
+    for j in cols:
+        row = [mask >> j & 1 for mask in patterns] + [0] * len(w)
+        row[m + j] = 1
+        for p, b in basis:
+            row = _eliminate(row, b, p)
+        pivot = next((i for i in range(m) if row[i]), None)
+        if pivot is not None:
+            basis = [(p, _eliminate(b, row, pivot)) for p, b in basis]
+            basis.append((pivot, row))
+            continue
+        # Σ_c d_c · column c = 0 with d = row[m:]; shift mass along -d (d_j > 0)
+        d = row[m:] if row[m + j] > 0 else [-x for x in row[m:]]
+        out = j
+        for c in cols:
+            if d[c] > 0 and w[c] * d[out] < w[out] * d[c]:
+                out = c
+        t = w[out] / d[out]
+        for c in cols:
+            if d[c]:
+                w[c] -= t * d[c]
+        if out != j:
+            basis = [(p, _eliminate(b, row, m + out)) for p, b in basis]
+    return w
+

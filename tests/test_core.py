@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fairkep
+from fairkep import gen
 from fairkep.core import (
     Chain,
     ChainWithoutNdd,
@@ -82,6 +84,39 @@ class TestStructures:
         assert p.covered == frozenset({1, 2, 3})
         assert p.cardinality == 3
         assert EMPTY_PACKING.cardinality == 0
+
+
+class TestUndirectedEdges:
+    @staticmethod
+    def definition(inst):
+        return {(min(u, v), max(u, v)) for (u, v) in inst.arcs
+                if u in inst.pairs and v in inst.pairs and (v, u) in inst.arcs}
+
+    def test_matches_definition_on_random_pools(self):
+        # pairs in shuffled ids, NDDs with out-arcs, arcs one-way or both ways
+        rng = random.Random(17)
+        mutual = 0
+        for _ in range(200):
+            nodes = rng.sample(range(60), rng.randint(2, 25))
+            n_ndds = rng.randint(0, min(3, len(nodes) - 1))
+            ndds, pairs = nodes[:n_ndds], nodes[n_ndds:]
+            arcs = set()
+            for u in nodes:
+                for v in pairs:
+                    if u != v and rng.random() < 0.3:
+                        arcs.add((u, v))
+                        if u in pairs and rng.random() < 0.5:
+                            arcs.add((v, u))
+            inst = make(pairs, ndds, arcs)
+            edges = inst.undirected_edges()
+            assert edges == self.definition(inst)
+            mutual += len(edges)
+        assert mutual > 500
+
+    def test_matches_definition_on_generated_pools(self):
+        for seed in range(20):
+            inst = gen.generate_instance(gen.GenConfig(n_pairs=30, n_ndds=seed % 4, seed=seed))
+            assert inst.undirected_edges() == self.definition(inst)
 
 
 class TestValidatePacking:

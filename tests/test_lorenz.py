@@ -33,6 +33,7 @@ from fairkep.lorenz import (
     sparsify_support,
 )
 from fairkep.matching import UGraph, gallai_edmonds, matching_number, norm_edge
+from fairkep.simplexlp import caratheodory
 from helpers import (
     circulation_decompose,
     covered_set,
@@ -40,6 +41,7 @@ from helpers import (
     enumerate_matchings,
     leximin_marginals,
     maximum_matchings,
+    reference_caratheodory,
     reference_peel_blocks,
 )
 
@@ -719,6 +721,21 @@ class TestPinnedSolutions:
 
     def test_full_solutions_unchanged(self):
         assert self.digest() == self.PINNED
+
+    def test_sparsify_matches_reference(self, monkeypatch):
+        # every support reduction of the 60 solves, against the reduced-echelon
+        # kernel that the forward echelon replaced
+        sizes = []
+
+        def both(covers, weights):
+            out = caratheodory(covers, weights)
+            assert out == reference_caratheodory(covers, weights)
+            sizes.append(len(weights))
+            return out
+
+        monkeypatch.setattr(lorenz, "caratheodory", both)
+        assert self.digest() == self.PINNED
+        assert len(sizes) == 34 and max(sizes) == 19
 
     def test_peel_flow_count(self, monkeypatch):
         # every max flow the peeling runs over the 60 solves (170 with a

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from fairkep.simplexlp import LpInfeasible, LpUnbounded, Tableau, caratheodory, lp_solve_exact
-from helpers import rank
+from helpers import rank, reference_caratheodory
 
 F = Fraction
 
@@ -468,3 +468,79 @@ class TestCaratheodory:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
             caratheodory([{1}, {2}], [F(1), F(-1)])
+
+    def test_rejects_lengths_that_differ(self):
+        with pytest.raises(ValueError):
+            caratheodory([{1}, {2}, {1}], [F(1, 2), F(1, 2)])
+        with pytest.raises(ValueError):
+            caratheodory([{1}], [F(1, 2), F(1, 2)])
+
+    def test_new_column_wins_a_ratio_tie(self):
+        # with the all-ones row, {} + {1, 2} = {1} + {2}: column 3 ties column 2
+        # at ratio 1 and is dropped, column 2 is left in the basis at weight 0,
+        # and the repeat of {1, 2} is dropped onto it
+        covers = [{1}, {2}, {1, 2}, set(), {1, 2}]
+        weights = [F(1)] * 4 + [F(1, 2)]
+        out = caratheodory(covers, weights)
+        assert out == [F(2), F(2), F(1, 2), F(0), F(0)]
+        assert out == reference_caratheodory(covers, weights)
+
+
+    def test_earliest_basis_column_leaves_on_a_ratio_tie(self):
+        # columns 1 and 2 tie for the least ratio as column 4 enters: column 1
+        # leaves and column 2 stays at weight 0, so column 5, a repeat of
+        # column 1, exchanges column 2 out at no mass shift and keeps its weight
+        covers = [{0, 2, 3}, {0, 3}, {0, 1, 2, 3}, {1}, {2}, {0, 3}]
+        weights = [F(1), F(1, 3), F(1, 3), F(1), F(1), F(1)]
+        out = caratheodory(covers, weights)
+        assert out == [F(5, 3), F(0), F(0), F(4, 3), F(2, 3), F(1)]
+        assert out == reference_caratheodory(covers, weights)
+
+
+@st.composite
+def tie_prone_columns(draw):
+    """Columns drawn from a few covers (repeats and the all-ones column among
+    them) with weights from a few values, zero included, so that ratio ties
+    and zero-weight basis columns are common."""
+    rows = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.frozensets(st.integers(0, rows - 1)), min_size=1, max_size=6))
+    pool.append(frozenset(range(rows)))
+    covers = draw(st.lists(st.sampled_from(pool), max_size=20))
+    values = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(1), F(2)])
+    weights = draw(st.lists(values, min_size=len(covers), max_size=len(covers)))
+    return covers, weights
+
+
+class TestCaratheodoryReference:
+    """The kernel against the reduced-echelon kernel it replaced, weight for weight."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tie_prone_columns())
+    def test_tie_prone_columns(self, case):
+        covers, weights = case
+        out = caratheodory(covers, weights)
+        assert out == reference_caratheodory(covers, weights)
+        assert all(type(w) is F for w in out)
+
+    @settings(max_examples=150, deadline=None)
+    @given(columns)
+    def test_random_columns(self, cols):
+        covers = [c for c, _ in cols]
+        weights = [w for _, w in cols]
+        assert caratheodory(covers, weights) == reference_caratheodory(covers, weights)
+
+    def test_seeded_wide_columns(self):
+        # up to 40 columns over up to 10 rows: long runs of exchanges, whose
+        # rewritten rows later columns reduce against
+        rng = random.Random(11)
+        reduced = 0
+        for _ in range(300):
+            rows = rng.randint(2, 10)
+            density = rng.uniform(0.2, 0.8)
+            covers = [{r for r in range(rows) if rng.random() < density}
+                      for _ in range(rng.randint(1, 40))]
+            weights = [F(rng.randint(0, 60), rng.randint(1, 12)) for _ in covers]
+            out = caratheodory(covers, weights)
+            assert out == reference_caratheodory(covers, weights)
+            reduced += sum(1 for w in out if w) < sum(1 for w in weights if w)
+        assert reduced >= 200
