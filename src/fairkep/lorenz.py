@@ -1,9 +1,9 @@
 """Lorenz-dominant (leximin) lotteries over maximum-cardinality matchings.
 
-One frame, leximin_lottery_graph, runs both solvers, unweighted and
-edge-weighted: Gallai-Edmonds decomposition, contraction of its
-factor-critical components into pseudonodes (none when the graph has a
-perfect matching), one cache of the matchings inside them, exact per-block
+One frame, leximin_lottery_graph, runs every solver, unweighted,
+edge-weighted and node-weighted: Gallai-Edmonds decomposition, contraction
+of its factor-critical components into pseudonodes (none when the graph has
+a perfect matching), one cache of the matchings inside them, exact per-block
 coverage levels λ (one connected component at a time: Dinkelbach iteration
 from its own ratio, a max flow and min cut per trial λ, none for a lone
 pseudonode), one feasible circulation fixing edge-inclusion probabilities, a
@@ -11,12 +11,15 @@ Birkhoff-von Neumann decomposition of that matrix by repairing one matching
 from step to step, expansion into full matchings, an exact Carathéodory
 reduction to independent matchings (simplexlp.caratheodory: a forward
 echelon over their coverage vectors, one exchange per dependent matching)
-and a check of the marginals. Weights
-(node weights reduce to edge weights) first restrict removal vertices,
+and a check of the marginals. Weights first restrict removal vertices,
 admissible edges and forced ("must-match") pseudonodes by one assignment
 solve over the contraction (exact Hungarian potentials, then alternating
-cycles and paths over the tight edges). Fixed cardinality runs on fair's
-column-generation engine (leximin level fixing), priced by perfect matchings.
+cycles and paths over the tight edges). Edge weights take the inner weights
+of that solve from maximum-weight inner matchings; node weights take them in
+closed form, since every perfect matching of a vertex set weighs the sum of
+its vertices' weights, and their inner matchings are unweighted. Fixed
+cardinality runs on fair's column-generation engine (leximin level fixing),
+priced by perfect matchings.
 """
 
 from __future__ import annotations
@@ -493,29 +496,39 @@ def decompose_matrix(cover: CoverMatrix) -> list[tuple[dict[int, int], Fraction]
 # ---------------------------------------------------------------------------
 
 class _Internals:
-    """Cached (maximum-weight) perfect matchings inside subsets of the graph.
+    """Cached perfect matchings of each factor-critical component without one
+    member, keyed by (pseudonode id, left-out member): maximum-weight ones
+    under edge weights, any one otherwise (every perfect matching of a vertex
+    set weighs the sum of its vertices' weights under node weights).
 
-    One per solve: the admissible restriction's component weights and the
-    support's assembly match each vertex set once.
+    One per solve: the admissible restriction's inner weights and the
+    support's assembly match each component without each member once;
+    `perfect` also matches C, uncached.
     """
 
     def __init__(self, graph: UGraph, weights: Optional[Mapping[Edge, Fraction]]):
         self.graph = graph
         self.weights = weights
-        self.cache: dict[frozenset[int], frozenset[Edge]] = {frozenset(): frozenset()}
+        self.cache: dict[tuple[int, int], frozenset[Edge]] = {}
 
-    def pm(self, vertices: frozenset[int]) -> frozenset[Edge]:
-        key = frozenset(vertices)
-        if key not in self.cache:
-            sub = self.graph.induced(key)
-            if self.weights is None:
-                m = perfect_matching(sub)
-            else:
-                m = max_weight_matching(sub, self.weights)
-                if 2 * len(m) != len(key):
-                    raise FairkepError("expected a perfect matching inside component")
-            self.cache[key] = frozenset(m)
-        return self.cache[key]
+    def perfect(self, vertices: Sequence[int]) -> frozenset[Edge]:
+        """A (maximum-weight) perfect matching of the subgraph on vertices."""
+        if not vertices:
+            return frozenset()
+        sub = self.graph.induced(vertices)
+        if self.weights is None:
+            return frozenset(perfect_matching(sub))
+        m = max_weight_matching(sub, self.weights)
+        if 2 * len(m) != len(vertices):
+            raise FairkepError("expected a perfect matching inside component")
+        return frozenset(m)
+
+    def pm(self, z: Pseudo, x: int) -> frozenset[Edge]:
+        """A perfect matching of z's component without its member x."""
+        m = self.cache.get((z.pid, x))
+        if m is None:
+            m = self.cache[(z.pid, x)] = self.perfect([v for v in z.members if v != x])
+        return m
 
 
 @dataclass
@@ -560,45 +573,42 @@ def _marginals_from_partition(
     return q
 
 
-def _expand(cb: ContractedBipartite, internals: _Internals, c_matching: frozenset[Edge],
-            M: Mapping[int, int], j: int) -> frozenset[Edge]:
-    """Slice j of one decomposition matching M.
-
-    C's perfect matching, then for each edge (u, z) of M an attach edge u–x,
-    x the first attach vertex, with a perfect matching of z's component
-    without x, and for each pseudonode M leaves out a perfect matching of its
-    component without its (j mod σ)-th removal vertex.
-    """
-    edges: set[Edge] = set(c_matching)
-    for u, pid in M.items():
-        x = cb.attach[(u, pid)][0]
-        edges.add(norm_edge(u, x))
-        edges |= internals.pm(frozenset(cb.pseudo(pid).members) - {x})
-    matched = set(M.values())
-    for z in cb.pseudos:
-        if z.pid in matched:
-            continue
-        if z.must_match:
-            raise FairkepError(f"must-match pseudonode {z.pid} left unmatched")
-        edges |= internals.pm(frozenset(z.members) - {z.removal[j % z.sigma]})
-    return frozenset(edges)
-
-
 def _assemble_support(
     cb: ContractedBipartite, decomposition: list[tuple[dict[int, int], Fraction]],
     c_matching: frozenset[Edge], internals: _Internals,
 ) -> list[tuple[frozenset[Edge], Fraction]]:
-    """Each decomposition matching, split evenly over L slices, L the lcm of
-    the σ of the pseudonodes it leaves out; slice j removes each one's
-    (j mod σ)-th removal vertex."""
+    """Each decomposition matching M, split evenly over L slices, L the lcm of
+    the σ of the pseudonodes it leaves out.
+
+    Every slice holds C's perfect matching, for each edge (u, z) of M an
+    attach edge u–x, x the first attach vertex, with a perfect matching of z's
+    component without x, and for each pseudonode M leaves out a perfect
+    matching of its component without a removal vertex: slice j removes the
+    (j mod σ)-th.  Only the pseudonodes left out with σ > 1 differ between
+    slices, so the rest is built once per M.
+    """
     support: dict[frozenset[Edge], Fraction] = {}
     for M, prob in decomposition:
+        fixed: set[Edge] = set(c_matching)
+        for u, pid in M.items():
+            x = cb.attach[(u, pid)][0]
+            fixed.add(norm_edge(u, x))
+            fixed |= internals.pm(cb.pseudo(pid), x)
         matched = set(M.values())
-        # a must-match pseudonode left out (σ = 0) raises in _expand
-        L = lcm(*(z.sigma for z in cb.pseudos if z.pid not in matched)) or 1
+        varying = []
+        for z in cb.pseudos:
+            if z.pid in matched:
+                continue
+            if z.must_match:
+                raise FairkepError(f"must-match pseudonode {z.pid} left unmatched")
+            if z.sigma == 1:
+                fixed |= internals.pm(z, z.removal[0])
+            else:
+                varying.append(z)
+        L = lcm(*(z.sigma for z in varying))
         slice_p = prob / L
         for j in range(L):
-            key = _expand(cb, internals, c_matching, M, j)
+            key = frozenset(fixed.union(*(internals.pm(z, z.removal[j % z.sigma]) for z in varying)))
             support[key] = support.get(key, ZERO) + slice_p
     return [(edges, p) for edges, p in sorted(support.items(), key=lambda kv: sorted(kv[0])) if p > 0]
 
@@ -623,8 +633,8 @@ def sparsify_support(
 def _solve_engine(
     graph: UGraph, cb: ContractedBipartite, internals: _Internals, c_vertices: frozenset[int]
 ) -> LeximinSolution:
-    """Peel, cover, decompose, expand and sparsify; the answer is checked before it returns."""
-    c_matching = internals.pm(c_vertices)
+    """Peel, cover, decompose, assemble and sparsify; the answer is checked before it returns."""
+    c_matching = internals.perfect(sorted(c_vertices))
     partition = peel_blocks(cb)
     cover = cover_matrix(partition)
     decomposition = decompose_matrix(cover)
@@ -636,7 +646,8 @@ def _solve_engine(
     return solution
 
 
-def _admissible(cb: ContractedBipartite, internals: _Internals) -> ContractedBipartite:
+def _admissible(cb: ContractedBipartite, internals: _Internals,
+                node_weights: Optional[Mapping[int, Fraction]] = None) -> ContractedBipartite:
     """Restrict the contraction to the choices of maximum-weight maximum matchings.
 
     A maximum matching matches every vertex of A to its own pseudonode and
@@ -648,27 +659,39 @@ def _admissible(cb: ContractedBipartite, internals: _Internals) -> ContractedBip
     assignment leaves out becomes must-match, the others keep the removal
     vertices of best weight.
 
+    Under edge weights the inner weights are those of the cached
+    maximum-weight inner matchings.  Under node weights (a vertex missing
+    weighs 0) every perfect matching of a vertex set weighs the sum of its
+    vertices' weights, so z's component W_z without x weighs W_z - w_x, every
+    attach vertex of (u, z) ties at w_u + W_z, and the removal vertices kept
+    are the members of least weight: no inner matching is solved.
+
     No cardinality tier is needed: a size tier (s_z per edge, s_z - 1 per
     pseudonode left out) sums to Σs_z - (|Z| - |A|) on every assignment and
     cannot change which are optimal.
     """
-    weights = internals.weights
-    # best weight of each component without one member: a perfect matching,
-    # since the components of D are factor-critical
-    inner = {
-        (p.pid, x): matching_weight(internals.pm(frozenset(p.members) - {x}), weights)
-        for p in cb.pseudos
-        for x in p.members
-    }
+    if node_weights is None:
+        weights = internals.weights
+        # best weight of each component without one member: a perfect matching,
+        # since the components of D are factor-critical
+        inner = {(p.pid, x): matching_weight(internals.pm(p, x), weights)
+                 for p in cb.pseudos for x in p.members}
+
+        def edge_weight(u: int, x: int) -> Fraction:
+            return Fraction(weights.get(norm_edge(u, x), 0))
+    else:
+        w = {v: Fraction(node_weights.get(v, 0)) for v in internals.graph.vertices}
+        total = {p.pid: sum((w[v] for v in p.members), ZERO) for p in cb.pseudos}
+        inner = {(p.pid, x): total[p.pid] - w[x] for p in cb.pseudos for x in p.members}
+
+        def edge_weight(u: int, x: int) -> Fraction:
+            return w[u] + w[x]
     w_best = {p.pid: max(inner[(p.pid, x)] for x in p.members) for p in cb.pseudos}
     w_attach: dict[tuple[int, int], Fraction] = {}
     best_attach: dict[tuple[int, int], tuple[int, ...]] = {}
     for (u, pid) in cb.edges:
         # the attachment weight w(u,z) and the attach vertices achieving it
-        cands = {
-            x: Fraction(weights.get(norm_edge(u, x), 0)) + inner[(pid, x)]
-            for x in cb.attach[(u, pid)]
-        }
+        cands = {x: edge_weight(u, x) + inner[(pid, x)] for x in cb.attach[(u, pid)]}
         w_attach[(u, pid)] = max(cands.values())
         best_attach[(u, pid)] = tuple(sorted(x for x, v in cands.items() if v == w_attach[(u, pid)]))
     adm_edges, free = bipartite_admissible_subgraph(
@@ -688,22 +711,26 @@ def _admissible(cb: ContractedBipartite, internals: _Internals) -> ContractedBip
 
 
 def leximin_lottery_graph(
-    graph: UGraph, weights: Optional[Mapping[Edge, Fraction]] = None
+    graph: UGraph, weights: Optional[Mapping[Edge, Fraction]] = None,
+    node_weights: Optional[Mapping[int, Fraction]] = None,
 ) -> LeximinSolution:
     """Leximin (Lorenz-dominant) lottery over maximum-cardinality matchings,
-    with edge weights over the maximum-weight ones (an edge missing from
-    weights weighs 0).
+    with edge or node weights (at most one map; an edge or vertex missing
+    from it weighs 0) over the maximum-weight ones.
 
-    The frame of both solvers: Gallai-Edmonds, the contraction, one inner
-    matching cache, with weights the admissible restriction, then the engine.
+    The frame of every solver: Gallai-Edmonds, the contraction, one inner
+    matching cache (maximum-weight under edge weights, unweighted otherwise),
+    with weights the admissible restriction, then the engine.
     A graph with a perfect matching has D = ∅: no pseudonodes, so no peels,
     the decomposition [({}, 1)] and the support [(pm(C), 1)].
     """
+    if weights is not None and node_weights is not None:
+        raise ValueError("give edge weights or node weights, not both")
     ge = gallai_edmonds(graph)
     cb = contract(graph, ge)
     internals = _Internals(graph, weights)
-    if weights is not None:
-        cb = _admissible(cb, internals)
+    if weights is not None or node_weights is not None:
+        cb = _admissible(cb, internals, node_weights)
     return _solve_engine(graph, cb, internals, frozenset(ge.C))
 
 
@@ -751,16 +778,14 @@ def node_weight_leximin(
 ) -> Lottery:
     """Leximin lottery over maximum-node-weight maximum matchings.
 
-    The weight of the covered set decomposes over matching edges as
-    w(u) + w(v), so this is exactly the edge-weight problem with derived
-    weights.
+    A matching weighs the sum of the weights of the vertices it covers (a
+    pair missing from node_weights weighs 0), so the inner weights of the
+    admissible restriction come in closed form and the inner matchings are
+    unweighted (leximin_lottery_graph under node_weights).
     """
     if node_weights is None:
         node_weights = instance.node_weights
-    w = {v: Fraction(node_weights.get(v, 0)) for v in instance.pairs}
-    graph = _undirected_projection(instance)
-    derived = {e: w[e[0]] + w[e[1]] for e in graph.edges}
-    sol = leximin_lottery_graph(graph, derived)
+    sol = leximin_lottery_graph(_undirected_projection(instance), node_weights=node_weights)
     return _support_to_lottery(sol.support)
 
 

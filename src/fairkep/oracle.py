@@ -39,7 +39,8 @@ module at call time.
 
 The pool metrics rest on two witness loops over `max_price_packing`.
 `coverable_pairs` (max-inclusion) prices the pairs not yet certified at 1 and
-adds each optimum's covered pairs until none is new; `fair.preprocess`,
+adds each optimum's covered pairs until none is new (under `CARD_FREE` an
+enumerated family's rows answer at once); `fair.preprocess`,
 `coverage_losses` and `delta_star` use it.  `always_covered_count`
 (min-inclusion) prices the remaining candidates at -1 and intersects until no
 packing avoids one.  Under cardinality ≥ k both take the family's maximum
@@ -243,7 +244,8 @@ class PackingFamily:
     set of structure i holds the pairs whose last covering structure is i: the
     union of the masks from i on, minus the union from i + 1 on.  The drop
     sets partition the `coverable` pairs, so `drop` lists only the structures
-    that have one, as (i, pair bits).  The rows come from the module's
+    that have one, as (i, pair bits); `union` holds the coverable pairs' bits.
+    The rows come from the module's
     `enumerate_structures` on the first query, so that work stays inside the
     oracle call that needs it, or from `rows`, given in another order by
     `StructureRows.permuted`.  They are the bit tables, and a row's index is
@@ -309,7 +311,8 @@ class PackingFamily:
         for i in range(n - 1, -1, -1):
             cover[i] = cover[i + 1] | self.masks[i]
         pair_bits = (1 << len(self.pairs)) - 1
-        self.coverable = (cover[0] & pair_bits).bit_count()
+        self.union = cover[0] & pair_bits
+        self.coverable = self.union.bit_count()
         # drop sets partition the coverable pairs, so most structures have none
         self.drop = []
         for i, bits in enumerate(self.members):
@@ -755,9 +758,13 @@ def coverable_pairs(
     covers.  Stops when no such packing covers an uncertified pair.
     `certified` seeds the set and must hold only pairs such a packing covers.
     Every query runs on `family`; an unseeded loop's first query prices every
-    pair, so it is `family.unit_optimum`.
+    pair, so it is `family.unit_optimum`.  Under `CARD_FREE` any one structure
+    is a packing, so an enumerated family answers with its rows' union and
+    searches nothing; a chain family too large to enumerate runs the loop.
     """
     pairs = family.instance.pairs
+    if cardinality == CARD_FREE and certified != pairs and family.structures is not None:
+        return certified | frozenset(v for b, v in enumerate(family.pairs) if family.union >> b & 1)
     while certified != pairs:
         prices = dict.fromkeys(pairs - certified, Fraction(1))
         try:
@@ -779,14 +786,15 @@ def coverage_losses(instance: KepInstance, policy: StructurePolicy) -> dict[int,
     None for a pair no packing covers.  One witness loop per loss level
     ℓ = 0, 1, … under cardinality ≥ max − ℓ, seeded with the pairs of smaller
     loss (level 0 with the maximum packing), certifies the pairs of loss ℓ.
-    Only if level 0 misses a pair does a loop without a cardinality
-    constraint, seeded with what level 0 reached, find the coverable pairs
-    that the levels then run to.  All of it runs on one family.
+    The coverable pairs that the levels then run to come from
+    `coverable_pairs` without a cardinality constraint, seeded with what
+    level 0 reached: the rows' union of an enumerated family, else a loop
+    that searches only if level 0 missed a pair.  All of it runs on one
+    family.
     """
     family = _family_of(instance, policy)
     packing, maxcard = family.maximum()
     certified = coverable_pairs(family, ("atleast", maxcard), packing.covered)
-    # searches nothing once level 0 has reached every pair
     coverable = coverable_pairs(family, CARD_FREE, certified)
     limit = None
     if policy.max_chain_len is None and policy.max_cycle_len is not None:

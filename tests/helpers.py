@@ -246,7 +246,7 @@ def doubled_graph_admissible(cb, internals):
     """
     weights = internals.weights
     inner = {
-        (p.pid, x): matching_weight(internals.pm(frozenset(p.members) - {x}), weights)
+        (p.pid, x): matching_weight(internals.pm(p, x), weights)
         for p in cb.pseudos
         for x in p.members
     }

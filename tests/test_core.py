@@ -482,6 +482,8 @@ triangle = KepInstance(pairs=frozenset({1, 2, 3}), ndds=frozenset(),
                        arcs={(u, v): F(1) for u in (1, 2, 3) for v in (1, 2, 3) if u != v})
 assert fair.solve_nash(triangle, StructurePolicy(max_cycle_len=2)).iterations == 1
 lorenz.leximin_matching_lottery(gen.generate_instance(gen.GenConfig(n_pairs=30, seed=3)))
+weighted = gen.generate_instance(gen.GenConfig(n_pairs=22, seed=0x30003))
+assert lorenz.node_weight_leximin(weighted, {v: 1 + F(v % 7, 10) for v in weighted.pairs}).support
 print(sorted(m for m in ("numpy", "scipy", "networkx") if m in sys.modules))
 """
 
@@ -489,7 +491,8 @@ print(sorted(m for m in ("numpy", "scipy", "networkx") if m in sys.modules))
 def test_routes_load_no_third_party_module():
     # numpy, scipy and networkx load inside the functions that use them; the
     # simulator, small exact leximin, a Nash solve with no corrective step and
-    # an unweighted Lorenz lottery reach none of them, so none is loaded
+    # an unweighted or node-weighted Lorenz lottery reach none of them, so
+    # none is loaded
     src = str(Path(fairkep.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", ROUTES_WITHOUT_THIRD_PARTY],

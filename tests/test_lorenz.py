@@ -11,7 +11,7 @@ from math import lcm
 
 import pytest
 
-from fairkep import gen, lorenz
+from fairkep import gen, lorenz, matching
 from fairkep.core import (
     DOMINATES, EMPTY_PACKING, EQUAL, MATCHING_POLICY, Cycle, FairkepError, KepInstance, Lottery, Packing,
     lorenz_compare,
@@ -364,6 +364,43 @@ class TestInstanceEntryPoints:
             pairs = sorted(inst.pairs)
             assert plain.marginals(pairs) == weighted.marginals(pairs)
 
+    def test_node_weights_match_derived_edge_weights(self, monkeypatch):
+        # rational node weights of both signs and zeros: the closed form gives
+        # the marginals of the edge weights w_u + w_v, over maximum-node-weight
+        # maximum matchings only, and solves no weighted matching
+        weighted_calls = []
+        for mod in (lorenz, matching):
+            solve = mod.max_weight_matching
+
+            def recording(*args, solve=solve, **kwargs):
+                weighted_calls.append(1)
+                return solve(*args, **kwargs)
+
+            monkeypatch.setattr(mod, "max_weight_matching", recording)
+        rng = random.Random(40)
+        restricted = 0
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.2, 0.6))
+            if not g.edges:
+                continue
+            inst = make_instance(g.vertices, mutual(g.edges))
+            w = {v: F(rng.randint(-3, 3), rng.randint(1, 3)) for v in g.vertices}
+            weighted_calls.clear()
+            lot = node_weight_leximin(inst, w)
+            assert not weighted_calls
+            pairs = sorted(inst.pairs)
+            derived = {e: w[e[0]] + w[e[1]] for e in g.edges}
+            assert lot.marginals(pairs) == edge_weight_reduction(inst, derived).marginals(pairs)
+            maxm = maximum_matchings(g.edges)
+            best = max(sum(w[v] for v in covered_set(m)) for m in maxm)
+            for packing, _ in lot.support:
+                edges = frozenset(norm_edge(*s.vertices) for s in packing.structures)
+                assert edges in maxm and sum(w[v] for v in covered_set(edges)) == best
+            restricted += lot.marginals(pairs) != leximin_matching_lottery(inst).marginals(pairs)
+        assert restricted >= 15, restricted
+        with pytest.raises(ValueError):
+            leximin_lottery_graph(g, derived, node_weights=w)
+
     def test_edge_weight_reduction_support(self):
         rng = random.Random(37)
         checked = 0
@@ -698,9 +735,11 @@ class TestPinnedSolutions:
     # column demands, marginals), recorded with Edmonds-Karp flows and a
     # circulation per decomposition step; PINNED also pins the flow-dependent
     # parts (cover entries, decomposition, support), recorded with blocking
-    # flows and the repaired decomposition.
+    # flows and the repaired decomposition.  NODE_INVARIANT covers the same
+    # parts of 30 node-weighted solutions.
     INVARIANT = "1578f1bb800bf9900555850b4d24d1b2af7fd581742f586884f3f1aca2c74202"
     PINNED = "82b3684a92112a4251ef0bdf49cb6a450b2df3d439c50e60258d4aef0e465b42"
+    NODE_INVARIANT = "47a84f42a1566c7d01e7f59f3468109c02c1ead12c8b71ce58ce6a63863b64f2"
 
     def digest(self, parts=SOLUTION_PARTS):
         rng = random.Random(43)
@@ -721,6 +760,23 @@ class TestPinnedSolutions:
 
     def test_full_solutions_unchanged(self):
         assert self.digest() == self.PINNED
+
+    def test_node_weighted_invariant_parts_unchanged(self):
+        # 30 node-weighted solves (rational weights of both signs and zeros),
+        # recorded when node weights still went through the derived edge
+        # weights w_u + w_v and maximum-weight inner matchings
+        rng = random.Random(47)
+        h = hashlib.sha256()
+        nontrivial = 0
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(10, 20), rng.uniform(0.12, 0.25))
+            w = {v: F(rng.randint(-2, 4), rng.randint(1, 3)) for v in sorted(g.vertices)}
+            sol = leximin_lottery_graph(g, node_weights=w)
+            sol.check()
+            nontrivial += bool(sol.partition.peels)
+            h.update(solution_digest(sol, ("peels", "demands", "marginals")).encode())
+        assert nontrivial >= 20
+        assert h.hexdigest() == self.NODE_INVARIANT
 
     def test_sparsify_matches_reference(self, monkeypatch):
         # every support reduction of the 60 solves, against the reduced-echelon
@@ -845,7 +901,9 @@ class TestAdmissibleRestriction:
         """One assignment solve restricts the contraction exactly as the doubled
         graph did (admissible edges, removal tuples, must-match pseudonodes,
         attach vertices), under equal, node-derived, signed and rational
-        weights (the equal ones as the case that restricts nothing)."""
+        weights (the equal ones as the case that restricts nothing).  Under
+        node-derived weights the closed-form restriction, from the node
+        weights over unweighted inner matchings, equals it too."""
         rng = random.Random(46)
         restricted = Counter()
         for k in range(1000):
@@ -863,8 +921,12 @@ class TestAdmissibleRestriction:
                 w = {e: F(rng.randint(0, 6), rng.randint(1, 4)) for e in g.edges}
             cb = lorenz.contract(g, gallai_edmonds(g))
             internals = lorenz._Internals(g, w)
+            want = doubled_graph_admissible(cb, internals)
             got = lorenz._admissible(cb, internals)
-            assert got == doubled_graph_admissible(cb, internals), (k, sorted(g.edges), w)
+            assert got == want, (k, sorted(g.edges), w)
+            if regime == 1:
+                closed = lorenz._admissible(cb, lorenz._Internals(g, None), node)
+                assert closed == want, (k, sorted(g.edges), node)
             restricted[regime] += got.edges != cb.edges or got.pseudos != cb.pseudos
         # equal weights tie every maximum matching, so they restrict nothing
         assert restricted[0] == 0 and min(restricted[r] for r in (1, 2, 3)) >= 50, restricted

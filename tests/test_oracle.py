@@ -565,11 +565,12 @@ class TestMaxPrice:
             with pytest.raises(error) as raised:
                 max_price_packing(family, unit(pool), value_only=True)
             assert (raised.type is OracleInfeasible) == (status == 2), status
+            # under CARD_FREE the rows' union answers with no query, so the loop runs at ≥ 1
             if status == 2:
-                assert oracle.coverable_pairs(family, CARD_FREE) == frozenset()
+                assert oracle.coverable_pairs(family, ("atleast", 1)) == frozenset()
             else:
                 with pytest.raises(FairkepError) as raised:
-                    oracle.coverable_pairs(family, CARD_FREE)
+                    oracle.coverable_pairs(family, ("atleast", 1))
                 assert raised.type is FairkepError, status
 
     def test_chain_free_family_past_cap_enumerates_once(self, monkeypatch):
@@ -868,6 +869,43 @@ class TestCoverageMetrics:
                 assert reduced.pairs == kept, (trial, card)
                 assert dropped == sorted(inst.pairs - kept), (trial, card)
         assert saw_delta and saw_uncoverable
+
+    def test_free_coverable_pairs_are_the_row_union(self, monkeypatch):
+        """Under CARD_FREE an enumerated family answers `coverable_pairs`, seeded
+        or not, with the union of every packing's covered pairs (exhaustive
+        search) and no query; a chain family past the enumeration cap runs the
+        witness loop on the chain-arc MILP to the same set."""
+        searches = []
+        search = PackingFamily.search
+
+        def counting(self, *args, **kwargs):
+            searches.append(1)
+            return search(self, *args, **kwargs)
+
+        monkeypatch.setattr(PackingFamily, "search", counting)
+        rng = random.Random(61)
+        short = looped = 0
+        for trial in range(80):
+            inst = random_instance(rng, 4, 10, 0, 3, 0.3)
+            pol = StructurePolicy(max_cycle_len=rng.choice([2, 3]), max_chain_len=rng.choice([None, 2, 3]))
+            want = frozenset().union(*packing_covers(inst, pol))
+            short += want != inst.pairs
+            family = PackingFamily(inst, pol)
+            seed = frozenset(rng.sample(sorted(want), len(want) // 2))
+            assert oracle.coverable_pairs(family, CARD_FREE) == want, trial
+            assert oracle.coverable_pairs(family, CARD_FREE, seed) == want, trial
+            assert not searches, trial
+            n_cycles = sum(isinstance(st, Cycle) for st in family.structures)
+            if trial % 2 and n_cycles < len(family.structures):
+                with monkeypatch.context() as m:
+                    # room for the cycles the arc model enumerates, none for the chains
+                    m.setattr(oracle, "ENUM_CAP", n_cycles)
+                    milp = PackingFamily(inst, pol)
+                    assert oracle.coverable_pairs(milp, CARD_FREE) == want, trial
+                    assert milp.structures is None
+                looped += 1
+                searches.clear()
+        assert short >= 20 and looped >= 10, (short, looped)
 
     def test_delta_star(self):
         assert delta_star(TRIPLE, CYC3) == 3
