@@ -451,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("lottery", help="fair lottery over acceptable packings")
     _add_common(p, policy=True)
-    p.add_argument("--tol", type=_positive_float, default=1e-6, help="nash/gini convergence tolerance")
+    p.add_argument("--tol", type=_positive_float, default=1e-6, help="nash convergence tolerance")
     p.add_argument("--objective", choices=fair.OBJECTIVES, default="leximin")
     p.add_argument("--node-weights", type=_path, default=None,
                    help="JSON {node: weight} (--policy match only)")

@@ -20,9 +20,9 @@ last solve resumes from that solve's tableau.
   certifies the log-objective within tolerance.  The outer loop runs on
   Python floats: numpy and scipy load in _corrective_step alone, so a solve
   whose maximin start is already optimal never loads them.
-- solve_gini: Dinkelbach iterations on the mean-absolute-difference ratio.
-  The inner LP is column-generated and bounds the absolute differences by
-  one variable and sort-order cuts, exact like every other master LP.
+- solve_gini: one LP, the Charnes–Cooper transform of the mean-absolute-
+  difference ratio, column-generated; one variable and sort-order cuts bound
+  the absolute differences.
 
 Beyond that, only the oracle's HiGHS routes load scipy.
 
@@ -90,7 +90,8 @@ class SolveReport:
     """A solver's lottery, exact marginals, objective, work counts and gap.
 
     objective and gap are Fractions (leximin's objective a tuple of them) on
-    every path but solve_nash, whose float gap certifies its objective to tol.
+    every path but solve_nash, whose float gap certifies its objective to tol;
+    every other gap, Gini's included, is 0.
     """
 
     lottery: Lottery
@@ -188,7 +189,7 @@ class RestrictedMaster:
         (solution, prices, rounds).  Between calls the LP gains the priced
         column, so a solve() whose LP has a variable per column keeps one
         simplexlp.Tableau for the loop and resumes from it (_maximin_lp); one
-        whose LP gains a row per column solves each call cold (_gini_inner).
+        whose LP gains a row per column solves each call cold (_gini_lp).
         """
         rounds = 0
         while True:
@@ -454,96 +455,77 @@ def _corrective_step(master: RestrictedMaster, w0: list[float]) -> list[float]:
     return (w / total).tolist() if total > 0 else w0
 
 
-def solve_gini(
-    instance: KepInstance, policy: StructurePolicy, tol: float = 1e-8
-) -> SolveReport:
-    """Minimize the Gini coefficient of the marginal vector.
+def solve_gini(instance: KepInstance, policy: StructurePolicy) -> SolveReport:
+    """Minimize the Gini coefficient of the marginal vector, exactly.
 
-    Dinkelbach iterations on the ratio sum|q_u - q_v| / (2 n sum q): each inner
-    problem min T - mu*2n*sum(q), with T >= sum|q_u - q_v| imposed by
-    sort-order cuts (_gini_inner), is an LP solved by column generation;
-    converges when the exact inner optimum reaches -tol.  Every LP is exact
-    and rational, so the objective and the gap (-D, at most tol) are
-    Fractions.
+    The Charnes–Cooper transform of the ratio sum|q_u - q_v| / (2n sum q) is
+    one LP (_gini_lp), column-generated; its optimum T* over 2n is the
+    minimum Gini, a Fraction with gap 0.  The lottery's marginals must
+    reach it exactly.  Raises DegenerateAllZero when the seed, a maximum
+    packing, covers no pair, since then no packing does.
     """
 
     def run(master):
-        _, weights, _, _ = _maximin_lp(master, {})
-        marginals = _lottery_from(master, weights).marginals(master.pairs)
-        if all(q == 0 for q in marginals.values()):
+        if not master.covered[0]:
             raise DegenerateAllZero("every acceptable packing covers nothing")
-        mu = eval_gini([marginals[v] for v in master.pairs])
-        tol_val = Fraction(tol).limit_denominator(10**14)
-        outer = 0
-        cuts: dict[tuple[int, ...], list[int]] = {}
-        for outer in range(1, 61):
-            D, p_star, q_star = _gini_inner(master, mu, cuts)
-            if D >= -tol_val:
-                break
-            weights = p_star
-            if not sum(q_star) > 0:
-                raise FairkepError("Gini inner optimum covers no pair")
-            mu_next = eval_gini(q_star)
-            if not mu_next < mu:
-                raise FairkepError(f"Gini ratio must decrease: {mu_next} after {mu}")
-            mu = mu_next
-        else:
-            raise StalledBelowTolerance("Gini ratio iterations failed to converge", float(D))
-        return sparsify(_lottery_from(master, weights)), outer, max(Fraction(0), -D), None
+        t, weights, rounds = _gini_lp(master)
+        lottery = sparsify(_lottery_from(master, weights))
+        marginals = lottery.marginals(master.pairs)
+        objective = Fraction(t) / (2 * len(master.pairs))
+        if eval_gini([marginals[v] for v in master.pairs]) != objective:
+            raise FairkepError(f"the lottery's Gini is not the LP's optimum {objective}")
+        return lottery, rounds, Fraction(0), objective
 
     return _solve(instance, policy, eval_gini, run, empty=Fraction(0))
 
 
-def _gini_inner(master: RestrictedMaster, mu, cuts: dict):
-    """min T - mu*2n*sum(q) over the marginal polytope, via pricing.
+def _gini_lp(master: RestrictedMaster):
+    """min T over y = q/sum(q) and z = p/sum(q), via pricing.
 
-    The LP's variables are the column weights p, whose marginals are q, and
-    T >= 0, which stands for sum over ordered pairs |q_u - q_v| (eval_gini's
-    numerator): the maximum over orderings pi of 2 * sum_i (2i - n + 1)
-    q_pi(i), reached at the ascending order of q.
-    cuts maps each ordering separated so far in the solve to its
-    coefficients over q, and the LP holds T >= those coefficients times q for
-    each.  Every LP is re-solved until the ascending order of its own q*
-    violates no cut, exactly, so pricing only sees optima of the LP over
-    every ordering.
+    Charnes–Cooper: the column weights p of a lottery scale to z >= 0 with
+    sum_P |P| z_P = 1, whose marginals y sum to 1.  T stands for sum over
+    ordered pairs |y_u - y_v| (eval_gini's numerator): the maximum over
+    orderings pi of 2 * sum_i (2i - n + 1) y_pi(i), reached at the ascending
+    order of y.  The LP holds T >= those coefficients times y for each
+    ordering separated so far in the solve, and is re-solved until the
+    ascending order of its own y* violates no cut, exactly, so pricing only
+    sees optima of the LP over every ordering.
 
-    The simplex runs on the LP's dual, which has a row per column where the
-    LP has one per cut, and whose right-hand sides are not all 0 as the
-    cuts' are.  Its cut multipliers lam give each pair the price 2n*mu less
-    lam times the pair's cut coefficients.  A cut is one more dual column, so
+    The simplex runs on the LP's dual: max nu over a row per column,
+    |P| nu - sum_o lam_o (cut o's coefficients over P) <= 0, and
+    sum(lam) <= 1 for T.  A pair's price is nu less lam times its cut
+    coefficients, certified against 0.  A cut is one more dual column, so
     the re-solve after it resumes from the last tableau; a priced column is
-    one more dual row, so each pricing round starts cold.  Returns (inner
-    optimum, p*, q*).
+    one more dual row, so each pricing round starts cold.  Returns (T*, z*,
+    rounds).
     """
     pairs = master.pairs
     n = len(pairs)
-    coef_q = 2 * n * mu
+    cuts: dict[tuple[int, ...], list[int]] = {}
 
     def solve():
         k = len(master.columns)
         cols = [[i for i, v in enumerate(pairs) if v in cov] for cov in master.covered]
-        b_ub = [-coef_q * len(col) for col in cols] + [1]
         tableau = Tableau()
-        # the dual's variables: lam >= 0 per cut, then the free multiplier of
-        # sum(p) = 1; its rows: one per column, then one for T.  A column's
-        # row gains one entry per cut
+        # the dual's variables: lam >= 0 per cut, then the free nu; its
+        # rows: one per column, then one for T.  A column's row gains one
+        # entry per cut
         rows = list(cuts.values())
         col_rows = [[-sum(r[i] for i in col) for r in rows] for col in cols]
         while True:
-            A_ub = [entries + [-1] for entries in col_rows]
+            A_ub = [entries + [len(col)] for entries, col in zip(col_rows, cols)]
             A_ub.append([1] * len(rows) + [0])
-            lam, _, x, _ = lp_solve([0] * len(rows) + [-1], A_ub, b_ub, free_vars=[len(rows)],
-                                    start=tableau)
-            q = [0] * n
-            for col, p in zip(cols, x):
+            lam, _, x, _ = lp_solve([0] * len(rows) + [1], A_ub, [0] * k + [1],
+                                    free_vars=[len(rows)], start=tableau)
+            y = [0] * n
+            for col, z in zip(cols, x):
                 for i in col:
-                    q[i] += p
-            order = tuple(sorted(range(n), key=q.__getitem__))
+                    y[i] += z
+            order = tuple(sorted(range(n), key=y.__getitem__))
             row = [0] * n
             for i, j in enumerate(order):
                 row[j] = 2 * (2 * i - n + 1)
-            value = sum(a * qi for a, qi in zip(row, q))
-            if not value > x[k]:
+            if not sum(a * yi for a, yi in zip(row, y)) > x[k]:
                 break
             if order in cuts:
                 raise FairkepError(f"the Gini cut of ordering {order} is violated in its own LP")
@@ -551,12 +533,12 @@ def _gini_inner(master: RestrictedMaster, mu, cuts: dict):
             rows.append(row)
             for entries, col in zip(col_rows, cols):
                 entries.append(-sum(row[i] for i in col))
-        prices = {v: coef_q - sum(y * r[i] for y, r in zip(lam, rows))
+        prices = {v: lam[-1] - sum(m * r[i] for m, r in zip(lam, rows))
                   for i, v in enumerate(pairs)}
-        return (value - coef_q * sum(q), x[:k], q), prices, lam[-1]
+        return (x[k], x[:k]), prices, 0
 
-    optimum, _, _ = master.generate(solve)
-    return optimum
+    (t, weights), _, rounds = master.generate(solve)
+    return t, weights, rounds
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +603,8 @@ def lottery(instance: KepInstance, policy: StructurePolicy, objective: str = "le
     pairs `preprocess` keeps), with no iterations or pricing calls and gap 0.
     The rest is column generation.  Every objective but utilitarian runs over
     the pool `preprocess` reduces at any cardinality, whatever the mode, and
-    under mode "max" at δ* (`oracle.delta_star`).  Nash runs to `tol`, Gini
-    to min(tol, 1e-8).
+    under mode "max" at δ* (`oracle.delta_star`).  Nash alone reads `tol`:
+    it runs to that gap.
     A request no engine answers raises ValueError before any engine runs.
     """
     weighted = [w for w in (node_weights, edge_weights) if w is not None]
@@ -650,9 +632,8 @@ def lottery(instance: KepInstance, policy: StructurePolicy, objective: str = "le
             policy = replace(any_size, delta=delta_star(instance, policy))
     if objective == "nash":
         return solve_nash(instance, policy, tol=tol)
-    if objective == "gini":
-        return solve_gini(instance, policy, tol=min(tol, 1e-8))
-    solve = {"utilitarian": solve_utilitarian, "maximin": solve_maximin, "leximin": solve_leximin}
+    solve = {"utilitarian": solve_utilitarian, "maximin": solve_maximin, "leximin": solve_leximin,
+             "gini": solve_gini}
     return solve[objective](instance, policy)
 
 

@@ -392,27 +392,14 @@ class TestChecks:
             if inner == "maximin":
                 fair._maximin_lp(master, {})
             else:
-                fair._gini_inner(master, F(1, 4), {})
-
-    def test_gini_inner_must_cover_a_pair(self, monkeypatch):
-        monkeypatch.setattr(fair, "_gini_inner", lambda master, mu, cuts: (F(-1), [], [F(0)] * 4))
-        with pytest.raises(FairkepError, match="covers no pair"):
-            solve_gini(SHARED, CYC3D1)
-
-    def test_gini_ratio_must_decrease(self, monkeypatch):
-        # the maximin start has ratio 3/20; marginals (1, 0, 0, 0) have 3/4
-        monkeypatch.setattr(
-            fair, "_gini_inner", lambda master, mu, cuts: (F(-1), [], [F(1), 0, 0, 0])
-        )
-        with pytest.raises(FairkepError, match="ratio must decrease"):
-            solve_gini(SHARED, CYC3D1)
+                fair._gini_lp(master)
 
     def test_gini_cut_violated_in_its_own_lp(self, monkeypatch):
         # an LP that reports T = 0 whatever its cuts violates the cut it was given
         real = fair.lp_solve
 
         def zero_t(*args, **kwargs):
-            # _gini_inner solves the LP's dual, so T is the last dual of its rows
+            # _gini_lp solves the LP's dual, so T is the last dual of its rows
             y, objective, x, duals_eq = real(*args, **kwargs)
             return y, objective, [*x[:-1], 0], duals_eq
 
@@ -420,7 +407,25 @@ class TestChecks:
         seed = Packing.of(Cycle((1, 2)))
         master = fair.RestrictedMaster([1, 2, 3, 4], lambda prices: (seed, F(0)), seed)
         with pytest.raises(FairkepError, match="violated in its own LP"):
-            fair._gini_inner(master, F(1, 4), {})
+            fair._gini_lp(master)
+
+    def test_gini_must_equal_the_lp_optimum(self, monkeypatch):
+        # an LP that reports T one above its optimum ends on a lottery whose
+        # Gini is not that T over 2n
+        real = fair.lp_solve
+
+        def high_t(*args, **kwargs):
+            y, objective, x, duals_eq = real(*args, **kwargs)
+            return y, objective, [*x[:-1], x[-1] + 1], duals_eq
+
+        monkeypatch.setattr(fair, "lp_solve", high_t)
+        with pytest.raises(FairkepError, match="not the LP's optimum"):
+            solve_gini(SHARED, CYC3D1)
+
+    def test_gini_of_a_pool_without_structures_is_undefined(self):
+        # pairs but no arc: the seed, a maximum packing, covers nothing
+        with pytest.raises(fair.DegenerateAllZero):
+            solve_gini(make([1, 2, 3], [], []), CYC3)
 
 
 class TestGiniReference:
@@ -447,6 +452,25 @@ class TestGiniReference:
                 continue
             r = solve_gini(inst, pol)
             assert r.objective == min_gini(pairs, fam), trial
+            assert type(r.gap) is Fraction and r.gap == 0, trial
+
+    def test_random_chain_pools(self):
+        # chains and δ > 0 admit packings of different sizes, so the LP's
+        # normalization sum_P |P| z_P = 1 weighs columns unequally
+        rng = random.Random(11)
+        for trial in range(40):
+            n = rng.randint(3, 6)
+            ndds = list(range(n, n + rng.randint(1, 2)))
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.35]
+            arcs += [(a, v) for a in ndds for v in range(n) if rng.random() < 0.4]
+            inst = make(range(n), ndds, arcs)
+            pol = StructurePolicy(max_cycle_len=3, max_chain_len=2, cardinality_mode="delta",
+                                  delta=rng.randint(0, 2))
+            fam = self.family(inst, pol)
+            if not any(fam):
+                continue
+            r = solve_gini(inst, pol)
+            assert r.objective == min_gini(range(n), fam), trial
             assert type(r.gap) is Fraction and r.gap == 0, trial
 
     # larger generated pools, still small enough to list every packing
@@ -532,7 +556,7 @@ def at_delta_star(n_pairs: int, seed: int):
 # (cold solves, resumed solves, simplexlp._pivot calls) of the LPs of
 # TestLpWork's solves; GINI_POOL is the Gini solve's pool
 GINI_POOL = (12, 3)
-LP_WORK = {"leximin": (62, 67, 346), "maximin": (1, 6, 9), "gini": (3, 13, 47)}
+LP_WORK = {"leximin": (62, 67, 346), "maximin": (1, 6, 9), "gini": (3, 6, 16)}
 
 
 class TestLpWork:
@@ -583,7 +607,7 @@ class TestFrontDoor:
         return gen.generate_instance(gen.GenConfig(n_pairs=n_pairs, n_ndds=n_ndds, seed=seed))
 
     @pytest.mark.parametrize("objective, tol, solve_tol", [
-        ("maximin", 1e-6, None), ("leximin", 1e-6, None), ("nash", 1e-3, 1e-3), ("gini", 1e-3, 1e-8),
+        ("maximin", 1e-6, None), ("leximin", 1e-6, None), ("nash", 1e-3, 1e-3), ("gini", None, None),
     ])
     def test_fairness_objectives_run_at_delta_star(self, objective, tol, solve_tol):
         # the pool has pairs no cyc3 packing covers: preprocessing at any
@@ -595,7 +619,8 @@ class TestFrontDoor:
         policy = replace(any_size, delta=delta_star(reduced, CYC3))
         solve = {"maximin": solve_maximin, "leximin": solve_leximin, "nash": solve_nash, "gini": solve_gini}
         kwargs = {} if solve_tol is None else {"tol": solve_tol}
-        assert fair.lottery(inst, CYC3, objective, tol=tol) == solve[objective](reduced, policy, **kwargs)
+        front = {} if tol is None else {"tol": tol}
+        assert fair.lottery(inst, CYC3, objective, **front) == solve[objective](reduced, policy, **kwargs)
 
     def test_utilitarian_and_a_given_relaxation_skip_delta_star(self):
         # a given relaxation still runs over the pool preprocessing keeps
