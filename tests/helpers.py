@@ -6,15 +6,17 @@ contraction/peeling or column-generation code paths.  The flow references at
 the end (Edmonds-Karp, a circulation per decomposition step) are the
 algorithms the library's flow kernel and matrix decomposition replaced,
 `reference_search` is the packing search before it pruned on the cardinality
-row and charged for the structure count, `doubled_graph_admissible` is the
-weighted Lorenz restriction before it became one assignment solve, and
+row, charged for the structure count and jumped over the rows it cannot
+include, `doubled_graph_admissible` is the weighted Lorenz restriction
+before it became one assignment solve, and
 `reference_peel_blocks` is the peeling loop before it went one connected
 component at a time: a Dinkelbach iteration from λ = 1 over everything left
 per block (it shares the library's `_tight_lambda` and `_demand`).
 `reference_caratheodory` is the support reduction before it kept a forward
 echelon with combinations over the basis only: a reduced echelon whose rows
 carry dense combinations over every column (it shares the library's
-`_eliminate`).
+`_eliminate`).  `recorded_searches` records the packing search's query
+stream of a call, so that a differential test can replay it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from fairkep.core import Chain, Cycle, FairkepError, Packing
 from fairkep.flows import INF, _MaxFlow
 from fairkep.lorenz import BlockPartition, ContractedBipartite, Peel, Pseudo, _demand, _tight_lambda
 from fairkep.matching import matching_weight, norm_edge
-from fairkep.oracle import CARD_FREE, OracleInfeasible, enumerate_structures
+from fairkep.oracle import CARD_FREE, OracleInfeasible, PackingFamily, enumerate_structures
 from fairkep.simplexlp import _eliminate, lp_solve_exact
 
 ZERO = Fraction(0)
@@ -519,11 +521,14 @@ def reference_search(inst, policy, prices, cardinality, value_only):
     """The oracle's branch-and-bound as it was with a value bound only.
 
     Same structure order and inclusion-first branching as
-    `oracle.PackingFamily.search`; the cardinality row prunes only through
-    `count + suffix_size[i] < low`, the total size of every remaining
-    structure, conflicting ones included.  Full queries keep the explicit
-    tie-break key (fewest structures, then smallest tuple of `sort_key`s)
-    and visit every optimal leaf to compare it.  That is on purpose: it is
+    `oracle.PackingFamily.search`, but it walks every row in turn, closing
+    each row's drop set (the pairs it is the last to cover) as it passes,
+    where the search jumps to the next row it can include.  The
+    cardinality row prunes only through `count + suffix_size[i] < low`, the
+    total size of every remaining structure, conflicting ones included.
+    Full queries keep the explicit tie-break key (fewest structures, then
+    smallest tuple of `sort_key`s) and visit every optimal leaf to compare
+    it.  That is on purpose: it is
     the independent reference for the search's count charge, so it must not
     adopt the charge, or the differential tests would compare the search
     with itself.  Kept as the reference the stronger bound and the charge
@@ -593,6 +598,23 @@ def reference_search(inst, policy, prices, cardinality, value_only):
     if best_chosen is None:
         raise OracleInfeasible("no packing satisfies the cardinality constraint")
     return Packing(frozenset(structs[j] for j in best_chosen)), Fraction(best_val, scale)
+
+
+def recorded_searches(run):
+    """`run()`'s result and the (family, prices, cardinality, value_only) of
+    every `PackingFamily.search` it made, in order."""
+    search = PackingFamily.search
+    asked = []
+
+    def recording(family, prices, cardinality, value_only):
+        asked.append((family, dict(prices), cardinality, value_only))
+        return search(family, prices, cardinality, value_only)
+
+    PackingFamily.search = recording
+    try:
+        return run(), asked
+    finally:
+        PackingFamily.search = search
 
 
 def reference_lambda_star(

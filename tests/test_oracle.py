@@ -28,7 +28,7 @@ from fairkep.oracle import (
 )
 from fairkep.paths import TWO_CYCLE_TWO_PATH
 import helpers
-from helpers import all_structures, brute_best, packing_covers, reference_search
+from helpers import all_structures, brute_best, packing_covers, recorded_searches, reference_search
 
 F = Fraction
 CYC3 = StructurePolicy(max_cycle_len=3)
@@ -179,11 +179,11 @@ class TestFamilyTables:
 
 
     def test_restricted_family_answers_like_a_new_one(self):
-        """`family.restrict(sub)` holds the rows, coverable count and drop
-        tables that enumerating `sub` gives, and answers every query alike:
-        the same packing and value, value-only and tie-break, and
-        OracleInfeasible on the same queries, for prices of both signs in all
-        three cardinality modes.  Generated 8-14-pair pools with 0-2 NDDs
+        """`family.restrict(sub)` holds the rows, coverable count, suffix
+        unions and conflict-free row sets that enumerating `sub` gives, and
+        answers every query alike: the same packing and value, value-only and
+        tie-break, and OracleInfeasible on the same queries, for prices of
+        both signs in all three cardinality modes.  Generated 8-14-pair pools with 0-2 NDDs
         under match, cyc3 and cyc3chain:2, restricted to random pair subsets
         and to the pairs `fair.preprocess` keeps.  The maximum comes along
         when its packing lies inside the kept pairs."""
@@ -207,7 +207,8 @@ class TestFamilyTables:
             for table in ("ids", "members", "masks", "ndds"):
                 assert getattr(rows, table) == getattr(want, table), (trial, table)
             assert restricted.coverable == fresh.coverable, trial
-            assert restricted.drop == fresh.drop, trial
+            assert restricted.cover == fresh.cover, trial
+            assert restricted.conflict_free == fresh.conflict_free, trial
             if maximum[0].covered <= sub.pairs:
                 assert restricted._maximum is maximum, trial
                 carried += 1
@@ -735,9 +736,10 @@ def reference_queries():
 
 
 class TestAgainstReferenceSearch:
-    """The search prunes on the cardinality row as well as on value, and
-    breaks ties by a count charge; the reference in helpers is the search as
-    it was, with the value bound only and an explicit tie-break key."""
+    """The search prunes on the cardinality row as well as on value, breaks
+    ties by a count charge and jumps over the rows it cannot include; the
+    reference in helpers is the search as it was, with the value bound only,
+    an explicit tie-break key and a turn for every row."""
 
     def test_same_packing_as_reference(self):
         """The same packing, not only the same value, and OracleInfeasible on
@@ -768,26 +770,76 @@ class TestAgainstReferenceSearch:
             totals[1] += ref_nodes
         assert totals[0] < totals[1], totals
 
-    def test_visits_no_more_nodes_than_reference(self, monkeypatch):
+    def test_same_tree_as_the_row_by_row_loop(self):
+        """Over `reference_queries`, full and value-only, the search opens
+        46,762 `dfs` frames, as many as the loop that visited every row did:
+        jumping over the rows that conflict with the chosen ones skips no
+        prune and adds none, so the tree is the same."""
+        frames = 0
+        for trial, inst, pol, family, prices, card in reference_queries():
+            for value_only in (False, True):
+                frames += dfs_frames(lambda: family.search(prices, card, value_only), oracle)[1]
+        assert frames == 46_762
+
+    def test_workload_streams_match_reference(self):
+        """Every query the benchmark's kinds of calls make answers as the
+        reference does: the same packing and value, and OracleInfeasible on
+        the same queries.  The streams are fair.preprocess, oracle.delta_star
+        and the four solvers at δ* on four generated 12-15-pair cyc3 pools;
+        the period queries of two `implicit` replications with waiting-time
+        prices, full queries on pools that grow to 30 pairs; and queries of
+        all three cardinality modes on a 20-pair pool of 141 structures, so
+        that the row bitsets span several machine words."""
+        asked = []
+        for u, n_pairs in enumerate((12, 13, 14, 15)):
+            inst = gen.generate_instance(gen.GenConfig(n_pairs=n_pairs, seed=0x20000 + u))
+
+            def solves():
+                reduced, _ = fair.preprocess(inst, CYC3)
+                policy = replace(CYC3, cardinality_mode="delta", delta=delta_star(reduced, CYC3))
+                for solve in (fair.solve_leximin, fair.solve_maximin, fair.solve_nash,
+                              fair.solve_gini):
+                    solve(reduced, policy)
+
+            asked += recorded_searches(solves)[1]
+        for u in range(2):
+            config = gen.GenConfig(n_pairs=6, n_ndds=1, seed=0x10000 + (u << 4))
+            batches = gen.generate_batches(config, 12)
+            sim_config = sim.SimConfig(policy=CYC3, algorithm=sim.IMPLICIT,
+                                       weighting=sim.WaitTimeLinear(), seed=u)
+            asked += recorded_searches(lambda: sim.run_simulation(batches, sim_config))[1]
+        wide = PackingFamily(gen.generate_instance(gen.GenConfig(n_pairs=20, seed=1)), CYC3)
+        assert len(wide.structures) > 128
+        rng = random.Random(83)
+        maxcard = wide.maximum()[1]
+        for _ in range(12):
+            prices = {v: F(rng.randint(-2, 8), rng.randint(1, 4)) for v in wide.instance.pairs}
+            k = rng.randint(maxcard - 2, maxcard + 1)
+            card = rng.choice([CARD_FREE, ("atleast", k), ("exact", k)])
+            asked += [(wide, prices, card, value_only) for value_only in (False, True)]
+        assert max(len(family.instance.pairs) for family, *_ in asked) == 30
+        for family, prices, card, value_only in asked:
+            got, _ = dfs_frames(lambda: family.search(prices, card, value_only), oracle)
+            want, _ = dfs_frames(
+                lambda: reference_search(family.instance, family.policy, prices, card, value_only),
+                helpers,
+            )
+            assert got == want, (len(family.structures), card, value_only)
+
+    def test_visits_no_more_nodes_than_reference(self):
         """On every `atleast` query that fair.preprocess and oracle.delta_star
         ask of a fixed 15-pair pool, the search opens no more `dfs` frames
         than the reference: pruning more keeps the order, so its tree is a
         subset of the reference's.  Summed over the queries it opens fewer."""
-        search = oracle.PackingFamily.search
-        asked = []
+        def preprocess():
+            inst = gen.generate_instance(gen.GenConfig(n_pairs=15, seed=2))
+            delta_star(fair.preprocess(inst, CYC3)[0], CYC3)
 
-        def recording(family, prices, cardinality, value_only):
-            asked.append((family, prices, cardinality, value_only))
-            return search(family, prices, cardinality, value_only)
-
-        monkeypatch.setattr(oracle.PackingFamily, "search", recording)
-        reduced, _ = fair.preprocess(gen.generate_instance(gen.GenConfig(n_pairs=15, seed=2)), CYC3)
-        delta_star(reduced, CYC3)
         totals = [0, 0]
-        for family, prices, card, value_only in asked:
+        for family, prices, card, value_only in recorded_searches(preprocess)[1]:
             if card[0] != "atleast":
                 continue
-            got, nodes = dfs_frames(lambda: search(family, prices, card, value_only), oracle)
+            got, nodes = dfs_frames(lambda: family.search(prices, card, value_only), oracle)
             want, ref_nodes = dfs_frames(
                 lambda: reference_search(family.instance, family.policy, prices, card, value_only),
                 helpers,
